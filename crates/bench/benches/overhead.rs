@@ -44,7 +44,7 @@ fn bench_replicator() {
             cfg = cfg.with_divergence_threshold(d);
         }
         min_elapsed_ns(|| {
-            let mut r = Replicator::new("bench", cfg);
+            let mut r = Replicator::new("bench", cfg.clone());
             for i in 0..OPS {
                 let _ = black_box(r.try_write(0, tok(i), TimeNs::from_ns(i)));
                 let _ = black_box(r.try_read(0, TimeNs::from_ns(i)));

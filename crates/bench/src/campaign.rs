@@ -13,12 +13,12 @@ use crate::parallel::{campaign_workers, parallel_map_ordered};
 use rtft_apps::networks::App;
 use rtft_core::equivalence::TimingStats;
 use rtft_core::{
-    build_duplicated, build_reference, instrument_duplicated, DuplicationConfig, FaultPlan,
-    ReplicaFactory, ReplicatorFaultCause, SelectorFaultCause,
+    as_arbiter, build_duplicated, build_reference, instrument_duplicated, DuplicationConfig,
+    FaultPlan, ReplicaFactory,
 };
 use rtft_distfn::{tap_stage, DistanceMonitor, LRepetitive, StreamTap};
 use rtft_kpn::{Engine, Fifo, Network, NodeId, PortId};
-use rtft_obs::{BenchMetrics, DetectionSite, MetricsRegistry, ReplicaStatus};
+use rtft_obs::{BenchMetrics, MetricsRegistry, ReplicaStatus};
 use rtft_rtc::sizing::SizingReport;
 use rtft_rtc::{PjdModel, TimeNs};
 use std::collections::BTreeMap;
@@ -243,24 +243,16 @@ pub fn fault_campaign_observed_with_workers(
         engine.run_until(horizon);
         let net = engine.network();
 
-        let rep_lat = ids.replicator_faults(net)[faulty].map(|f| {
+        // The faulty replica's latch at one arbitration channel: latency
+        // (recorded into the pooled histogram) and detection-site label.
+        let detection = |channel, at_replicator| {
+            let f = as_arbiter(net.channel(channel))?.latched(faulty)?;
             let lat = f.at.saturating_sub(fault_at);
             latency.record(lat.as_ns());
-            let site = match f.cause {
-                ReplicatorFaultCause::Overflow => DetectionSite::ReplicatorOverflow,
-                ReplicatorFaultCause::Divergence => DetectionSite::ReplicatorDivergence,
-            };
-            (lat, site.label())
-        });
-        let sel_lat = ids.selector_faults(net)[faulty].map(|f| {
-            let lat = f.at.saturating_sub(fault_at);
-            latency.record(lat.as_ns());
-            let site = match f.cause {
-                SelectorFaultCause::Stall => DetectionSite::SelectorStall,
-                SelectorFaultCause::Divergence => DetectionSite::SelectorDivergence,
-            };
-            (lat, site.label())
-        });
+            Some((lat, f.cause.site(at_replicator).label()))
+        };
+        let rep_lat = detection(ids.replicator, true);
+        let sel_lat = detection(ids.selector, false);
         let mut max_fills = [0u64; 3]; // replicator.q0, replicator.q1, selector
         for (i, fill) in max_fills.iter_mut().take(2).enumerate() {
             *fill = net.channel(ids.replicator).max_fill(i) as u64;
@@ -325,29 +317,20 @@ pub fn fault_campaign_observed_with_workers(
         runs: runs as u64,
     };
     let sizing = sizing.expect("at least one run");
+    let site_stats = |latencies: &[TimeNs], bound| DetectionStats {
+        stats: TimingStats::from_durations(latencies).unwrap_or(TimingStats {
+            min: TimeNs::ZERO,
+            max: TimeNs::ZERO,
+            mean: TimeNs::ZERO,
+            samples: 0,
+        }),
+        bound,
+        detections: latencies.len(),
+        runs,
+    };
     let campaign = FaultCampaign {
-        replicator: DetectionStats {
-            stats: TimingStats::from_durations(&rep_lat).unwrap_or(TimingStats {
-                min: TimeNs::ZERO,
-                max: TimeNs::ZERO,
-                mean: TimeNs::ZERO,
-                samples: 0,
-            }),
-            bound: sizing.replicator_detection_bound,
-            detections: rep_lat.len(),
-            runs,
-        },
-        selector: DetectionStats {
-            stats: TimingStats::from_durations(&sel_lat).unwrap_or(TimingStats {
-                min: TimeNs::ZERO,
-                max: TimeNs::ZERO,
-                mean: TimeNs::ZERO,
-                samples: 0,
-            }),
-            bound: sizing.selector_detection_bound,
-            detections: sel_lat.len(),
-            runs,
-        },
+        replicator: site_stats(&rep_lat, sizing.replicator_detection_bound),
+        selector: site_stats(&sel_lat, sizing.selector_detection_bound),
         all_masked,
     };
     (campaign, metrics)

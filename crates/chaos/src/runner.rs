@@ -19,11 +19,10 @@ use crate::bounds::BoundCheck;
 use crate::scenario::{FaultSpec, PlatformKind, Redundancy, Scenario, SERVICE_DIVISOR};
 use rtft_core::{
     build_duplicated, build_hetero, build_n_modular_voting, DuplicationConfig, FaultKind,
-    FaultPlan, HeteroModel, HeteroSelector, HeteroSizingReport, HeteroStageReplica,
-    JitterStageReplica, NJitterStageReplica, NModularModel, NReplicator, NSizingReport,
-    PayloadGenerator, SampledReplicator, VotingSelector,
+    FaultPlan, HeteroModel, HeteroSizingReport, HeteroStageReplica, JitterStageReplica,
+    NJitterStageReplica, NModularModel, NSizingReport, PayloadGenerator,
 };
-use rtft_kpn::{Engine, Payload, SplitMix64};
+use rtft_kpn::{ChannelId, Engine, Network, Payload, SplitMix64};
 use rtft_rtc::detection::{DetectionBounds, HeteroBounds};
 use rtft_rtc::{PjdModel, TimeNs};
 use rtft_scc::{low_contention_pipeline, NocFaultPlan, SccPlatform};
@@ -178,24 +177,11 @@ pub(crate) fn payload_cycle(seed: u64, bytes: usize) -> PayloadGenerator {
     Arc::new(move |seq| blocks[(seq % 8) as usize].clone())
 }
 
-fn earliest(a: Option<TimeNs>, b: Option<TimeNs>) -> Option<TimeNs> {
-    match (a, b) {
-        (Some(x), Some(y)) => Some(x.min(y)),
-        (x, None) => x,
-        (None, y) => y,
-    }
-}
-
 /// Wraps the built network in the scenario's platform and returns the
 /// engine. SCC platforms route the two arbitration channels across the
 /// mesh with the low-contention mapping; the degraded variant adds a
 /// uniform [`NocFaultPlan`] (10 µs per chunk, 5 µs per chunk-hop).
-fn engine_for(
-    s: &Scenario,
-    net: rtft_kpn::Network,
-    replicator: rtft_kpn::ChannelId,
-    selector: rtft_kpn::ChannelId,
-) -> Engine {
+fn engine_for(s: &Scenario, net: Network, replicator: ChannelId, selector: ChannelId) -> Engine {
     match s.platform {
         PlatformKind::Ideal => Engine::new(net),
         PlatformKind::Scc | PlatformKind::SccDegradedNoc => {
@@ -220,7 +206,6 @@ fn engine_for(
 /// for this scenario's fault ([`analytic_bound`] or
 /// [`hetero_analytic_bound`]); `producer` feeds the activation grace of
 /// the shared [`BoundCheck`] rule.
-#[allow(clippy::too_many_arguments)]
 fn classify(
     s: &Scenario,
     producer: &PjdModel,
@@ -296,7 +281,7 @@ pub fn run_scenario(s: &Scenario) -> ScenarioOutcome {
     let expected_digests: Vec<u64> = (0..8).map(|i| payload(i).digest()).collect();
     let horizon = period * (s.token_count + 60) + model.consumer.delay + TimeNs::from_secs(5);
 
-    match s.redundancy {
+    let (net, ids, bound) = match s.redundancy {
         Redundancy::Duplicated => {
             let mut cfg = DuplicationConfig::from_model(model)
                 .expect("profile models are bounded")
@@ -316,22 +301,10 @@ pub fn run_scenario(s: &Scenario) -> ScenarioOutcome {
             };
             let bounds = cfg.sizing.detection_bounds(&model);
             let (net, ids) = build_duplicated(&cfg, &factory);
-            let mut engine = engine_for(s, net, ids.replicator, ids.selector);
-            engine.run_until(horizon);
-            let net = engine.network();
-            let rep = ids.replicator_faults(net);
-            let sel = ids.selector_faults(net);
-            let latches: Vec<Option<TimeNs>> = (0..2)
-                .map(|i| earliest(rep[i].map(|r| r.at), sel[i].map(|r| r.at)))
-                .collect();
-            let bound = s.fault.and_then(|f| analytic_bound(s, &f, &bounds));
-            classify(
-                s,
-                &model.producer,
-                bound,
-                &latches,
-                ids.consumer_arrivals(net),
-                &expected_digests,
+            (
+                net,
+                ids,
+                s.fault.and_then(|f| analytic_bound(s, &f, &bounds)),
             )
         }
         Redundancy::TriVoting => {
@@ -380,26 +353,10 @@ pub fn run_scenario(s: &Scenario) -> ScenarioOutcome {
                 &factory,
                 &faults,
             );
-            let mut engine = engine_for(s, net, ids.replicator, ids.selector);
-            engine.run_until(horizon);
-            let net = engine.network();
-            let rep = net
-                .channel_as::<NReplicator>(ids.replicator)
-                .expect("n-replicator");
-            let sel = net
-                .channel_as::<VotingSelector>(ids.selector)
-                .expect("voting selector");
-            let latches: Vec<Option<TimeNs>> = (0..3)
-                .map(|i| earliest(rep.fault(i).map(|r| r.at), sel.fault(i).map(|r| r.at)))
-                .collect();
-            let bound = s.fault.and_then(|f| analytic_bound(s, &f, &bounds));
-            classify(
-                s,
-                &nmodel.producer,
-                bound,
-                &latches,
-                ids.consumer_arrivals(net),
-                &expected_digests,
+            (
+                net,
+                ids,
+                s.fault.and_then(|f| analytic_bound(s, &f, &bounds)),
             )
         }
         Redundancy::Hetero { k } => {
@@ -431,29 +388,32 @@ pub fn run_scenario(s: &Scenario) -> ScenarioOutcome {
                 &factory,
                 &faults,
             );
-            let mut engine = engine_for(s, net, ids.replicator, ids.selector);
-            engine.run_until(horizon);
-            let net = engine.network();
-            let rep = net
-                .channel_as::<SampledReplicator>(ids.replicator)
-                .expect("sampled replicator");
-            let sel = net
-                .channel_as::<HeteroSelector>(ids.selector)
-                .expect("hetero selector");
-            let latches: Vec<Option<TimeNs>> = (0..2)
-                .map(|i| earliest(rep.fault(i).map(|r| r.at), sel.fault(i).map(|r| r.at)))
-                .collect();
-            let bound = s.fault.and_then(|f| hetero_analytic_bound(&f, &bounds));
-            classify(
-                s,
-                &hmodel.producer,
-                bound,
-                &latches,
-                ids.consumer_arrivals(net),
-                &expected_digests,
+            (
+                net,
+                ids,
+                s.fault.and_then(|f| hetero_analytic_bound(&f, &bounds)),
             )
         }
-    }
+    };
+
+    let mut engine = engine_for(s, net, ids.replicator, ids.selector);
+    engine.run_until(horizon);
+    let net = engine.network();
+    // Each replica's earliest latch over both arbitration channels.
+    let latches: Vec<Option<TimeNs>> = ids
+        .replicator_faults(net)
+        .iter()
+        .zip(&ids.selector_faults(net))
+        .map(|(rep, sel)| [rep, sel].into_iter().flatten().map(|f| f.at).min())
+        .collect();
+    classify(
+        s,
+        &model.producer,
+        bound,
+        &latches,
+        ids.consumer_arrivals(net),
+        &expected_digests,
+    )
 }
 
 #[cfg(test)]

@@ -14,11 +14,10 @@
 //! only holds when the declared curves bound the platform's actual jitter.
 
 use rtft_core::{
-    build_duplicated, build_n_modular_voting, CorruptionMode, DuplicationConfig, FaultPlan,
-    JitterStageReplica, NJitterStageReplica, NModularModel, NReplicator, NSizingReport, Replicator,
-    Selector, VotingSelector,
+    as_arbiter, build_duplicated, build_n_modular_voting, CorruptionMode, DuplicationConfig,
+    FaultPlan, JitterStageReplica, NJitterStageReplica, NModularModel, NSizingReport,
 };
-use rtft_kpn::threaded::run_threaded;
+use rtft_kpn::threaded::{run_threaded, ThreadedRun};
 use rtft_kpn::{Payload, PjdSink};
 use rtft_rtc::sizing::DuplicationModel;
 use rtft_rtc::{PjdModel, TimeNs};
@@ -68,30 +67,45 @@ pub fn spot_duplicated_fail_stop() -> SpotCheck {
     let factory = JitterStageReplica::from_model(&cfg.model).with_seeds([0xC1, 0xC2]);
     let (net, _ids) = build_duplicated(&cfg, &factory);
 
-    let run = run_threaded(net, DEADLINE);
-    // Builder channel order: replicator is 0, selector is 1.
-    let faulty_latched = run
-        .channel_as::<Replicator, _>(0, |r| r.fault(1).is_some())
-        .unwrap_or(false)
-        || run
-            .channel_as::<Selector, _>(1, |s| s.fault(1).is_some())
-            .unwrap_or(false);
-    let healthy_latched = run
-        .channel_as::<Replicator, _>(0, |r| r.fault(0).is_some())
-        .unwrap_or(true)
-        || run
-            .channel_as::<Selector, _>(1, |s| s.fault(0).is_some())
-            .unwrap_or(true);
+    // Replicator overflow or either selector rule may catch a fail-stop.
+    verdict(
+        "duplicated-fail-stop",
+        &run_threaded(net, DEADLINE),
+        1,
+        &[0, 1],
+    )
+}
+
+/// Judges a finished run whose `faulty` replica had a fault injected:
+/// that replica must be latched at one of `detectors`, no other replica
+/// anywhere, and the consumer must hold the complete, digest-clean
+/// `Payload::U64(seq)` stream. Builder channel order: the replicator is
+/// channel 0, the selector channel 1; a channel that cannot be read back
+/// fails the check.
+fn verdict(name: &'static str, run: &ThreadedRun, faulty: usize, detectors: &[usize]) -> SpotCheck {
+    let latches = |channel: usize| {
+        run.channel(channel, |c| as_arbiter(c).map(|a| a.latches()))
+            .flatten()
+    };
+    let faulty_latched = detectors
+        .iter()
+        .any(|&ch| latches(ch).is_some_and(|l| l[faulty].is_some()));
+    let healthy_latched = [0, 1].into_iter().any(|ch| {
+        latches(ch).is_none_or(|l| {
+            l.iter()
+                .enumerate()
+                .any(|(i, f)| i != faulty && f.is_some())
+        })
+    });
     let arrivals = run
         .process_as::<PjdSink>("consumer")
-        .map(|s| s.arrivals().to_vec())
-        .unwrap_or_default();
+        .map_or(&[][..], |s| s.arrivals());
     let value_clean = arrivals
         .iter()
         .enumerate()
         .all(|(seq, (_, digest))| *digest == Payload::U64(seq as u64).digest());
     SpotCheck {
-        name: "duplicated-fail-stop",
+        name,
         detected: faulty_latched && !healthy_latched,
         complete: arrivals.len() as u64 == SPOT_TOKENS,
         value_clean,
@@ -129,30 +143,8 @@ pub fn spot_voting_corruption() -> SpotCheck {
         &faults,
     );
 
-    let run = run_threaded(net, DEADLINE);
-    let faulty_latched = run
-        .channel_as::<VotingSelector, _>(1, |s| s.fault(0).is_some())
-        .unwrap_or(false);
-    let healthy_latched = run
-        .channel_as::<NReplicator, _>(0, |r| r.fault(1).is_some() || r.fault(2).is_some())
-        .unwrap_or(true)
-        || run
-            .channel_as::<VotingSelector, _>(1, |s| s.fault(1).is_some() || s.fault(2).is_some())
-            .unwrap_or(true);
-    let arrivals = run
-        .process_as::<PjdSink>("consumer")
-        .map(|s| s.arrivals().to_vec())
-        .unwrap_or_default();
-    let value_clean = arrivals
-        .iter()
-        .enumerate()
-        .all(|(seq, (_, digest))| *digest == Payload::U64(seq as u64).digest());
-    SpotCheck {
-        name: "voting-corruption",
-        detected: faulty_latched && !healthy_latched,
-        complete: arrivals.len() as u64 == SPOT_TOKENS,
-        value_clean,
-    }
+    // Only the voting selector sees values.
+    verdict("voting-corruption", &run_threaded(net, DEADLINE), 0, &[1])
 }
 
 /// Runs every wall-clock spot check.

@@ -13,12 +13,14 @@
 //! single jittered stage for the synthetic experiments, or a full
 //! application pipeline (MJPEG / ADPCM / H.264 in `rtft-apps`).
 
+use crate::arbitration::{as_arbiter, ArbFault};
 use crate::fault::{FaultPlan, FaultTrigger, FaultyProcess};
 use crate::obs::DetectionObs;
-use crate::replicator::{FaultRecord, Replicator, ReplicatorConfig};
-use crate::selector::{Selector, SelectorConfig, SelectorFaultRecord};
+use crate::replicator::{Replicator, ReplicatorConfig};
+use crate::selector::{Selector, SelectorConfig};
 use rtft_kpn::{
-    ChannelId, Fifo, Network, NodeId, Payload, PjdShaper, PjdSink, PjdSource, PortId, Transform,
+    ChannelBehavior, ChannelId, Fifo, Network, NodeId, Payload, PjdShaper, PjdSink, PjdSource,
+    PortId, Transform,
 };
 use rtft_obs::{HealthModel, MetricsRegistry};
 use rtft_rtc::sizing::{DuplicationModel, SizingReport};
@@ -99,27 +101,52 @@ impl ReplicaFactory for JitterStageReplica {
         replica: usize,
         fault: FaultPlan,
     ) -> Vec<NodeId> {
-        let internal = net.add_channel(Fifo::new(format!("r{replica}.shape"), 4));
-        let stage = Transform::new(
-            format!("replica{replica}.stage"),
-            input,
-            PortId::of(internal),
+        shaped_stage(
+            net,
+            [input, output],
+            [&format!("r{replica}"), &format!("replica{replica}")],
             self.service,
-            TimeNs::ZERO,
-            self.seeds[replica],
-            |p| p,
-        );
-        let stage_id = net.add_process(FaultyProcess::new(stage, fault));
-        let shaper = PjdShaper::new(
-            format!("replica{replica}.shaper"),
-            PortId::of(internal),
-            output,
             self.out_model[replica],
-            self.seeds[replica].wrapping_add(0x5eed),
-        );
-        let shaper_id = net.add_process(shaper);
-        vec![stage_id, shaper_id]
+            self.seeds[replica],
+            fault,
+        )
     }
+}
+
+/// The synthetic replica body every stage factory builds between
+/// `ports = [input, output]`: a fixed-service pass-through stage carrying
+/// the fault plan, a 4-slot FIFO `<names[0]>.shape`, and a [`PjdShaper`]
+/// imposing `out_model`. The processes are `<names[1]>.stage` and
+/// `<names[1]>.shaper`; the shaper's seed is the stage's plus `0x5eed`.
+pub(crate) fn shaped_stage(
+    net: &mut Network,
+    ports: [PortId; 2],
+    names: [&str; 2],
+    service: TimeNs,
+    out_model: PjdModel,
+    seed: u64,
+    fault: FaultPlan,
+) -> Vec<NodeId> {
+    let [fifo, process] = names;
+    let internal = net.add_channel(Fifo::new(format!("{fifo}.shape"), 4));
+    let stage = Transform::new(
+        format!("{process}.stage"),
+        ports[0],
+        PortId::of(internal),
+        service,
+        TimeNs::ZERO,
+        seed,
+        |p| p,
+    );
+    let stage_id = net.add_process(FaultyProcess::new(stage, fault));
+    let shaper_id = net.add_process(PjdShaper::new(
+        format!("{process}.shaper"),
+        PortId::of(internal),
+        ports[1],
+        out_model,
+        seed.wrapping_add(0x5eed),
+    ));
+    vec![stage_id, shaper_id]
 }
 
 /// Everything needed to build (and later inspect) an experiment network.
@@ -200,19 +227,12 @@ impl DuplicationConfig {
         self.payload = payload;
         self
     }
-
-    /// A copy of this config with every fault plan cleared — the template
-    /// for a *replacement run* after a replica was latched faulty (the
-    /// fleet executor re-spawns the job from its template with fresh,
-    /// healthy replicas).
-    pub fn healed(&self) -> Self {
-        let mut cfg = self.clone();
-        cfg.faults = [FaultPlan::healthy(), FaultPlan::healthy()];
-        cfg
-    }
 }
 
-/// Ids of the interesting pieces of a built duplicated network.
+/// Ids of the interesting pieces of a built redundancy structure — the
+/// paper's duplicated network or any of its generalisations
+/// ([`NModularIds`](crate::NModularIds) and [`HeteroIds`](crate::HeteroIds)
+/// are this type).
 #[derive(Debug, Clone)]
 pub struct DuplicatedIds {
     /// The replicator channel.
@@ -223,34 +243,40 @@ pub struct DuplicatedIds {
     pub producer: NodeId,
     /// The consumer process (a [`PjdSink`]).
     pub consumer: NodeId,
-    /// The processes of each replica.
-    pub replicas: [Vec<NodeId>; 2],
+    /// The processes of each replica (hetero: `[main, checker]`).
+    pub replicas: Vec<Vec<NodeId>>,
 }
 
 impl DuplicatedIds {
-    /// The replicator's fault records after a run.
+    /// The replicator's per-replica fault records after a run.
     ///
     /// # Panics
     ///
     /// Panics if the network does not contain the expected replicator (ids
     /// from a different build).
-    pub fn replicator_faults(&self, net: &Network) -> [Option<FaultRecord>; 2] {
-        let r = net
-            .channel_as::<Replicator>(self.replicator)
-            .expect("replicator channel");
-        [r.fault(0), r.fault(1)]
+    pub fn replicator_faults(&self, net: &Network) -> Vec<Option<ArbFault>> {
+        as_arbiter(net.channel(self.replicator))
+            .expect("replicator channel")
+            .latches()
     }
 
-    /// The selector's fault records after a run.
+    /// The selector's per-replica fault records after a run.
     ///
     /// # Panics
     ///
     /// Panics if the network does not contain the expected selector.
-    pub fn selector_faults(&self, net: &Network) -> [Option<SelectorFaultRecord>; 2] {
-        let s = net
-            .channel_as::<Selector>(self.selector)
-            .expect("selector channel");
-        [s.fault(0), s.fault(1)]
+    pub fn selector_faults(&self, net: &Network) -> Vec<Option<ArbFault>> {
+        as_arbiter(net.channel(self.selector))
+            .expect("selector channel")
+            .latches()
+    }
+
+    /// Earliest latch instant across both channels, if any replica latched.
+    pub fn first_latch(&self, net: &Network) -> Option<TimeNs> {
+        [self.replicator, self.selector]
+            .into_iter()
+            .filter_map(|id| as_arbiter(net.channel(id))?.first_latch())
+            .min()
     }
 
     /// The consumer's recorded arrivals after a run.
@@ -342,61 +368,84 @@ pub fn build_duplicated(
     cfg: &DuplicationConfig,
     factory: &dyn ReplicaFactory,
 ) -> (Network, DuplicatedIds) {
-    let mut net = Network::new();
     let sizing = &cfg.sizing;
+    assemble(Assembly {
+        replicator: Box::new(Replicator::new(
+            "replicator",
+            ReplicatorConfig::new(sizing.replicator_capacity.map(|c| c as usize))
+                .with_divergence_threshold(sizing.replicator_threshold),
+        )),
+        selector: Box::new(Selector::new(
+            "selector",
+            SelectorConfig::new(
+                sizing.selector_capacity.map(|c| c as usize),
+                sizing.selector_threshold,
+            ),
+        )),
+        producer: cfg.model.producer,
+        consumer: cfg.model.consumer,
+        token_count: cfg.token_count,
+        seeds: cfg.seeds,
+        payload: Arc::clone(&cfg.payload),
+        factory,
+        faults: &cfg.faults,
+    })
+}
 
-    let replicator = net.add_channel(Replicator::new(
-        "replicator",
-        ReplicatorConfig::new([
-            sizing.replicator_capacity[0] as usize,
-            sizing.replicator_capacity[1] as usize,
-        ])
-        .with_divergence_threshold(sizing.replicator_threshold),
-    ));
-    let selector = net.add_channel(Selector::new(
-        "selector",
-        SelectorConfig::new(
-            [
-                sizing.selector_capacity[0] as usize,
-                sizing.selector_capacity[1] as usize,
-            ],
-            sizing.selector_threshold,
-        ),
-    ));
+/// What every redundancy structure is assembled from: its two arbitration
+/// channels, the producer/consumer interface models, and one replica
+/// subnetwork per fault plan.
+pub(crate) struct Assembly<'a> {
+    pub replicator: Box<dyn ChannelBehavior>,
+    pub selector: Box<dyn ChannelBehavior>,
+    pub producer: PjdModel,
+    pub consumer: PjdModel,
+    pub token_count: Option<u64>,
+    pub seeds: (u64, u64),
+    pub payload: PayloadGenerator,
+    pub factory: &'a dyn ReplicaFactory,
+    pub faults: &'a [FaultPlan],
+}
 
-    let payload = Arc::clone(&cfg.payload);
+/// Wires producer → replicator → one replica per fault plan → selector →
+/// consumer. Channel and process ids follow this insertion order, which
+/// the seeded reports depend on.
+pub(crate) fn assemble(a: Assembly<'_>) -> (Network, DuplicatedIds) {
+    let mut net = Network::new();
+    let replicator = net.add_channel_boxed(a.replicator);
+    let selector = net.add_channel_boxed(a.selector);
+
+    let payload = a.payload;
     let producer = net.add_process(PjdSource::new(
         "producer",
         PortId::of(replicator),
-        cfg.model.producer,
-        cfg.seeds.0,
-        cfg.token_count,
+        a.producer,
+        a.seeds.0,
+        a.token_count,
         move |seq| payload(seq),
     ));
 
-    let replicas = [
-        factory.build(
-            &mut net,
-            PortId::iface(replicator, 0),
-            PortId::iface(selector, 0),
-            0,
-            cfg.faults[0],
-        ),
-        factory.build(
-            &mut net,
-            PortId::iface(replicator, 1),
-            PortId::iface(selector, 1),
-            1,
-            cfg.faults[1],
-        ),
-    ];
+    let replicas = a
+        .faults
+        .iter()
+        .enumerate()
+        .map(|(i, fault)| {
+            a.factory.build(
+                &mut net,
+                PortId::iface(replicator, i),
+                PortId::iface(selector, i),
+                i,
+                *fault,
+            )
+        })
+        .collect();
 
     let consumer = net.add_process(PjdSink::new(
         "consumer",
         PortId::of(selector),
-        cfg.model.consumer,
-        cfg.seeds.1,
-        cfg.token_count,
+        a.consumer,
+        a.seeds.1,
+        a.token_count,
     ));
 
     (

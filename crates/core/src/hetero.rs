@@ -37,12 +37,9 @@
 use crate::arbitration::{
     ArbFault, ArbFaultCause, Arbiter, ArbiterLedger, ComparePolicy, PolicySelector,
 };
+use crate::builder::{assemble, Assembly};
 use crate::fault::FaultPlan;
-use crate::replicator::{FaultRecord, ReplicatorFaultCause};
-use rtft_kpn::{
-    ChannelBehavior, ChannelId, Network, NodeId, PjdSink, PjdSource, PortId, ReadOutcome, Token,
-    WriteOutcome,
-};
+use rtft_kpn::{ChannelBehavior, Network, NodeId, PortId, ReadOutcome, Token, WriteOutcome};
 use rtft_rtc::detection::{sampled_stream_model, HeteroBounds};
 use rtft_rtc::{sizing, CurveAnalysisError, PjdModel, TimeNs};
 use std::any::Any;
@@ -166,7 +163,7 @@ pub struct SampledReplicator {
     consumed: [u64; 2],
     writes: u64,
     dropped: u64,
-    fault: [Option<FaultRecord>; 2],
+    fault: [Option<ArbFault>; 2],
     k: u64,
     divergence_threshold: Option<u64>,
 }
@@ -215,21 +212,13 @@ impl SampledReplicator {
     }
 
     /// Fault record of side `i` (`0` = main, `1` = checker), if latched.
-    pub fn fault(&self, i: usize) -> Option<FaultRecord> {
+    pub fn fault(&self, i: usize) -> Option<ArbFault> {
         self.fault[i]
     }
 
     /// Number of sides still healthy.
     pub fn healthy_count(&self) -> usize {
         self.fault.iter().filter(|f| f.is_none()).count()
-    }
-
-    /// Indices of the sides currently latched faulty, ascending.
-    pub fn faulty_indices(&self) -> impl Iterator<Item = usize> + '_ {
-        self.fault
-            .iter()
-            .enumerate()
-            .filter_map(|(i, f)| f.map(|_| i))
     }
 
     /// Tokens consumed from side `i` so far — the structure's compute-cost
@@ -244,6 +233,14 @@ impl SampledReplicator {
         self.dropped
     }
 
+    fn latch(&mut self, i: usize, cause: ArbFaultCause, now: TimeNs) {
+        self.fault[i] = Some(ArbFault {
+            at: now,
+            cause,
+            group: None,
+        });
+    }
+
     fn check_divergence(&mut self, now: TimeNs) {
         let Some(d) = self.divergence_threshold else {
             return;
@@ -256,10 +253,7 @@ impl SampledReplicator {
         let s = [self.consumed[0].div_ceil(self.k), self.consumed[1]];
         for i in 0..2 {
             if self.fault[i].is_none() && s[1 - i].saturating_sub(s[i]) >= d {
-                self.fault[i] = Some(FaultRecord {
-                    at: now,
-                    cause: ReplicatorFaultCause::Divergence,
-                });
+                self.latch(i, ArbFaultCause::Divergence, now);
             }
         }
     }
@@ -277,10 +271,7 @@ impl ChannelBehavior for SampledReplicator {
                 && self.queues[i].len() >= self.capacity[i]
                 && self.healthy_count() > 1
             {
-                self.fault[i] = Some(FaultRecord {
-                    at: now,
-                    cause: ReplicatorFaultCause::Overflow,
-                });
+                self.latch(i, ArbFaultCause::Overflow, now);
             }
         }
         let mut delivered = false;
@@ -345,6 +336,10 @@ impl ChannelBehavior for SampledReplicator {
         self.max_fill[iface]
     }
 
+    fn debug_name(&self) -> Option<&str> {
+        Some(&self.name)
+    }
+
     fn as_any(&self) -> &dyn Any {
         self
     }
@@ -355,23 +350,12 @@ impl ChannelBehavior for SampledReplicator {
 }
 
 impl Arbiter for SampledReplicator {
-    fn arbiter_name(&self) -> &str {
-        self.name()
-    }
-
     fn replica_ifaces(&self) -> usize {
         2
     }
 
     fn latched(&self, i: usize) -> Option<ArbFault> {
-        self.fault[i].map(|f| ArbFault {
-            at: f.at,
-            cause: match f.cause {
-                ReplicatorFaultCause::Overflow => ArbFaultCause::Stall,
-                ReplicatorFaultCause::Divergence => ArbFaultCause::Divergence,
-            },
-            group: None,
-        })
+        self.fault[i]
     }
 }
 
@@ -514,14 +498,16 @@ impl ComparePolicy for SampledCheck {
         }
     }
 
-    fn check_divergence(&mut self, ledger: &mut ArbiterLedger, now: TimeNs) {
+    fn check_divergence(&mut self, ledger: &mut ArbiterLedger, _iface: usize, now: TimeNs) {
         // Rate-normalised divergence on *sample* counters: main has passed
         // ceil(r₀ / k) samples, the checker has voted r₁ times. The raw
         // ledger rule would insta-latch the k×-slower checker.
+        let Some(d) = ledger.threshold() else {
+            return;
+        };
         if ledger.healthy_count() < 2 {
             return;
         }
-        let d = ledger.threshold();
         let s = [ledger.received(0).div_ceil(self.k), ledger.received(1)];
         for i in 0..2 {
             if ledger.fault(i).is_none() && s[1 - i].saturating_sub(s[i]) >= d {
@@ -530,13 +516,13 @@ impl ComparePolicy for SampledCheck {
         }
     }
 
-    fn flow_controlled(&self, iface: usize) -> bool {
+    fn admits(&self, ledger: &ArbiterLedger, iface: usize) -> bool {
         // Checker votes are discarded on arrival — they never occupy the
         // consumer queue, so the space rule (which compares votes against
         // consumer reads of the *main* stream) must not block them. A
         // main replica that under-delivers would otherwise backpressure
         // the healthy checker into a false replicator-overflow latch.
-        iface == 0
+        iface != 0 || ledger.space(0) > 0
     }
 }
 
@@ -560,15 +546,9 @@ impl HeteroSelector {
         k: u64,
     ) -> Self {
         PolicySelector::from_parts(
-            ArbiterLedger::new(name, vec![main_capacity, checker_capacity], d_s)
-                .without_stall_detection(),
+            ArbiterLedger::new(name, vec![main_capacity, checker_capacity], Some(d_s), None),
             SampledCheck::new(k),
         )
-    }
-
-    /// Fault record of side `i` (`0` = main, `1` = checker), if latched.
-    pub fn fault(&self, i: usize) -> Option<ArbFault> {
-        self.arb_fault(i)
     }
 }
 
@@ -620,73 +600,22 @@ impl crate::ReplicaFactory for HeteroStageReplica {
         fault: FaultPlan,
     ) -> Vec<NodeId> {
         let side = if replica == 0 { "main" } else { "checker" };
-        let internal = net.add_channel(rtft_kpn::Fifo::new(format!("{side}.shape"), 4));
-        let seed = self.seed_base.wrapping_add(replica as u64);
-        let stage = rtft_kpn::Transform::new(
-            format!("{side}.stage"),
-            input,
-            PortId::of(internal),
+        crate::builder::shaped_stage(
+            net,
+            [input, output],
+            [side, side],
             self.service,
-            TimeNs::ZERO,
-            seed,
-            |p| p,
-        );
-        let stage_id = net.add_process(crate::FaultyProcess::new(stage, fault));
-        let shaper = rtft_kpn::PjdShaper::new(
-            format!("{side}.shaper"),
-            PortId::of(internal),
-            output,
             self.out_models[replica].with_delay(self.offset),
-            seed.wrapping_add(0x5eed),
-        );
-        let shaper_id = net.add_process(shaper);
-        vec![stage_id, shaper_id]
+            self.seed_base.wrapping_add(replica as u64),
+            fault,
+        )
     }
 }
 
-/// Ids of a built hetero network.
-#[derive(Debug, Clone)]
-pub struct HeteroIds {
-    /// The sampled replicator.
-    pub replicator: ChannelId,
-    /// The hetero selector.
-    pub selector: ChannelId,
-    /// The producer process.
-    pub producer: NodeId,
-    /// The consumer process.
-    pub consumer: NodeId,
-    /// Main-stage process ids.
-    pub main: Vec<NodeId>,
-    /// Checker-stage process ids.
-    pub checker: Vec<NodeId>,
-}
-
-impl HeteroIds {
-    /// Consumer arrivals after a run.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the network does not contain the expected sink.
-    pub fn consumer_arrivals<'a>(&self, net: &'a Network) -> &'a [(TimeNs, u64)] {
-        net.process_as::<PjdSink>(self.consumer)
-            .expect("consumer sink")
-            .arrivals()
-    }
-
-    /// Earliest latch instant across both channels, if any side latched.
-    pub fn first_latch(&self, net: &Network) -> Option<TimeNs> {
-        let rep = net
-            .channel_as::<SampledReplicator>(self.replicator)
-            .expect("sampled replicator");
-        let sel = net
-            .channel_as::<HeteroSelector>(self.selector)
-            .expect("hetero selector");
-        match (Arbiter::first_latch(rep), Arbiter::first_latch(sel)) {
-            (Some(a), Some(b)) => Some(a.min(b)),
-            (a, b) => a.or(b),
-        }
-    }
-}
+/// Ids of a built hetero network: the same record the duplicated builder
+/// returns, with `replicas[0]` the main stage and `replicas[1]` the
+/// checker stage.
+pub type HeteroIds = crate::DuplicatedIds;
 
 /// Builds a hetero network: producer → sampled replicator → {main,
 /// checker} → hetero selector → consumer, with a fault plan per side
@@ -705,65 +634,28 @@ pub fn build_hetero(
     faults: &[FaultPlan; 2],
 ) -> (Network, HeteroIds) {
     assert!(model.k > 0, "sampling stride must be positive");
-    let mut net = Network::new();
-    let replicator = net.add_channel(SampledReplicator::new(
-        "sampled-replicator",
-        [sizing.main_queue as usize, sizing.checker_queue as usize],
-        model.k,
-        Some(sizing.sampled_threshold),
-    ));
-    let selector = net.add_channel(HeteroSelector::new(
-        "hetero-selector",
-        sizing.selector_capacity_main as usize,
-        sizing.selector_capacity_checker as usize,
-        sizing.sampled_threshold,
-        model.k,
-    ));
-
-    let gen = payload;
-    let producer = net.add_process(PjdSource::new(
-        "producer",
-        PortId::of(replicator),
-        model.producer,
-        seeds.0,
-        Some(token_count),
-        move |seq| gen(seq),
-    ));
-
-    let main = factory.build(
-        &mut net,
-        PortId::iface(replicator, 0),
-        PortId::iface(selector, 0),
-        0,
-        faults[0],
-    );
-    let checker = factory.build(
-        &mut net,
-        PortId::iface(replicator, 1),
-        PortId::iface(selector, 1),
-        1,
-        faults[1],
-    );
-
-    let consumer = net.add_process(PjdSink::new(
-        "consumer",
-        PortId::of(selector),
-        model.consumer,
-        seeds.1,
-        Some(token_count),
-    ));
-
-    (
-        net,
-        HeteroIds {
-            replicator,
-            selector,
-            producer,
-            consumer,
-            main,
-            checker,
-        },
-    )
+    assemble(Assembly {
+        replicator: Box::new(SampledReplicator::new(
+            "sampled-replicator",
+            [sizing.main_queue as usize, sizing.checker_queue as usize],
+            model.k,
+            Some(sizing.sampled_threshold),
+        )),
+        selector: Box::new(HeteroSelector::new(
+            "hetero-selector",
+            sizing.selector_capacity_main as usize,
+            sizing.selector_capacity_checker as usize,
+            sizing.sampled_threshold,
+            model.k,
+        )),
+        producer: model.producer,
+        consumer: model.consumer,
+        token_count: Some(token_count),
+        seeds,
+        payload,
+        factory,
+        faults,
+    })
 }
 
 #[cfg(test)]

@@ -22,6 +22,17 @@
 //! with the counters' thresholds derived offline by `rtft-rtc` from the
 //! application's arrival-curve models.
 //!
+//! Both channels exist once, for any replica count. [`Replicator`] is the
+//! n-way replicator ([`NReplicator`] is the same type); every selector is
+//! a [`PolicySelector`] over the shared [`ArbiterLedger`], differing only
+//! in its [`ComparePolicy`]: [`Selector`] (the paper's pair,
+//! [`PaperPair`]), [`NSelector`] ([`FirstOfGroup`]), [`VotingSelector`]
+//! (majority digest vote) and [`HeteroSelector`] (sampled checker, fed by
+//! the [`SampledReplicator`]). A latch at any of them is one [`ArbFault`],
+//! read back through [`Arbiter`] / [`as_arbiter`]; the four `build_*`
+//! functions assemble the same producer → replicator → replicas →
+//! selector → consumer shape and return the same [`DuplicatedIds`].
+//!
 //! # Quick start
 //!
 //! ```
@@ -78,7 +89,8 @@ mod voting;
 pub use rtft_kpn::{digest_bytes, Digest};
 
 pub use arbitration::{
-    ArbFault, ArbFaultCause, Arbiter, ArbiterLedger, ComparePolicy, FirstOfGroup, PolicySelector,
+    as_arbiter, ArbFault, ArbFaultCause, Arbiter, ArbiterLedger, ComparePolicy, FirstOfGroup,
+    PolicySelector,
 };
 pub use builder::{
     build_duplicated, build_reference, instrument_duplicated, DuplicatedIds, DuplicationConfig,
@@ -94,6 +106,6 @@ pub use nmodular::{
     NSizingReport,
 };
 pub use obs::DetectionObs;
-pub use replicator::{FaultRecord, Replicator, ReplicatorConfig, ReplicatorFaultCause};
-pub use selector::{Selector, SelectorConfig, SelectorFaultCause, SelectorFaultRecord};
-pub use voting::{build_n_modular_voting, VoteFaultCause, VoteFaultRecord, VotingSelector};
+pub use replicator::{Replicator, ReplicatorConfig};
+pub use selector::{PaperPair, Selector, SelectorConfig};
+pub use voting::{build_n_modular_voting, VotingSelector};

@@ -3,11 +3,13 @@
 //! The paper restricts its presentation to two replicas but states that
 //! "a more general setup for tolerating up to n timing faults can be
 //! easily constructed using the principles outlined in this paper" (§1).
-//! This module is that construction:
+//! This module is that construction — and the two-replica channels are
+//! its n = 2 case, not a parallel implementation:
 //!
-//! * [`NReplicator`] — one write interface, `n` read interfaces, one
-//!   bounded queue per replica, the §3.3 overflow latch per queue and a
-//!   divergence detector over consumption counts;
+//! * [`NReplicator`] — the crate's one [`Replicator`]: one write
+//!   interface, `n` read interfaces, one bounded queue per replica, the
+//!   §3.3 overflow latch per queue and a divergence detector over
+//!   consumption counts;
 //! * [`NSelector`] — `n` write interfaces, one physical queue. Interface
 //!   `i` supplies the *first token of duplicate group `k`* iff no peer has
 //!   delivered `k` yet, decided on received-token counters (the
@@ -23,20 +25,13 @@
 //! uninterrupted (the tests inject two staggered fail-stops into a
 //! triplicated network).
 
-use crate::arbitration::{
-    ArbFault, ArbFaultCause, Arbiter, ArbiterLedger, FirstOfGroup, PolicySelector,
-};
+use crate::arbitration::{ArbiterLedger, FirstOfGroup, PolicySelector};
+use crate::builder::{assemble, Assembly};
 use crate::fault::FaultPlan;
-use crate::replicator::{FaultRecord, ReplicatorFaultCause};
-use crate::selector::{SelectorFaultCause, SelectorFaultRecord};
-use rtft_kpn::{
-    ChannelBehavior, ChannelId, Network, NodeId, PjdSink, PjdSource, PortId, ReadOutcome, Token,
-    WriteOutcome,
-};
+use crate::replicator::{Replicator, ReplicatorConfig};
+use rtft_kpn::{Network, NodeId, PortId};
 use rtft_rtc::sizing;
 use rtft_rtc::{detection, CurveAnalysisError, PjdModel, TimeNs};
-use std::any::Any;
-use std::collections::VecDeque;
 
 /// Interface timing models of an `n`-replica duplication.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -111,198 +106,15 @@ impl NSizingReport {
     }
 }
 
-/// N-way replicator channel.
-#[derive(Debug)]
-pub struct NReplicator {
-    name: String,
-    queues: Vec<VecDeque<Token>>,
-    capacity: Vec<usize>,
-    max_fill: Vec<usize>,
-    consumed: Vec<u64>,
-    writes: u64,
-    fault: Vec<Option<FaultRecord>>,
-    divergence_threshold: Option<u64>,
-}
-
-impl NReplicator {
-    /// Creates an n-way replicator with the given per-replica capacities.
-    ///
-    /// # Panics
-    ///
-    /// Panics on fewer than two queues or any zero capacity.
-    pub fn new(
-        name: impl Into<String>,
-        capacity: Vec<usize>,
-        divergence_threshold: Option<u64>,
-    ) -> Self {
-        assert!(capacity.len() >= 2, "need at least two replicas");
-        assert!(
-            capacity.iter().all(|c| *c > 0),
-            "capacities must be positive"
-        );
-        let n = capacity.len();
-        NReplicator {
-            name: name.into(),
-            queues: (0..n).map(|_| VecDeque::new()).collect(),
-            capacity,
-            max_fill: vec![0; n],
-            consumed: vec![0; n],
-            writes: 0,
-            fault: vec![None; n],
-            divergence_threshold,
-        }
-    }
-
-    /// The channel's diagnostic name.
-    pub fn name(&self) -> &str {
-        &self.name
-    }
-
-    /// Fault record of replica `i`, if latched.
-    pub fn fault(&self, i: usize) -> Option<FaultRecord> {
-        self.fault[i]
-    }
-
-    /// Number of replicas still healthy.
-    pub fn healthy_count(&self) -> usize {
-        self.fault.iter().filter(|f| f.is_none()).count()
-    }
-
-    /// Indices of the replicas currently latched faulty, ascending — the
-    /// enumeration counterpart of probing [`NReplicator::fault`] in a
-    /// loop. The fleet supervisor uses this to decide which replicas a
-    /// replacement run must re-spawn.
-    pub fn faulty_indices(&self) -> impl Iterator<Item = usize> + '_ {
-        self.fault
-            .iter()
-            .enumerate()
-            .filter_map(|(i, f)| f.map(|_| i))
-    }
-
-    fn check_divergence(&mut self, now: TimeNs) {
-        let Some(d) = self.divergence_threshold else {
-            return;
-        };
-        let max = self
-            .consumed
-            .iter()
-            .zip(&self.fault)
-            .filter(|(_, f)| f.is_none())
-            .map(|(c, _)| *c)
-            .max()
-            .unwrap_or(0);
-        for i in 0..self.queues.len() {
-            if self.fault[i].is_none() && self.healthy_count() > 1 && max - self.consumed[i] >= d {
-                self.fault[i] = Some(FaultRecord {
-                    at: now,
-                    cause: ReplicatorFaultCause::Divergence,
-                });
-            }
-        }
-    }
-}
-
-impl ChannelBehavior for NReplicator {
-    fn try_write(&mut self, iface: usize, token: Token, now: TimeNs) -> WriteOutcome {
-        assert_eq!(iface, 0, "n-replicator has a single write interface");
-        // Overflow latch per full healthy queue (keep the front-runner:
-        // never latch the last healthy replica via overflow either — a
-        // totally blocked system is reported by the queue staying full).
-        for i in 0..self.queues.len() {
-            if self.fault[i].is_none()
-                && self.queues[i].len() >= self.capacity[i]
-                && self.healthy_count() > 1
-            {
-                self.fault[i] = Some(FaultRecord {
-                    at: now,
-                    cause: ReplicatorFaultCause::Overflow,
-                });
-            }
-        }
-        let mut delivered = false;
-        for i in 0..self.queues.len() {
-            if self.fault[i].is_none() && self.queues[i].len() < self.capacity[i] {
-                self.queues[i].push_back(token.clone());
-                self.max_fill[i] = self.max_fill[i].max(self.queues[i].len());
-                delivered = true;
-            }
-        }
-        self.writes += 1;
-        if delivered {
-            WriteOutcome::Accepted
-        } else {
-            WriteOutcome::Blocked(token)
-        }
-    }
-
-    fn try_read(&mut self, iface: usize, now: TimeNs) -> ReadOutcome {
-        match self.queues[iface].pop_front() {
-            Some(t) => {
-                self.consumed[iface] += 1;
-                self.check_divergence(now);
-                ReadOutcome::Token(t)
-            }
-            None => ReadOutcome::Blocked,
-        }
-    }
-
-    fn write_ifaces(&self) -> usize {
-        1
-    }
-
-    fn read_ifaces(&self) -> usize {
-        self.queues.len()
-    }
-
-    fn fill(&self, iface: usize) -> usize {
-        self.queues[iface].len()
-    }
-
-    fn capacity(&self, iface: usize) -> usize {
-        self.capacity[iface]
-    }
-
-    fn max_fill(&self, iface: usize) -> usize {
-        self.max_fill[iface]
-    }
-
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
-    }
-}
-
-impl Arbiter for NReplicator {
-    fn arbiter_name(&self) -> &str {
-        self.name()
-    }
-
-    fn replica_ifaces(&self) -> usize {
-        self.capacity.len()
-    }
-
-    fn latched(&self, i: usize) -> Option<ArbFault> {
-        self.fault[i].map(|f| ArbFault {
-            at: f.at,
-            cause: match f.cause {
-                ReplicatorFaultCause::Overflow => ArbFaultCause::Stall,
-                ReplicatorFaultCause::Divergence => ArbFaultCause::Divergence,
-            },
-            group: None,
-        })
-    }
-}
+/// N-way replicator channel: the crate's one [`Replicator`], under the
+/// name the n-modular structures use for it.
+pub type NReplicator = Replicator;
 
 /// N-way selector channel: the paper's timing arbitration
 /// ([`FirstOfGroup`]) over the shared [`ArbiterLedger`]. Interface `i`
 /// supplies the first token of duplicate group `k` iff no healthy peer has
 /// delivered `k` yet; late group members are discarded; the eq. (5)
 /// divergence and §3.3 stall rules latch a lagging replica.
-///
-/// [`ArbiterLedger`]: crate::arbitration::ArbiterLedger
 pub type NSelector = PolicySelector<FirstOfGroup>;
 
 impl NSelector {
@@ -314,21 +126,38 @@ impl NSelector {
     /// Panics on fewer than two interfaces, a zero capacity, or `d == 0`.
     pub fn new(name: impl Into<String>, capacity: Vec<usize>, d: u64) -> Self {
         assert!(capacity.len() >= 2, "need at least two replicas");
-        PolicySelector::from_parts(ArbiterLedger::new(name, capacity, d), FirstOfGroup)
+        PolicySelector::from_parts(timing_ledger(name, capacity, d), FirstOfGroup)
+    }
+}
+
+/// The ledger every n-replica selector starts from: divergence threshold
+/// `d` with the matching no-false-positive stall slack `d − 1`.
+pub(crate) fn timing_ledger(
+    name: impl Into<String>,
+    capacity: Vec<usize>,
+    d: u64,
+) -> ArbiterLedger {
+    assert!(d > 0, "threshold must be positive");
+    ArbiterLedger::new(name, capacity, Some(d), Some(d - 1))
+}
+
+impl NSizingReport {
+    /// The n-way replicator this sizing prescribes.
+    pub(crate) fn replicator(&self) -> NReplicator {
+        let capacity: Vec<usize> = self
+            .replicator_capacity
+            .iter()
+            .map(|c| *c as usize)
+            .collect();
+        Replicator::new(
+            "n-replicator",
+            ReplicatorConfig::new(capacity).with_divergence_threshold(self.threshold),
+        )
     }
 
-    /// Fault record of replica `i`, if latched.
-    pub fn fault(&self, i: usize) -> Option<SelectorFaultRecord> {
-        self.arb_fault(i).map(|f| SelectorFaultRecord {
-            at: f.at,
-            cause: match f.cause {
-                ArbFaultCause::Divergence => SelectorFaultCause::Divergence,
-                ArbFaultCause::Stall => SelectorFaultCause::Stall,
-                ArbFaultCause::ValueMismatch => {
-                    unreachable!("timing arbitration never inspects values")
-                }
-            },
-        })
+    /// The selector virtual-queue capacities this sizing prescribes.
+    pub(crate) fn selector_capacities(&self) -> Vec<usize> {
+        self.selector_capacity.iter().map(|c| *c as usize).collect()
     }
 }
 
@@ -381,57 +210,21 @@ impl crate::ReplicaFactory for NJitterStageReplica {
         replica: usize,
         fault: FaultPlan,
     ) -> Vec<NodeId> {
-        let internal = net.add_channel(rtft_kpn::Fifo::new(format!("r{replica}.shape"), 4));
-        let seed = self.seed_base.wrapping_add(replica as u64);
-        let stage = rtft_kpn::Transform::new(
-            format!("replica{replica}.stage"),
-            input,
-            PortId::of(internal),
+        crate::builder::shaped_stage(
+            net,
+            [input, output],
+            [&format!("r{replica}"), &format!("replica{replica}")],
             self.service,
-            TimeNs::ZERO,
-            seed,
-            |p| p,
-        );
-        let stage_id = net.add_process(crate::FaultyProcess::new(stage, fault));
-        let shaper = rtft_kpn::PjdShaper::new(
-            format!("replica{replica}.shaper"),
-            PortId::of(internal),
-            output,
             self.out_models[replica].with_delay(self.offset),
-            seed.wrapping_add(0x5eed),
-        );
-        let shaper_id = net.add_process(shaper);
-        vec![stage_id, shaper_id]
+            self.seed_base.wrapping_add(replica as u64),
+            fault,
+        )
     }
 }
 
-/// Ids of a built n-modular network.
-#[derive(Debug, Clone)]
-pub struct NModularIds {
-    /// The n-way replicator.
-    pub replicator: ChannelId,
-    /// The n-way selector.
-    pub selector: ChannelId,
-    /// The producer process.
-    pub producer: NodeId,
-    /// The consumer process.
-    pub consumer: NodeId,
-    /// Per-replica process ids.
-    pub replicas: Vec<Vec<NodeId>>,
-}
-
-impl NModularIds {
-    /// Consumer arrivals after a run.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the network does not contain the expected sink.
-    pub fn consumer_arrivals<'a>(&self, net: &'a Network) -> &'a [(TimeNs, u64)] {
-        net.process_as::<PjdSink>(self.consumer)
-            .expect("consumer sink")
-            .arrivals()
-    }
-}
+/// Ids of a built n-modular network: the same record the duplicated
+/// builder returns, with one `replicas` entry per replica.
+pub type NModularIds = crate::DuplicatedIds;
 
 /// Builds an n-modular network: producer → n-replicator → `n` replicas →
 /// n-selector → consumer, with a fault plan per replica.
@@ -449,83 +242,46 @@ pub fn build_n_modular(
     factory: &dyn crate::ReplicaFactory,
     faults: &[FaultPlan],
 ) -> (Network, NModularIds) {
-    let n = model.replicas.len();
-    assert!(n >= 2, "n-modular redundancy needs at least two replicas");
-    assert_eq!(faults.len(), n, "one fault plan per replica");
-
-    let mut net = Network::new();
-    let replicator = net.add_channel(NReplicator::new(
-        "n-replicator",
-        sizing
-            .replicator_capacity
-            .iter()
-            .map(|c| *c as usize)
-            .collect(),
-        Some(sizing.threshold),
-    ));
-    let selector = net.add_channel(NSelector::new(
-        "n-selector",
-        sizing
-            .selector_capacity
-            .iter()
-            .map(|c| *c as usize)
-            .collect(),
-        sizing.threshold,
-    ));
-
-    let gen = payload;
-    let producer = net.add_process(PjdSource::new(
-        "producer",
-        PortId::of(replicator),
-        model.producer,
-        seeds.0,
-        Some(token_count),
-        move |seq| gen(seq),
-    ));
-
-    let replicas: Vec<Vec<NodeId>> = (0..n)
-        .map(|i| {
-            factory.build(
-                &mut net,
-                PortId::iface(replicator, i),
-                PortId::iface(selector, i),
-                i,
-                faults[i],
-            )
-        })
-        .collect();
-
-    let consumer = net.add_process(PjdSink::new(
-        "consumer",
-        PortId::of(selector),
-        model.consumer,
-        seeds.1,
-        Some(token_count),
-    ));
-
-    (
-        net,
-        NModularIds {
-            replicator,
-            selector,
-            producer,
-            consumer,
-            replicas,
-        },
-    )
+    assert!(
+        model.replicas.len() >= 2,
+        "n-modular redundancy needs at least two replicas"
+    );
+    assert_eq!(
+        faults.len(),
+        model.replicas.len(),
+        "one fault plan per replica"
+    );
+    assemble(Assembly {
+        replicator: Box::new(sizing.replicator()),
+        selector: Box::new(NSelector::new(
+            "n-selector",
+            sizing.selector_capacities(),
+            sizing.threshold,
+        )),
+        producer: model.producer,
+        consumer: model.consumer,
+        token_count: Some(token_count),
+        seeds,
+        payload,
+        factory,
+        faults,
+    })
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::builder::ReplicaFactory;
     use crate::fault::FaultPlan;
-    use rtft_kpn::{Engine, Fifo, Payload, PjdShaper, Transform};
+    use rtft_kpn::{
+        ChannelBehavior, Engine, Fifo, Payload, PjdShaper, ReadOutcome, Token, Transform,
+        WriteOutcome,
+    };
     use std::sync::Arc;
 
     /// A shaper-based replica factory for arbitrary replica counts.
-    struct TriReplica {
-        models: Vec<PjdModel>,
+    pub(crate) struct TriReplica {
+        pub(crate) models: Vec<PjdModel>,
     }
 
     impl ReplicaFactory for TriReplica {
@@ -560,7 +316,7 @@ mod tests {
         }
     }
 
-    fn tri_model() -> NModularModel {
+    pub(crate) fn tri_model() -> NModularModel {
         NModularModel {
             producer: PjdModel::from_ms(30.0, 2.0, 0.0),
             consumer: PjdModel::from_ms(30.0, 2.0, 120.0),
@@ -770,7 +526,7 @@ mod tests {
 
     #[test]
     fn n_replicator_duplicates_to_all() {
-        let mut r = NReplicator::new("r", vec![2, 2, 2], None);
+        let mut r = NReplicator::new("r", ReplicatorConfig::new(vec![2, 2, 2]));
         let tok = |seq| Token::new(seq, TimeNs::ZERO, Payload::U64(seq));
         assert_eq!(r.try_write(0, tok(0), TimeNs::ZERO), WriteOutcome::Accepted);
         for i in 0..3 {
@@ -781,6 +537,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "at least two replicas")]
     fn single_replica_rejected() {
-        let _ = NReplicator::new("r", vec![2], None);
+        let _ = NReplicator::new("r", ReplicatorConfig::new(vec![2]));
     }
 }

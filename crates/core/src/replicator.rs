@@ -1,18 +1,23 @@
 //! The replicator channel (paper §3.1 and §3.3).
 //!
-//! A replicator duplicates a producer's output stream to two replica input
-//! ports. It has **one write interface** (the producer) and **two read
-//! interfaces** (the replicas), backed by two bounded FIFO queues sized by
-//! eq. (3) so that — fault-free — the producer never blocks.
+//! A replicator duplicates a producer's output stream to the replicas'
+//! input ports. It has **one write interface** (the producer) and one
+//! **read interface per replica** — two in the paper, `n` in the
+//! generalisation §1 sketches — backed by one bounded FIFO queue each,
+//! sized by eq. (3) so that — fault-free — the producer never blocks.
 //!
 //! Fault detection (§3.3) exploits exactly that sizing guarantee: if a
 //! write attempt finds `space_i == 0`, replica `i` must have stopped (or
 //! slowed) consuming, so `fault_i` latches `TRUE`, the queue stops
 //! receiving tokens, and — crucially — the producer keeps running and the
-//! healthy replica keeps being fed, avoiding the §1.1 deadlock scenario.
+//! healthy replicas keep being fed, avoiding the §1.1 deadlock scenario.
 //! An optional divergence detector on the replicas' *consumption counts*
 //! (threshold from eq. (5) applied to the consumption curves) catches
 //! slow-consumer faults earlier than the overflow latch.
+//!
+//! Up to `n − 1` replicas may be latched. The last healthy queue is never
+//! latched: when it is full the producer sees real back-pressure
+//! (`Blocked`), because there is no one left to fail over to.
 //!
 //! No operation consults a clock: the `now` parameter is recorded in the
 //! detection log for the experiment harness, never branched on.
@@ -20,35 +25,15 @@
 use crate::arbitration::{ArbFault, ArbFaultCause, Arbiter};
 use crate::obs::DetectionObs;
 use rtft_kpn::{ChannelBehavior, ReadOutcome, Token, WriteOutcome};
-use rtft_obs::DetectionSite;
 use rtft_rtc::TimeNs;
 use std::any::Any;
 use std::collections::VecDeque;
 
-/// Which detection rule latched a replica faulty.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ReplicatorFaultCause {
-    /// A producer write found the replica's queue full (§3.3 overflow rule).
-    Overflow,
-    /// The difference in consumed-token counts crossed the divergence
-    /// threshold.
-    Divergence,
-}
-
-/// A latched fault-detection record.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct FaultRecord {
-    /// Time of the operation during which the fault was detected.
-    pub at: TimeNs,
-    /// Which rule fired.
-    pub cause: ReplicatorFaultCause,
-}
-
 /// Configuration of a [`Replicator`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ReplicatorConfig {
-    /// FIFO capacities `|R₁|, |R₂|` from eq. (3).
-    pub capacity: [usize; 2],
+    /// FIFO capacities `|R_i|` from eq. (3), one per replica.
+    pub capacity: Vec<usize>,
     /// Enables the overflow fault latch (§3.3). With detection disabled the
     /// replicator behaves per the bare §3.1 rules — writes block on a full
     /// queue — which reproduces the motivational-example deadlock.
@@ -59,11 +44,12 @@ pub struct ReplicatorConfig {
 }
 
 impl ReplicatorConfig {
-    /// Detection-enabled configuration with the given capacities and no
-    /// divergence detector.
-    pub fn new(capacity: [usize; 2]) -> Self {
+    /// Detection-enabled configuration with the given per-replica
+    /// capacities (`[|R₁|, |R₂|]` for the paper's pair) and no divergence
+    /// detector.
+    pub fn new(capacity: impl Into<Vec<usize>>) -> Self {
         ReplicatorConfig {
-            capacity,
+            capacity: capacity.into(),
             detect_overflow: true,
             divergence_threshold: None,
         }
@@ -83,7 +69,7 @@ impl ReplicatorConfig {
     }
 }
 
-/// The replicator channel state machine.
+/// The replicator channel state machine, for any replica count.
 ///
 /// Implements [`ChannelBehavior`], so it runs unchanged under the
 /// discrete-event engine and the threaded runtime.
@@ -105,39 +91,56 @@ impl ReplicatorConfig {
 #[derive(Debug)]
 pub struct Replicator {
     name: String,
-    config: ReplicatorConfig,
-    queues: [VecDeque<Token>; 2],
-    max_fill: [usize; 2],
-    /// Tokens consumed per read interface (for the divergence detector).
-    consumed: [u64; 2],
+    detect_overflow: bool,
+    divergence_threshold: Option<u64>,
+    lanes: Vec<Lane>,
     /// Successful producer writes.
     writes: u64,
-    fault: [Option<FaultRecord>; 2],
+    healthy: usize,
     obs: Option<DetectionObs>,
 }
 
+/// One replica's side of the replicator: its queue and counters.
+#[derive(Debug)]
+struct Lane {
+    queue: VecDeque<Token>,
+    capacity: usize,
+    max_fill: usize,
+    /// Tokens consumed over this read interface (divergence detector input).
+    consumed: u64,
+    fault: Option<ArbFault>,
+}
+
 impl Replicator {
-    /// Creates a replicator.
+    /// Creates a replicator with one queue per configured capacity.
     ///
     /// # Panics
     ///
-    /// Panics if either capacity is zero.
+    /// Panics on fewer than two queues or any zero capacity.
     pub fn new(name: impl Into<String>, config: ReplicatorConfig) -> Self {
+        assert!(config.capacity.len() >= 2, "need at least two replicas");
         assert!(
-            config.capacity[0] > 0 && config.capacity[1] > 0,
+            config.capacity.iter().all(|c| *c > 0),
             "replicator queue capacities must be positive"
         );
+        let lanes: Vec<Lane> = config
+            .capacity
+            .iter()
+            .map(|&capacity| Lane {
+                queue: VecDeque::with_capacity(capacity),
+                capacity,
+                max_fill: 0,
+                consumed: 0,
+                fault: None,
+            })
+            .collect();
         Replicator {
             name: name.into(),
-            config,
-            queues: [
-                VecDeque::with_capacity(config.capacity[0]),
-                VecDeque::with_capacity(config.capacity[1]),
-            ],
-            max_fill: [0, 0],
-            consumed: [0, 0],
+            detect_overflow: config.detect_overflow,
+            divergence_threshold: config.divergence_threshold,
+            healthy: lanes.len(),
+            lanes,
             writes: 0,
-            fault: [None, None],
             obs: None,
         }
     }
@@ -158,19 +161,32 @@ impl Replicator {
     ///
     /// # Panics
     ///
-    /// Panics if `i > 1`.
-    pub fn fault(&self, i: usize) -> Option<FaultRecord> {
-        self.fault[i]
+    /// Panics if `i` is not a replica index.
+    pub fn fault(&self, i: usize) -> Option<ArbFault> {
+        self.lanes[i].fault
     }
 
     /// `true` if replica `i` is latched faulty.
     pub fn is_faulty(&self, i: usize) -> bool {
-        self.fault[i].is_some()
+        self.lanes[i].fault.is_some()
+    }
+
+    /// Number of replicas still healthy.
+    pub fn healthy_count(&self) -> usize {
+        self.healthy
+    }
+
+    /// Indices of the replicas currently latched faulty, ascending.
+    pub fn faulty_indices(&self) -> impl Iterator<Item = usize> + '_ {
+        self.lanes
+            .iter()
+            .enumerate()
+            .filter_map(|(i, lane)| lane.fault.map(|_| i))
     }
 
     /// Number of tokens consumed so far by replica `i`.
     pub fn consumed(&self, i: usize) -> u64 {
-        self.consumed[i]
+        self.lanes[i].consumed
     }
 
     /// Successful producer writes so far.
@@ -180,92 +196,104 @@ impl Replicator {
 
     /// Remaining space in queue `i` (the paper's `space_i`).
     pub fn space(&self, i: usize) -> usize {
-        if self.fault[i].is_some() {
+        let lane = &self.lanes[i];
+        if lane.fault.is_some() {
             // A latched queue no longer constrains the producer.
-            self.config.capacity[i]
+            lane.capacity
         } else {
-            self.config.capacity[i] - self.queues[i].len()
+            lane.capacity - lane.queue.len()
         }
     }
 
     /// Bytes of framework state (fault-detection bookkeeping), excluding
-    /// token storage — the paper's Table 2 memory-overhead convention.
+    /// token storage — the paper's Table 2 memory-overhead convention: the
+    /// channel struct plus the two replicas' heap-side records (queue
+    /// header, capacity, counters, latch).
     pub fn state_bytes() -> usize {
-        std::mem::size_of::<Replicator>()
+        std::mem::size_of::<Replicator>() + 2 * std::mem::size_of::<Lane>()
     }
 
-    fn latch(&mut self, i: usize, at: TimeNs, cause: ReplicatorFaultCause) {
-        if self.fault[i].is_none() {
-            self.fault[i] = Some(FaultRecord { at, cause });
-            // Per §3.3 the replicator stops inserting tokens into the
-            // latched queue; pending tokens stay readable in case the
-            // replica is later serviced for diagnosis.
-            if let Some(obs) = &self.obs {
-                let site = match cause {
-                    ReplicatorFaultCause::Overflow => DetectionSite::ReplicatorOverflow,
-                    ReplicatorFaultCause::Divergence => DetectionSite::ReplicatorDivergence,
-                };
-                obs.on_detection(i, site, at);
-            }
+    /// Latches replica `i`. Per §3.3 the replicator stops inserting tokens
+    /// into the latched queue; pending tokens stay readable in case the
+    /// replica is later serviced for diagnosis.
+    fn latch(&mut self, i: usize, cause: ArbFaultCause, now: TimeNs) {
+        self.lanes[i].fault = Some(ArbFault {
+            at: now,
+            cause,
+            group: None,
+        });
+        self.healthy -= 1;
+        if let Some(obs) = &self.obs {
+            obs.on_detection(i, cause.site(true), now);
         }
     }
 
-    fn check_divergence(&mut self, now: TimeNs) {
-        let Some(d) = self.config.divergence_threshold else {
+    /// The consumption-divergence latch, run after `reader` consumed a
+    /// token: any healthy replica whose consumed count is `D` behind it.
+    /// Only the reader's count moved, so only the reader can have opened a
+    /// gap; the last healthy replica is never latched.
+    fn check_divergence(&mut self, reader: usize, now: TimeNs) {
+        let Some(d) = self.divergence_threshold else {
             return;
         };
-        if self.fault[0].is_some() || self.fault[1].is_some() {
+        if self.lanes[reader].fault.is_some() {
             return;
         }
-        let (a, b) = (self.consumed[0], self.consumed[1]);
-        if a.abs_diff(b) >= d {
-            let behind = if a < b { 0 } else { 1 };
-            self.latch(behind, now, ReplicatorFaultCause::Divergence);
+        let lead = self.lanes[reader].consumed;
+        for i in 0..self.lanes.len() {
+            let lane = &self.lanes[i];
+            if self.healthy > 1 && lane.fault.is_none() && lead >= lane.consumed + d {
+                self.latch(i, ArbFaultCause::Divergence, now);
+            }
         }
     }
 }
 
+// `try_write` / `try_read` carry `#[inline]`: with the per-replica state
+// behind a `Vec` the inliner no longer takes them on its own at a
+// statically-typed call site, which doubles the measured per-token cost.
 impl ChannelBehavior for Replicator {
+    #[inline]
     fn try_write(&mut self, iface: usize, token: Token, now: TimeNs) -> WriteOutcome {
         assert_eq!(iface, 0, "replicator has a single write interface");
 
-        if self.config.detect_overflow {
-            // §3.3: a full healthy queue at a write attempt means that
-            // replica has a timing fault — latch it and keep going.
-            for i in 0..2 {
-                if self.fault[i].is_none() && self.queues[i].len() >= self.config.capacity[i] {
-                    self.latch(i, now, ReplicatorFaultCause::Overflow);
+        let mut blocked = false;
+        for i in 0..self.lanes.len() {
+            let lane = &self.lanes[i];
+            if lane.fault.is_none() && lane.queue.len() >= lane.capacity {
+                if self.detect_overflow && self.healthy > 1 {
+                    // §3.3: a full healthy queue at a write attempt means
+                    // that replica has a timing fault — latch it and keep
+                    // going.
+                    self.latch(i, ArbFaultCause::Overflow, now);
+                } else {
+                    // Bare §3.1 rule 3 (detection off), or the last
+                    // healthy queue: the write waits for space.
+                    blocked = true;
                 }
             }
-        } else {
-            // Bare §3.1 rule 3: block unless both queues have space.
-            if (0..2).any(|i| self.queues[i].len() >= self.config.capacity[i]) {
-                return WriteOutcome::Blocked(token);
-            }
+        }
+        if blocked {
+            return WriteOutcome::Blocked(token);
         }
 
-        let mut delivered = false;
-        for i in 0..2 {
-            if self.fault[i].is_none() {
-                self.queues[i].push_back(token.clone());
-                self.max_fill[i] = self.max_fill[i].max(self.queues[i].len());
-                delivered = true;
+        for lane in &mut self.lanes {
+            if lane.fault.is_none() {
+                lane.queue.push_back(token.clone());
+                lane.max_fill = lane.max_fill.max(lane.queue.len());
             }
         }
         self.writes += 1;
-        if delivered {
-            WriteOutcome::Accepted
-        } else {
-            WriteOutcome::AcceptedDropped
-        }
+        WriteOutcome::Accepted
     }
 
+    #[inline]
     fn try_read(&mut self, iface: usize, now: TimeNs) -> ReadOutcome {
-        assert!(iface < 2, "replicator has two read interfaces");
-        match self.queues[iface].pop_front() {
+        let lane = &mut self.lanes[iface];
+        match lane.queue.pop_front() {
             Some(t) => {
-                self.consumed[iface] += 1;
-                self.check_divergence(now);
+                lane.consumed += 1;
+                self.check_divergence(iface, now);
                 ReadOutcome::Token(t)
             }
             None => ReadOutcome::Blocked,
@@ -277,19 +305,19 @@ impl ChannelBehavior for Replicator {
     }
 
     fn read_ifaces(&self) -> usize {
-        2
+        self.lanes.len()
     }
 
     fn fill(&self, iface: usize) -> usize {
-        self.queues[iface].len()
+        self.lanes[iface].queue.len()
     }
 
     fn capacity(&self, iface: usize) -> usize {
-        self.config.capacity[iface]
+        self.lanes[iface].capacity
     }
 
     fn max_fill(&self, iface: usize) -> usize {
-        self.max_fill[iface]
+        self.lanes[iface].max_fill
     }
 
     fn debug_name(&self) -> Option<&str> {
@@ -306,25 +334,12 @@ impl ChannelBehavior for Replicator {
 }
 
 impl Arbiter for Replicator {
-    fn arbiter_name(&self) -> &str {
-        self.name()
-    }
-
     fn replica_ifaces(&self) -> usize {
-        2
+        self.lanes.len()
     }
 
     fn latched(&self, i: usize) -> Option<ArbFault> {
-        self.fault[i].map(|f| ArbFault {
-            at: f.at,
-            cause: match f.cause {
-                // An overflowed replica queue is the write-side stall
-                // detector: the replica stopped consuming.
-                ReplicatorFaultCause::Overflow => ArbFaultCause::Stall,
-                ReplicatorFaultCause::Divergence => ArbFaultCause::Divergence,
-            },
-            group: None,
-        })
+        self.lanes[i].fault
     }
 }
 
@@ -394,7 +409,7 @@ mod tests {
             WriteOutcome::Accepted
         );
         let fault = r.fault(0).expect("latched");
-        assert_eq!(fault.cause, ReplicatorFaultCause::Overflow);
+        assert_eq!(fault.cause, ArbFaultCause::Overflow);
         assert_eq!(fault.at, TimeNs::from_ms(5));
         assert!(matches!(
             r.try_read(1, TimeNs::from_ms(5)),
@@ -443,7 +458,7 @@ mod tests {
             ));
         }
         let fault = r.fault(0).expect("divergence latched");
-        assert_eq!(fault.cause, ReplicatorFaultCause::Divergence);
+        assert_eq!(fault.cause, ArbFaultCause::Divergence);
         assert_eq!(fault.at, TimeNs::from_ms(12));
     }
 
@@ -463,15 +478,21 @@ mod tests {
     }
 
     #[test]
-    fn both_replicas_faulty_drops_tokens() {
+    fn last_healthy_queue_blocks_instead_of_latching() {
         let mut r = replicator([1, 1]);
         r.try_write(0, tok(0), TimeNs::ZERO);
-        // Both queues full: both latch; the write is accepted-but-dropped.
-        assert_eq!(
+        // Both queues full: the first latches, the survivor cannot — the
+        // producer sees back-pressure rather than a swallowed stream.
+        assert!(matches!(
             r.try_write(0, tok(1), TimeNs::ZERO),
-            WriteOutcome::AcceptedDropped
-        );
-        assert!(r.is_faulty(0) && r.is_faulty(1));
+            WriteOutcome::Blocked(_)
+        ));
+        assert!(r.is_faulty(0) && !r.is_faulty(1));
+        assert_eq!(r.healthy_count(), 1);
+        // Once the survivor drains, the stream continues on it alone.
+        assert!(matches!(r.try_read(1, TimeNs::ZERO), ReadOutcome::Token(_)));
+        assert_eq!(r.try_write(0, tok(1), TimeNs::ZERO), WriteOutcome::Accepted);
+        assert_eq!(r.writes(), 2);
     }
 
     #[test]

@@ -31,33 +31,20 @@
 //! After a latch the healthy interface feeds the FIFO alone, and writes
 //! arriving from the latched replica are accepted-and-discarded so a
 //! limping replica cannot block.
+//!
+//! All of that is the n-replica machinery of [`arbitration`](crate::arbitration)
+//! at n = 2: the counters and both detectors live in the shared
+//! [`ArbiterLedger`], the first-of-pair decision is [`FirstOfGroup`]'s
+//! (made on the received-token counters — the paper's `space_1 ≤ space_2`
+//! comparison normalised by the virtual-queue capacities; for asymmetric
+//! capacities the raw space comparison loses tokens after a leader fault,
+//! see DESIGN.md §5), and [`Selector`] is `PolicySelector<PaperPair>`. The
+//! one thing the paper's pair has that the n-replica rule lacks is the
+//! single physical FIFO, and that is all [`PaperPair`] adds.
 
-use crate::arbitration::{ArbFault, ArbFaultCause, Arbiter};
-use crate::obs::DetectionObs;
-use rtft_kpn::{ChannelBehavior, ReadOutcome, Token, WriteOutcome};
-use rtft_obs::DetectionSite;
+use crate::arbitration::{ArbiterLedger, ComparePolicy, FirstOfGroup, PolicySelector};
+use rtft_kpn::{Token, WriteOutcome};
 use rtft_rtc::TimeNs;
-use std::any::Any;
-use std::collections::VecDeque;
-
-/// Which detection rule latched a replica faulty at the selector.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SelectorFaultCause {
-    /// `space_i` exceeded `|S_i| + (D − 1)`: the replica stalled while the
-    /// consumer kept draining.
-    Stall,
-    /// The received-token divergence reached `D`.
-    Divergence,
-}
-
-/// A latched fault-detection record at the selector.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SelectorFaultRecord {
-    /// Time of the operation during which the fault was detected.
-    pub at: TimeNs,
-    /// Which rule fired.
-    pub cause: SelectorFaultCause,
-}
 
 /// Configuration of a [`Selector`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -109,7 +96,40 @@ impl SelectorConfig {
     }
 }
 
-/// The selector channel state machine.
+/// The paper's two-replica arbitration: [`FirstOfGroup`]'s first-of-pair
+/// decision over the single physical FIFO of §3.1 selector rule 1.
+///
+/// While both replicas are healthy a write is flow-controlled by its own
+/// virtual queue (`space_i > 0`), exactly as in the n-replica selectors.
+/// Once one replica is latched the survivor is the sole writer of the
+/// physical FIFO and is admitted until *that* is full —
+/// `max(|S₁|, |S₂|)` tokens — rather than at its own `|S_i|`. The two
+/// rules coincide for symmetric capacities.
+#[derive(Debug, Default, Clone, Copy)]
+pub struct PaperPair;
+
+impl ComparePolicy for PaperPair {
+    fn arbitrate(
+        &mut self,
+        ledger: &mut ArbiterLedger,
+        iface: usize,
+        token: Token,
+        now: TimeNs,
+    ) -> WriteOutcome {
+        FirstOfGroup.arbitrate(ledger, iface, token, now)
+    }
+
+    fn admits(&self, ledger: &ArbiterLedger, iface: usize) -> bool {
+        if ledger.healthy_count() == 1 {
+            ledger.fill() < ledger.physical_capacity()
+        } else {
+            ledger.space(iface) > 0
+        }
+    }
+}
+
+/// The selector channel state machine: the [`PaperPair`] policy over the
+/// shared [`ArbiterLedger`].
 ///
 /// # Examples
 ///
@@ -128,24 +148,7 @@ impl SelectorConfig {
 /// assert!(matches!(s.try_read(0, t0), ReadOutcome::Token(t) if t.seq == 0));
 /// assert_eq!(s.try_read(0, t0), ReadOutcome::Blocked);
 /// ```
-#[derive(Debug)]
-pub struct Selector {
-    name: String,
-    config: SelectorConfig,
-    queue: VecDeque<Token>,
-    /// The paper's `space_i` counters. They exceed `|S_i|` while a replica
-    /// stalls, which is exactly what the stall detector watches.
-    space: [u64; 2],
-    max_fill: usize,
-    /// Tokens received per write interface (divergence detector input).
-    received: [u64; 2],
-    /// Tokens enqueued / discarded (statistics).
-    enqueued: u64,
-    discarded: u64,
-    reads: u64,
-    fault: [Option<SelectorFaultRecord>; 2],
-    obs: Option<DetectionObs>,
-}
+pub type Selector = PolicySelector<PaperPair>;
 
 impl Selector {
     /// Creates a selector; the physical FIFO capacity is
@@ -155,254 +158,51 @@ impl Selector {
     ///
     /// Panics if either capacity is zero.
     pub fn new(name: impl Into<String>, config: SelectorConfig) -> Self {
-        assert!(
-            config.capacity[0] > 0 && config.capacity[1] > 0,
-            "selector virtual-queue capacities must be positive"
-        );
-        let physical = config.capacity[0].max(config.capacity[1]);
-        Selector {
-            name: name.into(),
-            config,
-            queue: VecDeque::with_capacity(physical),
-            space: [config.capacity[0] as u64, config.capacity[1] as u64],
-            max_fill: 0,
-            received: [0, 0],
-            enqueued: 0,
-            discarded: 0,
-            reads: 0,
-            fault: [None, None],
-            obs: None,
-        }
-    }
-
-    /// Attaches observability: each fault latch is mirrored into the
-    /// handles' [`HealthModel`](rtft_obs::HealthModel) and every late
-    /// duplicate suppressed bumps the discard counter. Detection
-    /// semantics are unchanged — the latch stays the source of truth.
-    pub fn attach_obs(&mut self, obs: DetectionObs) {
-        self.obs = Some(obs);
-    }
-
-    /// The selector's diagnostic name.
-    pub fn name(&self) -> &str {
-        &self.name
-    }
-
-    /// Fault record for replica `i`, if detected.
-    pub fn fault(&self, i: usize) -> Option<SelectorFaultRecord> {
-        self.fault[i]
+        PolicySelector::from_parts(
+            ArbiterLedger::new(
+                name,
+                config.capacity.to_vec(),
+                config.divergence_threshold,
+                config.stall_slack,
+            ),
+            PaperPair,
+        )
     }
 
     /// `true` if replica `i` is latched faulty.
     pub fn is_faulty(&self, i: usize) -> bool {
-        self.fault[i].is_some()
+        self.fault(i).is_some()
     }
 
-    /// Current `space_i` counter.
-    pub fn space(&self, i: usize) -> u64 {
-        self.space[i]
+    /// Current `space_i` counter. It exceeds `|S_i|` while a replica
+    /// stalls, which is exactly what the stall detector watches.
+    pub fn space(&self, i: usize) -> i64 {
+        self.ledger().space(i)
     }
 
     /// Tokens received over interface `i` so far.
     pub fn received(&self, i: usize) -> u64 {
-        self.received[i]
-    }
-
-    /// Tokens enqueued to the consumer so far.
-    pub fn enqueued(&self) -> u64 {
-        self.enqueued
-    }
-
-    /// Late duplicates discarded so far.
-    pub fn discarded(&self) -> u64 {
-        self.discarded
+        self.ledger().received(i)
     }
 
     /// Successful consumer reads so far.
     pub fn reads(&self) -> u64 {
-        self.reads
+        self.ledger().reads()
     }
 
     /// Bytes of framework state (fault-detection bookkeeping), excluding
-    /// token storage.
+    /// token storage — the paper's Table 2 memory-overhead convention: the
+    /// channel struct plus the two replicas' heap-side counters.
     pub fn state_bytes() -> usize {
-        std::mem::size_of::<Selector>()
-    }
-
-    fn latch(&mut self, i: usize, at: TimeNs, cause: SelectorFaultCause) {
-        if self.fault[i].is_none() && self.fault[1 - i].is_none() {
-            self.fault[i] = Some(SelectorFaultRecord { at, cause });
-            if let Some(obs) = &self.obs {
-                let site = match cause {
-                    SelectorFaultCause::Stall => DetectionSite::SelectorStall,
-                    SelectorFaultCause::Divergence => DetectionSite::SelectorDivergence,
-                };
-                obs.on_detection(i, site, at);
-            }
-        }
-    }
-
-    fn check_divergence(&mut self, now: TimeNs) {
-        let Some(d) = self.config.divergence_threshold else {
-            return;
-        };
-        if self.fault[0].is_some() || self.fault[1].is_some() {
-            return;
-        }
-        let (a, b) = (self.received[0], self.received[1]);
-        if a.abs_diff(b) >= d {
-            let behind = if a < b { 0 } else { 1 };
-            self.latch(behind, now, SelectorFaultCause::Divergence);
-        }
-    }
-
-    fn check_stall(&mut self, now: TimeNs) {
-        let Some(slack) = self.config.stall_slack else {
-            return;
-        };
-        if self.fault[0].is_some() || self.fault[1].is_some() {
-            return;
-        }
-        for i in 0..2 {
-            if self.space[i] > self.config.capacity[i] as u64 + slack {
-                self.latch(i, now, SelectorFaultCause::Stall);
-                return;
-            }
-        }
-    }
-}
-
-impl ChannelBehavior for Selector {
-    fn try_write(&mut self, iface: usize, token: Token, now: TimeNs) -> WriteOutcome {
-        assert!(iface < 2, "selector has two write interfaces");
-        let other = 1 - iface;
-
-        if self.fault[iface].is_some() {
-            // Tokens from a latched replica are accepted-and-discarded so a
-            // degraded replica cannot block itself (and through nothing
-            // else, per Lemma 1, anyone else).
-            self.discarded += 1;
-            if let Some(obs) = &self.obs {
-                obs.on_duplicate_discarded();
-            }
-            return WriteOutcome::AcceptedDropped;
-        }
-
-        if self.fault[other].is_some() {
-            // Sole healthy source: every token is first-of-pair.
-            if self.queue.len() >= self.config.capacity[iface].max(self.config.capacity[other]) {
-                return WriteOutcome::Blocked(token);
-            }
-            self.queue.push_back(token);
-            self.max_fill = self.max_fill.max(self.queue.len());
-            self.space[iface] = self.space[iface].saturating_sub(1);
-            self.received[iface] += 1;
-            self.enqueued += 1;
-            return WriteOutcome::Accepted;
-        }
-
-        // §3.1 selector rule 3. The first-of-pair decision is made on the
-        // received-token counters: interface `i` supplies the first token
-        // of its pair iff it has received no more pairs than the other
-        // interface. This is the paper's `space_1 ≤ space_2` comparison
-        // normalised by the virtual-queue capacities — for |S₁| = |S₂| the
-        // two are identical, and for asymmetric capacities the raw space
-        // comparison misclassifies the first |S₂|−|S₁| unmatched tokens of
-        // the lagging replica after a leader fault (token loss); see
-        // DESIGN.md §5.
-        if self.space[iface] == 0 {
-            return WriteOutcome::Blocked(token);
-        }
-        let outcome = if self.received[iface] >= self.received[other] {
-            self.queue.push_back(token);
-            self.max_fill = self.max_fill.max(self.queue.len());
-            self.enqueued += 1;
-            WriteOutcome::Accepted
-        } else {
-            self.discarded += 1;
-            if let Some(obs) = &self.obs {
-                obs.on_duplicate_discarded();
-            }
-            WriteOutcome::AcceptedDropped
-        };
-        self.space[iface] -= 1;
-        self.received[iface] += 1;
-        self.check_divergence(now);
-        outcome
-    }
-
-    fn try_read(&mut self, iface: usize, now: TimeNs) -> ReadOutcome {
-        assert_eq!(iface, 0, "selector has a single read interface");
-        match self.queue.pop_front() {
-            Some(t) => {
-                self.reads += 1;
-                self.space[0] += 1;
-                self.space[1] += 1;
-                self.check_stall(now);
-                ReadOutcome::Token(t)
-            }
-            None => ReadOutcome::Blocked,
-        }
-    }
-
-    fn write_ifaces(&self) -> usize {
-        2
-    }
-
-    fn read_ifaces(&self) -> usize {
-        1
-    }
-
-    fn fill(&self, _iface: usize) -> usize {
-        self.queue.len()
-    }
-
-    fn capacity(&self, iface: usize) -> usize {
-        self.config.capacity[iface.min(1)]
-    }
-
-    fn max_fill(&self, _iface: usize) -> usize {
-        self.max_fill
-    }
-
-    fn debug_name(&self) -> Option<&str> {
-        Some(&self.name)
-    }
-
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
-    }
-}
-
-impl Arbiter for Selector {
-    fn arbiter_name(&self) -> &str {
-        self.name()
-    }
-
-    fn replica_ifaces(&self) -> usize {
-        2
-    }
-
-    fn latched(&self, i: usize) -> Option<ArbFault> {
-        self.fault[i].map(|f| ArbFault {
-            at: f.at,
-            cause: match f.cause {
-                SelectorFaultCause::Stall => ArbFaultCause::Stall,
-                SelectorFaultCause::Divergence => ArbFaultCause::Divergence,
-            },
-            group: None,
-        })
+        std::mem::size_of::<Selector>() + 2 * ArbiterLedger::PER_REPLICA_BYTES
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rtft_kpn::Payload;
+    use crate::ArbFaultCause;
+    use rtft_kpn::{ChannelBehavior, Payload, ReadOutcome};
 
     fn tok(seq: u64) -> Token {
         Token::new(seq, TimeNs::from_ms(seq), Payload::U64(seq))
@@ -470,7 +270,7 @@ mod tests {
         assert!(!s.is_faulty(1));
         s.try_write(0, tok(2), TimeNs::from_ms(3));
         let f = s.fault(1).expect("latched");
-        assert_eq!(f.cause, SelectorFaultCause::Divergence);
+        assert_eq!(f.cause, ArbFaultCause::Divergence);
         assert_eq!(f.at, TimeNs::from_ms(3));
         assert!(!s.is_faulty(0));
     }
@@ -497,6 +297,30 @@ mod tests {
     }
 
     #[test]
+    fn sole_survivor_is_admitted_until_the_physical_fifo_is_full() {
+        // MJPEG-shaped capacities: |S_1| = 4, |S_2| = 6, one physical FIFO
+        // of 6. Replica 1 never writes and is latched by divergence.
+        let mut s = selector([4, 6], 2);
+        for seq in 0..4 {
+            assert_eq!(
+                s.try_write(0, tok(seq), TimeNs::ZERO),
+                WriteOutcome::Accepted
+            );
+        }
+        assert!(s.is_faulty(1));
+        // While both were healthy replica 0 would block here (space_0 = 0);
+        // as the sole writer it owns the whole FIFO.
+        assert_eq!(s.space(0), 0);
+        assert_eq!(s.try_write(0, tok(4), TimeNs::ZERO), WriteOutcome::Accepted);
+        assert_eq!(s.try_write(0, tok(5), TimeNs::ZERO), WriteOutcome::Accepted);
+        assert!(matches!(
+            s.try_write(0, tok(6), TimeNs::ZERO),
+            WriteOutcome::Blocked(_)
+        ));
+        assert_eq!(s.fill(0), 6);
+    }
+
+    #[test]
     fn stall_detector_fires_without_divergence_detector() {
         // Pure §3.3 "first method": divergence detection off, stall slack 2.
         let mut s = Selector::new("s", SelectorConfig::stall_only([2, 2], 2));
@@ -514,7 +338,7 @@ mod tests {
             ));
         }
         let f = s.fault(1).expect("replica 1 flagged by stall rule");
-        assert_eq!(f.cause, SelectorFaultCause::Stall);
+        assert_eq!(f.cause, ArbFaultCause::Stall);
         assert_eq!(f.at, TimeNs::from_ms(12));
         assert!(!s.is_faulty(0));
     }

@@ -24,34 +24,12 @@
 //! *majority* replica rather than the fastest single one.
 
 use crate::arbitration::{ArbFaultCause, ArbiterLedger, ComparePolicy, PolicySelector};
+use crate::builder::{assemble, Assembly};
 use crate::fault::FaultPlan;
-use rtft_kpn::{Network, PjdSink, PjdSource, PortId, Token, WriteOutcome};
+use crate::nmodular::timing_ledger;
+use rtft_kpn::{Network, Token, WriteOutcome};
 use rtft_rtc::TimeNs;
 use std::collections::BTreeMap;
-
-/// Why the voting selector latched a replica.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum VoteFaultCause {
-    /// The replica's vote disagreed with the decided majority digest —
-    /// silent data corruption, invisible to every timing detector.
-    ValueMismatch,
-    /// The replica's received count fell `D` behind the healthy
-    /// front-runner (the eq. (5) rule, unchanged).
-    Divergence,
-    /// The replica's virtual queue emptied beyond the stall slack.
-    Stall,
-}
-
-/// A latched fault: when, why, and (for value faults) which group.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct VoteFaultRecord {
-    /// Virtual time of the latch.
-    pub at: TimeNs,
-    /// Detection rule that fired.
-    pub cause: VoteFaultCause,
-    /// Duplicate-group index of the mismatching vote (value faults only).
-    pub group: Option<u64>,
-}
 
 /// Per-group voting state, kept until the group is decided, delivered, and
 /// fully voted (or its stragglers latched).
@@ -219,24 +197,8 @@ impl VotingSelector {
             capacity.len() >= 3,
             "value voting needs at least three replicas"
         );
-        let n = capacity.len();
-        PolicySelector::from_parts(
-            ArbiterLedger::new(name, capacity, d),
-            MajorityVote::for_replicas(n),
-        )
-    }
-
-    /// Fault record of replica `i`, if latched.
-    pub fn fault(&self, i: usize) -> Option<VoteFaultRecord> {
-        self.arb_fault(i).map(|f| VoteFaultRecord {
-            at: f.at,
-            cause: match f.cause {
-                ArbFaultCause::ValueMismatch => VoteFaultCause::ValueMismatch,
-                ArbFaultCause::Divergence => VoteFaultCause::Divergence,
-                ArbFaultCause::Stall => VoteFaultCause::Stall,
-            },
-            group: f.group,
-        })
+        let policy = MajorityVote::for_replicas(capacity.len());
+        PolicySelector::from_parts(timing_ledger(name, capacity, d), policy)
     }
 
     /// The votes-agree quorum (`⌊n/2⌋ + 1`).
@@ -266,79 +228,42 @@ pub fn build_n_modular_voting(
     factory: &dyn crate::ReplicaFactory,
     faults: &[FaultPlan],
 ) -> (Network, crate::NModularIds) {
-    let n = model.replicas.len();
-    assert!(n >= 3, "value voting needs at least three replicas");
-    assert_eq!(faults.len(), n, "one fault plan per replica");
-
-    let mut net = Network::new();
-    let replicator = net.add_channel(crate::NReplicator::new(
-        "n-replicator",
-        sizing
-            .replicator_capacity
-            .iter()
-            .map(|c| *c as usize)
-            .collect(),
-        Some(sizing.threshold),
-    ));
-    let selector = net.add_channel(VotingSelector::new(
-        "voting-selector",
-        sizing
-            .selector_capacity
-            .iter()
-            .map(|c| *c as usize)
-            .collect(),
-        sizing.threshold,
-    ));
-
-    let gen = payload;
-    let producer = net.add_process(PjdSource::new(
-        "producer",
-        PortId::of(replicator),
-        model.producer,
-        seeds.0,
-        Some(token_count),
-        move |seq| gen(seq),
-    ));
-
-    let replicas: Vec<Vec<rtft_kpn::NodeId>> = (0..n)
-        .map(|i| {
-            factory.build(
-                &mut net,
-                PortId::iface(replicator, i),
-                PortId::iface(selector, i),
-                i,
-                faults[i],
-            )
-        })
-        .collect();
-
-    let consumer = net.add_process(PjdSink::new(
-        "consumer",
-        PortId::of(selector),
-        model.consumer,
-        seeds.1,
-        Some(token_count),
-    ));
-
-    (
-        net,
-        crate::NModularIds {
-            replicator,
-            selector,
-            producer,
-            consumer,
-            replicas,
-        },
-    )
+    assert!(
+        model.replicas.len() >= 3,
+        "value voting needs at least three replicas"
+    );
+    assert_eq!(
+        faults.len(),
+        model.replicas.len(),
+        "one fault plan per replica"
+    );
+    assemble(Assembly {
+        replicator: Box::new(sizing.replicator()),
+        selector: Box::new(VotingSelector::new(
+            "voting-selector",
+            sizing.selector_capacities(),
+            sizing.threshold,
+        )),
+        producer: model.producer,
+        consumer: model.consumer,
+        token_count: Some(token_count),
+        seeds,
+        payload,
+        factory,
+        faults,
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::fault::{CorruptionMode, FaultPlan};
-    use crate::{NModularModel, NSizingReport};
-    use rtft_kpn::{ChannelBehavior, Engine, Fifo, Payload, PjdShaper, ReadOutcome, Transform};
-    use rtft_rtc::PjdModel;
+    // The pass-through stage + shaper factory and tri-replica model of the
+    // timing-selector tests, so the end-to-end digest equals the
+    // producer's payload digest.
+    use crate::nmodular::tests::{tri_model, TriReplica};
+    use crate::{ArbFault, NSizingReport};
+    use rtft_kpn::{ChannelBehavior, Engine, Payload, ReadOutcome};
     use std::sync::Arc;
 
     fn tok(seq: u64, payload: Payload) -> Token {
@@ -364,7 +289,7 @@ mod tests {
             WriteOutcome::Accepted
         );
         let f = s.fault(1).expect("mismatching replica latched");
-        assert_eq!(f.cause, VoteFaultCause::ValueMismatch);
+        assert_eq!(f.cause, ArbFaultCause::ValueMismatch);
         assert_eq!(f.group, Some(0));
         assert_eq!(f.at, TimeNs::from_ms(1));
         assert!(s.fault(0).is_none() && s.fault(2).is_none());
@@ -393,7 +318,7 @@ mod tests {
             WriteOutcome::AcceptedDropped
         );
         let f = s.fault(2).expect("late mismatch latched");
-        assert_eq!(f.cause, VoteFaultCause::ValueMismatch);
+        assert_eq!(f.cause, ArbFaultCause::ValueMismatch);
         assert_eq!(f.group, Some(0));
     }
 
@@ -437,7 +362,7 @@ mod tests {
         assert_eq!(seqs, vec![7, 17]);
         // Replica 2's lone group-0 vote (9) lost to the majority.
         let f = s.fault(2).expect("group-0 minority latched");
-        assert_eq!(f.cause, VoteFaultCause::ValueMismatch);
+        assert_eq!(f.cause, ArbFaultCause::ValueMismatch);
     }
 
     #[test]
@@ -472,60 +397,10 @@ mod tests {
         let _ = VotingSelector::new("v", vec![2, 2], 2);
     }
 
-    /// Pass-through replica factory: stage + shaper, so the end-to-end
-    /// digest equals the producer's payload digest.
-    struct PassThrough {
-        models: Vec<PjdModel>,
-    }
-
-    impl crate::ReplicaFactory for PassThrough {
-        fn build(
-            &self,
-            net: &mut Network,
-            input: PortId,
-            output: PortId,
-            replica: usize,
-            fault: FaultPlan,
-        ) -> Vec<rtft_kpn::NodeId> {
-            let internal = net.add_channel(Fifo::new(format!("r{replica}.mid"), 4));
-            let stage = Transform::new(
-                format!("r{replica}.stage"),
-                input,
-                PortId::of(internal),
-                TimeNs::from_ms(2),
-                TimeNs::ZERO,
-                replica as u64,
-                |p| p,
-            );
-            let stage_id = net.add_process(crate::FaultyProcess::new(stage, fault));
-            let model = self.models[replica].with_delay(TimeNs::from_ms(5));
-            let shaper = net.add_process(PjdShaper::new(
-                format!("r{replica}.shaper"),
-                PortId::of(internal),
-                output,
-                model,
-                0x5eed + replica as u64,
-            ));
-            vec![stage_id, shaper]
-        }
-    }
-
-    fn tri_model() -> NModularModel {
-        NModularModel {
-            producer: PjdModel::from_ms(30.0, 2.0, 0.0),
-            consumer: PjdModel::from_ms(30.0, 2.0, 120.0),
-            replicas: vec![
-                PjdModel::from_ms(30.0, 5.0, 0.0),
-                PjdModel::from_ms(30.0, 15.0, 0.0),
-                PjdModel::from_ms(30.0, 30.0, 0.0),
-            ],
-        }
-    }
-
-    fn run_voting(faults: Vec<FaultPlan>) -> (Vec<(TimeNs, u64)>, Vec<Option<VoteFaultRecord>>) {
+    fn run_voting(faults: Vec<FaultPlan>) -> (Vec<(TimeNs, u64)>, Vec<Option<ArbFault>>) {
         let model = tri_model();
         let sizing = NSizingReport::analyze(&model).expect("bounded");
-        let factory = PassThrough {
+        let factory = TriReplica {
             models: model.replicas.clone(),
         };
         let tokens = 150u64;
@@ -570,7 +445,7 @@ mod tests {
         ]);
         assert_eq!(arrivals.len(), 150, "corruption fully masked");
         let f = faults[0].expect("corrupt replica latched");
-        assert_eq!(f.cause, VoteFaultCause::ValueMismatch);
+        assert_eq!(f.cause, ArbFaultCause::ValueMismatch);
         assert!(f.at >= TimeNs::from_secs(1));
         assert!(faults[1].is_none() && faults[2].is_none());
         // Every delivered value is the *correct* one.
@@ -589,6 +464,6 @@ mod tests {
         ]);
         assert_eq!(arrivals.len(), 150, "2-of-3 quorum still delivers");
         let f = faults[1].expect("dead replica latched");
-        assert_eq!(f.cause, VoteFaultCause::Divergence);
+        assert_eq!(f.cause, ArbFaultCause::Divergence);
     }
 }

@@ -9,15 +9,14 @@
 //! analogue of the paper's replica replacement).
 
 use rtft_core::{
-    build_duplicated, build_hetero, build_n_modular, build_n_modular_voting, instrument_duplicated,
-    ArbFault, ArbFaultCause, DuplicationConfig, FaultPlan, FaultRecord, FaultTrigger, HeteroModel,
-    HeteroSelector, HeteroSizingReport, NModularModel, NReplicator, NSelector, NSizingReport,
-    PayloadGenerator, ReplicaFactory, Replicator, ReplicatorFaultCause, SampledReplicator,
-    Selector, VotingSelector,
+    as_arbiter, build_duplicated, build_hetero, build_n_modular, build_n_modular_voting,
+    instrument_duplicated, ArbFault, DuplicationConfig, FaultPlan, FaultTrigger, HeteroModel,
+    HeteroSelector, HeteroSizingReport, NModularModel, NSizingReport, PayloadGenerator,
+    ReplicaFactory,
 };
-use rtft_kpn::threaded::{run_threaded_with, ThreadedConfig};
-use rtft_kpn::{Engine, PjdSink};
-use rtft_obs::{DetectionSite, HealthModel, MetricsRegistry};
+use rtft_kpn::threaded::{run_threaded_with, ThreadedConfig, ThreadedRun};
+use rtft_kpn::{ChannelBehavior, ChannelId, Engine, Network, NodeId, PjdSink};
+use rtft_obs::{HealthModel, MetricsRegistry};
 use rtft_rtc::TimeNs;
 use std::sync::Arc;
 use std::time::Duration;
@@ -181,63 +180,15 @@ impl JobTemplate {
     /// A copy of the template with every fault plan cleared — what a
     /// replacement run is built from.
     pub fn healed(&self) -> JobTemplate {
-        match self {
-            JobTemplate::Duplicated { cfg, factory } => JobTemplate::Duplicated {
-                cfg: cfg.healed(),
-                factory: Arc::clone(factory),
-            },
-            JobTemplate::NModular {
-                model,
-                sizing,
-                token_count,
-                seeds,
-                payload,
-                factory,
-                faults,
-            } => JobTemplate::NModular {
-                model: model.clone(),
-                sizing: sizing.clone(),
-                token_count: *token_count,
-                seeds: *seeds,
-                payload: Arc::clone(payload),
-                factory: Arc::clone(factory),
-                faults: vec![FaultPlan::healthy(); faults.len()],
-            },
-            JobTemplate::NModularVoting {
-                model,
-                sizing,
-                token_count,
-                seeds,
-                payload,
-                factory,
-                faults,
-            } => JobTemplate::NModularVoting {
-                model: model.clone(),
-                sizing: sizing.clone(),
-                token_count: *token_count,
-                seeds: *seeds,
-                payload: Arc::clone(payload),
-                factory: Arc::clone(factory),
-                faults: vec![FaultPlan::healthy(); faults.len()],
-            },
-            JobTemplate::Hetero {
-                model,
-                sizing,
-                token_count,
-                seeds,
-                payload,
-                factory,
-                ..
-            } => JobTemplate::Hetero {
-                model: model.clone(),
-                sizing: sizing.clone(),
-                token_count: *token_count,
-                seeds: *seeds,
-                payload: Arc::clone(payload),
-                factory: Arc::clone(factory),
-                faults: [FaultPlan::healthy(), FaultPlan::healthy()],
-            },
+        let mut healed = self.clone();
+        match &mut healed {
+            JobTemplate::Duplicated { cfg, .. } => cfg.faults.fill(FaultPlan::healthy()),
+            JobTemplate::NModular { faults, .. } | JobTemplate::NModularVoting { faults, .. } => {
+                faults.fill(FaultPlan::healthy())
+            }
+            JobTemplate::Hetero { faults, .. } => faults.fill(FaultPlan::healthy()),
         }
+        healed
     }
 }
 
@@ -289,11 +240,77 @@ impl JobRunResult {
     }
 }
 
+/// A network after its run, under whichever runtime executed it.
+enum FinishedRun {
+    Des(Network),
+    Threaded(ThreadedRun),
+}
+
+/// Runs a built network to completion under `runtime`. The threaded
+/// runtime records its per-thread metrics into `registry`; the DES runs
+/// bare, so a job's registry holds only what the job itself recorded.
+fn run(net: Network, runtime: &JobRuntime, registry: &MetricsRegistry) -> FinishedRun {
+    match runtime {
+        JobRuntime::DiscreteEvent { horizon } => {
+            let mut engine = Engine::new(net);
+            engine.run_until(*horizon);
+            FinishedRun::Des(engine.into_network())
+        }
+        JobRuntime::Threaded {
+            deadline,
+            quiescence_grace,
+        } => {
+            let config = ThreadedConfig::new(*deadline)
+                .with_quiescence_grace(*quiescence_grace)
+                .with_metrics(registry);
+            FinishedRun::Threaded(run_threaded_with(net, &config))
+        }
+    }
+}
+
+impl FinishedRun {
+    /// Inspects a channel's final state (`None` only if a threaded run
+    /// lost the channel).
+    fn channel<R>(&self, id: ChannelId, f: impl FnOnce(&dyn ChannelBehavior) -> R) -> Option<R> {
+        match self {
+            FinishedRun::Des(net) => Some(f(net.channel(id))),
+            FinishedRun::Threaded(run) => run.channel(id.0, f),
+        }
+    }
+
+    /// Per-replica latch records of an arbitration channel.
+    fn latches(&self, id: ChannelId) -> Vec<Option<ArbFault>> {
+        self.channel(id, |c| as_arbiter(c).map(|a| a.latches()))
+            .flatten()
+            .unwrap_or_default()
+    }
+
+    /// The consumer's `(arrival time ns, payload digest)` log; empty if a
+    /// threaded run timed out before the consumer halted.
+    fn arrival_log(&self, consumer: NodeId) -> Vec<(u64, u64)> {
+        let sink = match self {
+            FinishedRun::Des(net) => net.process_as::<PjdSink>(consumer),
+            FinishedRun::Threaded(run) => run.process_as::<PjdSink>("consumer"),
+        };
+        sink.map_or_else(Vec::new, |s| {
+            s.arrivals().iter().map(|&(t, d)| (t.as_ns(), d)).collect()
+        })
+    }
+}
+
 /// Folds a hetero run's per-structure observability into the job
 /// registry: how many main tokens were sampled for re-verification, how
 /// many of those the checker actually verified, and how far the checker
 /// was still running behind the sampled stream when the run ended.
-fn record_hetero_metrics(registry: &MetricsRegistry, samples: u64, verified: u64, lag: u64) {
+fn record_hetero_metrics(registry: &MetricsRegistry, selector: &dyn ChannelBehavior) {
+    let (samples, verified, lag) =
+        selector
+            .as_any()
+            .downcast_ref::<HeteroSelector>()
+            .map_or((0, 0, 0), |s| {
+                let check = s.policy();
+                (check.samples(), check.verified(), check.checker_lag())
+            });
     registry.counter("hetero.tokens.sampled").add(samples);
     registry.counter("hetero.tokens.verified").add(verified);
     registry.gauge("hetero.checker_lag").set(lag);
@@ -305,8 +322,8 @@ fn record_hetero_metrics(registry: &MetricsRegistry, samples: u64, verified: u64
 /// it does for duplicated jobs.
 fn hetero_health(
     faults: &[FaultPlan; 2],
-    rep: [Option<FaultRecord>; 2],
-    sel: [Option<ArbFault>; 2],
+    rep: &[Option<ArbFault>],
+    sel: &[Option<ArbFault>],
 ) -> HealthModel {
     let health = HealthModel::new(2);
     for (i, plan) in faults.iter().enumerate() {
@@ -315,25 +332,13 @@ fn hetero_health(
         }
     }
     for i in 0..2 {
-        let mut events: Vec<(DetectionSite, u64)> = Vec::new();
-        if let Some(f) = rep[i] {
-            let site = match f.cause {
-                ReplicatorFaultCause::Overflow => DetectionSite::ReplicatorOverflow,
-                ReplicatorFaultCause::Divergence => DetectionSite::ReplicatorDivergence,
-            };
-            events.push((site, f.at.as_ns()));
-        }
-        if let Some(f) = sel[i] {
-            let site = match f.cause {
-                ArbFaultCause::Stall => DetectionSite::SelectorStall,
-                // A digest mismatch is an arrival that disagrees — the
-                // closest existing site label.
-                ArbFaultCause::Divergence | ArbFaultCause::ValueMismatch => {
-                    DetectionSite::SelectorDivergence
-                }
-            };
-            events.push((site, f.at.as_ns()));
-        }
+        let mut events: Vec<_> = [(rep, true), (sel, false)]
+            .into_iter()
+            .filter_map(|(latches, at_replicator)| {
+                let f = latches.get(i).copied().flatten()?;
+                Some((f.cause.site(at_replicator), f.at.as_ns()))
+            })
+            .collect();
         // `on_detection` takes the first call as the first detection, so
         // feed the sites in time order.
         events.sort_by_key(|e| e.1);
@@ -342,19 +347,6 @@ fn hetero_health(
         }
     }
     health
-}
-
-/// Merges two detectors' faulty-replica views into one ascending list.
-fn union_faulty(a: impl Iterator<Item = usize>, b: impl Iterator<Item = usize>) -> Vec<usize> {
-    let mut v: Vec<usize> = a.chain(b).collect();
-    v.sort_unstable();
-    v.dedup();
-    v
-}
-
-/// Copies a sink's arrival record into the run result's plain-u64 log.
-fn arrival_log_of(arrivals: &[(TimeNs, u64)]) -> Vec<(u64, u64)> {
-    arrivals.iter().map(|&(t, d)| (t.as_ns(), d)).collect()
 }
 
 /// Builds and runs one instance of the template under the given runtime.
@@ -368,83 +360,9 @@ fn arrival_log_of(arrivals: &[(TimeNs, u64)]) -> Vec<(u64, u64)> {
 /// `rtft-core` builders) — the executor catches this and marks the run
 /// failed rather than poisoning the pool.
 pub fn execute(template: &JobTemplate, runtime: &JobRuntime) -> JobRunResult {
-    match template {
-        JobTemplate::Duplicated { cfg, factory } => execute_duplicated(cfg, factory, runtime),
-        JobTemplate::NModularVoting {
-            model,
-            sizing,
-            token_count,
-            seeds,
-            payload,
-            factory,
-            faults,
-        } => {
-            let (net, ids) = build_n_modular_voting(
-                model,
-                sizing,
-                *token_count,
-                *seeds,
-                Arc::clone(payload),
-                factory.as_ref(),
-                faults,
-            );
-            let expected = *token_count;
-            match runtime {
-                JobRuntime::DiscreteEvent { horizon } => {
-                    let mut engine = Engine::new(net);
-                    engine.run_until(*horizon);
-                    let net = engine.network();
-                    let rep = net
-                        .channel_as::<NReplicator>(ids.replicator)
-                        .expect("n-replicator");
-                    let sel = net
-                        .channel_as::<VotingSelector>(ids.selector)
-                        .expect("voting selector");
-                    let arrival_log = arrival_log_of(ids.consumer_arrivals(net));
-                    JobRunResult {
-                        arrivals: arrival_log.len() as u64,
-                        expected,
-                        faulty_replicas: union_faulty(rep.faulty_indices(), sel.faulty_indices()),
-                        registry: MetricsRegistry::new(),
-                        health: None,
-                        arrival_log,
-                    }
-                }
-                JobRuntime::Threaded {
-                    deadline,
-                    quiescence_grace,
-                } => {
-                    let registry = MetricsRegistry::new();
-                    let config = ThreadedConfig::new(*deadline)
-                        .with_quiescence_grace(*quiescence_grace)
-                        .with_metrics(&registry);
-                    let run = run_threaded_with(net, &config);
-                    let faulty = run
-                        .channel_as::<NReplicator, _>(ids.replicator.0, |r| {
-                            r.faulty_indices().collect::<Vec<_>>()
-                        })
-                        .unwrap_or_default()
-                        .into_iter()
-                        .chain(
-                            run.channel_as::<VotingSelector, _>(ids.selector.0, |s| {
-                                s.faulty_indices().collect::<Vec<_>>()
-                            })
-                            .unwrap_or_default(),
-                        );
-                    let arrival_log = run
-                        .process_as::<PjdSink>("consumer")
-                        .map_or_else(Vec::new, |s| arrival_log_of(s.arrivals()));
-                    JobRunResult {
-                        arrivals: arrival_log.len() as u64,
-                        expected,
-                        faulty_replicas: union_faulty(faulty, std::iter::empty()),
-                        registry,
-                        health: None,
-                        arrival_log,
-                    }
-                }
-            }
-        }
+    let registry = MetricsRegistry::new();
+    let (mut net, ids) = match template {
+        JobTemplate::Duplicated { cfg, factory } => build_duplicated(cfg, factory.as_ref()),
         JobTemplate::NModular {
             model,
             sizing,
@@ -453,8 +371,22 @@ pub fn execute(template: &JobTemplate, runtime: &JobRuntime) -> JobRunResult {
             payload,
             factory,
             faults,
+        }
+        | JobTemplate::NModularVoting {
+            model,
+            sizing,
+            token_count,
+            seeds,
+            payload,
+            factory,
+            faults,
         } => {
-            let (net, ids) = build_n_modular(
+            let build = if matches!(template, JobTemplate::NModular { .. }) {
+                build_n_modular
+            } else {
+                build_n_modular_voting
+            };
+            build(
                 model,
                 sizing,
                 *token_count,
@@ -462,63 +394,7 @@ pub fn execute(template: &JobTemplate, runtime: &JobRuntime) -> JobRunResult {
                 Arc::clone(payload),
                 factory.as_ref(),
                 faults,
-            );
-            let expected = *token_count;
-            match runtime {
-                JobRuntime::DiscreteEvent { horizon } => {
-                    let mut engine = Engine::new(net);
-                    engine.run_until(*horizon);
-                    let net = engine.network();
-                    let rep = net
-                        .channel_as::<NReplicator>(ids.replicator)
-                        .expect("n-replicator");
-                    let sel = net
-                        .channel_as::<NSelector>(ids.selector)
-                        .expect("n-selector");
-                    let arrival_log = arrival_log_of(ids.consumer_arrivals(net));
-                    JobRunResult {
-                        arrivals: arrival_log.len() as u64,
-                        expected,
-                        faulty_replicas: union_faulty(rep.faulty_indices(), sel.faulty_indices()),
-                        registry: MetricsRegistry::new(),
-                        health: None,
-                        arrival_log,
-                    }
-                }
-                JobRuntime::Threaded {
-                    deadline,
-                    quiescence_grace,
-                } => {
-                    let registry = MetricsRegistry::new();
-                    let config = ThreadedConfig::new(*deadline)
-                        .with_quiescence_grace(*quiescence_grace)
-                        .with_metrics(&registry);
-                    let run = run_threaded_with(net, &config);
-                    let faulty = run
-                        .channel_as::<NReplicator, _>(ids.replicator.0, |r| {
-                            r.faulty_indices().collect::<Vec<_>>()
-                        })
-                        .unwrap_or_default()
-                        .into_iter()
-                        .chain(
-                            run.channel_as::<NSelector, _>(ids.selector.0, |s| {
-                                s.faulty_indices().collect::<Vec<_>>()
-                            })
-                            .unwrap_or_default(),
-                        );
-                    let arrival_log = run
-                        .process_as::<PjdSink>("consumer")
-                        .map_or_else(Vec::new, |s| arrival_log_of(s.arrivals()));
-                    JobRunResult {
-                        arrivals: arrival_log.len() as u64,
-                        expected,
-                        faulty_replicas: union_faulty(faulty, std::iter::empty()),
-                        registry,
-                        health: None,
-                        arrival_log,
-                    }
-                }
-            }
+            )
         }
         JobTemplate::Hetero {
             model,
@@ -528,96 +404,49 @@ pub fn execute(template: &JobTemplate, runtime: &JobRuntime) -> JobRunResult {
             payload,
             factory,
             faults,
-        } => {
-            let (net, ids) = build_hetero(
-                model,
-                sizing,
-                *token_count,
-                *seeds,
-                Arc::clone(payload),
-                factory.as_ref(),
-                faults,
-            );
-            let expected = *token_count;
-            match runtime {
-                JobRuntime::DiscreteEvent { horizon } => {
-                    let mut engine = Engine::new(net);
-                    engine.run_until(*horizon);
-                    let net = engine.network();
-                    let rep = net
-                        .channel_as::<SampledReplicator>(ids.replicator)
-                        .expect("sampled replicator");
-                    let sel = net
-                        .channel_as::<HeteroSelector>(ids.selector)
-                        .expect("hetero selector");
-                    let registry = MetricsRegistry::new();
-                    let check = sel.policy();
-                    record_hetero_metrics(
-                        &registry,
-                        check.samples(),
-                        check.verified(),
-                        check.checker_lag(),
-                    );
-                    let health = hetero_health(
-                        faults,
-                        [rep.fault(0), rep.fault(1)],
-                        [sel.fault(0), sel.fault(1)],
-                    );
-                    let arrival_log = arrival_log_of(ids.consumer_arrivals(net));
-                    JobRunResult {
-                        arrivals: arrival_log.len() as u64,
-                        expected,
-                        faulty_replicas: union_faulty(
-                            rep.faulty_indices(),
-                            (0..2).filter(|&i| sel.fault(i).is_some()),
-                        ),
-                        registry,
-                        health: Some(health),
-                        arrival_log,
-                    }
-                }
-                JobRuntime::Threaded {
-                    deadline,
-                    quiescence_grace,
-                } => {
-                    let registry = MetricsRegistry::new();
-                    let config = ThreadedConfig::new(*deadline)
-                        .with_quiescence_grace(*quiescence_grace)
-                        .with_metrics(&registry);
-                    let run = run_threaded_with(net, &config);
-                    let rep_records = run
-                        .channel_as::<SampledReplicator, _>(ids.replicator.0, |r| {
-                            [r.fault(0), r.fault(1)]
-                        })
-                        .unwrap_or([None, None]);
-                    let (sel_records, obs) = run
-                        .channel_as::<HeteroSelector, _>(ids.selector.0, |s| {
-                            let c = s.policy();
-                            (
-                                [s.fault(0), s.fault(1)],
-                                (c.samples(), c.verified(), c.checker_lag()),
-                            )
-                        })
-                        .unwrap_or(([None, None], (0, 0, 0)));
-                    record_hetero_metrics(&registry, obs.0, obs.1, obs.2);
-                    let health = hetero_health(faults, rep_records, sel_records);
-                    let arrival_log = run
-                        .process_as::<PjdSink>("consumer")
-                        .map_or_else(Vec::new, |s| arrival_log_of(s.arrivals()));
-                    JobRunResult {
-                        arrivals: arrival_log.len() as u64,
-                        expected,
-                        faulty_replicas: union_faulty(
-                            (0..2).filter(|&i| rep_records[i].is_some()),
-                            (0..2).filter(|&i| sel_records[i].is_some()),
-                        ),
-                        registry,
-                        health: Some(health),
-                        arrival_log,
-                    }
-                }
-            }
+        } => build_hetero(
+            model,
+            sizing,
+            *token_count,
+            *seeds,
+            Arc::clone(payload),
+            factory.as_ref(),
+            faults,
+        ),
+    };
+    // Duplicated jobs get their health model attached live; hetero jobs
+    // get one reconstructed from the latches after the run.
+    let live_health = match template {
+        JobTemplate::Duplicated { cfg, .. } => {
+            Some(instrument_duplicated(&mut net, &ids, cfg, &registry))
         }
+        _ => None,
+    };
+    let finished = run(net, runtime, &registry);
+
+    let rep = finished.latches(ids.replicator);
+    let sel = finished.latches(ids.selector);
+    let latched =
+        |latches: &[Option<ArbFault>], i: usize| latches.get(i).is_some_and(Option::is_some);
+    let faulty_replicas = (0..template.replica_count())
+        .filter(|&i| latched(&rep, i) || latched(&sel, i))
+        .collect();
+
+    let health = match template {
+        JobTemplate::Hetero { faults, .. } => {
+            finished.channel(ids.selector, |c| record_hetero_metrics(&registry, c));
+            Some(hetero_health(faults, &rep, &sel))
+        }
+        _ => live_health,
+    };
+    let arrival_log = finished.arrival_log(ids.consumer);
+    JobRunResult {
+        arrivals: arrival_log.len() as u64,
+        expected: template.expected_tokens(),
+        faulty_replicas,
+        registry,
+        health,
+        arrival_log,
     }
 }
 
@@ -631,67 +460,4 @@ pub fn execute(template: &JobTemplate, runtime: &JobRuntime) -> JobRunResult {
 /// seeded from the spec itself.
 pub fn execute_spec(spec: &JobSpec) -> JobRunResult {
     execute(&spec.template, &spec.runtime)
-}
-
-fn execute_duplicated(
-    cfg: &DuplicationConfig,
-    factory: &SharedFactory,
-    runtime: &JobRuntime,
-) -> JobRunResult {
-    let (mut net, ids) = build_duplicated(cfg, factory.as_ref());
-    let registry = MetricsRegistry::new();
-    let health = instrument_duplicated(&mut net, &ids, cfg, &registry);
-    let expected = cfg.token_count.unwrap_or(0);
-    match runtime {
-        JobRuntime::DiscreteEvent { horizon } => {
-            let mut engine = Engine::new(net);
-            engine.run_until(*horizon);
-            let net = engine.network();
-            let rep = ids.replicator_faults(net);
-            let sel = ids.selector_faults(net);
-            let faulty = union_faulty(
-                rep.iter().enumerate().filter_map(|(i, f)| f.map(|_| i)),
-                sel.iter().enumerate().filter_map(|(i, f)| f.map(|_| i)),
-            );
-            let arrival_log = arrival_log_of(ids.consumer_arrivals(net));
-            JobRunResult {
-                arrivals: arrival_log.len() as u64,
-                expected,
-                faulty_replicas: faulty,
-                registry,
-                health: Some(health),
-                arrival_log,
-            }
-        }
-        JobRuntime::Threaded {
-            deadline,
-            quiescence_grace,
-        } => {
-            let config = ThreadedConfig::new(*deadline)
-                .with_quiescence_grace(*quiescence_grace)
-                .with_metrics(&registry);
-            let run = run_threaded_with(net, &config);
-            let rep = run
-                .channel_as::<Replicator, _>(ids.replicator.0, |r| {
-                    (0..2).filter(|&i| r.fault(i).is_some()).collect::<Vec<_>>()
-                })
-                .unwrap_or_default();
-            let sel = run
-                .channel_as::<Selector, _>(ids.selector.0, |s| {
-                    (0..2).filter(|&i| s.fault(i).is_some()).collect::<Vec<_>>()
-                })
-                .unwrap_or_default();
-            let arrival_log = run
-                .process_as::<PjdSink>("consumer")
-                .map_or_else(Vec::new, |s| arrival_log_of(s.arrivals()));
-            JobRunResult {
-                arrivals: arrival_log.len() as u64,
-                expected,
-                faulty_replicas: union_faulty(rep.into_iter(), sel.into_iter()),
-                registry,
-                health: Some(health),
-                arrival_log,
-            }
-        }
-    }
 }

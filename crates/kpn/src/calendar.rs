@@ -4,8 +4,9 @@
 //! Both implement the same total order — events pop by `(at, seq)`, where
 //! `seq` is the engine's monotone schedule counter — so a run is
 //! byte-identical under either. The heap stays available behind
-//! [`QueueKind::Heap`] (`RTFT_ENGINE_QUEUE=heap` or
-//! [`set_default_queue`]) purely for differential testing.
+//! [`QueueKind::Heap`] ([`set_default_queue`] or
+//! [`Engine::with_queue`](crate::Engine::with_queue)) purely for
+//! differential testing.
 //!
 //! # Calendar queue
 //!
@@ -52,7 +53,7 @@ use crate::process::NodeId;
 use rtft_rtc::TimeNs;
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
-use std::sync::atomic::{AtomicU8, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 
 /// Which event-queue implementation an [`crate::Engine`] uses.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -63,34 +64,23 @@ pub enum QueueKind {
     Heap,
 }
 
-/// Process-wide default: 0 = unresolved, 1 = calendar, 2 = heap.
-static DEFAULT_QUEUE: AtomicU8 = AtomicU8::new(0);
+/// Process-wide override: `true` makes new engines use the heap.
+static HEAP_BY_DEFAULT: AtomicBool = AtomicBool::new(false);
 
 /// Overrides the process-wide default queue for engines built after this
 /// call (engines already constructed keep their queue). Differential
 /// tests use this to re-run a whole campaign on the heap scheduler.
 pub fn set_default_queue(kind: QueueKind) {
-    let v = match kind {
-        QueueKind::Calendar => 1,
-        QueueKind::Heap => 2,
-    };
-    DEFAULT_QUEUE.store(v, Ordering::Relaxed);
+    HEAP_BY_DEFAULT.store(kind == QueueKind::Heap, Ordering::Relaxed);
 }
 
 /// The default queue kind: an explicit [`set_default_queue`] override,
-/// else `RTFT_ENGINE_QUEUE` (`heap` / `calendar`), else the calendar.
+/// else the calendar.
 pub fn default_queue() -> QueueKind {
-    match DEFAULT_QUEUE.load(Ordering::Relaxed) {
-        1 => QueueKind::Calendar,
-        2 => QueueKind::Heap,
-        _ => {
-            let kind = match std::env::var("RTFT_ENGINE_QUEUE") {
-                Ok(v) if v.eq_ignore_ascii_case("heap") => QueueKind::Heap,
-                _ => QueueKind::Calendar,
-            };
-            set_default_queue(kind);
-            kind
-        }
+    if HEAP_BY_DEFAULT.load(Ordering::Relaxed) {
+        QueueKind::Heap
+    } else {
+        QueueKind::Calendar
     }
 }
 

@@ -295,10 +295,20 @@ impl WorkerPool {
 impl Drop for WorkerPool {
     /// Drains the pool: blocks until every submitted task has run, then
     /// joins the workers.
+    ///
+    /// Dropped from inside one of its own tasks (the task held the last
+    /// owner), the pool detaches its workers instead: a thread cannot join
+    /// itself, and its peers do not exit while the dropping task still
+    /// counts as pending. Every submitted task still runs; the workers
+    /// exit on their own once the queues are empty.
     fn drop(&mut self) {
         self.shared.shutdown.store(true, Ordering::SeqCst);
         for q in &self.shared.queues {
             q.wake.notify_all();
+        }
+        let me = std::thread::current().id();
+        if self.handles.iter().any(|h| h.thread().id() == me) {
+            return;
         }
         for h in self.handles.drain(..) {
             let _ = h.join();
@@ -587,6 +597,30 @@ mod tests {
         }
         drop(pool);
         assert_eq!(counter.load(Ordering::SeqCst), 50);
+    }
+
+    #[test]
+    fn last_owner_dropped_inside_a_task_detaches_instead_of_self_joining() {
+        let pool = Arc::new(WorkerPool::new(2));
+        let (done_tx, done_rx) = std::sync::mpsc::channel();
+        let (go_tx, go_rx) = std::sync::mpsc::channel::<()>();
+        let owner = Arc::clone(&pool);
+        pool.submit(0, move || {
+            // Wait until the test thread has given up its owner, so the
+            // drop below is the last one and runs on this worker.
+            go_rx.recv().unwrap();
+            let peer_done = done_tx.clone();
+            owner.submit(1, move || peer_done.send("queued task").unwrap());
+            drop(owner);
+            done_tx.send("dropping task").unwrap();
+        });
+        drop(pool);
+        go_tx.send(()).unwrap();
+        let mut seen: Vec<&str> = (0..2)
+            .map(|_| done_rx.recv_timeout(Duration::from_secs(10)).unwrap())
+            .collect();
+        seen.sort_unstable();
+        assert_eq!(seen, ["dropping task", "queued task"]);
     }
 
     #[test]

@@ -288,10 +288,19 @@ pub struct ThreadedRun {
 }
 
 impl ThreadedRun {
+    /// Inspects a channel's final state (`None` if `index` is out of range).
+    pub fn channel<R>(
+        &self,
+        index: usize,
+        f: impl FnOnce(&dyn crate::ChannelBehavior) -> R,
+    ) -> Option<R> {
+        let guard = self.channels.get(index)?.1.state.lock().unwrap();
+        Some(f(&*guard))
+    }
+
     /// Inspects a channel's final state under its concrete type.
     pub fn channel_as<T: 'static, R>(&self, index: usize, f: impl FnOnce(&T) -> R) -> Option<R> {
-        let guard = self.channels.get(index)?.1.state.lock().unwrap();
-        guard.as_any().downcast_ref::<T>().map(f)
+        self.channel(index, |c| c.as_any().downcast_ref::<T>().map(f))?
     }
 
     /// Inspects a finished process under its concrete type (only processes

@@ -337,8 +337,8 @@ fn read_label(o: &ReadOutcome) -> String {
 }
 
 /// Which side an episode starves: nobody, a replica-facing interface
-/// (`Some(0)` / `Some(1)`) from a seeded op index on, or the far side
-/// (the selector's consumer, the replicator's producer).
+/// (index, from a seeded op index on), or the far side (the selector's
+/// consumer, the replicator's producer).
 #[derive(Clone, Copy)]
 enum Starve {
     Nobody,

@@ -204,3 +204,51 @@ fn health_model_stays_clean_without_faults() {
     assert!(run.registry.counter("kpn.engine.events").get() > 0);
     assert!(run.registry.counter("kpn.tokens.written").get() > 0);
 }
+
+/// Every arbitration channel registers its occupancy gauge under its own
+/// name — the n-replica ones too, which used to fall back to `ch<N>`.
+#[test]
+fn n_replica_channels_register_named_fill_gauges() {
+    use rtft_core::{build_n_modular_voting, NJitterStageReplica, NModularModel, NSizingReport};
+    use rtft_rtc::PjdModel;
+
+    let model = NModularModel {
+        producer: PjdModel::from_ms(30.0, 2.0, 0.0),
+        consumer: PjdModel::from_ms(30.0, 2.0, 150.0),
+        replicas: vec![
+            PjdModel::from_ms(30.0, 5.0, 0.0),
+            PjdModel::from_ms(30.0, 15.0, 0.0),
+            PjdModel::from_ms(30.0, 30.0, 0.0),
+        ],
+    };
+    let sizing = NSizingReport::analyze(&model).expect("bounded");
+    let factory = NJitterStageReplica::from_model(&model);
+    let (net, _ids) = build_n_modular_voting(
+        &model,
+        &sizing,
+        40,
+        (1, 2),
+        std::sync::Arc::new(rtft_kpn::Payload::U64),
+        &factory,
+        &[FaultPlan::healthy(); 3],
+    );
+    let registry = MetricsRegistry::new();
+    Engine::new(net)
+        .with_metrics(&registry)
+        .run_until(TimeNs::from_secs(10));
+    let gauges: Vec<String> = registry
+        .gauge_values()
+        .into_iter()
+        .map(|(name, _, _)| name)
+        .collect();
+    for name in [
+        "kpn.channel.n-replicator.fill",
+        "kpn.channel.voting-selector.fill",
+    ] {
+        assert!(gauges.iter().any(|g| g == name), "{name} not in {gauges:?}");
+    }
+    assert!(
+        !gauges.iter().any(|g| g.starts_with("kpn.channel.ch")),
+        "unnamed channel gauge in {gauges:?}"
+    );
+}
