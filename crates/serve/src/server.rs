@@ -1661,3 +1661,116 @@ pub(crate) fn build_spec(
         runtime,
     }
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::client::{digest_of, workload};
+    use rtft_fleet::execute_spec;
+
+    /// Everything a flush pushes back to its client, as text: the
+    /// `Output` frames' `(at_ns, digest)` log, the latched replicas and
+    /// each replica's `(injected, first detected)` instants.
+    fn flush_transcript(redundancy: u8, app: App) -> String {
+        let cfg = ServerConfig {
+            seed: 0x5EED,
+            inject: vec![FaultInjection {
+                stream: 3,
+                replica: 1,
+                at: app.profile().model.producer.period * 10,
+            }],
+            ..ServerConfig::default()
+        };
+        let batch: Vec<Bytes> = workload(app, 7, 48).into_iter().map(Bytes::from).collect();
+        let r = execute_spec(&build_spec(&cfg, 3, app, redundancy, &batch));
+        let health: Option<Vec<_>> = r.health.as_ref().map(|h| {
+            h.replicas()
+                .iter()
+                .map(|rh| (rh.fault_injected_at_ns, rh.first_detected_at_ns))
+                .collect()
+        });
+        format!(
+            "faulty={:?}\nhealth={health:?}\nlog={:?}\n",
+            r.faulty_replicas, r.arrival_log
+        )
+    }
+
+    /// The serve arm of the structure recipe, pinned per redundancy byte
+    /// and app: one fail-stop on replica 1, DES runtime, fixed batch.
+    #[test]
+    fn flush_transcripts_are_pinned() {
+        let expected: [(u8, [u64; 3]); 3] = [
+            (
+                2,
+                [
+                    0x3F80_F1F7_5832_29A3,
+                    0xCBDE_2DEE_63A3_BF07,
+                    0xC0DF_7DC3_7304_3999,
+                ],
+            ),
+            (
+                3,
+                [
+                    0xC84E_B02F_D8AC_662C,
+                    0x4321_301E_6DE4_C09A,
+                    0x27D7_1F5C_DCA3_1EF6,
+                ],
+            ),
+            (
+                0x12,
+                [
+                    0x4990_FA90_8A41_AA6A,
+                    0x1FDB_1EC4_F175_E30C,
+                    0xFB21_DA58_F5D5_B699,
+                ],
+            ),
+        ];
+        let got = expected.map(|(redundancy, _)| {
+            (
+                redundancy,
+                App::ALL.map(|app| {
+                    let transcript = flush_transcript(redundancy, app);
+                    println!("{redundancy:#x}/{}:\n{transcript}", app.label());
+                    digest_of(transcript.as_bytes())
+                }),
+            )
+        });
+        assert_eq!(got, expected, "a flush transcript drifted");
+    }
+
+    /// Nanosecond values of the bounds clients assert `Fault` latencies
+    /// against: per app in `App::ALL` order, then per stride `k` × app ×
+    /// hetero side `[main, checker]`.
+    #[test]
+    fn detection_bounds_are_pinned() {
+        let duplicated = App::ALL.map(|app| detection_bound(app).as_ns());
+        let hetero = [1u64, 4, 16, 64]
+            .map(|k| App::ALL.map(|app| [0, 1].map(|r| hetero_detection_bound(app, k, r).as_ns())));
+        assert_eq!(duplicated, [154_000_000, 39_800_000, 137_200_000]);
+        assert_eq!(
+            hetero,
+            [
+                [
+                    [124_000_000, 272_000_000],
+                    [27_200_000, 80_000_000],
+                    [137_200_000, 221_800_000],
+                ],
+                [
+                    [124_000_000, 662_000_000],
+                    [27_200_000, 149_300_000],
+                    [137_200_000, 721_300_000],
+                ],
+                [
+                    [124_000_000, 2_462_000_000],
+                    [27_200_000, 527_300_000],
+                    [137_200_000, 2_719_300_000],
+                ],
+                [
+                    [124_000_000, 9_662_000_000],
+                    [27_200_000, 2_039_300_000],
+                    [137_200_000, 10_711_300_000],
+                ],
+            ]
+        );
+    }
+}
