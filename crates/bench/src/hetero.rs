@@ -12,8 +12,8 @@
 //! latch landed inside the k-dependent bound.
 
 use rtft_apps::networks::App;
-use rtft_chaos::{Campaign, CampaignReport, OutcomeClass};
-use rtft_core::{HeteroModel, HeteroSizingReport};
+use rtft_chaos::{Campaign, CampaignReport, OutcomeClass, Redundancy};
+use rtft_fleet::{structure_bounds, StructureBounds};
 use rtft_rtc::detection::HeteroBounds;
 use rtft_rtc::TimeNs;
 
@@ -22,25 +22,20 @@ use rtft_rtc::TimeNs;
 /// duplication's cost).
 pub const HETERO_SWEEP_KS: [u64; 4] = [1, 4, 16, 64];
 
-/// The closed-form bound table for `app` at stride `k`, from the same
-/// model construction the chaos runner and the serve layer use (main
-/// replica keeps its profile jitter, the checker inherits replica 1's).
+/// The closed-form bound table for `app` at stride `k`, from the
+/// structure recipe the chaos runner and the serve layer build through
+/// (main replica keeps its profile jitter, the checker inherits replica
+/// 1's).
 ///
 /// # Panics
 ///
 /// Panics if the app profile's rates diverge (cannot happen for the
 /// built-in profiles).
 pub fn hetero_bounds_for(app: App, k: u64) -> HeteroBounds {
-    let model = app.profile().model;
-    let h = HeteroModel::with_checker_jitter(
-        model.producer,
-        model.consumer,
-        model.replica_out[0],
-        model.replica_out[1].jitter,
-        k,
-    );
-    let sizing = HeteroSizingReport::analyze(&h).expect("bounded profile");
-    sizing.bounds(&h)
+    match structure_bounds(&app.profile().model, Redundancy::Hetero { k }) {
+        StructureBounds::Sampled(bounds) => bounds,
+        StructureBounds::Timing(_) => unreachable!("a hetero structure has sampled bounds"),
+    }
 }
 
 /// One point of the latency/overhead frontier.

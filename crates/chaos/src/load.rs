@@ -10,104 +10,38 @@
 //! tenant competes for workers with healthy ones?
 
 use crate::runner::payload_cycle;
-use crate::scenario::SERVICE_DIVISOR;
 use rtft_apps::networks::App;
-use rtft_core::{
-    CorruptionMode, DuplicationConfig, FaultPlan, JitterStageReplica, NJitterStageReplica,
-    NModularModel, NSizingReport,
-};
+use rtft_core::{CorruptionMode, FaultPlan};
 use rtft_fleet::{
-    Admission, FleetConfig, FleetExecutor, FleetReport, JobRuntime, JobSpec, JobTemplate,
+    des_horizon, Admission, FleetConfig, FleetExecutor, FleetReport, JobRuntime, JobSpec,
+    JobTemplate, Redundancy,
 };
-use rtft_rtc::{PjdModel, TimeNs};
-use std::sync::Arc;
+use rtft_rtc::TimeNs;
 use std::time::Duration;
 
 /// Tokens each tenant's producer emits.
 const LOAD_TOKENS: u64 = 120;
 
-fn horizon_for(app: App) -> TimeNs {
-    let model = app.profile().model;
-    model.producer.period * (LOAD_TOKENS + 60) + model.consumer.delay + TimeNs::from_secs(5)
-}
-
-fn duplicated_spec(name: &str, app: App, seed: u64, fault: Option<(usize, FaultPlan)>) -> JobSpec {
+fn spec(
+    name: &str,
+    app: App,
+    redundancy: Redundancy,
+    seed: u64,
+    fault: Option<(usize, FaultPlan)>,
+) -> JobSpec {
     let profile = app.profile();
-    let model = profile.model;
-    let service = model.producer.period / SERVICE_DIVISOR;
-    let offset = service + model.producer.jitter + TimeNs::from_ms(1);
-    let mut cfg = DuplicationConfig::from_model(model)
-        .expect("profile models are bounded")
-        .with_token_count(LOAD_TOKENS)
-        .with_seeds(seed ^ 0xA5A5, seed ^ 0x5A5A)
-        .with_payload(payload_cycle(seed, profile.input_token_bytes));
+    let payload = payload_cycle(seed, profile.input_token_bytes);
+    let mut template =
+        JobTemplate::for_model(&profile.model, redundancy, seed, LOAD_TOKENS, payload);
     if let Some((replica, plan)) = fault {
-        cfg = cfg.with_fault(replica, plan);
+        template = template.with_fault(replica, plan);
     }
-    let factory = JitterStageReplica {
-        service,
-        out_model: [
-            model.replica_out[0].with_delay(offset),
-            model.replica_out[1].with_delay(offset),
-        ],
-        seeds: [seed ^ 0x11, seed ^ 0x22],
-    };
     JobSpec {
         name: name.to_string(),
-        template: JobTemplate::Duplicated {
-            cfg,
-            factory: Arc::new(factory),
-        },
+        template,
         relative_deadline: Duration::from_secs(60),
         runtime: JobRuntime::DiscreteEvent {
-            horizon: horizon_for(app),
-        },
-    }
-}
-
-fn voting_spec(name: &str, app: App, seed: u64, fault: Option<(usize, FaultPlan)>) -> JobSpec {
-    let profile = app.profile();
-    let model = profile.model;
-    let period = model.producer.period;
-    let service = period / SERVICE_DIVISOR;
-    let offset = service + model.producer.jitter + TimeNs::from_ms(1);
-    let mid_jitter = TimeNs::from_ns(
-        (model.replica_out[0].jitter.as_ns() + model.replica_out[1].jitter.as_ns()) / 2,
-    );
-    let nmodel = NModularModel {
-        producer: model.producer,
-        consumer: model.consumer,
-        replicas: vec![
-            model.replica_out[0],
-            model.replica_out[1],
-            PjdModel::new(period, mid_jitter, TimeNs::ZERO),
-        ],
-    };
-    let sizing = NSizingReport::analyze(&nmodel).expect("profile models are bounded");
-    let mut faults = vec![FaultPlan::healthy(); 3];
-    if let Some((replica, plan)) = fault {
-        faults[replica] = plan;
-    }
-    let factory = NJitterStageReplica {
-        service,
-        out_models: nmodel.replicas.clone(),
-        offset,
-        seed_base: seed ^ 0x33,
-    };
-    JobSpec {
-        name: name.to_string(),
-        template: JobTemplate::NModularVoting {
-            model: nmodel,
-            sizing,
-            token_count: LOAD_TOKENS,
-            seeds: (seed ^ 0xA5A5, seed ^ 0x5A5A),
-            payload: payload_cycle(seed, profile.input_token_bytes),
-            factory: Arc::new(factory),
-            faults,
-        },
-        relative_deadline: Duration::from_secs(60),
-        runtime: JobRuntime::DiscreteEvent {
-            horizon: horizon_for(app),
+            horizon: des_horizon(&profile.model, LOAD_TOKENS),
         },
     }
 }
@@ -139,23 +73,37 @@ pub fn chaos_under_load(seed: u64) -> FleetReport {
         max_replacements: 2,
     });
     let submissions = [
-        duplicated_spec("mjpeg-healthy", App::Mjpeg, seed ^ 0x0101, None),
-        duplicated_spec(
+        spec(
+            "mjpeg-healthy",
+            App::Mjpeg,
+            Redundancy::Duplicated,
+            seed ^ 0x0101,
+            None,
+        ),
+        spec(
             "adpcm-failstop",
             App::Adpcm,
+            Redundancy::Duplicated,
             seed ^ 0x0202,
             Some((1, FaultPlan::fail_stop_at(TimeNs::from_ms(200)))),
         ),
-        voting_spec(
+        spec(
             "h264-corrupt",
             App::H264,
+            Redundancy::TriVoting,
             seed ^ 0x0303,
             Some((
                 0,
                 FaultPlan::corrupt_at(CorruptionMode::BitFlip(17), TimeNs::from_secs(1)),
             )),
         ),
-        voting_spec("adpcm-voting-healthy", App::Adpcm, seed ^ 0x0404, None),
+        spec(
+            "adpcm-voting-healthy",
+            App::Adpcm,
+            Redundancy::TriVoting,
+            seed ^ 0x0404,
+            None,
+        ),
     ];
     for spec in submissions {
         let name = spec.name.clone();

@@ -44,13 +44,14 @@ use rtft_obs::json::{array, escape, JsonObject};
 use rtft_rtc::TimeNs;
 use rtft_serve::wire::{read_frame, write_frame, write_tokens};
 use rtft_serve::{
-    detection_bound, hetero_detection_bound, hetero_redundancy, replay_verify, workload,
-    BusyReason, Client, FaultInjection, Frame, ProtocolError, RetryPolicy, ServeError, ServeReport,
+    detection_bound, hetero_detection_bound, redundancy_byte, replay_verify, workload, BusyReason,
+    Client, FaultInjection, Frame, ProtocolError, RetryPolicy, ServeError, ServeReport,
     ServeRuntime, Server, ServerConfig, StreamAccount, TenancyConfig, TenantConfig, TokensAck,
     WalConfig, DEFAULT_MAX_FRAME, PROTOCOL_VERSION,
 };
 
 use crate::bounds::BoundCheck;
+use crate::scenario::Redundancy;
 
 /// Distinct load tenants the well-behaved connections spread across.
 const LOAD_TENANTS: u32 = 8;
@@ -213,9 +214,10 @@ impl NetScenario {
     /// duplicated pair for everyone else.
     pub fn redundancy(&self) -> u8 {
         match self.kind {
-            Some(NetFaultKind::HeteroFault) => {
-                hetero_redundancy(HETERO_NET_STRIDE).expect("stride is a small power of two")
-            }
+            Some(NetFaultKind::HeteroFault) => redundancy_byte(Redundancy::Hetero {
+                k: HETERO_NET_STRIDE,
+            })
+            .expect("stride is a small power of two"),
             _ => 2,
         }
     }

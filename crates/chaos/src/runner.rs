@@ -17,11 +17,8 @@
 
 use crate::bounds::BoundCheck;
 use crate::scenario::{FaultSpec, PlatformKind, Redundancy, Scenario, SERVICE_DIVISOR};
-use rtft_core::{
-    build_duplicated, build_hetero, build_n_modular_voting, DuplicationConfig, FaultKind,
-    FaultPlan, HeteroModel, HeteroSizingReport, HeteroStageReplica, JitterStageReplica,
-    NJitterStageReplica, NModularModel, NSizingReport, PayloadGenerator,
-};
+use rtft_core::{FaultKind, PayloadGenerator};
+use rtft_fleet::{des_horizon, JobTemplate, StructureBounds};
 use rtft_kpn::{ChannelId, Engine, Network, Payload, SplitMix64};
 use rtft_rtc::detection::{DetectionBounds, HeteroBounds};
 use rtft_rtc::{PjdModel, TimeNs};
@@ -274,127 +271,19 @@ fn classify(
 pub fn run_scenario(s: &Scenario) -> ScenarioOutcome {
     let profile = s.app.profile();
     let model = profile.model;
-    let period = model.producer.period;
-    let service = period / SERVICE_DIVISOR;
-    let offset = service + model.producer.jitter + TimeNs::from_ms(1);
     let payload = payload_cycle(s.seed, profile.input_token_bytes);
     let expected_digests: Vec<u64> = (0..8).map(|i| payload(i).digest()).collect();
-    let horizon = period * (s.token_count + 60) + model.consumer.delay + TimeNs::from_secs(5);
+    let horizon = des_horizon(&model, s.token_count);
 
-    let (net, ids, bound) = match s.redundancy {
-        Redundancy::Duplicated => {
-            let mut cfg = DuplicationConfig::from_model(model)
-                .expect("profile models are bounded")
-                .with_token_count(s.token_count)
-                .with_seeds(s.seed ^ 0xA5A5, s.seed ^ 0x5A5A)
-                .with_payload(Arc::clone(&payload));
-            if let Some(f) = s.fault {
-                cfg = cfg.with_fault(f.replica, f.plan(s.seed ^ 0xFA01));
-            }
-            let factory = JitterStageReplica {
-                service,
-                out_model: [
-                    model.replica_out[0].with_delay(offset),
-                    model.replica_out[1].with_delay(offset),
-                ],
-                seeds: [s.seed ^ 0x11, s.seed ^ 0x22],
-            };
-            let bounds = cfg.sizing.detection_bounds(&model);
-            let (net, ids) = build_duplicated(&cfg, &factory);
-            (
-                net,
-                ids,
-                s.fault.and_then(|f| analytic_bound(s, &f, &bounds)),
-            )
-        }
-        Redundancy::TriVoting => {
-            let mid_jitter = TimeNs::from_ns(
-                (model.replica_out[0].jitter.as_ns() + model.replica_out[1].jitter.as_ns()) / 2,
-            );
-            let nmodel = NModularModel {
-                producer: model.producer,
-                consumer: model.consumer,
-                replicas: vec![
-                    model.replica_out[0],
-                    model.replica_out[1],
-                    PjdModel::new(period, mid_jitter, TimeNs::ZERO),
-                ],
-            };
-            let sizing = NSizingReport::analyze(&nmodel).expect("profile models are bounded");
-            let mut faults = vec![FaultPlan::healthy(); 3];
-            if let Some(f) = s.fault {
-                faults[f.replica] = f.plan(s.seed ^ 0xFA01);
-            }
-            let factory = NJitterStageReplica {
-                service,
-                out_models: nmodel.replicas.clone(),
-                offset,
-                seed_base: s.seed ^ 0x33,
-            };
-            let bounds = DetectionBounds::new(
-                nmodel.producer,
-                nmodel.consumer,
-                nmodel.replicas.clone(),
-                sizing.threshold,
-                sizing
-                    .replicator_capacity
-                    .iter()
-                    .copied()
-                    .max()
-                    .unwrap_or(1),
-                sizing.selector_capacity.iter().copied().max().unwrap_or(1),
-            );
-            let (net, ids) = build_n_modular_voting(
-                &nmodel,
-                &sizing,
-                s.token_count,
-                (s.seed ^ 0xA5A5, s.seed ^ 0x5A5A),
-                Arc::clone(&payload),
-                &factory,
-                &faults,
-            );
-            (
-                net,
-                ids,
-                s.fault.and_then(|f| analytic_bound(s, &f, &bounds)),
-            )
-        }
-        Redundancy::Hetero { k } => {
-            let hmodel = HeteroModel::with_checker_jitter(
-                model.producer,
-                model.consumer,
-                model.replica_out[0],
-                model.replica_out[1].jitter,
-                k,
-            );
-            let sizing = HeteroSizingReport::analyze(&hmodel).expect("profile models are bounded");
-            let bounds = sizing.bounds(&hmodel);
-            let mut faults = [FaultPlan::healthy(), FaultPlan::healthy()];
-            if let Some(f) = s.fault {
-                faults[f.replica] = f.plan(s.seed ^ 0xFA01);
-            }
-            let factory = HeteroStageReplica {
-                service,
-                out_models: [hmodel.main, hmodel.checker],
-                offset,
-                seed_base: s.seed ^ 0x44,
-            };
-            let (net, ids) = build_hetero(
-                &hmodel,
-                &sizing,
-                s.token_count,
-                (s.seed ^ 0xA5A5, s.seed ^ 0x5A5A),
-                Arc::clone(&payload),
-                &factory,
-                &faults,
-            );
-            (
-                net,
-                ids,
-                s.fault.and_then(|f| hetero_analytic_bound(&f, &bounds)),
-            )
-        }
-    };
+    let mut template = JobTemplate::for_model(&model, s.redundancy, s.seed, s.token_count, payload);
+    if let Some(f) = s.fault {
+        template = template.with_fault(f.replica, f.plan(s.seed ^ 0xFA01));
+    }
+    let bound = s.fault.and_then(|f| match template.bounds() {
+        StructureBounds::Timing(b) => analytic_bound(s, &f, &b),
+        StructureBounds::Sampled(b) => hetero_analytic_bound(&f, &b),
+    });
+    let (net, ids) = template.build();
 
     let mut engine = engine_for(s, net, ids.replicator, ids.selector);
     engine.run_until(horizon);

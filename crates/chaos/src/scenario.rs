@@ -9,60 +9,13 @@
 
 use rtft_apps::networks::App;
 use rtft_core::{CorruptionMode, FaultKind, FaultPlan, FaultTrigger};
+pub use rtft_fleet::{Redundancy, SERVICE_DIVISOR};
 use rtft_kpn::SplitMix64;
 use rtft_rtc::sizing::SizingReport;
 use rtft_rtc::TimeNs;
 
-/// The replica compute stage's service time is the producer period divided
-/// by this. A `SlowBy(f)` fault therefore degrades the replica's *output*
-/// period by `f / SERVICE_DIVISOR` once `f` exceeds the divisor (below
-/// that, the downstream shaper hides the slack and the fault is
-/// analytically undetectable).
-pub const SERVICE_DIVISOR: u64 = 2;
-
 /// Tokens every scenario's producer emits.
 pub const SCENARIO_TOKENS: u64 = 140;
-
-/// How the critical subnetwork is replicated and arbitrated.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Redundancy {
-    /// The paper's two-replica duplication with the timing selector.
-    Duplicated,
-    /// Three replicas arbitrated by the value-voting selector.
-    TriVoting,
-    /// Full-rate main replica plus a lightweight checker that re-verifies
-    /// every `k`-th token digest (`rtft_core::hetero`).
-    Hetero {
-        /// Sampling stride; campaigns sweep `k ∈ {1, 4, 16, 64}`.
-        k: u64,
-    },
-}
-
-impl Redundancy {
-    /// Replica count of the structure (the hetero checker counts as a
-    /// replica slot for fault-injection purposes).
-    pub fn replicas(self) -> usize {
-        match self {
-            Redundancy::Duplicated | Redundancy::Hetero { .. } => 2,
-            Redundancy::TriVoting => 3,
-        }
-    }
-
-    /// Report label.
-    pub fn label(self) -> &'static str {
-        match self {
-            Redundancy::Duplicated => "duplicated",
-            Redundancy::TriVoting => "tri-voting",
-            // Metric labels are interned statics, so the swept strides map
-            // through a match.
-            Redundancy::Hetero { k: 1 } => "hetero-k1",
-            Redundancy::Hetero { k: 4 } => "hetero-k4",
-            Redundancy::Hetero { k: 16 } => "hetero-k16",
-            Redundancy::Hetero { k: 64 } => "hetero-k64",
-            Redundancy::Hetero { .. } => "hetero",
-        }
-    }
-}
 
 /// Which timing model the DES charges for communication.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

@@ -12,12 +12,11 @@
 //! outcome is byte-for-byte what it would have been without the detach).
 
 use crate::runner::payload_cycle;
-use crate::scenario::SERVICE_DIVISOR;
 use rtft_apps::networks::App;
-use rtft_core::{DuplicationConfig, FaultPlan, JitterStageReplica};
+use rtft_core::FaultPlan;
 use rtft_fleet::{
-    Admission, FleetConfig, FleetExecutor, FleetReport, JobNotifier, JobRuntime, JobSpec,
-    JobTemplate,
+    des_horizon, Admission, FleetConfig, FleetExecutor, FleetReport, JobNotifier, JobRuntime,
+    JobSpec, JobTemplate, Redundancy,
 };
 use rtft_rtc::TimeNs;
 use rtft_tenant::{
@@ -43,36 +42,23 @@ const ROUNDS: usize = 2;
 
 fn spec(name: &str, app: App, seed: u64, fault: Option<(usize, FaultPlan)>) -> JobSpec {
     let profile = app.profile();
-    let model = profile.model;
-    let service = model.producer.period / SERVICE_DIVISOR;
-    let offset = service + model.producer.jitter + TimeNs::from_ms(1);
-    let mut cfg = DuplicationConfig::from_model(model)
-        .expect("profile models are bounded")
-        .with_token_count(TENANT_TOKENS)
-        .with_seeds(seed ^ 0xA5A5, seed ^ 0x5A5A)
-        .with_payload(payload_cycle(seed, profile.input_token_bytes));
+    let payload = payload_cycle(seed, profile.input_token_bytes);
+    let mut template = JobTemplate::for_model(
+        &profile.model,
+        Redundancy::Duplicated,
+        seed,
+        TENANT_TOKENS,
+        payload,
+    );
     if let Some((replica, plan)) = fault {
-        cfg = cfg.with_fault(replica, plan);
+        template = template.with_fault(replica, plan);
     }
-    let factory = JitterStageReplica {
-        service,
-        out_model: [
-            model.replica_out[0].with_delay(offset),
-            model.replica_out[1].with_delay(offset),
-        ],
-        seeds: [seed ^ 0x11, seed ^ 0x22],
-    };
     JobSpec {
         name: name.to_string(),
-        template: JobTemplate::Duplicated {
-            cfg,
-            factory: Arc::new(factory),
-        },
+        template,
         relative_deadline: Duration::from_secs(60),
         runtime: JobRuntime::DiscreteEvent {
-            horizon: model.producer.period * (TENANT_TOKENS + 60)
-                + model.consumer.delay
-                + TimeNs::from_secs(5),
+            horizon: des_horizon(&profile.model, TENANT_TOKENS),
         },
     }
 }

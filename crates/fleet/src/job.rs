@@ -7,17 +7,26 @@
 //! **re-built**: when a run comes back with latched replicas, the executor
 //! re-spawns the job from a healed copy of its template (the fleet-level
 //! analogue of the paper's replica replacement).
+//!
+//! This module also owns the *structure recipe*:
+//! [`JobTemplate::for_model`] is the one place an application's interface
+//! model becomes a sized redundancy structure, [`JobTemplate::build`] its
+//! network, [`JobTemplate::bounds`] its analytic detection-bound table and
+//! [`des_horizon`] its DES horizon. The serve front-end, the chaos
+//! campaigns and the benches all build through it.
 
 use rtft_core::{
     as_arbiter, build_duplicated, build_hetero, build_n_modular, build_n_modular_voting,
-    instrument_duplicated, ArbFault, DuplicationConfig, FaultPlan, FaultTrigger, HeteroModel,
-    HeteroSelector, HeteroSizingReport, NModularModel, NSizingReport, PayloadGenerator,
-    ReplicaFactory,
+    instrument_duplicated, ArbFault, DuplicatedIds, DuplicationConfig, FaultPlan, FaultTrigger,
+    HeteroModel, HeteroSelector, HeteroSizingReport, HeteroStageReplica, JitterStageReplica,
+    NJitterStageReplica, NModularModel, NSizingReport, PayloadGenerator, ReplicaFactory,
 };
 use rtft_kpn::threaded::{run_threaded_with, ThreadedConfig, ThreadedRun};
-use rtft_kpn::{ChannelBehavior, ChannelId, Engine, Network, NodeId, PjdSink};
+use rtft_kpn::{ChannelBehavior, ChannelId, Engine, Network, NodeId, Payload, PjdSink};
 use rtft_obs::{HealthModel, MetricsRegistry};
-use rtft_rtc::TimeNs;
+use rtft_rtc::detection::{DetectionBounds, HeteroBounds};
+use rtft_rtc::sizing::DuplicationModel;
+use rtft_rtc::{PjdModel, TimeNs};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -50,6 +59,82 @@ pub enum JobRuntime {
         /// Quiescence idle window (see `rtft_kpn::threaded`).
         quiescence_grace: Duration,
     },
+}
+
+/// The replica compute stage's service time is the producer period divided
+/// by this. A `SlowBy(f)` fault therefore degrades the replica's *output*
+/// period by `f / SERVICE_DIVISOR` once `f` exceeds the divisor (below
+/// that, the downstream shaper hides the slack and the fault is
+/// analytically undetectable).
+pub const SERVICE_DIVISOR: u64 = 2;
+
+/// How the critical subnetwork is replicated and arbitrated.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Redundancy {
+    /// The paper's two-replica duplication with the timing selector.
+    Duplicated,
+    /// Three replicas arbitrated by the value-voting selector.
+    TriVoting,
+    /// Full-rate main replica plus a lightweight checker that re-verifies
+    /// every `k`-th token digest (`rtft_core::hetero`).
+    Hetero {
+        /// Sampling stride; campaigns sweep `k ∈ {1, 4, 16, 64}`.
+        k: u64,
+    },
+}
+
+impl Redundancy {
+    /// Replica count of the structure (the hetero checker counts as a
+    /// replica slot for fault-injection purposes).
+    pub fn replicas(self) -> usize {
+        match self {
+            Redundancy::Duplicated | Redundancy::Hetero { .. } => 2,
+            Redundancy::TriVoting => 3,
+        }
+    }
+
+    /// Report label.
+    pub fn label(self) -> &'static str {
+        match self {
+            Redundancy::Duplicated => "duplicated",
+            Redundancy::TriVoting => "tri-voting",
+            // Metric labels are interned statics, so the swept strides map
+            // through a match.
+            Redundancy::Hetero { k: 1 } => "hetero-k1",
+            Redundancy::Hetero { k: 4 } => "hetero-k4",
+            Redundancy::Hetero { k: 16 } => "hetero-k16",
+            Redundancy::Hetero { k: 64 } => "hetero-k64",
+            Redundancy::Hetero { .. } => "hetero",
+        }
+    }
+}
+
+/// A structure's analytic detection-bound table ([`JobTemplate::bounds`]).
+#[derive(Debug, Clone)]
+pub enum StructureBounds {
+    /// Full-rate replicas behind a timing or voting selector.
+    Timing(DetectionBounds),
+    /// The sampled checker, whose bounds depend on the stride `k`.
+    Sampled(HeteroBounds),
+}
+
+/// The DES horizon of a `tokens`-token run of `model`: the stream itself,
+/// 60 periods for every detector to play out, the consumer's start-up
+/// delay and five seconds of drain.
+pub fn des_horizon(model: &DuplicationModel, tokens: u64) -> TimeNs {
+    model.producer.period * (tokens + 60) + model.consumer.delay + TimeNs::from_secs(5)
+}
+
+/// The bound table of `redundancy` over `model`, for callers with no job
+/// to run.
+///
+/// # Panics
+///
+/// As [`JobTemplate::for_model`].
+pub fn structure_bounds(model: &DuplicationModel, redundancy: Redundancy) -> StructureBounds {
+    // The table reads the template's model and sizing only; seed, token
+    // count and payload are placeholders.
+    JobTemplate::for_model(model, redundancy, 0, 0, Arc::new(|_| Payload::Empty)).bounds()
 }
 
 /// The rebuildable description of a job's network.
@@ -157,6 +242,205 @@ impl std::fmt::Debug for JobTemplate {
 }
 
 impl JobTemplate {
+    /// The structure recipe: the template that protects an application
+    /// described by `model` with `redundancy`. This is the one place that
+    /// knows how a profile becomes a sized redundancy structure:
+    ///
+    /// * every replica computes for `P / `[`SERVICE_DIVISOR`] and shapes
+    ///   its output to the profile's replica interface, offset by
+    ///   `service + J_producer + 1 ms` so the shaper never starves;
+    /// * the third voting replica jitters midway between the profile's two;
+    /// * the sampled checker runs at `k · P` with replica 1's jitter;
+    /// * producer, consumer and per-replica jitter streams are all derived
+    ///   from `seed`;
+    /// * capacities and thresholds come from the structure's own §3.4
+    ///   analysis of those interface models.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the model's rates diverge (no built-in profile does) or
+    /// if a hetero stride is zero.
+    pub fn for_model(
+        model: &DuplicationModel,
+        redundancy: Redundancy,
+        seed: u64,
+        tokens: u64,
+        payload: PayloadGenerator,
+    ) -> JobTemplate {
+        let service = model.producer.period / SERVICE_DIVISOR;
+        let offset = service + model.producer.jitter + TimeNs::from_ms(1);
+        let seeds = (seed ^ 0xA5A5, seed ^ 0x5A5A);
+        match redundancy {
+            Redundancy::Duplicated => JobTemplate::Duplicated {
+                cfg: DuplicationConfig::from_model(*model)
+                    .expect("profile models are bounded")
+                    .with_token_count(tokens)
+                    .with_seeds(seeds.0, seeds.1)
+                    .with_payload(payload),
+                factory: Arc::new(JitterStageReplica {
+                    service,
+                    out_model: model.replica_out.map(|m| m.with_delay(offset)),
+                    seeds: [seed ^ 0x11, seed ^ 0x22],
+                }),
+            },
+            Redundancy::TriVoting => {
+                let [a, b] = model.replica_out;
+                let mid_jitter = TimeNs::from_ns((a.jitter.as_ns() + b.jitter.as_ns()) / 2);
+                let model = NModularModel {
+                    producer: model.producer,
+                    consumer: model.consumer,
+                    replicas: vec![
+                        a,
+                        b,
+                        PjdModel::new(model.producer.period, mid_jitter, TimeNs::ZERO),
+                    ],
+                };
+                JobTemplate::NModularVoting {
+                    sizing: NSizingReport::analyze(&model).expect("profile models are bounded"),
+                    token_count: tokens,
+                    seeds,
+                    payload,
+                    factory: Arc::new(NJitterStageReplica {
+                        service,
+                        out_models: model.replicas.clone(),
+                        offset,
+                        seed_base: seed ^ 0x33,
+                    }),
+                    faults: vec![FaultPlan::healthy(); 3],
+                    model,
+                }
+            }
+            Redundancy::Hetero { k } => {
+                let model = HeteroModel::with_checker_jitter(
+                    model.producer,
+                    model.consumer,
+                    model.replica_out[0],
+                    model.replica_out[1].jitter,
+                    k,
+                );
+                JobTemplate::Hetero {
+                    sizing: HeteroSizingReport::analyze(&model)
+                        .expect("profile models are bounded"),
+                    token_count: tokens,
+                    seeds,
+                    payload,
+                    factory: Arc::new(HeteroStageReplica {
+                        service,
+                        out_models: [model.main, model.checker],
+                        offset,
+                        seed_base: seed ^ 0x44,
+                    }),
+                    faults: [FaultPlan::healthy(), FaultPlan::healthy()],
+                    model,
+                }
+            }
+        }
+    }
+
+    /// Arms `replica` with `plan`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `replica >= self.replica_count()`.
+    pub fn with_fault(mut self, replica: usize, plan: FaultPlan) -> JobTemplate {
+        match &mut self {
+            JobTemplate::Duplicated { cfg, .. } => cfg.faults[replica] = plan,
+            JobTemplate::NModular { faults, .. } | JobTemplate::NModularVoting { faults, .. } => {
+                faults[replica] = plan
+            }
+            JobTemplate::Hetero { faults, .. } => faults[replica] = plan,
+        }
+        self
+    }
+
+    /// Builds one instance of the template's network.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the template's sizing and model disagree (propagated from
+    /// the `rtft-core` builders).
+    pub fn build(&self) -> (Network, DuplicatedIds) {
+        match self {
+            JobTemplate::Duplicated { cfg, factory } => build_duplicated(cfg, factory.as_ref()),
+            JobTemplate::NModular {
+                model,
+                sizing,
+                token_count,
+                seeds,
+                payload,
+                factory,
+                faults,
+            }
+            | JobTemplate::NModularVoting {
+                model,
+                sizing,
+                token_count,
+                seeds,
+                payload,
+                factory,
+                faults,
+            } => {
+                let build = if matches!(self, JobTemplate::NModular { .. }) {
+                    build_n_modular
+                } else {
+                    build_n_modular_voting
+                };
+                build(
+                    model,
+                    sizing,
+                    *token_count,
+                    *seeds,
+                    Arc::clone(payload),
+                    factory.as_ref(),
+                    faults,
+                )
+            }
+            JobTemplate::Hetero {
+                model,
+                sizing,
+                token_count,
+                seeds,
+                payload,
+                factory,
+                faults,
+            } => build_hetero(
+                model,
+                sizing,
+                *token_count,
+                *seeds,
+                Arc::clone(payload),
+                factory.as_ref(),
+                faults,
+            ),
+        }
+    }
+
+    /// The structure's analytic detection-bound table, from the template's
+    /// own model and sizing (an n-replica table is taken at the largest
+    /// replicator and selector queue).
+    pub fn bounds(&self) -> StructureBounds {
+        match self {
+            JobTemplate::Duplicated { cfg, .. } => {
+                StructureBounds::Timing(cfg.sizing.detection_bounds(&cfg.model))
+            }
+            JobTemplate::NModular { model, sizing, .. }
+            | JobTemplate::NModularVoting { model, sizing, .. } => {
+                let largest = |caps: &[u64]| caps.iter().copied().max().unwrap_or(1);
+                StructureBounds::Timing(DetectionBounds::new(
+                    model.producer,
+                    model.consumer,
+                    model.replicas.clone(),
+                    sizing.threshold,
+                    largest(&sizing.replicator_capacity),
+                    largest(&sizing.selector_capacity),
+                ))
+            }
+            JobTemplate::Hetero { model, sizing, .. } => {
+                StructureBounds::Sampled(sizing.bounds(model))
+            }
+        }
+    }
+
     /// Number of replicas the template builds.
     pub fn replica_count(&self) -> usize {
         match self {
@@ -361,59 +645,7 @@ fn hetero_health(
 /// failed rather than poisoning the pool.
 pub fn execute(template: &JobTemplate, runtime: &JobRuntime) -> JobRunResult {
     let registry = MetricsRegistry::new();
-    let (mut net, ids) = match template {
-        JobTemplate::Duplicated { cfg, factory } => build_duplicated(cfg, factory.as_ref()),
-        JobTemplate::NModular {
-            model,
-            sizing,
-            token_count,
-            seeds,
-            payload,
-            factory,
-            faults,
-        }
-        | JobTemplate::NModularVoting {
-            model,
-            sizing,
-            token_count,
-            seeds,
-            payload,
-            factory,
-            faults,
-        } => {
-            let build = if matches!(template, JobTemplate::NModular { .. }) {
-                build_n_modular
-            } else {
-                build_n_modular_voting
-            };
-            build(
-                model,
-                sizing,
-                *token_count,
-                *seeds,
-                Arc::clone(payload),
-                factory.as_ref(),
-                faults,
-            )
-        }
-        JobTemplate::Hetero {
-            model,
-            sizing,
-            token_count,
-            seeds,
-            payload,
-            factory,
-            faults,
-        } => build_hetero(
-            model,
-            sizing,
-            *token_count,
-            *seeds,
-            Arc::clone(payload),
-            factory.as_ref(),
-            faults,
-        ),
-    };
+    let (mut net, ids) = template.build();
     // Duplicated jobs get their health model attached live; hetero jobs
     // get one reconstructed from the latches after the run.
     let live_health = match template {

@@ -69,6 +69,7 @@ pub use executor::{
     RejectReason,
 };
 pub use job::{
-    execute, execute_spec, JobId, JobRunResult, JobRuntime, JobSpec, JobTemplate, SharedFactory,
+    des_horizon, execute, execute_spec, structure_bounds, JobId, JobRunResult, JobRuntime, JobSpec,
+    JobTemplate, Redundancy, SharedFactory, StructureBounds, SERVICE_DIVISOR,
 };
 pub use supervisor::{FleetStatus, FleetSupervisor};

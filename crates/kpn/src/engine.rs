@@ -29,8 +29,7 @@ use crate::network::Network;
 use crate::platform::{IdealPlatform, Platform};
 use crate::process::Process as _;
 use crate::process::{NodeId, Syscall, Wakeup};
-use crate::trace::{Trace, TraceEvent};
-use rtft_obs::{Counter, Gauge, MetricsRegistry};
+use rtft_obs::{ClockDomain, Counter, EventRecord, EventSink, Gauge, MetricsRegistry};
 use rtft_rtc::TimeNs;
 
 /// Pre-resolved metric handles for the engine's hot loop.
@@ -188,7 +187,7 @@ pub struct Engine {
     /// Per-channel wait lists.
     read_waiters: Vec<Vec<NodeId>>,
     write_waiters: Vec<Vec<NodeId>>,
-    trace: Trace,
+    events: Option<EventSink>,
     obs: Option<EngineObs>,
     /// Mirrors `obs.is_some()`: one bool load on the hot path instead of
     /// an `Option` discriminant.
@@ -239,7 +238,7 @@ impl Engine {
             transfer_paid: vec![false; n_proc],
             read_waiters: vec![Vec::new(); n_chan],
             write_waiters: vec![Vec::new(); n_chan],
-            trace: Trace::disabled(),
+            events: None,
             obs: None,
             metrics_on: false,
             tally: ObsTally::new(n_chan),
@@ -248,10 +247,14 @@ impl Engine {
         }
     }
 
-    /// Enables event tracing (disabled by default; tracing a long run can
-    /// allocate heavily).
-    pub fn with_trace(mut self) -> Self {
-        self.trace = Trace::enabled();
+    /// Records the token flow into `sink` (off by default): one
+    /// virtual-time [`EventRecord`] per accepted write (`token.written`,
+    /// or `token.discarded` when the channel swallowed it), read
+    /// (`token.read`), blocked attempt (`read.blocked` / `write.blocked`)
+    /// and halt (`process.halted`); `value` is the token's sequence number
+    /// where there is one. The sink's ring bounds what a long run retains.
+    pub fn with_events(mut self, sink: EventSink) -> Self {
+        self.events = Some(sink);
         self
     }
 
@@ -313,14 +316,24 @@ impl Engine {
         &mut self.network
     }
 
-    /// The recorded trace (empty unless [`Engine::with_trace`] was used).
-    pub fn trace(&self) -> &Trace {
-        &self.trace
-    }
-
     /// Consumes the engine, returning the network.
     pub fn into_network(self) -> Network {
         self.network
+    }
+
+    /// Pushes one event if a sink is attached; one `Option` test otherwise.
+    #[inline]
+    fn emit(&self, name: &'static str, node: NodeId, channel: Option<ChannelId>, value: u64) {
+        if let Some(sink) = &self.events {
+            sink.push(EventRecord {
+                at_ns: self.now.as_ns(),
+                clock: ClockDomain::Virtual,
+                name,
+                node: Some(node.0),
+                channel: channel.map(|c| c.0),
+                value,
+            });
+        }
     }
 
     #[inline]
@@ -390,7 +403,7 @@ impl Engine {
                 Syscall::Halt => {
                     self.states[node.0] = ProcState::Halted;
                     self.pending[node.0] = None;
-                    self.trace.push(self.now, TraceEvent::Halted { node });
+                    self.emit("process.halted", node, None, 0);
                     if self.metrics_on {
                         self.tally.halts += 1;
                     }
@@ -414,14 +427,7 @@ impl Engine {
                         .try_read(port.iface, self.now);
                     match outcome {
                         ReadOutcome::Token(token) => {
-                            self.trace.push(
-                                self.now,
-                                TraceEvent::TokenRead {
-                                    node,
-                                    port,
-                                    seq: token.seq,
-                                },
-                            );
+                            self.emit("token.read", node, Some(port.channel), token.seq);
                             if self.metrics_on {
                                 self.tally.tokens_read += 1;
                                 let fill = self.network.channel(port.channel).fill(port.iface);
@@ -432,8 +438,7 @@ impl Engine {
                             wake = Some(Wakeup::ReadDone(token));
                         }
                         ReadOutcome::Blocked => {
-                            self.trace
-                                .push(self.now, TraceEvent::ReadBlocked { node, port });
+                            self.emit("read.blocked", node, Some(port.channel), 0);
                             if self.metrics_on {
                                 self.tally.read_blocked += 1;
                             }
@@ -469,15 +474,12 @@ impl Engine {
                     match outcome {
                         WriteOutcome::Accepted | WriteOutcome::AcceptedDropped => {
                             let was_dropped = outcome == WriteOutcome::AcceptedDropped;
-                            self.trace.push(
-                                self.now,
-                                TraceEvent::TokenWritten {
-                                    node,
-                                    port,
-                                    seq,
-                                    dropped: was_dropped,
-                                },
-                            );
+                            let name = if was_dropped {
+                                "token.discarded"
+                            } else {
+                                "token.written"
+                            };
+                            self.emit(name, node, Some(port.channel), seq);
                             if self.metrics_on {
                                 self.tally.tokens_written += 1;
                                 self.tally.tokens_dropped += u64::from(was_dropped);
@@ -489,8 +491,7 @@ impl Engine {
                             wake = Some(Wakeup::WriteDone);
                         }
                         WriteOutcome::Blocked(token) => {
-                            self.trace
-                                .push(self.now, TraceEvent::WriteBlocked { node, port });
+                            self.emit("write.blocked", node, Some(port.channel), 0);
                             if self.metrics_on {
                                 self.tally.write_blocked += 1;
                             }
@@ -895,15 +896,19 @@ mod tests {
             Payload::U64,
         ));
         net.add_process(Collector::new("col", PortId::of(a), Some(3)));
-        let mut engine = Engine::new(net).with_trace();
+        let sink = EventSink::new(64);
+        let mut engine = Engine::new(net).with_events(sink.clone());
         engine.run_until(TimeNs::from_secs(1));
-        let writes = engine
-            .trace()
+        assert_eq!(sink.count("token.written"), 3);
+        assert_eq!(sink.count("token.read"), 3);
+        assert_eq!(sink.count("process.halted"), 2);
+        let seqs: Vec<u64> = sink
             .events()
             .iter()
-            .filter(|(_, e)| matches!(e, TraceEvent::TokenWritten { .. }))
-            .count();
-        assert_eq!(writes, 3);
+            .filter(|e| e.name == "token.read")
+            .map(|e| e.value)
+            .collect();
+        assert_eq!(seqs, [0, 1, 2]);
     }
 
     #[test]
@@ -955,13 +960,16 @@ mod tests {
         };
         let run = || {
             let (net, sink) = build();
-            let mut e = Engine::new(net);
+            let events = EventSink::new(1024);
+            let mut e = Engine::new(net).with_events(events.clone());
             e.run_until(TimeNs::from_secs(10));
-            e.network()
+            let arrivals = e
+                .network()
                 .process_as::<PjdSink>(sink)
                 .unwrap()
                 .arrivals()
-                .to_vec()
+                .to_vec();
+            (arrivals, events.events())
         };
         assert_eq!(run(), run());
     }

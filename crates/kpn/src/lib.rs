@@ -44,7 +44,6 @@ mod calendar;
 mod channel;
 mod digest;
 mod engine;
-mod fault_link;
 mod network;
 pub mod parallel;
 mod platform;
@@ -53,7 +52,6 @@ mod process;
 pub mod rng;
 pub mod threaded;
 mod token;
-mod trace;
 
 pub use calendar::{default_queue, set_default_queue, QueueKind};
 pub use channel::{
@@ -61,7 +59,6 @@ pub use channel::{
 };
 pub use digest::{digest_bytes, Digest};
 pub use engine::{Engine, RunOutcome};
-pub use fault_link::{FaultyLink, LinkFaultPlan};
 pub use network::{port, ChannelSlot, Network, ProcessSlot};
 pub use parallel::{campaign_workers, parallel_map_ordered};
 pub use platform::{IdealPlatform, Platform, UniformBusPlatform};
@@ -72,4 +69,3 @@ pub use process::{
 };
 pub use rng::SplitMix64;
 pub use token::{Bytes, Payload, Token};
-pub use trace::{Trace, TraceEvent, DEFAULT_TRACE_CAPACITY};

@@ -20,7 +20,7 @@
 //!   named atomic metrics; histograms are fixed-layout log₂ buckets with
 //!   p50/p90/p99/max queries.
 //! * [`Ring`] / [`EventSink`] — bounded event storage with drop counting;
-//!   subsumes the old unbounded `kpn::trace` log.
+//!   the DES engine records its token flow straight into one.
 //! * [`Hll`] — a mergeable HyperLogLog distinct counter (fixed hash, so
 //!   estimates are reproducible) for unique-streams / unique-tenants
 //!   rollups.

@@ -1,9 +1,10 @@
 //! Bounded ring buffers: event storage that cannot grow without bound.
 //!
-//! Long fault-injection campaigns used to fill `kpn::trace::Trace`'s
-//! unbounded `Vec` with millions of events; the ring keeps the most recent
-//! `capacity` entries and *counts* what it evicts, so post-processing knows
-//! exactly how lossy the record is.
+//! A long fault-injection campaign emits millions of events; the ring
+//! keeps the most recent `capacity` entries and *counts* what it evicts,
+//! so post-processing knows exactly how lossy the record is. The DES
+//! engine's token-flow log (`rtft_kpn::Engine::with_events`) and the
+//! serve / fleet lifecycle logs are all [`EventSink`]s over this ring.
 
 use std::collections::VecDeque;
 use std::sync::{Arc, Mutex};

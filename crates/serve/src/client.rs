@@ -257,7 +257,7 @@ impl Client {
 
     /// Opens a fault-tolerant stream for `app`. `redundancy` selects the
     /// structure: `2` = duplicated timing selector, `3` = tri-modular
-    /// value voting, or a [`crate::hetero_redundancy`] byte for the
+    /// value voting, or a [`crate::redundancy_byte`] byte for the
     /// sampled-checker structure at a power-of-two stride.
     pub fn open_stream(&mut self, app: App, redundancy: u8) -> Result<OpenOutcome, ServeError> {
         let app = App::ALL

@@ -87,9 +87,12 @@ pub use server::{
     TenancyConfig,
 };
 pub use wire::{
-    hetero_redundancy, hetero_stride, kind_label, site_kind, BusyReason, Frame, DEFAULT_MAX_FRAME,
-    PROTOCOL_VERSION,
+    kind_label, redundancy_byte, redundancy_from_byte, site_kind, BusyReason, Frame,
+    DEFAULT_MAX_FRAME, PROTOCOL_VERSION,
 };
+// Re-exported so clients can name a structure for `redundancy_byte`
+// without naming the fleet crate directly.
+pub use rtft_fleet::Redundancy;
 // Re-exported so servers can be configured durable without naming the
 // log crate directly.
 pub use rtft_wal::WalConfig;

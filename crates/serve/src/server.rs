@@ -36,18 +36,15 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use rtft_apps::networks::App;
-use rtft_core::{
-    DuplicationConfig, FaultPlan, HeteroModel, HeteroSizingReport, HeteroStageReplica,
-    JitterStageReplica, NJitterStageReplica, NModularModel, NSizingReport, PayloadGenerator,
-};
+use rtft_core::{FaultPlan, PayloadGenerator};
 use rtft_fleet::{
-    Admission, FleetConfig, FleetExecutor, JobNotifier, JobRuntime, JobSpec, JobTemplate,
-    RejectReason,
+    des_horizon, structure_bounds, Admission, FleetConfig, FleetExecutor, JobNotifier, JobRuntime,
+    JobSpec, JobTemplate, Redundancy, RejectReason, StructureBounds,
 };
 use rtft_kpn::threaded::CancelToken;
 use rtft_kpn::{Bytes, Payload, PayloadPool};
 use rtft_obs::{ClockDomain, Counter, EventRecord, EventSink, Histogram, MetricsRegistry};
-use rtft_rtc::{PjdModel, TimeNs};
+use rtft_rtc::TimeNs;
 use rtft_tenant::{
     AttachError, TenantConfig, TenantError, TenantId, TenantManager, TenantReject, TenantReport,
     TenantState,
@@ -57,13 +54,9 @@ use rtft_wal::{Wal, WalConfig, WalRecord};
 use crate::error::{EvictReason, ProtocolError, ServeError};
 use crate::report::{ServeReport, StreamAccount};
 use crate::wire::{
-    hetero_stride, read_frame_pooled, site_kind, BusyReason, Frame, DEFAULT_MAX_FRAME,
+    read_frame_pooled, redundancy_from_byte, site_kind, BusyReason, Frame, DEFAULT_MAX_FRAME,
     PROTOCOL_VERSION,
 };
-
-/// Replica compute service time = producer period / this (matches the
-/// chaos campaigns, so serve jobs inherit their timing envelope).
-const SERVICE_DIVISOR: u64 = 2;
 
 /// Acceptor poll interval while waiting for connections.
 const ACCEPT_POLL: Duration = Duration::from_millis(10);
@@ -199,11 +192,7 @@ impl Default for ServerConfig {
 /// (an `AtTime` injection can land mid-period, before the replica touches
 /// a token). Clients assert pushed `Fault` latencies against this.
 pub fn detection_bound(app: App) -> TimeNs {
-    let model = app.profile().model;
-    let cfg = DuplicationConfig::from_model(model).expect("profile models are bounded");
-    let model = app.profile().model;
-    let bounds = cfg.sizing.detection_bounds(&model);
-    bounds.permanent_timing() + model.producer.period + model.producer.jitter
+    fault_window(app, Redundancy::Duplicated, 0)
 }
 
 /// The analytic worst-case fault-observation window for a sampled-checker
@@ -217,20 +206,15 @@ pub fn detection_bound(app: App) -> TimeNs {
 ///
 /// Panics if `k == 0`.
 pub fn hetero_detection_bound(app: App, k: u64, replica: usize) -> TimeNs {
+    fault_window(app, Redundancy::Hetero { k }, replica)
+}
+
+fn fault_window(app: App, redundancy: Redundancy, replica: usize) -> TimeNs {
     let model = app.profile().model;
-    let hmodel = HeteroModel::with_checker_jitter(
-        model.producer,
-        model.consumer,
-        model.replica_out[0],
-        model.replica_out[1].jitter,
-        k,
-    );
-    let sizing = HeteroSizingReport::analyze(&hmodel).expect("profile models are bounded");
-    let bounds = sizing.bounds(&hmodel);
-    let latch = if replica == 0 {
-        bounds.permanent_timing()
-    } else {
-        bounds.sampled_divergence
+    let latch = match structure_bounds(&model, redundancy) {
+        StructureBounds::Timing(b) => b.permanent_timing(),
+        StructureBounds::Sampled(b) if replica == 0 => b.permanent_timing(),
+        StructureBounds::Sampled(b) => b.sampled_divergence,
     };
     latch + model.producer.period + model.producer.jitter
 }
@@ -287,8 +271,10 @@ struct Shared {
     accepting: AtomicBool,
     next_stream: AtomicU32,
     streams: Mutex<HashMap<u32, Arc<StreamState>>>,
-    /// Socket clones for forced unblock at shutdown.
-    conns: Mutex<Vec<TcpStream>>,
+    /// Socket clones of the live connections, by connection id, for
+    /// forced unblock at shutdown. A handler removes its entry on exit.
+    conns: Mutex<HashMap<u32, TcpStream>>,
+    /// Handler threads not yet joined; the acceptor reaps finished ones.
     handlers: Mutex<Vec<JoinHandle<()>>>,
     c_connections: Counter,
     c_streams_opened: Counter,
@@ -436,7 +422,7 @@ impl Server {
             accepting: AtomicBool::new(true),
             next_stream: AtomicU32::new(next_stream),
             streams: Mutex::new(HashMap::new()),
-            conns: Mutex::new(Vec::new()),
+            conns: Mutex::new(HashMap::new()),
             handlers: Mutex::new(Vec::new()),
             c_connections: registry.counter("serve.connections"),
             c_streams_opened: registry.counter("serve.streams.opened"),
@@ -603,7 +589,7 @@ impl Server {
             .registry()
             .absorb(&self.shared.registry);
         self.shared.cancel.cancel();
-        for sock in self.shared.conns.lock().unwrap().drain(..) {
+        for (_, sock) in self.shared.conns.lock().unwrap().drain() {
             let _ = sock.shutdown(Shutdown::Both);
         }
         if let Some(acceptor) = self.acceptor.take() {
@@ -668,7 +654,7 @@ impl Server {
         self.shared.accepting.store(false, Ordering::SeqCst);
         self.shared.event("serve.hard_drop", None, 0);
         self.shared.cancel.cancel();
-        for sock in self.shared.conns.lock().unwrap().drain(..) {
+        for (_, sock) in self.shared.conns.lock().unwrap().drain() {
             let _ = sock.shutdown(Shutdown::Both);
         }
         if let Some(acceptor) = self.acceptor.take() {
@@ -800,6 +786,8 @@ fn accept_loop(shared: Arc<Shared>, listener: TcpListener) {
         if shared.cancel.is_cancelled() {
             return;
         }
+        // Handlers that already exited have nothing left to join.
+        shared.handlers.lock().unwrap().retain(|h| !h.is_finished());
         match listener.accept() {
             Ok((sock, _)) => {
                 let conn_id = next_conn;
@@ -807,17 +795,24 @@ fn accept_loop(shared: Arc<Shared>, listener: TcpListener) {
                 shared.c_connections.inc();
                 shared.event("serve.conn.opened", Some(conn_id as usize), 0);
                 if let Ok(clone) = sock.try_clone() {
-                    shared.conns.lock().unwrap().push(clone);
+                    shared.conns.lock().unwrap().insert(conn_id, clone);
                 }
                 let conn_shared = Arc::clone(&shared);
                 let handle = std::thread::Builder::new()
                     .name(format!("serve-conn-{conn_id}"))
                     .spawn(move || {
                         handle_connection(&conn_shared, sock, conn_id);
+                        // The connection is over: release its shutdown
+                        // clone (one fd) instead of holding it until the
+                        // server stops.
+                        conn_shared.conns.lock().unwrap().remove(&conn_id);
                         conn_shared.event("serve.conn.closed", Some(conn_id as usize), 0);
                     });
-                if let Ok(handle) = handle {
-                    shared.handlers.lock().unwrap().push(handle);
+                match handle {
+                    Ok(handle) => shared.handlers.lock().unwrap().push(handle),
+                    Err(_) => {
+                        shared.conns.lock().unwrap().remove(&conn_id);
+                    }
                 }
             }
             Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
@@ -852,9 +847,9 @@ fn handle_connection(shared: &Arc<Shared>, sock: TcpStream, conn_id: u32) {
         Err(ServeError::Evicted(reason)) => evict_connection(shared, conn_id, reason),
         Err(_) => {}
     }
-    // Actively shut the connection down: the clone registered for
-    // shutdown-time unblocking would otherwise keep the TCP stream open
-    // (and the peer blocked) after this handler exits.
+    // Actively shut the connection down: a settle notifier still holding
+    // the writer would otherwise keep the TCP stream open (and the peer
+    // blocked) after this handler exits.
     let _ = writer.lock().unwrap().shutdown(Shutdown::Both);
 }
 
@@ -1194,7 +1189,7 @@ fn handle_open(
     let app = *App::ALL
         .get(app as usize)
         .ok_or(ProtocolError::BadPayload("app index out of range"))?;
-    if !(redundancy == 2 || redundancy == 3 || hetero_stride(redundancy).is_some()) {
+    if redundancy_from_byte(redundancy).is_none() {
         return Err(
             ProtocolError::BadPayload("redundancy must be 2, 3, or a hetero stride byte").into(),
         );
@@ -1525,8 +1520,7 @@ pub(crate) fn build_spec(
     redundancy: u8,
     batch: &[Bytes],
 ) -> JobSpec {
-    let profile = app.profile();
-    let model = profile.model;
+    let model = app.profile().model;
     let n = batch.len() as u64;
     // `Bytes` is `Arc<[u8]>`: the job shares the ingested buffers, no
     // payload bytes are copied into the spec.
@@ -1536,114 +1530,29 @@ pub(crate) fn build_spec(
     let seed = cfg
         .seed
         .wrapping_add((stream as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15));
-    let service = model.producer.period / SERVICE_DIVISOR;
-    let offset = service + model.producer.jitter + TimeNs::from_ms(1);
-    let injections: Vec<(usize, TimeNs)> = cfg
-        .inject
-        .iter()
-        .filter(|inj| inj.stream == stream)
-        .map(|inj| (inj.replica, inj.at))
-        .collect();
+    // Only `OpenStream` validates the byte; a logged byte that names no
+    // structure has always recovered as tri-voting.
+    let redundancy = redundancy_from_byte(redundancy).unwrap_or(Redundancy::TriVoting);
 
-    let template = if redundancy == 2 {
-        let mut cfg = DuplicationConfig::from_model(model)
-            .expect("profile models are bounded")
-            .with_token_count(n)
-            .with_seeds(seed ^ 0xA5A5, seed ^ 0x5A5A)
-            .with_payload(payload);
-        for &(replica, at) in &injections {
-            if replica < 2 {
-                cfg = cfg.with_fault(replica, FaultPlan::fail_stop_at(at));
-            }
+    let mut template = JobTemplate::for_model(&model, redundancy, seed, n, payload);
+    for inj in cfg.inject.iter().filter(|inj| inj.stream == stream) {
+        // An injection naming a replica the structure lacks is ignored.
+        if inj.replica < template.replica_count() {
+            template = template.with_fault(inj.replica, FaultPlan::fail_stop_at(inj.at));
         }
-        let factory = JitterStageReplica {
-            service,
-            out_model: [
-                model.replica_out[0].with_delay(offset),
-                model.replica_out[1].with_delay(offset),
-            ],
-            seeds: [seed ^ 0x11, seed ^ 0x22],
-        };
-        JobTemplate::Duplicated {
-            cfg,
-            factory: Arc::new(factory),
-        }
-    } else if let Some(k) = hetero_stride(redundancy) {
-        let hmodel = HeteroModel::with_checker_jitter(
-            model.producer,
-            model.consumer,
-            model.replica_out[0],
-            model.replica_out[1].jitter,
-            k,
-        );
-        let sizing = HeteroSizingReport::analyze(&hmodel).expect("profile models are bounded");
-        let mut faults = [FaultPlan::healthy(), FaultPlan::healthy()];
-        for &(replica, at) in &injections {
-            if replica < 2 {
-                faults[replica] = FaultPlan::fail_stop_at(at);
-            }
-        }
-        let factory = HeteroStageReplica {
-            service,
-            out_models: [hmodel.main, hmodel.checker],
-            offset,
-            seed_base: seed ^ 0x44,
-        };
-        JobTemplate::Hetero {
-            model: hmodel,
-            sizing,
-            token_count: n,
-            seeds: (seed ^ 0xA5A5, seed ^ 0x5A5A),
-            payload,
-            factory: Arc::new(factory),
-            faults,
-        }
-    } else {
-        let mid_jitter = TimeNs::from_ns(
-            (model.replica_out[0].jitter.as_ns() + model.replica_out[1].jitter.as_ns()) / 2,
-        );
-        let nmodel = NModularModel {
-            producer: model.producer,
-            consumer: model.consumer,
-            replicas: vec![
-                model.replica_out[0],
-                model.replica_out[1],
-                PjdModel::new(model.producer.period, mid_jitter, TimeNs::ZERO),
-            ],
-        };
-        let sizing = NSizingReport::analyze(&nmodel).expect("profile models are bounded");
-        let mut faults = vec![FaultPlan::healthy(); 3];
-        for &(replica, at) in &injections {
-            if replica < 3 {
-                faults[replica] = FaultPlan::fail_stop_at(at);
-            }
-        }
-        let factory = NJitterStageReplica {
-            service,
-            out_models: nmodel.replicas.clone(),
-            offset,
-            seed_base: seed ^ 0x33,
-        };
-        JobTemplate::NModularVoting {
-            model: nmodel,
-            sizing,
-            token_count: n,
-            seeds: (seed ^ 0xA5A5, seed ^ 0x5A5A),
-            payload,
-            factory: Arc::new(factory),
-            faults,
-        }
-    };
+    }
 
     // Sampled-divergence detection latency grows linearly in the stride,
-    // so hetero streams get extra virtual-time headroom; plain replica
-    // counts keep the historical horizon exactly.
-    let horizon_slack = hetero_stride(redundancy).map_or(0, |k| 8 * k);
+    // so hetero streams get `8·k` periods of extra virtual-time headroom
+    // (the chaos campaigns stretch the stream instead); plain replica
+    // counts keep the recipe's horizon exactly.
+    let horizon_slack = match redundancy {
+        Redundancy::Hetero { k } => 8 * k,
+        Redundancy::Duplicated | Redundancy::TriVoting => 0,
+    };
     let runtime = match cfg.runtime {
         ServeRuntime::DiscreteEvent => JobRuntime::DiscreteEvent {
-            horizon: model.producer.period * (n + 60 + horizon_slack)
-                + model.consumer.delay
-                + TimeNs::from_secs(5),
+            horizon: des_horizon(&model, n + horizon_slack),
         },
         ServeRuntime::Threaded {
             deadline,

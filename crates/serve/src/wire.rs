@@ -38,37 +38,43 @@
 //! `app` indexes [`rtft_apps::networks::App::ALL`]; `redundancy` selects
 //! the structure: `2` = duplicated timing selector, `3` = tri-modular
 //! value voting, and `0x10 | e` = the sampled-checker structure with
-//! stride `k = 1 << e` (`e ≤ 6`; see [`hetero_redundancy`] /
-//! [`hetero_stride`]). `kind` in `Fault` is the detection site
+//! stride `k = 1 << e` (`e ≤ 6`; see [`redundancy_byte`] /
+//! [`redundancy_from_byte`]). `kind` in `Fault` is the detection site
 //! ([`site_kind`] / [`kind_label`]).
 
 use std::io::{self, IoSlice, Read, Write};
 
 use crate::error::{ProtocolError, ServeError};
+use rtft_fleet::Redundancy;
 use rtft_kpn::{Bytes, PayloadPool};
 
 /// Protocol version this implementation speaks.
 pub const PROTOCOL_VERSION: u32 = 1;
 
-/// Encodes a sampled-checker stride as an `OpenStream` redundancy byte:
-/// `0x10 | e` with `k = 1 << e`. Only power-of-two strides up to `64`
-/// fit the encoding; anything else returns `None`.
-pub fn hetero_redundancy(k: u64) -> Option<u8> {
-    if k.is_power_of_two() && k <= 64 {
-        Some(0x10 | k.trailing_zeros() as u8)
-    } else {
-        None
+/// Encodes a structure as an `OpenStream` redundancy byte. A sampled
+/// checker is `0x10 | e` with `k = 1 << e`: only power-of-two strides up
+/// to `64` fit the encoding; anything else returns `None`.
+pub fn redundancy_byte(redundancy: Redundancy) -> Option<u8> {
+    match redundancy {
+        Redundancy::Duplicated => Some(2),
+        Redundancy::TriVoting => Some(3),
+        Redundancy::Hetero { k } if k.is_power_of_two() && k <= 64 => {
+            Some(0x10 | k.trailing_zeros() as u8)
+        }
+        Redundancy::Hetero { .. } => None,
     }
 }
 
-/// Decodes an `OpenStream` redundancy byte: `Some(k)` when it selects
-/// the sampled-checker structure, `None` for the plain replica counts.
-pub fn hetero_stride(redundancy: u8) -> Option<u64> {
-    let e = redundancy ^ 0x10;
-    if redundancy & 0xF0 == 0x10 && e <= 6 {
-        Some(1u64 << e)
-    } else {
-        None
+/// Decodes an `OpenStream` redundancy byte; `None` for a byte that names
+/// no structure.
+pub fn redundancy_from_byte(byte: u8) -> Option<Redundancy> {
+    match byte {
+        2 => Some(Redundancy::Duplicated),
+        3 => Some(Redundancy::TriVoting),
+        0x10..=0x16 => Some(Redundancy::Hetero {
+            k: 1 << (byte & 0x0F),
+        }),
+        _ => None,
     }
 }
 
@@ -684,18 +690,22 @@ mod tests {
     use super::*;
 
     #[test]
-    fn hetero_redundancy_roundtrips() {
+    fn redundancy_byte_roundtrips() {
         for k in [1u64, 2, 4, 8, 16, 32, 64] {
-            let byte = hetero_redundancy(k).expect("power-of-two stride");
-            assert_eq!(hetero_stride(byte), Some(k));
+            let byte = redundancy_byte(Redundancy::Hetero { k }).expect("power-of-two stride");
+            assert_eq!(byte & 0xF0, 0x10);
+            assert_eq!(redundancy_from_byte(byte), Some(Redundancy::Hetero { k }));
         }
-        assert_eq!(hetero_redundancy(3), None);
-        assert_eq!(hetero_redundancy(128), None);
-        // Plain replica counts and out-of-range exponents decode to None.
-        assert_eq!(hetero_stride(2), None);
-        assert_eq!(hetero_stride(3), None);
-        assert_eq!(hetero_stride(0x17), None);
-        assert_eq!(hetero_stride(0x20), None);
+        assert_eq!(redundancy_byte(Redundancy::Hetero { k: 3 }), None);
+        assert_eq!(redundancy_byte(Redundancy::Hetero { k: 128 }), None);
+        for (byte, plain) in [(2, Redundancy::Duplicated), (3, Redundancy::TriVoting)] {
+            assert_eq!(redundancy_byte(plain), Some(byte));
+            assert_eq!(redundancy_from_byte(byte), Some(plain));
+        }
+        // Other replica counts and out-of-range exponents name nothing.
+        for byte in [0, 1, 4, 0x17, 0x20] {
+            assert_eq!(redundancy_from_byte(byte), None, "{byte:#x}");
+        }
     }
 
     fn round_trip(frame: Frame) {

@@ -13,10 +13,9 @@
 //!   [`Detached`](TenantState::Detached). Illegal transitions are
 //!   rejected, and a detach cannot complete while the tenant still has
 //!   jobs in flight.
-//! * **Policy** — a per-tenant [`TenantConfig`]: redundancy template for
-//!   the jobs it submits, a deterministic token-bucket
-//!   [`TokenRate`] limit, a max-in-flight-jobs cap, and a queue quota on
-//!   buffered tokens. All updatable at runtime via
+//! * **Policy** — a per-tenant [`TenantConfig`]: a deterministic
+//!   token-bucket [`TokenRate`] limit, a max-in-flight-jobs cap, and a
+//!   queue quota on buffered tokens. All updatable at runtime via
 //!   [`TenantManager::update`].
 //! * **Sharded supervision** — tenants are hashed across N supervisor
 //!   shards, so admission checks and metrics folding stop serializing on

@@ -78,8 +78,6 @@ pub struct TokenRate {
 /// be changed at runtime with [`TenantManager::update`](crate::TenantManager::update).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TenantConfig {
-    /// Replica count template for jobs this tenant submits.
-    pub redundancy: u8,
     /// Token-rate limit on flushed work; `None` = unlimited.
     pub rate: Option<TokenRate>,
     /// Cap on concurrently in-flight jobs (`u64::MAX` = unlimited).
@@ -92,7 +90,6 @@ pub struct TenantConfig {
 impl Default for TenantConfig {
     fn default() -> Self {
         TenantConfig {
-            redundancy: 2,
             rate: None,
             max_inflight: 64,
             queue_quota: 65_536,

@@ -9,8 +9,8 @@
 //! * detection instrumentation (`instrument_duplicated`) — the replicator
 //!   and selector report latches into a `HealthModel`, which folds them
 //!   into per-replica status and a detection-latency histogram;
-//! * the bounded execution trace (`Engine::with_trace`), exported as JSONL
-//!   through an `rtft_obs::EventSink`.
+//! * the bounded token-flow event log (`Engine::with_events`), an
+//!   `rtft_obs::EventSink` exported as JSONL.
 //!
 //! Everything runs on deterministic virtual time: the subsystem records
 //! *which* virtual instant things happened at but never reads a host
@@ -22,10 +22,9 @@
 //! ```
 
 use rtft_core::{build_duplicated, instrument_duplicated, FaultPlan};
-use rtft_kpn::{Engine, TraceEvent};
+use rtft_kpn::Engine;
 use rtft_obs::{
-    events_to_jsonl, registry_to_json, summary_report, ClockDomain, EventRecord, EventSink,
-    MetricsRegistry, ReplicaStatus,
+    events_to_jsonl, registry_to_json, summary_report, EventSink, MetricsRegistry, ReplicaStatus,
 };
 use rtft_rtc::TimeNs;
 
@@ -53,7 +52,10 @@ fn main() {
     let registry = MetricsRegistry::new();
     let (mut net, ids) = build_duplicated(&cfg, &factory);
     let health = instrument_duplicated(&mut net, &ids, &cfg, &registry);
-    let mut engine = Engine::new(net).with_metrics(&registry).with_trace();
+    let sink = EventSink::new(8);
+    let mut engine = Engine::new(net)
+        .with_metrics(&registry)
+        .with_events(sink.clone());
     engine.run_until(period * (tokens + 40) + TimeNs::from_secs(2));
 
     // 1. The human-readable summary: counters, watermarks, health.
@@ -75,52 +77,13 @@ fn main() {
         "fault must be masked: the consumer sees every token"
     );
 
-    // 2. The trace ring, exported as JSONL (tail only — the ring already
-    //    bounded memory during the run and counted what it evicted).
-    let trace = engine.trace();
-    let sink = EventSink::new(8);
-    for (at, ev) in trace.events() {
-        let (name, node, channel, value) = match ev {
-            TraceEvent::TokenWritten {
-                node,
-                port,
-                seq,
-                dropped,
-            } => (
-                if dropped {
-                    "token.discarded"
-                } else {
-                    "token.written"
-                },
-                Some(node.0),
-                Some(port.channel.0),
-                seq,
-            ),
-            TraceEvent::TokenRead { node, port, seq } => {
-                ("token.read", Some(node.0), Some(port.channel.0), seq)
-            }
-            TraceEvent::ReadBlocked { node, port } => {
-                ("read.blocked", Some(node.0), Some(port.channel.0), 0)
-            }
-            TraceEvent::WriteBlocked { node, port } => {
-                ("write.blocked", Some(node.0), Some(port.channel.0), 0)
-            }
-            TraceEvent::Halted { node } => ("process.halted", Some(node.0), None, 0),
-        };
-        sink.push(EventRecord {
-            at_ns: at.as_ns(),
-            clock: ClockDomain::Virtual,
-            name,
-            node,
-            channel,
-            value,
-        });
-    }
+    // 2. The event ring, exported as JSONL (tail only — the ring bounded
+    //    memory during the run and counted what it evicted).
+    assert!(!sink.is_empty(), "the engine must have recorded events");
     println!(
-        "\n== last {} of {} trace events (+{} evicted by the ring), as JSONL ==",
+        "\n== last {} of {} engine events, as JSONL ==",
         sink.len(),
-        trace.len(),
-        trace.dropped()
+        sink.len() as u64 + sink.dropped()
     );
     print!("{}", events_to_jsonl(&sink));
 
