@@ -39,9 +39,9 @@
 //!
 //! Every admitted job gets an absolute deadline (admission time plus its
 //! relative deadline) which becomes its priority on the `rtft-kpn`
-//! [`WorkerPool`] — smaller runs first, so the pool executes
-//! earliest-deadline-first across all tenants, with idle workers stealing
-//! the most urgent work of their peers.
+//! [`WorkerPool`] — smaller runs first, and all workers pop one shared run
+//! queue, so the pool executes earliest-deadline-first across all tenants
+//! and all workers.
 //!
 //! # Replacement
 //!
@@ -219,7 +219,7 @@ pub struct FleetReport {
     pub runs: Vec<JobRecord>,
     /// Fleet-level counters and distributions.
     pub status: FleetStatus,
-    /// Worker-pool counters (executed / stolen / panicked).
+    /// Worker-pool counters (executed / panicked).
     pub pool: PoolStats,
 }
 
@@ -237,7 +237,6 @@ impl FleetReport {
             .raw_field("jobs", &array(ordered.iter().map(|r| r.to_json())))
             .raw_field("status", &self.status.to_json())
             .u64_field("pool_executed", self.pool.executed)
-            .u64_field("pool_stolen", self.pool.stolen)
             .u64_field("pool_panicked", self.pool.panicked)
             .finish()
     }

@@ -12,8 +12,9 @@
 //!   replicator drops a faulty replica's stream rather than deadlocking.
 //! * **Earliest-deadline-first scheduling** — each job's absolute deadline
 //!   (admission time + relative deadline) is its priority on the
-//!   work-stealing [`WorkerPool`](rtft_kpn::WorkerPool); idle workers
-//!   steal the globally most urgent run.
+//!   [`WorkerPool`](rtft_kpn::WorkerPool)'s single run queue: a free
+//!   worker always takes the globally most urgent run, and a worker with
+//!   nothing to run sleeps until the next submission.
 //! * **Health-aware replica replacement** — a run whose arbitration
 //!   channels latched a replica faulty still completes (fault masking),
 //!   then the fleet re-spawns the job from a healed copy of its template

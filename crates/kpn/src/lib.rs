@@ -46,6 +46,7 @@ mod digest;
 mod engine;
 mod network;
 pub mod parallel;
+mod payload_pool;
 mod platform;
 pub mod pool;
 mod process;
@@ -61,8 +62,9 @@ pub use digest::{digest_bytes, Digest};
 pub use engine::{Engine, RunOutcome};
 pub use network::{port, ChannelSlot, Network, ProcessSlot};
 pub use parallel::{campaign_workers, parallel_map_ordered};
+pub use payload_pool::{PayloadPool, PayloadPoolStats, PoolBuf};
 pub use platform::{IdealPlatform, Platform, UniformBusPlatform};
-pub use pool::{PayloadPool, PayloadPoolStats, PoolBuf, PoolLoad, PoolStats, WorkerPool};
+pub use pool::{PoolLoad, PoolStats, WorkerPool};
 pub use process::{
     Collector, JitterSampler, NodeId, PjdShaper, PjdSink, PjdSource, Process, Syscall, Transform,
     Wakeup,

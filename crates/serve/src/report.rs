@@ -199,7 +199,6 @@ mod tests {
                 pool: PoolStats {
                     workers: 2,
                     executed: 0,
-                    stolen: 0,
                     panicked: 0,
                 },
             },

@@ -12,24 +12,32 @@
 //!          └────────────────────────── (fires on job settle)
 //! ```
 //!
-//! One acceptor thread polls a non-blocking listener; each connection gets
-//! a blocking reader thread. Tokens buffer per stream until a `Flush`
-//! turns the batch into one fault-tolerant fleet job (duplicated pair or
-//! tri-modular voting, per the stream's redundancy). Admission is
-//! **non-blocking**: a saturated fleet answers `Busy` and the batch stays
-//! buffered server-side — backpressure, never token loss. When the job
-//! settles, its [`JobNotifier`] pushes the selector's outputs, every fault
-//! latch (with its detection latency), and a terminal `Stats` back through
-//! the connection's shared writer.
+//! One acceptor thread blocks in `accept`; each connection gets a
+//! blocking reader thread. Every wait blocks on the event it waits for —
+//! a connection, a byte, a read deadline — so an idle server makes no
+//! wake-ups. A connection is one socket (`Conn`), shared by its reader,
+//! the settle notifiers that write to it and the shutdown path. Tokens
+//! buffer per stream until a `Flush` turns the batch into one
+//! fault-tolerant fleet job (duplicated pair or tri-modular voting, per
+//! the stream's redundancy). Admission is **non-blocking**: a saturated
+//! fleet answers `Busy` and the batch stays buffered server-side —
+//! backpressure, never token loss. When the job settles, its
+//! [`JobNotifier`] pushes the selector's outputs, every fault latch (with
+//! its detection latency), and a terminal `Stats` back through the
+//! connection's socket.
 //!
 //! Shutdown is graceful: [`Server::begin_shutdown`] refuses new streams
 //! with `Busy{shutting-down}`, [`Server::shutdown`] drains every admitted
-//! job (notifiers still fire), then cancels the acceptor/readers via a
-//! [`CancelToken`] and unblocks them by shutting the sockets down.
+//! job (notifiers still fire), then sets the [`CancelToken`], unblocks
+//! the readers by shutting their sockets down and wakes the acceptor with
+//! one loopback connection. The acceptor registers a connection under the
+//! `conns` lock after re-checking the token, and shutdown sets the token
+//! before it drains `conns`: a connection is either drained by shutdown
+//! or refused by the acceptor, never left blocked.
 
 use std::collections::HashMap;
 use std::io::{self, Read};
-use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::net::{Ipv4Addr, Ipv6Addr, Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
@@ -58,8 +66,9 @@ use crate::wire::{
     PROTOCOL_VERSION,
 };
 
-/// Acceptor poll interval while waiting for connections.
-const ACCEPT_POLL: Duration = Duration::from_millis(10);
+/// Back-off after a failed `accept` (a full fd table fails every call
+/// until a descriptor is freed). Never slept on the success path.
+const ACCEPT_ERROR_BACKOFF: Duration = Duration::from_millis(10);
 
 /// Poll interval while `Close` waits for a stream's in-flight flushes.
 const DRAIN_POLL: Duration = Duration::from_millis(2);
@@ -244,6 +253,20 @@ struct StreamState {
     evicted: AtomicBool,
 }
 
+/// One live connection: a single socket shared by its reader thread
+/// (`Read for &TcpStream`), the settle notifiers that push to it and
+/// [`Shared::conns`] (shutdown needs only `&TcpStream`).
+struct Conn {
+    id: u32,
+    sock: TcpStream,
+    /// Serialises frame writes: notifiers on pool workers and the reader
+    /// thread's own replies share the socket.
+    write: Mutex<()>,
+    /// When a flush of this connection last settled, on the
+    /// [`Shared::now_ns`] clock: the idle window restarts there.
+    settled_ns: AtomicU64,
+}
+
 struct Shared {
     cfg: ServerConfig,
     fleet: FleetExecutor,
@@ -271,9 +294,9 @@ struct Shared {
     accepting: AtomicBool,
     next_stream: AtomicU32,
     streams: Mutex<HashMap<u32, Arc<StreamState>>>,
-    /// Socket clones of the live connections, by connection id, for
-    /// forced unblock at shutdown. A handler removes its entry on exit.
-    conns: Mutex<HashMap<u32, TcpStream>>,
+    /// The live connections, by connection id, for forced unblock at
+    /// shutdown. A handler removes its entry on exit.
+    conns: Mutex<HashMap<u32, Arc<Conn>>>,
     /// Handler threads not yet joined; the acceptor reaps finished ones.
     handlers: Mutex<Vec<JoinHandle<()>>>,
     c_connections: Counter,
@@ -320,12 +343,12 @@ impl Shared {
         });
     }
 
-    /// Writes one frame through a connection's shared writer, updating the
-    /// outbound counters. Write errors mean the peer is gone; callers
-    /// treat that as the end of the exchange.
-    fn send(&self, writer: &Mutex<TcpStream>, frame: &Frame) -> Result<(), ServeError> {
-        let mut w = writer.lock().unwrap();
-        let n = crate::wire::write_frame(&mut *w, frame)?;
+    /// Writes one frame to a connection's socket, updating the outbound
+    /// counters. Write errors mean the peer is gone; callers treat that
+    /// as the end of the exchange.
+    fn send(&self, conn: &Conn, frame: &Frame) -> Result<(), ServeError> {
+        let _w = conn.write.lock().unwrap();
+        let n = crate::wire::write_frame(&mut &conn.sock, frame)?;
         self.c_frames_out.inc();
         self.c_bytes_out.add(n as u64);
         self.h_frame_out.record(n as u64);
@@ -371,7 +394,6 @@ impl Server {
     /// resubmitted through the fleet before the listener opens.
     pub fn start(addr: impl ToSocketAddrs, cfg: ServerConfig) -> Result<Server, ServeError> {
         let listener = TcpListener::bind(addr)?;
-        listener.set_nonblocking(true)?;
         let addr = listener.local_addr()?;
 
         let mut wal = None;
@@ -466,7 +488,9 @@ impl Server {
             }
             let n = batch.len() as u64;
             let spec = build_spec(&shared.cfg, st.id, st.app, st.redundancy, &batch);
-            let notify = recovery_notifier(&shared, &st);
+            // No connection and no pooled batch: the settle only logs
+            // and counts.
+            let notify = settle_notifier(&shared, None, &st, Arc::default());
             if let Admission::Admitted(_) = shared.fleet.submit_with(spec, Some(notify)) {
                 st.inflight.fetch_add(1, Ordering::SeqCst);
                 if let Some(mgr) = &shared.tenants {
@@ -588,18 +612,7 @@ impl Server {
             .supervisor()
             .registry()
             .absorb(&self.shared.registry);
-        self.shared.cancel.cancel();
-        for (_, sock) in self.shared.conns.lock().unwrap().drain() {
-            let _ = sock.shutdown(Shutdown::Both);
-        }
-        if let Some(acceptor) = self.acceptor.take() {
-            let _ = acceptor.join();
-        }
-        let handlers: Vec<JoinHandle<()>> =
-            std::mem::take(&mut *self.shared.handlers.lock().unwrap());
-        for h in handlers {
-            let _ = h.join();
-        }
+        self.stop_threads();
         self.shared.event("serve.shutdown.done", None, 0);
 
         let mut streams: Vec<StreamAccount> = {
@@ -653,17 +666,40 @@ impl Server {
         self.shared.wal_frozen.store(true, Ordering::SeqCst);
         self.shared.accepting.store(false, Ordering::SeqCst);
         self.shared.event("serve.hard_drop", None, 0);
+        self.stop_threads();
+    }
+
+    /// Cancels, unblocks and joins the readers and the acceptor.
+    fn stop_threads(&mut self) {
+        // Cancel *before* draining: the acceptor re-checks the token under
+        // the `conns` lock before it registers a connection, so whatever
+        // it accepted is either in the map drained here or refused there.
         self.shared.cancel.cancel();
-        for (_, sock) in self.shared.conns.lock().unwrap().drain() {
-            let _ = sock.shutdown(Shutdown::Both);
+        for (_, conn) in self.shared.conns.lock().unwrap().drain() {
+            let _ = conn.sock.shutdown(Shutdown::Both);
         }
-        if let Some(acceptor) = self.acceptor.take() {
-            let _ = acceptor.join();
-        }
+        // Readers first: joining them frees their descriptors, so the
+        // wake-up connection below finds room even in a full fd table.
         let handlers: Vec<JoinHandle<()>> =
             std::mem::take(&mut *self.shared.handlers.lock().unwrap());
         for h in handlers {
             let _ = h.join();
+        }
+        // The acceptor blocks in `accept`: one loopback connection to the
+        // bound address wakes it, and it exits on the cancelled token.
+        let mut wake = self.addr;
+        if wake.ip().is_unspecified() {
+            wake.set_ip(match wake {
+                SocketAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+                SocketAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+            });
+        }
+        if let Some(acceptor) = self.acceptor.take() {
+            // If even that connect fails, the acceptor is left to exit on
+            // the next connection instead of being joined forever.
+            if TcpStream::connect(wake).is_ok() {
+                let _ = acceptor.join();
+            }
         }
     }
 }
@@ -748,77 +784,60 @@ fn rebuild_streams(records: &[(u64, WalRecord)]) -> Vec<Arc<StreamState>> {
         .collect()
 }
 
-/// The notifier for a replayed recovery job: like [`settle_notifier`] but
-/// with no client connection — delivered outputs are logged to the WAL
-/// (so the *next* recovery resumes past them) and counted, not pushed.
-fn recovery_notifier(shared: &Arc<Shared>, st: &Arc<StreamState>) -> JobNotifier {
-    let shared = Arc::clone(shared);
-    let st = Arc::clone(st);
-    Arc::new(move |record, result| {
-        if let Some(result) = result {
-            let digests: Vec<u64> = result.arrival_log.iter().map(|&(_, d)| d).collect();
-            let prev = st
-                .delivered
-                .fetch_add(digests.len() as u64, Ordering::SeqCst);
-            if let Some(wal) = shared.wal() {
-                let _ = wal.append(&WalRecord::Outputs {
-                    stream: st.id,
-                    first_seq: prev,
-                    digests: digests.clone(),
-                });
-            }
-            shared.c_outputs.add(digests.len() as u64);
-            for _ in &record.faulty_replicas {
-                st.faults.fetch_add(1, Ordering::SeqCst);
-                shared.c_faults.inc();
-            }
-        }
-        if let Some(mgr) = &shared.tenants {
-            mgr.on_settle(TenantId(st.tenant), record, result);
-        }
-        st.inflight.fetch_sub(1, Ordering::SeqCst);
-    })
-}
-
 fn accept_loop(shared: Arc<Shared>, listener: TcpListener) {
+    let accept_errors = shared.registry.counter("serve.accept.errors");
     let mut next_conn: u32 = 0;
     loop {
+        let accepted = listener.accept();
+        // Shutdown wakes a blocked `accept` with a connection of its own.
         if shared.cancel.is_cancelled() {
             return;
         }
         // Handlers that already exited have nothing left to join.
         shared.handlers.lock().unwrap().retain(|h| !h.is_finished());
-        match listener.accept() {
-            Ok((sock, _)) => {
-                let conn_id = next_conn;
-                next_conn += 1;
-                shared.c_connections.inc();
-                shared.event("serve.conn.opened", Some(conn_id as usize), 0);
-                if let Ok(clone) = sock.try_clone() {
-                    shared.conns.lock().unwrap().insert(conn_id, clone);
-                }
-                let conn_shared = Arc::clone(&shared);
-                let handle = std::thread::Builder::new()
-                    .name(format!("serve-conn-{conn_id}"))
-                    .spawn(move || {
-                        handle_connection(&conn_shared, sock, conn_id);
-                        // The connection is over: release its shutdown
-                        // clone (one fd) instead of holding it until the
-                        // server stops.
-                        conn_shared.conns.lock().unwrap().remove(&conn_id);
-                        conn_shared.event("serve.conn.closed", Some(conn_id as usize), 0);
-                    });
-                match handle {
-                    Ok(handle) => shared.handlers.lock().unwrap().push(handle),
-                    Err(_) => {
-                        shared.conns.lock().unwrap().remove(&conn_id);
-                    }
-                }
+        let sock = match accepted {
+            Ok((sock, _)) => sock,
+            Err(_) => {
+                // `EMFILE`, `ECONNABORTED`, …: the listener itself is
+                // fine and the next call may succeed. Keep accepting —
+                // only cancellation ends this loop.
+                accept_errors.inc();
+                std::thread::sleep(ACCEPT_ERROR_BACKOFF);
+                continue;
             }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                std::thread::sleep(ACCEPT_POLL);
-            }
-            Err(_) => return,
+        };
+        let conn = Arc::new(Conn {
+            id: next_conn,
+            sock,
+            write: Mutex::new(()),
+            settled_ns: AtomicU64::new(0),
+        });
+        next_conn += 1;
+        // Register and spawn under the `conns` lock, after re-checking the
+        // token (see `Server::stop_threads`): once shutdown has drained
+        // the map, no connection and no handler can appear behind it.
+        let mut conns = shared.conns.lock().unwrap();
+        if shared.cancel.is_cancelled() {
+            return;
+        }
+        shared.c_connections.inc();
+        shared.event("serve.conn.opened", Some(conn.id as usize), 0);
+        let conn_shared = Arc::clone(&shared);
+        let handler_conn = Arc::clone(&conn);
+        let handle = std::thread::Builder::new()
+            .name(format!("serve-conn-{}", conn.id))
+            .spawn(move || {
+                handle_connection(&conn_shared, &handler_conn);
+                // The connection is over: drop it from the shutdown map
+                // instead of holding its descriptor until the server
+                // stops.
+                conn_shared.conns.lock().unwrap().remove(&handler_conn.id);
+                conn_shared.event("serve.conn.closed", Some(handler_conn.id as usize), 0);
+            });
+        // A failed spawn drops the socket with the closure.
+        if let Ok(handle) = handle {
+            conns.insert(conn.id, conn);
+            shared.handlers.lock().unwrap().push(handle);
         }
     }
 }
@@ -826,39 +845,23 @@ fn accept_loop(shared: Arc<Shared>, listener: TcpListener) {
 /// Runs one connection's read loop to completion. Any protocol violation
 /// or I/O failure ends the connection; buffered stream state survives (it
 /// is reported as undelivered at shutdown).
-fn handle_connection(shared: &Arc<Shared>, sock: TcpStream, conn_id: u32) {
-    let mut reader = match sock.try_clone() {
-        Ok(r) => r,
-        Err(_) => return,
-    };
-    if shared.cfg.read_timeout.is_some() || shared.cfg.max_idle.is_some() {
-        // The socket timeout is only the *poll* granularity of the
-        // deadline reader — the actual deadlines are enforced against
-        // monotonic clocks in `read_exact_deadline`.
-        let _ = reader.set_read_timeout(Some(deadline_poll(&shared.cfg)));
-    }
-    let writer = Arc::new(Mutex::new(sock));
-    match drive_connection(shared, &mut reader, &writer, conn_id) {
+fn handle_connection(shared: &Arc<Shared>, conn: &Arc<Conn>) {
+    match drive_connection(shared, conn) {
         Ok(()) | Err(ServeError::ConnectionClosed) => {}
         Err(ServeError::Protocol(_)) => {
             shared.c_protocol_errors.inc();
-            shared.event("serve.protocol.error", Some(conn_id as usize), 0);
+            shared.event("serve.protocol.error", Some(conn.id as usize), 0);
         }
-        Err(ServeError::Evicted(reason)) => evict_connection(shared, conn_id, reason),
+        Err(ServeError::Evicted(reason)) => evict_connection(shared, conn.id, reason),
         Err(_) => {}
     }
     // Actively shut the connection down: a settle notifier still holding
-    // the writer would otherwise keep the TCP stream open (and the peer
+    // the `Conn` would otherwise keep the TCP stream open (and the peer
     // blocked) after this handler exits.
-    let _ = writer.lock().unwrap().shutdown(Shutdown::Both);
+    let _ = conn.sock.shutdown(Shutdown::Both);
 }
 
-fn drive_connection(
-    shared: &Arc<Shared>,
-    reader: &mut TcpStream,
-    writer: &Arc<Mutex<TcpStream>>,
-    conn_id: u32,
-) -> Result<(), ServeError> {
+fn drive_connection(shared: &Arc<Shared>, conn: &Arc<Conn>) -> Result<(), ServeError> {
     // First frame must be a version-matched Hello. Under tenancy, its
     // `client` string names the tenant every stream on this connection
     // belongs to.
@@ -866,13 +869,13 @@ fn drive_connection(
     // in `scratch` (grown once to the largest frame seen) and token
     // payloads decode into pooled buffers.
     let mut scratch: Vec<u8> = Vec::new();
-    let tenant: Option<TenantId> = match next_frame(shared, reader, conn_id, &mut scratch)? {
+    let tenant: Option<TenantId> = match next_frame(shared, conn, &mut scratch)? {
         Frame::Hello { version, client } if version == PROTOCOL_VERSION => {
             let tenant = match &shared.tenants {
                 Some(mgr) => Some(resolve_tenant(shared, mgr, &client)?),
                 None => None,
             };
-            shared.send(writer, &Frame::Accepted { id: conn_id })?;
+            shared.send(conn, &Frame::Accepted { id: conn.id })?;
             tenant
         }
         Frame::Hello { version, .. } => {
@@ -892,26 +895,21 @@ fn drive_connection(
     };
 
     loop {
-        let frame = match next_frame(shared, reader, conn_id, &mut scratch) {
-            Ok(f) => f,
-            Err(ServeError::ConnectionClosed) => return Ok(()),
-            Err(e) => return Err(e),
-        };
-        match frame {
+        match next_frame(shared, conn, &mut scratch)? {
             Frame::OpenStream { app, redundancy } => {
-                handle_open(shared, writer, conn_id, tenant, app, redundancy)?
+                handle_open(shared, conn, tenant, app, redundancy)?
             }
             Frame::Tokens { stream, payloads } => {
-                let st = lookup(shared, conn_id, stream)?;
-                handle_tokens(shared, writer, &st, payloads)?;
+                let st = lookup(shared, conn.id, stream)?;
+                handle_tokens(shared, conn, &st, payloads)?;
             }
             Frame::Flush { stream } => {
-                let st = lookup(shared, conn_id, stream)?;
-                handle_flush(shared, writer, &st)?;
+                let st = lookup(shared, conn.id, stream)?;
+                handle_flush(shared, conn, &st)?;
             }
             Frame::Close { stream } => {
-                let st = lookup(shared, conn_id, stream)?;
-                handle_close(shared, writer, &st)?;
+                let st = lookup(shared, conn.id, stream)?;
+                handle_close(shared, conn, &st)?;
             }
             other => {
                 return Err(ProtocolError::UnexpectedFrame {
@@ -924,34 +922,25 @@ fn drive_connection(
     }
 }
 
-fn next_frame(
-    shared: &Shared,
-    reader: &mut TcpStream,
-    conn_id: u32,
-    scratch: &mut Vec<u8>,
-) -> Result<Frame, ServeError> {
-    let deadlines = shared.cfg.read_timeout.is_some() || shared.cfg.max_idle.is_some();
-    let (frame, n) = if deadlines {
-        read_frame_deadline(shared, reader, conn_id, scratch)?
-    } else {
-        read_frame_pooled(reader, shared.cfg.max_frame, &shared.payload_pool, scratch)?
+fn next_frame(shared: &Shared, conn: &Conn, scratch: &mut Vec<u8>) -> Result<Frame, ServeError> {
+    let mut reader = DeadlineReader {
+        shared,
+        conn,
+        started: false,
+        deadline: shared.cfg.max_idle.map(|limit| Instant::now() + limit),
+        expired: None,
     };
+    let (frame, n) = read_frame_pooled(
+        &mut reader,
+        shared.cfg.max_frame,
+        &shared.payload_pool,
+        scratch,
+    )
+    .map_err(|e| reader.expired.map_or(e, ServeError::Evicted))?;
     shared.c_frames_in.inc();
     shared.c_bytes_in.add(n as u64);
     shared.h_frame_in.record(n as u64);
     Ok(frame)
-}
-
-/// Socket poll interval for deadline-enforced reads: a fraction of the
-/// tightest configured deadline, clamped so eviction latency stays small
-/// without spinning.
-fn deadline_poll(cfg: &ServerConfig) -> Duration {
-    let tightest = match (cfg.read_timeout, cfg.max_idle) {
-        (Some(a), Some(b)) => a.min(b),
-        (Some(a), None) | (None, Some(a)) => a,
-        (None, None) => Duration::from_millis(50),
-    };
-    (tightest / 4).clamp(Duration::from_millis(2), Duration::from_millis(50))
 }
 
 /// `true` while any stream of `conn_id` has an admitted, unsettled flush
@@ -965,107 +954,85 @@ fn conn_has_inflight(shared: &Shared, conn_id: u32) -> bool {
         .any(|st| st.conn == conn_id && st.inflight.load(Ordering::SeqCst) > 0)
 }
 
-/// Reads exactly `buf.len()` bytes under the connection's read deadlines.
+/// One frame's worth of reads from a connection's socket, under
+/// [`ServerConfig::read_timeout`] / [`ServerConfig::max_idle`].
 ///
-/// `frame_start` is the instant the current frame's first byte arrived
-/// (`None` while waiting between frames). The idle deadline applies only
-/// before that first byte; once a frame has started, the *whole frame*
-/// must complete within `read_timeout` regardless of inter-byte pacing —
-/// a slow-loris writer trickling one byte per poll cannot reset it.
+/// The idle deadline applies only before the frame's first byte; once a
+/// frame has started, the *whole frame* must complete within
+/// `read_timeout` regardless of inter-byte pacing — a slow-loris writer
+/// trickling bytes cannot reset it. Each `read` blocks for exactly what
+/// the applicable deadline has left, so an eviction is neither early nor
+/// late and a waiting reader never wakes to look at a clock.
 ///
-/// Hand-rolled instead of `read_exact` because a socket timeout makes
-/// `read_exact` fail mid-frame and discard the bytes it already consumed;
-/// this loop keeps its position across `WouldBlock`/`TimedOut` polls.
-fn read_exact_deadline(
-    shared: &Shared,
-    sock: &mut TcpStream,
-    conn_id: u32,
-    buf: &mut [u8],
-    frame_start: &mut Option<Instant>,
-    idle_since: &mut Instant,
-) -> Result<(), ServeError> {
-    let mut got = 0usize;
-    while got < buf.len() {
-        if shared.cancel.is_cancelled() {
-            return Err(ServeError::ConnectionClosed);
-        }
-        match sock.read(&mut buf[got..]) {
-            Ok(0) => return Err(ServeError::ConnectionClosed),
-            Ok(n) => {
-                got += n;
-                frame_start.get_or_insert_with(Instant::now);
-            }
-            Err(e)
-                if e.kind() == io::ErrorKind::WouldBlock || e.kind() == io::ErrorKind::TimedOut =>
-            {
-                match (*frame_start, shared.cfg.read_timeout) {
-                    (Some(start), Some(limit)) if start.elapsed() >= limit => {
-                        return Err(ServeError::Evicted(EvictReason::Stalled));
-                    }
-                    _ => {}
-                }
-                if frame_start.is_none() {
-                    if let Some(limit) = shared.cfg.max_idle {
-                        if conn_has_inflight(shared, conn_id) {
-                            // A client silently waiting for its own flush
-                            // to settle is not idle; restart the window.
-                            *idle_since = Instant::now();
-                        } else if idle_since.elapsed() >= limit {
-                            return Err(ServeError::Evicted(EvictReason::Idle));
-                        }
-                    }
-                }
-            }
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-            Err(e) => return Err(e.into()),
-        }
-    }
-    Ok(())
+/// A violation is only ever a read that *timed out* — never a deadline
+/// found spent before reading: a handler descheduled between a frame's
+/// length prefix and its body must still find the bytes that were waiting
+/// in the socket buffer all along. After a violation the connection ends,
+/// so `read_exact` losing its position on the error is harmless.
+struct DeadlineReader<'a> {
+    shared: &'a Shared,
+    conn: &'a Conn,
+    /// A byte of this frame has arrived: `deadline` is the whole-frame
+    /// one, not the idle one.
+    started: bool,
+    /// When the applicable wait runs out (`None`: wait forever).
+    deadline: Option<Instant>,
+    /// The deadline a read timed out on.
+    expired: Option<EvictReason>,
 }
 
-/// [`read_frame`] with [`ServerConfig::read_timeout`] /
-/// [`ServerConfig::max_idle`] enforcement (mirrors its grammar checks).
-fn read_frame_deadline(
-    shared: &Shared,
-    sock: &mut TcpStream,
-    conn_id: u32,
-    scratch: &mut Vec<u8>,
-) -> Result<(Frame, usize), ServeError> {
-    let mut idle_since = Instant::now();
-    let mut frame_start: Option<Instant> = None;
-    let mut len_buf = [0u8; 4];
-    read_exact_deadline(
-        shared,
-        sock,
-        conn_id,
-        &mut len_buf,
-        &mut frame_start,
-        &mut idle_since,
-    )?;
-    let len = u32::from_le_bytes(len_buf);
-    if len == 0 {
-        return Err(ProtocolError::BadPayload("zero-length frame").into());
-    }
-    if len > shared.cfg.max_frame {
-        return Err(ProtocolError::Oversized {
-            len,
-            max: shared.cfg.max_frame,
+impl Read for DeadlineReader<'_> {
+    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+        use io::ErrorKind::{TimedOut, WouldBlock};
+        let cfg = &self.shared.cfg;
+        let mut sock = &self.conn.sock;
+        if cfg.read_timeout.is_none() && cfg.max_idle.is_none() {
+            return sock.read(buf);
         }
-        .into());
+        loop {
+            // A spent deadline still gets one (1 µs) read: zero is an
+            // error in std, and bytes already buffered must win.
+            let left = self.deadline.map(|at| {
+                at.saturating_duration_since(Instant::now())
+                    .max(Duration::from_micros(1))
+            });
+            sock.set_read_timeout(left)?;
+            let timed_out = match sock.read(buf) {
+                Ok(n) => {
+                    if n > 0 && !self.started {
+                        self.started = true;
+                        self.deadline = cfg.read_timeout.map(|limit| Instant::now() + limit);
+                    }
+                    return Ok(n);
+                }
+                Err(e) if matches!(e.kind(), WouldBlock | TimedOut) => e,
+                Err(e) => return Err(e),
+            };
+            if self.started {
+                self.expired = Some(EvictReason::Stalled);
+                return Err(timed_out);
+            }
+            // Only the idle deadline can time a read out before a frame
+            // has started.
+            let Some(limit) = cfg.max_idle else {
+                return Err(timed_out);
+            };
+            // A client silently waiting for its own flush to settle is
+            // not idle: the window restarts now while one is in flight,
+            // else where the last one settled.
+            let idle_from = if conn_has_inflight(self.shared, self.conn.id) {
+                Instant::now()
+            } else {
+                let settled = self.conn.settled_ns.load(Ordering::SeqCst);
+                self.shared.epoch + Duration::from_nanos(settled)
+            };
+            if idle_from + limit <= Instant::now() {
+                self.expired = Some(EvictReason::Idle);
+                return Err(timed_out);
+            }
+            self.deadline = Some(idle_from + limit);
+        }
     }
-    scratch.resize(len as usize, 0);
-    read_exact_deadline(
-        shared,
-        sock,
-        conn_id,
-        scratch,
-        &mut frame_start,
-        &mut idle_since,
-    )?;
-    Ok((
-        Frame::decode_pooled(scratch, &shared.payload_pool)?,
-        4 + len as usize,
-    ))
 }
 
 /// Closes the books on a connection the server is ejecting for a read
@@ -1146,8 +1113,7 @@ fn lookup(shared: &Shared, conn_id: u32, stream: u32) -> Result<Arc<StreamState>
 
 fn handle_open(
     shared: &Arc<Shared>,
-    writer: &Arc<Mutex<TcpStream>>,
-    conn_id: u32,
+    conn: &Conn,
     tenant: Option<TenantId>,
     app: u8,
     redundancy: u8,
@@ -1156,7 +1122,7 @@ fn handle_open(
         let load = shared.fleet.load();
         shared.c_busy.inc();
         shared.send(
-            writer,
+            conn,
             &Frame::Busy {
                 stream: u32::MAX,
                 reason: BusyReason::ShuttingDown,
@@ -1175,7 +1141,7 @@ fn handle_open(
         if !active {
             shared.c_busy.inc();
             shared.send(
-                writer,
+                conn,
                 &Frame::Busy {
                     stream: u32::MAX,
                     reason: BusyReason::TenantDraining,
@@ -1198,7 +1164,7 @@ fn handle_open(
     let tenant_id = tenant.map_or(0, |t| t.0);
     let st = Arc::new(StreamState {
         id,
-        conn: conn_id,
+        conn: conn.id,
         tenant: tenant_id,
         app,
         redundancy,
@@ -1229,7 +1195,7 @@ fn handle_open(
     shared.streams.lock().unwrap().insert(id, st);
     shared.c_streams_opened.inc();
     shared.event("serve.stream.opened", Some(id as usize), redundancy as u64);
-    shared.send(writer, &Frame::Accepted { id })
+    shared.send(conn, &Frame::Accepted { id })
 }
 
 /// Puts a taken-but-refused batch back at the *front* of the stream's
@@ -1244,7 +1210,7 @@ fn restore_front(st: &StreamState, batch: Vec<Bytes>) {
 
 fn handle_tokens(
     shared: &Shared,
-    writer: &Arc<Mutex<TcpStream>>,
+    conn: &Conn,
     st: &StreamState,
     payloads: Vec<Bytes>,
 ) -> Result<(), ServeError> {
@@ -1255,7 +1221,7 @@ fn handle_tokens(
     if let Some(mgr) = &shared.tenants {
         if let Err(reject) = mgr.admit_tokens(TenantId(st.tenant), n) {
             st.rejected.fetch_add(n, Ordering::SeqCst);
-            return refuse(shared, writer, st, reject);
+            return refuse(shared, conn, st, reject);
         }
     }
     st.tokens_in.fetch_add(n, Ordering::SeqCst);
@@ -1281,7 +1247,7 @@ fn handle_tokens(
         };
         st.buffered.lock().unwrap().extend(payloads);
         shared.send(
-            writer,
+            conn,
             &Frame::Durable {
                 stream: st.id,
                 tokens: n as u32,
@@ -1296,7 +1262,7 @@ fn handle_tokens(
 
 fn handle_flush(
     shared: &Arc<Shared>,
-    writer: &Arc<Mutex<TcpStream>>,
+    conn: &Arc<Conn>,
     st: &Arc<StreamState>,
 ) -> Result<(), ServeError> {
     // Move the batch out instead of cloning it under the lock; every
@@ -1305,12 +1271,12 @@ fn handle_flush(
     // append to the (now empty) buffer and sort after the batch.
     let batch: Vec<Bytes> = std::mem::take(&mut *st.buffered.lock().unwrap());
     if batch.is_empty() {
-        return shared.send(writer, &shared.stats_frame(st));
+        return shared.send(conn, &shared.stats_frame(st));
     }
     let n = batch.len() as u64;
     if !shared.accepting.load(Ordering::SeqCst) {
         restore_front(st, batch);
-        return refuse(shared, writer, st, RejectReason::ShuttingDown.into());
+        return refuse(shared, conn, st, RejectReason::ShuttingDown.into());
     }
     // Tenant admission (lifecycle, in-flight cap, token rate) runs before
     // the executor ever sees the job. A refusal is lossless: the batch
@@ -1318,14 +1284,14 @@ fn handle_flush(
     if let Some(mgr) = &shared.tenants {
         if let Err(reject) = mgr.admit_flush(TenantId(st.tenant), n, shared.now_ns()) {
             restore_front(st, batch);
-            return refuse(shared, writer, st, reject);
+            return refuse(shared, conn, st, reject);
         }
     }
     let spec = build_spec(&shared.cfg, st.id, st.app, st.redundancy, &batch);
     // The settle notifier owns the batch: on settle the buffers are
     // parked back into the payload pool for the next ingest to reuse.
     let batch_slot = Arc::new(Mutex::new(batch));
-    let notify = settle_notifier(shared, writer, st, Arc::clone(&batch_slot));
+    let notify = settle_notifier(shared, Some(conn), st, Arc::clone(&batch_slot));
     match shared.fleet.submit_with(spec, Some(notify)) {
         Admission::Admitted(_) => {
             st.inflight.fetch_add(1, Ordering::SeqCst);
@@ -1342,7 +1308,7 @@ fn handle_flush(
             if let Some(mgr) = &shared.tenants {
                 mgr.cancel_flush(TenantId(st.tenant), n);
             }
-            refuse(shared, writer, st, reason.into())
+            refuse(shared, conn, st, reason.into())
         }
     }
 }
@@ -1355,7 +1321,7 @@ fn handle_flush(
 /// `pending` / `capacity` pair is reason-scoped (see [`crate::wire`]).
 fn refuse(
     shared: &Shared,
-    writer: &Arc<Mutex<TcpStream>>,
+    conn: &Conn,
     st: &StreamState,
     reason: TenantReject,
 ) -> Result<(), ServeError> {
@@ -1387,7 +1353,7 @@ fn refuse(
         TenantReject::Draining => (BusyReason::TenantDraining, 0, 0),
     };
     shared.send(
-        writer,
+        conn,
         &Frame::Busy {
             stream: st.id,
             reason,
@@ -1397,19 +1363,22 @@ fn refuse(
     )
 }
 
-/// The notifier a flush job settles through: pushes outputs, fault
-/// latches (with detection latency where the health model knows the
-/// injection instant), and the terminal `Stats`. Runs on a pool worker
-/// *before* the job's outstanding slot is released, so a fleet drain
-/// implies every frame below was written.
+/// The notifier a flush job settles through: logs and counts the
+/// delivered outputs and, when a client is attached, pushes them, every
+/// fault latch (with detection latency where the health model knows the
+/// injection instant) and the terminal `Stats`. A recovered stream's
+/// replayed tail has no connection (`conn == None`): its outputs are
+/// durable, not pushed. Runs on a pool worker *before* the job's
+/// outstanding slot is released, so a fleet drain implies every frame
+/// below was written.
 fn settle_notifier(
     shared: &Arc<Shared>,
-    writer: &Arc<Mutex<TcpStream>>,
+    conn: Option<&Arc<Conn>>,
     st: &Arc<StreamState>,
     batch_slot: Arc<Mutex<Vec<Bytes>>>,
 ) -> JobNotifier {
     let shared = Arc::clone(shared);
-    let writer = Arc::clone(writer);
+    let conn = conn.cloned();
     let st = Arc::clone(st);
     Arc::new(move |record, result| {
         // The flush batch is done with: park the buffers for reuse by
@@ -1418,6 +1387,11 @@ fn settle_notifier(
         for b in batch_slot.lock().unwrap().drain(..) {
             shared.payload_pool.park(b);
         }
+        let push = |frame: &Frame| {
+            if let Some(conn) = &conn {
+                let _ = shared.send(conn, frame);
+            }
+        };
         if let Some(result) = result {
             // Log the delivered digests (with their cumulative position)
             // before pushing them: the Output frames are the client's
@@ -1435,18 +1409,20 @@ fn settle_notifier(
                 });
             }
             for (seq, &(at_ns, digest)) in result.arrival_log.iter().enumerate() {
-                let _ = shared.send(
-                    &writer,
-                    &Frame::Output {
-                        stream: st.id,
-                        seq: seq as u64,
-                        at_ns,
-                        digest,
-                    },
-                );
+                push(&Frame::Output {
+                    stream: st.id,
+                    seq: seq as u64,
+                    at_ns,
+                    digest,
+                });
             }
             shared.c_outputs.add(result.arrival_log.len() as u64);
             for &replica in &record.faulty_replicas {
+                st.faults.fetch_add(1, Ordering::SeqCst);
+                shared.c_faults.inc();
+                if conn.is_none() {
+                    continue;
+                }
                 let (kind, latency) = result
                     .health
                     .as_ref()
@@ -1459,33 +1435,27 @@ fn settle_notifier(
                         (site_kind(rh.first_site), latency)
                     })
                     .unwrap_or((site_kind(None), 0));
-                st.faults.fetch_add(1, Ordering::SeqCst);
-                shared.c_faults.inc();
                 shared.event("serve.stream.fault", Some(st.id as usize), replica as u64);
-                let _ = shared.send(
-                    &writer,
-                    &Frame::Fault {
-                        stream: st.id,
-                        replica: replica as u32,
-                        kind,
-                        detection_latency_ns: latency,
-                    },
-                );
+                push(&Frame::Fault {
+                    stream: st.id,
+                    replica: replica as u32,
+                    kind,
+                    detection_latency_ns: latency,
+                });
             }
         }
         if let Some(mgr) = &shared.tenants {
             mgr.on_settle(TenantId(st.tenant), record, result);
         }
+        if let Some(conn) = &conn {
+            conn.settled_ns.store(shared.now_ns(), Ordering::SeqCst);
+        }
         st.inflight.fetch_sub(1, Ordering::SeqCst);
-        let _ = shared.send(&writer, &shared.stats_frame(&st));
+        push(&shared.stats_frame(&st));
     })
 }
 
-fn handle_close(
-    shared: &Shared,
-    writer: &Arc<Mutex<TcpStream>>,
-    st: &StreamState,
-) -> Result<(), ServeError> {
+fn handle_close(shared: &Shared, conn: &Conn, st: &StreamState) -> Result<(), ServeError> {
     // Drain this stream's in-flight flushes so the final Stats accounts
     // for every admitted token.
     while st.inflight.load(Ordering::SeqCst) > 0 && !shared.cancel.is_cancelled() {
@@ -1504,7 +1474,7 @@ fn handle_close(
     }
     shared.c_streams_closed.inc();
     shared.event("serve.stream.closed", Some(st.id as usize), 0);
-    shared.send(writer, &shared.stats_frame(st))
+    shared.send(conn, &shared.stats_frame(st))
 }
 
 /// Builds the fleet job for one flush batch: the stream's app profile

@@ -487,9 +487,10 @@ pub fn write_frame(w: &mut impl Write, frame: &Frame) -> Result<usize, ServeErro
     Ok(wire.len())
 }
 
-/// Reads one frame from `r`, enforcing `max_frame` on the length field.
-/// Returns the frame and the wire bytes consumed.
-pub fn read_frame(r: &mut impl Read, max_frame: u32) -> Result<(Frame, usize), ServeError> {
+/// Reads one frame's length prefix, enforces the length grammar (non-zero,
+/// at most `max_frame`) and reads the `tag ‖ body` bytes into `body`,
+/// resized to exactly the frame. The one place a frame header is parsed.
+fn read_body(r: &mut impl Read, max_frame: u32, body: &mut Vec<u8>) -> Result<(), ServeError> {
     let mut len_buf = [0u8; 4];
     r.read_exact(&mut len_buf)?;
     let len = u32::from_le_bytes(len_buf);
@@ -503,9 +504,17 @@ pub fn read_frame(r: &mut impl Read, max_frame: u32) -> Result<(Frame, usize), S
         }
         .into());
     }
-    let mut buf = vec![0u8; len as usize];
-    r.read_exact(&mut buf)?;
-    Ok((Frame::decode(&buf)?, 4 + len as usize))
+    body.resize(len as usize, 0);
+    r.read_exact(body)?;
+    Ok(())
+}
+
+/// Reads one frame from `r`, enforcing `max_frame` on the length field.
+/// Returns the frame and the wire bytes consumed.
+pub fn read_frame(r: &mut impl Read, max_frame: u32) -> Result<(Frame, usize), ServeError> {
+    let mut body = Vec::new();
+    read_body(r, max_frame, &mut body)?;
+    Ok((Frame::decode(&body)?, 4 + body.len()))
 }
 
 /// [`read_frame`] without per-frame allocation: the wire body is read
@@ -520,22 +529,8 @@ pub fn read_frame_pooled(
     pool: &PayloadPool,
     scratch: &mut Vec<u8>,
 ) -> Result<(Frame, usize), ServeError> {
-    let mut len_buf = [0u8; 4];
-    r.read_exact(&mut len_buf)?;
-    let len = u32::from_le_bytes(len_buf);
-    if len == 0 {
-        return Err(ProtocolError::BadPayload("zero-length frame").into());
-    }
-    if len > max_frame {
-        return Err(ProtocolError::Oversized {
-            len,
-            max: max_frame,
-        }
-        .into());
-    }
-    scratch.resize(len as usize, 0);
-    r.read_exact(scratch)?;
-    Ok((Frame::decode_pooled(scratch, pool)?, 4 + len as usize))
+    read_body(r, max_frame, scratch)?;
+    Ok((Frame::decode_pooled(scratch, pool)?, 4 + scratch.len()))
 }
 
 /// Encodes and writes one `Tokens` frame from *borrowed* payload slices,

@@ -456,6 +456,45 @@ fn shutdown_under_load_drains_refuses_and_accounts_every_token() {
     assert_eq!(account.undelivered, 3);
 }
 
+/// `shutdown()` racing a storm of connects neither hangs nor leaves a
+/// connection blocked: whatever the acceptor took before the drain is
+/// unblocked by it, whatever arrives after is refused. The storm keeps its
+/// sockets open, so a connection shutdown missed would pin its reader —
+/// and the join — forever; the watchdog turns that into a failure.
+#[test]
+fn shutdown_racing_a_connect_storm_never_hangs() {
+    let (done_tx, done_rx) = std::sync::mpsc::channel();
+    std::thread::spawn(move || {
+        for _ in 0..50 {
+            let server = Server::start("127.0.0.1:0", ServerConfig::default()).expect("bind");
+            let addr = server.addr();
+            let (first_tx, first_rx) = std::sync::mpsc::channel();
+            let storm = std::thread::spawn(move || {
+                let mut held = Vec::new();
+                // Ends at the first refusal (the listener is gone), and
+                // stays under the listen backlog: a connect the kernel
+                // drops there retries a second later.
+                while let Ok(sock) = std::net::TcpStream::connect(addr) {
+                    held.push(sock);
+                    let _ = first_tx.send(());
+                    if held.len() >= 64 {
+                        break;
+                    }
+                }
+                held
+            });
+            first_rx.recv().expect("storm connected once");
+            let report = server.shutdown();
+            let held = storm.join().expect("storm thread");
+            assert!(report.connections <= held.len() as u64);
+        }
+        let _ = done_tx.send(());
+    });
+    done_rx
+        .recv_timeout(Duration::from_secs(120))
+        .expect("a shutdown hung (or a storm round panicked)");
+}
+
 /// A self-cleaning scratch directory for the WAL tests (no tempfile
 /// crate in a zero-dependency workspace).
 struct TempDir(std::path::PathBuf);
