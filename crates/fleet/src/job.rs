@@ -353,6 +353,39 @@ impl JobTemplate {
         self
     }
 
+    /// A copy of the template that runs `tokens` tokens drawn from
+    /// `payload`. Everything the recipe derived — models, §3.4 sizing,
+    /// seeds, factory, fault plans — is taken over as is, so a structure
+    /// sized once can run any number of batches.
+    pub fn with_batch(&self, tokens: u64, payload: PayloadGenerator) -> JobTemplate {
+        let mut job = self.clone();
+        match &mut job {
+            JobTemplate::Duplicated { cfg, .. } => {
+                cfg.token_count = Some(tokens);
+                cfg.payload = payload;
+            }
+            JobTemplate::NModular {
+                token_count,
+                payload: of_job,
+                ..
+            }
+            | JobTemplate::NModularVoting {
+                token_count,
+                payload: of_job,
+                ..
+            }
+            | JobTemplate::Hetero {
+                token_count,
+                payload: of_job,
+                ..
+            } => {
+                *token_count = tokens;
+                *of_job = payload;
+            }
+        }
+        job
+    }
+
     /// Builds one instance of the template's network.
     ///
     /// # Panics
@@ -692,4 +725,72 @@ pub fn execute(template: &JobTemplate, runtime: &JobRuntime) -> JobRunResult {
 /// seeded from the spec itself.
 pub fn execute_spec(spec: &JobSpec) -> JobRunResult {
     execute(&spec.template, &spec.runtime)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// `with_batch` attaches a batch and touches nothing the recipe
+    /// derived, on every variant.
+    #[test]
+    fn with_batch_changes_only_the_batch() {
+        let model = DuplicationModel::symmetric(
+            PjdModel::from_ms(30.0, 2.0, 0.0),
+            PjdModel::from_ms(30.0, 2.0, 90.0),
+            [
+                PjdModel::from_ms(30.0, 5.0, 0.0),
+                PjdModel::from_ms(30.0, 30.0, 0.0),
+            ],
+        );
+        let empty: PayloadGenerator = Arc::new(|_| Payload::Empty);
+        let recipe = |r| JobTemplate::for_model(&model, r, 9, 0, Arc::clone(&empty));
+        let JobTemplate::NModularVoting {
+            model: n_model,
+            sizing,
+            token_count,
+            seeds,
+            payload,
+            factory,
+            faults,
+        } = recipe(Redundancy::TriVoting)
+        else {
+            unreachable!("tri-voting is the voting variant");
+        };
+        let timing_only = JobTemplate::NModular {
+            model: n_model,
+            sizing,
+            token_count,
+            seeds,
+            payload,
+            factory,
+            faults,
+        };
+        let plans = [
+            recipe(Redundancy::Duplicated),
+            timing_only,
+            recipe(Redundancy::TriVoting),
+            recipe(Redundancy::Hetero { k: 4 }),
+        ];
+        for plan in plans {
+            let plan = plan.with_fault(0, FaultPlan::fail_stop_at(TimeNs::from_ms(150)));
+            let job = plan.with_batch(16, Arc::new(Payload::U64));
+            assert_eq!(plan.expected_tokens(), 0, "{plan:?}");
+            assert_eq!(job.expected_tokens(), 16, "{job:?}");
+            assert_eq!(job.replica_count(), plan.replica_count());
+            assert_eq!(
+                format!("{:?}", job.bounds()),
+                format!("{:?}", plan.bounds())
+            );
+            // The batch is what runs, under the plan's armed fault.
+            let horizon = des_horizon(&model, 16);
+            let run = execute(&job, &JobRuntime::DiscreteEvent { horizon });
+            assert_eq!(run.faulty_replicas, [0], "{job:?}");
+            // (A sampled checker cannot stand in for a stopped main.)
+            assert!((1..=16).contains(&run.arrivals), "{job:?}");
+            for (i, &(_, digest)) in run.arrival_log.iter().enumerate() {
+                assert_eq!(digest, Payload::U64(i as u64).digest(), "{job:?}");
+            }
+        }
+    }
 }

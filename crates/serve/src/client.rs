@@ -12,6 +12,7 @@
 //! the protocol's client side.
 
 use std::collections::VecDeque;
+use std::io::BufReader;
 use std::net::{TcpStream, ToSocketAddrs};
 use std::time::Duration;
 
@@ -221,7 +222,9 @@ impl OpenOutcome {
 /// One `RTFT/1` connection.
 #[derive(Debug)]
 pub struct Client {
-    sock: TcpStream,
+    /// Reads are buffered — a settle arrives as one segment of many small
+    /// frames — writes go to the socket directly (`get_mut`).
+    sock: BufReader<TcpStream>,
     max_frame: u32,
     /// Server-push frames read while waiting for a different stream.
     pending: VecDeque<Frame>,
@@ -231,10 +234,11 @@ impl Client {
     /// Connects, performs the `Hello` handshake, and returns the ready
     /// client. `name` is a diagnostic label echoed in server logs.
     pub fn connect(addr: impl ToSocketAddrs, name: &str) -> Result<Client, ServeError> {
-        let mut sock = TcpStream::connect(addr)?;
+        let sock = TcpStream::connect(addr)?;
         sock.set_nodelay(true).ok();
+        let mut sock = BufReader::new(sock);
         write_frame(
-            &mut sock,
+            sock.get_mut(),
             &Frame::Hello {
                 version: PROTOCOL_VERSION,
                 client: name.to_string(),
@@ -264,7 +268,7 @@ impl Client {
             .iter()
             .position(|a| *a == app)
             .expect("App::ALL contains every variant") as u8;
-        write_frame(&mut self.sock, &Frame::OpenStream { app, redundancy })?;
+        write_frame(self.sock.get_mut(), &Frame::OpenStream { app, redundancy })?;
         loop {
             match self.next_frame()? {
                 Frame::Accepted { id } => return Ok(OpenOutcome::Stream(id)),
@@ -299,7 +303,7 @@ impl Client {
         stream: u32,
         payloads: &[impl AsRef<[u8]>],
     ) -> Result<(), ServeError> {
-        crate::wire::write_tokens(&mut self.sock, stream, payloads)?;
+        crate::wire::write_tokens(self.sock.get_mut(), stream, payloads)?;
         Ok(())
     }
 
@@ -313,7 +317,7 @@ impl Client {
         stream: u32,
         payloads: &[impl AsRef<[u8]>],
     ) -> Result<DurableAck, ServeError> {
-        crate::wire::write_tokens(&mut self.sock, stream, payloads)?;
+        crate::wire::write_tokens(self.sock.get_mut(), stream, payloads)?;
         // Scan anything already buffered first, then the socket.
         let mut scanned: Vec<Frame> = Vec::new();
         loop {
@@ -376,7 +380,7 @@ impl Client {
     /// `Stats` — or a `Busy` refusal, after which the tokens remain
     /// buffered server-side and the flush can simply be retried.
     pub fn flush(&mut self, stream: u32) -> Result<FlushOutcome, ServeError> {
-        write_frame(&mut self.sock, &Frame::Flush { stream })?;
+        write_frame(self.sock.get_mut(), &Frame::Flush { stream })?;
         self.collect(stream)
     }
 
@@ -443,7 +447,7 @@ impl Client {
         stream: u32,
         payloads: &[impl AsRef<[u8]>],
     ) -> Result<TokensAck, ServeError> {
-        crate::wire::write_tokens(&mut self.sock, stream, payloads)?;
+        crate::wire::write_tokens(self.sock.get_mut(), stream, payloads)?;
         let mut scanned: Vec<Frame> = Vec::new();
         loop {
             let frame = if let Some(f) = self.pending.pop_front() {
@@ -482,14 +486,14 @@ impl Client {
     /// Sets (or clears) the socket's read timeout — lets callers bound
     /// how long a collect can block on a wedged server.
     pub fn set_read_timeout(&self, timeout: Option<Duration>) -> Result<(), ServeError> {
-        self.sock.set_read_timeout(timeout)?;
+        self.sock.get_ref().set_read_timeout(timeout)?;
         Ok(())
     }
 
     /// Closes `stream`: the server drains its in-flight flushes and
     /// replies with a final `Stats` accounting for every accepted token.
     pub fn close(&mut self, stream: u32) -> Result<FlushOutcome, ServeError> {
-        write_frame(&mut self.sock, &Frame::Close { stream })?;
+        write_frame(self.sock.get_mut(), &Frame::Close { stream })?;
         self.collect(stream)
     }
 

@@ -4,7 +4,8 @@
 //! stream id, app, redundancy, batch payloads)` — all of which the
 //! write-ahead log captures. [`replay_verify`] therefore re-runs every
 //! logged flush through [`rtft_fleet::execute_spec`] with the exact spec
-//! the live server built (see `build_spec`) and compares the produced
+//! the live server built (`prepare_plan` once per stream, `build_spec`
+//! per batch) and compares the produced
 //! output digests against the digests the live run logged. Any
 //! difference means the *original* execution diverged from the
 //! deterministic pipeline — a transient fault (bit flip, scheduling
@@ -22,7 +23,7 @@ use rtft_obs::json::{array, JsonObject};
 use rtft_wal::{read_log, WalRecord};
 
 use crate::error::ServeError;
-use crate::server::{build_spec, ServerConfig};
+use crate::server::{build_spec, prepare_plan, ServerConfig};
 
 /// One stream's replay verdict.
 #[derive(Debug, Clone)]
@@ -162,6 +163,9 @@ pub fn replay_verify(dir: &Path, cfg: &ServerConfig) -> Result<ReplayReport, Ser
             let mut replayed = 0u64;
             let mut divergent = 0u64;
             let mut first_divergence = None;
+            // Sized once per logged stream, on its first non-empty batch,
+            // exactly as the live server does on the first flush.
+            let plan = std::cell::OnceCell::new();
             // Each Outputs record is one settled flush; its batch is the
             // contiguous payload range it covered. Replay batch by batch
             // so the rebuilt jobs match the live ones token-for-token.
@@ -173,7 +177,8 @@ pub fn replay_verify(dir: &Path, cfg: &ServerConfig) -> Result<ReplayReport, Ser
                 let run = if batch.is_empty() {
                     Vec::new()
                 } else {
-                    let spec = build_spec(cfg, id, s.app, s.redundancy, batch);
+                    let plan = plan.get_or_init(|| prepare_plan(cfg, id, s.app, s.redundancy));
+                    let spec = build_spec(cfg, plan, id, s.app, s.redundancy, batch);
                     rtft_fleet::execute_spec(&spec)
                         .arrival_log
                         .iter()

@@ -24,7 +24,10 @@
 //! backpressure, never token loss. When the job settles, its
 //! [`JobNotifier`] pushes the selector's outputs, every fault latch (with
 //! its detection latency), and a terminal `Stats` back through the
-//! connection's socket.
+//! connection's socket — one write per settle on a `TCP_NODELAY` socket,
+//! so a flush costs what the server computes and not a kernel timer. The
+//! structure a stream's batches run on is sized once, on its first flush
+//! (`prepare_plan`); a flush only attaches its batch.
 //!
 //! Shutdown is graceful: [`Server::begin_shutdown`] refuses new streams
 //! with `Busy{shutting-down}`, [`Server::shutdown`] drains every admitted
@@ -36,10 +39,10 @@
 //! or refused by the acceptor, never left blocked.
 
 use std::collections::HashMap;
-use std::io::{self, Read};
+use std::io::{self, Read, Write};
 use std::net::{Ipv4Addr, Ipv6Addr, Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, OnceLock};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -62,8 +65,8 @@ use rtft_wal::{Wal, WalConfig, WalRecord};
 use crate::error::{EvictReason, ProtocolError, ServeError};
 use crate::report::{ServeReport, StreamAccount};
 use crate::wire::{
-    read_frame_pooled, redundancy_from_byte, site_kind, BusyReason, Frame, DEFAULT_MAX_FRAME,
-    PROTOCOL_VERSION,
+    read_frame_pooled, redundancy_from_byte, site_kind, BusyReason, Frame, FrameWriter,
+    DEFAULT_MAX_FRAME, PROTOCOL_VERSION,
 };
 
 /// Back-off after a failed `accept` (a full fd table fails every call
@@ -251,6 +254,24 @@ struct StreamState {
     closed: AtomicBool,
     /// The stream's connection was evicted for violating a read deadline.
     evicted: AtomicBool,
+    /// The stream's sized structure ([`prepare_plan`]), filled on the
+    /// first flush: model, redundancy and seed never change, so the §3.4
+    /// analysis runs once and every batch only attaches to its result.
+    plan: OnceLock<JobTemplate>,
+    /// `serve.app.<label>.tokens`, resolved once per stream.
+    app_tokens: Counter,
+}
+
+/// The per-application ingest counter, `serve.app.<label>.tokens`.
+fn app_tokens_counter(registry: &MetricsRegistry, app: App) -> Counter {
+    registry.counter_named(format!("serve.app.{}.tokens", app.label()))
+}
+
+impl StreamState {
+    fn plan(&self, cfg: &ServerConfig) -> &JobTemplate {
+        self.plan
+            .get_or_init(|| prepare_plan(cfg, self.id, self.app, self.redundancy))
+    }
 }
 
 /// One live connection: a single socket shared by its reader thread
@@ -259,7 +280,7 @@ struct StreamState {
 struct Conn {
     id: u32,
     sock: TcpStream,
-    /// Serialises frame writes: notifiers on pool workers and the reader
+    /// Serialises socket writes: notifiers on pool workers and the reader
     /// thread's own replies share the socket.
     write: Mutex<()>,
     /// When a flush of this connection last settled, on the
@@ -315,6 +336,9 @@ struct Shared {
     h_frame_in: Histogram,
     h_frame_out: Histogram,
     h_flush_batch: Histogram,
+    /// A flush's time inside the server: `Flush` frame decoded → settle
+    /// written (queue wait, build, engine run, settle, write).
+    h_flush_server_ns: Histogram,
 }
 
 impl Shared {
@@ -343,16 +367,21 @@ impl Shared {
         });
     }
 
-    /// Writes one frame to a connection's socket, updating the outbound
-    /// counters. Write errors mean the peer is gone; callers treat that
-    /// as the end of the exchange.
+    /// A writer for a run of frames that leave `conn` in one socket write
+    /// ([`ConnWriter::finish`]).
+    fn writer<'a>(&'a self, conn: &'a Conn) -> ConnWriter<'a> {
+        ConnWriter {
+            shared: self,
+            out: FrameWriter::new(conn),
+        }
+    }
+
+    /// Writes one frame to a connection's socket. Write errors mean the
+    /// peer is gone; callers treat that as the end of the exchange.
     fn send(&self, conn: &Conn, frame: &Frame) -> Result<(), ServeError> {
-        let _w = conn.write.lock().unwrap();
-        let n = crate::wire::write_frame(&mut &conn.sock, frame)?;
-        self.c_frames_out.inc();
-        self.c_bytes_out.add(n as u64);
-        self.h_frame_out.record(n as u64);
-        Ok(())
+        let mut w = self.writer(conn);
+        w.stage(frame)?;
+        w.finish()
     }
 
     fn stats_frame(&self, st: &StreamState) -> Frame {
@@ -367,6 +396,44 @@ impl Shared {
             inflight: load.inflight as u32,
             outstanding: load.outstanding as u32,
         }
+    }
+}
+
+/// The socket as the frame writer sees it: every call hands its whole
+/// buffer — whole frames — over under the write lock, so writers on other
+/// threads interleave between frames, never inside one.
+impl Write for &Conn {
+    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+        let _w = self.write.lock().unwrap();
+        (&self.sock).write_all(buf)?;
+        Ok(buf.len())
+    }
+
+    fn flush(&mut self) -> io::Result<()> {
+        Ok(())
+    }
+}
+
+/// The one way frames reach a connection's socket: staged, counted per
+/// frame, written together.
+struct ConnWriter<'a> {
+    shared: &'a Shared,
+    out: FrameWriter<&'a Conn>,
+}
+
+impl ConnWriter<'_> {
+    fn stage(&mut self, frame: &Frame) -> Result<(), ServeError> {
+        let n = self.out.stage(frame)?;
+        self.shared.c_frames_out.inc();
+        self.shared.h_frame_out.record(n as u64);
+        Ok(())
+    }
+
+    /// Writes what is staged and books the bytes the socket took.
+    fn finish(mut self) -> Result<(), ServeError> {
+        let result = self.out.flush();
+        self.shared.c_bytes_out.add(self.out.written as u64);
+        Ok(result?)
     }
 }
 
@@ -396,6 +463,7 @@ impl Server {
         let listener = TcpListener::bind(addr)?;
         let addr = listener.local_addr()?;
 
+        let registry = MetricsRegistry::new();
         let mut wal = None;
         let mut wal_truncated_records = 0;
         let mut rebuilt: Vec<Arc<StreamState>> = Vec::new();
@@ -403,7 +471,7 @@ impl Server {
         if let Some(wal_cfg) = cfg.wal.clone() {
             let (w, recovery) = Wal::open(wal_cfg)?;
             wal_truncated_records = recovery.truncated_records;
-            rebuilt = rebuild_streams(&recovery.records);
+            rebuilt = rebuild_streams(&recovery.records, &registry);
             next_stream = rebuilt.iter().map(|st| st.id + 1).max().unwrap_or(0);
             wal = Some(w);
         }
@@ -427,7 +495,6 @@ impl Server {
             }
         }
 
-        let registry = MetricsRegistry::new();
         let shared = Arc::new(Shared {
             payload_pool: PayloadPool::with_metrics(&registry),
             fleet: FleetExecutor::new(cfg.fleet.clone()),
@@ -462,6 +529,7 @@ impl Server {
             h_frame_in: registry.histogram("serve.frame.bytes.in"),
             h_frame_out: registry.histogram("serve.frame.bytes.out"),
             h_flush_batch: registry.histogram("serve.flush.batch"),
+            h_flush_server_ns: registry.histogram("serve.flush.server_ns"),
             registry,
         });
 
@@ -487,7 +555,14 @@ impl Server {
                 continue;
             }
             let n = batch.len() as u64;
-            let spec = build_spec(&shared.cfg, st.id, st.app, st.redundancy, &batch);
+            let spec = build_spec(
+                &shared.cfg,
+                st.plan(&shared.cfg),
+                st.id,
+                st.app,
+                st.redundancy,
+                &batch,
+            );
             // No connection and no pooled batch: the settle only logs
             // and counts.
             let notify = settle_notifier(&shared, None, &st, Arc::default());
@@ -707,7 +782,10 @@ impl Server {
 /// Folds the recovered log into per-stream state: every logged token
 /// counts as accepted, `delivered` resumes at the highest logged output
 /// sequence, and the undelivered tail goes back into the flush buffer.
-fn rebuild_streams(records: &[(u64, WalRecord)]) -> Vec<Arc<StreamState>> {
+fn rebuild_streams(
+    records: &[(u64, WalRecord)],
+    registry: &MetricsRegistry,
+) -> Vec<Arc<StreamState>> {
     struct Rebuilt {
         tenant: u64,
         app: App,
@@ -779,6 +857,8 @@ fn rebuild_streams(records: &[(u64, WalRecord)]) -> Vec<Arc<StreamState>> {
                 inflight: AtomicU64::new(0),
                 closed: AtomicBool::new(r.closed),
                 evicted: AtomicBool::new(false),
+                plan: OnceLock::new(),
+                app_tokens: app_tokens_counter(registry, r.app),
             })
         })
         .collect()
@@ -796,7 +876,12 @@ fn accept_loop(shared: Arc<Shared>, listener: TcpListener) {
         // Handlers that already exited have nothing left to join.
         shared.handlers.lock().unwrap().retain(|h| !h.is_finished());
         let sock = match accepted {
-            Ok((sock, _)) => sock,
+            Ok((sock, _)) => {
+                // A settle is one small write the client is blocked on:
+                // it must not wait out Nagle and the peer's delayed ACK.
+                sock.set_nodelay(true).ok();
+                sock
+            }
             Err(_) => {
                 // `EMFILE`, `ECONNABORTED`, …: the listener itself is
                 // fine and the next call may succeed. Keep accepting —
@@ -1177,6 +1262,8 @@ fn handle_open(
         inflight: AtomicU64::new(0),
         closed: AtomicBool::new(false),
         evicted: AtomicBool::new(false),
+        plan: OnceLock::new(),
+        app_tokens: app_tokens_counter(&shared.registry, app),
     });
     // Log the open before acknowledging it, so a crash right after the
     // client saw `Accepted` still recovers the stream's existence.
@@ -1226,10 +1313,7 @@ fn handle_tokens(
     }
     st.tokens_in.fetch_add(n, Ordering::SeqCst);
     shared.c_tokens_in.add(n);
-    shared
-        .registry
-        .counter_named(format!("serve.app.{}.tokens", st.app.label()))
-        .add(n);
+    st.app_tokens.add(n);
     if let Some(wal) = shared.wal() {
         // Log before buffering: a batch only becomes flushable once it
         // is durable, so an Outputs record can never reference tokens
@@ -1265,6 +1349,7 @@ fn handle_flush(
     conn: &Arc<Conn>,
     st: &Arc<StreamState>,
 ) -> Result<(), ServeError> {
+    let started = Instant::now();
     // Move the batch out instead of cloning it under the lock; every
     // refusal path below restores it, so backpressure still loses
     // nothing. Tokens that race in while the submission is in flight
@@ -1287,11 +1372,12 @@ fn handle_flush(
             return refuse(shared, conn, st, reject);
         }
     }
-    let spec = build_spec(&shared.cfg, st.id, st.app, st.redundancy, &batch);
+    let plan = st.plan(&shared.cfg);
+    let spec = build_spec(&shared.cfg, plan, st.id, st.app, st.redundancy, &batch);
     // The settle notifier owns the batch: on settle the buffers are
     // parked back into the payload pool for the next ingest to reuse.
     let batch_slot = Arc::new(Mutex::new(batch));
-    let notify = settle_notifier(shared, Some(conn), st, Arc::clone(&batch_slot));
+    let notify = settle_notifier(shared, Some((conn, started)), st, Arc::clone(&batch_slot));
     match shared.fleet.submit_with(spec, Some(notify)) {
         Admission::Admitted(_) => {
             st.inflight.fetch_add(1, Ordering::SeqCst);
@@ -1366,19 +1452,26 @@ fn refuse(
 /// The notifier a flush job settles through: logs and counts the
 /// delivered outputs and, when a client is attached, pushes them, every
 /// fault latch (with detection latency where the health model knows the
-/// injection instant) and the terminal `Stats`. A recovered stream's
-/// replayed tail has no connection (`conn == None`): its outputs are
-/// durable, not pushed. Runs on a pool worker *before* the job's
-/// outstanding slot is released, so a fleet drain implies every frame
-/// below was written.
+/// injection instant) and the terminal `Stats` — in one socket write.
+/// `client` is the connection to push to and the instant its `Flush`
+/// frame was decoded; a recovered stream's replayed tail has none: its
+/// outputs are durable, not pushed. Runs on a pool worker *before* the
+/// job's outstanding slot is released, so a fleet drain implies every
+/// frame below was written.
+///
+/// The write sits between two events it must not cross. After
+/// `on_settle`: a client that reads `Stats` and flushes again must find
+/// its tenant in-flight slot released. Before the `inflight` decrement:
+/// `handle_close` answers its final `Stats` as soon as `inflight` reads 0,
+/// and no frame of this settle may trail that one.
 fn settle_notifier(
     shared: &Arc<Shared>,
-    conn: Option<&Arc<Conn>>,
+    client: Option<(&Arc<Conn>, Instant)>,
     st: &Arc<StreamState>,
     batch_slot: Arc<Mutex<Vec<Bytes>>>,
 ) -> JobNotifier {
     let shared = Arc::clone(shared);
-    let conn = conn.cloned();
+    let client = client.map(|(conn, started)| (Arc::clone(conn), started));
     let st = Arc::clone(st);
     Arc::new(move |record, result| {
         // The flush batch is done with: park the buffers for reuse by
@@ -1387,9 +1480,11 @@ fn settle_notifier(
         for b in batch_slot.lock().unwrap().drain(..) {
             shared.payload_pool.park(b);
         }
-        let push = |frame: &Frame| {
-            if let Some(conn) = &conn {
-                let _ = shared.send(conn, frame);
+        // Write errors mean the peer is gone; the settle still books.
+        let mut out = client.as_ref().map(|(conn, _)| shared.writer(conn));
+        let mut push = |frame: &Frame| {
+            if let Some(out) = &mut out {
+                let _ = out.stage(frame);
             }
         };
         if let Some(result) = result {
@@ -1420,7 +1515,7 @@ fn settle_notifier(
             for &replica in &record.faulty_replicas {
                 st.faults.fetch_add(1, Ordering::SeqCst);
                 shared.c_faults.inc();
-                if conn.is_none() {
+                if client.is_none() {
                     continue;
                 }
                 let (kind, latency) = result
@@ -1447,11 +1542,15 @@ fn settle_notifier(
         if let Some(mgr) = &shared.tenants {
             mgr.on_settle(TenantId(st.tenant), record, result);
         }
-        if let Some(conn) = &conn {
+        if let (Some(mut out), Some((conn, started))) = (out, &client) {
             conn.settled_ns.store(shared.now_ns(), Ordering::SeqCst);
+            let _ = out.stage(&shared.stats_frame(&st));
+            let _ = out.finish();
+            shared
+                .h_flush_server_ns
+                .record(started.elapsed().as_nanos() as u64);
         }
         st.inflight.fetch_sub(1, Ordering::SeqCst);
-        push(&shared.stats_frame(&st));
     })
 }
 
@@ -1477,52 +1576,75 @@ fn handle_close(shared: &Shared, conn: &Conn, st: &StreamState) -> Result<(), Se
     shared.send(conn, &shared.stats_frame(st))
 }
 
-/// Builds the fleet job for one flush batch: the stream's app profile
-/// under its redundancy, fed by the client's actual payload bytes.
+/// The §3.4 step, run once per stream: sizes the structure that protects
+/// `app` under the stream's redundancy byte and arms the server-side
+/// fault injections aimed at `stream`. The paper derives thresholds and
+/// FIFO capacities offline; a stream's model, redundancy and seed never
+/// change, so neither does this plan.
 ///
-/// Deterministic in `(cfg.seed, stream, app, redundancy, batch)` alone —
-/// `replay_verify` relies on this to rebuild the exact job a logged
-/// flush ran and compare outputs bit-for-bit.
+/// Deterministic in `(cfg.seed, cfg.inject, stream, app, redundancy)` and
+/// carries nothing from batch to batch — `replay_verify` prepares the
+/// same plan from the log and rebuilds bit-for-bit the jobs the live
+/// server ran.
+pub(crate) fn prepare_plan(
+    cfg: &ServerConfig,
+    stream: u32,
+    app: App,
+    redundancy: u8,
+) -> JobTemplate {
+    let seed = cfg
+        .seed
+        .wrapping_add((stream as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15));
+    let mut plan = JobTemplate::for_model(
+        &app.profile().model,
+        structure_of(redundancy),
+        seed,
+        0,
+        Arc::new(|_| Payload::Empty),
+    );
+    for inj in cfg.inject.iter().filter(|inj| inj.stream == stream) {
+        // An injection naming a replica the structure lacks is ignored.
+        if inj.replica < plan.replica_count() {
+            plan = plan.with_fault(inj.replica, FaultPlan::fail_stop_at(inj.at));
+        }
+    }
+    plan
+}
+
+/// Only `OpenStream` validates the byte; a logged byte that names no
+/// structure has always recovered as tri-voting.
+fn structure_of(redundancy: u8) -> Redundancy {
+    redundancy_from_byte(redundancy).unwrap_or(Redundancy::TriVoting)
+}
+
+/// Builds the fleet job for one flush batch: the stream's prepared `plan`
+/// ([`prepare_plan`]) fed by the client's actual payload bytes.
 pub(crate) fn build_spec(
     cfg: &ServerConfig,
+    plan: &JobTemplate,
     stream: u32,
     app: App,
     redundancy: u8,
     batch: &[Bytes],
 ) -> JobSpec {
-    let model = app.profile().model;
     let n = batch.len() as u64;
     // `Bytes` is `Arc<[u8]>`: the job shares the ingested buffers, no
     // payload bytes are copied into the spec.
     let payloads: Vec<Payload> = batch.iter().map(|b| Payload::from(b.clone())).collect();
     let payload: PayloadGenerator =
         Arc::new(move |i| payloads[(i as usize) % payloads.len()].clone());
-    let seed = cfg
-        .seed
-        .wrapping_add((stream as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15));
-    // Only `OpenStream` validates the byte; a logged byte that names no
-    // structure has always recovered as tri-voting.
-    let redundancy = redundancy_from_byte(redundancy).unwrap_or(Redundancy::TriVoting);
-
-    let mut template = JobTemplate::for_model(&model, redundancy, seed, n, payload);
-    for inj in cfg.inject.iter().filter(|inj| inj.stream == stream) {
-        // An injection naming a replica the structure lacks is ignored.
-        if inj.replica < template.replica_count() {
-            template = template.with_fault(inj.replica, FaultPlan::fail_stop_at(inj.at));
-        }
-    }
 
     // Sampled-divergence detection latency grows linearly in the stride,
     // so hetero streams get `8·k` periods of extra virtual-time headroom
     // (the chaos campaigns stretch the stream instead); plain replica
     // counts keep the recipe's horizon exactly.
-    let horizon_slack = match redundancy {
+    let horizon_slack = match structure_of(redundancy) {
         Redundancy::Hetero { k } => 8 * k,
         Redundancy::Duplicated | Redundancy::TriVoting => 0,
     };
     let runtime = match cfg.runtime {
         ServeRuntime::DiscreteEvent => JobRuntime::DiscreteEvent {
-            horizon: des_horizon(&model, n + horizon_slack),
+            horizon: des_horizon(&app.profile().model, n + horizon_slack),
         },
         ServeRuntime::Threaded {
             deadline,
@@ -1535,7 +1657,7 @@ pub(crate) fn build_spec(
 
     JobSpec {
         name: format!("serve/{}/{}", app.label(), stream),
-        template,
+        template: plan.with_batch(n, payload),
         relative_deadline: Duration::from_secs(120),
         runtime,
     }
@@ -1547,11 +1669,10 @@ mod tests {
     use crate::client::{digest_of, workload};
     use rtft_fleet::execute_spec;
 
-    /// Everything a flush pushes back to its client, as text: the
-    /// `Output` frames' `(at_ns, digest)` log, the latched replicas and
-    /// each replica's `(injected, first detected)` instants.
-    fn flush_transcript(redundancy: u8, app: App) -> String {
-        let cfg = ServerConfig {
+    /// The pinned cells' server configuration: one fail-stop on replica 1
+    /// of stream 3, ten periods in.
+    fn pin_cfg(app: App) -> ServerConfig {
+        ServerConfig {
             seed: 0x5EED,
             inject: vec![FaultInjection {
                 stream: 3,
@@ -1559,9 +1680,22 @@ mod tests {
                 at: app.profile().model.producer.period * 10,
             }],
             ..ServerConfig::default()
-        };
-        let batch: Vec<Bytes> = workload(app, 7, 48).into_iter().map(Bytes::from).collect();
-        let r = execute_spec(&build_spec(&cfg, 3, app, redundancy, &batch));
+        }
+    }
+
+    fn seeded_batch(app: App, tokens: usize) -> Vec<Bytes> {
+        workload(app, 7, tokens)
+            .into_iter()
+            .map(Bytes::from)
+            .collect()
+    }
+
+    /// Everything a flush pushes back to its client, as text: the
+    /// `Output` frames' `(at_ns, digest)` log, the latched replicas and
+    /// each replica's `(injected, first detected)` instants. Built as the
+    /// server builds it: `plan` prepared for stream 3, the batch attached.
+    fn flush_transcript(plan: &JobTemplate, redundancy: u8, app: App, batch: &[Bytes]) -> String {
+        let r = execute_spec(&build_spec(&pin_cfg(app), plan, 3, app, redundancy, batch));
         let health: Option<Vec<_>> = r.health.as_ref().map(|h| {
             h.replicas()
                 .iter()
@@ -1574,47 +1708,73 @@ mod tests {
         )
     }
 
+    /// Transcript digests per redundancy byte, per app in `App::ALL`
+    /// order: fail-stop on replica 1, DES runtime, 48-token seeded batch.
+    const PINNED_TRANSCRIPTS: [(u8, [u64; 3]); 3] = [
+        (
+            2,
+            [
+                0x3F80_F1F7_5832_29A3,
+                0xCBDE_2DEE_63A3_BF07,
+                0xC0DF_7DC3_7304_3999,
+            ],
+        ),
+        (
+            3,
+            [
+                0xC84E_B02F_D8AC_662C,
+                0x4321_301E_6DE4_C09A,
+                0x27D7_1F5C_DCA3_1EF6,
+            ],
+        ),
+        (
+            0x12,
+            [
+                0x4990_FA90_8A41_AA6A,
+                0x1FDB_1EC4_F175_E30C,
+                0xFB21_DA58_F5D5_B699,
+            ],
+        ),
+    ];
+
     /// The serve arm of the structure recipe, pinned per redundancy byte
-    /// and app: one fail-stop on replica 1, DES runtime, fixed batch.
+    /// and app.
     #[test]
     fn flush_transcripts_are_pinned() {
-        let expected: [(u8, [u64; 3]); 3] = [
-            (
-                2,
-                [
-                    0x3F80_F1F7_5832_29A3,
-                    0xCBDE_2DEE_63A3_BF07,
-                    0xC0DF_7DC3_7304_3999,
-                ],
-            ),
-            (
-                3,
-                [
-                    0xC84E_B02F_D8AC_662C,
-                    0x4321_301E_6DE4_C09A,
-                    0x27D7_1F5C_DCA3_1EF6,
-                ],
-            ),
-            (
-                0x12,
-                [
-                    0x4990_FA90_8A41_AA6A,
-                    0x1FDB_1EC4_F175_E30C,
-                    0xFB21_DA58_F5D5_B699,
-                ],
-            ),
-        ];
-        let got = expected.map(|(redundancy, _)| {
+        let got = PINNED_TRANSCRIPTS.map(|(redundancy, _)| {
             (
                 redundancy,
                 App::ALL.map(|app| {
-                    let transcript = flush_transcript(redundancy, app);
+                    let plan = prepare_plan(&pin_cfg(app), 3, app, redundancy);
+                    let transcript =
+                        flush_transcript(&plan, redundancy, app, &seeded_batch(app, 48));
                     println!("{redundancy:#x}/{}:\n{transcript}", app.label());
                     digest_of(transcript.as_bytes())
                 }),
             )
         });
-        assert_eq!(got, expected, "a flush transcript drifted");
+        assert_eq!(got, PINNED_TRANSCRIPTS, "a flush transcript drifted");
+    }
+
+    /// A plan prepared once carries nothing from batch to batch: every
+    /// batch run on it reads exactly as on a plan prepared for that batch
+    /// alone, whatever ran before and however long it was.
+    #[test]
+    fn a_prepared_plan_runs_batch_after_batch() {
+        for (redundancy, pinned) in PINNED_TRANSCRIPTS {
+            for (app, pinned) in App::ALL.into_iter().zip(pinned) {
+                let prepare = || prepare_plan(&pin_cfg(app), 3, app, redundancy);
+                let plan = prepare();
+                let (long, short) = (seeded_batch(app, 48), seeded_batch(app, 16));
+                let reused = [&long, &short, &long]
+                    .map(|batch| flush_transcript(&plan, redundancy, app, batch));
+                let fresh = [&long, &short, &long]
+                    .map(|batch| flush_transcript(&prepare(), redundancy, app, batch));
+                assert_eq!(reused, fresh, "{redundancy:#x}/{}", app.label());
+                assert_eq!(digest_of(reused[0].as_bytes()), pinned);
+                assert_ne!(reused[0], reused[1]);
+            }
+        }
     }
 
     /// Nanosecond values of the bounds clients assert `Fault` latencies

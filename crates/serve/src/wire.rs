@@ -294,37 +294,48 @@ impl Frame {
 
     /// Encodes the frame as `length ‖ tag ‖ body` wire bytes.
     pub fn encode(&self) -> Vec<u8> {
-        let mut body = Vec::new();
+        let mut wire = Vec::new();
+        self.encode_into(&mut wire);
+        wire
+    }
+
+    /// Appends the frame's `length ‖ tag ‖ body` wire bytes to `out` —
+    /// how several frames are staged for one socket write.
+    pub fn encode_into(&self, out: &mut Vec<u8>) {
+        let start = out.len();
+        // The length field is patched in once the body is in place.
+        put_u32(out, 0);
+        out.push(self.tag());
         match self {
             Frame::Hello { version, client } => {
-                put_u32(&mut body, *version);
-                put_bytes(&mut body, client.as_bytes());
+                put_u32(out, *version);
+                put_bytes(out, client.as_bytes());
             }
             Frame::OpenStream { app, redundancy } => {
-                body.push(*app);
-                body.push(*redundancy);
+                out.push(*app);
+                out.push(*redundancy);
             }
             Frame::Tokens { stream, payloads } => {
-                put_u32(&mut body, *stream);
-                put_u32(&mut body, payloads.len() as u32);
+                put_u32(out, *stream);
+                put_u32(out, payloads.len() as u32);
                 for p in payloads {
-                    put_bytes(&mut body, p);
+                    put_bytes(out, p);
                 }
             }
             Frame::Flush { stream } | Frame::Close { stream } => {
-                put_u32(&mut body, *stream);
+                put_u32(out, *stream);
             }
-            Frame::Accepted { id } => put_u32(&mut body, *id),
+            Frame::Accepted { id } => put_u32(out, *id),
             Frame::Busy {
                 stream,
                 reason,
                 pending,
                 capacity,
             } => {
-                put_u32(&mut body, *stream);
-                body.push(reason.to_byte());
-                put_u32(&mut body, *pending);
-                put_u32(&mut body, *capacity);
+                put_u32(out, *stream);
+                out.push(reason.to_byte());
+                put_u32(out, *pending);
+                put_u32(out, *capacity);
             }
             Frame::Output {
                 stream,
@@ -332,10 +343,10 @@ impl Frame {
                 at_ns,
                 digest,
             } => {
-                put_u32(&mut body, *stream);
-                put_u64(&mut body, *seq);
-                put_u64(&mut body, *at_ns);
-                put_u64(&mut body, *digest);
+                put_u32(out, *stream);
+                put_u64(out, *seq);
+                put_u64(out, *at_ns);
+                put_u64(out, *digest);
             }
             Frame::Fault {
                 stream,
@@ -343,10 +354,10 @@ impl Frame {
                 kind,
                 detection_latency_ns,
             } => {
-                put_u32(&mut body, *stream);
-                put_u32(&mut body, *replica);
-                body.push(*kind);
-                put_u64(&mut body, *detection_latency_ns);
+                put_u32(out, *stream);
+                put_u32(out, *replica);
+                out.push(*kind);
+                put_u64(out, *detection_latency_ns);
             }
             Frame::Stats {
                 stream,
@@ -358,30 +369,27 @@ impl Frame {
                 inflight,
                 outstanding,
             } => {
-                put_u32(&mut body, *stream);
-                put_u64(&mut body, *tokens_in);
-                put_u64(&mut body, *delivered);
-                put_u64(&mut body, *faults);
-                put_u64(&mut body, *busy);
-                put_u32(&mut body, *queued);
-                put_u32(&mut body, *inflight);
-                put_u32(&mut body, *outstanding);
+                put_u32(out, *stream);
+                put_u64(out, *tokens_in);
+                put_u64(out, *delivered);
+                put_u64(out, *faults);
+                put_u64(out, *busy);
+                put_u32(out, *queued);
+                put_u32(out, *inflight);
+                put_u32(out, *outstanding);
             }
             Frame::Durable {
                 stream,
                 tokens,
                 seq,
             } => {
-                put_u32(&mut body, *stream);
-                put_u32(&mut body, *tokens);
-                put_u64(&mut body, *seq);
+                put_u32(out, *stream);
+                put_u32(out, *tokens);
+                put_u64(out, *seq);
             }
         }
-        let mut wire = Vec::with_capacity(5 + body.len());
-        put_u32(&mut wire, 1 + body.len() as u32);
-        wire.push(self.tag());
-        wire.extend_from_slice(&body);
-        wire
+        let tagged_len = (out.len() - start - 4) as u32;
+        out[start..start + 4].copy_from_slice(&tagged_len.to_le_bytes());
     }
 
     /// Decodes a frame from `tag ‖ body` bytes (the length prefix already
@@ -485,6 +493,53 @@ pub fn write_frame(w: &mut impl Write, frame: &Frame) -> Result<usize, ServeErro
     let wire = frame.encode();
     w.write_all(&wire)?;
     Ok(wire.len())
+}
+
+/// Staged bytes at which a [`FrameWriter`] writes early, so a huge flush
+/// cannot build a huge buffer.
+const WRITE_CHUNK: usize = 64 << 10;
+
+/// Stages whole frames and hands them to `w` in one `write_all` per
+/// [`FrameWriter::flush`]: a settle's `Output`s, `Fault`s and `Stats`
+/// leave in one segment instead of one small write per frame.
+pub(crate) struct FrameWriter<W: Write> {
+    w: W,
+    staged: Vec<u8>,
+    /// Wire bytes `w` has accepted so far.
+    pub(crate) written: usize,
+}
+
+impl<W: Write> FrameWriter<W> {
+    pub(crate) fn new(w: W) -> Self {
+        FrameWriter {
+            w,
+            staged: Vec::new(),
+            written: 0,
+        }
+    }
+
+    /// Stages one frame and returns its wire length; writes what is staged
+    /// once [`WRITE_CHUNK`] bytes are.
+    pub(crate) fn stage(&mut self, frame: &Frame) -> io::Result<usize> {
+        let start = self.staged.len();
+        frame.encode_into(&mut self.staged);
+        let n = self.staged.len() - start;
+        if self.staged.len() >= WRITE_CHUNK {
+            self.flush()?;
+        }
+        Ok(n)
+    }
+
+    /// Writes everything staged. After an error the staged bytes are
+    /// dropped: the peer is gone.
+    pub(crate) fn flush(&mut self) -> io::Result<()> {
+        let result = self.w.write_all(&self.staged);
+        if result.is_ok() {
+            self.written += self.staged.len();
+        }
+        self.staged.clear();
+        result
+    }
 }
 
 /// Reads one frame's length prefix, enforces the length grammar (non-zero,
@@ -709,6 +764,11 @@ mod tests {
             .unwrap_or_else(|e| panic!("{frame:?}: {e}"));
         assert_eq!(decoded, frame);
         assert_eq!(consumed, wire.len());
+        // Staging behind other bytes appends exactly the same encoding.
+        let mut staged = vec![0xAB; 3];
+        frame.encode_into(&mut staged);
+        assert_eq!(staged[..3], [0xAB; 3]);
+        assert_eq!(staged[3..], wire);
     }
 
     #[test]
@@ -874,6 +934,92 @@ mod tests {
             payloads: payloads.iter().map(|p| Bytes::from(*p)).collect(),
         };
         assert_eq!(sink.0, owned.encode());
+    }
+
+    /// A writer that takes whatever it is given and counts the calls.
+    #[derive(Default)]
+    struct Counting {
+        bytes: Vec<u8>,
+        calls: usize,
+    }
+    impl Write for Counting {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.calls += 1;
+            self.bytes.extend_from_slice(buf);
+            Ok(buf.len())
+        }
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    fn output(seq: u64) -> Frame {
+        Frame::Output {
+            stream: 7,
+            seq,
+            at_ns: 1_000 * seq,
+            digest: !seq,
+        }
+    }
+
+    /// Stages `frames` onto `sink` and flushes; returns the bytes the
+    /// writer says `sink` took.
+    fn write_staged(sink: &mut impl Write, frames: &[Frame]) -> usize {
+        let mut w = FrameWriter::new(sink);
+        for f in frames {
+            w.stage(f).unwrap();
+        }
+        w.flush().unwrap();
+        w.written
+    }
+
+    #[test]
+    fn a_staged_settle_is_one_write() {
+        let mut settle: Vec<Frame> = (0..16).map(output).collect();
+        settle.push(Frame::Stats {
+            stream: 7,
+            tokens_in: 16,
+            delivered: 16,
+            faults: 0,
+            busy: 0,
+            queued: 0,
+            inflight: 1,
+            outstanding: 1,
+        });
+        let stats = settle.last().unwrap();
+        let booked = FrameWriter::new(Vec::new()).stage(stats).unwrap();
+        assert_eq!(booked, stats.encode().len());
+
+        let mut sink = Counting::default();
+        let written = write_staged(&mut sink, &settle);
+        assert_eq!(sink.calls, 1);
+        assert_eq!(sink.bytes.len(), written);
+        let mut wire = sink.bytes.as_slice();
+        for frame in &settle {
+            let (decoded, _) = read_frame(&mut wire, DEFAULT_MAX_FRAME).unwrap();
+            assert_eq!(&decoded, frame);
+        }
+        assert!(wire.is_empty());
+    }
+
+    #[test]
+    fn a_huge_settle_is_written_in_chunks_and_loses_nothing() {
+        let frames: Vec<Frame> = (0..3_000).map(output).collect();
+        let expected: Vec<u8> = frames.iter().flat_map(Frame::encode).collect();
+        assert!(expected.len() > WRITE_CHUNK && expected.len() < 2 * WRITE_CHUNK);
+
+        let mut sink = Counting::default();
+        assert_eq!(write_staged(&mut sink, &frames), expected.len());
+        assert_eq!(
+            sink.calls, 2,
+            "one early write at the chunk, one at the end"
+        );
+        assert_eq!(sink.bytes, expected);
+
+        // The same under short writes.
+        let mut sink = Trickle(Vec::new());
+        assert_eq!(write_staged(&mut sink, &frames), expected.len());
+        assert_eq!(sink.0, expected);
     }
 
     #[test]
