@@ -455,6 +455,23 @@ mod tests {
     }
 
     #[test]
+    fn bit_flip_on_a_hashed_buffer_hashes_its_own_bytes() {
+        // The original's digest is already memoised on its buffer; the
+        // corrupted payload must not answer with it, and the original must
+        // keep both its bytes and its digest.
+        let original = Payload::from(vec![0x5Au8; 3072]);
+        let clean = original.digest();
+        let flipped = CorruptionMode::BitFlip(12_345).apply(&original);
+        assert_ne!(flipped.digest(), clean);
+        assert_eq!(
+            flipped.digest(),
+            rtft_kpn::digest_bytes(flipped.as_bytes().unwrap())
+        );
+        assert_eq!(original, Payload::from(vec![0x5Au8; 3072]));
+        assert_eq!(original.digest(), clean);
+    }
+
+    #[test]
     fn healthy_plan_never_triggers() {
         let mut f = FaultyProcess::new(transform(), FaultPlan::healthy());
         for i in 0..100u64 {

@@ -301,6 +301,46 @@ mod tests {
     }
 
     #[test]
+    fn shared_buffer_votes_agree_and_a_flipped_copy_still_latches() {
+        // Tri-voting over one 10 KB buffer: the three votes and the
+        // delivered token are clones, hashed once between them. A replica
+        // that corrupts builds its own buffer, which hashes its own bytes.
+        let buf = rtft_kpn::Bytes::from((0..10_240).map(|i| i as u8).collect::<Vec<u8>>());
+        let vote = |seq| tok(seq, Payload::Bytes(buf.clone()));
+        let mut s = VotingSelector::new("v", vec![4, 4, 4], 3);
+        assert_eq!(
+            s.try_write(0, vote(0), TimeNs::ZERO),
+            WriteOutcome::AcceptedDropped
+        );
+        assert_eq!(
+            s.try_write(1, vote(0), TimeNs::ZERO),
+            WriteOutcome::Accepted
+        );
+        assert_eq!(
+            s.try_write(2, vote(0), TimeNs::ZERO),
+            WriteOutcome::AcceptedDropped
+        );
+        assert!((0..3).all(|i| s.fault(i).is_none()));
+        match s.try_read(0, TimeNs::from_ms(1)) {
+            ReadOutcome::Token(t) => {
+                assert_eq!(t.payload.digest(), rtft_kpn::digest_bytes(&buf));
+                assert_eq!(t.payload.as_bytes().unwrap().as_ptr(), buf.as_ptr());
+            }
+            other => panic!("expected the agreed token, got {other:?}"),
+        }
+
+        let flipped = CorruptionMode::BitFlip(81_919).apply(&Payload::Bytes(buf.clone()));
+        assert_ne!(flipped.digest(), buf.digest());
+        s.try_write(0, vote(1), TimeNs::from_ms(2));
+        s.try_write(1, vote(1), TimeNs::from_ms(2));
+        s.try_write(2, tok(1, flipped), TimeNs::from_ms(3));
+        let f = s.fault(2).expect("the flipped buffer's replica is latched");
+        assert_eq!(f.cause, ArbFaultCause::ValueMismatch);
+        assert_eq!(f.group, Some(1));
+        assert!(s.fault(0).is_none() && s.fault(1).is_none());
+    }
+
+    #[test]
     fn late_mismatching_vote_latches_after_decision() {
         let mut s = VotingSelector::new("v", vec![4, 4, 4], 3);
         assert_eq!(

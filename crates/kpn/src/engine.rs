@@ -742,6 +742,37 @@ mod tests {
     }
 
     #[test]
+    fn consumer_digest_fills_the_memo_on_the_source_handle() {
+        // The sink records `(time, digest)` per arrival through
+        // `Payload::digest`; the token it hashes is a clone of the
+        // generator's buffer, so the hash lands on the handle kept here
+        // and the second token of the cycle is not hashed again.
+        use crate::token::Bytes;
+        let data = Bytes::from(vec![7u8; 4096]);
+        assert_eq!(data.memo(), None);
+        let mut net = Network::new();
+        let a = net.add_channel(Fifo::new("a", 2));
+        let model = PjdModel::periodic(ms(10));
+        let captured = data.clone();
+        net.add_process(PjdSource::new(
+            "src",
+            PortId::of(a),
+            model,
+            0,
+            Some(2),
+            move |_| Payload::Bytes(captured.clone()),
+        ));
+        let sink = net.add_process(PjdSink::new("sink", PortId::of(a), model, 0, Some(2)));
+        let mut engine = Engine::new(net);
+        engine.run_until(TimeNs::from_secs(1));
+        let sink = engine.network().process_as::<PjdSink>(sink).unwrap();
+        let expected = crate::digest_bytes(&data);
+        let digests: Vec<u64> = sink.arrivals().iter().map(|a| a.1).collect();
+        assert_eq!(digests, vec![expected; 2]);
+        assert_eq!(data.memo(), Some(expected), "clones share the one hash");
+    }
+
+    #[test]
     fn backpressure_blocks_producer() {
         // Fast producer into capacity-1 FIFO, slow consumer: the producer's
         // emissions are throttled to the consumer's pace.

@@ -1,27 +1,33 @@
 //! A recycling arena for token payload buffers: [`PayloadPool`] shelves
-//! `Arc<[u8]>` allocations so steady-state ingest does not allocate.
+//! [`Bytes`] allocations so steady-state ingest does not allocate.
 
 use crate::token::Bytes;
 use rtft_obs::{Counter, MetricsRegistry};
 use std::collections::HashMap;
 use std::fmt;
-use std::sync::{Arc, Mutex};
+use std::sync::Mutex;
 
 /// A recycling arena for [`Bytes`] payload buffers.
 ///
-/// Token payloads are `Arc<[u8]>`, so cloning them through the channel ring
-/// is already free — but *creating* one per ingested frame is a heap
-/// allocation on the hot ingest path. The pool closes that gap: buffers are
-/// parked on exact-length shelves when the last owner settles a batch, and
-/// the next frame of the same size reuses the allocation in place via
-/// [`Arc::get_mut`]. In steady state (fleet jobs cycling same-shaped
-/// frames) token flow performs zero heap allocations.
+/// Token payloads are reference-counted [`Bytes`], so cloning them through
+/// the channel ring is already free — but *creating* one per ingested frame
+/// is a heap allocation on the hot ingest path. The pool closes that gap:
+/// buffers are parked on exact-length shelves when the last owner settles a
+/// batch, and the next frame of the same size reuses the allocation in
+/// place via [`Bytes::get_mut`]. In steady state (fleet jobs cycling
+/// same-shaped frames) token flow performs zero heap allocations.
 ///
-/// Exact-length shelving is deliberate: `Arc<[u8]>` carries its length in
-/// the fat pointer, so a recycled buffer can only ever be refilled with a
-/// payload of the *same* size. Workloads here are framed (fixed-size ADPCM
-/// blocks, fixed-width sensor words), which makes exact-match hit rates
-/// high; odd-sized one-offs simply miss and allocate.
+/// Exact-length shelving is deliberate: a [`Bytes`] holds a boxed slice
+/// whose length is fixed at allocation, so a recycled buffer can only ever
+/// be refilled with a payload of the *same* size. Workloads here are framed
+/// (fixed-size ADPCM blocks, fixed-width sensor words), which makes
+/// exact-match hit rates high; odd-sized one-offs simply miss and allocate.
+///
+/// A shelved buffer keeps whatever digest memo its last contents earned;
+/// that is sound because the memo still describes the bytes lying there,
+/// and the only way to change them — [`PoolBuf::as_mut_slice`] — clears it.
+/// `recycle` and the scavenger only ask whether a buffer is unshared; they
+/// never take the mutable view.
 ///
 /// All operations are thread-safe; counters (`kpn.pool.*` when attached to
 /// a [`MetricsRegistry`]) expose hit/miss/recycle/discard totals so tests
@@ -66,9 +72,10 @@ impl PayloadPoolStats {
 
 /// A uniquely-owned buffer checked out of a [`PayloadPool`].
 ///
-/// Holds the only reference to its `Arc<[u8]>`, so the contents are
-/// mutable in place (a socket can read straight into it). [`freeze`]
-/// relinquishes mutability and yields the shareable [`Bytes`].
+/// Holds the only handle to its [`Bytes`], so the contents are mutable in
+/// place (a socket can read straight into it) — this is the one place
+/// payload bytes are written after allocation. [`freeze`] relinquishes
+/// mutability and yields the shareable [`Bytes`].
 ///
 /// [`freeze`]: PoolBuf::freeze
 #[derive(Debug)]
@@ -77,10 +84,11 @@ pub struct PoolBuf {
 }
 
 impl PoolBuf {
-    /// Mutable view of the whole buffer.
+    /// Mutable view of the whole buffer. Forgets the digest memoised for
+    /// the previous contents (see [`Bytes::get_mut`]).
     #[inline]
     pub fn as_mut_slice(&mut self) -> &mut [u8] {
-        Arc::get_mut(&mut self.buf).expect("PoolBuf invariant: uniquely owned")
+        Bytes::get_mut(&mut self.buf).expect("PoolBuf invariant: uniquely owned")
     }
 
     /// Buffer length in bytes (fixed at `take`).
@@ -168,7 +176,7 @@ impl PayloadPool {
             .get_mut(&len)
             .and_then(Vec::pop)
         {
-            debug_assert_eq!(Arc::strong_count(&buf), 1);
+            debug_assert_eq!(Bytes::strong_count(&buf), 1);
             self.hits.inc();
             return PoolBuf { buf };
         }
@@ -193,7 +201,7 @@ impl PayloadPool {
     /// cannot be mutated and is dropped instead — and the shelf for its
     /// length is below the cap.
     pub fn recycle(&self, mut buf: Bytes) -> bool {
-        if Arc::get_mut(&mut buf).is_none() {
+        if !Bytes::is_unique(&mut buf) {
             self.discarded.inc();
             return false;
         }
@@ -240,7 +248,7 @@ impl PayloadPool {
         drop(parked);
         let mut still_shared = Vec::new();
         for mut buf in candidates {
-            if Arc::get_mut(&mut buf).is_some() {
+            if Bytes::is_unique(&mut buf) {
                 self.recycle(buf);
             } else {
                 still_shared.push(buf);
@@ -287,6 +295,21 @@ mod tests {
         assert_eq!(stats.misses, 1);
         assert_eq!(stats.recycled, 1);
         assert_eq!(stats.discarded, 0);
+    }
+
+    #[test]
+    fn recycled_buffer_forgets_the_previous_digest() {
+        let pool = PayloadPool::new();
+        let first = pool.take_copy(b"frame 0001");
+        let addr = first.as_ptr();
+        let stale = first.digest(); // fills the memo on the allocation
+        assert!(pool.recycle(first));
+
+        let second = pool.take_copy(b"frame 0002"); // same shelf, same allocation
+        assert_eq!(second.as_ptr(), addr);
+        assert_eq!(second.memo(), None, "as_mut_slice must clear the memo");
+        assert_eq!(second.digest(), crate::digest_bytes(b"frame 0002"));
+        assert_ne!(second.digest(), stale);
     }
 
     #[test]

@@ -1,15 +1,134 @@
 //! Data tokens flowing through the process network.
 
-use crate::digest::Digest;
+use crate::digest::{digest_bytes, Digest};
 use rtft_rtc::TimeNs;
 use std::fmt;
+use std::hash::{Hash, Hasher};
+use std::ops::Deref;
+use std::sync::{Arc, OnceLock};
 
-/// Reference-counted immutable byte buffer.
+/// Reference-counted immutable byte buffer that remembers its own digest.
 ///
-/// `Arc<[u8]>` gives the two properties token payloads need — cheap clone
-/// (pointer copy) and contents-based equality/hashing — without an external
-/// buffer crate. Build one with `Bytes::from(vec)`.
-pub type Bytes = std::sync::Arc<[u8]>;
+/// One `Arc` around the bytes and a memo of their [`digest`](Bytes::digest):
+/// a clone is a pointer copy, equality and hashing go by contents, and the
+/// buffer is hashed at most once however many handles ask — the replicator's
+/// fan-out, a voter's three votes and the consumer's equivalence record all
+/// read the one value. Build one with `Bytes::from(vec)` (the vector's
+/// allocation is kept, not copied).
+///
+/// The bytes are frozen while the buffer is shared. The only `&mut [u8]`
+/// path is [`Bytes::get_mut`], which requires sole ownership and clears the
+/// memo, so two handles can share a digest only if they share every byte.
+#[derive(Clone)]
+pub struct Bytes(Arc<Shared>);
+
+struct Shared {
+    /// Digest of `data`; empty until first asked for, emptied again by
+    /// `Bytes::get_mut`.
+    digest: OnceLock<u64>,
+    data: Box<[u8]>,
+}
+
+impl Bytes {
+    fn new(data: Box<[u8]>) -> Self {
+        Bytes(Arc::new(Shared {
+            digest: OnceLock::new(),
+            data,
+        }))
+    }
+
+    /// The buffer's content digest — [`digest_bytes`] of the contents,
+    /// computed by the first call on any handle of this buffer and read
+    /// back by every later one.
+    pub fn digest(&self) -> u64 {
+        *self.0.digest.get_or_init(|| digest_bytes(&self.0.data))
+    }
+
+    /// Mutable view of the bytes if `this` is the only handle (the
+    /// [`Arc::get_mut`] rule); forgets the memoised digest, since the
+    /// caller is about to change what it was the digest of.
+    pub fn get_mut(this: &mut Bytes) -> Option<&mut [u8]> {
+        let shared = Arc::get_mut(&mut this.0)?;
+        shared.digest.take();
+        Some(&mut shared.data)
+    }
+
+    /// `true` if `this` is the only handle. Leaves the memo alone: the
+    /// bytes it describes are unchanged.
+    pub(crate) fn is_unique(this: &mut Bytes) -> bool {
+        Arc::get_mut(&mut this.0).is_some()
+    }
+
+    /// Number of handles sharing this buffer.
+    pub fn strong_count(this: &Bytes) -> usize {
+        Arc::strong_count(&this.0)
+    }
+
+    /// The memoised digest, if some handle has asked for it.
+    #[cfg(test)]
+    pub(crate) fn memo(&self) -> Option<u64> {
+        self.0.digest.get().copied()
+    }
+}
+
+impl Deref for Bytes {
+    type Target = [u8];
+
+    #[inline]
+    fn deref(&self) -> &[u8] {
+        &self.0.data
+    }
+}
+
+impl AsRef<[u8]> for Bytes {
+    fn as_ref(&self) -> &[u8] {
+        self
+    }
+}
+
+impl From<Vec<u8>> for Bytes {
+    fn from(v: Vec<u8>) -> Self {
+        Bytes::new(v.into_boxed_slice())
+    }
+}
+
+impl From<&[u8]> for Bytes {
+    fn from(s: &[u8]) -> Self {
+        Bytes::new(s.into())
+    }
+}
+
+impl<const N: usize> From<[u8; N]> for Bytes {
+    fn from(a: [u8; N]) -> Self {
+        Bytes::new(Box::new(a))
+    }
+}
+
+impl FromIterator<u8> for Bytes {
+    fn from_iter<I: IntoIterator<Item = u8>>(iter: I) -> Self {
+        Bytes::new(iter.into_iter().collect())
+    }
+}
+
+impl PartialEq for Bytes {
+    fn eq(&self, other: &Bytes) -> bool {
+        Arc::ptr_eq(&self.0, &other.0) || self[..] == other[..]
+    }
+}
+
+impl Eq for Bytes {}
+
+impl Hash for Bytes {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self[..].hash(state);
+    }
+}
+
+impl fmt::Debug for Bytes {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        fmt::Debug::fmt(&self[..], f)
+    }
+}
 
 /// Payload carried by a [`Token`].
 ///
@@ -72,7 +191,9 @@ impl Payload {
     /// This is the one-shot form of the streaming [`Digest`](crate::Digest)
     /// hasher: `Payload::from(v).digest()` equals
     /// `Digest::new().update(&v).finish()` for any byte vector, and the
-    /// fixed vectors below pin both to the same values.
+    /// fixed vectors below pin both to the same values. A byte buffer
+    /// answers from its memo ([`Bytes::digest`]): the pass over the bytes
+    /// happens once per buffer, not once per call or per clone.
     pub fn digest(&self) -> u64 {
         match self {
             // An empty stream hashes identically to the historical
@@ -84,11 +205,7 @@ impl Payload {
                 d.update(&v.to_le_bytes());
                 d.finish()
             }
-            Payload::Bytes(b) => {
-                let mut d = Digest::new();
-                d.update(b);
-                d.finish()
-            }
+            Payload::Bytes(b) => b.digest(),
         }
     }
 }
@@ -194,6 +311,68 @@ mod tests {
             Payload::from(vec![0u8; 8]).digest(),
             Payload::from(vec![0u8; 1]).digest()
         );
+    }
+
+    #[test]
+    fn buffer_digest_is_the_slice_digest_at_every_length() {
+        // Every word-tail length many times over, then the pinned vectors:
+        // the memo may change when the bytes are hashed, never what they
+        // hash to.
+        let mut rng = crate::SplitMix64::seed_from_u64(0x5eed);
+        for len in 0..=257usize {
+            let v: Vec<u8> = (0..len).map(|_| rng.next_u64() as u8).collect();
+            let expected = digest_bytes(&v);
+            let buf = Bytes::from(v.clone());
+            assert_eq!(buf.memo(), None, "nothing hashed before the first ask");
+            assert_eq!(buf.digest(), expected, "len {}", v.len());
+            assert_eq!(buf.memo(), Some(expected));
+            assert_eq!(buf.digest(), expected, "the memo answers the same");
+            assert_eq!(Payload::from(v).digest(), expected);
+        }
+        assert_eq!(Bytes::from(vec![]).digest(), 0xaf63_bd4c_8601_b7df);
+        assert_eq!(
+            Bytes::from(0xdead_beef_cafe_f00du64.to_le_bytes()).digest(),
+            0x811d_0077_16ea_3bd0
+        );
+        assert_eq!((0u8..13).collect::<Bytes>().digest(), 0xf0f1_c00c_fdb0_4010);
+    }
+
+    #[test]
+    fn clones_share_the_memo_and_get_mut_clears_it() {
+        let mut buf = Bytes::from(&b"frozen while shared"[..]);
+        let clone = buf.clone();
+        assert_eq!(Bytes::strong_count(&buf), 2);
+        assert!(
+            Bytes::get_mut(&mut buf).is_none(),
+            "shared bytes are frozen"
+        );
+        let before = Payload::from(clone).digest(); // consumes the clone
+        assert_eq!(buf.memo(), Some(before), "hashed through another handle");
+
+        let bytes = Bytes::get_mut(&mut buf).expect("sole owner again");
+        bytes[0] ^= 1;
+        assert_eq!(buf.memo(), None, "the only &mut path forgets the digest");
+        assert_ne!(buf.digest(), before);
+        assert_eq!(buf.digest(), digest_bytes(&buf));
+    }
+
+    #[test]
+    fn equality_hash_and_debug_go_by_contents() {
+        use std::collections::hash_map::DefaultHasher;
+        let hash = |b: &Bytes| {
+            let mut h = DefaultHasher::new();
+            b.hash(&mut h);
+            h.finish()
+        };
+        let a = Bytes::from(vec![1u8, 2, 3]);
+        let b = Bytes::from([1u8, 2, 3]);
+        a.digest(); // a filled memo is not part of a buffer's value
+        assert_eq!(a, b);
+        assert_eq!(a, a.clone());
+        assert_eq!(hash(&a), hash(&b));
+        assert_ne!(a, Bytes::from(vec![1u8, 2, 4]));
+        assert_eq!(format!("{a:?}"), "[1, 2, 3]");
+        assert_eq!(a.as_ref(), &[1u8, 2, 3][..]);
     }
 
     #[test]

@@ -17,7 +17,7 @@ use std::net::{TcpStream, ToSocketAddrs};
 use std::time::Duration;
 
 use rtft_apps::networks::App;
-use rtft_kpn::{Payload, SplitMix64};
+use rtft_kpn::{digest_bytes, SplitMix64};
 
 use crate::error::{ProtocolError, ServeError};
 use crate::wire::{
@@ -597,5 +597,5 @@ pub fn workload(app: App, seed: u64, count: usize) -> Vec<Vec<u8>> {
 /// The digest the server will report for a token with these payload
 /// bytes — lets clients verify `Output` frames end-to-end.
 pub fn digest_of(bytes: &[u8]) -> u64 {
-    Payload::from(bytes.to_vec()).digest()
+    digest_bytes(bytes)
 }

@@ -240,7 +240,7 @@ struct StreamState {
     app: App,
     redundancy: u8,
     /// Tokens accepted but not yet admitted into a flush job. Shared
-    /// `Arc<[u8]>` buffers from the connection's ingest pool: the same
+    /// [`Bytes`] handles from the connection's ingest pool: the same
     /// copy flows into the WAL record and the fleet job.
     buffered: Mutex<Vec<Bytes>>,
     tokens_in: AtomicU64,
@@ -1288,7 +1288,7 @@ fn handle_open(
 /// Puts a taken-but-refused batch back at the *front* of the stream's
 /// buffer: tokens that raced in while the submission was being refused
 /// arrived later and must stay behind it. Cheap — the entries are
-/// `Arc<[u8]>` handles, no payload bytes move.
+/// [`Bytes`] handles, no payload bytes move.
 fn restore_front(st: &StreamState, batch: Vec<Bytes>) {
     let mut buf = st.buffered.lock().unwrap();
     let tail = std::mem::replace(&mut *buf, batch);
@@ -1628,8 +1628,9 @@ pub(crate) fn build_spec(
     batch: &[Bytes],
 ) -> JobSpec {
     let n = batch.len() as u64;
-    // `Bytes` is `Arc<[u8]>`: the job shares the ingested buffers, no
-    // payload bytes are copied into the spec.
+    // A `Bytes` clone is a handle: the job shares the ingested buffers
+    // (and the one digest each will be asked for), no payload bytes are
+    // copied into the spec.
     let payloads: Vec<Payload> = batch.iter().map(|b| Payload::from(b.clone())).collect();
     let payload: PayloadGenerator =
         Arc::new(move |i| payloads[(i as usize) % payloads.len()].clone());

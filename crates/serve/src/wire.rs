@@ -168,8 +168,8 @@ pub enum Frame {
     Tokens {
         /// Stream id from `Accepted`.
         stream: u32,
-        /// Raw token payloads, in arrival order. Shared `Arc<[u8]>`
-        /// buffers: the server threads one ingested copy through its
+        /// Raw token payloads, in arrival order. Shared [`Bytes`]
+        /// handles: the server threads one ingested copy through its
         /// buffer, the WAL record, and the fleet job without re-copying.
         payloads: Vec<Bytes>,
     },

@@ -308,7 +308,7 @@ impl Wal {
     fn write_frames(&self, recs: &[WalRecord]) -> io::Result<(u64, u64)> {
         let mut buf = Vec::new();
         for rec in recs {
-            buf.extend_from_slice(&rec.encode_frame());
+            rec.encode_frame_into(&mut buf);
         }
 
         let mut st = self.lock();

@@ -16,7 +16,7 @@
 //! parse marks the torn tail of a segment: everything before it is valid,
 //! everything from it on is discarded by recovery.
 
-use rtft_kpn::{Bytes, Digest};
+use rtft_kpn::{digest_bytes, Bytes};
 
 /// Frame header size: body length (u32) + body checksum (u64).
 pub const FRAME_HEADER: usize = 12;
@@ -57,7 +57,7 @@ pub enum WalRecord {
         /// Stream the tokens belong to.
         stream: u32,
         /// Raw payload bytes, one entry per token, in ingestion order.
-        /// Shared `Arc<[u8]>` buffers: the server logs the same ingested
+        /// Shared [`Bytes`] handles: the server logs the same ingested
         /// copy it buffers and feeds to the fleet, no clone per token.
         payloads: Vec<Bytes>,
     },
@@ -82,6 +82,11 @@ impl WalRecord {
     /// Serialize the record body (tag + payload, no frame header).
     pub fn encode_body(&self) -> Vec<u8> {
         let mut out = Vec::new();
+        self.encode_body_into(&mut out);
+        out
+    }
+
+    fn encode_body_into(&self, out: &mut Vec<u8>) {
         match self {
             WalRecord::StreamOpen {
                 stream,
@@ -90,17 +95,17 @@ impl WalRecord {
                 tenant,
             } => {
                 out.push(TAG_STREAM_OPEN);
-                put_u32(&mut out, *stream);
+                put_u32(out, *stream);
                 out.push(*app);
                 out.push(*redundancy);
-                put_u64(&mut out, *tenant);
+                put_u64(out, *tenant);
             }
             WalRecord::Tokens { stream, payloads } => {
                 out.push(TAG_TOKENS);
-                put_u32(&mut out, *stream);
-                put_u32(&mut out, payloads.len() as u32);
+                put_u32(out, *stream);
+                put_u32(out, payloads.len() as u32);
                 for p in payloads {
-                    put_u32(&mut out, p.len() as u32);
+                    put_u32(out, p.len() as u32);
                     out.extend_from_slice(p);
                 }
             }
@@ -110,19 +115,18 @@ impl WalRecord {
                 digests,
             } => {
                 out.push(TAG_OUTPUTS);
-                put_u32(&mut out, *stream);
-                put_u64(&mut out, *first_seq);
-                put_u32(&mut out, digests.len() as u32);
+                put_u32(out, *stream);
+                put_u64(out, *first_seq);
+                put_u32(out, digests.len() as u32);
                 for d in digests {
-                    put_u64(&mut out, *d);
+                    put_u64(out, *d);
                 }
             }
             WalRecord::StreamClose { stream } => {
                 out.push(TAG_STREAM_CLOSE);
-                put_u32(&mut out, *stream);
+                put_u32(out, *stream);
             }
         }
-        out
     }
 
     /// Parse a record body. `None` means the body is malformed — the
@@ -178,16 +182,25 @@ impl WalRecord {
         Some(rec)
     }
 
+    /// Appends the full frame (header + body) to `out`: the header is
+    /// reserved, the body encoded in place behind it and checksummed
+    /// where it lies, then length and checksum are patched in — no body
+    /// `Vec`, no copy of it behind a header.
+    pub fn encode_frame_into(&self, out: &mut Vec<u8>) {
+        let start = out.len();
+        out.extend_from_slice(&[0; FRAME_HEADER]);
+        self.encode_body_into(out);
+        let body = start + FRAME_HEADER;
+        let len = (out.len() - body) as u32;
+        let checksum = digest_bytes(&out[body..]);
+        out[start..start + 4].copy_from_slice(&len.to_le_bytes());
+        out[start + 4..body].copy_from_slice(&checksum.to_le_bytes());
+    }
+
     /// Serialize the full frame: header + body.
     pub fn encode_frame(&self) -> Vec<u8> {
-        let body = self.encode_body();
-        let mut d = Digest::new();
-        d.update(&body);
-        let checksum = d.finish();
-        let mut out = Vec::with_capacity(FRAME_HEADER + body.len());
-        put_u32(&mut out, body.len() as u32);
-        put_u64(&mut out, checksum);
-        out.extend_from_slice(&body);
+        let mut out = Vec::new();
+        self.encode_frame_into(&mut out);
         out
     }
 }
@@ -210,9 +223,7 @@ pub fn decode_frame(buf: &[u8]) -> Result<(WalRecord, usize), ()> {
         return Err(());
     }
     let body = &buf[FRAME_HEADER..total];
-    let mut d = Digest::new();
-    d.update(body);
-    if d.finish() != stored {
+    if digest_bytes(body) != stored {
         return Err(());
     }
     match WalRecord::decode_body(body) {
@@ -293,6 +304,23 @@ mod tests {
             assert_eq!(back, rec);
             assert_eq!(used, frame.len());
         }
+    }
+
+    /// Frames staged one behind another (what `Wal::write_frames` does)
+    /// are `len ‖ checksum ‖ body` each, whatever already sits in the
+    /// buffer.
+    #[test]
+    fn encode_frame_into_appends_header_then_body() {
+        let mut staged = vec![0xEE; 3];
+        let mut expected = staged.clone();
+        for rec in samples() {
+            let body = rec.encode_body();
+            expected.extend_from_slice(&(body.len() as u32).to_le_bytes());
+            expected.extend_from_slice(&digest_bytes(&body).to_le_bytes());
+            expected.extend_from_slice(&body);
+            rec.encode_frame_into(&mut staged);
+        }
+        assert_eq!(staged, expected);
     }
 
     #[test]
