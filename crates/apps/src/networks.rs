@@ -23,34 +23,98 @@ use crate::{h264, profiles};
 use rtft_core::{DuplicationConfig, FaultPlan, FaultyProcess, PayloadGenerator, ReplicaFactory};
 use rtft_kpn::{Fifo, Network, NodeId, Payload, PjdShaper, PortId, Transform};
 use rtft_rtc::{CurveAnalysisError, TimeNs};
-use std::sync::Arc;
+use std::collections::HashMap;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Mutex, MutexGuard};
 
 /// Number of distinct workload items pre-generated and cycled; keeps long
 /// campaigns affordable while still pushing real bitstreams through the
 /// codecs on every token.
 pub const WORKLOAD_CYCLE: u64 = 4;
 
-/// Wraps a pure payload transform with a digest-keyed memo.
+/// Entries a [`StageMemo`] stores at most, so a degenerate workload cannot
+/// grow it without bound; further distinct inputs are computed and not
+/// stored.
+const MEMO_ENTRIES: usize = 64;
+
+/// One run's codec results, `(stage, input digest) → output`, shared by
+/// every stage closure an [`AppReplicaFactory`] and its clones build.
 ///
-/// Experiment campaigns cycle [`WORKLOAD_CYCLE`] distinct workload items
-/// over thousands of tokens; the codecs are determinate, so identical
-/// inputs yield identical outputs and recomputing them would only burn
-/// wall-clock time without changing any virtual-time behaviour.
-fn memoized(
-    mut f: impl FnMut(&Payload) -> Payload + Send + 'static,
-) -> impl FnMut(Payload) -> Payload + Send + 'static {
-    let mut memo: std::collections::HashMap<u64, Payload> = std::collections::HashMap::new();
-    move |p: Payload| {
-        let key = p.digest();
-        if let Some(hit) = memo.get(&key) {
-            return hit.clone();
+/// The replicas of a run are determinate processes fed identical tokens
+/// and the DES charges each stage a fixed *virtual* service time, so
+/// running a codec once per replica (or once per cycle of
+/// [`WORKLOAD_CYCLE`] items) would only burn wall-clock time. What the
+/// sharing rests on (DESIGN.md §14 "Transform once"):
+///
+/// * the memoised closures are pure functions of their input bytes;
+/// * every fault is injected *outside* them — [`FaultyProcess`] wraps the
+///   stage and a corruption builds a new buffer that hashes its own bytes
+///   — so a corrupted token misses and is transformed from its own bytes,
+///   and a healthy replica is never handed a faulty replica's output;
+/// * the key carries the stage name, so one stage never answers for
+///   another;
+/// * the lock is taken for the lookup and for the insert, never across a
+///   kernel call: replicas on real threads that miss together both
+///   compute, and the second insert is a no-op;
+/// * the memo dies with its factory, so its scope is one run.
+#[derive(Default)]
+struct StageMemo {
+    outputs: Mutex<HashMap<(&'static str, u64), Payload>>,
+    misses: AtomicU64,
+}
+
+impl StageMemo {
+    fn outputs(&self) -> MutexGuard<'_, HashMap<(&'static str, u64), Payload>> {
+        self.outputs
+            .lock()
+            .expect("no kernel runs under the memo lock")
+    }
+
+    /// `stage`'s output for the input whose digest is `input`: the stored
+    /// one, or else `compute()`'s.
+    fn get_or_compute(
+        &self,
+        stage: &'static str,
+        input: u64,
+        compute: impl FnOnce() -> Payload,
+    ) -> Payload {
+        let key = (stage, input);
+        let hit = self.outputs().get(&key).cloned();
+        if let Some(hit) = hit {
+            return hit;
         }
-        let out = f(&p);
-        // Bound the memo so degenerate workloads cannot grow it unbounded.
-        if memo.len() < 64 {
-            memo.insert(key, out.clone());
+        self.misses.fetch_add(1, Ordering::Relaxed);
+        let out = compute();
+        let mut outputs = self.outputs();
+        if outputs.len() < MEMO_ENTRIES {
+            outputs.entry(key).or_insert_with(|| out.clone());
         }
         out
+    }
+
+    /// Wraps the pure payload transform of `stage` for a [`Transform`].
+    fn stage(
+        self: &Arc<Self>,
+        stage: &'static str,
+        f: impl Fn(&Payload) -> Payload + Send + 'static,
+    ) -> impl FnMut(Payload) -> Payload + Send + 'static {
+        let memo = Arc::clone(self);
+        move |p: Payload| memo.get_or_compute(stage, p.digest(), || f(&p))
+    }
+
+    /// Kernel calls made so far (lookups that found nothing stored).
+    #[cfg(test)]
+    fn misses(&self) -> u64 {
+        self.misses.load(Ordering::Relaxed)
+    }
+}
+
+// Not derived: `Bytes` prints every byte, and an entry is a whole frame.
+impl std::fmt::Debug for StageMemo {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("StageMemo")
+            .field("misses", &self.misses)
+            .finish_non_exhaustive()
     }
 }
 
@@ -127,6 +191,7 @@ impl App {
                 profile.model.replica_out[1].jitter,
             ],
             seeds,
+            memo: Arc::default(),
         }
     }
 
@@ -147,12 +212,16 @@ impl App {
     }
 }
 
-/// [`ReplicaFactory`] for the three applications.
+/// [`ReplicaFactory`] for the three applications. Every network built
+/// from one factory (or a clone of it) shares one stage memo, so the
+/// replicas of a run — and a reference network built beside them — run
+/// each codec once per distinct token.
 #[derive(Debug, Clone)]
 pub struct AppReplicaFactory {
     app: App,
     jitter: [TimeNs; 2],
     seeds: [u64; 2],
+    memo: Arc<StageMemo>,
 }
 
 impl AppReplicaFactory {
@@ -243,26 +312,22 @@ impl ReplicaFactory for AppReplicaFactory {
                     TimeNs::ZERO,
                     seed.wrapping_add(1),
                     {
-                        let mut memo: std::collections::HashMap<u64, Payload> =
-                            std::collections::HashMap::new();
+                        let memo = Arc::clone(&self.memo);
                         move |parts: Vec<Payload>| {
-                            let key = parts
+                            let input = parts
                                 .iter()
                                 .fold(0u64, |acc, p| acc.rotate_left(13) ^ p.digest());
-                            if let Some(hit) = memo.get(&key) {
-                                return hit.clone();
-                            }
-                            let bytes: Vec<Vec<u8>> = parts
-                                .iter()
-                                .map(|p| p.as_bytes().expect("half bytes").to_vec())
-                                .collect();
-                            let encoded = mjpeg::merge_parts(&bytes).expect("halves reassemble");
-                            let frame = mjpeg::decode(&encoded).expect("replica decodes its input");
-                            let out = Payload::from(frame.pixels);
-                            if memo.len() < 64 {
-                                memo.insert(key, out.clone());
-                            }
-                            out
+                            memo.get_or_compute("mergeframe", input, || {
+                                let bytes: Vec<Vec<u8>> = parts
+                                    .iter()
+                                    .map(|p| p.as_bytes().expect("half bytes").to_vec())
+                                    .collect();
+                                let encoded =
+                                    mjpeg::merge_parts(&bytes).expect("halves reassemble");
+                                let frame =
+                                    mjpeg::decode(&encoded).expect("replica decodes its input");
+                                Payload::from(frame.pixels)
+                            })
                         }
                     },
                 );
@@ -289,7 +354,9 @@ impl ReplicaFactory for AppReplicaFactory {
                     TimeNs::from_ms(1),
                     TimeNs::ZERO,
                     seed,
-                    memoized(|p| Payload::from(encode_block(p.as_bytes().expect("pcm bytes")))),
+                    self.memo.stage("encoder", |p| {
+                        Payload::from(encode_block(p.as_bytes().expect("pcm bytes")))
+                    }),
                 );
                 let encoder_id = net.add_process(FaultyProcess::new(encoder, fault));
                 let restored = net.add_channel(Fifo::new(tag("restored"), 4));
@@ -300,7 +367,9 @@ impl ReplicaFactory for AppReplicaFactory {
                     TimeNs::from_ms(1),
                     TimeNs::ZERO,
                     seed.wrapping_add(1),
-                    memoized(|p| Payload::from(decode_block(p.as_bytes().expect("adpcm bytes")))),
+                    self.memo.stage("decoder", |p| {
+                        Payload::from(decode_block(p.as_bytes().expect("adpcm bytes")))
+                    }),
                 );
                 let decoder_id = net.add_process(decoder);
                 // encoder 1 + decoder 1 + producer jitter 1 + margin 1 = 4 ms.
@@ -323,7 +392,7 @@ impl ReplicaFactory for AppReplicaFactory {
                     TimeNs::from_ms(2),
                     TimeNs::ZERO,
                     seed,
-                    memoized(|p| {
+                    self.memo.stage("encoder", |p| {
                         let raw = p.as_bytes().expect("raw frame bytes");
                         let frame = crate::video::Frame::from_pixels(
                             crate::video::FRAME_WIDTH,
@@ -418,17 +487,32 @@ mod tests {
         assert!(!healthy);
     }
 
+    /// Theorem 2 value equivalence, and the memo behind it: the duplicated
+    /// network and the reference built from the same factory call each
+    /// codec once per distinct workload item between them.
     #[test]
     fn duplicated_output_values_match_reference() {
-        for app in [App::Adpcm, App::Mjpeg] {
+        // Memoised stages per replica: mergeframe / encoder + decoder /
+        // encoder.
+        for (app, stages) in [(App::Mjpeg, 1), (App::Adpcm, 2), (App::H264, 1)] {
             let cfg = app.duplication_config(2, 16).expect("bounded");
             let factory = app.replica_factory([5, 6]);
             let (dup_net, dup_ids) = build_duplicated(&cfg, &factory);
             let (ref_net, ref_ids) = build_reference(&cfg, &factory);
             let mut dup = Engine::new(dup_net);
             dup.run_until(TimeNs::from_secs(60));
+            assert_eq!(
+                factory.memo.misses(),
+                stages * WORKLOAD_CYCLE,
+                "{app:?}: two replicas, one kernel call per distinct token"
+            );
             let mut reference = Engine::new(ref_net);
             reference.run_until(TimeNs::from_secs(60));
+            assert_eq!(
+                factory.memo.misses(),
+                stages * WORKLOAD_CYCLE,
+                "{app:?}: the reference run is all hits"
+            );
             let d: Vec<u64> = dup_ids
                 .consumer_arrivals(dup.network())
                 .iter()
@@ -439,8 +523,95 @@ mod tests {
                 .iter()
                 .map(|a| a.1)
                 .collect();
+            assert_eq!(d.len(), 16, "{app:?}");
             assert_eq!(d, r, "{app:?}: Theorem 2 value equivalence");
         }
+    }
+
+    /// A corrupted token misses, is transformed from its own bytes and
+    /// leaves the healthy entry as it was; a stage never answers for
+    /// another stage's input.
+    #[test]
+    fn memo_transforms_a_corrupted_buffer_from_its_own_bytes() {
+        let memo = Arc::<StageMemo>::default();
+        let encode = |p: &Payload| Payload::from(encode_block(p.as_bytes().expect("bytes")));
+        let mut encoder = memo.stage("encoder", encode);
+        let mut decoder = memo.stage("decoder", |p| {
+            Payload::from(decode_block(p.as_bytes().expect("bytes")))
+        });
+
+        let healthy = Payload::from(AudioSource::new(1).block(0));
+        let flipped = rtft_core::CorruptionMode::BitFlip(9).apply(&healthy);
+        let healthy_out = encoder(healthy.clone());
+        assert_eq!(memo.misses(), 1);
+        let flipped_out = encoder(flipped.clone());
+        assert_eq!(memo.misses(), 2, "one flipped bit is another input");
+        assert_eq!(flipped_out, encode(&flipped));
+        assert_ne!(flipped_out, healthy_out);
+        assert_eq!(encoder(healthy.clone()), healthy_out);
+        assert_eq!(encoder(healthy.clone()), encode(&healthy));
+        assert_eq!(memo.misses(), 2, "the healthy entry still answers");
+
+        let decoded = decoder(healthy);
+        assert_eq!(memo.misses(), 3, "the key carries the stage name");
+        assert_ne!(decoded, healthy_out);
+    }
+
+    #[test]
+    fn memo_computes_but_does_not_store_past_its_bound() {
+        let memo = Arc::<StageMemo>::default();
+        let mut stage = memo.stage("stage", |p| Payload::U64(!p.digest()));
+        let out = |n: u64| Payload::U64(!Payload::U64(n).digest());
+        let bound = MEMO_ENTRIES as u64;
+        for n in 0..=bound {
+            assert_eq!(stage(Payload::U64(n)), out(n));
+        }
+        assert_eq!(memo.misses(), bound + 1);
+        assert_eq!(stage(Payload::U64(0)), out(0));
+        assert_eq!(memo.misses(), bound + 1, "stored inputs still hit");
+        assert_eq!(stage(Payload::U64(bound)), out(bound));
+        assert_eq!(memo.misses(), bound + 2, "input 65 is computed again");
+    }
+
+    /// Faults are injected outside the memoised closures, so a corrupting
+    /// replica's tokens reach the next stage as inputs of their own.
+    #[test]
+    fn corrupting_replica_is_never_answered_from_the_healthy_replicas_entries() {
+        let flip = rtft_core::CorruptionMode::BitFlip(9);
+        let cfg = App::Adpcm
+            .duplication_config(2, 16)
+            .expect("bounded")
+            .with_fault(0, FaultPlan::corrupt_at(flip, TimeNs::ZERO));
+        let factory = App::Adpcm.replica_factory([5, 6]);
+        let (net, ids) = build_duplicated(&cfg, &factory);
+        let mut engine = Engine::new(net);
+        engine.run_until(TimeNs::from_secs(60));
+        // 4 encodes (the flip hits the encoder's *output*), then the
+        // decoder sees 4 healthy and 4 flipped compressed blocks.
+        assert_eq!(factory.memo.misses(), 3 * WORKLOAD_CYCLE);
+        let gen = App::Adpcm.payload_generator(2);
+        let expect = |n: u64, corrupt: bool| {
+            let compressed = Payload::from(encode_block(gen(n).as_bytes().expect("pcm")));
+            let seen = if corrupt {
+                flip.apply(&compressed)
+            } else {
+                compressed
+            };
+            rtft_kpn::digest_bytes(&decode_block(seen.as_bytes().expect("adpcm")))
+        };
+        let arrivals = ids.consumer_arrivals(engine.network());
+        assert_eq!(arrivals.len(), 16);
+        for (n, &(_, digest)) in arrivals.iter().enumerate() {
+            let n = n as u64;
+            assert!(
+                digest == expect(n, false) || digest == expect(n, true),
+                "token {n} is neither replica's own transform"
+            );
+        }
+        assert!(
+            (0..16).any(|n| arrivals[n as usize].1 == expect(n, true)),
+            "the timing selector forwards whichever copy is first"
+        );
     }
 
     #[test]
@@ -477,8 +648,16 @@ mod tests {
         // a short run of the reference network.
         let cfg = App::Mjpeg.duplication_config(1, 4).unwrap();
         let factory = App::Mjpeg.replica_factory([5, 6]);
-        let (net, _ids) = build_reference(&cfg, &factory);
+        let (net, ids) = build_reference(&cfg, &factory);
         let mut engine = Engine::new(net);
         engine.run_until(TimeNs::from_secs(10));
+        let arrivals = ids.consumer_arrivals(engine.network());
+        assert_eq!(arrivals.len(), 4);
+        for (n, &(_, digest)) in arrivals.iter().enumerate() {
+            let encoded = gen(n as u64);
+            let frame = mjpeg::decode(encoded.as_bytes().expect("encoded frame")).unwrap();
+            assert_eq!(frame.pixels.len(), crate::video::FRAME_BYTES);
+            assert_eq!(digest, rtft_kpn::digest_bytes(&frame.pixels), "token {n}");
+        }
     }
 }

@@ -164,9 +164,13 @@ pub(crate) fn payload_cycle(seed: u64, bytes: usize) -> PayloadGenerator {
     let blocks: Vec<Payload> = (0..8)
         .map(|_| {
             let mut buf = vec![0u8; bytes];
-            for chunk in buf.chunks_mut(8) {
-                let w = rng.next_u64().to_le_bytes();
-                chunk.copy_from_slice(&w[..chunk.len()]);
+            let mut words = buf.chunks_exact_mut(8);
+            for word in &mut words {
+                word.copy_from_slice(&rng.next_u64().to_le_bytes());
+            }
+            let tail = words.into_remainder();
+            if !tail.is_empty() {
+                tail.copy_from_slice(&rng.next_u64().to_le_bytes()[..tail.len()]);
             }
             Payload::from(buf)
         })
@@ -321,6 +325,47 @@ mod tests {
             fault,
             seed: 0xDECADE,
             token_count: SCENARIO_TOKENS,
+        }
+    }
+
+    /// The chunked fill writes the bytes the per-word `copy_from_slice`
+    /// loop wrote, tail included; the Table 1 token sizes are pinned by
+    /// digest besides.
+    #[test]
+    fn payload_fill_is_byte_identical_to_the_per_word_loop() {
+        let per_word_loop = |seed: u64, bytes: usize| -> Vec<Vec<u8>> {
+            let mut rng = SplitMix64::seed_from_u64(seed);
+            (0..8)
+                .map(|_| {
+                    let mut buf = vec![0u8; bytes];
+                    for chunk in buf.chunks_mut(8) {
+                        let w = rng.next_u64().to_le_bytes();
+                        chunk.copy_from_slice(&w[..chunk.len()]);
+                    }
+                    buf
+                })
+                .collect()
+        };
+        for bytes in (0..=17).chain([3_072, 10_240, 76_800]) {
+            let payload = payload_cycle(0xDECADE, bytes);
+            for (i, block) in per_word_loop(0xDECADE, bytes).iter().enumerate() {
+                let filled = payload(i as u64 + 8);
+                assert_eq!(
+                    &filled.as_bytes().expect("byte block")[..],
+                    &block[..],
+                    "{bytes} B, block {i}"
+                );
+            }
+        }
+        let pinned = [
+            (3_072, 0x1f66_3d9c_5aad_3b4bu64),
+            (10_240, 0x2572_831c_59c2_82d8),
+            (76_800, 0x298b_5e49_3b6d_faa8),
+        ];
+        for (bytes, pin) in pinned {
+            let payload = payload_cycle(0xDECADE, bytes);
+            let fnv = (0..8).fold(0u64, |acc, i| acc.rotate_left(7) ^ payload(i).digest());
+            assert_eq!(fnv, pin, "{bytes} B: {fnv:#018x}");
         }
     }
 

@@ -25,9 +25,10 @@ use rtft_kpn::threaded::{run_threaded_with, ThreadedConfig, ThreadedRun};
 use rtft_kpn::{ChannelBehavior, ChannelId, Engine, Network, NodeId, Payload, PjdSink};
 use rtft_obs::{HealthModel, MetricsRegistry};
 use rtft_rtc::detection::{DetectionBounds, HeteroBounds};
-use rtft_rtc::sizing::DuplicationModel;
+use rtft_rtc::sizing::{DuplicationModel, SizingReport};
 use rtft_rtc::{PjdModel, TimeNs};
-use std::sync::Arc;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::Duration;
 
 /// Fleet-wide unique job identifier, assigned at admission.
@@ -135,6 +136,110 @@ pub fn structure_bounds(model: &DuplicationModel, redundancy: Redundancy) -> Str
     // The table reads the template's model and sizing only; seed, token
     // count and payload are placeholders.
     JobTemplate::for_model(model, redundancy, 0, 0, Arc::new(|_| Payload::Empty)).bounds()
+}
+
+/// The seed-independent half of the structure recipe: the structure's
+/// interface models and their §3.4 analysis. Everything else in a
+/// template — seeds, token count, payload, fault plans — is per job.
+#[derive(Debug, Clone, PartialEq, Eq)]
+enum SizedStructure {
+    Duplicated(SizingReport),
+    Voting(NModularModel, NSizingReport),
+    Sampled(HeteroModel, HeteroSizingReport),
+}
+
+impl SizedStructure {
+    /// Derives the structure's models from the application's and runs the
+    /// curve analysis.
+    ///
+    /// # Panics
+    ///
+    /// As [`JobTemplate::for_model`].
+    fn analyze(model: &DuplicationModel, redundancy: Redundancy) -> SizedStructure {
+        match redundancy {
+            Redundancy::Duplicated => SizedStructure::Duplicated(
+                SizingReport::analyze(model).expect("profile models are bounded"),
+            ),
+            Redundancy::TriVoting => {
+                let [a, b] = model.replica_out;
+                let mid_jitter = TimeNs::from_ns((a.jitter.as_ns() + b.jitter.as_ns()) / 2);
+                let model = NModularModel {
+                    producer: model.producer,
+                    consumer: model.consumer,
+                    replicas: vec![
+                        a,
+                        b,
+                        PjdModel::new(model.producer.period, mid_jitter, TimeNs::ZERO),
+                    ],
+                };
+                let sizing = NSizingReport::analyze(&model).expect("profile models are bounded");
+                SizedStructure::Voting(model, sizing)
+            }
+            Redundancy::Hetero { k } => {
+                let model = HeteroModel::with_checker_jitter(
+                    model.producer,
+                    model.consumer,
+                    model.replica_out[0],
+                    model.replica_out[1].jitter,
+                    k,
+                );
+                let sizing =
+                    HeteroSizingReport::analyze(&model).expect("profile models are bounded");
+                SizedStructure::Sampled(model, sizing)
+            }
+        }
+    }
+}
+
+/// A [`SizedStructure`] under the `(model, redundancy)` *value* it was
+/// analysed for.
+type SizedEntry = ((DuplicationModel, Redundancy), SizedStructure);
+
+/// Every structure analysed so far. A process sizes a handful of distinct
+/// ones (a campaign pass: nine, 270 times over), and `run_scenario`-style
+/// callers have no state of their own to keep a prepared template in, so
+/// the table is process-wide; it is bounded, and a structure beyond the
+/// bound is analysed on every call.
+#[derive(Debug)]
+struct SizedTable {
+    entries: Mutex<Vec<SizedEntry>>,
+    analyses: AtomicU64,
+}
+
+static SIZED: SizedTable = SizedTable::new();
+
+impl SizedTable {
+    const ENTRIES: usize = 64;
+
+    const fn new() -> SizedTable {
+        SizedTable {
+            entries: Mutex::new(Vec::new()),
+            analyses: AtomicU64::new(0),
+        }
+    }
+
+    fn entries(&self) -> MutexGuard<'_, Vec<SizedEntry>> {
+        self.entries
+            .lock()
+            .expect("no analysis runs under the table lock")
+    }
+
+    /// Lookup-or-analyse. The lock is not held across the analysis: two
+    /// threads that miss together both analyse, and one result is kept.
+    fn get(&self, model: &DuplicationModel, redundancy: Redundancy) -> SizedStructure {
+        let key = (*model, redundancy);
+        let hit = self.entries().iter().find(|(k, _)| *k == key).cloned();
+        if let Some((_, sized)) = hit {
+            return sized;
+        }
+        self.analyses.fetch_add(1, Ordering::Relaxed);
+        let sized = SizedStructure::analyze(model, redundancy);
+        let mut entries = self.entries();
+        if entries.len() < Self::ENTRIES && entries.iter().all(|(k, _)| *k != key) {
+            entries.push((key, sized.clone()));
+        }
+        sized
+    }
 }
 
 /// The rebuildable description of a job's network.
@@ -267,73 +372,65 @@ impl JobTemplate {
         tokens: u64,
         payload: PayloadGenerator,
     ) -> JobTemplate {
+        Self::from_sized(SIZED.get(model, redundancy), model, seed, tokens, payload)
+    }
+
+    /// The per-job half of the recipe: seeds, batch and replica factory
+    /// around an analysed structure.
+    fn from_sized(
+        sized: SizedStructure,
+        model: &DuplicationModel,
+        seed: u64,
+        tokens: u64,
+        payload: PayloadGenerator,
+    ) -> JobTemplate {
         let service = model.producer.period / SERVICE_DIVISOR;
         let offset = service + model.producer.jitter + TimeNs::from_ms(1);
         let seeds = (seed ^ 0xA5A5, seed ^ 0x5A5A);
-        match redundancy {
-            Redundancy::Duplicated => JobTemplate::Duplicated {
-                cfg: DuplicationConfig::from_model(*model)
-                    .expect("profile models are bounded")
-                    .with_token_count(tokens)
-                    .with_seeds(seeds.0, seeds.1)
-                    .with_payload(payload),
+        match sized {
+            SizedStructure::Duplicated(sizing) => JobTemplate::Duplicated {
+                cfg: DuplicationConfig {
+                    model: *model,
+                    sizing,
+                    token_count: Some(tokens),
+                    seeds,
+                    faults: [FaultPlan::healthy(), FaultPlan::healthy()],
+                    payload,
+                },
                 factory: Arc::new(JitterStageReplica {
                     service,
                     out_model: model.replica_out.map(|m| m.with_delay(offset)),
                     seeds: [seed ^ 0x11, seed ^ 0x22],
                 }),
             },
-            Redundancy::TriVoting => {
-                let [a, b] = model.replica_out;
-                let mid_jitter = TimeNs::from_ns((a.jitter.as_ns() + b.jitter.as_ns()) / 2);
-                let model = NModularModel {
-                    producer: model.producer,
-                    consumer: model.consumer,
-                    replicas: vec![
-                        a,
-                        b,
-                        PjdModel::new(model.producer.period, mid_jitter, TimeNs::ZERO),
-                    ],
-                };
-                JobTemplate::NModularVoting {
-                    sizing: NSizingReport::analyze(&model).expect("profile models are bounded"),
-                    token_count: tokens,
-                    seeds,
-                    payload,
-                    factory: Arc::new(NJitterStageReplica {
-                        service,
-                        out_models: model.replicas.clone(),
-                        offset,
-                        seed_base: seed ^ 0x33,
-                    }),
-                    faults: vec![FaultPlan::healthy(); 3],
-                    model,
-                }
-            }
-            Redundancy::Hetero { k } => {
-                let model = HeteroModel::with_checker_jitter(
-                    model.producer,
-                    model.consumer,
-                    model.replica_out[0],
-                    model.replica_out[1].jitter,
-                    k,
-                );
-                JobTemplate::Hetero {
-                    sizing: HeteroSizingReport::analyze(&model)
-                        .expect("profile models are bounded"),
-                    token_count: tokens,
-                    seeds,
-                    payload,
-                    factory: Arc::new(HeteroStageReplica {
-                        service,
-                        out_models: [model.main, model.checker],
-                        offset,
-                        seed_base: seed ^ 0x44,
-                    }),
-                    faults: [FaultPlan::healthy(), FaultPlan::healthy()],
-                    model,
-                }
-            }
+            SizedStructure::Voting(model, sizing) => JobTemplate::NModularVoting {
+                sizing,
+                token_count: tokens,
+                seeds,
+                payload,
+                factory: Arc::new(NJitterStageReplica {
+                    service,
+                    out_models: model.replicas.clone(),
+                    offset,
+                    seed_base: seed ^ 0x33,
+                }),
+                faults: vec![FaultPlan::healthy(); 3],
+                model,
+            },
+            SizedStructure::Sampled(model, sizing) => JobTemplate::Hetero {
+                sizing,
+                token_count: tokens,
+                seeds,
+                payload,
+                factory: Arc::new(HeteroStageReplica {
+                    service,
+                    out_models: [model.main, model.checker],
+                    offset,
+                    seed_base: seed ^ 0x44,
+                }),
+                faults: [FaultPlan::healthy(), FaultPlan::healthy()],
+                model,
+            },
         }
     }
 
@@ -730,6 +827,101 @@ pub fn execute_spec(spec: &JobSpec) -> JobRunResult {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn model_with_period_ms(period: f64) -> DuplicationModel {
+        DuplicationModel::symmetric(
+            PjdModel::from_ms(period, 2.0, 0.0),
+            PjdModel::from_ms(period, 2.0, 3.0 * period),
+            [
+                PjdModel::from_ms(period, 5.0, 0.0),
+                PjdModel::from_ms(period, period, 0.0),
+            ],
+        )
+    }
+
+    const STRUCTURES: [Redundancy; 3] = [
+        Redundancy::Duplicated,
+        Redundancy::TriVoting,
+        Redundancy::Hetero { k: 4 },
+    ];
+
+    #[test]
+    fn sized_table_analyses_each_distinct_structure_once_up_to_its_bound() {
+        let table = SizedTable::new();
+        let analyses = || table.analyses.load(Ordering::Relaxed);
+        let model = model_with_period_ms(30.0);
+        for (n, redundancy) in STRUCTURES.into_iter().enumerate() {
+            let first = table.get(&model, redundancy);
+            assert_eq!(first, SizedStructure::analyze(&model, redundancy));
+            assert_eq!(table.get(&model, redundancy), first);
+            assert_eq!(analyses(), n as u64 + 1, "{redundancy:?}");
+        }
+        // An equal value is the same key, wherever it was built.
+        table.get(&model_with_period_ms(30.0), Redundancy::TriVoting);
+        assert_eq!(analyses(), 3);
+
+        let bound = SizedTable::ENTRIES as u64;
+        for n in 3..bound {
+            table.get(
+                &model_with_period_ms(31.0 + n as f64),
+                Redundancy::Duplicated,
+            );
+        }
+        assert_eq!(analyses(), bound);
+        let beyond = model_with_period_ms(29.0);
+        let cold = SizedStructure::analyze(&beyond, Redundancy::Duplicated);
+        assert_eq!(table.get(&beyond, Redundancy::Duplicated), cold);
+        assert_eq!(table.get(&beyond, Redundancy::Duplicated), cold);
+        assert_eq!(analyses(), bound + 2, "analysed per call, not stored");
+        assert_eq!(table.entries().len() as u64, bound);
+        table.get(&model, Redundancy::Duplicated);
+        assert_eq!(analyses(), bound + 2, "stored structures still hit");
+    }
+
+    /// A template sized through the process-wide table is the template a
+    /// cold analysis gives, whatever the seed, token count and payload.
+    #[test]
+    fn for_model_through_the_table_equals_a_cold_analysis() {
+        // A model no other test of this binary sizes, so the first call
+        // below is the one that fills its entries.
+        let model = model_with_period_ms(23.5);
+        let describe = |job: &JobTemplate| {
+            let (net, ids) = job.build();
+            let horizon = des_horizon(&model, job.expected_tokens());
+            let run = execute(job, &JobRuntime::DiscreteEvent { horizon });
+            format!(
+                "{job:?} {} {:?} {net:?} {:?} {:?} {:?}",
+                job.replica_count(),
+                job.bounds(),
+                net.channel(ids.replicator),
+                net.channel(ids.selector),
+                run.arrival_log,
+            )
+        };
+        let empty: PayloadGenerator = Arc::new(|_| Payload::Empty);
+        let batches: [(u64, u64, PayloadGenerator); 2] =
+            [(9, 16, Arc::new(Payload::U64)), (0xBEEF, 24, empty)];
+        for redundancy in STRUCTURES {
+            for (seed, tokens, payload) in &batches {
+                let warm =
+                    JobTemplate::for_model(&model, redundancy, *seed, *tokens, Arc::clone(payload));
+                let cold = JobTemplate::from_sized(
+                    SizedStructure::analyze(&model, redundancy),
+                    &model,
+                    *seed,
+                    *tokens,
+                    Arc::clone(payload),
+                );
+                assert_eq!(describe(&warm), describe(&cold), "{redundancy:?}");
+            }
+            let stored = SIZED
+                .entries()
+                .iter()
+                .filter(|(key, _)| *key == (model, redundancy))
+                .count();
+            assert_eq!(stored, 1, "{redundancy:?}: both batches share one entry");
+        }
+    }
 
     /// `with_batch` attaches a batch and touches nothing the recipe
     /// derived, on every variant.
