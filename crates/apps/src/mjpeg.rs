@@ -131,7 +131,8 @@ pub fn decode(data: &[u8]) -> Result<Frame, MjpegError> {
             while r.get_bit()? {
                 let run = r.get_ue()? as usize;
                 let level = r.get_se()? as i16;
-                idx += run;
+                // A corrupted run length can be anything up to `u64::MAX`.
+                idx = idx.saturating_add(run);
                 if idx >= 64 {
                     return Err(MjpegError::Truncated);
                 }

@@ -318,15 +318,21 @@ impl ReplicaFactory for AppReplicaFactory {
                                 .iter()
                                 .fold(0u64, |acc, p| acc.rotate_left(13) ^ p.digest());
                             memo.get_or_compute("mergeframe", input, || {
-                                let bytes: Vec<Vec<u8>> = parts
+                                // Halves a corrupting fault left undecodable
+                                // are the replica's fault, not a bug here:
+                                // deliver a token that is a function of what
+                                // arrived and matches no decoded frame, so
+                                // the selector or voter sees the divergence.
+                                let frame = parts
                                     .iter()
-                                    .map(|p| p.as_bytes().expect("half bytes").to_vec())
-                                    .collect();
-                                let encoded =
-                                    mjpeg::merge_parts(&bytes).expect("halves reassemble");
-                                let frame =
-                                    mjpeg::decode(&encoded).expect("replica decodes its input");
-                                Payload::from(frame.pixels)
+                                    .map(|p| p.as_bytes().map(|b| b.to_vec()))
+                                    .collect::<Option<Vec<Vec<u8>>>>()
+                                    .and_then(|halves| mjpeg::merge_parts(&halves).ok())
+                                    .and_then(|encoded| mjpeg::decode(&encoded).ok());
+                                match frame {
+                                    Some(frame) => Payload::from(frame.pixels),
+                                    None => Payload::U64(input),
+                                }
                             })
                         }
                     },
@@ -612,6 +618,110 @@ mod tests {
             (0..16).any(|n| arrivals[n as usize].1 == expect(n, true)),
             "the timing selector forwards whichever copy is first"
         );
+    }
+
+    /// A voter needs a third replica; the factory knows two. Slot 2 is
+    /// built as slot 1.
+    struct ThreeOf<'a>(&'a AppReplicaFactory);
+
+    impl ReplicaFactory for ThreeOf<'_> {
+        fn build(
+            &self,
+            net: &mut Network,
+            input: PortId,
+            output: PortId,
+            replica: usize,
+            fault: FaultPlan,
+        ) -> Vec<NodeId> {
+            self.0.build(net, input, output, replica.min(1), fault)
+        }
+    }
+
+    /// A flipped bit in the halves an MJPEG replica's `splitstream` emits
+    /// either still decodes (bit 80 on every frame of the Table 2 pins'
+    /// workload, seed 3) or desynchronises the entropy stream (bit 4 099
+    /// on some of them). Both are the replica's fault: the
+    /// run completes, the voter latches that replica and delivers the
+    /// fault-free log, and the paper's timing selector — which does not
+    /// compare values — keeps its schedule.
+    #[test]
+    fn a_corrupting_mjpeg_replica_is_out_voted_not_a_crash() {
+        use rtft_core::{
+            build_n_modular_voting, CorruptionMode, NModularModel, NSizingReport, VotingSelector,
+        };
+        const TOKENS: u64 = 16;
+        let profile = App::Mjpeg.profile().model;
+        let [a, b] = profile.replica_out;
+        let model = NModularModel {
+            producer: profile.producer,
+            consumer: profile.consumer,
+            replicas: vec![a, b, b],
+        };
+        let sizing = NSizingReport::analyze(&model).expect("bounded");
+        let voted = |faults: &[FaultPlan; 3]| {
+            let factory = App::Mjpeg.replica_factory([5, 6]);
+            let (net, ids) = build_n_modular_voting(
+                &model,
+                &sizing,
+                TOKENS,
+                (1, 2),
+                App::Mjpeg.payload_generator(3),
+                &ThreeOf(&factory),
+                faults,
+            );
+            let mut engine = Engine::new(net);
+            engine.run_until(TimeNs::from_secs(60));
+            let net = engine.network();
+            let selector = net
+                .channel_as::<VotingSelector>(ids.selector)
+                .expect("voting selector");
+            let latched: Vec<usize> = (0..3).filter(|&i| selector.fault(i).is_some()).collect();
+            (ids.consumer_arrivals(net).to_vec(), latched)
+        };
+        let duplicated = |fault: Option<(usize, FaultPlan)>| {
+            let mut cfg = App::Mjpeg.duplication_config(3, TOKENS).expect("bounded");
+            if let Some((replica, plan)) = fault {
+                cfg = cfg.with_fault(replica, plan);
+            }
+            let (net, ids) = build_duplicated(&cfg, &App::Mjpeg.replica_factory([5, 6]));
+            let mut engine = Engine::new(net);
+            engine.run_until(TimeNs::from_secs(60));
+            ids.consumer_arrivals(engine.network()).to_vec()
+        };
+
+        let (reference, latched) = voted(&[FaultPlan::healthy(); 3]);
+        assert_eq!((reference.len() as u64, latched), (TOKENS, vec![]));
+        let paper = duplicated(None);
+        let instants = |log: &[(TimeNs, u64)]| log.iter().map(|a| a.0).collect::<Vec<_>>();
+
+        let gen = App::Mjpeg.payload_generator(3);
+        for (bit, decodes) in [(80, true), (4_099, false)] {
+            let flip = CorruptionMode::BitFlip(bit);
+            let still_decodes = |n: u64| {
+                let halves: Vec<Vec<u8>> =
+                    mjpeg::split_stream(gen(n).as_bytes().expect("frame"), 2)
+                        .into_iter()
+                        .map(|half| flip.apply(&Payload::from(half)))
+                        .map(|half| half.as_bytes().expect("half").to_vec())
+                        .collect();
+                let merged = mjpeg::merge_parts(&halves).expect("length prefixes untouched");
+                mjpeg::decode(&merged).is_ok()
+            };
+            assert_eq!((0..WORKLOAD_CYCLE).all(still_decodes), decodes, "bit {bit}");
+
+            for replica in [0, 1] {
+                let plan = FaultPlan::corrupt_at(flip, TimeNs::ZERO);
+                let mut faults = [FaultPlan::healthy(); 3];
+                faults[replica] = plan;
+                let (log, latched) = voted(&faults);
+                assert_eq!(log, reference, "bit {bit} on replica {replica}");
+                assert_eq!(latched, vec![replica], "bit {bit}");
+
+                let log = duplicated(Some((replica, plan)));
+                assert_eq!(instants(&log), instants(&paper), "bit {bit}/{replica}");
+                assert_ne!(log, paper, "the timing selector forwards a flipped copy");
+            }
+        }
     }
 
     #[test]

@@ -156,10 +156,11 @@ pub struct ServerConfig {
     pub seed: u64,
     /// Write-ahead log configuration. When set, every accepted `Tokens`
     /// batch is appended (group-committed) to the log before the server
-    /// acknowledges it with a `Durable` frame, settled flushes log their
-    /// output digests, and a restarting server replays the log: streams
-    /// are rebuilt, each resumes at its last delivered sequence number,
-    /// and the undelivered tail is resubmitted through the fleet.
+    /// acknowledges it with a `Durable` frame, settled flushes write their
+    /// output digests in order without waiting (they ride the next group
+    /// commit), and a restarting server replays the log: streams are
+    /// rebuilt, each resumes at its last *logged* delivered sequence
+    /// number, and the tail past it is resubmitted through the fleet.
     pub wal: Option<WalConfig>,
     /// Tenant lifecycle, quotas, and sharded supervision. `None` keeps
     /// the untenanted behavior (every stream under implicit tenant 0, no
@@ -333,6 +334,8 @@ struct Shared {
     c_bytes_out: Counter,
     c_protocol_errors: Counter,
     c_evictions: Counter,
+    /// `Outputs` records the log refused at settle.
+    c_wal_errors: Counter,
     h_frame_in: Histogram,
     h_frame_out: Histogram,
     h_flush_batch: Histogram,
@@ -526,6 +529,7 @@ impl Server {
             c_bytes_out: registry.counter("serve.bytes.out"),
             c_protocol_errors: registry.counter("serve.protocol.errors"),
             c_evictions: registry.counter("serve.evictions"),
+            c_wal_errors: registry.counter("serve.wal.errors"),
             h_frame_in: registry.histogram("serve.frame.bytes.in"),
             h_frame_out: registry.histogram("serve.frame.bytes.out"),
             h_flush_batch: registry.histogram("serve.flush.batch"),
@@ -536,7 +540,7 @@ impl Server {
         // Re-home the recovered streams and resubmit their undelivered
         // tails: each tail becomes an ordinary flush job whose settle
         // logs its outputs back into the WAL. No client is attached
-        // (conn == u32::MAX); outputs are durable, not pushed.
+        // (conn == u32::MAX); outputs are logged, not pushed.
         for st in rebuilt {
             shared.event(
                 "serve.stream.recovered",
@@ -1455,7 +1459,7 @@ fn refuse(
 /// injection instant) and the terminal `Stats` — in one socket write.
 /// `client` is the connection to push to and the instant its `Flush`
 /// frame was decoded; a recovered stream's replayed tail has none: its
-/// outputs are durable, not pushed. Runs on a pool worker *before* the
+/// outputs are logged, not pushed. Runs on a pool worker *before* the
 /// job's outstanding slot is released, so a fleet drain implies every
 /// frame below was written.
 ///
@@ -1488,20 +1492,33 @@ fn settle_notifier(
             }
         };
         if let Some(result) = result {
-            // Log the delivered digests (with their cumulative position)
-            // before pushing them: the Output frames are the client's
-            // acknowledgement, and recovery must never resume past a
-            // token the log does not show delivered.
+            // Write the delivered digests (with their cumulative position)
+            // into the log before staging them, so log order stays causal
+            // order per stream — but do not wait for the fsync: the
+            // record is derived state and rides the next group commit
+            // (the next `Tokens`, `StreamOpen` or `StreamClose` of any
+            // stream, or the drain). A crash before that commit leaves
+            // the batch's durable tokens without an `Outputs`, and
+            // recovery re-executes them — it never resumes past a token
+            // the log does not show delivered.
             let prev = st
                 .delivered
                 .fetch_add(result.arrival_log.len() as u64, Ordering::SeqCst);
             if let Some(wal) = shared.wal() {
                 let digests: Vec<u64> = result.arrival_log.iter().map(|&(_, d)| d).collect();
-                let _ = wal.append(&WalRecord::Outputs {
+                let logged = wal.append_lazy(&WalRecord::Outputs {
                     stream: st.id,
                     first_seq: prev,
                     digests,
                 });
+                // The tokens are durable, so a log that refuses their
+                // outputs (ENOSPC, EIO) costs only the replay cross-check
+                // of this batch: count it, say so, and still book and
+                // push the settle.
+                if logged.is_err() {
+                    shared.c_wal_errors.inc();
+                    shared.event("serve.wal.error", Some(st.id as usize), 0);
+                }
             }
             for (seq, &(at_ns, digest)) in result.arrival_log.iter().enumerate() {
                 push(&Frame::Output {

@@ -14,10 +14,18 @@
 //! * **Checksummed record frames** ([`WalRecord`]) — length-prefixed
 //!   bodies guarded by the same streaming FNV-1a digest
 //!   ([`rtft_kpn::Digest`]) the selector uses for output equivalence.
-//! * **Group commit** — [`Wal::append`] is durable on return, but
-//!   concurrent appenders share fsyncs: one leader syncs while followers
-//!   park on a condvar, and the batch size per fsync is recorded in the
-//!   `wal.commit.batch` histogram.
+//! * **Group commit, two durability classes** — [`Wal::append`] is
+//!   durable on return, but concurrent appenders share fsyncs: one leader
+//!   syncs while followers park on a condvar, and the batch size per
+//!   fsync is recorded in the `wal.commit.batch` histogram.
+//!   [`Wal::append_lazy`] is the same ordered write without the wait:
+//!   the record rides the *next* fsync anyone asks for. One `sync_data`
+//!   covers every byte written before it, so the durable log is always a
+//!   prefix of the written log. The serve layer uses the lazy class for
+//!   exactly one record kind, `Outputs`: tokens are logged before they
+//!   are acknowledged, output digests are logged *in order* as each flush
+//!   settles — derived state that recovery re-executes from the durable
+//!   tokens when a crash outran the next commit.
 //! * **Torn-tail recovery** — [`Wal::open`] scans the segments, truncates
 //!   the first invalid frame of the final segment (a crash mid-write),
 //!   and reports what it dropped; corruption in the *middle* of the log
@@ -254,12 +262,26 @@ impl Wal {
     }
 
     /// Append one record durably. Returns its global sequence number.
-    /// When the call returns, the record survives a crash (modulo
+    /// When the call returns, the record — and every record written
+    /// before it, lazily or not — survives a crash (modulo
     /// `fsync: false`).
     pub fn append(&self, rec: &WalRecord) -> io::Result<u64> {
         let (seq, target) = self.write_frames(std::slice::from_ref(rec))?;
         self.commit(target)?;
         Ok(seq)
+    }
+
+    /// Append one record in log order *without* waiting for it to become
+    /// durable. Returns its global sequence number. The record counts in
+    /// `wal.appends` now and in the next fsync's `wal.commit.batch`, and
+    /// is durable no later than the return of the next [`Wal::append`],
+    /// [`Wal::append_batch`] or [`Wal::sync`] on this log, or the
+    /// rotation that seals its segment. Until then a power cut may lose
+    /// it — together with everything written after it, never instead of
+    /// it. Meant for state the durable records before it can regenerate.
+    pub fn append_lazy(&self, rec: &WalRecord) -> io::Result<u64> {
+        self.write_frames(std::slice::from_ref(rec))
+            .map(|(seq, _)| seq)
     }
 
     /// Append a batch of records with a single durability point. Returns
@@ -644,6 +666,169 @@ mod tests {
         drop(wal);
         let (_, rec) = Wal::open(cfg).expect("reopen");
         assert_eq!(rec.records.len(), 10);
+    }
+
+    fn outputs(stream: u32, first_seq: u64) -> WalRecord {
+        WalRecord::Outputs {
+            stream,
+            first_seq,
+            digests: vec![first_seq, !first_seq],
+        }
+    }
+
+    #[test]
+    fn lazy_append_rides_the_next_commit() {
+        let dir = TempDir::new("lazy");
+        let cfg = WalConfig::new(dir.path());
+        let (wal, _) = Wal::open(cfg.clone()).expect("open");
+        let fsyncs = wal.registry().counter("wal.fsyncs");
+        let batch = wal.registry().histogram("wal.commit.batch");
+        assert_eq!(wal.append_lazy(&outputs(0, 0)).expect("lazy"), 0);
+        assert_eq!(wal.registry().counter("wal.appends").get(), 1);
+        assert_eq!(fsyncs.get(), 0, "a lazy append waits for nobody");
+        assert_eq!(wal.append(&tokens(0, 2)).expect("append"), 1);
+        // The one fsync the synchronous append waited for covered both.
+        assert_eq!((fsyncs.get(), batch.sum()), (1, 2));
+        wal.sync().expect("sync");
+        assert_eq!(fsyncs.get(), 1, "nothing was left to sync");
+        drop(wal);
+
+        let (_, rec) = Wal::open(cfg).expect("reopen");
+        assert_eq!(
+            rec.records,
+            vec![(0, outputs(0, 0)), (1, tokens(0, 2))],
+            "log order is write order"
+        );
+    }
+
+    #[test]
+    fn interleaved_lazy_and_synchronous_appends_stay_dense_and_counted() {
+        let dir = TempDir::new("lazy-group");
+        let cfg = WalConfig::new(dir.path()).with_segment_bytes(2048);
+        let (wal, _) = Wal::open(cfg.clone()).expect("open");
+        let threads: Vec<_> = (0..4u32)
+            .map(|t| {
+                let wal = wal.clone();
+                std::thread::spawn(move || {
+                    (0..50u64)
+                        .map(|i| {
+                            let seq = if i % 2 == 0 {
+                                wal.append(&tokens(t, 2))
+                            } else {
+                                wal.append_lazy(&outputs(t, i))
+                            };
+                            seq.expect("append")
+                        })
+                        .collect::<Vec<u64>>()
+                })
+            })
+            .collect();
+        let mut seqs: Vec<u64> = threads
+            .into_iter()
+            .flat_map(|th| th.join().expect("join"))
+            .collect();
+        seqs.sort_unstable();
+        assert_eq!(seqs, (0..200).collect::<Vec<u64>>(), "dense and global");
+        assert!(wal.registry().counter("wal.rotations").get() >= 1);
+
+        // Each thread ended on a lazy append; the sync picks those up.
+        wal.sync().expect("sync");
+        assert_eq!(wal.registry().counter("wal.appends").get(), 200);
+        assert_eq!(wal.registry().histogram("wal.commit.batch").sum(), 200);
+        drop(wal);
+
+        let (_, rec) = Wal::open(cfg).expect("reopen");
+        let logged: Vec<u64> = rec.records.iter().map(|(s, _)| *s).collect();
+        assert_eq!(logged, (0..200).collect::<Vec<u64>>());
+    }
+
+    /// Rotation syncs the segment it seals whoever triggered it, so what
+    /// a power cut may take is only ever the un-fsynced tail of the
+    /// *active* segment.
+    #[test]
+    fn rotation_by_a_lazy_append_seals_everything_before_it() {
+        let dir = TempDir::new("lazy-rotate");
+        let cfg = WalConfig::new(dir.path()).with_segment_bytes(256);
+        let (wal, _) = Wal::open(cfg.clone()).expect("open");
+        let mut n = 0u64;
+        while wal.registry().counter("wal.rotations").get() == 0 {
+            assert_eq!(wal.append_lazy(&outputs(0, n)).expect("lazy"), n);
+            n += 1;
+        }
+        assert_eq!(wal.registry().counter("wal.fsyncs").get(), 0);
+        drop(wal);
+
+        // The power cut: the active segment loses its one un-synced frame.
+        let active = dir.path().join(segment_file_name(1));
+        let f = OpenOptions::new().write(true).open(&active).expect("seg");
+        f.set_len(SEGMENT_HEADER as u64).expect("cut");
+        drop(f);
+
+        let (wal, rec) = Wal::open(cfg).expect("reopen");
+        let want: Vec<(u64, WalRecord)> = (0..n - 1).map(|i| (i, outputs(0, i))).collect();
+        assert_eq!(rec.records, want, "the sealed segment is whole");
+        assert_eq!(rec.truncated_records, 0);
+        assert_eq!(wal.next_seq(), n - 1);
+    }
+
+    /// A three-record log (`StreamOpen`, `Tokens`, `Outputs`) as the
+    /// commit before the lazy class wrote it: segment header, then the
+    /// frames. The format did not move, in either direction.
+    const PARENT_LOG: [u8; 149] = [
+        0x52, 0x54, 0x46, 0x54, 0x57, 0x41, 0x4c, 0x31, 0x02, 0x00, 0x00, 0x00, //
+        0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, //
+        0x00, 0x00, 0x00, 0x00, 0x0f, 0x00, 0x00, 0x00, 0x91, 0x52, 0xeb, 0x2a, //
+        0x71, 0xa4, 0xbf, 0x32, 0x01, 0x07, 0x00, 0x00, 0x00, 0x01, 0x02, 0x03, //
+        0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x1d, 0x00, 0x00, 0x00, 0x59, //
+        0xe0, 0xe6, 0x7b, 0x38, 0x55, 0x89, 0x2f, 0x02, 0x07, 0x00, 0x00, 0x00, //
+        0x03, 0x00, 0x00, 0x00, 0x03, 0x00, 0x00, 0x00, 0x01, 0x02, 0x03, 0x00, //
+        0x00, 0x00, 0x00, 0x05, 0x00, 0x00, 0x00, 0xab, 0xab, 0xab, 0xab, 0xab, //
+        0x29, 0x00, 0x00, 0x00, 0x6f, 0xdf, 0x2b, 0x56, 0xe0, 0xd7, 0x0f, 0x84, //
+        0x03, 0x07, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, //
+        0x00, 0x03, 0x00, 0x00, 0x00, 0x44, 0x44, 0x33, 0x33, 0x22, 0x22, 0x11, //
+        0x11, 0x05, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0xff, 0xff, 0xff, //
+        0xff, 0xff, 0xff, 0xff, 0xff,
+    ];
+
+    #[test]
+    fn a_parent_written_log_opens_and_the_lazy_class_writes_the_same_bytes() {
+        let records = [
+            WalRecord::StreamOpen {
+                stream: 7,
+                app: 1,
+                redundancy: 2,
+                tenant: 3,
+            },
+            WalRecord::Tokens {
+                stream: 7,
+                payloads: [vec![1u8, 2, 3], vec![], vec![0xAB; 5]]
+                    .map(rtft_kpn::Bytes::from)
+                    .to_vec(),
+            },
+            WalRecord::Outputs {
+                stream: 7,
+                first_seq: 0,
+                digests: vec![0x1111_2222_3333_4444, 5, u64::MAX],
+            },
+        ];
+
+        let old = TempDir::new("compat-old");
+        fs::create_dir_all(old.path()).expect("dir");
+        fs::write(old.path().join(segment_file_name(0)), PARENT_LOG).expect("write");
+        let (wal, rec) = Wal::open(WalConfig::new(old.path())).expect("open parent log");
+        assert_eq!(rec.truncated_bytes, 0);
+        let got: Vec<&WalRecord> = rec.records.iter().map(|(_, r)| r).collect();
+        assert_eq!(got, records.iter().collect::<Vec<_>>());
+        assert_eq!(wal.next_seq(), 3);
+
+        let new = TempDir::new("compat-new");
+        let (wal, _) = Wal::open(WalConfig::new(new.path())).expect("open");
+        wal.append(&records[0]).expect("open record");
+        wal.append(&records[1]).expect("tokens");
+        wal.append_lazy(&records[2]).expect("outputs");
+        drop(wal);
+        let written = fs::read(new.path().join(segment_file_name(0))).expect("read");
+        assert_eq!(written, PARENT_LOG);
     }
 
     #[test]

@@ -34,9 +34,11 @@ const TAG_STREAM_CLOSE: u8 = 0x04;
 ///
 /// The record stream for a single server stream is
 /// `StreamOpen (Tokens* Outputs*)* StreamClose?` — tokens are logged
-/// before they are acknowledged, output digests are logged as each flush
-/// settles, so replaying the log deterministically reproduces the
-/// delivered prefix and re-derives the undelivered tail.
+/// before they are acknowledged, output digests are logged *in order* as
+/// each flush settles (written, not waited for: an `Outputs` record is
+/// durable by the next synchronous record's fsync), so replaying the log
+/// deterministically reproduces the delivered prefix and re-derives the
+/// tail — including any batch whose `Outputs` a crash outran.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum WalRecord {
     /// A stream was accepted: its id, the pipeline it runs, and the
@@ -61,7 +63,9 @@ pub enum WalRecord {
         /// copy it buffers and feeds to the fleet, no clone per token.
         payloads: Vec<Bytes>,
     },
-    /// Output digests recorded as a flush settled.
+    /// Output digests recorded as a flush settled. Derived state: the
+    /// stream's durable `Tokens` regenerate it, so it is the one record
+    /// kind appended lazily ([`crate::Wal::append_lazy`]).
     Outputs {
         /// Stream the outputs belong to.
         stream: u32,

@@ -1,23 +1,31 @@
 //! The write-ahead log end to end — the CI smoke for `rtft-wal`.
 //!
-//! Three acts:
+//! Four acts:
 //!
 //! 1. **Ingest durably, then crash.** A WAL-enabled server acknowledges
-//!    every batch `Durable`; one batch is flushed (outputs logged), a
-//!    second is left undelivered; the server is then killed with
-//!    `hard_drop` — no drain, no goodbye, exactly what a power cut
-//!    leaves behind.
+//!    every batch `Durable` once its `Tokens` record is fsynced; one
+//!    batch is flushed (its `Outputs` record written in order, not waited
+//!    for — the next batch's fsync carries it), a second is left
+//!    undelivered; the server is then killed with `hard_drop` — no drain,
+//!    no goodbye.
 //! 2. **Recover.** A fresh server on the same log directory rebuilds the
-//!    stream, resumes at its last delivered sequence number, and replays
-//!    the undelivered tail through the fleet. Zero token loss across the
-//!    crash, and `replay_verify` certifies both lives of the server.
+//!    stream, resumes at its last *logged* delivered sequence number, and
+//!    replays the tail past it through the fleet — the undelivered
+//!    batch here, and after a real power cut also any batch whose
+//!    `Outputs` record had not met an fsync yet. Zero token loss across
+//!    the crash, and `replay_verify` certifies both lives of the server.
 //! 3. **Detect.** A log whose recorded output digest was corrupted (a
 //!    bit flip in the result path) is replayed: the divergence is pinned
 //!    to the exact position and classified `replay-divergence` by the
 //!    chaos taxonomy — the WAL doubling as an offline fault detector.
+//! 4. **Count.** Two streams send durable batches and flush each; the
+//!    log's own counters must show one fsync per batch plus one per
+//!    stream open and close — a property of the commit path that holds
+//!    on any disk, where a latency floor would not.
 //!
 //! Exits non-zero on token loss, missed recovery, a dirty verify of the
-//! honest log, or a missed detection of the corrupted one:
+//! honest log, a missed detection of the corrupted one, or an fsync
+//! count above `batches + 2 × streams + 1`:
 //!
 //! ```sh
 //! cargo run --release --bin wal
@@ -30,6 +38,8 @@ use rtft_wal::{Wal, WalRecord};
 
 const FLUSHED: usize = 8;
 const TAIL: usize = 5;
+const COUNT_STREAMS: u64 = 2;
+const COUNT_ROUNDS: u64 = 8;
 
 fn scratch(tag: &str) -> std::path::PathBuf {
     let dir = std::env::temp_dir().join(format!("rtft-wal-smoke-{}-{tag}", std::process::id()));
@@ -153,13 +163,60 @@ fn main() {
         failures += 1;
     }
 
-    let _ = std::fs::remove_dir_all(&dir);
-    let _ = std::fs::remove_dir_all(&bad_dir);
+    // Act 4: one fsync per durable batch, read off the log's counters.
+    let count_dir = scratch("count");
+    let server = Server::start(
+        "127.0.0.1:0",
+        ServerConfig {
+            wal: Some(WalConfig::new(&count_dir)),
+            ..ServerConfig::default()
+        },
+    )
+    .expect("bind loopback");
+    let registry = server.registry().clone();
+    let mut client = Client::connect(server.addr(), "wal-count").expect("connect");
+    let streams: Vec<u32> = (0..COUNT_STREAMS)
+        .map(|_| {
+            client
+                .open_stream(App::Adpcm, 2)
+                .expect("open")
+                .expect_stream()
+        })
+        .collect();
+    for round in 0..COUNT_ROUNDS {
+        for &stream in &streams {
+            let batch = workload(App::Adpcm, round, 4);
+            client
+                .send_tokens_durable(stream, &batch)
+                .expect("durable send");
+            client.flush(stream).expect("flush");
+        }
+    }
+    for &stream in &streams {
+        client.close(stream).expect("close");
+    }
+    let balanced = server.shutdown().balanced();
+    let batches = COUNT_STREAMS * COUNT_ROUNDS;
+    let fsyncs = registry.counter("wal.fsyncs").get();
+    let limit = batches + 2 * COUNT_STREAMS + 1;
+    println!(
+        "  {batches} durable batches on {COUNT_STREAMS} streams: wal.fsyncs = {fsyncs} \
+         (limit {limit}), wal.appends = {}",
+        registry.counter("wal.appends").get()
+    );
+    if !balanced || fsyncs > limit {
+        eprintln!("SMOKE FAILED: a durable batch costs more than one fsync");
+        failures += 1;
+    }
+
+    for dir in [&dir, &bad_dir, &count_dir] {
+        let _ = std::fs::remove_dir_all(dir);
+    }
     if failures > 0 {
         std::process::exit(1);
     }
     println!(
         "SMOKE OK: {want} tokens survived a hard crash, honest log verified clean, \
-         corrupted log detected"
+         corrupted log detected, one fsync per durable batch"
     );
 }

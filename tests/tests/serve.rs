@@ -14,6 +14,7 @@ use rtft_serve::{
     OpenOutcome, ProtocolError, ServeError, ServeRuntime, Server, ServerConfig, WalConfig,
     DEFAULT_MAX_FRAME, PROTOCOL_VERSION,
 };
+use rtft_wal::{read_log, segment_file_name, WalRecord, SEGMENT_HEADER};
 use std::sync::{Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
@@ -587,6 +588,171 @@ fn restart_resumes_at_last_delivered_seq_with_zero_token_loss() {
     assert!(verify.clean(), "no divergence in an unfaulted log");
 }
 
+/// A default server logging to `dir`.
+fn durable_cfg(dir: &std::path::Path) -> ServerConfig {
+    ServerConfig {
+        wal: Some(WalConfig::new(dir)),
+        ..ServerConfig::default()
+    }
+}
+
+/// The crash the lazy `Outputs` class makes possible: the settle writes
+/// its record and answers the client without waiting for an fsync, so a
+/// power cut after the last synchronous record may take any suffix of the
+/// `Outputs` frames written since. For every such disk the second life
+/// re-executes exactly the batches whose outputs were lost, from their
+/// durable tokens, and the books and the replay check close as if the
+/// first life had never answered.
+#[test]
+fn power_cut_after_the_last_fsync_replays_exactly_the_unlogged_batches() {
+    const LAST: [usize; 2] = [3, 5];
+    let dir = TempDir::new("powercut");
+    let server = Server::start("127.0.0.1:0", durable_cfg(dir.path())).expect("bind");
+    let mut clients: Vec<(Client, u32)> = (0..2)
+        .map(|_| {
+            let mut client = Client::connect(server.addr(), "powercut").expect("connect");
+            let stream = client
+                .open_stream(App::Adpcm, 2)
+                .expect("open")
+                .expect_stream();
+            (client, stream)
+        })
+        .collect();
+    let mut sent = [0u64; 2];
+    for round in 0..2u64 {
+        for (i, (client, stream)) in clients.iter_mut().enumerate() {
+            let batch = workload(App::Adpcm, 10 * round + i as u64, 4);
+            client.send_tokens_durable(*stream, &batch).expect("send");
+            assert_eq!(client.flush(*stream).expect("flush").outputs.len(), 4);
+            sent[i] += 4;
+        }
+    }
+    // The last flushes go back to back: both `Tokens` records are in, so
+    // the two `Outputs` frames trail the log's last synchronous record.
+    for (i, (client, stream)) in clients.iter_mut().enumerate() {
+        let batch = workload(App::Adpcm, 90 + i as u64, LAST[i]);
+        client.send_tokens_durable(*stream, &batch).expect("send");
+        sent[i] += LAST[i] as u64;
+    }
+    for (i, (client, stream)) in clients.iter_mut().enumerate() {
+        assert_eq!(client.flush(*stream).expect("flush").outputs.len(), LAST[i]);
+    }
+    server.hard_drop();
+
+    let (records, summary) = read_log(dir.path()).expect("read log");
+    assert_eq!((summary.segments, summary.truncated_records), (1, 0));
+    let trailing: Vec<usize> = records
+        .iter()
+        .rev()
+        .map_while(|(_, rec)| match rec {
+            WalRecord::Outputs { .. } => Some(rec.encode_frame().len()),
+            _ => None,
+        })
+        .collect();
+    assert_eq!(trailing.len(), 2, "both settles trail the last fsync");
+    let segment = std::fs::read(dir.path().join(segment_file_name(0))).expect("segment");
+
+    // Stream 1 settled last, so its record is the first a cut takes.
+    for (lost, replayed) in [(0, 0), (1, LAST[1]), (2, LAST[0] + LAST[1])] {
+        let cut = segment.len() - trailing[..lost].iter().sum::<usize>();
+        let disk = TempDir::new(&format!("powercut-{lost}"));
+        std::fs::write(disk.path().join(segment_file_name(0)), &segment[..cut]).expect("cut");
+
+        let cfg = durable_cfg(disk.path());
+        let report = Server::start("127.0.0.1:0", cfg.clone())
+            .expect("restart")
+            .shutdown();
+        assert_eq!(report.recovered_streams, 2, "{lost} lost");
+        assert_eq!(report.wal_truncated_records, 0, "{lost} lost");
+        assert_eq!(report.replayed_tokens, replayed as u64, "{lost} lost");
+        assert!(report.balanced(), "{lost} lost");
+        let verify = replay_verify(disk.path(), &cfg).expect("replay");
+        assert!(verify.clean(), "{lost} lost: {}", verify.to_json());
+        for (i, account) in report.streams.iter().enumerate() {
+            assert_eq!(account.tokens_in, sent[i], "{lost} lost, stream {i}");
+            assert_eq!(account.delivered, sent[i], "{lost} lost, stream {i}");
+            assert_eq!(account.undelivered, 0, "{lost} lost, stream {i}");
+            let replay = &verify.streams[i];
+            assert_eq!((replay.recorded, replay.replayed), (sent[i], sent[i]));
+        }
+    }
+}
+
+/// One fsync per durable batch, as a count: the `Outputs` record of a
+/// flush rides the fsync of the next synchronous record instead of
+/// waiting for its own (which read 2 N + 2 here). From below, the same
+/// count says no `Durable`, `Accepted` or closing `Stats` was answered
+/// off another record's fsync: `StreamOpen`, every `Tokens` and
+/// `StreamClose` each waited for one.
+#[test]
+fn a_durable_batch_costs_one_fsync() {
+    const BATCHES: u64 = 32;
+    let dir = TempDir::new("fsyncs");
+    let server = Server::start("127.0.0.1:0", durable_cfg(dir.path())).expect("bind");
+    let registry = server.registry().clone();
+    let mut client = Client::connect(server.addr(), "fsyncs").expect("connect");
+    let stream = client
+        .open_stream(App::Adpcm, 2)
+        .expect("open")
+        .expect_stream();
+    for round in 0..BATCHES {
+        let batch = workload(App::Adpcm, round, 2);
+        client.send_tokens_durable(stream, &batch).expect("send");
+        assert_eq!(client.flush(stream).expect("flush").outputs.len(), 2);
+    }
+    client.close(stream).expect("close");
+    assert!(server.shutdown().balanced());
+
+    // The drain's `sync` finds the log already durable behind the close.
+    let fsyncs = registry.counter("wal.fsyncs").get();
+    assert_eq!(registry.counter("wal.appends").get(), 2 * BATCHES + 2);
+    assert!(
+        (BATCHES + 2..=BATCHES + 3).contains(&fsyncs),
+        "{fsyncs} fsyncs for {BATCHES} durable batches"
+    );
+}
+
+/// A log that refuses an `Outputs` record costs the replay cross-check
+/// of that batch and nothing else: the error is counted and reported,
+/// the tokens were durable already, and the flush settles as usual.
+#[test]
+fn a_refused_outputs_record_is_counted_and_the_flush_still_settles() {
+    let dir = TempDir::new("walerror");
+    let open_frame = WalRecord::StreamOpen {
+        stream: 0,
+        tenant: 0,
+        app: 0,
+        redundancy: 2,
+    }
+    .encode_frame()
+    .len();
+    // `StreamOpen` fits the first segment and `Tokens` fills it, so the
+    // `Outputs` append is the one that must rotate.
+    let segment_bytes = (SEGMENT_HEADER + open_frame + 1) as u64;
+    let cfg = ServerConfig {
+        wal: Some(WalConfig::new(dir.path()).with_segment_bytes(segment_bytes)),
+        ..ServerConfig::default()
+    };
+    let server = Server::start("127.0.0.1:0", cfg).expect("bind");
+    let mut client = Client::connect(server.addr(), "walerror").expect("connect");
+    let stream = client
+        .open_stream(App::Adpcm, 2)
+        .expect("open")
+        .expect_stream();
+    let batch = workload(App::Adpcm, 5, 4);
+    client.send_tokens_durable(stream, &batch).expect("send");
+    // With its directory gone the log can no longer start a segment.
+    std::fs::remove_dir_all(dir.path()).expect("remove log dir");
+
+    let run = client.flush(stream).expect("flush");
+    assert_eq!(run.outputs.len(), 4, "the settle still pushes");
+    assert_eq!(server.registry().counter("serve.wal.errors").get(), 1);
+    assert!(server.events_jsonl().contains("serve.wal.error"));
+    let report = server.shutdown();
+    assert!(report.balanced());
+    assert_eq!(report.streams[0].delivered, 4, "the settle still books");
+}
+
 /// The protocol version is negotiated: a mismatched `Hello` ends the
 /// connection instead of silently proceeding.
 #[test]
@@ -791,9 +957,11 @@ fn flush_retry_is_lossless_and_never_resends_tokens() {
 
     // Occupy the single admission slot with a long sleep-bound flush,
     // driven over a raw socket so this thread controls the ordering: the
-    // frames-in counter reaching 4 (Hello, Open, Tokens, Flush) proves
-    // the server has processed the Flush — and, with no competitor yet,
-    // admitted it into the only slot.
+    // fleet showing a job outstanding proves the Flush was admitted into
+    // the only slot. (The frames-in counter moves when the frame is
+    // decoded, before the stream is sized and the job submitted; a
+    // competitor connecting in that window could take the slot, and the
+    // drain below would wait forever behind a `Busy`.)
     let addr = server.addr();
     let mut slow = std::net::TcpStream::connect(addr).expect("connect slow");
     write_frame(
@@ -827,10 +995,10 @@ fn flush_retry_is_lossless_and_never_resends_tokens() {
     .expect("tokens");
     write_frame(&mut slow, &Frame::Flush { stream: 0 }).expect("flush");
     let deadline = std::time::Instant::now() + Duration::from_secs(10);
-    while server.registry().counter("serve.frames.in").get() < 4 {
+    while server.fleet().load().outstanding == 0 {
         assert!(
             std::time::Instant::now() < deadline,
-            "server never processed the slow flush"
+            "server never admitted the slow flush"
         );
         std::thread::sleep(Duration::from_millis(2));
     }
