@@ -3,13 +3,13 @@
 //! # Job lifecycle
 //!
 //! ```text
-//!             submit()
+//!    submit() / run_or_submit()
 //!    ┌───────────┴───────────┐
 //!    ▼                       ▼
 //! Rejected               Admitted ──► Queued (EDF by absolute deadline)
-//! (queue full /              │
-//!  shutting down)            ▼
-//!                         Running ──panic──► Failed
+//! (queue full /              │            │
+//!  shutting down)            │ lent slot  ▼
+//!                            └───────► Running ──panic──► Failed
 //!                            │
 //!              ┌─────────────┴─────────────┐
 //!              ▼                           ▼
@@ -42,6 +42,14 @@
 //! [`WorkerPool`] — smaller runs first, and all workers pop one shared run
 //! queue, so the pool executes earliest-deadline-first across all tenants
 //! and all workers.
+//!
+//! [`FleetExecutor::run_or_submit`] is the same admission for a caller
+//! that would only wait for the settle: when nothing is queued and a pool
+//! slot is free the job goes straight from `Admitted` to `Running` on the
+//! caller's thread (the pool *lends* it the slot — see `rtft_kpn::pool`),
+//! which is the order EDF would have produced anyway, minus one thread
+//! wake-up. Everything that finds the pool busy queues as above, and a
+//! replacement run always queues.
 //!
 //! # Replacement
 //!
@@ -323,13 +331,32 @@ impl FleetExecutor {
     /// front-end) pushes a job's outputs without waiting for the whole
     /// fleet to [`join`](Self::join).
     pub fn submit_with(&self, spec: JobSpec, notify: Option<JobNotifier>) -> Admission {
+        self.admit(spec, notify, false)
+    }
+
+    /// [`submit_with`](Self::submit_with) for a caller with nothing to do
+    /// until the job settles: same admission, and when the pool has
+    /// nothing queued and a slot free the first run executes on the
+    /// calling thread instead of waking a worker for a queue of one
+    /// (`WorkerPool::run_or_submit`) — unless that run schedules a
+    /// replacement, `notify` has fired by the time this returns. A busy
+    /// pool queues the job exactly as `submit_with` does. A caller
+    /// submitting a batch wants `submit_with`, whose jobs overlap.
+    pub fn run_or_submit(&self, spec: JobSpec, notify: Option<JobNotifier>) -> Admission {
+        self.admit(spec, notify, true)
+    }
+
+    /// The one admission routine: shutdown and capacity checks, id and
+    /// absolute deadline, then the pool — which may lend the caller a
+    /// slot when `may_lend`.
+    fn admit(&self, spec: JobSpec, notify: Option<JobNotifier>, may_lend: bool) -> Admission {
         let inner = &self.inner;
         if !inner.accepting.load(Ordering::SeqCst) {
             inner.supervisor.on_rejected(inner.now_ns());
             return Admission::Rejected(RejectReason::ShuttingDown);
         }
         let admitted_ns = inner.now_ns();
-        let id = {
+        let (id, outstanding) = {
             let mut st = inner.state.lock().unwrap();
             if st.outstanding >= inner.cfg.pending_capacity {
                 let pending = st.outstanding;
@@ -343,13 +370,13 @@ impl FleetExecutor {
             st.outstanding += 1;
             let id = JobId(st.next_id);
             st.next_id += 1;
-            id
+            (id, st.outstanding)
         };
         inner.supervisor.on_submitted(id, admitted_ns);
-        self.publish_load();
+        publish_load(inner, outstanding);
         let deadline_ns = admitted_ns.saturating_add(spec.relative_deadline.as_nanos() as u64);
         let task_inner = Arc::clone(inner);
-        inner.pool.submit(deadline_ns, move || {
+        let task = move || {
             run_job(
                 &task_inner,
                 id,
@@ -360,7 +387,12 @@ impl FleetExecutor {
                 Vec::new(),
                 notify,
             );
-        });
+        };
+        if !may_lend {
+            inner.pool.submit(deadline_ns, task);
+        } else if inner.pool.run_or_submit(deadline_ns, task) {
+            inner.supervisor.on_lent();
+        }
         Admission::Admitted(id)
     }
 
@@ -374,18 +406,6 @@ impl FleetExecutor {
             outstanding: self.outstanding(),
             capacity: self.inner.cfg.pending_capacity,
         }
-    }
-
-    /// Publishes the current load to the supervisor's gauges
-    /// (`fleet.pool.queued` / `fleet.pool.inflight` /
-    /// `fleet.jobs.outstanding`).
-    fn publish_load(&self) {
-        let load = self.load();
-        self.inner.supervisor.on_load(
-            load.queued as u64,
-            load.inflight as u64,
-            load.outstanding as u64,
-        );
     }
 
     /// Stops admitting new jobs (outstanding ones keep running).
@@ -413,9 +433,38 @@ impl FleetExecutor {
     }
 }
 
-/// Executes one run of a job on a pool worker and settles its bookkeeping:
-/// either schedules a replacement (transferring the outstanding slot) or
-/// records the final result and releases the slot.
+/// Publishes the pool's load and the `outstanding` the caller just read
+/// under the state lock to the supervisor's gauges (`fleet.pool.queued` /
+/// `fleet.pool.inflight` / `fleet.jobs.outstanding`).
+fn publish_load(inner: &Inner, outstanding: usize) {
+    let pool = inner.pool.load();
+    inner
+        .supervisor
+        .on_load(pool.queued as u64, pool.inflight as u64, outstanding as u64);
+}
+
+/// Fires a job's settle notifier, if it has one. Under `catch_unwind`: the
+/// notifier is the caller's code, and a panic escaping here would skip
+/// [`finish`] and leak the job's outstanding slot (hanging `join`) —
+/// whichever thread holds the pool slot.
+fn notify_settled(
+    inner: &Inner,
+    notify: &Option<JobNotifier>,
+    record: &JobRecord,
+    result: Option<&JobRunResult>,
+) {
+    let Some(notify) = notify else { return };
+    if catch_unwind(AssertUnwindSafe(|| notify(record, result))).is_err() {
+        inner
+            .supervisor
+            .on_notifier_panicked(record.id, inner.now_ns());
+    }
+}
+
+/// Executes one run of a job in a pool slot (a worker's, or one lent to
+/// the submitter) and settles its bookkeeping: either schedules a
+/// replacement (transferring the outstanding slot) or records the final
+/// result and releases the slot.
 #[allow(clippy::too_many_arguments)]
 fn run_job(
     inner: &Arc<Inner>,
@@ -451,9 +500,7 @@ fn run_job(
                 recovered: false,
                 failed: true,
             };
-            if let Some(notify) = &notify {
-                notify(&record, None);
-            }
+            notify_settled(inner, &notify, &record, None);
             finish(inner, record);
             return;
         }
@@ -517,9 +564,7 @@ fn run_job(
     };
     // Settle notification before the outstanding slot is released, so
     // `join` implies every notifier already ran.
-    if let Some(notify) = &notify {
-        notify(&record, Some(&result));
-    }
+    notify_settled(inner, &notify, &record, Some(&result));
     finish(inner, record);
 }
 
@@ -532,8 +577,90 @@ fn finish(inner: &Arc<Inner>, record: JobRecord) {
         inner.idle.notify_all();
     }
     drop(st);
-    let pool = inner.pool.load();
-    inner
-        .supervisor
-        .on_load(pool.queued as u64, pool.inflight as u64, outstanding as u64);
+    publish_load(inner, outstanding);
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::job::{JobRuntime, JobTemplate, Redundancy};
+    use rtft_kpn::Payload;
+    use rtft_rtc::sizing::DuplicationModel;
+    use rtft_rtc::{PjdModel, TimeNs};
+    use std::sync::atomic::AtomicU64;
+    use std::time::Duration;
+
+    /// A small duplicated DES job: 20 tokens at 30 ms.
+    fn des_job(name: &str) -> JobSpec {
+        let model = DuplicationModel::symmetric(
+            PjdModel::from_ms(30.0, 2.0, 0.0),
+            PjdModel::from_ms(30.0, 2.0, 90.0),
+            [
+                PjdModel::from_ms(30.0, 5.0, 0.0),
+                PjdModel::from_ms(30.0, 30.0, 0.0),
+            ],
+        );
+        JobSpec {
+            name: name.into(),
+            template: JobTemplate::for_model(
+                &model,
+                Redundancy::Duplicated,
+                1,
+                20,
+                Arc::new(Payload::U64),
+            ),
+            relative_deadline: Duration::from_secs(60),
+            runtime: JobRuntime::DiscreteEvent {
+                horizon: TimeNs::from_secs(20),
+            },
+        }
+    }
+
+    /// A notifier that panics costs its own settle and nothing else: the
+    /// job's slot is released (`join` returns), the panic is counted, and
+    /// a job submitted before it still reports — on a worker and in a
+    /// lent slot alike.
+    #[test]
+    fn panicking_notifier_is_counted_and_the_job_still_settles() {
+        for lend in [false, true] {
+            let fleet = FleetExecutor::new(FleetConfig {
+                workers: 1,
+                ..FleetConfig::default()
+            });
+            let settled = Arc::new(AtomicU64::new(0));
+            let counting: JobNotifier = {
+                let settled = Arc::clone(&settled);
+                Arc::new(move |_, _| {
+                    settled.fetch_add(1, Ordering::SeqCst);
+                })
+            };
+            let panicking: JobNotifier = Arc::new(|_, _| panic!("notifier bug"));
+            let first = fleet.submit_with(des_job("before"), Some(counting));
+            let second = if lend {
+                // Let the queue drain so the pool has a slot to lend.
+                while fleet.outstanding() > 0 {
+                    std::thread::sleep(Duration::from_millis(1));
+                }
+                fleet.run_or_submit(des_job("panics"), Some(panicking))
+            } else {
+                fleet.submit_with(des_job("panics"), Some(panicking))
+            };
+            assert!(matches!(first, Admission::Admitted(_)));
+            assert!(matches!(second, Admission::Admitted(_)));
+            let supervisor = fleet.supervisor().clone();
+            let report = fleet.join();
+            assert_eq!(settled.load(Ordering::SeqCst), 1);
+            let names: Vec<&str> = report.runs.iter().map(|r| r.name.as_str()).collect();
+            assert_eq!(names, ["before", "panics"]);
+            assert!(report.runs.iter().all(|r| !r.failed), "{:?}", report.runs);
+            assert_eq!(report.status.completed, 2);
+            assert_eq!(report.pool.lent, u64::from(lend));
+            let counter = |name| supervisor.registry().counter(name).get();
+            assert_eq!(counter("fleet.notifier.panicked"), 1);
+            assert_eq!(counter("fleet.pool.lent"), u64::from(lend));
+            // The task itself did not panic: the notifier's was contained
+            // before it reached the pool.
+            assert_eq!(report.pool.panicked, 0);
+        }
+    }
 }

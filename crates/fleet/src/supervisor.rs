@@ -37,6 +37,8 @@ pub struct FleetSupervisor {
     detection_latency_ns: Histogram,
     pool_queued: Gauge,
     pool_inflight: Gauge,
+    pool_lent: Counter,
+    notifier_panicked: Counter,
     outstanding: Gauge,
 }
 
@@ -64,6 +66,8 @@ impl FleetSupervisor {
             detection_latency_ns: registry.histogram("fleet.detection_latency_ns"),
             pool_queued: registry.gauge("fleet.pool.queued"),
             pool_inflight: registry.gauge("fleet.pool.inflight"),
+            pool_lent: registry.counter("fleet.pool.lent"),
+            notifier_panicked: registry.counter("fleet.notifier.panicked"),
             outstanding: registry.gauge("fleet.jobs.outstanding"),
             events: EventSink::new(EVENT_CAPACITY),
             registry,
@@ -158,10 +162,25 @@ impl FleetSupervisor {
         self.outstanding.set(outstanding);
     }
 
+    /// Records a run that executed on its submitter's thread in a lent
+    /// pool slot (`fleet.pool.lent`), counted as the submitter's call
+    /// returns — after the job's settle.
+    pub fn on_lent(&self) {
+        self.pool_lent.inc();
+    }
+
     /// Records a run that panicked inside the worker.
     pub fn on_run_panicked(&self, job: JobId, at_ns: u64) {
         self.failed.inc();
         self.event("fleet.job.panicked", at_ns, job, 0);
+    }
+
+    /// Records a settle notifier that panicked (`fleet.notifier.panicked`).
+    /// The run's own verdict stands: the job still settles and releases
+    /// its slot.
+    pub fn on_notifier_panicked(&self, job: JobId, at_ns: u64) {
+        self.notifier_panicked.inc();
+        self.event("fleet.notifier.panicked", at_ns, job, 0);
     }
 
     /// Snapshot of the fleet's lifecycle state.

@@ -200,6 +200,7 @@ mod tests {
                     workers: 2,
                     executed: 0,
                     panicked: 0,
+                    lent: 0,
                 },
             },
         }

@@ -21,7 +21,12 @@
 //! fault-tolerant fleet job (duplicated pair or tri-modular voting, per
 //! the stream's redundancy). Admission is **non-blocking**: a saturated
 //! fleet answers `Busy` and the batch stays buffered server-side —
-//! backpressure, never token loss. When the job settles, its
+//! backpressure, never token loss. A reader has nothing to do between a
+//! `Flush` and its settle but wait, so on a fleet with nothing queued and
+//! a slot free it runs the job itself (`FleetExecutor::run_or_submit`)
+//! and that connection's next frame waits in the socket for the length
+//! of the run; a busy fleet queues the job for a pool worker and the
+//! reader goes on ingesting beside it. When the job settles, its
 //! [`JobNotifier`] pushes the selector's outputs, every fault latch (with
 //! its detection latency), and a terminal `Stats` back through the
 //! connection's socket — one write per settle on a `TCP_NODELAY` socket,
@@ -281,8 +286,9 @@ impl StreamState {
 struct Conn {
     id: u32,
     sock: TcpStream,
-    /// Serialises socket writes: notifiers on pool workers and the reader
-    /// thread's own replies share the socket.
+    /// Serialises socket writes: notifiers (on a pool worker, or on the
+    /// reader thread itself in a lent slot) and the reader thread's own
+    /// replies share the socket.
     write: Mutex<()>,
     /// When a flush of this connection last settled, on the
     /// [`Shared::now_ns`] clock: the idle window restarts there.
@@ -336,6 +342,8 @@ struct Shared {
     c_evictions: Counter,
     /// `Outputs` records the log refused at settle.
     c_wal_errors: Counter,
+    /// Times a `Close` slept waiting for one of its stream's flushes.
+    c_close_waits: Counter,
     h_frame_in: Histogram,
     h_frame_out: Histogram,
     h_flush_batch: Histogram,
@@ -530,6 +538,7 @@ impl Server {
             c_protocol_errors: registry.counter("serve.protocol.errors"),
             c_evictions: registry.counter("serve.evictions"),
             c_wal_errors: registry.counter("serve.wal.errors"),
+            c_close_waits: registry.counter("serve.close.waits"),
             h_frame_in: registry.histogram("serve.frame.bytes.in"),
             h_frame_out: registry.histogram("serve.frame.bytes.out"),
             h_flush_batch: registry.histogram("serve.flush.batch"),
@@ -570,19 +579,26 @@ impl Server {
             // No connection and no pooled batch: the settle only logs
             // and counts.
             let notify = settle_notifier(&shared, None, &st, Arc::default());
+            // Billed before the submission: the settle that balances both
+            // counts may run before `submit_with` returns. Queued, not
+            // lent — the tails of all recovered streams should overlap.
+            st.inflight.fetch_add(1, Ordering::SeqCst);
+            if let Some(mgr) = &shared.tenants {
+                // Recovery resubmission bypasses quota and rate checks —
+                // the tokens were already admitted (and made durable) in
+                // the previous life.
+                mgr.admit_replay(TenantId(st.tenant));
+            }
             if let Admission::Admitted(_) = shared.fleet.submit_with(spec, Some(notify)) {
-                st.inflight.fetch_add(1, Ordering::SeqCst);
-                if let Some(mgr) = &shared.tenants {
-                    // Recovery resubmission bypasses quota and rate
-                    // checks — the tokens were already admitted (and made
-                    // durable) in the previous life.
-                    mgr.admit_replay(TenantId(st.tenant));
-                }
                 shared.replayed_tokens.fetch_add(n, Ordering::SeqCst);
                 shared.event("serve.stream.replayed", Some(st.id as usize), n);
             } else {
                 // A rejected tail stays buffered and is reported
                 // undelivered.
+                st.inflight.fetch_sub(1, Ordering::SeqCst);
+                if let Some(mgr) = &shared.tenants {
+                    mgr.cancel_replay(TenantId(st.tenant));
+                }
                 restore_front(&st, batch);
             }
         }
@@ -1382,9 +1398,14 @@ fn handle_flush(
     // parked back into the payload pool for the next ingest to reuse.
     let batch_slot = Arc::new(Mutex::new(batch));
     let notify = settle_notifier(shared, Some((conn, started)), st, Arc::clone(&batch_slot));
-    match shared.fleet.submit_with(spec, Some(notify)) {
+    // Counted before the submission: the notifier's decrement runs when
+    // the job settles, which on an idle fleet is before the call returns.
+    st.inflight.fetch_add(1, Ordering::SeqCst);
+    // This thread has nothing to do until the settle but wait for it, so
+    // it may run the job itself in an idle pool slot; a busy fleet queues
+    // it and the read loop goes on ingesting beside the run.
+    match shared.fleet.run_or_submit(spec, Some(notify)) {
         Admission::Admitted(_) => {
-            st.inflight.fetch_add(1, Ordering::SeqCst);
             shared.h_flush_batch.record(n);
             shared.event("serve.stream.flushed", Some(st.id as usize), n);
             Ok(())
@@ -1394,6 +1415,7 @@ fn handle_flush(
             // and rate tokens: executor backpressure must not consume
             // tenant budget. The notifier never ran, so the batch is
             // still in its slot — reclaim and restore it.
+            st.inflight.fetch_sub(1, Ordering::SeqCst);
             restore_front(st, std::mem::take(&mut *batch_slot.lock().unwrap()));
             if let Some(mgr) = &shared.tenants {
                 mgr.cancel_flush(TenantId(st.tenant), n);
@@ -1459,15 +1481,19 @@ fn refuse(
 /// injection instant) and the terminal `Stats` — in one socket write.
 /// `client` is the connection to push to and the instant its `Flush`
 /// frame was decoded; a recovered stream's replayed tail has none: its
-/// outputs are logged, not pushed. Runs on a pool worker *before* the
-/// job's outstanding slot is released, so a fleet drain implies every
-/// frame below was written.
+/// outputs are logged, not pushed. Runs on whichever thread held the
+/// job's pool slot — a pool worker, or the connection's own reader when
+/// the fleet lent it the slot ([`FleetExecutor::run_or_submit`]) —
+/// *before* the job's outstanding slot is released, so a fleet drain
+/// implies every frame below was written.
 ///
-/// The write sits between two events it must not cross. After
-/// `on_settle`: a client that reads `Stats` and flushes again must find
-/// its tenant in-flight slot released. Before the `inflight` decrement:
-/// `handle_close` answers its final `Stats` as soon as `inflight` reads 0,
-/// and no frame of this settle may trail that one.
+/// The write sits between two events it must not cross, on either
+/// thread. After `on_settle`: a client that reads `Stats` and flushes
+/// again must find its tenant in-flight slot released. Before the
+/// `inflight` decrement: `handle_close` answers its final `Stats` as soon
+/// as `inflight` reads 0, and no frame of this settle may trail that one.
+/// (On the reader's own thread the second is also program order: it
+/// cannot read `Close` before this returns.)
 fn settle_notifier(
     shared: &Arc<Shared>,
     client: Option<(&Arc<Conn>, Instant)>,
@@ -1575,6 +1601,7 @@ fn handle_close(shared: &Shared, conn: &Conn, st: &StreamState) -> Result<(), Se
     // Drain this stream's in-flight flushes so the final Stats accounts
     // for every admitted token.
     while st.inflight.load(Ordering::SeqCst) > 0 && !shared.cancel.is_cancelled() {
+        shared.c_close_waits.inc();
         std::thread::sleep(DRAIN_POLL);
     }
     st.closed.store(true, Ordering::SeqCst);

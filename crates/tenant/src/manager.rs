@@ -319,6 +319,14 @@ impl TenantManager {
         }
     }
 
+    /// Undo an [`admit_replay`](Self::admit_replay) whose fleet submission
+    /// was refused: no settle will release the slot.
+    pub fn cancel_replay(&self, id: TenantId) {
+        if let Some(tenant) = self.get(id) {
+            tenant.cancel_replay();
+        }
+    }
+
     /// Note a stream opening under `id` (feeds the unique-streams
     /// sketch).
     pub fn on_stream_opened(&self, id: TenantId, stream: u64) {

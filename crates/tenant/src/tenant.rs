@@ -278,6 +278,11 @@ impl Tenant {
         self.inflight.fetch_add(1, Ordering::AcqRel);
     }
 
+    /// Undo an [`admit_replay`](Self::admit_replay) the fleet refused.
+    pub(crate) fn cancel_replay(&self) {
+        self.inflight.fetch_sub(1, Ordering::AcqRel);
+    }
+
     /// Fold a settled job into the tenant's accounting.
     pub(crate) fn on_settle(&self, record: &JobRecord, result: Option<&JobRunResult>) {
         // Saturating: a settle for a replayed job admitted before a crash

@@ -1173,3 +1173,201 @@ fn stalled_writer_is_evicted_by_the_frame_deadline() {
         "the trickled frame never landed"
     );
 }
+
+/// `fleet.pool.lent` on the server's fleet: flush jobs that ran on their
+/// connection's reader thread in a lent pool slot.
+fn lent(server: &Server) -> u64 {
+    let registry = server.fleet().supervisor().registry();
+    registry.counter("fleet.pool.lent").get()
+}
+
+/// On an idle server a connection's reader runs its own flushes: every
+/// one of 32 sequential flushes takes a lent pool slot instead of waking
+/// a worker, and what comes back is what a worker would have sent.
+#[test]
+fn idle_server_lends_every_sequential_flush_to_its_reader() {
+    let server = Server::start("127.0.0.1:0", ServerConfig::default()).expect("bind");
+    let mut client = Client::connect(server.addr(), "lender").expect("connect");
+    let stream = client
+        .open_stream(App::Adpcm, 2)
+        .expect("open")
+        .expect_stream();
+    for round in 0..32 {
+        let batch = workload(App::Adpcm, 100 + round, 4);
+        client.send_tokens(stream, &batch).expect("send");
+        let run = client.flush(stream).expect("flush");
+        assert!(run.admitted());
+        let digests: Vec<u64> = run.outputs.iter().map(|o| o.digest).collect();
+        let expected: Vec<u64> = batch.iter().map(|b| digest_of(b)).collect();
+        assert_eq!(digests, expected, "round {round}");
+    }
+    // The reader answers `Close` after its 32nd lent call returned.
+    let stats = client.close(stream).expect("close").stats.expect("stats");
+    assert_eq!((stats.tokens_in, stats.delivered), (128, 128));
+    assert_eq!(lent(&server), 32);
+    let report = server.shutdown();
+    assert!(report.balanced());
+    assert_eq!(report.fleet.pool.lent, 32);
+    assert_eq!(report.fleet.pool.executed, 32);
+}
+
+/// A `Close` written right behind a `Flush` finds the flush settled: the
+/// stream's in-flight count is raised before the submission (which, lent,
+/// settles the job before it returns) and the reader cannot reach `Close`
+/// earlier — the final `Stats` is complete without one drain sleep.
+#[test]
+fn close_right_behind_a_lent_flush_never_waits() {
+    let server = Server::start("127.0.0.1:0", ServerConfig::default()).expect("bind");
+    let mut sock = std::net::TcpStream::connect(server.addr()).expect("connect");
+    let mut exchange = |frame: Frame| {
+        write_frame(&mut sock, &frame).expect("write");
+        read_frame(&mut sock, DEFAULT_MAX_FRAME).expect("read").0
+    };
+    let hello = Frame::Hello {
+        version: PROTOCOL_VERSION,
+        client: "closer".into(),
+    };
+    assert!(matches!(exchange(hello), Frame::Accepted { .. }));
+    let open = Frame::OpenStream {
+        app: 1,
+        redundancy: 2,
+    };
+    let Frame::Accepted { id } = exchange(open) else {
+        panic!("expected stream id");
+    };
+    // Tokens, Flush and Close in one write: all three are in the socket
+    // before the reader has decoded the first.
+    let mut wire = Vec::new();
+    for frame in [
+        Frame::Tokens {
+            stream: id,
+            payloads: workload(App::Adpcm, 5, 6)
+                .into_iter()
+                .map(Bytes::from)
+                .collect(),
+        },
+        Frame::Flush { stream: id },
+        Frame::Close { stream: id },
+    ] {
+        frame.encode_into(&mut wire);
+    }
+    use std::io::Write as _;
+    sock.write_all(&wire).expect("send");
+    // The settle's `Stats`, then `Close`'s.
+    let mut stats = Vec::new();
+    while stats.len() < 2 {
+        if let Frame::Stats {
+            tokens_in,
+            delivered,
+            ..
+        } = read_frame(&mut sock, DEFAULT_MAX_FRAME).expect("read").0
+        {
+            stats.push((tokens_in, delivered));
+        }
+    }
+    assert_eq!(stats, [(6, 6), (6, 6)]);
+    assert_eq!(lent(&server), 1);
+    assert_eq!(server.registry().counter("serve.close.waits").get(), 0);
+    assert!(server.shutdown().balanced());
+}
+
+/// Under contention nothing is lent: with one slot held by connection A's
+/// slow flush (run by A's reader), connection B's flush queues for the
+/// worker, both settle, and the fleet never runs two at once.
+#[test]
+fn busy_fleet_queues_a_second_connections_flush() {
+    let _guard = timing_lock();
+    let cfg = ServerConfig {
+        fleet: FleetConfig {
+            workers: 1,
+            ..FleetConfig::default()
+        },
+        // Wall-clock runtime: A's 20 MJPEG tokens hold the slot for
+        // ≈ 20 × 30 ms.
+        runtime: ServeRuntime::Threaded {
+            deadline: Duration::from_secs(30),
+            quiescence_grace: Duration::from_millis(150),
+        },
+        ..ServerConfig::default()
+    };
+    let server = Server::start("127.0.0.1:0", cfg).expect("bind");
+    let flush_on_a_thread = |name: &'static str, seed: u64, tokens: usize| {
+        let mut client = Client::connect(server.addr(), name).expect("connect");
+        let stream = client
+            .open_stream(App::Mjpeg, 2)
+            .expect("open")
+            .expect_stream();
+        client
+            .send_tokens(stream, &workload(App::Mjpeg, seed, tokens))
+            .expect("send");
+        std::thread::spawn(move || client.flush(stream).expect("flush"))
+    };
+    let wait_for = |what: &str, reached: &dyn Fn() -> bool| {
+        let armed = Instant::now();
+        while !reached() {
+            assert!(armed.elapsed() < Duration::from_secs(10), "never {what}");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+    };
+
+    let a = flush_on_a_thread("a", 1, 20);
+    wait_for("A running", &|| server.fleet().load().inflight == 1);
+    let b = flush_on_a_thread("b", 2, 4);
+    wait_for("B queued", &|| server.fleet().load().queued == 1);
+    // B sits in the run queue behind the only slot, which A's reader
+    // holds: B was admitted, not lent.
+    let mut peak_inflight = 0;
+    while !(a.is_finished() && b.is_finished()) {
+        peak_inflight = peak_inflight.max(server.fleet().load().inflight);
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    assert_eq!(peak_inflight, 1, "one slot, one run at a time");
+    assert_eq!(a.join().expect("a").outputs.len(), 20);
+    assert_eq!(b.join().expect("b").outputs.len(), 4);
+    assert_eq!(lent(&server), 1, "only A's flush found the fleet idle");
+    let report = server.shutdown();
+    assert!(report.balanced());
+    assert_eq!(report.fleet.pool.executed, 2);
+    assert_eq!(report.fleet.pool.lent, 1);
+}
+
+/// The settle is the same on a lent slot: an injected fail-stop's `Fault`
+/// reaches the client ahead of the flush's terminal `Stats`, pushed by
+/// the notifier on the reader's own thread.
+#[test]
+fn lent_flush_pushes_its_fault_before_stats() {
+    let cfg = ServerConfig {
+        inject: vec![FaultInjection {
+            stream: 0,
+            replica: 1,
+            at: TimeNs::from_ms(120),
+        }],
+        fleet: FleetConfig {
+            // No replacement run: the faulty first run — the lent one —
+            // is the one that settles.
+            max_replacements: 0,
+            ..FleetConfig::default()
+        },
+        ..ServerConfig::default()
+    };
+    let server = Server::start("127.0.0.1:0", cfg).expect("bind");
+    let mut client = Client::connect(server.addr(), "faulted").expect("connect");
+    let stream = client
+        .open_stream(App::Mjpeg, 2)
+        .expect("open")
+        .expect_stream();
+    client
+        .send_tokens(stream, &workload(App::Mjpeg, 42, 12))
+        .expect("send");
+    // `flush` stops collecting at `Stats`: a `Fault` trailing it would
+    // be missing here and turn up in `close` instead.
+    let run = client.flush(stream).expect("flush");
+    assert_eq!(run.outputs.len(), 12);
+    assert_eq!(run.faults.len(), 1);
+    assert_eq!(run.faults[0].replica, 1);
+    assert_eq!(run.stats.expect("stats").faults, 1);
+    let closed = client.close(stream).expect("close");
+    assert!(closed.faults.is_empty() && closed.outputs.is_empty());
+    assert_eq!(lent(&server), 1);
+    assert!(server.shutdown().balanced());
+}
