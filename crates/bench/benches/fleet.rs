@@ -4,10 +4,10 @@
 //!
 //! The scaling workload is deliberately **sleep-bound**: each job is a
 //! duplicated network on the *threaded* runtime with a 2 ms token period,
-//! so a run's wall time is dominated by waiting (token pacing + the
-//! quiescence window), not CPU. More workers overlap that waiting, so
-//! jobs/sec must rise monotonically with the worker count even on a
-//! single-core host — the same reason SMT helps latency-bound servers.
+//! so a run's wall time is dominated by waiting (token pacing), not CPU.
+//! More workers overlap that waiting, so jobs/sec must rise monotonically
+//! with the worker count even on a single-core host — the same reason SMT
+//! helps latency-bound servers.
 //!
 //! Run with `cargo bench --bench fleet`; emits a machine-readable
 //! `BENCH_fleet.json:` line for trend tracking.
@@ -49,13 +49,6 @@ fn sleep_bound_job(name: String, fault: Option<TimeNs>) -> JobSpec {
         relative_deadline: Duration::from_secs(60),
         runtime: JobRuntime::Threaded {
             deadline: Duration::from_secs(30),
-            // The grace window is part of every run's wall time (the
-            // infinite shaper stages are reaped by quiescence), so it
-            // inflates all scale points equally and cancels out of the
-            // jobs/sec ratios. It must exceed the worst-case scheduler
-            // stall with `workers × 6` runnable threads on one core —
-            // 150 ms has been observed to fire spuriously there.
-            quiescence_grace: Duration::from_millis(500),
         },
     }
 }

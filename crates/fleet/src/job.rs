@@ -55,10 +55,9 @@ pub enum JobRuntime {
     },
     /// Real OS threads under wall-clock time.
     Threaded {
-        /// Hard wall-clock deadline of the run.
+        /// Hard wall-clock deadline of the run; a run that deadlocks
+        /// earlier returns at once (see `rtft_kpn::threaded`).
         deadline: Duration,
-        /// Quiescence idle window (see `rtft_kpn::threaded`).
-        quiescence_grace: Duration,
     },
 }
 
@@ -670,13 +669,8 @@ fn run(net: Network, runtime: &JobRuntime, registry: &MetricsRegistry) -> Finish
             engine.run_until(*horizon);
             FinishedRun::Des(engine.into_network())
         }
-        JobRuntime::Threaded {
-            deadline,
-            quiescence_grace,
-        } => {
-            let config = ThreadedConfig::new(*deadline)
-                .with_quiescence_grace(*quiescence_grace)
-                .with_metrics(registry);
+        JobRuntime::Threaded { deadline } => {
+            let config = ThreadedConfig::new(*deadline).with_metrics(registry);
             FinishedRun::Threaded(run_threaded_with(net, &config))
         }
     }
@@ -699,8 +693,9 @@ impl FinishedRun {
             .unwrap_or_default()
     }
 
-    /// The consumer's `(arrival time ns, payload digest)` log; empty if a
-    /// threaded run timed out before the consumer halted.
+    /// The consumer's `(arrival time ns, payload digest)` log. A threaded
+    /// run returns every process, so a consumer the deadline stopped still
+    /// shows what it received.
     fn arrival_log(&self, consumer: NodeId) -> Vec<(u64, u64)> {
         let sink = match self {
             FinishedRun::Des(net) => net.process_as::<PjdSink>(consumer),

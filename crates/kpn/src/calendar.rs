@@ -173,6 +173,7 @@ impl CalendarQueue {
         }
     }
 
+    #[cfg(test)]
     fn len(&self) -> usize {
         self.due_now.len()
             + usize::from(self.single.is_some())
@@ -463,13 +464,7 @@ impl EventQueue {
         }
     }
 
-    pub fn kind(&self) -> QueueKind {
-        match self {
-            EventQueue::Calendar(_) => QueueKind::Calendar,
-            EventQueue::Heap(_) => QueueKind::Heap,
-        }
-    }
-
+    #[cfg(test)]
     pub fn len(&self) -> usize {
         match self {
             EventQueue::Calendar(c) => c.len(),

@@ -275,16 +275,6 @@ impl Engine {
         self
     }
 
-    /// Which event-queue implementation this engine runs on.
-    pub fn queue_kind(&self) -> QueueKind {
-        self.queue.kind()
-    }
-
-    /// Number of scheduled events not yet delivered (diagnostics).
-    pub fn pending_events(&self) -> usize {
-        self.queue.len()
-    }
-
     /// Attaches metrics: engine step/token/block counters plus one
     /// occupancy gauge per channel (named
     /// `kpn.channel.<name>.fill`), all registered in `registry`. Handles
@@ -308,12 +298,6 @@ impl Engine {
     /// The executed network (inspect channels/processes after a run).
     pub fn network(&self) -> &Network {
         &self.network
-    }
-
-    /// Mutable access to the network (e.g. to trigger a fault latch by
-    /// hand in tests).
-    pub fn network_mut(&mut self) -> &mut Network {
-        &mut self.network
     }
 
     /// Consumes the engine, returning the network.

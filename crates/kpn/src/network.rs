@@ -268,11 +268,6 @@ impl Network {
         self.add_process_body(ProcBody::from_process(process))
     }
 
-    /// Adds an already-boxed process, returning its id.
-    pub fn add_process_boxed(&mut self, process: Box<dyn Process>) -> NodeId {
-        self.add_process_body(ProcBody::Dyn(process))
-    }
-
     fn add_process_body(&mut self, process: ProcBody) -> NodeId {
         let id = NodeId(self.processes.len());
         let name = process.name().to_owned();

@@ -9,31 +9,41 @@
 //! with a mutex + condvar per channel; `Compute` becomes `thread::sleep`;
 //! `now` is the wall-clock offset from the run's epoch.
 //!
+//! # Termination by counting
+//!
+//! A Kahn network's run is over exactly when it deadlocks, and that is
+//! counted, not timed. `running` counts the threads runnable or asleep in
+//! `Compute`; parking on a channel or halting leaves it, and a successful
+//! channel operation credits that channel's parked threads back before it
+//! wakes them. The park or halt that takes `running` to zero proves nobody
+//! can wake anyone and stops the run; so does the deadline, if it comes
+//! first. Then every parked thread returns its process and every thread
+//! is joined. DESIGN.md ("Termination by counting") gives the lock order
+//! that keeps a wake-up from being lost.
+//!
 //! Measurements from this runtime are inherently noisy (host scheduling),
 //! so the experiment tables are produced by the deterministic engine, while
 //! the integration tests use this runtime to validate behavioural
 //! equivalence (same token sequences, faults detected).
 
 use crate::channel::{ChannelBehavior, ReadOutcome, WriteOutcome};
-use crate::network::Network;
+use crate::network::{ChanBody, Network, ProcBody};
 use crate::process::{Process, Syscall, Wakeup};
-use crate::token::Token;
 use rtft_obs::{Counter, MetricsRegistry};
 use rtft_rtc::TimeNs;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
 /// Pre-resolved wall-clock metric handles shared by all process threads.
 /// Resolved once at run start so the channel hot path never touches the
 /// registry lock.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug)]
 struct ThreadObs {
     writes: Counter,
     reads: Counter,
     write_waits: Counter,
     read_waits: Counter,
-    spin_hits: Counter,
 }
 
 impl ThreadObs {
@@ -43,56 +53,15 @@ impl ThreadObs {
             reads: registry.counter("threaded.channel.reads"),
             write_waits: registry.counter("threaded.channel.write_waits"),
             read_waits: registry.counter("threaded.channel.read_waits"),
-            spin_hits: registry.counter("threaded.channel.spin_hits"),
         }
     }
 }
 
-/// Iterations of [`std::hint::spin_loop`] attempted (with the channel
-/// mutex released) before a blocked writer/reader parks on the condvar.
-/// On a contended multicore the peer usually drains/fills the queue within
-/// this window, saving the park/unpark round-trip; on a 1-core host the
-/// spin burns one short quantum and falls through to the existing condvar
-/// wait, so liveness is unchanged.
-const SPIN_ITERS: u32 = 100;
-
-/// Wall-clock timestamp (ns since the run epoch) of the most recent
-/// successful channel operation, compute completion, or halt. Drives
-/// quiescence detection in the join loop: once this stops advancing, the
-/// only threads still alive are permanently blocked on channels.
-#[derive(Debug, Default)]
-struct Progress {
-    last_ns: AtomicU64,
-}
-
-impl Progress {
-    fn touch(&self, now: TimeNs) {
-        self.last_ns.fetch_max(now.as_ns(), Ordering::Relaxed);
-    }
-
-    fn last(&self) -> u64 {
-        self.last_ns.load(Ordering::Relaxed)
-    }
-}
-
-/// Default quiescence idle window: how long the join loop waits with no
-/// progress anywhere before declaring the network quiescent. Far above any
-/// service time or period in this repository (all ≤ tens of ms); a single
-/// `Compute` sleep longer than the configured window would be misread as
-/// quiescence, so callers running coarser schedules must raise it via
-/// [`ThreadedConfig::with_quiescence_grace`] — and callers running many
-/// *small* jobs (the fleet executor) should lower it, since the window is
-/// pure completion-latency tail for every job.
-pub const DEFAULT_QUIESCENCE_GRACE: Duration = Duration::from_secs(1);
-
-/// A shared cancellation flag for a threaded run.
+/// A shared cancellation flag.
 ///
-/// Cloning yields a handle to the same flag; [`CancelToken::cancel`] makes
-/// the join loop of the run holding the token return at its next poll
-/// (within a few hundred microseconds), reporting every still-running
-/// process in [`ThreadedRun::timed_out`]. The fleet executor uses this to
-/// abandon a job that outlived its deadline without waiting for the run's
-/// hard deadline.
+/// Cloning yields a handle to the same flag. A threaded run never reads
+/// one — it ends at deadlock or at its deadline — but services use it as
+/// their shutdown flag (the `rtft-serve` server does).
 #[derive(Debug, Clone, Default)]
 pub struct CancelToken {
     flag: Arc<AtomicBool>,
@@ -115,42 +84,24 @@ impl CancelToken {
     }
 }
 
-/// Configuration of a threaded run: hard deadline, quiescence idle window,
-/// optional cancellation hook and optional metrics registry.
+/// Configuration of a threaded run: hard deadline and optional metrics
+/// registry.
 #[derive(Debug, Clone)]
 pub struct ThreadedConfig {
-    /// Hard upper bound on the run's wall-clock duration.
+    /// Hard upper bound on the run's wall-clock duration; a network that
+    /// deadlocks or halts earlier returns at once.
     pub deadline: Duration,
-    /// Idle window after which the network is declared quiescent
-    /// ([`DEFAULT_QUIESCENCE_GRACE`] unless overridden).
-    pub quiescence_grace: Duration,
-    /// Cooperative cancellation hook checked by the join loop.
-    pub cancel: Option<CancelToken>,
     /// Wall-clock channel metrics are recorded here when set.
     pub metrics: Option<MetricsRegistry>,
 }
 
 impl ThreadedConfig {
-    /// A config with the given hard deadline and all defaults.
+    /// A config with the given hard deadline and no metrics.
     pub fn new(deadline: Duration) -> Self {
         ThreadedConfig {
             deadline,
-            quiescence_grace: DEFAULT_QUIESCENCE_GRACE,
-            cancel: None,
             metrics: None,
         }
-    }
-
-    /// Overrides the quiescence idle window.
-    pub fn with_quiescence_grace(mut self, grace: Duration) -> Self {
-        self.quiescence_grace = grace;
-        self
-    }
-
-    /// Attaches a cancellation token.
-    pub fn with_cancel(mut self, token: CancelToken) -> Self {
-        self.cancel = Some(token);
-        self
     }
 
     /// Records wall-clock channel metrics into `registry`.
@@ -160,101 +111,154 @@ impl ThreadedConfig {
     }
 }
 
+/// The run-wide termination count. Lock order: a thread holding a channel
+/// lock may take this one; no thread takes a channel lock while holding it.
+#[derive(Debug)]
+struct Count {
+    /// Threads runnable or asleep in `Compute`: neither parked nor halted.
+    running: usize,
+    /// Set once — by the park or halt that takes `running` to zero, or by
+    /// the deadline — and never cleared.
+    stopped: bool,
+}
+
+/// What every thread of one run shares besides the channels.
+#[derive(Debug)]
+struct Run {
+    count: Mutex<Count>,
+    /// Signalled when `stopped` is set; the join waits on it.
+    stop: Condvar,
+    clock: WallClock,
+    obs: Option<ThreadObs>,
+}
+
+impl Run {
+    fn count(&self) -> MutexGuard<'_, Count> {
+        self.count.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Takes the calling thread out of `running`: it is about to park, or
+    /// it has halted or panicked. The thread that takes the count to zero
+    /// stops the run, since every other thread is parked or gone and none
+    /// can wake another. Returns `false` once the run is stopped, so a
+    /// parker must not wait.
+    fn leave(&self) -> bool {
+        let mut count = self.count();
+        if count.stopped {
+            return false;
+        }
+        count.running -= 1;
+        if count.running == 0 {
+            count.stopped = true;
+            self.stop.notify_all();
+            return false;
+        }
+        true
+    }
+
+    /// Waits until the run stops or `remaining` passes, stopping it then.
+    /// Returns `true` when the deadline stopped it.
+    fn await_stop(&self, remaining: Duration) -> bool {
+        let (mut count, _) = self
+            .stop
+            .wait_timeout_while(self.count(), remaining, |c| !c.stopped)
+            .unwrap_or_else(PoisonError::into_inner);
+        let by_deadline = !count.stopped;
+        count.stopped = true;
+        by_deadline
+    }
+}
+
+/// What a channel's lock guards.
+#[derive(Debug)]
+struct ChanState {
+    body: ChanBody,
+    /// Threads parked here that `running` no longer counts.
+    parked: usize,
+    /// Bumped by each wake-up that credits `parked` back to `running`. A
+    /// parked thread waits until it moves, so a spurious condvar wake-up
+    /// is never taken for a credit.
+    wakes: u64,
+    /// Set by the stop sweep: parked threads return, and an operation
+    /// started afterwards returns before attempting.
+    stopped: bool,
+}
+
 /// A channel shared between process threads.
 #[derive(Debug)]
 struct SharedChannel {
-    state: Mutex<crate::network::ChanBody>,
+    state: Mutex<ChanState>,
     changed: Condvar,
-    obs: Option<ThreadObs>,
-    progress: Arc<Progress>,
 }
 
 impl SharedChannel {
-    fn write_blocking(&self, iface: usize, mut token: Token, clock: &WallClock) {
-        let mut guard = self.state.lock().unwrap();
-        let mut spun = false;
-        let mut parked = false;
+    /// A panic inside a channel behaviour is reported as the calling
+    /// process's; its peers go on with the channel as it was left, and a
+    /// parked thread never unwinds and leaves `running` a second time.
+    fn lock(&self) -> MutexGuard<'_, ChanState> {
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// One blocking operation, read or write: `attempt` until it
+    /// completes, parking in between; `obs` counts completions and parks.
+    /// `None` once the run has stopped.
+    ///
+    /// No wake-up is lost because all counting happens under this
+    /// channel's lock, with the run lock taken beneath it. A parker leaves
+    /// `running` and joins `parked` before `Condvar::wait` releases the
+    /// channel lock; a waker credits `parked` back to `running` before it
+    /// notifies, under the same lock. A credited thread that is still
+    /// blocked leaves `running` again when it re-parks.
+    fn transact<T>(
+        &self,
+        run: &Run,
+        obs: Option<(&Counter, &Counter)>,
+        mut attempt: impl FnMut(&mut ChanBody, TimeNs) -> Option<T>,
+    ) -> Option<T> {
+        let mut chan = self.lock();
+        if chan.stopped {
+            return None;
+        }
         loop {
-            // The channel takes ownership; a blocked write hands the token
-            // back, so no payload is ever cloned on the retry loop.
-            match guard.try_write(iface, token, clock.now()) {
-                WriteOutcome::Accepted | WriteOutcome::AcceptedDropped => {
-                    if let Some(obs) = &self.obs {
-                        obs.writes.inc();
-                        if spun && !parked {
-                            obs.spin_hits.inc();
-                        }
-                    }
-                    self.progress.touch(clock.now());
+            if let Some(done) = attempt(&mut chan.body, run.clock.now()) {
+                if let Some((done, _)) = obs {
+                    done.inc();
+                }
+                if chan.parked > 0 {
+                    run.count().running += chan.parked;
+                    chan.parked = 0;
+                    chan.wakes += 1;
                     self.changed.notify_all();
-                    return;
                 }
-                WriteOutcome::Blocked(t) => {
-                    token = t;
-                    if !spun {
-                        // First miss: release the lock, spin briefly, retry
-                        // before paying for a condvar park.
-                        spun = true;
-                        drop(guard);
-                        for _ in 0..SPIN_ITERS {
-                            std::hint::spin_loop();
-                        }
-                        guard = self.state.lock().unwrap();
-                        continue;
-                    }
-                    parked = true;
-                    if let Some(obs) = &self.obs {
-                        obs.write_waits.inc();
-                    }
-                    guard = self
-                        .changed
-                        .wait_timeout(guard, Duration::from_millis(5))
-                        .expect("channel mutex poisoned")
-                        .0;
-                }
+                return Some(done);
+            }
+            if let Some((_, waits)) = obs {
+                waits.inc();
+            }
+            if !run.leave() {
+                return None;
+            }
+            chan.parked += 1;
+            let wakes = chan.wakes;
+            while chan.wakes == wakes && !chan.stopped {
+                chan = self
+                    .changed
+                    .wait(chan)
+                    .unwrap_or_else(PoisonError::into_inner);
+            }
+            if chan.stopped {
+                return None;
             }
         }
     }
 
-    fn read_blocking(&self, iface: usize, clock: &WallClock) -> Token {
-        let mut guard = self.state.lock().unwrap();
-        let mut spun = false;
-        let mut parked = false;
-        loop {
-            match guard.try_read(iface, clock.now()) {
-                ReadOutcome::Token(t) => {
-                    if let Some(obs) = &self.obs {
-                        obs.reads.inc();
-                        if spun && !parked {
-                            obs.spin_hits.inc();
-                        }
-                    }
-                    self.progress.touch(clock.now());
-                    self.changed.notify_all();
-                    return t;
-                }
-                ReadOutcome::Blocked => {
-                    if !spun {
-                        spun = true;
-                        drop(guard);
-                        for _ in 0..SPIN_ITERS {
-                            std::hint::spin_loop();
-                        }
-                        guard = self.state.lock().unwrap();
-                        continue;
-                    }
-                    parked = true;
-                    if let Some(obs) = &self.obs {
-                        obs.read_waits.inc();
-                    }
-                    guard = self
-                        .changed
-                        .wait_timeout(guard, Duration::from_millis(5))
-                        .expect("channel mutex poisoned")
-                        .0;
-                }
-            }
-        }
+    /// The stop sweep: marks the channel stopped and wakes its parked
+    /// threads under its lock, so no parker sits between leaving `running`
+    /// and waiting.
+    fn stop(&self) {
+        let mut chan = self.lock();
+        chan.stopped = true;
+        self.changed.notify_all();
     }
 }
 
@@ -271,20 +275,89 @@ impl WallClock {
     }
 }
 
+/// Takes a panicking thread out of `running`, so a process that panics
+/// cannot hold the run open until the deadline.
+struct LeaveOnUnwind<'a>(&'a Run);
+
+impl Drop for LeaveOnUnwind<'_> {
+    fn drop(&mut self) {
+        if std::thread::panicking() {
+            self.0.leave();
+        }
+    }
+}
+
+/// A process thread's body: resumes `process` until it halts or the run
+/// stops, then hands it back with whether it halted.
+fn drive(mut process: ProcBody, run: &Run, chans: &[SharedChannel]) -> (ProcBody, bool) {
+    let _unwind = LeaveOnUnwind(run);
+    let mut wake = Wakeup::Start;
+    loop {
+        let next = match process.resume(wake, run.clock.now()) {
+            Syscall::Halt => {
+                run.leave();
+                return (process, true);
+            }
+            Syscall::Compute(_) if run.count().stopped => None,
+            Syscall::Compute(d) => {
+                if d > TimeNs::ZERO {
+                    std::thread::sleep(Duration::from_nanos(d.as_ns()));
+                }
+                Some(Wakeup::ComputeDone)
+            }
+            Syscall::Read(port) => {
+                let obs = run.obs.as_ref().map(|o| (&o.reads, &o.read_waits));
+                chans[port.channel.0].transact(run, obs, |body, now| {
+                    match body.try_read(port.iface, now) {
+                        ReadOutcome::Token(t) => Some(Wakeup::ReadDone(t)),
+                        ReadOutcome::Blocked => None,
+                    }
+                })
+            }
+            Syscall::Write(port, token) => {
+                let obs = run.obs.as_ref().map(|o| (&o.writes, &o.write_waits));
+                // The channel takes ownership; a blocked write hands the
+                // token back, so no payload is cloned between attempts.
+                let mut token = Some(token);
+                chans[port.channel.0].transact(run, obs, |body, now| {
+                    let t = token.take().expect("held between attempts");
+                    match body.try_write(port.iface, t, now) {
+                        WriteOutcome::Accepted | WriteOutcome::AcceptedDropped => {
+                            Some(Wakeup::WriteDone)
+                        }
+                        WriteOutcome::Blocked(t) => {
+                            token = Some(t);
+                            None
+                        }
+                    }
+                })
+            }
+        };
+        let Some(next) = next else {
+            return (process, false);
+        };
+        wake = next;
+    }
+}
+
 /// Result of a threaded run.
 #[derive(Debug)]
 pub struct ThreadedRun {
-    /// The channels after the run (wrapped; downcast via
-    /// [`ThreadedRun::channel_as`]).
-    channels: Vec<(String, Arc<SharedChannel>)>,
-    /// Wall-clock duration of the run.
+    /// The channels after the run, in insertion order.
+    channels: Vec<SharedChannel>,
+    /// Wall-clock duration of the run, joins included.
     pub elapsed: Duration,
-    /// Processes that were still running when the deadline hit (names).
+    /// If the deadline stopped the run: the processes that had not halted.
     pub timed_out: Vec<String>,
-    /// `true` if the run returned because its [`CancelToken`] fired.
-    pub cancelled: bool,
+    /// If the network deadlocked first: the processes parked on a channel,
+    /// in insertion order — the threaded counterpart of the engine's
+    /// `RunOutcome::Quiescent { blocked }`.
+    pub blocked: Vec<String>,
+    /// Processes whose thread panicked or could not be spawned. They are
+    /// not returned; every other process is.
+    pub panicked: Vec<String>,
     /// The processes, returned for post-run inspection, in insertion order.
-    processes: Vec<(String, crate::network::ProcBody)>,
+    processes: Vec<(String, ProcBody)>,
 }
 
 impl ThreadedRun {
@@ -294,8 +367,7 @@ impl ThreadedRun {
         index: usize,
         f: impl FnOnce(&dyn crate::ChannelBehavior) -> R,
     ) -> Option<R> {
-        let guard = self.channels.get(index)?.1.state.lock().unwrap();
-        Some(f(&*guard))
+        Some(f(&self.channels.get(index)?.lock().body))
     }
 
     /// Inspects a channel's final state under its concrete type.
@@ -303,8 +375,9 @@ impl ThreadedRun {
         self.channel(index, |c| c.as_any().downcast_ref::<T>().map(f))?
     }
 
-    /// Inspects a finished process under its concrete type (only processes
-    /// that halted before the deadline are returned to the run).
+    /// Inspects a process under its concrete type. Halted, parked and
+    /// deadline-stopped processes are all returned; only one listed in
+    /// [`ThreadedRun::panicked`] is not.
     pub fn process_as<T: 'static>(&self, name: &str) -> Option<&T> {
         self.processes
             .iter()
@@ -336,20 +409,20 @@ impl std::fmt::Display for ThreadedError {
 
 impl std::error::Error for ThreadedError {}
 
-/// Runs `network` on real threads until every process halts, the network
-/// quiesces, or `deadline` elapses.
+/// Runs `network` on real threads until it halts or deadlocks, or until
+/// `deadline` elapses.
 ///
-/// Quiescence: once no channel operation, compute completion, or halt has
-/// happened anywhere for [`DEFAULT_QUIESCENCE_GRACE`], the remaining
-/// threads can only be permanently blocked on channels (Kahn processes
-/// such as shapers never halt by construction), so the run returns early;
-/// `deadline` is the hard upper bound for networks that keep making
-/// progress. Unfinished processes are detached (their threads park on
-/// channels forever and are reaped at process exit); their names are
-/// reported in [`ThreadedRun::timed_out`].
+/// Once every process has halted or parked on a channel, nothing can move
+/// again, so the run returns at once; Kahn processes such as shapers never
+/// halt by construction, and the ones parked at that point are listed in
+/// [`ThreadedRun::blocked`]. `deadline` is the hard upper bound for
+/// networks that keep making progress: it stops the run the same way and
+/// lists every process that had not halted in [`ThreadedRun::timed_out`]
+/// (a thread asleep in `Compute` finishes that sleep first). Either way
+/// every thread is joined and every process that did not panic is
+/// returned.
 ///
-/// Use [`run_threaded_with`] to override the quiescence window or attach a
-/// [`CancelToken`].
+/// Use [`run_threaded_with`] to record wall-clock metrics.
 ///
 /// # Panics
 ///
@@ -358,23 +431,11 @@ pub fn run_threaded(network: Network, deadline: Duration) -> ThreadedRun {
     run_threaded_with(network, &ThreadedConfig::new(deadline))
 }
 
-/// Like [`run_threaded`], but records wall-clock channel metrics
-/// (`threaded.channel.{writes,reads,write_waits,read_waits,spin_hits}`
-/// counters and the `threaded.elapsed_ns` gauge) into `registry`.
-pub fn run_threaded_observed(
-    network: Network,
-    deadline: Duration,
-    registry: &MetricsRegistry,
-) -> ThreadedRun {
-    run_threaded_with(
-        network,
-        &ThreadedConfig::new(deadline).with_metrics(registry),
-    )
-}
-
-/// Runs `network` on real threads under an explicit [`ThreadedConfig`]:
-/// hard deadline, quiescence idle window, optional cancellation and
-/// optional metrics. See [`run_threaded`] for the termination semantics.
+/// Runs `network` on real threads under an explicit [`ThreadedConfig`].
+/// With a registry attached it records the
+/// `threaded.channel.{writes,reads,write_waits,read_waits}` counters and
+/// the `threaded.elapsed_ns` gauge. See [`run_threaded`] for the
+/// termination semantics.
 ///
 /// # Panics
 ///
@@ -397,137 +458,102 @@ pub fn try_run_threaded_with(
         return Err(ThreadedError::InvalidNetwork(e));
     }
     let (channel_slots, process_slots) = network.into_parts();
-    let clock = WallClock {
-        epoch: Instant::now(),
+    let start = Instant::now();
+    let run = Run {
+        count: Mutex::new(Count {
+            running: process_slots.len(),
+            stopped: process_slots.is_empty(),
+        }),
+        stop: Condvar::new(),
+        clock: WallClock { epoch: start },
+        obs: config.metrics.as_ref().map(ThreadObs::from_registry),
     };
-    let obs = config.metrics.as_ref().map(ThreadObs::from_registry);
-    let progress = Arc::new(Progress::default());
-
-    let channels: Vec<(String, Arc<SharedChannel>)> = channel_slots
+    let channels: Vec<SharedChannel> = channel_slots
         .into_iter()
-        .map(|slot| {
-            (
-                slot.name,
-                Arc::new(SharedChannel {
-                    state: Mutex::new(slot.behavior),
-                    changed: Condvar::new(),
-                    obs: obs.clone(),
-                    progress: Arc::clone(&progress),
-                }),
-            )
+        .map(|slot| SharedChannel {
+            state: Mutex::new(ChanState {
+                body: slot.behavior,
+                parked: 0,
+                wakes: 0,
+                stopped: false,
+            }),
+            changed: Condvar::new(),
         })
         .collect();
+    let names: Vec<String> = process_slots.iter().map(|s| s.name.clone()).collect();
 
-    let mut handles = Vec::new();
-    for slot in process_slots {
-        let name = slot.name.clone();
-        let mut process = slot.process;
-        let chans: Vec<Arc<SharedChannel>> = channels.iter().map(|(_, c)| Arc::clone(c)).collect();
-        let progress = Arc::clone(&progress);
-        let handle = std::thread::Builder::new()
-            .name(name.clone())
-            .spawn(move || {
-                let mut wake = Wakeup::Start;
-                loop {
-                    match process.resume(wake, clock.now()) {
-                        Syscall::Halt => {
-                            progress.touch(clock.now());
-                            return (name, process);
-                        }
-                        Syscall::Compute(d) => {
-                            progress.touch(clock.now());
-                            if d > TimeNs::ZERO {
-                                std::thread::sleep(Duration::from_nanos(d.as_ns()));
-                            }
-                            progress.touch(clock.now());
-                            wake = Wakeup::ComputeDone;
-                        }
-                        Syscall::Read(port) => {
-                            let t = chans[port.channel.0].read_blocking(port.iface, &clock);
-                            wake = Wakeup::ReadDone(t);
-                        }
-                        Syscall::Write(port, token) => {
-                            chans[port.channel.0].write_blocking(port.iface, token, &clock);
-                            wake = Wakeup::WriteDone;
-                        }
-                    }
+    let (joined, by_deadline) = std::thread::scope(|scope| {
+        let (run, chans) = (&run, &channels[..]);
+        let handles: Vec<_> = process_slots
+            .into_iter()
+            .map(|slot| {
+                let spawned = std::thread::Builder::new()
+                    .name(slot.name)
+                    .spawn_scoped(scope, move || drive(slot.process, run, chans));
+                if spawned.is_err() {
+                    run.leave(); // reported as panicked, like a thread that died
                 }
+                spawned.ok()
             })
-            .expect("spawn process thread");
-        handles.push(handle);
-    }
+            .collect();
+        // A deadlock stops the run from inside; the only timed wait is for
+        // the deadline's remainder.
+        let by_deadline = run.await_stop(config.deadline.saturating_sub(start.elapsed()));
+        for chan in chans {
+            chan.stop();
+        }
+        let joined: Vec<_> = handles
+            .into_iter()
+            .map(|h| h.and_then(|h| h.join().ok()))
+            .collect();
+        (joined, by_deadline)
+    });
 
-    // Join with a global deadline, returning early once the network
-    // quiesces or the cancel token fires. A duplicated network always
-    // contains Kahn processes that never halt (shapers, stages): after the
-    // bounded producer and consumer finish, those threads are permanently
-    // blocked on channels. Once no channel operation, compute, or halt has
-    // happened anywhere for the configured quiescence window, waiting out
-    // the rest of the deadline adds only latency, so the deadline serves
-    // purely as a hard upper bound.
-    let start = Instant::now();
-    let mut pending: Vec<Option<_>> = handles.into_iter().map(Some).collect();
-    let mut finished = Vec::new();
-    let mut timed_out = Vec::new();
-    let mut cancelled = false;
-    loop {
-        for slot in pending.iter_mut() {
-            // `JoinHandle` has no timed join; poll `is_finished`.
-            if slot.as_ref().is_some_and(|h| h.is_finished()) {
-                match slot.take().expect("just checked").join() {
-                    Ok((name, process)) => finished.push((name, process)),
-                    Err(_) => timed_out.push("<panicked>".to_owned()),
-                }
-            }
+    let mut result = ThreadedRun {
+        channels,
+        elapsed: start.elapsed(),
+        timed_out: Vec::new(),
+        blocked: Vec::new(),
+        panicked: Vec::new(),
+        processes: Vec::with_capacity(names.len()),
+    };
+    for (name, outcome) in names.into_iter().zip(joined) {
+        let Some((process, halted)) = outcome else {
+            result.panicked.push(name);
+            continue;
+        };
+        // Only a parked thread is unhalted at a deadlock; any thread may be
+        // at the deadline.
+        if !halted {
+            let why = if by_deadline {
+                &mut result.timed_out
+            } else {
+                &mut result.blocked
+            };
+            why.push(name.clone());
         }
-        if pending.iter().all(Option::is_none) {
-            break;
-        }
-        if config.cancel.as_ref().is_some_and(|c| c.is_cancelled()) {
-            cancelled = true;
-            break;
-        }
-        let idle_ns = clock.now().as_ns().saturating_sub(progress.last());
-        if start.elapsed() >= config.deadline || idle_ns > config.quiescence_grace.as_nanos() as u64
-        {
-            break;
-        }
-        std::thread::sleep(Duration::from_micros(200));
+        result.processes.push((name, process));
     }
-    for handle in pending.into_iter().flatten() {
-        timed_out.push(handle.thread().name().unwrap_or("<unnamed>").to_owned());
-        drop(handle); // detach: parked on a channel forever, reaped at exit
-    }
-
-    let elapsed = start.elapsed();
     if let Some(registry) = &config.metrics {
         registry
             .gauge("threaded.elapsed_ns")
-            .set(elapsed.as_nanos() as u64);
+            .set(result.elapsed.as_nanos() as u64);
     }
-    Ok(ThreadedRun {
-        channels,
-        elapsed,
-        timed_out,
-        cancelled,
-        processes: finished,
-    })
+    Ok(result)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::channel::{Fifo, PortId};
-    use crate::process::{Collector, PjdSink, PjdSource};
-    use crate::token::Payload;
+    use crate::channel::{ChannelId, Fifo, PortId};
+    use crate::engine::{Engine, RunOutcome};
+    use crate::process::{Collector, NodeId, PjdSink, PjdSource, Transform};
+    use crate::rng::SplitMix64;
+    use crate::token::{Payload, Token};
     use rtft_rtc::PjdModel;
 
-    /// Tests pin the quiescence window explicitly (satellite of the fleet
-    /// PR): every period in this module is ≤ 1 ms, so 200 ms of global
-    /// silence is conclusive and keeps the tests fast.
     fn test_config() -> ThreadedConfig {
         ThreadedConfig::new(Duration::from_secs(10))
-            .with_quiescence_grace(Duration::from_millis(200))
     }
 
     #[test]
@@ -583,10 +609,24 @@ mod tests {
     fn deadline_reaps_unfinished_processes() {
         let mut net = Network::new();
         let a = net.add_channel(Fifo::new("a", 1));
-        // Collector with no producer: blocks forever.
-        net.add_process(Collector::new("stuck", PortId::of(a), None));
+        // Unbounded source and collector: the network never deadlocks, so
+        // only the deadline ends the run.
+        net.add_process(PjdSource::new(
+            "src",
+            PortId::of(a),
+            PjdModel::periodic(TimeNs::from_us(100)),
+            0,
+            None,
+            Payload::U64,
+        ));
+        net.add_process(Collector::new("col", PortId::of(a), None));
         let run = run_threaded(net, Duration::from_millis(100));
-        assert_eq!(run.timed_out, vec!["stuck".to_owned()]);
+        assert_eq!(run.timed_out, ["src", "col"]);
+        assert!(run.elapsed >= Duration::from_millis(100));
+        let returned: Vec<&str> = run.processes.iter().map(|(n, _)| n.as_str()).collect();
+        assert_eq!(returned, ["src", "col"]);
+        let col = run.process_as::<Collector>("col").expect("returned");
+        assert!(!col.tokens().is_empty());
     }
 
     #[test]
@@ -633,7 +673,7 @@ mod tests {
     }
 
     #[test]
-    fn short_quiescence_window_returns_promptly() {
+    fn unbounded_collector_returns_at_deadlock() {
         let mut net = Network::new();
         let a = net.add_channel(Fifo::new("a", 4));
         let model = PjdModel::periodic(TimeNs::from_ms(1));
@@ -645,39 +685,231 @@ mod tests {
             Some(5),
             Payload::U64,
         ));
-        // Unbounded collector: never halts, blocks after the 5th token —
-        // only quiescence detection can end this run before the deadline.
+        // Unbounded collector: never halts, parks after the 5th token, and
+        // the network is deadlocked from then on.
         net.add_process(Collector::new("col", PortId::of(a), None));
-        let cfg = ThreadedConfig::new(Duration::from_secs(30))
-            .with_quiescence_grace(Duration::from_millis(50));
-        let run = run_threaded_with(net, &cfg);
-        assert_eq!(run.timed_out, vec!["col".to_owned()]);
-        assert!(!run.cancelled);
+        let run = run_threaded(net, Duration::from_secs(30));
+        assert_eq!(run.blocked, ["col"]);
+        assert!(run.timed_out.is_empty());
         assert!(
-            run.elapsed < Duration::from_secs(2),
-            "quiescence window not honoured: {:?}",
+            run.elapsed < Duration::from_secs(5),
+            "deadlock not detected: {:?}",
             run.elapsed
         );
+        let col = run
+            .process_as::<Collector>("col")
+            .expect("parked, returned");
+        assert_eq!(col.tokens().len(), 5);
     }
 
     #[test]
-    fn cancel_token_aborts_a_stuck_run() {
+    fn panicking_process_is_named_and_releases_the_run() {
         let mut net = Network::new();
         let a = net.add_channel(Fifo::new("a", 1));
-        // Collector with no producer: blocks forever.
-        net.add_process(Collector::new("stuck", PortId::of(a), None));
-        let token = CancelToken::new();
-        let canceller = token.clone();
-        let h = std::thread::spawn(move || {
-            std::thread::sleep(Duration::from_millis(30));
-            canceller.cancel();
-        });
-        // Deadline and quiescence window both far beyond the cancel point.
-        let cfg = ThreadedConfig::new(Duration::from_secs(30)).with_cancel(token);
-        let run = run_threaded_with(net, &cfg);
-        h.join().unwrap();
-        assert!(run.cancelled);
-        assert_eq!(run.timed_out, vec!["stuck".to_owned()]);
-        assert!(run.elapsed < Duration::from_secs(5));
+        let b = net.add_channel(Fifo::new("b", 1));
+        net.add_process(PjdSource::new(
+            "src",
+            PortId::of(a),
+            PjdModel::periodic(TimeNs::from_us(100)),
+            0,
+            Some(10),
+            Payload::U64,
+        ));
+        let mut seen = 0;
+        net.add_process(Transform::new(
+            "boom",
+            PortId::of(a),
+            PortId::of(b),
+            TimeNs::ZERO,
+            TimeNs::ZERO,
+            0,
+            move |p| {
+                seen += 1;
+                if seen == 3 {
+                    panic!("injected panic on the third token");
+                }
+                p
+            },
+        ));
+        net.add_process(Collector::new("col", PortId::of(b), None));
+        let run = run_threaded(net, Duration::from_secs(30));
+        assert!(
+            run.elapsed < Duration::from_secs(5),
+            "a panicked thread held the run open: {:?}",
+            run.elapsed
+        );
+        assert_eq!(run.panicked, ["boom"]);
+        assert!(run.timed_out.is_empty());
+        // The source fills `a` behind the dead stage; the collector
+        // starves after the two tokens that got through.
+        assert_eq!(run.blocked, ["src", "col"]);
+        let returned: Vec<&str> = run.processes.iter().map(|(n, _)| n.as_str()).collect();
+        assert_eq!(returned, ["src", "col"]);
+        let col = run.process_as::<Collector>("col").expect("returned");
+        assert_eq!(col.tokens().len(), 2);
+    }
+
+    /// Fan-in for the stress networks: one token from each input, in a
+    /// fixed order, folded into one output token. The fixed read order
+    /// keeps the network Kahn-determinate.
+    struct Zip {
+        name: String,
+        inputs: [PortId; 2],
+        output: PortId,
+        left: Option<u64>,
+        seq: u64,
+    }
+
+    impl Process for Zip {
+        fn name(&self) -> &str {
+            &self.name
+        }
+
+        fn resume(&mut self, wake: Wakeup, now: TimeNs) -> Syscall {
+            let Wakeup::ReadDone(token) = wake else {
+                return Syscall::Read(self.inputs[0]);
+            };
+            let value = token.payload.as_u64().expect("u64 payloads");
+            match self.left.take() {
+                None => {
+                    self.left = Some(value);
+                    Syscall::Read(self.inputs[1])
+                }
+                Some(left) => {
+                    self.seq += 1;
+                    let folded = left.wrapping_mul(31).wrapping_add(value);
+                    Syscall::Write(self.output, Token::new(self.seq, now, Payload::U64(folded)))
+                }
+            }
+        }
+    }
+
+    /// A seeded tiny network: 2–6 FIFOs (capacity 1–3) wired as in-trees
+    /// of sources, transforms and zips, each tree ending in a collector,
+    /// with 0–10 µs periods and service times. Some sources are unbounded
+    /// (their collector is then bounded, so the tree still deadlocks),
+    /// some collectors are unbounded (they park once their sources halt),
+    /// and some channels have no writer (their reader starves at once).
+    fn stress_network(seed: u64) -> Network {
+        let mut rng = SplitMix64::seed_from_u64(seed);
+        let mut net = Network::new();
+        // Channels still waiting for a reader, and whether an unbounded
+        // source feeds them.
+        let mut open: Vec<(PortId, bool)> = Vec::new();
+        for c in 0..2 + rng.next_inclusive(4) {
+            let capacity = 1 + rng.next_inclusive(2) as usize;
+            let out = PortId::of(net.add_channel(Fifo::new(format!("c{c}"), capacity)));
+            let name = format!("p{c}");
+            let spread = TimeNs::from_ns(rng.next_inclusive(10_000));
+            let unbounded = match rng.next_inclusive(5) {
+                0 | 1 if open.len() >= 2 => {
+                    let (a, a_unbounded) = open.remove(0);
+                    let (b, b_unbounded) = open.remove(0);
+                    net.add_process(Zip {
+                        name,
+                        inputs: [a, b],
+                        output: out,
+                        left: None,
+                        seq: 0,
+                    });
+                    a_unbounded || b_unbounded
+                }
+                0..=2 if !open.is_empty() => {
+                    let pick = rng.next_inclusive(open.len() as u64 - 1) as usize;
+                    let (input, unbounded) = open.remove(pick);
+                    let k = rng.next_u64() | 1;
+                    net.add_process(Transform::new(
+                        name,
+                        input,
+                        out,
+                        spread,
+                        TimeNs::ZERO,
+                        seed,
+                        move |p| Payload::U64(p.as_u64().expect("u64 payloads").wrapping_mul(k)),
+                    ));
+                    unbounded
+                }
+                3 => false, // no writer: the reader starves
+                _ => {
+                    let count = (rng.next_inclusive(3) > 0).then(|| rng.next_inclusive(8));
+                    let base = rng.next_u64() >> 8;
+                    let period = TimeNs::from_ns(1 + rng.next_inclusive(10_000));
+                    net.add_process(PjdSource::new(
+                        name,
+                        out,
+                        PjdModel::new(period, spread, TimeNs::ZERO),
+                        seed,
+                        count,
+                        move |i| Payload::U64(base + i),
+                    ));
+                    count.is_none()
+                }
+            };
+            open.push((out, unbounded));
+        }
+        for (i, (input, unbounded)) in open.into_iter().enumerate() {
+            let limit =
+                (unbounded || rng.next_inclusive(1) == 0).then(|| rng.next_inclusive(6) as usize);
+            net.add_process(Collector::new(format!("col{i}"), input, limit));
+        }
+        net
+    }
+
+    /// The counting argument under stress: thousands of seeded networks,
+    /// each run on threads and in the DES. For plain FIFOs the final
+    /// state is Kahn-determinate, so the two runtimes must agree on who is
+    /// parked, what every collector holds and how often every channel was
+    /// written and read.
+    #[test]
+    fn counted_termination_matches_the_des_on_seeded_networks() {
+        const NETWORKS: u64 = 2_000;
+        const DEADLINE: Duration = Duration::from_secs(60);
+        let values = |c: &Collector| -> Vec<Option<u64>> {
+            c.tokens().iter().map(|t| t.payload.as_u64()).collect()
+        };
+        let counts = |f: &Fifo| (f.writes(), f.reads());
+        for seed in 0..NETWORKS {
+            let mut engine = Engine::new(stress_network(seed));
+            let outcome = engine.run_until(TimeNs::from_secs(3600));
+            let des = engine.into_network();
+            let names = des.process_names();
+            let des_blocked: Vec<&str> = match &outcome {
+                RunOutcome::Completed { .. } => Vec::new(),
+                RunOutcome::Quiescent { blocked, .. } => {
+                    blocked.iter().map(|id| names[id.0]).collect()
+                }
+                other => panic!("seed {seed}: the DES did not terminate: {other:?}"),
+            };
+
+            let run = run_threaded(stress_network(seed), DEADLINE);
+            assert!(
+                run.elapsed < DEADLINE / 4,
+                "seed {seed}: took {:?}",
+                run.elapsed
+            );
+            // No deadline and no panic: a returned process that is not
+            // blocked halted, so `blocked` ∪ halted is every process.
+            assert!(run.timed_out.is_empty(), "seed {seed}: {:?}", run.timed_out);
+            assert!(run.panicked.is_empty(), "seed {seed}: {:?}", run.panicked);
+            let returned: Vec<&str> = run.processes.iter().map(|(n, _)| n.as_str()).collect();
+            assert_eq!(returned, names, "seed {seed}: every process is returned");
+            assert_eq!(run.blocked, des_blocked, "seed {seed}: blocked");
+            for (i, name) in names.iter().enumerate() {
+                if let Some(col) = des.process_as::<Collector>(NodeId(i)) {
+                    assert_eq!(
+                        run.process_as::<Collector>(name).map(values),
+                        Some(values(col)),
+                        "seed {seed}: {name}"
+                    );
+                }
+            }
+            for c in 0..des.channel_count() {
+                assert_eq!(
+                    run.channel_as::<Fifo, _>(c, counts),
+                    des.channel_as::<Fifo>(ChannelId(c)).map(counts),
+                    "seed {seed}: channel c{c}"
+                );
+            }
+        }
     }
 }

@@ -92,10 +92,9 @@ pub enum ServeRuntime {
     DiscreteEvent,
     /// Real OS threads under wall-clock time.
     Threaded {
-        /// Hard wall-clock deadline per flush run.
+        /// Hard wall-clock deadline per flush run; a run that deadlocks
+        /// earlier returns at once (see `rtft_kpn::threaded`).
         deadline: Duration,
-        /// Quiescence idle window (see `rtft_kpn::threaded`).
-        quiescence_grace: Duration,
     },
 }
 
@@ -1691,13 +1690,7 @@ pub(crate) fn build_spec(
         ServeRuntime::DiscreteEvent => JobRuntime::DiscreteEvent {
             horizon: des_horizon(&app.profile().model, n + horizon_slack),
         },
-        ServeRuntime::Threaded {
-            deadline,
-            quiescence_grace,
-        } => JobRuntime::Threaded {
-            deadline,
-            quiescence_grace,
-        },
+        ServeRuntime::Threaded { deadline } => JobRuntime::Threaded { deadline },
     };
 
     JobSpec {

@@ -6,8 +6,8 @@
 //! cargo run --release -p rtft-examples --bin threaded_runtime
 //! ```
 //!
-//! Periods are scaled down (1 ms) so the demo finishes in about a second
-//! of wall time.
+//! Periods are scaled down (1 ms) so the demo finishes in under a second
+//! of wall time: the run returns the moment the network deadlocks.
 
 use rtft_core::{build_duplicated, DuplicationConfig, FaultPlan, JitterStageReplica, Selector};
 use rtft_kpn::threaded::run_threaded;
@@ -47,12 +47,19 @@ fn main() {
 
     let start = std::time::Instant::now();
     // The producer/consumer halt after `tokens`; the pipeline stages are
-    // infinite Kahn processes and always park on their channels, so they
-    // are reaped at the deadline — that is expected and reported below.
+    // infinite Kahn processes and park on their channels once the stream
+    // ends. With every thread halted or parked the network is deadlocked,
+    // so the run returns then, not at the 20 s deadline, and hands the
+    // parked stages back as `blocked`.
     let run = run_threaded(net, Duration::from_secs(20));
     println!(
-        "wall time: {:?}; reaped infinite stages: {:?}",
+        "wall time: {:?}; parked infinite stages at deadlock: {:?}",
         start.elapsed(),
+        run.blocked
+    );
+    assert!(
+        run.timed_out.is_empty(),
+        "deadline hit: {:?}",
         run.timed_out
     );
 

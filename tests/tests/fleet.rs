@@ -14,7 +14,7 @@ use std::time::{Duration, Instant};
 
 /// Serialises the wall-clock-sensitive tests: the harness runs tests on
 /// parallel threads, and on a small host two fleets of sleep-bound jobs
-/// running at once stretch scheduler gaps past the quiescence grace.
+/// running at once stretch each other's wall-clock timings.
 fn timing_lock() -> MutexGuard<'static, ()> {
     static TIMING: Mutex<()> = Mutex::new(());
     TIMING.lock().unwrap_or_else(|e| e.into_inner())
@@ -49,9 +49,9 @@ fn des_job(name: &str, fault: Option<TimeNs>) -> JobSpec {
     }
 }
 
-/// A sleep-bound threaded job: wall-clock duration is dominated by the
-/// token period and the quiescence window (≈ `tokens × 2 ms + 40 ms`), so
-/// concurrent jobs overlap their waiting.
+/// A sleep-bound threaded job: wall-clock duration is the token pacing
+/// plus the consumer's offset (≈ `tokens × 2 ms + 8 ms`), so concurrent
+/// jobs overlap their waiting.
 fn threaded_job(name: &str, tokens: u64) -> JobSpec {
     let model = DuplicationModel::symmetric(
         PjdModel::from_ms(2.0, 0.2, 0.0),
@@ -72,10 +72,6 @@ fn threaded_job(name: &str, tokens: u64) -> JobSpec {
         relative_deadline: Duration::from_secs(60),
         runtime: JobRuntime::Threaded {
             deadline: Duration::from_secs(30),
-            // Healthy runs end by halting, so the grace window is never
-            // waited out; it only needs to exceed scheduling gaps under
-            // oversubscription so quiescence never fires spuriously.
-            quiescence_grace: Duration::from_millis(150),
         },
     }
 }
@@ -159,15 +155,15 @@ fn n_modular_job_reports_faulty_indices_through_the_fleet() {
 #[test]
 fn full_fleet_rejects_with_queue_full() {
     let _serial = timing_lock();
-    // One worker, capacity two: the first job occupies the worker for at
-    // least its quiescence window, so the third submission must bounce.
+    // One worker, capacity two: the first job's 40 tokens at 2 ms occupy
+    // the worker for ≈ 90 ms, so the third submission must bounce.
     let fleet = FleetExecutor::new(FleetConfig {
         workers: 1,
         pending_capacity: 2,
         max_replacements: 0,
     });
     assert!(matches!(
-        fleet.submit(threaded_job("a", 4)),
+        fleet.submit(threaded_job("a", 40)),
         Admission::Admitted(_)
     ));
     assert!(matches!(
@@ -204,15 +200,16 @@ fn shutdown_rejects_further_submissions() {
 #[test]
 fn single_worker_completes_in_deadline_order() {
     let _serial = timing_lock();
-    // Block the lone worker with a sleep-bound job, queue three DES jobs
-    // with *reversed* deadlines, and check the pool drained them EDF.
+    // Block the lone worker with a sleep-bound job (150 tokens at 2 ms,
+    // ≈ 0.3 s), queue three DES jobs with *reversed* deadlines, and check
+    // the pool drained them EDF.
     let fleet = FleetExecutor::new(FleetConfig {
         workers: 1,
         pending_capacity: 8,
         max_replacements: 0,
     });
     assert!(matches!(
-        fleet.submit(threaded_job("blocker", 8)),
+        fleet.submit(threaded_job("blocker", 150)),
         Admission::Admitted(_)
     ));
     for (name, deadline_secs) in [("slack", 300u64), ("soon", 200), ("urgent", 100)] {
@@ -241,7 +238,7 @@ fn two_workers_overlap_sleep_bound_jobs() {
         let start = Instant::now();
         for i in 0..6 {
             assert!(matches!(
-                fleet.submit(threaded_job(&format!("job-{i}"), 6)),
+                fleet.submit(threaded_job(&format!("job-{i}"), 20)),
                 Admission::Admitted(_)
             ));
         }

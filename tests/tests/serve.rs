@@ -317,7 +317,6 @@ fn saturated_admission_answers_busy_then_retry_delivers_everything() {
         // the second probes admission.
         runtime: ServeRuntime::Threaded {
             deadline: Duration::from_secs(30),
-            quiescence_grace: Duration::from_millis(150),
         },
         ..ServerConfig::default()
     };
@@ -400,7 +399,6 @@ fn shutdown_under_load_drains_refuses_and_accounts_every_token() {
     let cfg = ServerConfig {
         runtime: ServeRuntime::Threaded {
             deadline: Duration::from_secs(30),
-            quiescence_grace: Duration::from_millis(150),
         },
         ..ServerConfig::default()
     };
@@ -948,7 +946,6 @@ fn flush_retry_is_lossless_and_never_resends_tokens() {
             },
             runtime: ServeRuntime::Threaded {
                 deadline: Duration::from_secs(30),
-                quiescence_grace: Duration::from_millis(150),
             },
             ..ServerConfig::default()
         },
@@ -1286,7 +1283,6 @@ fn busy_fleet_queues_a_second_connections_flush() {
         // ≈ 20 × 30 ms.
         runtime: ServeRuntime::Threaded {
             deadline: Duration::from_secs(30),
-            quiescence_grace: Duration::from_millis(150),
         },
         ..ServerConfig::default()
     };
