@@ -242,6 +242,14 @@ impl AppReplicaFactory {
     }
 }
 
+/// What a stage delivers when a corrupting fault upstream left it no
+/// bytes to transform. That is the replica's fault, not a bug here: the
+/// token is a function of what arrived and matches no real output, so
+/// the selector or voter sees the divergence (as `mergeframe`'s does).
+fn divergent(p: &Payload) -> Payload {
+    Payload::U64(p.digest())
+}
+
 impl ReplicaFactory for AppReplicaFactory {
     fn build(
         &self,
@@ -268,12 +276,12 @@ impl ReplicaFactory for AppReplicaFactory {
                     TimeNs::from_ms(1),
                     TimeNs::ZERO,
                     seed,
-                    |p| {
-                        let data = p.as_bytes().expect("encoded frame bytes");
-                        mjpeg::split_stream(data, 2)
+                    |p| match p.as_bytes() {
+                        Some(data) => mjpeg::split_stream(data, 2)
                             .into_iter()
                             .map(Payload::from)
-                            .collect()
+                            .collect(),
+                        None => vec![divergent(&p); 2],
                     },
                 );
                 let split_id = net.add_process(FaultyProcess::new(split, fault));
@@ -360,8 +368,9 @@ impl ReplicaFactory for AppReplicaFactory {
                     TimeNs::from_ms(1),
                     TimeNs::ZERO,
                     seed,
-                    self.memo.stage("encoder", |p| {
-                        Payload::from(encode_block(p.as_bytes().expect("pcm bytes")))
+                    self.memo.stage("encoder", |p| match p.as_bytes() {
+                        Some(pcm) => Payload::from(encode_block(pcm)),
+                        None => divergent(p),
                     }),
                 );
                 let encoder_id = net.add_process(FaultyProcess::new(encoder, fault));
@@ -373,8 +382,9 @@ impl ReplicaFactory for AppReplicaFactory {
                     TimeNs::from_ms(1),
                     TimeNs::ZERO,
                     seed.wrapping_add(1),
-                    self.memo.stage("decoder", |p| {
-                        Payload::from(decode_block(p.as_bytes().expect("adpcm bytes")))
+                    self.memo.stage("decoder", |p| match p.as_bytes() {
+                        Some(adpcm) => Payload::from(decode_block(adpcm)),
+                        None => divergent(p),
                     }),
                 );
                 let decoder_id = net.add_process(decoder);
@@ -399,7 +409,9 @@ impl ReplicaFactory for AppReplicaFactory {
                     TimeNs::ZERO,
                     seed,
                     self.memo.stage("encoder", |p| {
-                        let raw = p.as_bytes().expect("raw frame bytes");
+                        let Some(raw) = p.as_bytes() else {
+                            return divergent(p);
+                        };
                         let frame = crate::video::Frame::from_pixels(
                             crate::video::FRAME_WIDTH,
                             crate::video::FRAME_HEIGHT,
@@ -637,6 +649,54 @@ mod tests {
         }
     }
 
+    /// Tokens a [`voted`] or [`duplicated`] run delivers.
+    const TOKENS: u64 = 16;
+
+    /// `app` on workload seed 3 under a three-replica voter: the
+    /// consumer's log and the replicas the voter latched.
+    fn voted(app: App, faults: &[FaultPlan; 3]) -> (Vec<(TimeNs, u64)>, Vec<usize>) {
+        use rtft_core::{build_n_modular_voting, NModularModel, NSizingReport, VotingSelector};
+        let profile = app.profile().model;
+        let [a, b] = profile.replica_out;
+        let model = NModularModel {
+            producer: profile.producer,
+            consumer: profile.consumer,
+            replicas: vec![a, b, b],
+        };
+        let sizing = NSizingReport::analyze(&model).expect("bounded");
+        let factory = app.replica_factory([5, 6]);
+        let (net, ids) = build_n_modular_voting(
+            &model,
+            &sizing,
+            TOKENS,
+            (1, 2),
+            app.payload_generator(3),
+            &ThreeOf(&factory),
+            faults,
+        );
+        let mut engine = Engine::new(net);
+        engine.run_until(TimeNs::from_secs(60));
+        let net = engine.network();
+        let selector = net
+            .channel_as::<VotingSelector>(ids.selector)
+            .expect("voting selector");
+        let latched: Vec<usize> = (0..3).filter(|&i| selector.fault(i).is_some()).collect();
+        (ids.consumer_arrivals(net).to_vec(), latched)
+    }
+
+    /// `app` on workload seed 3 under the paper's duplicated structure
+    /// and timing selector: the consumer's log.
+    fn duplicated(app: App, fault: Option<(usize, FaultPlan)>) -> Vec<(TimeNs, u64)> {
+        let mut cfg = app.duplication_config(3, TOKENS).expect("bounded");
+        if let Some((replica, plan)) = fault {
+            cfg = cfg.with_fault(replica, plan);
+        }
+        let (net, ids) = build_duplicated(&cfg, &app.replica_factory([5, 6]));
+        let mut engine = Engine::new(net);
+        engine.run_until(TimeNs::from_secs(60));
+        ids.consumer_arrivals(engine.network()).to_vec()
+    }
+
     /// A flipped bit in the halves an MJPEG replica's `splitstream` emits
     /// either still decodes (bit 80 on every frame of the Table 2 pins'
     /// workload, seed 3) or desynchronises the entropy stream (bit 4 099
@@ -646,52 +706,10 @@ mod tests {
     /// compare values — keeps its schedule.
     #[test]
     fn a_corrupting_mjpeg_replica_is_out_voted_not_a_crash() {
-        use rtft_core::{
-            build_n_modular_voting, CorruptionMode, NModularModel, NSizingReport, VotingSelector,
-        };
-        const TOKENS: u64 = 16;
-        let profile = App::Mjpeg.profile().model;
-        let [a, b] = profile.replica_out;
-        let model = NModularModel {
-            producer: profile.producer,
-            consumer: profile.consumer,
-            replicas: vec![a, b, b],
-        };
-        let sizing = NSizingReport::analyze(&model).expect("bounded");
-        let voted = |faults: &[FaultPlan; 3]| {
-            let factory = App::Mjpeg.replica_factory([5, 6]);
-            let (net, ids) = build_n_modular_voting(
-                &model,
-                &sizing,
-                TOKENS,
-                (1, 2),
-                App::Mjpeg.payload_generator(3),
-                &ThreeOf(&factory),
-                faults,
-            );
-            let mut engine = Engine::new(net);
-            engine.run_until(TimeNs::from_secs(60));
-            let net = engine.network();
-            let selector = net
-                .channel_as::<VotingSelector>(ids.selector)
-                .expect("voting selector");
-            let latched: Vec<usize> = (0..3).filter(|&i| selector.fault(i).is_some()).collect();
-            (ids.consumer_arrivals(net).to_vec(), latched)
-        };
-        let duplicated = |fault: Option<(usize, FaultPlan)>| {
-            let mut cfg = App::Mjpeg.duplication_config(3, TOKENS).expect("bounded");
-            if let Some((replica, plan)) = fault {
-                cfg = cfg.with_fault(replica, plan);
-            }
-            let (net, ids) = build_duplicated(&cfg, &App::Mjpeg.replica_factory([5, 6]));
-            let mut engine = Engine::new(net);
-            engine.run_until(TimeNs::from_secs(60));
-            ids.consumer_arrivals(engine.network()).to_vec()
-        };
-
-        let (reference, latched) = voted(&[FaultPlan::healthy(); 3]);
+        use rtft_core::CorruptionMode;
+        let (reference, latched) = voted(App::Mjpeg, &[FaultPlan::healthy(); 3]);
         assert_eq!((reference.len() as u64, latched), (TOKENS, vec![]));
-        let paper = duplicated(None);
+        let paper = duplicated(App::Mjpeg, None);
         let instants = |log: &[(TimeNs, u64)]| log.iter().map(|a| a.0).collect::<Vec<_>>();
 
         let gen = App::Mjpeg.payload_generator(3);
@@ -713,15 +731,33 @@ mod tests {
                 let plan = FaultPlan::corrupt_at(flip, TimeNs::ZERO);
                 let mut faults = [FaultPlan::healthy(); 3];
                 faults[replica] = plan;
-                let (log, latched) = voted(&faults);
+                let (log, latched) = voted(App::Mjpeg, &faults);
                 assert_eq!(log, reference, "bit {bit} on replica {replica}");
                 assert_eq!(latched, vec![replica], "bit {bit}");
 
-                let log = duplicated(Some((replica, plan)));
+                let log = duplicated(App::Mjpeg, Some((replica, plan)));
                 assert_eq!(instants(&log), instants(&paper), "bit {bit}/{replica}");
                 assert_ne!(log, paper, "the timing selector forwards a flipped copy");
             }
         }
+    }
+
+    /// A `Substitute` fault makes an ADPCM replica's encoder emit a
+    /// marker, not compressed bytes. Its decoder delivers a divergent
+    /// token instead of panicking the engine: the voter latches that
+    /// replica and delivers the fault-free log, and a run under the
+    /// timing selector completes.
+    #[test]
+    fn a_substituting_adpcm_encoder_is_out_voted_not_a_crash() {
+        let plan =
+            FaultPlan::corrupt_at(rtft_core::CorruptionMode::Substitute(0xDEAD), TimeNs::ZERO);
+        let healthy = FaultPlan::healthy();
+        let (reference, latched) = voted(App::Adpcm, &[healthy; 3]);
+        assert_eq!((reference.len() as u64, latched), (TOKENS, vec![]));
+        let (log, latched) = voted(App::Adpcm, &[plan, healthy, healthy]);
+        assert_eq!(log, reference);
+        assert_eq!(latched, vec![0]);
+        assert_eq!(duplicated(App::Adpcm, Some((0, plan))).len() as u64, TOKENS);
     }
 
     #[test]

@@ -12,6 +12,11 @@
 //! followed by record frames. `base seq` is the sequence number of the
 //! first record in the segment, so a log whose oldest segments were
 //! pruned still yields correct global sequence numbers.
+//!
+//! The log writes zeros ahead of a segment's last frame (see
+//! [`crate::Wal`]), so a scan may find an all-zero remainder after the
+//! last valid frame. That is free space, never a torn record: no frame
+//! starts with a zero length field.
 
 use crate::record::{decode_frame, WalRecord};
 use std::fs;
@@ -84,6 +89,9 @@ pub struct SegmentScan {
     pub valid_len: u64,
     /// Bytes past `valid_len` that failed to parse (the torn tail).
     pub torn_bytes: u64,
+    /// Bytes past `valid_len` that are all zero: pre-filled space no
+    /// frame reached. Free, not torn; 0 whenever `torn_bytes` is not.
+    pub free_bytes: u64,
     /// Torn records dropped: 1 when a partial/corrupt frame was found.
     pub torn_records: u64,
     /// Whether the header itself was unreadable (segment contributes
@@ -102,6 +110,7 @@ impl SegmentScan {
 ///
 /// `strict` is set for non-final segments: any torn bytes there mean the
 /// log is corrupt in the middle, which recovery refuses to paper over.
+/// An all-zero remainder is free space under either rule.
 pub fn scan_segment(path: &Path, strict: bool) -> io::Result<SegmentScan> {
     let mut bytes = Vec::new();
     fs::File::open(path)?.read_to_end(&mut bytes)?;
@@ -120,6 +129,7 @@ pub fn scan_segment(path: &Path, strict: bool) -> io::Result<SegmentScan> {
                 records: Vec::new(),
                 valid_len: 0,
                 torn_bytes: bytes.len() as u64,
+                free_bytes: 0,
                 torn_records: u64::from(!bytes.is_empty()),
                 header_torn: true,
             });
@@ -130,6 +140,7 @@ pub fn scan_segment(path: &Path, strict: bool) -> io::Result<SegmentScan> {
     let mut at = SEGMENT_HEADER;
     let mut seq = base_seq;
     let mut torn_bytes = 0u64;
+    let mut free_bytes = 0u64;
     let mut torn_records = 0u64;
     while at < bytes.len() {
         match decode_frame(&bytes[at..]) {
@@ -139,6 +150,10 @@ pub fn scan_segment(path: &Path, strict: bool) -> io::Result<SegmentScan> {
                 at += used;
             }
             Err(()) => {
+                if bytes[at..].iter().all(|&b| b == 0) {
+                    free_bytes = (bytes.len() - at) as u64;
+                    break;
+                }
                 if strict {
                     return Err(corrupt(path, at, "bad record frame"));
                 }
@@ -156,6 +171,7 @@ pub fn scan_segment(path: &Path, strict: bool) -> io::Result<SegmentScan> {
         records,
         valid_len: at as u64,
         torn_bytes,
+        free_bytes,
         torn_records,
         header_torn: false,
     })

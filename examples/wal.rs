@@ -21,7 +21,9 @@
 //! 4. **Count.** Two streams send durable batches and flush each; the
 //!    log's own counters must show one fsync per batch plus one per
 //!    stream open and close — a property of the commit path that holds
-//!    on any disk, where a latency floor would not.
+//!    on any disk, where a latency floor would not. Beside it, the zeros
+//!    the log wrote ahead of its frames (`wal.prefill.bytes`) so those
+//!    fsyncs overwrite blocks instead of growing the file.
 //!
 //! Exits non-zero on token loss, missed recovery, a dirty verify of the
 //! honest log, a missed detection of the corrupted one, or an fsync
@@ -201,8 +203,9 @@ fn main() {
     let limit = batches + 2 * COUNT_STREAMS + 1;
     println!(
         "  {batches} durable batches on {COUNT_STREAMS} streams: wal.fsyncs = {fsyncs} \
-         (limit {limit}), wal.appends = {}",
-        registry.counter("wal.appends").get()
+         (limit {limit}), wal.appends = {}, wal.prefill.bytes = {}",
+        registry.counter("wal.appends").get(),
+        registry.counter("wal.prefill.bytes").get()
     );
     if !balanced || fsyncs > limit {
         eprintln!("SMOKE FAILED: a durable batch costs more than one fsync");
