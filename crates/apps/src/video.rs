@@ -28,15 +28,6 @@ pub struct Frame {
 }
 
 impl Frame {
-    /// A black frame of the experiment geometry.
-    pub fn blank() -> Self {
-        Frame {
-            width: FRAME_WIDTH,
-            height: FRAME_HEIGHT,
-            pixels: vec![0; FRAME_BYTES],
-        }
-    }
-
     /// A frame from raw bytes.
     ///
     /// # Panics

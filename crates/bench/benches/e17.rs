@@ -4,10 +4,7 @@
 //! Three sections, one per layer of the overhaul:
 //!
 //! 1. **Engine micro** — the E12 pipeline (PjdSource → Fifo(64) →
-//!    Collector, 200k tokens) timed under both schedulers: the legacy
-//!    binary heap and the calendar queue. The ratio is the headline
-//!    number the ISSUE targets (≥3x over the ~9.4 Mevents/s heap
-//!    baseline).
+//!    Collector, 200k tokens) timed on the calendar-queue engine.
 //! 2. **Flush latency** — the E11 serving path (real loopback TCP,
 //!    ADPCM batches, full round trip through fleet admission and the
 //!    DES run) at a fixed connection count, reporting p50/p99 per
@@ -22,7 +19,7 @@
 use rtft_apps::networks::App;
 use rtft_bench::report::{banner, AsciiTable};
 use rtft_fleet::FleetConfig;
-use rtft_kpn::{Collector, Engine, Fifo, Network, Payload, PjdSource, PortId, QueueKind};
+use rtft_kpn::{Collector, Engine, Fifo, Network, Payload, PjdSource, PortId};
 use rtft_obs::json::JsonObject;
 use rtft_obs::{Histogram, MetricsRegistry};
 use rtft_rtc::{PjdModel, TimeNs};
@@ -54,20 +51,18 @@ fn engine_network() -> Network {
     net
 }
 
-/// Events/sec for the current scheduler; best of eight metric-free runs
-/// (the box this runs on is shared, so individual runs see multi-ms
-/// scheduling noise on a ~10 ms workload).
-fn engine_events_per_sec(kind: QueueKind) -> (u64, f64) {
+/// Engine events/sec; best of eight metric-free runs (the box this runs
+/// on is shared, so individual runs see multi-ms scheduling noise on a
+/// ~10 ms workload).
+fn engine_events_per_sec() -> (u64, f64) {
     let registry = MetricsRegistry::new();
-    let mut counted = Engine::new(engine_network())
-        .with_queue(kind)
-        .with_metrics(&registry);
+    let mut counted = Engine::new(engine_network()).with_metrics(&registry);
     counted.run_until(TimeNs::from_secs(30));
     let events = registry.counter("kpn.engine.events").get();
 
     let mut best = f64::INFINITY;
     for _ in 0..8 {
-        let mut engine = Engine::new(engine_network()).with_queue(kind);
+        let mut engine = Engine::new(engine_network());
         let start = Instant::now();
         engine.run_until(TimeNs::from_secs(30));
         best = best.min(start.elapsed().as_secs_f64());
@@ -217,7 +212,7 @@ fn ci_smoke(floor_path: &std::path::Path) -> ! {
         .parse()
         .expect("numeric engine_events_per_sec");
 
-    let (_, eps) = engine_events_per_sec(QueueKind::Calendar);
+    let (_, eps) = engine_events_per_sec();
     let allowed = floor * 0.7;
     println!(
         "E12 perf smoke: {:.2} Mevents/s measured, floor {:.2} (fail below {:.2})",
@@ -251,14 +246,9 @@ fn main() {
 
     banner("E17: hot-path overhaul — engine, flush latency, pool");
 
-    let (events, eps) = engine_events_per_sec(QueueKind::Calendar);
-    let (_, heap_eps) = engine_events_per_sec(QueueKind::Heap);
+    let (events, eps) = engine_events_per_sec();
     let mevents = eps / 1e6;
-    println!(
-        "engine micro: {ENGINE_TOKENS} tokens, {events} events, {mevents:.2} Mevents/s \
-         (heap scheduler in this build: {:.2})",
-        heap_eps / 1e6
-    );
+    println!("engine micro: {ENGINE_TOKENS} tokens, {events} events, {mevents:.2} Mevents/s");
 
     let flush = flush_latency();
     let pool = pool_hit_rate();
@@ -278,7 +268,6 @@ fn main() {
         .str_field("bench", "e17_hot_path")
         .u64_field("engine_events", events)
         .u64_field("engine_events_per_sec", eps as u64)
-        .u64_field("engine_heap_events_per_sec", heap_eps as u64)
         .u64_field("flush_tokens_per_sec", flush.tokens_per_sec as u64)
         .f64_field("flush_p50_ms", flush.p50_ms)
         .f64_field("flush_p99_ms", flush.p99_ms)

@@ -60,9 +60,9 @@ struct NoFaultRun {
 /// reference/duplicated executions over `tokens` tokens each.
 ///
 /// Runs are independent seeded simulations, so they execute in parallel
-/// ([`campaign_workers`] threads; `RTFT_CAMPAIGN_WORKERS=1` forces the
-/// sequential path) and are reduced in run order — the aggregate is
-/// identical at any worker count.
+/// ([`campaign_workers`] threads; [`no_fault_campaign_with_workers`] with
+/// `1` forces the sequential path) and are reduced in run order — the
+/// aggregate is identical at any worker count.
 ///
 /// # Panics
 ///

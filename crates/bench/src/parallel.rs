@@ -8,8 +8,8 @@
 //! scenario-index order, which keeps the emitted JSON byte-identical for
 //! any worker count (see `DESIGN.md`, "Parallel campaign execution").
 //!
-//! Worker count defaults to [`campaign_workers`] — all available cores,
-//! overridable with `RTFT_CAMPAIGN_WORKERS` (set `1` to force the inline
+//! Worker count defaults to [`campaign_workers`] — all available cores;
+//! each campaign's `*_with_workers` form pins it (`1` forces the inline
 //! sequential path).
 
 pub use rtft_kpn::parallel::{campaign_workers, parallel_map_ordered};

@@ -72,7 +72,7 @@ impl Campaign {
     /// Runs every scenario and aggregates the outcomes.
     ///
     /// Scenarios are independent seeded simulations; they execute across
-    /// [`campaign_workers`] threads (override with `RTFT_CAMPAIGN_WORKERS`,
+    /// [`campaign_workers`] threads ([`Campaign::run_with_workers`] with
     /// `1` forces the sequential inline path) and are folded into the
     /// report in scenario-index order, so [`CampaignReport::to_json`] stays
     /// byte-identical for any worker count — the replay contract now also
@@ -137,11 +137,6 @@ impl CampaignReport {
     /// Number of outcomes in `class`.
     pub fn count(&self, class: OutcomeClass) -> usize {
         self.outcomes.iter().filter(|o| o.class == class).count()
-    }
-
-    /// Outcomes in `class`.
-    pub fn of_class(&self, class: OutcomeClass) -> impl Iterator<Item = &ScenarioOutcome> {
-        self.outcomes.iter().filter(move |o| o.class == class)
     }
 
     /// The detection-latency distribution for one fault-kind label.

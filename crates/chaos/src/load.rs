@@ -63,9 +63,9 @@ fn spec(
 /// Panics if the executor rejects any of the four submissions (the default
 /// pending capacity far exceeds the tenant count).
 pub fn chaos_under_load(seed: u64) -> FleetReport {
-    // Fleet workers follow the campaign worker policy (all cores unless
-    // RTFT_CAMPAIGN_WORKERS caps it), clamped to the four-tenant mix; at
-    // least two so replacement runs overlap the remaining tenants.
+    // Fleet workers follow the campaign worker policy (all cores),
+    // clamped to the four-tenant mix; at least two so replacement runs
+    // overlap the remaining tenants.
     let workers = rtft_kpn::campaign_workers().clamp(2, 4);
     let executor = FleetExecutor::new(FleetConfig {
         workers,

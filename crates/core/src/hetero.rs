@@ -402,11 +402,6 @@ impl SampledCheck {
         self.samples
     }
 
-    /// Checker votes received so far.
-    pub fn checker_votes(&self) -> u64 {
-        self.votes
-    }
-
     /// Samples whose main and checker digests have both arrived and been
     /// compared.
     pub fn verified(&self) -> u64 {

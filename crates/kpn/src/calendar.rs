@@ -1,12 +1,10 @@
-//! Event schedulers for the DES engine: the calendar queue and the legacy
-//! binary heap it replaced.
+//! The DES engine's event queue: a calendar queue.
 //!
-//! Both implement the same total order — events pop by `(at, seq)`, where
-//! `seq` is the engine's monotone schedule counter — so a run is
-//! byte-identical under either. The heap stays available behind
-//! [`QueueKind::Heap`] ([`set_default_queue`] or
-//! [`Engine::with_queue`](crate::Engine::with_queue)) purely for
-//! differential testing.
+//! Events pop by `(at, seq)`, where `seq` is the engine's monotone
+//! schedule counter; every pinned report depends on that one total order.
+//! Debug builds check it on every run: [`CalendarQueue`] mirrors each push
+//! into a plain `BinaryHeap` and asserts that every pop and every
+//! `next_at` agrees with the heap. Release builds carry none of it.
 //!
 //! # Calendar queue
 //!
@@ -53,36 +51,6 @@ use crate::process::NodeId;
 use rtft_rtc::TimeNs;
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
-use std::sync::atomic::{AtomicBool, Ordering};
-
-/// Which event-queue implementation an [`crate::Engine`] uses.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum QueueKind {
-    /// Bucketed timing wheel with O(1) amortized push/pop (default).
-    Calendar,
-    /// The legacy `BinaryHeap` scheduler, kept for differential testing.
-    Heap,
-}
-
-/// Process-wide override: `true` makes new engines use the heap.
-static HEAP_BY_DEFAULT: AtomicBool = AtomicBool::new(false);
-
-/// Overrides the process-wide default queue for engines built after this
-/// call (engines already constructed keep their queue). Differential
-/// tests use this to re-run a whole campaign on the heap scheduler.
-pub fn set_default_queue(kind: QueueKind) {
-    HEAP_BY_DEFAULT.store(kind == QueueKind::Heap, Ordering::Relaxed);
-}
-
-/// The default queue kind: an explicit [`set_default_queue`] override,
-/// else the calendar.
-pub fn default_queue() -> QueueKind {
-    if HEAP_BY_DEFAULT.load(Ordering::Relaxed) {
-        QueueKind::Heap
-    } else {
-        QueueKind::Calendar
-    }
-}
 
 /// Internal wakeup kinds; tokens for `ReadDone` are produced at delivery.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -94,7 +62,7 @@ pub(crate) enum WakeKind {
     Attempt,
 }
 
-#[derive(Debug, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub(crate) struct QueuedEvent {
     pub at: TimeNs,
     pub seq: u64,
@@ -115,7 +83,7 @@ impl PartialOrd for QueuedEvent {
 }
 
 /// Result of a combined peek-and-pop against a time limit.
-#[derive(Debug)]
+#[derive(Debug, PartialEq, Eq)]
 pub(crate) enum Popped {
     /// The next event, removed from the queue.
     Event {
@@ -137,6 +105,7 @@ const TUNE_SAMPLES: usize = 32;
 const MIN_SHIFT: u32 = 6;
 const MAX_SHIFT: u32 = 22;
 
+/// The engine's event queue (see the module docs).
 #[derive(Debug)]
 pub(crate) struct CalendarQueue {
     /// Bucket width is `1 << shift` ns; a "day" is `at >> shift`.
@@ -155,10 +124,32 @@ pub(crate) struct CalendarQueue {
     cursor_day: u64,
     wheel_len: usize,
     overflow: BinaryHeap<Reverse<QueuedEvent>>,
+    /// Debug builds only: every pushed event, in a plain binary heap that
+    /// each pop and `next_at` is checked against.
+    #[cfg(debug_assertions)]
+    reference: BinaryHeap<Reverse<QueuedEvent>>,
+}
+
+/// The order the calendar must reproduce: pop a plain `(at, seq)` heap
+/// against `limit`.
+#[cfg(any(debug_assertions, test))]
+fn pop_reference(heap: &mut BinaryHeap<Reverse<QueuedEvent>>, limit: TimeNs) -> Popped {
+    match heap.peek() {
+        None => Popped::Empty,
+        Some(Reverse(ev)) if ev.at > limit => Popped::NotDue,
+        Some(_) => {
+            let Reverse(ev) = heap.pop().expect("peeked");
+            Popped::Event {
+                at: ev.at,
+                node: ev.node,
+                wake: ev.wake,
+            }
+        }
+    }
 }
 
 impl CalendarQueue {
-    fn new() -> Self {
+    pub fn new() -> Self {
         CalendarQueue {
             shift: 12,
             tuned: false,
@@ -170,6 +161,8 @@ impl CalendarQueue {
             cursor_day: 0,
             wheel_len: 0,
             overflow: BinaryHeap::with_capacity(64),
+            #[cfg(debug_assertions)]
+            reference: BinaryHeap::new(),
         }
     }
 
@@ -182,7 +175,9 @@ impl CalendarQueue {
     }
 
     #[inline]
-    fn push(&mut self, now: TimeNs, ev: QueuedEvent) {
+    pub fn push(&mut self, now: TimeNs, ev: QueuedEvent) {
+        #[cfg(debug_assertions)]
+        self.reference.push(Reverse(ev.clone()));
         if ev.at == now {
             self.due_now.push_back((ev.node, ev.wake));
             return;
@@ -282,7 +277,18 @@ impl CalendarQueue {
 
     /// Earliest scheduled time without mutating the queue (slow path —
     /// only consulted when the event budget is exhausted).
-    fn next_at(&self, now: TimeNs) -> Option<TimeNs> {
+    pub fn next_at(&self, now: TimeNs) -> Option<TimeNs> {
+        let at = self.calendar_next_at(now);
+        #[cfg(debug_assertions)]
+        assert_eq!(
+            at,
+            self.reference.peek().map(|Reverse(ev)| ev.at),
+            "calendar queue diverged from the reference heap at {now:?}"
+        );
+        at
+    }
+
+    fn calendar_next_at(&self, now: TimeNs) -> Option<TimeNs> {
         if !self.due_now.is_empty() {
             return Some(now);
         }
@@ -301,12 +307,26 @@ impl CalendarQueue {
         self.overflow.peek().map(|Reverse(ev)| ev.at)
     }
 
+    /// Removes the next event if it is due by `limit`; in debug builds,
+    /// asserts that the reference heap pops the same.
+    #[inline]
+    pub fn pop_due(&mut self, now: TimeNs, limit: TimeNs) -> Popped {
+        let popped = self.pop_calendar(now, limit);
+        #[cfg(debug_assertions)]
+        assert_eq!(
+            popped,
+            pop_reference(&mut self.reference, limit),
+            "calendar queue diverged from the reference heap at {now:?}"
+        );
+        popped
+    }
+
     /// Pop fast path, kept small so it inlines into the engine loop: the
     /// register and due-now tiers cover the steady state of a paced
     /// pipeline (one future wake, a burst of same-time attempts). Only
     /// multi-event wheels fall through to the outlined bucket walk.
     #[inline]
-    fn pop_due(&mut self, now: TimeNs, limit: TimeNs) -> Popped {
+    fn pop_calendar(&mut self, now: TimeNs, limit: TimeNs) -> Popped {
         if !self.tuned {
             return self.pop_due_untuned(now, limit);
         }
@@ -449,98 +469,57 @@ impl CalendarQueue {
     }
 }
 
-/// The engine's event queue: calendar or legacy heap, one total order.
-#[derive(Debug)]
-pub(crate) enum EventQueue {
-    Calendar(Box<CalendarQueue>),
-    Heap(BinaryHeap<Reverse<QueuedEvent>>),
-}
-
-impl EventQueue {
-    pub fn new(kind: QueueKind, capacity: usize) -> Self {
-        match kind {
-            QueueKind::Calendar => EventQueue::Calendar(Box::new(CalendarQueue::new())),
-            QueueKind::Heap => EventQueue::Heap(BinaryHeap::with_capacity(capacity)),
-        }
-    }
-
-    #[cfg(test)]
-    pub fn len(&self) -> usize {
-        match self {
-            EventQueue::Calendar(c) => c.len(),
-            EventQueue::Heap(h) => h.len(),
-        }
-    }
-
-    #[inline]
-    pub fn push(&mut self, now: TimeNs, ev: QueuedEvent) {
-        match self {
-            EventQueue::Calendar(c) => c.push(now, ev),
-            EventQueue::Heap(h) => h.push(Reverse(ev)),
-        }
-    }
-
-    pub fn next_at(&self, now: TimeNs) -> Option<TimeNs> {
-        match self {
-            EventQueue::Calendar(c) => c.next_at(now),
-            EventQueue::Heap(h) => h.peek().map(|Reverse(ev)| ev.at),
-        }
-    }
-
-    #[inline]
-    pub fn pop_due(&mut self, now: TimeNs, limit: TimeNs) -> Popped {
-        match self {
-            EventQueue::Calendar(c) => c.pop_due(now, limit),
-            EventQueue::Heap(h) => match h.peek() {
-                None => Popped::Empty,
-                Some(Reverse(ev)) if ev.at > limit => Popped::NotDue,
-                _ => {
-                    let Reverse(ev) = h.pop().expect("peeked");
-                    Popped::Event {
-                        at: ev.at,
-                        node: ev.node,
-                        wake: ev.wake,
-                    }
-                }
-            },
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    fn push_both(
+        q: &mut CalendarQueue,
+        heap: &mut BinaryHeap<Reverse<QueuedEvent>>,
+        now: TimeNs,
+        ev: QueuedEvent,
+    ) {
+        heap.push(Reverse(ev.clone()));
+        q.push(now, ev);
+    }
+
     /// Replays a seeded reactive workload — pops trigger pushes the way
-    /// engine events schedule wakeups — and returns the pop order.
-    /// Horizons span all three tiers: due-now, in-window, and overflow.
-    fn reactive_run(kind: QueueKind, seed: u64) -> Vec<(u64, usize)> {
-        let mut q = EventQueue::new(kind, 64);
+    /// engine events schedule wakeups — on the calendar and on a plain
+    /// binary heap beside it, asserting that every pop agrees. Horizons
+    /// span all three tiers: due-now, in-window, and overflow. Release
+    /// test runs, which compile out the queue's own reference, check the
+    /// order here.
+    fn reactive_run(seed: u64) {
+        let mut q = CalendarQueue::new();
+        let mut heap = BinaryHeap::new();
+        let limit = TimeNs::from_secs(3600);
         let mut seq = 0u64;
         let mut now = TimeNs::ZERO;
         let mut x = seed | 1;
-        let mut order = Vec::new();
         // t=0 fan-out, like the engine's Start events.
         for _ in 0..8 {
             seq += 1;
-            q.push(
-                now,
-                QueuedEvent {
-                    at: now,
-                    seq,
-                    node: NodeId(seq as usize),
-                    wake: WakeKind::Start,
-                },
-            );
+            let ev = QueuedEvent {
+                at: now,
+                seq,
+                node: NodeId(seq as usize),
+                wake: WakeKind::Start,
+            };
+            push_both(&mut q, &mut heap, now, ev);
         }
         let mut pops = 0u32;
         while pops < 30_000 {
-            match q.pop_due(now, TimeNs::from_secs(3600)) {
-                Popped::Event { at, node, .. } => {
+            let popped = q.pop_due(now, limit);
+            assert_eq!(
+                popped,
+                pop_reference(&mut heap, limit),
+                "seed {seed}: first divergence at pop {pops}"
+            );
+            match popped {
+                Popped::Event { at, .. } => {
                     pops += 1;
                     assert!(at >= now, "time ran backwards");
                     now = at;
-                    order.push((at.as_ns(), node.0));
                     x ^= x << 13;
                     x ^= x >> 7;
                     x ^= x << 17;
@@ -559,33 +538,25 @@ mod tests {
                             _ => 10_000,
                         };
                         seq += 1;
-                        q.push(
-                            now,
-                            QueuedEvent {
-                                at: TimeNs::from_ns(now.as_ns() + horizon),
-                                seq,
-                                node: NodeId(seq as usize),
-                                wake: WakeKind::Attempt,
-                            },
-                        );
+                        let ev = QueuedEvent {
+                            at: TimeNs::from_ns(now.as_ns() + horizon),
+                            seq,
+                            node: NodeId(seq as usize),
+                            wake: WakeKind::Attempt,
+                        };
+                        push_both(&mut q, &mut heap, now, ev);
                     }
                 }
                 Popped::Empty => break,
                 Popped::NotDue => unreachable!("limit is far beyond the workload"),
             }
         }
-        order
     }
 
     #[test]
     fn calendar_matches_heap_under_reactive_load() {
         for seed in [1u64, 0xDAC14, 0x5CC] {
-            let cal = reactive_run(QueueKind::Calendar, seed);
-            let heap = reactive_run(QueueKind::Heap, seed);
-            assert_eq!(cal.len(), heap.len(), "seed {seed}: different pop counts");
-            for (i, (c, h)) in cal.iter().zip(heap.iter()).enumerate() {
-                assert_eq!(c, h, "seed {seed}: first divergence at pop {i}");
-            }
+            reactive_run(seed);
         }
     }
 
@@ -593,7 +564,7 @@ mod tests {
     fn pop_order_is_at_then_seq_within_a_bucket() {
         // Three events land in one bucket out of order; pops must sort by
         // (at, seq) regardless of push order.
-        let mut q = EventQueue::new(QueueKind::Calendar, 64);
+        let mut q = CalendarQueue::new();
         let now = TimeNs::ZERO;
         // Burn through tuning with uniform 1 µs horizons.
         for seq in 1..=TUNE_SAMPLES as u64 {
@@ -631,7 +602,7 @@ mod tests {
 
     #[test]
     fn not_due_leaves_event_in_place() {
-        let mut q = EventQueue::new(QueueKind::Calendar, 64);
+        let mut q = CalendarQueue::new();
         let now = TimeNs::ZERO;
         q.push(
             now,

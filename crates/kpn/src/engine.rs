@@ -23,7 +23,7 @@
 //! and with the paper's process counts (≤ a few dozen) far from being a
 //! bottleneck.
 
-use crate::calendar::{EventQueue, Popped, QueueKind, QueuedEvent, WakeKind};
+use crate::calendar::{CalendarQueue, Popped, QueuedEvent, WakeKind};
 use crate::channel::{ChannelBehavior as _, ChannelId, ReadOutcome, WriteOutcome};
 use crate::network::Network;
 use crate::platform::{IdealPlatform, Platform};
@@ -177,7 +177,7 @@ pub struct Engine {
     /// query on zero-latency platforms.
     zero_transfer: bool,
     now: TimeNs,
-    queue: EventQueue,
+    queue: CalendarQueue,
     seq: u64,
     states: Vec<ProcState>,
     /// Pending syscall per process (the one being attempted/parked).
@@ -229,9 +229,7 @@ impl Engine {
             compute_scales,
             zero_transfer,
             now: TimeNs::ZERO,
-            // Pre-sized so the steady-state event mix (one wake per process
-            // plus channel-waiter retries) never reallocates mid-run.
-            queue: EventQueue::new(crate::calendar::default_queue(), (n_proc * 4).max(64)),
+            queue: CalendarQueue::new(),
             seq: 0,
             states: vec![ProcState::Scheduled; n_proc],
             pending: (0..n_proc).map(|_| None).collect(),
@@ -262,16 +260,6 @@ impl Engine {
     /// zero-delay livelock in experimental process implementations.
     pub fn with_event_budget(mut self, budget: u64) -> Self {
         self.event_budget = budget;
-        self
-    }
-
-    /// Selects the event-queue implementation (default: the process-wide
-    /// [`crate::default_queue`], normally the calendar queue). Both
-    /// produce identical event orders; the heap exists for differential
-    /// testing. Must be called before the first `run_until`.
-    pub fn with_queue(mut self, kind: QueueKind) -> Self {
-        assert!(!self.started, "queue selected after the run started");
-        self.queue = EventQueue::new(kind, 64);
         self
     }
 

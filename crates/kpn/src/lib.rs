@@ -54,7 +54,6 @@ pub mod rng;
 pub mod threaded;
 mod token;
 
-pub use calendar::{default_queue, set_default_queue, QueueKind};
 pub use channel::{
     ChannelBehavior, ChannelId, Fifo, PortId, ReadOutcome, UnboundedFifo, WriteOutcome,
 };

@@ -22,17 +22,11 @@
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
-/// Worker count for campaign execution.
-///
-/// Reads `RTFT_CAMPAIGN_WORKERS` (minimum 1); when unset or unparsable,
-/// defaults to [`std::thread::available_parallelism`]. Set
-/// `RTFT_CAMPAIGN_WORKERS=1` to force the sequential inline path.
+/// Worker count for campaign execution:
+/// [`std::thread::available_parallelism`]. Callers that need a fixed
+/// count (`1` for the sequential inline path) pass it to a
+/// `*_with_workers` entry point instead.
 pub fn campaign_workers() -> usize {
-    if let Ok(raw) = std::env::var("RTFT_CAMPAIGN_WORKERS") {
-        if let Ok(n) = raw.trim().parse::<usize>() {
-            return n.max(1);
-        }
-    }
     std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1)
@@ -114,16 +108,5 @@ mod tests {
         let empty: Vec<u64> = Vec::new();
         assert!(parallel_map_ordered(empty, 4, |_, v: u64| v).is_empty());
         assert_eq!(parallel_map_ordered(vec![9u64], 4, |_, v| v + 1), vec![10]);
-    }
-
-    #[test]
-    fn workers_env_override_wins() {
-        // Serialized via the env var name being unique to this test.
-        std::env::set_var("RTFT_CAMPAIGN_WORKERS", "3");
-        assert_eq!(campaign_workers(), 3);
-        std::env::set_var("RTFT_CAMPAIGN_WORKERS", "0");
-        assert_eq!(campaign_workers(), 1, "clamped to at least one");
-        std::env::remove_var("RTFT_CAMPAIGN_WORKERS");
-        assert!(campaign_workers() >= 1);
     }
 }

@@ -100,11 +100,6 @@ impl JitterSampler {
             TimeNs::from_ns(self.rng.next_inclusive(self.jitter.as_ns()))
         }
     }
-
-    /// The configured maximum jitter.
-    pub fn max_jitter(&self) -> TimeNs {
-        self.jitter
-    }
 }
 
 /// A source process emitting PJD-timed tokens.

@@ -21,9 +21,6 @@
 //!   p50/p90/p99/max queries.
 //! * [`Ring`] / [`EventSink`] — bounded event storage with drop counting;
 //!   the DES engine records its token flow straight into one.
-//! * [`Hll`] — a mergeable HyperLogLog distinct counter (fixed hash, so
-//!   estimates are reproducible) for unique-streams / unique-tenants
-//!   rollups.
 //! * [`HealthModel`] — folds replicator/selector detection events into
 //!   per-replica `Healthy`/`Suspected`/`Faulty` status with a
 //!   time-to-detection histogram.
@@ -56,14 +53,12 @@
 
 pub mod export;
 mod health;
-mod hll;
 pub mod json;
 mod metrics;
 mod ring;
 
 pub use export::{events_to_jsonl, registry_to_json, summary_report, BenchMetrics};
 pub use health::{DetectionSite, HealthModel, ReplicaHealth, ReplicaStatus};
-pub use hll::Hll;
 pub use metrics::{
     Counter, Gauge, Histogram, HistogramSnapshot, MetricsRegistry, HISTOGRAM_BUCKETS,
 };

@@ -7,7 +7,6 @@
 //! the selector/replicator use for timing-fault detection.
 
 use crate::analysis::{default_horizon, sup_difference, CurveAnalysisError, Supremum};
-use crate::curve::Curve;
 use crate::pjd::PjdModel;
 use crate::time::TimeNs;
 
@@ -37,19 +36,6 @@ pub fn fifo_capacity(producer: &PjdModel, consumer: &PjdModel) -> Result<u64, Cu
     let (u, l) = (producer.upper(), consumer.lower());
     let h = default_horizon(&u, &l);
     Ok(sup_difference(&u, &l, h)?.value)
-}
-
-/// Curve-level variant of [`fifo_capacity`] for non-PJD models.
-///
-/// # Errors
-///
-/// Same as [`sup_difference`].
-pub fn fifo_capacity_curves(
-    producer_upper: &dyn Curve,
-    consumer_lower: &dyn Curve,
-    horizon: TimeNs,
-) -> Result<u64, CurveAnalysisError> {
-    Ok(sup_difference(producer_upper, consumer_lower, horizon)?.value)
 }
 
 /// Initial token count `F_{C,0}` so the consumer never stalls — eq. (4):

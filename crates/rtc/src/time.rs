@@ -76,11 +76,6 @@ impl TimeNs {
         self.0
     }
 
-    /// Duration in (fractional) microseconds.
-    pub fn as_us_f64(self) -> f64 {
-        self.0 as f64 / 1_000.0
-    }
-
     /// Duration in (fractional) milliseconds.
     pub fn as_ms_f64(self) -> f64 {
         self.0 as f64 / 1_000_000.0

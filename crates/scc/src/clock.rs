@@ -106,17 +106,6 @@ impl Tsc {
         let drifted = nominal + nominal * self.drift_ppb as i128 / 1_000_000_000;
         self.boot_offset_cycles + drifted.max(0) as u64
     }
-
-    /// Converts a counter delta to wall time (ignoring drift — exactly what
-    /// measurement code on the real SCC does).
-    pub fn cycles_to_time(&self, cycles: u64) -> TimeNs {
-        self.domain.duration_of(cycles)
-    }
-
-    /// Clears the boot offset (the effect of boot-time synchronisation).
-    pub fn zero_offset(&mut self) {
-        self.boot_offset_cycles = 0;
-    }
 }
 
 /// The TSCs of all 48 cores.

@@ -23,7 +23,7 @@
 //! (a 10 KB frame transfers in ~10 µs vs a 30 ms period).
 
 use crate::clock::SccClocks;
-use crate::topology::{route_links, CoreId, Link, TileId};
+use crate::topology::{route_links, CoreId, Link};
 use rtft_obs::{Counter, Histogram, MetricsRegistry};
 use rtft_rtc::TimeNs;
 
@@ -105,12 +105,6 @@ impl NocModel {
             total += self.chunk_latency(tail, hops);
         }
         total
-    }
-
-    /// Latency between two tiles for a given message size (core-agnostic
-    /// helper used by the mapper's cost model).
-    pub fn tile_latency(&self, from: TileId, to: TileId, bytes: usize) -> TimeNs {
-        self.message_latency(from.cores()[0], to.cores()[0], bytes)
     }
 
     /// [`message_latency`](Self::message_latency) plus traffic accounting:

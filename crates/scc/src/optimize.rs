@@ -12,7 +12,6 @@
 use crate::mapping::{snake_order, Mapping};
 use crate::noc::NocModel;
 use crate::topology::TILE_COUNT;
-use rtft_rtc::TimeNs;
 
 /// Cost of a candidate mapping: total per-flow latency plus a penalty per
 /// unit of link sharing beyond one flow per link.
@@ -148,18 +147,6 @@ pub fn duplicated_network_flows(
         flows.push((base + k - 1, consumer, output_bytes));
     }
     (consumer + 1, flows)
-}
-
-/// Communication latency summary of a mapping over a flow set.
-pub fn latency_summary(
-    mapping: &Mapping,
-    flows: &[(usize, usize, usize)],
-    noc: &NocModel,
-) -> TimeNs {
-    flows
-        .iter()
-        .map(|(a, b, bytes)| noc.message_latency(mapping.core(*a), mapping.core(*b), *bytes))
-        .sum()
 }
 
 #[cfg(test)]

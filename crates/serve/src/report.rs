@@ -101,7 +101,7 @@ pub struct ServeReport {
     pub evictions: u64,
     /// The tenant directory at shutdown (tenancy-enabled servers only):
     /// per-tenant reports sorted by id, the merged shard rollup, and the
-    /// unique-stream / unique-tenant sketches.
+    /// unique-stream / unique-tenant counts.
     pub tenants: Option<TenantDirectoryReport>,
     /// The drained fleet's report (job records, status, pool counters).
     pub fleet: FleetReport,

@@ -20,10 +20,9 @@
 //! * **Sharded supervision** — tenants are hashed across N supervisor
 //!   shards, so admission checks and metrics folding stop serializing on
 //!   one lock. Each shard folds its tenants' per-job registries into a
-//!   per-shard rollup (plus [`Hll`](rtft_obs::Hll) unique-stream /
-//!   unique-tenant sketches); [`TenantManager::report`] merges the
-//!   shards with commutative operations only, so the report is
-//!   **byte-identical at any shard count**.
+//!   per-shard rollup; [`TenantManager::report`] merges the shards with
+//!   commutative operations only, so the report is **byte-identical at
+//!   any shard count**.
 //! * **Admission** — [`TenantManager::admit_tokens`] (queue quota,
 //!   checked before tokens are buffered) and
 //!   [`TenantManager::admit_flush`] (state, in-flight cap, token rate —

@@ -6,7 +6,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 use rtft_fleet::{JobRecord, JobRunResult, RejectReason};
-use rtft_obs::{Hll, MetricsRegistry};
+use rtft_obs::MetricsRegistry;
 
 use crate::report::{TenantDirectoryReport, TenantReport};
 use crate::tenant::{Tenant, TenantConfig, TenantId, TenantState};
@@ -103,8 +103,6 @@ pub struct Shard {
     /// Per-shard metrics rollup; settled jobs' registries are absorbed
     /// here (commutative fold, so the merged total is shard-invariant).
     rollup: MetricsRegistry,
-    unique_tenants: Hll,
-    unique_streams: Hll,
 }
 
 impl Shard {
@@ -112,24 +110,12 @@ impl Shard {
         Shard {
             tenants: Mutex::new(HashMap::new()),
             rollup: MetricsRegistry::new(),
-            unique_tenants: Hll::new(),
-            unique_streams: Hll::new(),
         }
     }
 
     /// The shard's metrics rollup (absorbed job registries).
     pub fn rollup(&self) -> &MetricsRegistry {
         &self.rollup
-    }
-
-    /// Distinct tenants this shard has attached.
-    pub fn unique_tenants(&self) -> &Hll {
-        &self.unique_tenants
-    }
-
-    /// Distinct streams opened by this shard's tenants.
-    pub fn unique_streams(&self) -> &Hll {
-        &self.unique_streams
     }
 
     fn get(&self, id: TenantId) -> Option<Arc<Tenant>> {
@@ -156,6 +142,7 @@ pub struct TenantManager {
     shards: Box<[Shard]>,
     names: Mutex<HashMap<String, TenantId>>,
     next_id: AtomicU64,
+    streams_opened: AtomicU64,
 }
 
 impl TenantManager {
@@ -166,12 +153,8 @@ impl TenantManager {
             shards: (0..n).map(|_| Shard::new()).collect(),
             names: Mutex::new(HashMap::new()),
             next_id: AtomicU64::new(1),
+            streams_opened: AtomicU64::new(0),
         }
-    }
-
-    /// Number of supervisor shards.
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
     }
 
     /// The shard a tenant id lives on.
@@ -230,7 +213,6 @@ impl TenantManager {
         let activated = tenant.transition(TenantState::Attaching, TenantState::Active);
         debug_assert!(activated, "fresh tenant must activate");
         let shard = self.shard_of(id);
-        shard.unique_tenants.insert_u64(id.0);
         shard.tenants.lock().unwrap().insert(id.0, tenant);
     }
 
@@ -327,10 +309,10 @@ impl TenantManager {
         }
     }
 
-    /// Note a stream opening under `id` (feeds the unique-streams
-    /// sketch).
-    pub fn on_stream_opened(&self, id: TenantId, stream: u64) {
-        self.shard_of(id).unique_streams.insert_u64(stream);
+    /// Note a stream opening under a tenant. Stream ids are unique per
+    /// server, so the count of calls is the count of distinct streams.
+    pub fn on_stream_opened(&self, _tenant: TenantId, _stream: u64) {
+        self.streams_opened.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Release buffered tokens that will never flush (close/shutdown with
@@ -357,27 +339,13 @@ impl TenantManager {
         self.get(id).map(|t| TenantReport::snapshot(&t))
     }
 
-    /// Tenants currently in a given state (cheap scan, report helper).
-    pub fn count_in_state(&self, state: TenantState) -> usize {
-        self.shards
-            .iter()
-            .map(|s| {
-                s.tenants
-                    .lock()
-                    .unwrap()
-                    .values()
-                    .filter(|t| t.state() == state)
-                    .count()
-            })
-            .sum()
-    }
-
     /// Build the directory report: every tenant's [`TenantReport`]
-    /// sorted by id, the merged shard rollup, and the merged
-    /// unique-stream / unique-tenant sketches. Byte-identical at any
-    /// shard count: per-tenant state is shard-independent, and every
-    /// cross-shard fold (counter add, histogram bucket add, gauge
-    /// high-water max, HLL register max) is commutative.
+    /// sorted by id, the merged shard rollup, and exact unique-tenant /
+    /// unique-stream counts. Byte-identical at any shard count:
+    /// per-tenant state is shard-independent, and every cross-shard fold
+    /// (counter add, histogram bucket add, gauge high-water max) is
+    /// commutative. Tenants are never removed and a re-attach gets a new
+    /// id, so every directory entry is a distinct tenant.
     pub fn report(&self) -> TenantDirectoryReport {
         let mut tenants: Vec<Arc<Tenant>> = Vec::new();
         for shard in self.shards.iter() {
@@ -385,17 +353,13 @@ impl TenantManager {
         }
         tenants.sort_by_key(|t| t.id().0);
         let rollup = MetricsRegistry::new();
-        let unique_tenants = Hll::new();
-        let unique_streams = Hll::new();
         for shard in self.shards.iter() {
             rollup.absorb(&shard.rollup);
-            unique_tenants.merge_from(&shard.unique_tenants);
-            unique_streams.merge_from(&shard.unique_streams);
         }
         TenantDirectoryReport {
             tenants: tenants.iter().map(|t| TenantReport::snapshot(t)).collect(),
-            unique_tenants: unique_tenants.estimate_u64(),
-            unique_streams: unique_streams.estimate_u64(),
+            unique_tenants: tenants.len() as u64,
+            unique_streams: self.streams_opened.load(Ordering::Relaxed),
             rollup,
         }
     }

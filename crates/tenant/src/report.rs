@@ -91,7 +91,7 @@ fn hist(s: &HistogramSnapshot) -> String {
 }
 
 /// The whole directory: every tenant (sorted by id), the merged shard
-/// rollup registry, and the merged distinct-count sketches.
+/// rollup registry, and exact distinct-tenant / distinct-stream counts.
 ///
 /// Serialization is byte-identical at any shard count — tenants are
 /// sorted globally and every cross-shard merge is commutative. The shard
@@ -100,9 +100,9 @@ fn hist(s: &HistogramSnapshot) -> String {
 pub struct TenantDirectoryReport {
     /// Per-tenant reports, ascending by id.
     pub tenants: Vec<TenantReport>,
-    /// HLL estimate of distinct tenants ever attached.
+    /// Distinct tenants ever attached.
     pub unique_tenants: u64,
-    /// HLL estimate of distinct streams opened across all tenants.
+    /// Distinct streams opened across all tenants.
     pub unique_streams: u64,
     /// The merged per-shard rollup (absorbed job registries).
     pub rollup: MetricsRegistry,
