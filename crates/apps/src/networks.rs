@@ -21,7 +21,7 @@ use crate::stages::{FanInStage, FanOutStage};
 use crate::video::VideoSource;
 use crate::{h264, profiles};
 use rtft_core::{DuplicationConfig, FaultPlan, FaultyProcess, PayloadGenerator, ReplicaFactory};
-use rtft_kpn::{Fifo, Network, NodeId, Payload, PjdShaper, PortId, Transform};
+use rtft_kpn::{Bytes, Fifo, Network, NodeId, Payload, PjdShaper, PortId, Transform};
 use rtft_rtc::{CurveAnalysisError, TimeNs};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -153,31 +153,28 @@ impl App {
     }
 
     /// A payload generator cycling [`WORKLOAD_CYCLE`] pre-built workload
-    /// items (encoded frames / PCM blocks / raw frames).
+    /// items (encoded frames / PCM blocks / raw frames), hashed in lanes as
+    /// a batch, so every later `digest()` is a memo read.
     pub fn payload_generator(self, seed: u64) -> PayloadGenerator {
-        match self {
+        let cycle = 0..WORKLOAD_CYCLE;
+        let items: Vec<Bytes> = match self {
             App::Mjpeg => {
                 let src = VideoSource::new(seed);
-                let encoded: Vec<Payload> = (0..WORKLOAD_CYCLE)
-                    .map(|n| Payload::from(mjpeg::encode(&src.frame(n), mjpeg::DEFAULT_QUALITY)))
-                    .collect();
-                Arc::new(move |n| encoded[(n % WORKLOAD_CYCLE) as usize].clone())
+                cycle
+                    .map(|n| mjpeg::encode(&src.frame(n), mjpeg::DEFAULT_QUALITY).into())
+                    .collect()
             }
             App::Adpcm => {
                 let src = AudioSource::new(seed);
-                let blocks: Vec<Payload> = (0..WORKLOAD_CYCLE)
-                    .map(|n| Payload::from(src.block(n)))
-                    .collect();
-                Arc::new(move |n| blocks[(n % WORKLOAD_CYCLE) as usize].clone())
+                cycle.map(|n| src.block(n).into()).collect()
             }
             App::H264 => {
                 let src = VideoSource::new(seed);
-                let frames: Vec<Payload> = (0..WORKLOAD_CYCLE)
-                    .map(|n| Payload::from(src.frame(n).pixels))
-                    .collect();
-                Arc::new(move |n| frames[(n % WORKLOAD_CYCLE) as usize].clone())
+                cycle.map(|n| src.frame(n).pixels.into()).collect()
             }
-        }
+        };
+        Bytes::digest_all(&items);
+        Arc::new(move |n| Payload::from(items[(n % WORKLOAD_CYCLE) as usize].clone()))
     }
 
     /// The replica factory for this application with the given per-replica

@@ -19,7 +19,7 @@ use crate::bounds::BoundCheck;
 use crate::scenario::{FaultSpec, PlatformKind, Redundancy, Scenario, SERVICE_DIVISOR};
 use rtft_core::{FaultKind, PayloadGenerator};
 use rtft_fleet::{des_horizon, JobTemplate, StructureBounds};
-use rtft_kpn::{ChannelId, Engine, Network, Payload, SplitMix64};
+use rtft_kpn::{Bytes, ChannelId, Engine, Network, Payload, SplitMix64};
 use rtft_rtc::detection::{DetectionBounds, HeteroBounds};
 use rtft_rtc::{PjdModel, TimeNs};
 use rtft_scc::{low_contention_pipeline, NocFaultPlan, SccPlatform};
@@ -158,10 +158,11 @@ fn hetero_analytic_bound(f: &FaultSpec, b: &HeteroBounds) -> Option<TimeNs> {
 }
 
 /// Deterministic token payloads: a cycle of eight byte blocks of the
-/// application's Table 1 token size, filled from the scenario seed.
+/// application's Table 1 token size, filled from the scenario seed and
+/// hashed in lanes as a batch, so every later `digest()` is a memo read.
 pub(crate) fn payload_cycle(seed: u64, bytes: usize) -> PayloadGenerator {
     let mut rng = SplitMix64::seed_from_u64(seed);
-    let blocks: Vec<Payload> = (0..8)
+    let blocks: Vec<Bytes> = (0..8)
         .map(|_| {
             let mut buf = vec![0u8; bytes];
             let mut words = buf.chunks_exact_mut(8);
@@ -172,10 +173,11 @@ pub(crate) fn payload_cycle(seed: u64, bytes: usize) -> PayloadGenerator {
             if !tail.is_empty() {
                 tail.copy_from_slice(&rng.next_u64().to_le_bytes()[..tail.len()]);
             }
-            Payload::from(buf)
+            Bytes::from(buf)
         })
         .collect();
-    Arc::new(move |seq| blocks[(seq % 8) as usize].clone())
+    Bytes::digest_all(&blocks);
+    Arc::new(move |seq| Payload::from(blocks[(seq % 8) as usize].clone()))
 }
 
 /// Wraps the built network in the scenario's platform and returns the

@@ -57,7 +57,7 @@ mod token;
 pub use channel::{
     ChannelBehavior, ChannelId, Fifo, PortId, ReadOutcome, UnboundedFifo, WriteOutcome,
 };
-pub use digest::{digest_bytes, Digest};
+pub use digest::{copy_digest4, digest_bytes, digest_bytes4, Digest};
 pub use engine::{Engine, RunOutcome};
 pub use network::{port, ChannelSlot, Network, ProcessSlot};
 pub use parallel::{campaign_workers, parallel_map_ordered};

@@ -1,6 +1,7 @@
 //! A recycling arena for token payload buffers: [`PayloadPool`] shelves
 //! [`Bytes`] allocations so steady-state ingest does not allocate.
 
+use crate::digest::copy_digest4;
 use crate::token::Bytes;
 use rtft_obs::{Counter, MetricsRegistry};
 use std::collections::HashMap;
@@ -26,8 +27,10 @@ use std::sync::Mutex;
 /// A shelved buffer keeps whatever digest memo its last contents earned;
 /// that is sound because the memo still describes the bytes lying there,
 /// and the only way to change them — [`PoolBuf::as_mut_slice`] — clears it.
-/// `recycle` and the scavenger only ask whether a buffer is unshared; they
-/// never take the mutable view.
+/// [`take_copies`](PayloadPool::take_copies) fills it again with the new
+/// contents' digest, computed while copying them in. `recycle` and the
+/// scavenger only ask whether a buffer is unshared; they never take the
+/// mutable view.
 ///
 /// All operations are thread-safe; counters (`kpn.pool.*` when attached to
 /// a [`MetricsRegistry`]) expose hit/miss/recycle/discard totals so tests
@@ -49,9 +52,10 @@ pub struct PayloadPool {
 /// Snapshot of a pool's lifetime counters.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PayloadPoolStats {
-    /// `take` calls satisfied from a shelf (no allocation).
+    /// Buffers handed out (by `take` or `take_copies`) from a shelf, with
+    /// no allocation.
     pub hits: u64,
-    /// `take` calls that had to allocate.
+    /// Buffers handed out that had to be allocated.
     pub misses: u64,
     /// Buffers accepted back onto a shelf.
     pub recycled: u64,
@@ -169,29 +173,63 @@ impl PayloadPool {
     /// fresh zeroed buffer is allocated.
     pub fn take(&self, len: usize) -> PoolBuf {
         self.scavenge();
-        if let Some(buf) = self
+        let shelved = self
             .shelves
             .lock()
             .unwrap()
             .get_mut(&len)
-            .and_then(Vec::pop)
-        {
-            debug_assert_eq!(Bytes::strong_count(&buf), 1);
-            self.hits.inc();
-            return PoolBuf { buf };
-        }
-        self.misses.inc();
-        PoolBuf {
-            buf: Bytes::from(vec![0u8; len]),
-        }
+            .and_then(Vec::pop);
+        self.checkout(shelved, len)
     }
 
-    /// Copies `data` into a pooled buffer and freezes it — the common
-    /// "ingest one frame" operation in a single call.
-    pub fn take_copy(&self, data: &[u8]) -> Bytes {
-        let mut buf = self.take(data.len());
-        buf.as_mut_slice().copy_from_slice(data);
-        buf.freeze()
+    /// Copies each slice of `batch` into a pooled buffer and freezes it,
+    /// with its digest memo filled — the "ingest one frame" operation in
+    /// a single call. Four buffers at a time are copied and hashed in one
+    /// pass ([`copy_digest4`]); the last one to three are copied, then
+    /// hashed. One scavenge and one shelf lock serve the whole batch.
+    pub fn take_copies(&self, batch: &[&[u8]]) -> Vec<Bytes> {
+        self.scavenge();
+        let mut bufs: Vec<PoolBuf> = {
+            let mut shelves = self.shelves.lock().unwrap();
+            batch
+                .iter()
+                .map(|s| self.checkout(shelves.get_mut(&s.len()).and_then(Vec::pop), s.len()))
+                .collect()
+        };
+
+        let mut srcs = batch.chunks_exact(4);
+        let mut quads = bufs.chunks_exact_mut(4);
+        for (src, quad) in (&mut srcs).zip(&mut quads) {
+            let quad: &mut [PoolBuf; 4] = quad.try_into().expect("chunks of four");
+            let src = src.try_into().expect("chunks of four");
+            let digests = copy_digest4(src, quad.each_mut().map(PoolBuf::as_mut_slice));
+            for (buf, digest) in quad.iter().zip(digests) {
+                buf.buf.set_digest(digest);
+            }
+        }
+        for (src, buf) in srcs.remainder().iter().zip(quads.into_remainder()) {
+            buf.as_mut_slice().copy_from_slice(src);
+            buf.buf.digest();
+        }
+        bufs.into_iter().map(PoolBuf::freeze).collect()
+    }
+
+    /// Hands out a shelved buffer (a hit) or a fresh zeroed one of `len`
+    /// bytes (a miss).
+    fn checkout(&self, shelved: Option<Bytes>, len: usize) -> PoolBuf {
+        match shelved {
+            Some(buf) => {
+                debug_assert_eq!(Bytes::strong_count(&buf), 1);
+                self.hits.inc();
+                PoolBuf { buf }
+            }
+            None => {
+                self.misses.inc();
+                PoolBuf {
+                    buf: Bytes::from(vec![0u8; len]),
+                }
+            }
+        }
     }
 
     /// Offers a payload back to the pool once its batch has settled.
@@ -278,15 +316,23 @@ impl PayloadPool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::digest_bytes;
+
+    /// One payload through the batch call.
+    fn copy(pool: &PayloadPool, data: &[u8]) -> Bytes {
+        pool.take_copies(&[data])
+            .pop()
+            .expect("one buffer per slice")
+    }
 
     #[test]
     fn recycled_buffer_is_reused_not_reallocated() {
         let pool = PayloadPool::new();
-        let first = pool.take_copy(b"hello scc");
+        let first = copy(&pool, b"hello scc");
         let addr = first.as_ptr();
         assert!(pool.recycle(first), "sole owner must be accepted");
 
-        let second = pool.take_copy(b"bye scc!!"); // same length → shelf hit
+        let second = copy(&pool, b"bye scc!!"); // same length → shelf hit
         assert_eq!(second.as_ptr(), addr, "allocation must be reused in place");
         assert_eq!(&second[..], b"bye scc!!");
 
@@ -300,23 +346,67 @@ mod tests {
     #[test]
     fn recycled_buffer_forgets_the_previous_digest() {
         let pool = PayloadPool::new();
-        let first = pool.take_copy(b"frame 0001");
+        let first = copy(&pool, b"frame 0001");
         let addr = first.as_ptr();
         let stale = first.digest(); // fills the memo on the allocation
         assert!(pool.recycle(first));
 
-        let second = pool.take_copy(b"frame 0002"); // same shelf, same allocation
+        let second = copy(&pool, b"frame 0002"); // same shelf, same allocation
         assert_eq!(second.as_ptr(), addr);
-        assert_eq!(second.memo(), None, "as_mut_slice must clear the memo");
-        assert_eq!(second.digest(), crate::digest_bytes(b"frame 0002"));
+        assert_eq!(
+            second.memo(),
+            Some(digest_bytes(b"frame 0002")),
+            "the copy hashes the new bytes"
+        );
         assert_ne!(second.digest(), stale);
+
+        assert!(pool.recycle(second));
+        let mut third = pool.take(10);
+        third.as_mut_slice();
+        assert_eq!(third.freeze().memo(), None, "as_mut_slice clears the memo");
+    }
+
+    /// A batch of every quad-and-leftover shape, twice: the second round
+    /// lands on recycled buffers whose memos describe the first round's
+    /// bytes. Every buffer holds its slice and memoises its digest.
+    #[test]
+    fn a_batch_is_copied_and_hashed_in_lanes_on_hits_and_misses() {
+        let pool = PayloadPool::new();
+        let mut rng = crate::SplitMix64::seed_from_u64(0xba7c4);
+        for round in 0..2 {
+            for count in 0..=9usize {
+                let data: Vec<Vec<u8>> = (0..count)
+                    .map(|i| {
+                        (0..[3, 4_100, 9_000][i % 3])
+                            .map(|_| rng.next_u64() as u8)
+                            .collect()
+                    })
+                    .collect();
+                let slices: Vec<&[u8]> = data.iter().map(Vec::as_slice).collect();
+                let batch = pool.take_copies(&slices);
+                assert_eq!(batch.len(), count);
+                for (b, s) in batch.iter().zip(&slices) {
+                    assert_eq!(&b[..], *s, "round {round}, {count} buffers");
+                    assert_eq!(b.memo(), Some(digest_bytes(s)), "round {round}, {count}");
+                }
+                for b in batch {
+                    assert!(pool.recycle(b));
+                }
+            }
+        }
+        let stats = pool.stats();
+        assert_eq!(
+            stats.misses, 9,
+            "round 0 grows each shelf to its widest batch"
+        );
+        assert_eq!(stats.hits, 2 * 45 - 9);
     }
 
     #[test]
     fn steady_state_cycle_allocates_once() {
         let pool = PayloadPool::new();
         for i in 0..1000u32 {
-            let payload = pool.take_copy(&i.to_le_bytes());
+            let payload = copy(&pool, &i.to_le_bytes());
             assert_eq!(&payload[..], i.to_le_bytes());
             assert!(pool.recycle(payload));
         }
@@ -329,7 +419,7 @@ mod tests {
     #[test]
     fn shared_buffer_is_discarded_not_shelved() {
         let pool = PayloadPool::new();
-        let payload = pool.take_copy(b"shared");
+        let payload = copy(&pool, b"shared");
         let alias = Bytes::clone(&payload);
         assert!(!pool.recycle(payload), "shared buffer must be rejected");
         assert_eq!(pool.stats().discarded, 1);
@@ -340,7 +430,7 @@ mod tests {
     #[test]
     fn shelf_cap_bounds_retention() {
         let pool = PayloadPool::with_per_len_cap(2);
-        let bufs: Vec<Bytes> = (0..3).map(|_| pool.take_copy(&[0u8; 16])).collect();
+        let bufs: Vec<Bytes> = (0..3).map(|_| copy(&pool, &[0u8; 16])).collect();
         let mut kept = 0;
         for b in bufs {
             if pool.recycle(b) {
@@ -356,8 +446,8 @@ mod tests {
     fn lengths_shelve_independently_and_counters_reach_registry() {
         let registry = MetricsRegistry::new();
         let pool = PayloadPool::with_metrics(&registry);
-        let a = pool.take_copy(&[1u8; 8]);
-        let b = pool.take_copy(&[2u8; 32]);
+        let a = copy(&pool, &[1u8; 8]);
+        let b = copy(&pool, &[2u8; 32]);
         pool.recycle(a);
         pool.recycle(b);
         let c = pool.take(8);
@@ -371,17 +461,17 @@ mod tests {
     #[test]
     fn parked_buffer_is_reclaimed_once_clones_drop() {
         let pool = PayloadPool::new();
-        let payload = pool.take_copy(b"in flight");
+        let payload = copy(&pool, b"in flight");
         let addr = payload.as_ptr();
         let job_clone = Bytes::clone(&payload);
         pool.park(payload); // still shared: stays parked, not shelved
         assert_eq!(pool.shelved(), 0);
 
-        let other = pool.take_copy(b"different length"); // scavenge: no-op
+        let other = copy(&pool, b"different length"); // scavenge: no-op
         assert_eq!(pool.stats().recycled, 0);
 
         drop(job_clone); // the "job" releases its reference
-        let reused = pool.take_copy(b"new frame"); // scavenge reclaims...
+        let reused = copy(&pool, b"new frame"); // scavenge reclaims...
         assert_eq!(reused.as_ptr(), addr, "...and the shelf hit reuses it");
         assert_eq!(pool.stats().recycled, 1);
         drop(other);
@@ -390,7 +480,7 @@ mod tests {
     #[test]
     fn empty_payloads_round_trip() {
         let pool = PayloadPool::new();
-        let empty = pool.take_copy(&[]);
+        let empty = copy(&pool, &[]);
         assert!(empty.is_empty());
         pool.recycle(empty);
         assert!(pool.take(0).is_empty());

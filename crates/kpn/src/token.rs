@@ -1,6 +1,6 @@
 //! Data tokens flowing through the process network.
 
-use crate::digest::{digest_bytes, Digest};
+use crate::digest::{digest_bytes, digest_bytes4, Digest};
 use rtft_rtc::TimeNs;
 use std::fmt;
 use std::hash::{Hash, Hasher};
@@ -44,6 +44,44 @@ impl Bytes {
         *self.0.digest.get_or_init(|| digest_bytes(&self.0.data))
     }
 
+    /// Fills the memo of every buffer in `batch` that has none, hashing
+    /// four buffers per pass ([`digest_bytes4`]); the last one to three go
+    /// through [`Bytes::digest`]. Afterwards every `digest()` on the batch
+    /// is a memo read. Values are the ones `digest()` would compute.
+    pub fn digest_all(batch: &[Bytes]) {
+        let mut pending = batch.iter().filter(|b| b.memo().is_none());
+        loop {
+            match [(); 4].map(|_| pending.next()) {
+                [Some(a), Some(b), Some(c), Some(d)] => {
+                    let quad = [a, b, c, d];
+                    let digests = digest_bytes4(quad.map(|b| &b[..]));
+                    for (b, digest) in quad.into_iter().zip(digests) {
+                        b.set_digest(digest);
+                    }
+                }
+                rest => {
+                    for b in rest.into_iter().flatten() {
+                        b.digest();
+                    }
+                    return;
+                }
+            }
+        }
+    }
+
+    /// Stores `digest`, computed from the current contents by a lane of
+    /// [`digest_bytes4`] or [`copy_digest4`](crate::copy_digest4), as the
+    /// memo. Debug builds check it against [`digest_bytes`] of the bytes.
+    pub(crate) fn set_digest(&self, digest: u64) {
+        debug_assert_eq!(
+            digest,
+            digest_bytes(&self.0.data),
+            "lane digest diverged from digest_bytes ({} bytes)",
+            self.len()
+        );
+        let _ = self.0.digest.set(digest);
+    }
+
     /// Mutable view of the bytes if `this` is the only handle (the
     /// [`Arc::get_mut`] rule); forgets the memoised digest, since the
     /// caller is about to change what it was the digest of.
@@ -64,9 +102,10 @@ impl Bytes {
         Arc::strong_count(&this.0)
     }
 
-    /// The memoised digest, if some handle has asked for it.
-    #[cfg(test)]
-    pub(crate) fn memo(&self) -> Option<u64> {
+    /// The memoised digest, if this buffer has been hashed since its
+    /// bytes were last written; `None` means the next
+    /// [`digest`](Bytes::digest) makes a pass over the bytes.
+    pub fn memo(&self) -> Option<u64> {
         self.0.digest.get().copied()
     }
 }
@@ -335,6 +374,28 @@ mod tests {
             0x811d_0077_16ea_3bd0
         );
         assert_eq!((0u8..13).collect::<Bytes>().digest(), 0xf0f1_c00c_fdb0_4010);
+    }
+
+    #[test]
+    fn digest_all_fills_every_empty_memo_with_the_slice_digest() {
+        // 0..=13 buffers: every count of whole quads plus 0–3 leftovers,
+        // some memos filled beforehand, one handle twice in the batch.
+        let mut rng = crate::SplitMix64::seed_from_u64(0xa11);
+        for count in 0..=13usize {
+            let mut batch: Vec<Bytes> = (0..count)
+                .map(|i| (0..i * 9 + 3).map(|_| rng.next_u64() as u8).collect())
+                .collect();
+            for b in batch.iter().step_by(3) {
+                b.digest();
+            }
+            if let Some(unhashed) = batch.get(1) {
+                batch.push(unhashed.clone());
+            }
+            Bytes::digest_all(&batch);
+            for b in &batch {
+                assert_eq!(b.memo(), Some(digest_bytes(b)), "{count} buffers");
+            }
+        }
     }
 
     #[test]

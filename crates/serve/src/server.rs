@@ -1671,6 +1671,10 @@ pub(crate) fn build_spec(
     batch: &[Bytes],
 ) -> JobSpec {
     let n = batch.len() as u64;
+    // A live batch arrives hashed (`PayloadPool::take_copies`), so this
+    // only reads memos; a logged batch being replayed is hashed here, in
+    // lanes, before the engine asks for its first digest.
+    Bytes::digest_all(batch);
     // A `Bytes` clone is a handle: the job shares the ingested buffers
     // (and the one digest each will be asked for), no payload bytes are
     // copied into the spec.

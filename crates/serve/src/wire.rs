@@ -400,7 +400,8 @@ impl Frame {
 
     /// [`Frame::decode`], but `Tokens` payload buffers come from `pool`
     /// instead of fresh allocations — the zero-copy ingest path: in
-    /// steady state every payload lands in a recycled buffer.
+    /// steady state every payload lands in a recycled buffer, hashed in
+    /// the pass that copies it there ([`PayloadPool::take_copies`]).
     pub fn decode_pooled(buf: &[u8], pool: &PayloadPool) -> Result<Frame, ProtocolError> {
         Frame::decode_impl(buf, Some(pool))
     }
@@ -429,14 +430,13 @@ impl Frame {
                 if count > r.len() / 4 + 1 {
                     return Err(ProtocolError::BadPayload("token count exceeds frame"));
                 }
-                let mut payloads = Vec::with_capacity(count);
-                for _ in 0..count {
-                    let raw = get_byte_slice(r)?;
-                    payloads.push(match pool {
-                        Some(pool) => pool.take_copy(raw),
-                        None => Bytes::from(raw),
-                    });
-                }
+                let raws = (0..count)
+                    .map(|_| get_byte_slice(r))
+                    .collect::<Result<Vec<_>, _>>()?;
+                let payloads = match pool {
+                    Some(pool) => pool.take_copies(&raws),
+                    None => raws.into_iter().map(Bytes::from).collect(),
+                };
                 Frame::Tokens { stream, payloads }
             }
             0x04 => Frame::Flush {
@@ -543,9 +543,15 @@ impl<W: Write> FrameWriter<W> {
 }
 
 /// Reads one frame's length prefix, enforces the length grammar (non-zero,
-/// at most `max_frame`) and reads the `tag ‖ body` bytes into `body`,
-/// resized to exactly the frame. The one place a frame header is parsed.
-fn read_body(r: &mut impl Read, max_frame: u32, body: &mut Vec<u8>) -> Result<(), ServeError> {
+/// at most `max_frame`) and reads the `tag ‖ body` bytes into the front of
+/// `buf`, which grows to the frame if shorter and is never shrunk or
+/// zero-filled again; returns exactly the frame's bytes. The one place a
+/// frame header is parsed.
+fn read_body<'a>(
+    r: &mut impl Read,
+    max_frame: u32,
+    buf: &'a mut Vec<u8>,
+) -> Result<&'a [u8], ServeError> {
     let mut len_buf = [0u8; 4];
     r.read_exact(&mut len_buf)?;
     let len = u32::from_le_bytes(len_buf);
@@ -559,33 +565,38 @@ fn read_body(r: &mut impl Read, max_frame: u32, body: &mut Vec<u8>) -> Result<()
         }
         .into());
     }
-    body.resize(len as usize, 0);
+    let len = len as usize;
+    if buf.len() < len {
+        buf.resize(len, 0);
+    }
+    let body = &mut buf[..len];
     r.read_exact(body)?;
-    Ok(())
+    Ok(body)
 }
 
 /// Reads one frame from `r`, enforcing `max_frame` on the length field.
 /// Returns the frame and the wire bytes consumed.
 pub fn read_frame(r: &mut impl Read, max_frame: u32) -> Result<(Frame, usize), ServeError> {
-    let mut body = Vec::new();
-    read_body(r, max_frame, &mut body)?;
-    Ok((Frame::decode(&body)?, 4 + body.len()))
+    let mut buf = Vec::new();
+    let body = read_body(r, max_frame, &mut buf)?;
+    Ok((Frame::decode(body)?, 4 + body.len()))
 }
 
 /// [`read_frame`] without per-frame allocation: the wire body is read
-/// into the caller-owned `scratch` buffer (grown once, then reused for
-/// every subsequent frame on the connection) and `Tokens` payloads are
-/// copied straight into buffers recycled through `pool`. Together with
-/// [`write_tokens`] on the sending side this is the steady-state
-/// zero-allocation ingest path.
+/// into the front of the caller-owned `scratch` buffer (kept at the
+/// longest frame the connection has sent, so a `Flush` between two
+/// `Tokens` frames costs no zero-fill) and `Tokens` payloads are copied
+/// straight into buffers recycled through `pool`, hashed as they are
+/// copied. Together with [`write_tokens`] on the sending side this is the
+/// steady-state zero-allocation ingest path.
 pub fn read_frame_pooled(
     r: &mut impl Read,
     max_frame: u32,
     pool: &PayloadPool,
     scratch: &mut Vec<u8>,
 ) -> Result<(Frame, usize), ServeError> {
-    read_body(r, max_frame, scratch)?;
-    Ok((Frame::decode_pooled(scratch, pool)?, 4 + scratch.len()))
+    let body = read_body(r, max_frame, scratch)?;
+    Ok((Frame::decode_pooled(body, pool)?, 4 + body.len()))
 }
 
 /// Encodes and writes one `Tokens` frame from *borrowed* payload slices,
@@ -1051,6 +1062,79 @@ mod tests {
         let stats = pool.stats();
         assert_eq!(stats.hits, 1, "{stats:?}");
         assert_eq!(stats.misses, 1, "{stats:?}");
+    }
+
+    /// One scratch buffer across a 640 KB `Tokens` frame, a `Flush` and a
+    /// shorter `Tokens` frame: it stays at its high-water length, each
+    /// frame decodes from exactly its own bytes, and every pooled payload
+    /// arrives hashed — on fresh buffers and on recycled ones whose memos
+    /// held the previous contents' digests. Malformed frames read after the
+    /// large one still fail, although stale bytes follow them in scratch.
+    #[test]
+    fn a_reused_scratch_decodes_each_frame_from_its_own_bytes() {
+        let pool = PayloadPool::new();
+        let mut scratch = Vec::new();
+        let mut rng = rtft_kpn::SplitMix64::seed_from_u64(0x640);
+        let mut tokens = |lens: &mut dyn Iterator<Item = usize>| Frame::Tokens {
+            stream: 5,
+            payloads: lens
+                .map(|n| (0..n).map(|_| rng.next_u64() as u8).collect())
+                .collect(),
+        };
+        let large = tokens(&mut (0..64).map(|i| 10_000 + i));
+        let short = tokens(&mut (0..7).map(|i| 3_000 + 5 * i));
+        let again = tokens(&mut (0..64).map(|i| 10_000 + i));
+        let high_water = large.encode().len() - 4;
+        assert!(high_water > 640_000);
+
+        let mut read =
+            |wire: &[u8]| read_frame_pooled(&mut &wire[..], DEFAULT_MAX_FRAME, &pool, &mut scratch);
+        let mut received = Vec::new();
+        for frame in [&large, &Frame::Flush { stream: 5 }, &short] {
+            let wire = frame.encode();
+            let (got, n) = read(&wire).unwrap_or_else(|e| panic!("{}: {e}", frame.name()));
+            assert_eq!(&got, frame);
+            assert_eq!(n, wire.len());
+            received.push(got);
+        }
+        let Frame::Tokens { payloads, .. } = received.remove(0) else {
+            unreachable!("the large frame")
+        };
+        for p in payloads {
+            assert_eq!(p.memo(), Some(rtft_kpn::digest_bytes(&p)));
+            assert!(pool.recycle(p));
+        }
+        let (got, _) = read(&again.encode()).unwrap();
+        assert_eq!(got, again);
+        assert_eq!(pool.stats().hits, 64, "every buffer of `again` is recycled");
+        for frame in [&got, &received[1]] {
+            let Frame::Tokens { payloads, .. } = frame else {
+                unreachable!("tokens")
+            };
+            for p in payloads {
+                assert_eq!(p.memo(), Some(rtft_kpn::digest_bytes(p)));
+            }
+        }
+
+        // Re-framed bodies: `short` claiming one payload more than it
+        // carries, and a `Flush` with a byte after its stream id.
+        let mut truncated = short.encode()[4..].to_vec();
+        truncated[5..9].copy_from_slice(&8u32.to_le_bytes());
+        let mut trailing = Frame::Flush { stream: 5 }.encode()[4..].to_vec();
+        trailing.push(0);
+        for (body, error) in [
+            (truncated, "truncated u32"),
+            (trailing, "trailing bytes after frame"),
+        ] {
+            let mut wire = (body.len() as u32).to_le_bytes().to_vec();
+            wire.extend_from_slice(&body);
+            let err = read(&wire).unwrap_err();
+            assert!(
+                matches!(err, ServeError::Protocol(ProtocolError::BadPayload(e)) if e == error),
+                "{err}"
+            );
+        }
+        assert_eq!(scratch.len(), high_water, "scratch never shrinks");
     }
 
     #[test]
