@@ -9,7 +9,6 @@
 //! occupancy, which is reached within a few tokens (documented in
 //! `EXPERIMENTS.md`).
 
-use crate::parallel::{campaign_workers, parallel_map_ordered};
 use rtft_apps::networks::App;
 use rtft_core::equivalence::TimingStats;
 use rtft_core::{
@@ -17,6 +16,7 @@ use rtft_core::{
     FaultPlan, ReplicaFactory,
 };
 use rtft_distfn::{tap_stage, DistanceMonitor, LRepetitive, StreamTap};
+use rtft_kpn::parallel::{campaign_workers, parallel_map_ordered};
 use rtft_kpn::{Engine, Fifo, Network, NodeId, PortId};
 use rtft_obs::{BenchMetrics, MetricsRegistry, ReplicaStatus};
 use rtft_rtc::sizing::SizingReport;

@@ -25,7 +25,6 @@
 pub mod campaign;
 pub mod hetero;
 pub mod paper;
-pub mod parallel;
 pub mod report;
 pub mod tables;
 
@@ -123,5 +122,58 @@ mod tests {
         assert!(m.selector_bytes <= 2_100);
         assert_eq!(m.replicator_tokens, 5, "|R1|+|R2| = 2+3");
         assert_eq!(m.selector_tokens, 6, "max(|S1|,|S2|)");
+    }
+
+    /// Every `--bench <name>` the docs cite is a `[[bench]]` of this crate
+    /// and every `--bin <name>` a `[[bin]]` of the examples package, so a
+    /// deleted or renamed target cannot leave a dead command behind.
+    #[test]
+    fn docs_name_only_targets_that_exist() {
+        let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+        let read = |path: &str| {
+            std::fs::read_to_string(root.join(path)).unwrap_or_else(|e| panic!("{path}: {e}"))
+        };
+        // The `name = "…"` of every `section` table of a manifest.
+        let targets = |manifest: &str, section: &str| -> Vec<String> {
+            read(manifest)
+                .split(section)
+                .skip(1)
+                .filter_map(|table| {
+                    let name = table.lines().find(|l| l.trim_start().starts_with("name"))?;
+                    Some(name.split('"').nth(1)?.to_owned())
+                })
+                .collect()
+        };
+        let benches = targets("crates/bench/Cargo.toml", "[[bench]]");
+        let bins = targets("examples/Cargo.toml", "[[bin]]");
+        assert!(benches.iter().any(|b| b == "table1"), "{benches:?}");
+        assert!(bins.iter().any(|b| b == "quickstart"), "{bins:?}");
+
+        for doc in [
+            "README.md",
+            "EXPERIMENTS.md",
+            "DESIGN.md",
+            ".claude/skills/verify/SKILL.md",
+        ] {
+            let text = read(doc);
+            for (flag, known) in [("--bench", &benches), ("--bin", &bins)] {
+                // `--benches` / `--bins` are other flags: a name follows
+                // only after whitespace.
+                for after in text.split(flag).skip(1) {
+                    if !after.starts_with(char::is_whitespace) {
+                        continue;
+                    }
+                    let name: String = after
+                        .trim_start()
+                        .chars()
+                        .take_while(|c| c.is_ascii_alphanumeric() || *c == '_')
+                        .collect();
+                    assert!(
+                        known.contains(&name),
+                        "{doc}: `{flag} {name}` names no target"
+                    );
+                }
+            }
+        }
     }
 }

@@ -194,7 +194,7 @@ impl CampaignReport {
             .finish()
     }
 
-    /// One-line summary for `BENCH_chaos.json`: outcome-class counts plus
+    /// One-line JSON summary: outcome-class counts plus
     /// detection-latency p50/p99 per fault kind.
     pub fn bench_line(&self) -> String {
         let mut obj = JsonObject::new()
