@@ -65,7 +65,7 @@ pub use net::{
     generate_net_scenarios, run_net_chaos, soak_net_chaos, NetChaosConfig, NetChaosReport,
     NetFaultKind, NetOutcome, NetScenario, NetScenarioOutcome, NetSoakReport,
 };
-pub use replay::{classify_replay, diff_digests, ReplayVerdict};
+pub use replay::{classify_replay, ReplayVerdict};
 pub use runner::{run_scenario, OutcomeClass, ScenarioOutcome};
 pub use scenario::{
     generate_hetero_scenarios, generate_scenarios, kind_label, FaultSpec, PlatformKind, Redundancy,

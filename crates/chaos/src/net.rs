@@ -110,7 +110,7 @@ pub enum NetFaultKind {
     BusyStorm,
     /// A permanent fail-stop fault injected into the *checker* of a
     /// sampled-checker stream (opened with the
-    /// [`HETERO_NET_STRIDE`] redundancy byte) — detection must land
+    /// `HETERO_NET_STRIDE` redundancy byte) — detection must land
     /// within the k-dependent sampled-divergence bound.
     HeteroFault,
 }
@@ -259,7 +259,7 @@ impl Default for NetChaosConfig {
 /// are load clients; apps cycle per index (replica-fault and
 /// hetero-fault scenarios pin MJPEG, whose injection recipe is proven
 /// in-bound); busy-storm scenarios get dedicated over-quota tenants,
-/// everyone else spreads over [`LOAD_TENANTS`] shared ones.
+/// everyone else spreads over `LOAD_TENANTS` shared ones.
 pub fn generate_net_scenarios(cfg: &NetChaosConfig) -> Vec<NetScenario> {
     (0..cfg.connections)
         .map(|i| {

@@ -42,35 +42,9 @@ pub fn classify_replay(verdict: ReplayVerdict) -> OutcomeClass {
     }
 }
 
-/// Diff two digest sequences the way `replay_verify` does: positional
-/// comparison plus a length mismatch counted as one divergence per
-/// unmatched digest.
-pub fn diff_digests(recorded: &[u64], replayed: &[u64]) -> u64 {
-    let common = recorded.len().min(replayed.len());
-    let mismatched = recorded[..common]
-        .iter()
-        .zip(&replayed[..common])
-        .filter(|(a, b)| a != b)
-        .count();
-    (mismatched + (recorded.len().max(replayed.len()) - common)) as u64
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn identical_sequences_do_not_diverge() {
-        assert_eq!(diff_digests(&[1, 2, 3], &[1, 2, 3]), 0);
-        assert_eq!(diff_digests(&[], &[]), 0);
-    }
-
-    #[test]
-    fn positional_mismatch_and_length_mismatch_both_count() {
-        assert_eq!(diff_digests(&[1, 2, 3], &[1, 9, 3]), 1);
-        assert_eq!(diff_digests(&[1, 2, 3], &[1, 2]), 1);
-        assert_eq!(diff_digests(&[1], &[9, 8, 7]), 3);
-    }
 
     #[test]
     fn divergence_classifies_as_replay_divergence() {

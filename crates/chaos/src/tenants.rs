@@ -77,7 +77,7 @@ pub struct TenantChaosReport {
 /// Runs the tenant-dimension chaos mix and returns both views.
 ///
 /// Four tenants attach to a directory with `shards` supervisor shards
-/// and each submits [`ROUNDS`] duplicated DES jobs through tenant
+/// and each submits `ROUNDS` duplicated DES jobs through tenant
 /// admission (`admit_tokens` → `admit_flush` → fleet). Tenant
 /// [`FAULTY_TENANT`]'s first job fail-stops one replica mid-stream —
 /// its latch must land in that tenant's books alone. With `detach_mid`,

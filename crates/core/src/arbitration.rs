@@ -18,7 +18,7 @@
 //!   - [`PaperPair`](crate::PaperPair) — the same decision over the paper's
 //!     single physical FIFO of size `max(|S₁|, |S₂|)` (§3.1), used by
 //!     `Selector`;
-//!   - `MajorityVote` (in [`voting`](crate::voting)) — digest quorum per
+//!   - `MajorityVote` (in the private `voting` module) — digest quorum per
 //!     group, used by `VotingSelector`;
 //!   - `SampledCheck` (in [`hetero`](crate::hetero)) — full-rate main
 //!     stream spot-checked every `k`-th token by a trusted checker, used by
@@ -418,14 +418,6 @@ impl<P: ComparePolicy> PolicySelector<P> {
         PolicySelector { ledger, policy }
     }
 
-    /// Attaches observability: each fault latch is mirrored into the
-    /// handles' [`HealthModel`](rtft_obs::HealthModel) and every token
-    /// consumed without delivery bumps the discard counter. Detection
-    /// semantics are unchanged — the latch stays the source of truth.
-    pub fn attach_obs(&mut self, obs: DetectionObs) {
-        self.ledger.obs = Some(obs);
-    }
-
     /// The channel's diagnostic name.
     pub fn name(&self) -> &str {
         self.ledger.name()
@@ -520,17 +512,25 @@ impl<P: ComparePolicy> ChannelBehavior for PolicySelector<P> {
     }
 }
 
-/// Uniform read-side introspection over every arbitration channel —
-/// replicators and selectors of any structure. `rtft-fleet`'s `execute`,
-/// the `rtft-chaos` scenario runner and the `rtft-bench` Table 2 campaign
-/// read latches through this (via [`as_arbiter`]) instead of per-type
-/// downcasts.
+/// Uniform introspection over every arbitration channel — replicators and
+/// selectors of any structure. The `rtft-chaos` scenario runner and the
+/// `rtft-bench` Table 2 campaign read latches through this (via
+/// [`as_arbiter`]) instead of per-type downcasts, and
+/// [`instrument`](crate::instrument) attaches one [`DetectionObs`] to both
+/// channels of any structure through it.
 pub trait Arbiter {
     /// Number of replica-facing interfaces.
     fn replica_ifaces(&self) -> usize;
 
     /// Latch record of replica `i`.
     fn latched(&self, i: usize) -> Option<ArbFault>;
+
+    /// Attaches observability: each fault latch is mirrored into the
+    /// handles' [`HealthModel`](rtft_obs::HealthModel) as it happens (a
+    /// selector also counts every token it consumes without delivery).
+    /// Detection semantics are unchanged — the latch stays the source of
+    /// truth.
+    fn attach_obs(&mut self, obs: DetectionObs);
 
     /// Latch records of every replica, in interface order.
     fn latches(&self) -> Vec<Option<ArbFault>> {
@@ -555,21 +555,56 @@ impl<P: ComparePolicy> Arbiter for PolicySelector<P> {
     fn latched(&self, i: usize) -> Option<ArbFault> {
         self.ledger.fault(i)
     }
+
+    fn attach_obs(&mut self, obs: DetectionObs) {
+        self.ledger.obs = Some(obs);
+    }
 }
+
+/// One concrete arbitration channel type, as its two [`Arbiter`] views.
+struct ArbiterType {
+    view: fn(&dyn Any) -> Option<&dyn Arbiter>,
+    view_mut: fn(&mut dyn Any) -> Option<&mut dyn Arbiter>,
+}
+
+impl ArbiterType {
+    const fn of<T: Arbiter + 'static>() -> ArbiterType {
+        fn view<T: Arbiter + 'static>(any: &dyn Any) -> Option<&dyn Arbiter> {
+            any.downcast_ref::<T>().map(|c| c as &dyn Arbiter)
+        }
+        fn view_mut<T: Arbiter + 'static>(any: &mut dyn Any) -> Option<&mut dyn Arbiter> {
+            any.downcast_mut::<T>().map(|c| c as &mut dyn Arbiter)
+        }
+        ArbiterType {
+            view: view::<T>,
+            view_mut: view_mut::<T>,
+        }
+    }
+}
+
+/// The crate's arbitration channels: the one list both views search.
+const ARBITERS: [ArbiterType; 6] = [
+    ArbiterType::of::<crate::Replicator>(),
+    ArbiterType::of::<crate::Selector>(),
+    ArbiterType::of::<crate::NSelector>(),
+    ArbiterType::of::<crate::VotingSelector>(),
+    ArbiterType::of::<crate::SampledReplicator>(),
+    ArbiterType::of::<crate::HeteroSelector>(),
+];
 
 /// Views a network channel as an [`Arbiter`], if it is one of the crate's
 /// arbitration channels (`None` for plain FIFOs and foreign channels).
 pub fn as_arbiter(channel: &dyn ChannelBehavior) -> Option<&dyn Arbiter> {
-    fn cast<T: Arbiter + 'static>(any: &dyn Any) -> Option<&dyn Arbiter> {
-        any.downcast_ref::<T>().map(|c| c as &dyn Arbiter)
-    }
     let any = channel.as_any();
-    cast::<crate::Replicator>(any)
-        .or_else(|| cast::<crate::Selector>(any))
-        .or_else(|| cast::<crate::NSelector>(any))
-        .or_else(|| cast::<crate::VotingSelector>(any))
-        .or_else(|| cast::<crate::SampledReplicator>(any))
-        .or_else(|| cast::<crate::HeteroSelector>(any))
+    ARBITERS.iter().find_map(|t| (t.view)(any))
+}
+
+/// The mutable [`as_arbiter`].
+pub(crate) fn as_arbiter_mut(channel: &mut dyn ChannelBehavior) -> Option<&mut dyn Arbiter> {
+    let t = ARBITERS
+        .iter()
+        .find(|t| (t.view)(channel.as_any()).is_some())?;
+    (t.view_mut)(channel.as_any_mut())
 }
 
 #[cfg(test)]

@@ -13,7 +13,7 @@
 //! single jittered stage for the synthetic experiments, or a full
 //! application pipeline (MJPEG / ADPCM / H.264 in `rtft-apps`).
 
-use crate::arbitration::{as_arbiter, ArbFault};
+use crate::arbitration::{as_arbiter, as_arbiter_mut, ArbFault};
 use crate::fault::{FaultPlan, FaultTrigger, FaultyProcess};
 use crate::obs::DetectionObs;
 use crate::replicator::{Replicator, ReplicatorConfig};
@@ -291,16 +291,45 @@ impl DuplicatedIds {
     }
 }
 
-/// Attaches observability to a freshly built duplicated network: a
-/// two-replica [`HealthModel`] fed by both arbitration channels, plus the
-/// `core.detections` / `core.selector.discarded` counters in `registry`.
+/// Attaches observability to a freshly built redundancy structure of any
+/// kind: one [`HealthModel`] over `faults.len()` replicas, fed by both
+/// arbitration channels as they latch, plus the `core.detections` /
+/// `core.selector.discarded` counters in `registry`.
 ///
-/// Time-triggered fault plans in `cfg` are pre-registered as injection
-/// instants, so the health model's detection-latency histogram measures
+/// Time-triggered fault plans are pre-registered as injection instants,
+/// so the health model's detection-latency histogram measures
 /// `detected_at − injected_at` without the runtime ever reading a clock
-/// (both instants are virtual times the DES already carries).
+/// (both instants are virtual times the DES already carries). Pass the
+/// fault plans the structure was built with, one per replica.
 ///
-/// Call between [`build_duplicated`] and engine construction:
+/// Call between the `build_*` function and engine construction.
+///
+/// # Panics
+///
+/// Panics if `ids` do not match `net` (channels from a different build).
+pub fn instrument(
+    net: &mut Network,
+    ids: &DuplicatedIds,
+    faults: &[FaultPlan],
+    registry: &MetricsRegistry,
+) -> HealthModel {
+    let health = HealthModel::new(faults.len());
+    for (i, plan) in faults.iter().enumerate() {
+        if let FaultTrigger::AtTime(t) = plan.trigger {
+            health.note_fault_injected(i, t.as_ns());
+        }
+    }
+    let obs = DetectionObs::new(registry, health.clone());
+    for id in [ids.replicator, ids.selector] {
+        as_arbiter_mut(net.channel_mut(id))
+            .expect("arbitration channel")
+            .attach_obs(obs.clone());
+    }
+    health
+}
+
+/// [`instrument`] for the paper's duplicated network, taking the fault
+/// plans from the config it was built from:
 ///
 /// ```
 /// use rtft_core::{build_duplicated, instrument_duplicated, DuplicationConfig,
@@ -338,24 +367,7 @@ pub fn instrument_duplicated(
     cfg: &DuplicationConfig,
     registry: &MetricsRegistry,
 ) -> HealthModel {
-    let health = HealthModel::new(2);
-    for (i, plan) in cfg.faults.iter().enumerate() {
-        if let FaultTrigger::AtTime(t) = plan.trigger {
-            health.note_fault_injected(i, t.as_ns());
-        }
-    }
-    let obs = DetectionObs::new(registry, health.clone());
-    net.channel_mut(ids.replicator)
-        .as_any_mut()
-        .downcast_mut::<Replicator>()
-        .expect("replicator channel")
-        .attach_obs(obs.clone());
-    net.channel_mut(ids.selector)
-        .as_any_mut()
-        .downcast_mut::<Selector>()
-        .expect("selector channel")
-        .attach_obs(obs);
-    health
+    instrument(net, ids, &cfg.faults, registry)
 }
 
 /// Builds the duplicated process network of Fig. 1 (bottom).

@@ -39,6 +39,7 @@ use crate::arbitration::{
 };
 use crate::builder::{assemble, Assembly};
 use crate::fault::FaultPlan;
+use crate::obs::DetectionObs;
 use rtft_kpn::{ChannelBehavior, Network, NodeId, PortId, ReadOutcome, Token, WriteOutcome};
 use rtft_rtc::detection::{sampled_stream_model, HeteroBounds};
 use rtft_rtc::{sizing, CurveAnalysisError, PjdModel, TimeNs};
@@ -166,6 +167,7 @@ pub struct SampledReplicator {
     fault: [Option<ArbFault>; 2],
     k: u64,
     divergence_threshold: Option<u64>,
+    obs: Option<DetectionObs>,
 }
 
 impl SampledReplicator {
@@ -198,6 +200,7 @@ impl SampledReplicator {
             fault: [None, None],
             k,
             divergence_threshold,
+            obs: None,
         }
     }
 
@@ -239,6 +242,9 @@ impl SampledReplicator {
             cause,
             group: None,
         });
+        if let Some(obs) = &self.obs {
+            obs.on_detection(i, cause.site(true), now);
+        }
     }
 
     fn check_divergence(&mut self, now: TimeNs) {
@@ -356,6 +362,10 @@ impl Arbiter for SampledReplicator {
 
     fn latched(&self, i: usize) -> Option<ArbFault> {
         self.fault[i]
+    }
+
+    fn attach_obs(&mut self, obs: DetectionObs) {
+        self.obs = Some(obs);
     }
 }
 

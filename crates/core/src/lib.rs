@@ -29,7 +29,8 @@
 //! [`PaperPair`]), [`NSelector`] ([`FirstOfGroup`]), [`VotingSelector`]
 //! (majority digest vote) and [`HeteroSelector`] (sampled checker, fed by
 //! the [`SampledReplicator`]). A latch at any of them is one [`ArbFault`],
-//! read back through [`Arbiter`] / [`as_arbiter`]; the four `build_*`
+//! read back through [`Arbiter`] / [`as_arbiter`] and mirrored live into a
+//! `HealthModel` by [`instrument`]; the four `build_*`
 //! functions assemble the same producer → replicator → replicas →
 //! selector → consumer shape and return the same [`DuplicatedIds`].
 //!
@@ -93,8 +94,8 @@ pub use arbitration::{
     PolicySelector,
 };
 pub use builder::{
-    build_duplicated, build_reference, instrument_duplicated, DuplicatedIds, DuplicationConfig,
-    JitterStageReplica, PayloadGenerator, ReferenceIds, ReplicaFactory,
+    build_duplicated, build_reference, instrument, instrument_duplicated, DuplicatedIds,
+    DuplicationConfig, JitterStageReplica, PayloadGenerator, ReferenceIds, ReplicaFactory,
 };
 pub use fault::{CorruptionMode, FaultKind, FaultPlan, FaultTrigger, FaultyProcess};
 pub use hetero::{

@@ -145,13 +145,6 @@ impl Replicator {
         }
     }
 
-    /// Attaches observability: each fault latch is mirrored into the
-    /// handles' [`HealthModel`](rtft_obs::HealthModel). Detection
-    /// semantics are unchanged — the latch stays the source of truth.
-    pub fn attach_obs(&mut self, obs: DetectionObs) {
-        self.obs = Some(obs);
-    }
-
     /// The replicator's diagnostic name.
     pub fn name(&self) -> &str {
         &self.name
@@ -340,6 +333,10 @@ impl Arbiter for Replicator {
 
     fn latched(&self, i: usize) -> Option<ArbFault> {
         self.lanes[i].fault
+    }
+
+    fn attach_obs(&mut self, obs: DetectionObs) {
+        self.obs = Some(obs);
     }
 }
 

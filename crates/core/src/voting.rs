@@ -179,7 +179,7 @@ impl ComparePolicy for MajorityVote {
 }
 
 /// N-way selector channel that majority-votes on token values: the
-/// [`MajorityVote`] policy over the shared
+/// `MajorityVote` policy over the shared
 /// [`ArbiterLedger`](crate::arbitration::ArbiterLedger). Timing detection
 /// (divergence / stall) is inherited from the ledger unchanged.
 pub type VotingSelector = PolicySelector<MajorityVote>;

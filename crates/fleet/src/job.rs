@@ -16,10 +16,10 @@
 //! campaigns and the benches all build through it.
 
 use rtft_core::{
-    as_arbiter, build_duplicated, build_hetero, build_n_modular, build_n_modular_voting,
-    instrument_duplicated, ArbFault, DuplicatedIds, DuplicationConfig, FaultPlan, FaultTrigger,
-    HeteroModel, HeteroSelector, HeteroSizingReport, HeteroStageReplica, JitterStageReplica,
-    NJitterStageReplica, NModularModel, NSizingReport, PayloadGenerator, ReplicaFactory,
+    build_duplicated, build_hetero, build_n_modular_voting, instrument, DuplicatedIds,
+    DuplicationConfig, FaultPlan, HeteroModel, HeteroSelector, HeteroSizingReport,
+    HeteroStageReplica, JitterStageReplica, NJitterStageReplica, NModularModel, NSizingReport,
+    PayloadGenerator, ReplicaFactory,
 };
 use rtft_kpn::threaded::{run_threaded_with, ThreadedConfig, ThreadedRun};
 use rtft_kpn::{ChannelBehavior, ChannelId, Engine, Network, NodeId, Payload, PjdSink};
@@ -251,23 +251,6 @@ pub enum JobTemplate {
         /// Replica subnetwork factory.
         factory: SharedFactory,
     },
-    /// The n-replica generalisation (`build_n_modular`).
-    NModular {
-        /// Interface timing models.
-        model: NModularModel,
-        /// Derived queue parameters.
-        sizing: NSizingReport,
-        /// Tokens the producer emits.
-        token_count: u64,
-        /// RNG seeds: producer, consumer.
-        seeds: (u64, u64),
-        /// Token payload generator.
-        payload: PayloadGenerator,
-        /// Replica subnetwork factory.
-        factory: SharedFactory,
-        /// One fault plan per replica.
-        faults: Vec<FaultPlan>,
-    },
     /// n-modular redundancy arbitrated by the value-voting selector
     /// (`build_n_modular_voting`): tolerates silent data corruption in a
     /// replica minority, not just timing faults. Needs ≥ 3 replicas.
@@ -315,15 +298,6 @@ impl std::fmt::Debug for JobTemplate {
             JobTemplate::Duplicated { cfg, .. } => f
                 .debug_struct("JobTemplate::Duplicated")
                 .field("cfg", cfg)
-                .finish_non_exhaustive(),
-            JobTemplate::NModular {
-                token_count,
-                faults,
-                ..
-            } => f
-                .debug_struct("JobTemplate::NModular")
-                .field("replicas", &faults.len())
-                .field("token_count", token_count)
                 .finish_non_exhaustive(),
             JobTemplate::NModularVoting {
                 token_count,
@@ -439,14 +413,26 @@ impl JobTemplate {
     ///
     /// Panics if `replica >= self.replica_count()`.
     pub fn with_fault(mut self, replica: usize, plan: FaultPlan) -> JobTemplate {
-        match &mut self {
-            JobTemplate::Duplicated { cfg, .. } => cfg.faults[replica] = plan,
-            JobTemplate::NModular { faults, .. } | JobTemplate::NModularVoting { faults, .. } => {
-                faults[replica] = plan
-            }
-            JobTemplate::Hetero { faults, .. } => faults[replica] = plan,
-        }
+        self.faults_mut()[replica] = plan;
         self
+    }
+
+    /// The fault plans the template builds its replicas with, one per
+    /// replica.
+    fn faults(&self) -> &[FaultPlan] {
+        match self {
+            JobTemplate::Duplicated { cfg, .. } => &cfg.faults,
+            JobTemplate::NModularVoting { faults, .. } => faults,
+            JobTemplate::Hetero { faults, .. } => faults,
+        }
+    }
+
+    fn faults_mut(&mut self) -> &mut [FaultPlan] {
+        match self {
+            JobTemplate::Duplicated { cfg, .. } => &mut cfg.faults,
+            JobTemplate::NModularVoting { faults, .. } => faults,
+            JobTemplate::Hetero { faults, .. } => faults,
+        }
     }
 
     /// A copy of the template that runs `tokens` tokens drawn from
@@ -460,12 +446,7 @@ impl JobTemplate {
                 cfg.token_count = Some(tokens);
                 cfg.payload = payload;
             }
-            JobTemplate::NModular {
-                token_count,
-                payload: of_job,
-                ..
-            }
-            | JobTemplate::NModularVoting {
+            JobTemplate::NModularVoting {
                 token_count,
                 payload: of_job,
                 ..
@@ -491,7 +472,7 @@ impl JobTemplate {
     pub fn build(&self) -> (Network, DuplicatedIds) {
         match self {
             JobTemplate::Duplicated { cfg, factory } => build_duplicated(cfg, factory.as_ref()),
-            JobTemplate::NModular {
+            JobTemplate::NModularVoting {
                 model,
                 sizing,
                 token_count,
@@ -499,31 +480,15 @@ impl JobTemplate {
                 payload,
                 factory,
                 faults,
-            }
-            | JobTemplate::NModularVoting {
+            } => build_n_modular_voting(
                 model,
                 sizing,
-                token_count,
-                seeds,
-                payload,
-                factory,
+                *token_count,
+                *seeds,
+                Arc::clone(payload),
+                factory.as_ref(),
                 faults,
-            } => {
-                let build = if matches!(self, JobTemplate::NModular { .. }) {
-                    build_n_modular
-                } else {
-                    build_n_modular_voting
-                };
-                build(
-                    model,
-                    sizing,
-                    *token_count,
-                    *seeds,
-                    Arc::clone(payload),
-                    factory.as_ref(),
-                    faults,
-                )
-            }
+            ),
             JobTemplate::Hetero {
                 model,
                 sizing,
@@ -552,8 +517,7 @@ impl JobTemplate {
             JobTemplate::Duplicated { cfg, .. } => {
                 StructureBounds::Timing(cfg.sizing.detection_bounds(&cfg.model))
             }
-            JobTemplate::NModular { model, sizing, .. }
-            | JobTemplate::NModularVoting { model, sizing, .. } => {
+            JobTemplate::NModularVoting { model, sizing, .. } => {
                 let largest = |caps: &[u64]| caps.iter().copied().max().unwrap_or(1);
                 StructureBounds::Timing(DetectionBounds::new(
                     model.producer,
@@ -572,20 +536,14 @@ impl JobTemplate {
 
     /// Number of replicas the template builds.
     pub fn replica_count(&self) -> usize {
-        match self {
-            JobTemplate::Duplicated { .. } | JobTemplate::Hetero { .. } => 2,
-            JobTemplate::NModular { faults, .. } | JobTemplate::NModularVoting { faults, .. } => {
-                faults.len()
-            }
-        }
+        self.faults().len()
     }
 
     /// Tokens the consumer is expected to receive (0 if unbounded).
     pub fn expected_tokens(&self) -> u64 {
         match self {
             JobTemplate::Duplicated { cfg, .. } => cfg.token_count.unwrap_or(0),
-            JobTemplate::NModular { token_count, .. }
-            | JobTemplate::NModularVoting { token_count, .. }
+            JobTemplate::NModularVoting { token_count, .. }
             | JobTemplate::Hetero { token_count, .. } => *token_count,
         }
     }
@@ -594,13 +552,7 @@ impl JobTemplate {
     /// replacement run is built from.
     pub fn healed(&self) -> JobTemplate {
         let mut healed = self.clone();
-        match &mut healed {
-            JobTemplate::Duplicated { cfg, .. } => cfg.faults.fill(FaultPlan::healthy()),
-            JobTemplate::NModular { faults, .. } | JobTemplate::NModularVoting { faults, .. } => {
-                faults.fill(FaultPlan::healthy())
-            }
-            JobTemplate::Hetero { faults, .. } => faults.fill(FaultPlan::healthy()),
-        }
+        healed.faults_mut().fill(FaultPlan::healthy());
         healed
     }
 }
@@ -632,9 +584,10 @@ pub struct JobRunResult {
     /// The run's private metrics registry (folded into the fleet registry
     /// by the supervisor).
     pub registry: MetricsRegistry,
-    /// Replica health (duplicated jobs only; n-modular jobs report faults
-    /// through `faulty_replicas`).
-    pub health: Option<HealthModel>,
+    /// Replica health, one entry per replica of every structure: fed live
+    /// by both arbitration channels as they latch, with each time-triggered
+    /// fault plan's instant registered as its injection.
+    pub health: HealthModel,
     /// The consumer's per-token `(arrival time ns, payload digest)` log,
     /// in delivery order — what a streaming front-end pushes back to its
     /// client as `Output` frames.
@@ -686,13 +639,6 @@ impl FinishedRun {
         }
     }
 
-    /// Per-replica latch records of an arbitration channel.
-    fn latches(&self, id: ChannelId) -> Vec<Option<ArbFault>> {
-        self.channel(id, |c| as_arbiter(c).map(|a| a.latches()))
-            .flatten()
-            .unwrap_or_default()
-    }
-
     /// The consumer's `(arrival time ns, payload digest)` log. A threaded
     /// run returns every process, so a consumer the deadline stopped still
     /// shows what it received.
@@ -710,52 +656,22 @@ impl FinishedRun {
 /// Folds a hetero run's per-structure observability into the job
 /// registry: how many main tokens were sampled for re-verification, how
 /// many of those the checker actually verified, and how far the checker
-/// was still running behind the sampled stream when the run ended.
+/// was still running behind the sampled stream when the run ended. Any
+/// other selector records nothing.
 fn record_hetero_metrics(registry: &MetricsRegistry, selector: &dyn ChannelBehavior) {
-    let (samples, verified, lag) =
-        selector
-            .as_any()
-            .downcast_ref::<HeteroSelector>()
-            .map_or((0, 0, 0), |s| {
-                let check = s.policy();
-                (check.samples(), check.verified(), check.checker_lag())
-            });
-    registry.counter("hetero.tokens.sampled").add(samples);
-    registry.counter("hetero.tokens.verified").add(verified);
-    registry.gauge("hetero.checker_lag").set(lag);
-}
-
-/// Builds a hetero run's health view after the fact: injection instants
-/// from the fault plans, detection instants from the two channels' latch
-/// records. The front-end reads detection latencies off this exactly as
-/// it does for duplicated jobs.
-fn hetero_health(
-    faults: &[FaultPlan; 2],
-    rep: &[Option<ArbFault>],
-    sel: &[Option<ArbFault>],
-) -> HealthModel {
-    let health = HealthModel::new(2);
-    for (i, plan) in faults.iter().enumerate() {
-        if let FaultTrigger::AtTime(t) = plan.trigger {
-            health.note_fault_injected(i, t.as_ns());
-        }
-    }
-    for i in 0..2 {
-        let mut events: Vec<_> = [(rep, true), (sel, false)]
-            .into_iter()
-            .filter_map(|(latches, at_replicator)| {
-                let f = latches.get(i).copied().flatten()?;
-                Some((f.cause.site(at_replicator), f.at.as_ns()))
-            })
-            .collect();
-        // `on_detection` takes the first call as the first detection, so
-        // feed the sites in time order.
-        events.sort_by_key(|e| e.1);
-        for (site, at) in events {
-            health.on_detection(i, site, at);
-        }
-    }
-    health
+    let Some(selector) = selector.as_any().downcast_ref::<HeteroSelector>() else {
+        return;
+    };
+    let check = selector.policy();
+    registry
+        .counter("hetero.tokens.sampled")
+        .add(check.samples());
+    registry
+        .counter("hetero.tokens.verified")
+        .add(check.verified());
+    registry
+        .gauge("hetero.checker_lag")
+        .set(check.checker_lag());
 }
 
 /// Builds and runs one instance of the template under the given runtime.
@@ -771,31 +687,15 @@ fn hetero_health(
 pub fn execute(template: &JobTemplate, runtime: &JobRuntime) -> JobRunResult {
     let registry = MetricsRegistry::new();
     let (mut net, ids) = template.build();
-    // Duplicated jobs get their health model attached live; hetero jobs
-    // get one reconstructed from the latches after the run.
-    let live_health = match template {
-        JobTemplate::Duplicated { cfg, .. } => {
-            Some(instrument_duplicated(&mut net, &ids, cfg, &registry))
-        }
-        _ => None,
-    };
+    let health = instrument(&mut net, &ids, template.faults(), &registry);
     let finished = run(net, runtime, &registry);
-
-    let rep = finished.latches(ids.replicator);
-    let sel = finished.latches(ids.selector);
-    let latched =
-        |latches: &[Option<ArbFault>], i: usize| latches.get(i).is_some_and(Option::is_some);
-    let faulty_replicas = (0..template.replica_count())
-        .filter(|&i| latched(&rep, i) || latched(&sel, i))
+    finished.channel(ids.selector, |c| record_hetero_metrics(&registry, c));
+    let faulty_replicas = health
+        .replicas()
+        .iter()
+        .enumerate()
+        .filter_map(|(i, r)| r.first_detected_at_ns.map(|_| i))
         .collect();
-
-    let health = match template {
-        JobTemplate::Hetero { faults, .. } => {
-            finished.channel(ids.selector, |c| record_hetero_metrics(&registry, c));
-            Some(hetero_health(faults, &rep, &sel))
-        }
-        _ => live_health,
-    };
     let arrival_log = finished.arrival_log(ids.consumer);
     JobRunResult {
         arrivals: arrival_log.len() as u64,
@@ -822,6 +722,7 @@ pub fn execute_spec(spec: &JobSpec) -> JobRunResult {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rtft_core::{as_arbiter, CorruptionMode, FaultTrigger};
 
     fn model_with_period_ms(period: f64) -> DuplicationModel {
         DuplicationModel::symmetric(
@@ -931,35 +832,8 @@ mod tests {
             ],
         );
         let empty: PayloadGenerator = Arc::new(|_| Payload::Empty);
-        let recipe = |r| JobTemplate::for_model(&model, r, 9, 0, Arc::clone(&empty));
-        let JobTemplate::NModularVoting {
-            model: n_model,
-            sizing,
-            token_count,
-            seeds,
-            payload,
-            factory,
-            faults,
-        } = recipe(Redundancy::TriVoting)
-        else {
-            unreachable!("tri-voting is the voting variant");
-        };
-        let timing_only = JobTemplate::NModular {
-            model: n_model,
-            sizing,
-            token_count,
-            seeds,
-            payload,
-            factory,
-            faults,
-        };
-        let plans = [
-            recipe(Redundancy::Duplicated),
-            timing_only,
-            recipe(Redundancy::TriVoting),
-            recipe(Redundancy::Hetero { k: 4 }),
-        ];
-        for plan in plans {
+        for redundancy in STRUCTURES {
+            let plan = JobTemplate::for_model(&model, redundancy, 9, 0, Arc::clone(&empty));
             let plan = plan.with_fault(0, FaultPlan::fail_stop_at(TimeNs::from_ms(150)));
             let job = plan.with_batch(16, Arc::new(Payload::U64));
             assert_eq!(plan.expected_tokens(), 0, "{plan:?}");
@@ -977,6 +851,65 @@ mod tests {
             assert!((1..=16).contains(&run.arrivals), "{job:?}");
             for (i, &(_, digest)) in run.arrival_log.iter().enumerate() {
                 assert_eq!(digest, Payload::U64(i as u64).digest(), "{job:?}");
+            }
+        }
+    }
+
+    /// `execute` feeds health live, and what it reads equals the latch
+    /// records of a separate run of the same template: per replica, the
+    /// injection instant of its plan and the earliest latch at either
+    /// channel. Every structure, each replica faulted in turn.
+    #[test]
+    fn live_health_equals_the_latch_records() {
+        let model = model_with_period_ms(30.0);
+        let at = TimeNs::from_ms(300);
+        let horizon = des_horizon(&model, 48);
+        for redundancy in STRUCTURES {
+            let mut plans = vec![FaultPlan::fail_stop_at(at)];
+            if redundancy != Redundancy::Duplicated {
+                plans.push(FaultPlan::corrupt_at(CorruptionMode::BitFlip(3), at));
+            }
+            for plan in plans {
+                for replica in 0..redundancy.replicas() {
+                    let job =
+                        JobTemplate::for_model(&model, redundancy, 5, 48, Arc::new(Payload::U64))
+                            .with_fault(replica, plan);
+                    let run = execute(&job, &JobRuntime::DiscreteEvent { horizon });
+
+                    let (net, ids) = job.build();
+                    let mut engine = Engine::new(net);
+                    engine.run_until(horizon);
+                    let latches = [ids.replicator, ids.selector].map(|id| {
+                        as_arbiter(engine.network().channel(id))
+                            .expect("arbitration channel")
+                            .latches()
+                    });
+                    let reference: Vec<_> = job
+                        .faults()
+                        .iter()
+                        .enumerate()
+                        .map(|(i, plan)| {
+                            let injected = match plan.trigger {
+                                FaultTrigger::AtTime(t) => Some(t.as_ns()),
+                                _ => None,
+                            };
+                            let detected = latches.iter().filter_map(|l| l[i]).map(|f| f.at).min();
+                            (injected, detected.map(TimeNs::as_ns))
+                        })
+                        .collect();
+                    let live: Vec<_> = run
+                        .health
+                        .replicas()
+                        .iter()
+                        .map(|r| (r.fault_injected_at_ns, r.first_detected_at_ns))
+                        .collect();
+                    let case = format!("{redundancy:?}, replica {replica}, {plan:?}");
+                    assert_eq!(live, reference, "{case}");
+                    assert!(
+                        reference.iter().any(|r| r.1.is_some()),
+                        "{case}: nothing latched"
+                    );
+                }
             }
         }
     }

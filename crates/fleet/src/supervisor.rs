@@ -1,9 +1,11 @@
 //! Fleet-level health folding.
 //!
-//! Each job run carries its own private [`MetricsRegistry`] (and, for
-//! duplicated jobs, a [`HealthModel`]). The supervisor owns the *fleet*
-//! registry and folds every completed run into it exactly once via
-//! [`MetricsRegistry::absorb`], so fleet-level dashboards see one merged
+//! Each job run carries its own private [`MetricsRegistry`] and
+//! [`HealthModel`](rtft_obs::HealthModel), whatever its redundancy
+//! structure. The supervisor owns the *fleet* registry and folds every
+//! completed run into it exactly once via [`MetricsRegistry::absorb`]
+//! (and every run's detection latencies into one histogram), so
+//! fleet-level dashboards see one merged
 //! view: total detections, the combined detection-latency distribution,
 //! per-queue high-water marks across all tenants — plus the fleet's own
 //! lifecycle counters (admissions, rejections, replacements, recoveries).
@@ -113,10 +115,8 @@ impl FleetSupervisor {
         deadline_met: bool,
     ) {
         self.registry.absorb(&result.registry);
-        if let Some(health) = &result.health {
-            self.detection_latency_ns
-                .merge_from(health.detection_latency());
-        }
+        self.detection_latency_ns
+            .merge_from(result.health.detection_latency());
         self.faulty_replicas
             .add(result.faulty_replicas.len() as u64);
         for &replica in &result.faulty_replicas {
@@ -265,7 +265,7 @@ impl FleetStatus {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rtft_obs::MetricsRegistry;
+    use rtft_obs::{HealthModel, MetricsRegistry};
 
     fn result(faulty: Vec<usize>, arrivals: u64, expected: u64) -> JobRunResult {
         JobRunResult {
@@ -273,7 +273,7 @@ mod tests {
             expected,
             faulty_replicas: faulty,
             registry: MetricsRegistry::new(),
-            health: None,
+            health: HealthModel::new(0),
             arrival_log: Vec::new(),
         }
     }

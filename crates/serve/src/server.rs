@@ -1560,23 +1560,16 @@ fn settle_notifier(
                 if client.is_none() {
                     continue;
                 }
-                let (kind, latency) = result
-                    .health
-                    .as_ref()
-                    .and_then(|h| h.replica(replica))
-                    .map(|rh| {
-                        let latency = match (rh.first_detected_at_ns, rh.fault_injected_at_ns) {
-                            (Some(d), Some(i)) => d.saturating_sub(i),
-                            _ => 0,
-                        };
-                        (site_kind(rh.first_site), latency)
-                    })
-                    .unwrap_or((site_kind(None), 0));
+                let rh = result.health.replica(replica).unwrap_or_default();
+                let latency = match (rh.first_detected_at_ns, rh.fault_injected_at_ns) {
+                    (Some(d), Some(i)) => d.saturating_sub(i),
+                    _ => 0,
+                };
                 shared.event("serve.stream.fault", Some(st.id as usize), replica as u64);
                 push(&Frame::Fault {
                     stream: st.id,
                     replica: replica as u32,
-                    kind,
+                    kind: site_kind(rh.first_site),
                     detection_latency_ns: latency,
                 });
             }
@@ -1738,12 +1731,15 @@ mod tests {
     /// server builds it: `plan` prepared for stream 3, the batch attached.
     fn flush_transcript(plan: &JobTemplate, redundancy: u8, app: App, batch: &[Bytes]) -> String {
         let r = execute_spec(&build_spec(&pin_cfg(app), plan, 3, app, redundancy, batch));
-        let health: Option<Vec<_>> = r.health.as_ref().map(|h| {
-            h.replicas()
+        // `Some` keeps the text of the cells pinned when only some
+        // structures had a health model.
+        let health: Option<Vec<_>> = Some(
+            r.health
+                .replicas()
                 .iter()
                 .map(|rh| (rh.fault_injected_at_ns, rh.first_detected_at_ns))
-                .collect()
-        });
+                .collect(),
+        );
         format!(
             "faulty={:?}\nhealth={health:?}\nlog={:?}\n",
             r.faulty_replicas, r.arrival_log
@@ -1764,9 +1760,9 @@ mod tests {
         (
             3,
             [
-                0xC84E_B02F_D8AC_662C,
-                0x4321_301E_6DE4_C09A,
-                0x27D7_1F5C_DCA3_1EF6,
+                0x38EC_CE7D_8985_56AC,
+                0x2E84_CDCC_D8B7_9098,
+                0xFDD1_EA09_7869_5B3E,
             ],
         ),
         (

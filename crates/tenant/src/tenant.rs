@@ -299,9 +299,9 @@ impl Tenant {
         if record.recovered {
             self.recovery_ns.record(record.completion_ns);
         }
-        if let Some(health) = result.and_then(|r| r.health.as_ref()) {
+        if let Some(result) = result {
             self.detection_latency_ns
-                .merge_from(health.detection_latency());
+                .merge_from(result.health.detection_latency());
         }
     }
 

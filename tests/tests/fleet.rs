@@ -119,7 +119,7 @@ fn n_modular_job_reports_faulty_indices_through_the_fleet() {
     let factory = Arc::new(NJitterStageReplica::from_model(&model));
     let spec = JobSpec {
         name: "triplicated".into(),
-        template: JobTemplate::NModular {
+        template: JobTemplate::NModularVoting {
             model,
             sizing,
             token_count: 100,

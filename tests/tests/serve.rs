@@ -5,14 +5,14 @@
 //! graceful shutdown under load with full token accounting.
 
 use rtft_apps::networks::App;
-use rtft_fleet::FleetConfig;
+use rtft_fleet::{structure_bounds, FleetConfig, Redundancy, StructureBounds};
 use rtft_kpn::Bytes;
 use rtft_rtc::TimeNs;
 use rtft_serve::wire::{read_frame, write_frame};
 use rtft_serve::{
-    detection_bound, digest_of, replay_verify, workload, BusyReason, Client, FaultInjection, Frame,
-    OpenOutcome, ProtocolError, ServeError, ServeRuntime, Server, ServerConfig, WalConfig,
-    DEFAULT_MAX_FRAME, PROTOCOL_VERSION,
+    digest_of, replay_verify, workload, BusyReason, Client, FaultInjection, Frame, OpenOutcome,
+    ProtocolError, ServeError, ServeRuntime, Server, ServerConfig, WalConfig, DEFAULT_MAX_FRAME,
+    PROTOCOL_VERSION,
 };
 use rtft_wal::{read_log, segment_file_name, WalRecord, SEGMENT_HEADER};
 use std::sync::{Mutex, MutexGuard};
@@ -173,9 +173,16 @@ fn malformed_wire_input_is_a_clean_connection_error() {
 /// duplicated pipeline over TCP, receives every selector output in order
 /// with verifiable digests, and — with a permanent timing fault injected
 /// into replica 1 — receives a `Fault` frame whose reported detection
-/// latency is within the analytic `DetectionBounds` window.
+/// latency is within the analytic `DetectionBounds` window. A tri-voting
+/// stream measures and bounds its `Fault` latency the same way.
 #[test]
 fn loopback_duplicated_stream_delivers_in_order_and_detects_fault_in_bound() {
+    for (redundancy, structure) in [(2, Redundancy::Duplicated), (3, Redundancy::TriVoting)] {
+        fault_in_bound(redundancy, structure);
+    }
+}
+
+fn fault_in_bound(redundancy: u8, structure: Redundancy) {
     let cfg = ServerConfig {
         inject: vec![FaultInjection {
             stream: 0,
@@ -188,7 +195,7 @@ fn loopback_duplicated_stream_delivers_in_order_and_detects_fault_in_bound() {
     let mut client = Client::connect(server.addr(), "acceptance").expect("connect");
 
     let stream = client
-        .open_stream(App::Mjpeg, 2)
+        .open_stream(App::Mjpeg, redundancy)
         .expect("open")
         .expect_stream();
     let batch = workload(App::Mjpeg, 42, 12);
@@ -212,15 +219,20 @@ fn loopback_duplicated_stream_delivers_in_order_and_detects_fault_in_bound() {
     }
 
     // The injected permanent timing fault was pushed, and its latency sits
-    // inside the analytic detection window for the MJPEG profile.
+    // inside the structure's analytic detection window for the MJPEG
+    // profile, with one producer period of arrival grace.
     assert_eq!(run.faults.len(), 1, "exactly one replica was faulted");
     let fault = &run.faults[0];
     assert_eq!(fault.replica, 1);
     assert!(fault.kind <= 3, "latched at a real detection site");
-    let bound = detection_bound(App::Mjpeg).as_ns();
+    let model = App::Mjpeg.profile().model;
+    let StructureBounds::Timing(bounds) = structure_bounds(&model, structure) else {
+        unreachable!("full-rate replicas have a timing table");
+    };
+    let bound = (bounds.permanent_timing() + model.producer.period + model.producer.jitter).as_ns();
     assert!(
         fault.detection_latency_ns > 0 && fault.detection_latency_ns <= bound,
-        "detection latency {} ns must be within the analytic bound {} ns",
+        "redundancy {redundancy}: detection latency {} ns must be within the analytic bound {} ns",
         fault.detection_latency_ns,
         bound
     );
@@ -233,6 +245,7 @@ fn loopback_duplicated_stream_delivers_in_order_and_detects_fault_in_bound() {
     let report = server.shutdown();
     assert!(report.balanced());
     assert_eq!(report.streams.len(), 1);
+    assert_eq!(report.streams[0].redundancy, redundancy);
     assert_eq!(report.streams[0].undelivered, 0);
     assert!(report.streams[0].closed);
 }

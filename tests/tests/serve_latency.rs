@@ -153,13 +153,16 @@ fn a_flush_is_not_a_kernel_timer() {
     }
     drop(conn);
 
-    // Every admitted flush left one server-side latency sample.
+    // Every admitted flush left one server-side latency sample. Both are
+    // recorded after the flush's `Stats` can reach the client (the batch
+    // size by the reader once admission returns, the server time once the
+    // settle is written), so count them after shutdown has joined the
+    // readers and drained the fleet.
     let flushes = (ROUNDS + 2 * ROUNDS + 1) as u64;
-    let registry = server.registry();
+    let registry = server.registry().clone();
+    let report = server.shutdown();
     assert_eq!(registry.histogram("serve.flush.batch").count(), flushes);
     assert_eq!(registry.histogram("serve.flush.server_ns").count(), flushes);
-
-    let report = server.shutdown();
     assert!(report.balanced());
     println!("closed loop {closed_loop:?}, two streams {two_streams:?} (median of {ROUNDS})");
     assert!(
