@@ -56,15 +56,6 @@ impl BitWriter {
         self.put_ue(mapped);
     }
 
-    /// Total bits written.
-    pub fn bit_len(&self) -> usize {
-        if self.bit_pos == 0 {
-            self.bytes.len() * 8
-        } else {
-            (self.bytes.len() - 1) * 8 + self.bit_pos as usize
-        }
-    }
-
     /// Finishes the stream (zero-padding the final byte) and returns the
     /// bytes.
     pub fn into_bytes(self) -> Vec<u8> {
@@ -155,11 +146,6 @@ impl<'a> BitReader<'a> {
             -((v / 2) as i64)
         })
     }
-
-    /// Current bit position.
-    pub fn bit_pos(&self) -> usize {
-        self.pos
-    }
 }
 
 #[cfg(test)]
@@ -204,10 +190,11 @@ mod tests {
     #[test]
     fn ue_known_codewords() {
         // Classic table: 0 → "1", 1 → "010", 2 → "011", 3 → "00100".
+        // Each code fits one byte, so the bits used in it are its length.
         let encode = |v: u64| {
             let mut w = BitWriter::new();
             w.put_ue(v);
-            (w.bit_len(), w.into_bytes())
+            (w.bit_pos, w.into_bytes())
         };
         assert_eq!(encode(0), (1, vec![0b1000_0000]));
         assert_eq!(encode(1), (3, vec![0b0100_0000]));
@@ -224,17 +211,5 @@ mod tests {
         // All-zero stream never terminates a ue() prefix.
         let mut r2 = BitReader::new(&bytes);
         assert!(r2.get_ue().is_err());
-    }
-
-    #[test]
-    fn bit_len_counts_partial_bytes() {
-        let mut w = BitWriter::new();
-        assert_eq!(w.bit_len(), 0);
-        w.put_bits(0, 3);
-        assert_eq!(w.bit_len(), 3);
-        w.put_bits(0, 5);
-        assert_eq!(w.bit_len(), 8);
-        w.put_bit(false);
-        assert_eq!(w.bit_len(), 9);
     }
 }

@@ -87,12 +87,6 @@ pub fn all() -> [AppProfile; 3] {
     [mjpeg(), adpcm(), h264()]
 }
 
-/// The consumer delay expressed in whole producer periods (used by the
-/// harness to reason about the initial-fill priming window).
-pub fn priming_periods(p: &AppProfile) -> u64 {
-    p.model.consumer.delay.as_ns() / p.model.producer.period.as_ns()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -135,12 +129,12 @@ mod tests {
         for p in all() {
             let r = SizingReport::analyze(&p.model).expect("bounded");
             let worst_fill = r.selector_initial_fill[0].max(r.selector_initial_fill[1]);
+            // The consumer delay in whole producer periods.
+            let priming = p.model.consumer.delay.as_ns() / p.model.producer.period.as_ns();
             assert!(
-                priming_periods(&p) >= worst_fill - 1,
-                "{}: consumer delay primes only {} periods for fill {}",
+                priming >= worst_fill - 1,
+                "{}: consumer delay primes only {priming} periods for fill {worst_fill}",
                 p.name,
-                priming_periods(&p),
-                worst_fill
             );
         }
     }

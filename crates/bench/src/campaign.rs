@@ -60,8 +60,7 @@ struct NoFaultRun {
 /// reference/duplicated executions over `tokens` tokens each.
 ///
 /// Runs are independent seeded simulations, so they execute in parallel
-/// ([`campaign_workers`] threads; [`no_fault_campaign_with_workers`] with
-/// `1` forces the sequential path) and are reduced in run order — the
+/// ([`campaign_workers`] threads) and are reduced in run order — the
 /// aggregate is identical at any worker count.
 ///
 /// # Panics
@@ -69,20 +68,7 @@ struct NoFaultRun {
 /// Panics if the app profile's rates diverge (cannot happen for the
 /// built-in profiles).
 pub fn no_fault_campaign(app: App, runs: usize, tokens: u64) -> NoFaultStats {
-    no_fault_campaign_with_workers(app, runs, tokens, campaign_workers())
-}
-
-/// [`no_fault_campaign`] with an explicit worker count.
-///
-/// # Panics
-///
-/// Panics if the app profile's rates diverge.
-pub fn no_fault_campaign_with_workers(
-    app: App,
-    runs: usize,
-    tokens: u64,
-    workers: usize,
-) -> NoFaultStats {
+    let workers = campaign_workers();
     let results = parallel_map_ordered((0..runs as u64).collect::<Vec<_>>(), workers, |_, run| {
         let cfg = app
             .duplication_config(run + 1, tokens)
@@ -385,15 +371,6 @@ impl ReplicaFactory for TappedFactory<'_> {
 /// (should not happen; surfaced rather than panicking so the table can
 /// report it).
 pub fn comparison_campaign(app: App, runs: usize) -> Option<ComparisonStats> {
-    comparison_campaign_with_workers(app, runs, campaign_workers())
-}
-
-/// [`comparison_campaign`] with an explicit worker count.
-pub fn comparison_campaign_with_workers(
-    app: App,
-    runs: usize,
-    workers: usize,
-) -> Option<ComparisonStats> {
     let profile = app.profile();
     let period = profile.model.producer.period;
     let tiny = TimeNs::from_us(200);
@@ -413,7 +390,7 @@ pub fn comparison_campaign_with_workers(
 
     let results = parallel_map_ordered(
         (0..runs as u64).collect::<Vec<_>>(),
-        workers,
+        campaign_workers(),
         |_, run| -> Option<(TimeNs, TimeNs)> {
             let make_cfg = || {
                 DuplicationConfig::from_model(model)

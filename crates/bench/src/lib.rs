@@ -102,6 +102,8 @@ pub fn memory_overhead(app: App) -> MemoryOverhead {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::HashSet;
+    use std::path::{Path, PathBuf};
 
     #[test]
     fn runtime_overhead_is_sub_microsecond() {
@@ -124,15 +126,87 @@ mod tests {
         assert_eq!(m.selector_tokens, 6, "max(|S1|,|S2|)");
     }
 
+    /// The workspace root.
+    fn root() -> PathBuf {
+        Path::new(env!("CARGO_MANIFEST_DIR")).join("../..")
+    }
+
+    /// A file under the workspace root, as text.
+    fn read(path: &str) -> String {
+        std::fs::read_to_string(root().join(path)).unwrap_or_else(|e| panic!("{path}: {e}"))
+    }
+
+    /// Every `.rs` file under `dir` (relative to the root), recursively.
+    fn rust_files(dir: &str, out: &mut Vec<String>) {
+        let entries = std::fs::read_dir(root().join(dir)).unwrap_or_else(|e| panic!("{dir}: {e}"));
+        for entry in entries {
+            let name = entry.expect("dir entry").file_name();
+            let path = format!("{dir}/{}", name.to_string_lossy());
+            if root().join(&path).is_dir() {
+                rust_files(&path, out);
+            } else if path.ends_with(".rs") {
+                out.push(path);
+            }
+        }
+    }
+
+    /// `(name, one-line reason)` for each `pub fn` that no other file
+    /// names but the docs quote as an entry point, so it stays public.
+    const NAMED_ONLY_AT_HOME: &[(&str, &str)] = &[];
+
+    /// Every library crate's `pub fn` is named by some other file in
+    /// `crates/`, `tests/`, `examples/` or `rtbench/src` (as a whole word):
+    /// a public function nobody outside its file calls is either private
+    /// or dead, and a library crate's `dead_code` lint cannot tell.
+    #[test]
+    fn every_pub_fn_is_named_outside_its_file() {
+        let mut files = Vec::new();
+        for dir in ["crates", "tests", "examples", "rtbench/src"] {
+            rust_files(dir, &mut files);
+        }
+        let texts: Vec<String> = files.iter().map(|f| read(f)).collect();
+        let words: Vec<HashSet<&str>> = texts
+            .iter()
+            .map(|t| {
+                t.split(|c: char| !(c.is_ascii_alphanumeric() || c == '_'))
+                    .collect()
+            })
+            .collect();
+        let is_lib = |f: &str| f.starts_with("crates/") && f.split('/').nth(2) == Some("src");
+
+        let mut unnamed = Vec::new();
+        for (i, file) in files.iter().enumerate().filter(|(_, f)| is_lib(f)) {
+            for after in texts[i].split("pub fn ").skip(1) {
+                let name: String = after
+                    .chars()
+                    .take_while(|c| c.is_ascii_alphanumeric() || *c == '_')
+                    .collect();
+                let named_elsewhere = words
+                    .iter()
+                    .enumerate()
+                    .any(|(j, w)| j != i && w.contains(name.as_str()));
+                let allowed = NAMED_ONLY_AT_HOME.iter().any(|(n, _)| *n == name);
+                if !named_elsewhere && !allowed {
+                    unnamed.push(format!("{file}: {name}"));
+                }
+            }
+        }
+        assert!(
+            files.iter().any(|f| f == "crates/bench/src/lib.rs"),
+            "the walk must reach this file"
+        );
+        assert!(
+            unnamed.is_empty(),
+            "pub fns no other file names (demote or delete them):\n{}",
+            unnamed.join("\n")
+        );
+    }
+
     /// Every `--bench <name>` the docs cite is a `[[bench]]` of this crate
     /// and every `--bin <name>` a `[[bin]]` of the examples package, so a
     /// deleted or renamed target cannot leave a dead command behind.
     #[test]
     fn docs_name_only_targets_that_exist() {
-        let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
-        let read = |path: &str| {
-            std::fs::read_to_string(root.join(path)).unwrap_or_else(|e| panic!("{path}: {e}"))
-        };
         // The `name = "…"` of every `section` table of a manifest.
         let targets = |manifest: &str, section: &str| -> Vec<String> {
             read(manifest)

@@ -60,7 +60,7 @@ pub struct Table2Scale {
 
 /// Default scales per application, sized so the full table regenerates in
 /// seconds while exercising hundreds of steady-state tokens.
-pub fn default_scale(app: App) -> Table2Scale {
+fn default_scale(app: App) -> Table2Scale {
     let period = app.profile().model.producer.period;
     Table2Scale {
         tokens: 300,
@@ -89,7 +89,7 @@ pub fn print_table2(app: App, paper: Option<&PaperTable2>) {
 }
 
 /// Prints a Table 2 block from already-computed campaign results.
-pub fn print_table2_from(
+fn print_table2_from(
     app: App,
     paper: Option<&PaperTable2>,
     sizing: &SizingReport,

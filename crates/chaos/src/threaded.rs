@@ -50,7 +50,7 @@ const DEADLINE: Duration = Duration::from_secs(20);
 /// Duplicated structure, replica 1 fail-stops at 100 ms: the timing
 /// selector (or replicator overflow) must latch it and the healthy replica
 /// must carry the stream to completion.
-pub fn spot_duplicated_fail_stop() -> SpotCheck {
+fn spot_duplicated_fail_stop() -> SpotCheck {
     let model = DuplicationModel::symmetric(
         PjdModel::new(TimeNs::from_ms(2), TimeNs::from_ms(40), TimeNs::ZERO),
         PjdModel::new(TimeNs::from_ms(2), TimeNs::from_ms(40), TimeNs::from_ms(6)),
@@ -115,7 +115,7 @@ fn verdict(name: &'static str, run: &ThreadedRun, faulty: usize, detectors: &[us
 /// Tri-voting structure, replica 0 flips payload bits from 100 ms on: the
 /// voting selector must latch the value mismatch while the delivered
 /// stream stays complete and digest-clean.
-pub fn spot_voting_corruption() -> SpotCheck {
+fn spot_voting_corruption() -> SpotCheck {
     let period = TimeNs::from_ms(2);
     let model = NModularModel {
         producer: PjdModel::new(period, TimeNs::from_ms(40), TimeNs::ZERO),

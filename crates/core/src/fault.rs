@@ -103,23 +103,6 @@ pub enum FaultKind {
     Omission(f64),
 }
 
-impl FaultKind {
-    /// `true` if the fault mutates token *values* (undetectable by the
-    /// counter-based timing detectors; needs the voting selector).
-    pub fn affects_values(&self) -> bool {
-        matches!(self, FaultKind::Corrupt(_))
-    }
-
-    /// `true` if the fault eventually (or periodically) heals on its own,
-    /// i.e. it is *not* the paper's permanent fault.
-    pub fn self_heals(&self) -> bool {
-        matches!(
-            self,
-            FaultKind::Transient { .. } | FaultKind::Intermittent { .. }
-        )
-    }
-}
-
 /// A fault plan: trigger plus manifestation.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FaultPlan {
@@ -152,24 +135,6 @@ impl FaultPlan {
         }
     }
 
-    /// Fail-stop after `n` completed reads.
-    pub fn fail_stop_after_reads(n: u64) -> Self {
-        FaultPlan {
-            trigger: FaultTrigger::AfterReads(n),
-            kind: FaultKind::FailStop,
-            seed: 0,
-        }
-    }
-
-    /// Fail-stop after `n` completed writes.
-    pub fn fail_stop_after_writes(n: u64) -> Self {
-        FaultPlan {
-            trigger: FaultTrigger::AfterWrites(n),
-            kind: FaultKind::FailStop,
-            seed: 0,
-        }
-    }
-
     /// Rate degradation by `factor` (> 1) starting at time `at`.
     ///
     /// # Panics
@@ -184,20 +149,6 @@ impl FaultPlan {
         }
     }
 
-    /// Rate degradation by `factor` (> 1) after `n` completed reads.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `factor <= 1.0`.
-    pub fn slow_by_after_reads(factor: f64, n: u64) -> Self {
-        assert!(factor > 1.0, "slow-down factor must exceed 1");
-        FaultPlan {
-            trigger: FaultTrigger::AfterReads(n),
-            kind: FaultKind::SlowBy(factor),
-            seed: 0,
-        }
-    }
-
     /// Payload corruption on every produced token, starting at time `at`.
     pub fn corrupt_at(mode: CorruptionMode, at: TimeNs) -> Self {
         FaultPlan {
@@ -205,52 +156,6 @@ impl FaultPlan {
             kind: FaultKind::Corrupt(mode),
             seed: 0,
         }
-    }
-
-    /// A transient stall of `duration`, starting at time `at`.
-    pub fn transient_at(duration: TimeNs, at: TimeNs) -> Self {
-        FaultPlan {
-            trigger: FaultTrigger::AtTime(at),
-            kind: FaultKind::Transient { duration },
-            seed: 0,
-        }
-    }
-
-    /// An intermittent `on`/`off` stall cycle, starting at time `at`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if either phase is zero.
-    pub fn intermittent_at(on: TimeNs, off: TimeNs, at: TimeNs) -> Self {
-        assert!(
-            on > TimeNs::ZERO && off > TimeNs::ZERO,
-            "intermittent phases must be positive"
-        );
-        FaultPlan {
-            trigger: FaultTrigger::AtTime(at),
-            kind: FaultKind::Intermittent { on, off },
-            seed: 0,
-        }
-    }
-
-    /// Token omission with probability `p`, starting at time `at`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `p` is outside `[0, 1]`.
-    pub fn omission_at(p: f64, at: TimeNs) -> Self {
-        assert!((0.0..=1.0).contains(&p), "omission probability in [0, 1]");
-        FaultPlan {
-            trigger: FaultTrigger::AtTime(at),
-            kind: FaultKind::Omission(p),
-            seed: 0,
-        }
-    }
-
-    /// The same plan with a different RNG seed (omission draws).
-    pub fn with_seed(mut self, seed: u64) -> Self {
-        self.seed = seed;
-        self
     }
 }
 
@@ -306,11 +211,6 @@ impl<P: Process> FaultyProcess<P> {
             triggered_at: None,
             rng: SplitMix64::seed_from_u64(plan.seed),
         }
-    }
-
-    /// The time the fault manifested, if it has.
-    pub fn triggered_at(&self) -> Option<TimeNs> {
-        self.triggered_at
     }
 
     /// The wrapped process.
@@ -432,6 +332,14 @@ mod tests {
         )
     }
 
+    fn plan(trigger: FaultTrigger, kind: FaultKind) -> FaultPlan {
+        FaultPlan {
+            trigger,
+            kind,
+            seed: 0,
+        }
+    }
+
     /// Drives one read→compute→write cycle, returning the written token.
     fn one_cycle(f: &mut FaultyProcess<Transform>, seq: u64, now: TimeNs) -> Option<Token> {
         let tok = Token::new(seq, now, Payload::U64(seq));
@@ -478,7 +386,7 @@ mod tests {
             let s = f.resume(Wakeup::Start, TimeNs::from_secs(i));
             assert_ne!(s, Syscall::Halt);
         }
-        assert_eq!(f.triggered_at(), None);
+        assert_eq!(f.triggered_at, None);
     }
 
     #[test]
@@ -495,12 +403,15 @@ mod tests {
             ),
             Syscall::Halt
         );
-        assert_eq!(f.triggered_at(), Some(TimeNs::from_ms(10)));
+        assert_eq!(f.triggered_at, Some(TimeNs::from_ms(10)));
     }
 
     #[test]
     fn fail_stop_after_reads_counts_reads() {
-        let mut f = FaultyProcess::new(transform(), FaultPlan::fail_stop_after_reads(2));
+        let mut f = FaultyProcess::new(
+            transform(),
+            plan(FaultTrigger::AfterReads(2), FaultKind::FailStop),
+        );
         let tok = || Token::new(0, TimeNs::ZERO, Payload::Empty);
         assert!(matches!(
             f.resume(Wakeup::Start, TimeNs::ZERO),
@@ -524,12 +435,15 @@ mod tests {
             f.resume(Wakeup::ReadDone(tok()), TimeNs::from_ms(3)),
             Syscall::Halt
         );
-        assert_eq!(f.triggered_at(), Some(TimeNs::from_ms(3)));
+        assert_eq!(f.triggered_at, Some(TimeNs::from_ms(3)));
     }
 
     #[test]
     fn fail_stop_after_writes_counts_writes() {
-        let mut f = FaultyProcess::new(transform(), FaultPlan::fail_stop_after_writes(2));
+        let mut f = FaultyProcess::new(
+            transform(),
+            plan(FaultTrigger::AfterWrites(2), FaultKind::FailStop),
+        );
         assert!(matches!(
             f.resume(Wakeup::Start, TimeNs::ZERO),
             Syscall::Read(_)
@@ -537,7 +451,7 @@ mod tests {
         // Both writes complete; the trigger trips on the second WriteDone.
         assert!(one_cycle(&mut f, 0, TimeNs::from_ms(1)).is_some());
         assert!(one_cycle(&mut f, 1, TimeNs::from_ms(2)).is_some());
-        assert_eq!(f.triggered_at(), Some(TimeNs::from_ms(2)));
+        assert_eq!(f.triggered_at, Some(TimeNs::from_ms(2)));
         // From then on the process is dead.
         assert_eq!(
             f.resume(
@@ -569,7 +483,10 @@ mod tests {
 
     #[test]
     fn slow_by_after_reads_triggers_on_count() {
-        let mut f = FaultyProcess::new(transform(), FaultPlan::slow_by_after_reads(2.0, 2));
+        let mut f = FaultyProcess::new(
+            transform(),
+            plan(FaultTrigger::AfterReads(2), FaultKind::SlowBy(2.0)),
+        );
         assert!(matches!(
             f.resume(Wakeup::Start, TimeNs::ZERO),
             Syscall::Read(_)
@@ -593,7 +510,7 @@ mod tests {
             Syscall::Compute(d) => assert_eq!(d, TimeNs::from_ms(2)),
             other => panic!("{other:?}"),
         }
-        assert_eq!(f.triggered_at(), Some(TimeNs::from_ms(5)));
+        assert_eq!(f.triggered_at, Some(TimeNs::from_ms(5)));
     }
 
     #[test]
@@ -617,7 +534,7 @@ mod tests {
         let t = one_cycle(&mut f, 1, TimeNs::from_ms(11)).expect("write");
         assert_eq!(t.payload, Payload::U64(1 ^ (1 << 3)));
         assert_ne!(t.payload.digest(), Payload::U64(1).digest());
-        assert_eq!(f.triggered_at(), Some(TimeNs::from_ms(11)));
+        assert_eq!(f.triggered_at, Some(TimeNs::from_ms(11)));
     }
 
     #[test]
@@ -643,8 +560,12 @@ mod tests {
 
     #[test]
     fn transient_stall_delays_then_heals() {
-        let plan = FaultPlan::transient_at(TimeNs::from_ms(50), TimeNs::from_ms(10));
-        let mut f = FaultyProcess::new(transform(), plan);
+        let duration = TimeNs::from_ms(50);
+        let transient = plan(
+            FaultTrigger::AtTime(TimeNs::from_ms(10)),
+            FaultKind::Transient { duration },
+        );
+        let mut f = FaultyProcess::new(transform(), transient);
         assert!(matches!(
             f.resume(Wakeup::Start, TimeNs::ZERO),
             Syscall::Read(_)
@@ -670,14 +591,17 @@ mod tests {
             Syscall::Compute(d) => assert_eq!(d, TimeNs::from_ms(1)),
             other => panic!("{other:?}"),
         }
-        assert_eq!(f.triggered_at(), Some(TimeNs::from_ms(20)));
+        assert_eq!(f.triggered_at, Some(TimeNs::from_ms(20)));
     }
 
     #[test]
     fn intermittent_stall_cycles() {
-        let plan =
-            FaultPlan::intermittent_at(TimeNs::from_ms(10), TimeNs::from_ms(30), TimeNs::ZERO);
-        let mut f = FaultyProcess::new(transform(), plan);
+        let (on, off) = (TimeNs::from_ms(10), TimeNs::from_ms(30));
+        let intermittent = plan(
+            FaultTrigger::AtTime(TimeNs::ZERO),
+            FaultKind::Intermittent { on, off },
+        );
+        let mut f = FaultyProcess::new(transform(), intermittent);
         assert!(matches!(
             f.resume(Wakeup::Start, TimeNs::ZERO),
             Syscall::Read(_)
@@ -719,8 +643,11 @@ mod tests {
     #[test]
     fn omission_drops_deterministically_per_seed() {
         let run = |seed: u64| -> Vec<u64> {
-            let plan = FaultPlan::omission_at(0.5, TimeNs::ZERO).with_seed(seed);
-            let mut f = FaultyProcess::new(transform(), plan);
+            let omission = FaultPlan {
+                seed,
+                ..plan(FaultTrigger::AtTime(TimeNs::ZERO), FaultKind::Omission(0.5))
+            };
+            let mut f = FaultyProcess::new(transform(), omission);
             assert!(matches!(
                 f.resume(Wakeup::Start, TimeNs::ZERO),
                 Syscall::Read(_)
@@ -740,8 +667,8 @@ mod tests {
 
     #[test]
     fn omission_probability_extremes() {
-        let plan = FaultPlan::omission_at(0.0, TimeNs::ZERO);
-        let mut f = FaultyProcess::new(transform(), plan);
+        let omission = plan(FaultTrigger::AtTime(TimeNs::ZERO), FaultKind::Omission(0.0));
+        let mut f = FaultyProcess::new(transform(), omission);
         assert!(matches!(
             f.resume(Wakeup::Start, TimeNs::ZERO),
             Syscall::Read(_)
@@ -749,8 +676,8 @@ mod tests {
         for s in 0..8 {
             assert!(one_cycle(&mut f, s, TimeNs::from_ms(s)).is_some());
         }
-        let plan = FaultPlan::omission_at(1.0, TimeNs::ZERO);
-        let mut f = FaultyProcess::new(transform(), plan);
+        let omission = plan(FaultTrigger::AtTime(TimeNs::ZERO), FaultKind::Omission(1.0));
+        let mut f = FaultyProcess::new(transform(), omission);
         assert!(matches!(
             f.resume(Wakeup::Start, TimeNs::ZERO),
             Syscall::Read(_)
@@ -758,16 +685,5 @@ mod tests {
         for s in 0..8 {
             assert!(one_cycle(&mut f, s, TimeNs::from_ms(s)).is_none());
         }
-    }
-
-    #[test]
-    fn kind_classification_helpers() {
-        assert!(FaultKind::Corrupt(CorruptionMode::BitFlip(0)).affects_values());
-        assert!(!FaultKind::FailStop.affects_values());
-        assert!(FaultKind::Transient {
-            duration: TimeNs::from_ms(1)
-        }
-        .self_heals());
-        assert!(!FaultKind::SlowBy(2.0).self_heals());
     }
 }

@@ -71,7 +71,7 @@ pub struct MajorityVote {
 
 impl MajorityVote {
     /// A majority policy for `n` replicas (quorum `⌊n/2⌋ + 1`).
-    pub fn for_replicas(n: usize) -> Self {
+    fn for_replicas(n: usize) -> Self {
         MajorityVote {
             quorum: n / 2 + 1,
             groups: BTreeMap::new(),

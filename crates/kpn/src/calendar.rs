@@ -3,8 +3,8 @@
 //! Events pop by `(at, seq)`, where `seq` is the engine's monotone
 //! schedule counter; every pinned report depends on that one total order.
 //! Debug builds check it on every run: [`CalendarQueue`] mirrors each push
-//! into a plain `BinaryHeap` and asserts that every pop and every
-//! `next_at` agrees with the heap. Release builds carry none of it.
+//! into a plain `BinaryHeap` and asserts that every pop agrees with the
+//! heap. Release builds carry none of it.
 //!
 //! # Calendar queue
 //!
@@ -125,7 +125,7 @@ pub(crate) struct CalendarQueue {
     wheel_len: usize,
     overflow: BinaryHeap<Reverse<QueuedEvent>>,
     /// Debug builds only: every pushed event, in a plain binary heap that
-    /// each pop and `next_at` is checked against.
+    /// each pop is checked against.
     #[cfg(debug_assertions)]
     reference: BinaryHeap<Reverse<QueuedEvent>>,
 }
@@ -273,38 +273,6 @@ impl CalendarQueue {
             }
         }
         unreachable!("wheel_len > 0 with an empty bitmap")
-    }
-
-    /// Earliest scheduled time without mutating the queue (slow path —
-    /// only consulted when the event budget is exhausted).
-    pub fn next_at(&self, now: TimeNs) -> Option<TimeNs> {
-        let at = self.calendar_next_at(now);
-        #[cfg(debug_assertions)]
-        assert_eq!(
-            at,
-            self.reference.peek().map(|Reverse(ev)| ev.at),
-            "calendar queue diverged from the reference heap at {now:?}"
-        );
-        at
-    }
-
-    fn calendar_next_at(&self, now: TimeNs) -> Option<TimeNs> {
-        if !self.due_now.is_empty() {
-            return Some(now);
-        }
-        if let Some(s) = &self.single {
-            return Some(s.at);
-        }
-        if self.wheel_len > 0 {
-            let cursor_idx = (self.cursor_day & BUCKET_MASK) as usize;
-            let idx = if self.occupied[cursor_idx / 64] & (1 << (cursor_idx % 64)) != 0 {
-                cursor_idx
-            } else {
-                (cursor_idx + self.next_occupied_delta(cursor_idx)) % NBUCKETS
-            };
-            return self.buckets[idx].iter().map(|e| e.at).min();
-        }
-        self.overflow.peek().map(|Reverse(ev)| ev.at)
     }
 
     /// Removes the next event if it is due by `limit`; in debug builds,
@@ -614,7 +582,6 @@ mod tests {
             },
         );
         assert!(matches!(q.pop_due(now, TimeNs::from_ms(1)), Popped::NotDue));
-        assert_eq!(q.next_at(now), Some(TimeNs::from_ms(5)));
         match q.pop_due(now, TimeNs::from_ms(10)) {
             Popped::Event { at, node, .. } => {
                 assert_eq!(at, TimeNs::from_ms(5));

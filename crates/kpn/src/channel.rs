@@ -168,26 +168,6 @@ impl Fifo {
         }
     }
 
-    /// Creates a FIFO pre-filled with `initial` tokens (the paper's
-    /// `F_{C,0}` initial-fill condition, eq. (4)). The pre-filled tokens
-    /// carry `Payload::Empty`, timestamp zero and sequence numbers counting
-    /// down from zero semantics-wise; they use sequence numbers
-    /// `0 .. initial` and real tokens should continue from there.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `initial > capacity` or capacity is zero.
-    pub fn with_initial_tokens(name: impl Into<String>, capacity: usize, initial: usize) -> Self {
-        assert!(initial <= capacity, "initial fill exceeds capacity");
-        let mut f = Fifo::new(name, capacity);
-        for seq in 0..initial {
-            f.queue
-                .push_back(Token::new(seq as u64, TimeNs::ZERO, crate::Payload::Empty));
-        }
-        f.max_fill = initial;
-        f
-    }
-
     /// The FIFO's diagnostic name.
     pub fn name(&self) -> &str {
         &self.name
@@ -368,22 +348,9 @@ mod tests {
     }
 
     #[test]
-    fn initial_tokens_count_toward_fill() {
-        let f = Fifo::with_initial_tokens("f", 4, 2);
-        assert_eq!(f.fill(0), 2);
-        assert_eq!(f.max_fill(0), 2);
-    }
-
-    #[test]
     #[should_panic(expected = "capacity must be positive")]
     fn zero_capacity_rejected() {
         let _ = Fifo::new("f", 0);
-    }
-
-    #[test]
-    #[should_panic(expected = "initial fill exceeds capacity")]
-    fn overfull_initial_rejected() {
-        let _ = Fifo::with_initial_tokens("f", 2, 3);
     }
 
     #[test]

@@ -129,11 +129,6 @@ pub enum RunOutcome {
         /// The parked processes.
         blocked: Vec<NodeId>,
     },
-    /// The event budget was exhausted (zero-delay livelock guard).
-    EventBudgetExhausted {
-        /// Virtual time at which the budget ran out.
-        at: TimeNs,
-    },
 }
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -193,7 +188,6 @@ pub struct Engine {
     /// an `Option` discriminant.
     metrics_on: bool,
     tally: ObsTally,
-    event_budget: u64,
     started: bool,
 }
 
@@ -240,7 +234,6 @@ impl Engine {
             obs: None,
             metrics_on: false,
             tally: ObsTally::new(n_chan),
-            event_budget: u64::MAX,
             started: false,
         }
     }
@@ -256,13 +249,6 @@ impl Engine {
         self
     }
 
-    /// Caps the total number of processed events — a guard against
-    /// zero-delay livelock in experimental process implementations.
-    pub fn with_event_budget(mut self, budget: u64) -> Self {
-        self.event_budget = budget;
-        self
-    }
-
     /// Attaches metrics: engine step/token/block counters plus one
     /// occupancy gauge per channel (named
     /// `kpn.channel.<name>.fill`), all registered in `registry`. Handles
@@ -271,11 +257,6 @@ impl Engine {
         self.obs = Some(EngineObs::new(registry, &self.network));
         self.metrics_on = true;
         self
-    }
-
-    /// Whether metric recording is attached.
-    pub fn metrics_enabled(&self) -> bool {
-        self.obs.is_some()
     }
 
     /// Current virtual time.
@@ -527,20 +508,7 @@ impl Engine {
         // Local accumulators keep the per-event bookkeeping in registers;
         // they are folded back into the engine on every exit path.
         let mut events = 0u64;
-        let mut budget = self.event_budget;
         let outcome = loop {
-            if budget == 0 {
-                // Rare path: peek without popping so the time-limit check
-                // keeps priority over budget exhaustion.
-                break match self.queue.next_at(self.now) {
-                    None => self.termination_outcome(),
-                    Some(at) if at > limit => {
-                        self.now = limit;
-                        RunOutcome::TimeLimit
-                    }
-                    Some(_) => RunOutcome::EventBudgetExhausted { at: self.now },
-                };
-            }
             match self.queue.pop_due(self.now, limit) {
                 Popped::Empty => break self.termination_outcome(),
                 Popped::NotDue => {
@@ -548,7 +516,6 @@ impl Engine {
                     break RunOutcome::TimeLimit;
                 }
                 Popped::Event { at, node, wake } => {
-                    budget -= 1;
                     events += 1;
                     self.now = at;
                     if self.states[node.0] == ProcState::Halted {
@@ -864,28 +831,6 @@ mod tests {
     }
 
     #[test]
-    fn event_budget_guards_livelock() {
-        /// A process that spins on zero-length computes forever.
-        struct Spinner;
-        impl crate::process::Process for Spinner {
-            fn name(&self) -> &str {
-                "spinner"
-            }
-            fn resume(&mut self, _w: Wakeup, _now: TimeNs) -> Syscall {
-                Syscall::Compute(TimeNs::ZERO)
-            }
-        }
-        let mut net = Network::new();
-        net.add_channel(Fifo::new("unused", 1));
-        net.add_process(Spinner);
-        let mut engine = Engine::new(net).with_event_budget(1000);
-        assert!(matches!(
-            engine.run_until(TimeNs::from_secs(1)),
-            RunOutcome::EventBudgetExhausted { .. }
-        ));
-    }
-
-    #[test]
     fn trace_records_token_flow() {
         let mut net = Network::new();
         let a = net.add_channel(Fifo::new("a", 4));
@@ -930,7 +875,6 @@ mod tests {
         net.add_process(PjdSink::new("sink", PortId::of(a), model, 0, Some(5)));
         let registry = rtft_obs::MetricsRegistry::new();
         let mut engine = Engine::new(net).with_metrics(&registry);
-        assert!(engine.metrics_enabled());
         engine.run_until(TimeNs::from_secs(1));
         assert_eq!(registry.counter("kpn.tokens.written").get(), 5);
         assert_eq!(registry.counter("kpn.tokens.read").get(), 5);

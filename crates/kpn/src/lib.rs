@@ -61,7 +61,7 @@ pub use digest::{copy_digest4, digest_bytes, digest_bytes4, Digest};
 pub use engine::{Engine, RunOutcome};
 pub use network::{port, ChannelSlot, Network, ProcessSlot};
 pub use parallel::{campaign_workers, parallel_map_ordered};
-pub use payload_pool::{PayloadPool, PayloadPoolStats, PoolBuf};
+pub use payload_pool::{PayloadPool, PayloadPoolStats};
 pub use platform::{IdealPlatform, Platform, UniformBusPlatform};
 pub use pool::{PoolLoad, PoolStats, WorkerPool};
 pub use process::{

@@ -26,7 +26,7 @@ use std::sync::Mutex;
 ///
 /// A shelved buffer keeps whatever digest memo its last contents earned;
 /// that is sound because the memo still describes the bytes lying there,
-/// and the only way to change them — [`PoolBuf::as_mut_slice`] — clears it.
+/// and the only way to change them — `PoolBuf::as_mut_slice` — clears it.
 /// [`take_copies`](PayloadPool::take_copies) fills it again with the new
 /// contents' digest, computed while copying them in. `recycle` and the
 /// scavenger only ask whether a buffer is unshared; they never take the
@@ -38,8 +38,8 @@ use std::sync::Mutex;
 pub struct PayloadPool {
     shelves: Mutex<HashMap<usize, Vec<Bytes>>>,
     /// Buffers offered back while still shared (an in-flight job holds
-    /// clones); reclaimed lazily by [`take`](PayloadPool::take) once the
-    /// last clone drops.
+    /// clones); reclaimed lazily by [`take_copies`](PayloadPool::take_copies)
+    /// once the last clone drops.
     parked: Mutex<Vec<Bytes>>,
     /// Retained buffers per distinct length; beyond this, recycles discard.
     per_len_cap: usize,
@@ -63,27 +63,14 @@ pub struct PayloadPoolStats {
     pub discarded: u64,
 }
 
-impl PayloadPoolStats {
-    /// Fraction of takes served without allocating, in `[0, 1]`.
-    pub fn hit_rate(&self) -> f64 {
-        let total = self.hits + self.misses;
-        if total == 0 {
-            return 0.0;
-        }
-        self.hits as f64 / total as f64
-    }
-}
-
 /// A uniquely-owned buffer checked out of a [`PayloadPool`].
 ///
 /// Holds the only handle to its [`Bytes`], so the contents are mutable in
-/// place (a socket can read straight into it) — this is the one place
-/// payload bytes are written after allocation. [`freeze`] relinquishes
-/// mutability and yields the shareable [`Bytes`].
-///
-/// [`freeze`]: PoolBuf::freeze
+/// place — this is the one place payload bytes are written after
+/// allocation. [`freeze`](PoolBuf::freeze) relinquishes mutability and
+/// yields the shareable [`Bytes`].
 #[derive(Debug)]
-pub struct PoolBuf {
+struct PoolBuf {
     buf: Bytes,
 }
 
@@ -91,23 +78,13 @@ impl PoolBuf {
     /// Mutable view of the whole buffer. Forgets the digest memoised for
     /// the previous contents (see [`Bytes::get_mut`]).
     #[inline]
-    pub fn as_mut_slice(&mut self) -> &mut [u8] {
+    fn as_mut_slice(&mut self) -> &mut [u8] {
         Bytes::get_mut(&mut self.buf).expect("PoolBuf invariant: uniquely owned")
-    }
-
-    /// Buffer length in bytes (fixed at `take`).
-    pub fn len(&self) -> usize {
-        self.buf.len()
-    }
-
-    /// `true` when the buffer has zero length.
-    pub fn is_empty(&self) -> bool {
-        self.buf.is_empty()
     }
 
     /// Converts into an immutable, shareable payload.
     #[inline]
-    pub fn freeze(self) -> Bytes {
+    fn freeze(self) -> Bytes {
         self.buf
     }
 }
@@ -143,7 +120,7 @@ impl PayloadPool {
     }
 
     /// A pool retaining at most `cap` buffers per distinct length.
-    pub fn with_per_len_cap(cap: usize) -> Self {
+    fn with_per_len_cap(cap: usize) -> Self {
         PayloadPool {
             shelves: Mutex::new(HashMap::new()),
             parked: Mutex::new(Vec::new()),
@@ -164,22 +141,6 @@ impl PayloadPool {
         pool.recycled = registry.counter("kpn.pool.recycled");
         pool.discarded = registry.counter("kpn.pool.discarded");
         pool
-    }
-
-    /// Checks out a uniquely-owned buffer of exactly `len` bytes.
-    ///
-    /// Shelf hit: the recycled allocation is returned as-is (contents are
-    /// whatever the previous payload held — callers overwrite). Miss: a
-    /// fresh zeroed buffer is allocated.
-    pub fn take(&self, len: usize) -> PoolBuf {
-        self.scavenge();
-        let shelved = self
-            .shelves
-            .lock()
-            .unwrap()
-            .get_mut(&len)
-            .and_then(Vec::pop);
-        self.checkout(shelved, len)
     }
 
     /// Copies each slice of `batch` into a pooled buffer and freezes it,
@@ -256,14 +217,13 @@ impl PayloadPool {
 
     /// Offers a payload back that may *still be shared* — typically with
     /// a fleet job that has settled but not yet dropped its spec. The
-    /// buffer is parked and reclaimed by a later [`take`] once the last
-    /// clone drops; a buffer parked while already unique shelves on the
-    /// next take just the same.
+    /// buffer is parked and reclaimed by a later
+    /// [`take_copies`](PayloadPool::take_copies) once the last clone drops;
+    /// a buffer parked while already unique shelves on the next take just
+    /// the same.
     ///
     /// The parking lot is bounded ([`PARK_CAP`](PayloadPool::PARK_CAP));
     /// beyond it the offer is discarded immediately.
-    ///
-    /// [`take`]: PayloadPool::take
     pub fn park(&self, buf: Bytes) {
         let mut parked = self.parked.lock().unwrap();
         if parked.len() >= PayloadPool::PARK_CAP {
@@ -306,17 +266,17 @@ impl PayloadPool {
             discarded: self.discarded.get(),
         }
     }
-
-    /// Buffers currently shelved across all lengths.
-    pub fn shelved(&self) -> usize {
-        self.shelves.lock().unwrap().values().map(Vec::len).sum()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::digest_bytes;
+
+    /// Buffers currently shelved across all lengths.
+    fn shelved(pool: &PayloadPool) -> usize {
+        pool.shelves.lock().unwrap().values().map(Vec::len).sum()
+    }
 
     /// One payload through the batch call.
     fn copy(pool: &PayloadPool, data: &[u8]) -> Bytes {
@@ -360,8 +320,7 @@ mod tests {
         );
         assert_ne!(second.digest(), stale);
 
-        assert!(pool.recycle(second));
-        let mut third = pool.take(10);
+        let mut third = PoolBuf { buf: second };
         third.as_mut_slice();
         assert_eq!(third.freeze().memo(), None, "as_mut_slice clears the memo");
     }
@@ -413,7 +372,6 @@ mod tests {
         let stats = pool.stats();
         assert_eq!(stats.misses, 1, "steady state must not allocate");
         assert_eq!(stats.hits, 999);
-        assert!(stats.hit_rate() > 0.99, "{stats:?}");
     }
 
     #[test]
@@ -423,7 +381,7 @@ mod tests {
         let alias = Bytes::clone(&payload);
         assert!(!pool.recycle(payload), "shared buffer must be rejected");
         assert_eq!(pool.stats().discarded, 1);
-        assert_eq!(pool.shelved(), 0);
+        assert_eq!(shelved(&pool), 0);
         drop(alias);
     }
 
@@ -438,7 +396,7 @@ mod tests {
             }
         }
         assert_eq!(kept, 2);
-        assert_eq!(pool.shelved(), 2);
+        assert_eq!(shelved(&pool), 2);
         assert_eq!(pool.stats().discarded, 1);
     }
 
@@ -450,12 +408,12 @@ mod tests {
         let b = copy(&pool, &[2u8; 32]);
         pool.recycle(a);
         pool.recycle(b);
-        let c = pool.take(8);
+        let c = copy(&pool, &[3u8; 8]);
         assert_eq!(c.len(), 8);
         assert_eq!(registry.counter("kpn.pool.hits").get(), 1);
         assert_eq!(registry.counter("kpn.pool.misses").get(), 2);
         assert_eq!(registry.counter("kpn.pool.recycled").get(), 2);
-        assert_eq!(pool.shelved(), 1, "only the 32-byte shelf remains");
+        assert_eq!(shelved(&pool), 1, "only the 32-byte shelf remains");
     }
 
     #[test]
@@ -465,7 +423,7 @@ mod tests {
         let addr = payload.as_ptr();
         let job_clone = Bytes::clone(&payload);
         pool.park(payload); // still shared: stays parked, not shelved
-        assert_eq!(pool.shelved(), 0);
+        assert_eq!(shelved(&pool), 0);
 
         let other = copy(&pool, b"different length"); // scavenge: no-op
         assert_eq!(pool.stats().recycled, 0);
@@ -483,6 +441,11 @@ mod tests {
         let empty = copy(&pool, &[]);
         assert!(empty.is_empty());
         pool.recycle(empty);
-        assert!(pool.take(0).is_empty());
+        assert!(copy(&pool, &[]).is_empty());
+        assert_eq!(
+            pool.stats().hits,
+            1,
+            "the empty buffer is shelved and reused"
+        );
     }
 }

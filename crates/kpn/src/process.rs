@@ -383,11 +383,6 @@ impl Transform {
             pending: None,
         }
     }
-
-    /// A zero-delay pass-through stage (useful as a measurement tap).
-    pub fn passthrough(name: impl Into<String>, input: PortId, output: PortId) -> Self {
-        Transform::new(name, input, output, TimeNs::ZERO, TimeNs::ZERO, 0, |p| p)
-    }
 }
 
 impl Process for Transform {
@@ -709,7 +704,7 @@ mod tests {
     fn passthrough_has_zero_latency() {
         let inp = PortId::of(ChannelId(0));
         let out = PortId::of(ChannelId(1));
-        let mut t = Transform::passthrough("tap", inp, out);
+        let mut t = Transform::new("tap", inp, out, TimeNs::ZERO, TimeNs::ZERO, 0, |p| p);
         t.resume(Wakeup::Start, TimeNs::ZERO);
         let s = t.resume(
             Wakeup::ReadDone(Token::new(0, TimeNs::ZERO, Payload::U64(5))),

@@ -387,28 +387,6 @@ impl ThreadedRun {
     }
 }
 
-/// Why a threaded run could not be started.
-///
-/// The panicking entry points ([`run_threaded`], [`run_threaded_with`])
-/// predate this type; [`try_run_threaded_with`] surfaces the same failure
-/// as a value so services (the `rtft-serve` front-end) can propagate one
-/// boxed error instead of catching unwinds.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum ThreadedError {
-    /// The network failed validation (dangling ports, unread channels).
-    InvalidNetwork(String),
-}
-
-impl std::fmt::Display for ThreadedError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            ThreadedError::InvalidNetwork(why) => write!(f, "invalid network: {why}"),
-        }
-    }
-}
-
-impl std::error::Error for ThreadedError {}
-
 /// Runs `network` on real threads until it halts or deadlocks, or until
 /// `deadline` elapses.
 ///
@@ -441,21 +419,8 @@ pub fn run_threaded(network: Network, deadline: Duration) -> ThreadedRun {
 ///
 /// Panics if the network fails validation.
 pub fn run_threaded_with(network: Network, config: &ThreadedConfig) -> ThreadedRun {
-    match try_run_threaded_with(network, config) {
-        Ok(run) => run,
-        Err(e) => panic!("{e}"),
-    }
-}
-
-/// Fallible variant of [`run_threaded_with`]: returns
-/// [`ThreadedError::InvalidNetwork`] instead of panicking when the network
-/// fails validation.
-pub fn try_run_threaded_with(
-    network: Network,
-    config: &ThreadedConfig,
-) -> Result<ThreadedRun, ThreadedError> {
     if let Err(e) = network.validate() {
-        return Err(ThreadedError::InvalidNetwork(e));
+        panic!("invalid network: {e}");
     }
     let (channel_slots, process_slots) = network.into_parts();
     let start = Instant::now();
@@ -539,7 +504,7 @@ pub fn try_run_threaded_with(
             .gauge("threaded.elapsed_ns")
             .set(result.elapsed.as_nanos() as u64);
     }
-    Ok(result)
+    result
 }
 
 #[cfg(test)]

@@ -53,7 +53,7 @@ pub enum DetectionSite {
 
 impl DetectionSite {
     /// `true` for sites that prove fail-stop on their own.
-    pub fn is_hard(&self) -> bool {
+    fn is_hard(&self) -> bool {
         matches!(
             self,
             DetectionSite::ReplicatorOverflow | DetectionSite::SelectorStall

@@ -375,7 +375,7 @@ impl MetricsRegistry {
 
     /// A histogram under a runtime-constructed name (per-stream WAL replay
     /// sizes: `"wal.stream.<id>.replay"`), created on first use.
-    pub fn histogram_named(&self, name: impl Into<String>) -> Histogram {
+    fn histogram_named(&self, name: impl Into<String>) -> Histogram {
         self.inner
             .lock()
             .unwrap()

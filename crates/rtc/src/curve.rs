@@ -217,35 +217,29 @@ impl Curve for ZeroCurve {
     }
 }
 
-/// An explicit staircase curve given by `(breakpoint, value)` pairs, with an
-/// optional eventually-periodic extension.
+/// An explicit staircase curve given by `(breakpoint, value)` pairs.
 ///
 /// The curve evaluates to `value_k` for `Δ ∈ (b_{k-1}, b_k]`-style
 /// left-continuous semantics: concretely, `eval(Δ)` is the value of the last
 /// point whose breakpoint is `< Δ`, i.e. a point `(b, v)` means "from just
 /// after `b` onwards the curve is `v`". A point at `TimeNs::ZERO` sets the
-/// value immediately after 0.
-///
-/// Beyond the last explicit point, an extension `(period, increment)` makes
-/// the curve repeat: `eval(Δ + period) = eval(Δ) + increment`.
+/// value immediately after 0. Beyond the last point the curve saturates.
 ///
 /// # Examples
 ///
 /// ```
 /// use rtft_rtc::{Curve, StaircaseCurve, TimeNs};
 ///
-/// // One token immediately, one more after every 10ms.
-/// let c = StaircaseCurve::new(vec![(TimeNs::ZERO, 1)])
-///     .with_extension(TimeNs::from_ms(10), 1);
+/// // One token immediately, a second one after 10ms, then no more.
+/// let c = StaircaseCurve::new(vec![(TimeNs::ZERO, 1), (TimeNs::from_ms(10), 2)]);
 /// assert_eq!(c.eval(TimeNs::from_ns(1)), 1);
 /// assert_eq!(c.eval(TimeNs::from_ms(10)), 1);
 /// assert_eq!(c.eval(TimeNs::from_ms(10) + TimeNs::from_ns(1)), 2);
-/// assert_eq!(c.eval(TimeNs::from_ms(35)), 4);
+/// assert_eq!(c.eval(TimeNs::from_ms(35)), 2);
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct StaircaseCurve {
     points: Vec<(TimeNs, u64)>,
-    extension: Option<(TimeNs, u64)>,
 }
 
 impl StaircaseCurve {
@@ -260,22 +254,7 @@ impl StaircaseCurve {
             assert!(w[0].0 < w[1].0, "breakpoints must be strictly increasing");
             assert!(w[0].1 <= w[1].1, "staircase values must be non-decreasing");
         }
-        StaircaseCurve {
-            points,
-            extension: None,
-        }
-    }
-
-    /// Adds an eventually-periodic extension: beyond the last explicit
-    /// point, the curve gains `increment` tokens every `period`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `period` is zero.
-    pub fn with_extension(mut self, period: TimeNs, increment: u64) -> Self {
-        assert!(period > TimeNs::ZERO, "extension period must be positive");
-        self.extension = Some((period, increment));
-        self
+        StaircaseCurve { points }
     }
 
     /// The explicit points of the staircase.
@@ -293,18 +272,6 @@ impl Curve for StaircaseCurve {
         if delta == TimeNs::ZERO {
             return 0;
         }
-        let (last_b, last_v) = self.last_point();
-        if delta > last_b {
-            if let Some((period, inc)) = self.extension {
-                // Number of whole extension periods strictly before `delta`.
-                let beyond = delta - last_b;
-                // Left-continuous: the k-th increment becomes visible just
-                // after last_b + k*period.
-                let k = (beyond.as_ns() - 1) / period.as_ns();
-                return last_v + k * inc;
-            }
-            return last_v;
-        }
         // Value of the last point with breakpoint < delta.
         match self.points.partition_point(|(b, _)| *b < delta) {
             0 => 0,
@@ -313,30 +280,15 @@ impl Curve for StaircaseCurve {
     }
 
     fn jump_points(&self, horizon: TimeNs) -> Vec<TimeNs> {
-        let mut out: Vec<TimeNs> = self
-            .points
+        self.points
             .iter()
             .map(|(b, _)| *b)
             .filter(|b| *b <= horizon)
-            .collect();
-        if let Some((period, inc)) = self.extension {
-            if inc > 0 {
-                let (last_b, _) = self.last_point();
-                let mut b = last_b + period;
-                while b <= horizon {
-                    out.push(b);
-                    b += period;
-                }
-            }
-        }
-        out
+            .collect()
     }
 
     fn long_run_rate(&self) -> Option<Rate> {
-        match self.extension {
-            Some((period, inc)) if inc > 0 => Some(Rate::new(inc, period)),
-            _ => None,
-        }
+        None
     }
 
     fn transient(&self) -> TimeNs {
@@ -531,6 +483,7 @@ fn gcd_u128(mut a: u128, mut b: u128) -> u128 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::PjdModel;
 
     fn ms(v: u64) -> TimeNs {
         TimeNs::from_ms(v)
@@ -557,18 +510,6 @@ mod tests {
     }
 
     #[test]
-    fn staircase_periodic_extension() {
-        let c = StaircaseCurve::new(vec![(TimeNs::ZERO, 1)]).with_extension(ms(10), 2);
-        assert_eq!(c.eval(ms(10)), 1);
-        assert_eq!(c.eval(ms(10) + TimeNs::from_ns(1)), 3);
-        assert_eq!(c.eval(ms(20)), 3);
-        assert_eq!(c.eval(ms(25)), 5);
-        assert_eq!(c.long_run_rate(), Some(Rate::new(2, ms(10))));
-        let jumps = c.jump_points(ms(35));
-        assert_eq!(jumps, vec![TimeNs::ZERO, ms(10), ms(20), ms(30)]);
-    }
-
-    #[test]
     #[should_panic(expected = "strictly increasing")]
     fn staircase_rejects_unsorted_points() {
         let _ = StaircaseCurve::new(vec![(ms(10), 1), (ms(5), 2)]);
@@ -582,8 +523,9 @@ mod tests {
 
     #[test]
     fn min_max_sum_combinators() {
-        let a = StaircaseCurve::new(vec![(TimeNs::ZERO, 2)]).with_extension(ms(10), 1);
-        let b = StaircaseCurve::new(vec![(TimeNs::ZERO, 1)]).with_extension(ms(5), 1);
+        // a = ⌈Δ/10ms⌉ + 1, b = ⌈Δ/5ms⌉.
+        let a = PjdModel::new(ms(10), ms(10), TimeNs::ZERO).upper();
+        let b = PjdModel::new(ms(5), TimeNs::ZERO, TimeNs::ZERO).upper();
         let t = ms(17);
         let (va, vb) = (a.eval(t), b.eval(t));
         assert_eq!(MinCurve(&a, &b).eval(t), va.min(vb));
@@ -597,7 +539,7 @@ mod tests {
 
     #[test]
     fn delay_curve_shifts_right() {
-        let a = StaircaseCurve::new(vec![(TimeNs::ZERO, 1)]).with_extension(ms(10), 1);
+        let a = PjdModel::new(ms(10), TimeNs::ZERO, TimeNs::ZERO).upper();
         let d = DelayCurve::new(&a, ms(7));
         assert_eq!(d.eval(ms(7)), 0);
         assert_eq!(d.eval(ms(7) + TimeNs::from_ns(1)), 1);
@@ -608,7 +550,7 @@ mod tests {
 
     #[test]
     fn scale_curve_multiplies_counts() {
-        let a = StaircaseCurve::new(vec![(TimeNs::ZERO, 1)]).with_extension(ms(10), 1);
+        let a = PjdModel::new(ms(10), TimeNs::ZERO, TimeNs::ZERO).upper();
         let s = ScaleCurve::new(&a, 4);
         assert_eq!(s.eval(ms(25)), 3 * 4);
         assert_eq!(s.long_run_rate(), Some(Rate::new(4, ms(10))));

@@ -69,24 +69,7 @@ pub fn fail_stop_detection_bound(replicas: &[PjdModel; 2], threshold: u64) -> Ti
 /// Returns `None` if the surplus is never reached within `horizon` (the
 /// residual rate is too close to the healthy rate: the "fault" is not
 /// detectable by divergence counting, or the horizon is too short).
-///
-/// # Examples
-///
-/// ```
-/// use rtft_rtc::{detection, PjdModel, TimeNs};
-///
-/// let healthy = PjdModel::from_ms(30.0, 5.0, 0.0);
-/// // Faulty replica degraded to one token every 90 ms.
-/// let residual = PjdModel::from_ms(90.0, 0.0, 0.0);
-/// let t = detection::degraded_detection_bound(
-///     &healthy,
-///     &residual.upper(),
-///     4,
-///     TimeNs::from_secs(10),
-/// );
-/// assert!(t.expect("detectable") > TimeNs::from_ms(7 * 30 + 5));
-/// ```
-pub fn degraded_detection_bound(
+fn degraded_detection_bound(
     healthy: &PjdModel,
     faulty_residual_upper: &dyn Curve,
     threshold: u64,
@@ -105,7 +88,7 @@ pub fn degraded_detection_bound(
 /// is `inf { Δ | α_P^l(Δ) ≥ capacity + 1 }`.
 ///
 /// Returns [`TimeNs::MAX`] for a rate-zero producer.
-pub fn replicator_overflow_bound(producer: &PjdModel, capacity: u64) -> TimeNs {
+fn replicator_overflow_bound(producer: &PjdModel, capacity: u64) -> TimeNs {
     let lower = producer.lower();
     let target = capacity + 1;
     let horizon = producer.period * (target + 4) + producer.jitter + producer.jitter;
@@ -118,7 +101,7 @@ pub fn replicator_overflow_bound(producer: &PjdModel, capacity: u64) -> TimeNs {
 /// last write. The bound is `inf { Δ | α_C^l(Δ) ≥ capacity + 1 }`.
 ///
 /// Returns [`TimeNs::MAX`] for a rate-zero consumer.
-pub fn selector_stall_bound(consumer: &PjdModel, capacity: u64) -> TimeNs {
+fn selector_stall_bound(consumer: &PjdModel, capacity: u64) -> TimeNs {
     let lower = consumer.lower();
     let target = capacity + 1;
     let horizon = consumer.period * (target + 4) + consumer.jitter + consumer.jitter;
@@ -135,9 +118,9 @@ pub fn selector_stall_bound(consumer: &PjdModel, capacity: u64) -> TimeNs {
 ///   fail-stop replica (eq. (8); worst replica, closed form
 ///   `(2D − 1)·P + J`);
 /// * [`overflow`](Self::overflow) — replicator full-FIFO latch
-///   ([`replicator_overflow_bound`], worst replicator capacity);
+///   (`replicator_overflow_bound`, worst replicator capacity);
 /// * [`stall`](Self::stall) — selector space-overrun latch
-///   ([`selector_stall_bound`], worst selector capacity).
+///   (`selector_stall_bound`, worst selector capacity).
 ///
 /// A permanently silent replica trips *all* of them, so the end-to-end
 /// guarantee for a permanent timing fault is the minimum

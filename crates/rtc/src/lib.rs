@@ -47,7 +47,6 @@
 mod analysis;
 mod curve;
 pub mod detection;
-pub mod minplus;
 mod pjd;
 pub mod sizing;
 mod time;

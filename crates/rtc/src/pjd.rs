@@ -15,7 +15,7 @@
 //! The induced arrival curves are the classical staircases
 //!
 //! ```text
-//! α^u(Δ) = ⌈(Δ + J) / P⌉            (optionally capped by ⌈Δ / d_min⌉)
+//! α^u(Δ) = ⌈(Δ + J) / P⌉
 //! α^l(Δ) = max(0, ⌊(Δ − J) / P⌋)
 //! ```
 //!
@@ -89,25 +89,6 @@ impl PjdModel {
         PjdUpper {
             period: self.period,
             jitter: self.jitter,
-            min_distance: None,
-        }
-    }
-
-    /// The upper arrival curve, additionally capped by a minimum
-    /// inter-event distance `d_min` (`α^u(Δ) ≤ ⌈Δ / d_min⌉`).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `min_distance` is zero.
-    pub fn upper_with_min_distance(&self, min_distance: TimeNs) -> PjdUpper {
-        assert!(
-            min_distance > TimeNs::ZERO,
-            "minimum distance must be positive"
-        );
-        PjdUpper {
-            period: self.period,
-            jitter: self.jitter,
-            min_distance: Some(min_distance),
         }
     }
 
@@ -143,12 +124,11 @@ impl std::fmt::Display for PjdModel {
 }
 
 /// Upper arrival curve of a PJD stream: `α^u(Δ) = ⌈(Δ + J) / P⌉` for
-/// `Δ > 0`, optionally capped by `⌈Δ / d_min⌉`.
+/// `Δ > 0`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PjdUpper {
     period: TimeNs,
     jitter: TimeNs,
-    min_distance: Option<TimeNs>,
 }
 
 impl Curve for PjdUpper {
@@ -156,11 +136,7 @@ impl Curve for PjdUpper {
         if delta == TimeNs::ZERO {
             return 0;
         }
-        let jitter_bound = (delta + self.jitter).div_ceil(self.period);
-        match self.min_distance {
-            Some(d) => jitter_bound.min(delta.div_ceil(d)),
-            None => jitter_bound,
-        }
+        (delta + self.jitter).div_ceil(self.period)
     }
 
     fn jump_points(&self, horizon: TimeNs) -> Vec<TimeNs> {
@@ -180,15 +156,6 @@ impl Curve for PjdUpper {
             }
             out.push(b);
             k += 1;
-        }
-        if let Some(d) = self.min_distance {
-            let mut b = d;
-            while b <= horizon {
-                out.push(b);
-                b += d;
-            }
-            out.sort_unstable();
-            out.dedup();
         }
         out
     }
@@ -281,8 +248,11 @@ mod tests {
 
     #[test]
     fn min_distance_caps_the_upper_curve() {
+        // A minimum inter-event distance d_min caps α^u at ⌈Δ / d_min⌉,
+        // the upper curve of a jitter-free stream of period d_min.
         let m = PjdModel::new(ms(30), ms(30), TimeNs::ZERO);
-        let u = m.upper_with_min_distance(ms(10));
+        let d_min = PjdModel::new(ms(10), TimeNs::ZERO, TimeNs::ZERO);
+        let u = crate::MinCurve(m.upper(), d_min.upper());
         // Without the cap a 1ns window would allow 2 events.
         assert_eq!(u.eval(ns1()), 1);
         assert_eq!(u.eval(ms(10) + ns1()), 2);

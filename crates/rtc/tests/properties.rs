@@ -179,6 +179,50 @@ fn fifo_capacity_is_sufficient() {
     }
 }
 
+/// Initial fill really prevents underflow (eq. (4)): the consumer reads as
+/// early as its jitter allows (read m at max(0, m·P − Jc), so the first
+/// ⌊Jc/P⌋ + 1 reads all fall at time 0) while the feeding replica writes
+/// as late as its jitter allows (write n at (n+1)·P + Jp, the trace that
+/// realises α^l from time 0). A queue pre-filled with the computed fill
+/// never runs dry, and on this trace one token fewer always does.
+#[test]
+fn initial_fill_prevents_underflow() {
+    let mut rng = Rng::new(0x5eed_0008);
+    for _case in 0..48 {
+        let p = rng.range(1, 200);
+        let jp = rng.range(0, 400);
+        let jc = rng.range(0, 400);
+        let period = TimeNs::from_us(p * 100);
+        let (jp_t, jc_t) = (TimeNs::from_us(jp * 100), TimeNs::from_us(jc * 100));
+        let replica = PjdModel::new(period, jp_t, TimeNs::ZERO);
+        let consumer = PjdModel::new(period, jc_t, TimeNs::ZERO);
+        let fill = sizing::initial_fill(&consumer, &replica).expect("equal rates are bounded");
+
+        // Smallest pre-fill that serves every read: by read m the consumer
+        // has taken m + 1 tokens, and the writes at or before that instant
+        // have landed (a write and a read at one instant: write first).
+        let n_events = 200 + (jp + jc) / p;
+        let mut needed = 0u64;
+        for m in 0..n_events {
+            let read = (period * m).saturating_sub(jc_t);
+            let written = if read < period + jp_t {
+                0
+            } else {
+                (read - jp_t).div_floor(period)
+            };
+            needed = needed.max(m + 1 - written);
+        }
+        assert!(
+            needed <= fill,
+            "worst-case trace needs {needed} tokens, computed fill is {fill} (P={period}, Jp={jp_t}, Jc={jc_t})"
+        );
+        assert_eq!(
+            needed, fill,
+            "fill {fill} is not tight: {needed} suffice (P={period}, Jp={jp_t}, Jc={jc_t})"
+        );
+    }
+}
+
 /// The divergence threshold guarantees no false positives: for any two
 /// healthy event traces consistent with the replica models, the running
 /// count difference stays strictly below D.

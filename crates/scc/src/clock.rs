@@ -34,14 +34,8 @@ impl ClockDomain {
         self.freq_hz
     }
 
-    /// Duration of one cycle (rounded to the nearest picosecond, expressed
-    /// in integer picoseconds).
-    pub fn cycle_ps(&self) -> u64 {
-        1_000_000_000_000 / self.freq_hz
-    }
-
     /// Number of whole cycles elapsed in `t`.
-    pub fn cycles_in(&self, t: TimeNs) -> u64 {
+    fn cycles_in(&self, t: TimeNs) -> u64 {
         (t.as_ns() as u128 * self.freq_hz as u128 / 1_000_000_000) as u64
     }
 
@@ -187,8 +181,6 @@ mod tests {
         let t = TimeNs::from_ms(30);
         let back = d.duration_of(d.cycles_in(t));
         assert!(t.saturating_sub(back) < TimeNs::from_ns(2));
-        // Cycle duration ≈ 1.876 ns.
-        assert_eq!(d.cycle_ps(), 1876);
     }
 
     #[test]

@@ -13,8 +13,7 @@
 //!   synchronisation;
 //! * [`noc`] — MPB message timing with the ≤3 KB chunk rule;
 //! * [`mpb`] — per-core 8 KB message-passing-buffer budgets;
-//! * [`rcce`] — an iRCCE-like matched send/receive layer (blocking and
-//!   non-blocking);
+//! * [`rcce`] — an iRCCE-like matched send/receive layer;
 //! * [`mapping`] — the low-contention one-process-per-tile placement of
 //!   §4.1;
 //! * [`SccPlatform`] — the bridge charging these latencies to a
@@ -38,7 +37,6 @@ pub mod clock;
 pub mod mapping;
 pub mod mpb;
 pub mod noc;
-pub mod optimize;
 mod platform;
 pub mod rcce;
 pub mod topology;
@@ -46,8 +44,7 @@ pub mod topology;
 pub use clock::{ClockDomain, SccClocks, Tsc, TscBank};
 pub use mapping::{low_contention_pipeline, row_major, snake_order, Mapping};
 pub use mpb::{MpbAllocator, MpbExhausted, MpbRegion};
-pub use noc::{NocFaultPlan, NocModel, NocTraffic, MAX_CHUNK_BYTES, MPB_BYTES_PER_CORE};
-pub use optimize::{duplicated_network_flows, optimize_mapping, OptimizedMapping};
+pub use noc::{NocFaultPlan, NocModel, MAX_CHUNK_BYTES, MPB_BYTES_PER_CORE};
 pub use platform::SccPlatform;
-pub use rcce::{RcceWorld, RecvOutcome, SendHandle};
+pub use rcce::{RcceWorld, RecvOutcome};
 pub use topology::{route_links, CoreId, Link, TileId, CORE_COUNT, TILE_COUNT};

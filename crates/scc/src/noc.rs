@@ -24,7 +24,6 @@
 
 use crate::clock::SccClocks;
 use crate::topology::{route_links, CoreId, Link};
-use rtft_obs::{Counter, Histogram, MetricsRegistry};
 use rtft_rtc::TimeNs;
 
 /// Maximum chunk size for MPB-only routing (§4.1).
@@ -78,7 +77,7 @@ impl NocModel {
     }
 
     /// Latency of one chunk of `bytes` bytes over `hops` mesh hops.
-    pub fn chunk_latency(&self, bytes: usize, hops: u8) -> TimeNs {
+    fn chunk_latency(&self, bytes: usize, hops: u8) -> TimeNs {
         let core = &self.clocks.tile;
         let router = &self.clocks.router;
         let setup = core.duration_of(CHUNK_SETUP_CORE_CYCLES);
@@ -105,25 +104,6 @@ impl NocModel {
             total += self.chunk_latency(tail, hops);
         }
         total
-    }
-
-    /// [`message_latency`](Self::message_latency) plus traffic accounting:
-    /// bumps `traffic`'s message/chunk/byte counters and records the
-    /// computed latency in its histogram. The latency value is identical
-    /// to the untracked call.
-    pub fn message_latency_tracked(
-        &self,
-        from: CoreId,
-        to: CoreId,
-        bytes: usize,
-        traffic: &NocTraffic,
-    ) -> TimeNs {
-        let latency = self.message_latency(from, to, bytes);
-        traffic.messages.inc();
-        traffic.chunks.add(self.chunks(bytes) as u64);
-        traffic.bytes.add(bytes as u64);
-        traffic.latency.record(latency.as_ns());
-        latency
     }
 }
 
@@ -184,7 +164,7 @@ impl NocFaultPlan {
 
     /// The stall a message departing at `now` over `route` suffers from
     /// link-down windows (zero when no crossed link is down).
-    pub fn departure_stall(&self, route: &[Link], now: TimeNs) -> TimeNs {
+    fn departure_stall(&self, route: &[Link], now: TimeNs) -> TimeNs {
         let mut release = now;
         for (link, from, until) in &self.down_windows {
             if now >= *from && now < *until && route.contains(link) {
@@ -223,34 +203,6 @@ impl NocModel {
             }
         }
         plan.departure_stall(&route, now) + base + extra
-    }
-}
-
-/// Traffic accounting handles for the NoC model — the emulation-side
-/// equivalent of per-link flit counters. Resolve once with
-/// [`NocTraffic::from_registry`] and pass to
-/// [`NocModel::message_latency_tracked`].
-///
-/// Metrics registered: `scc.noc.messages`, `scc.noc.chunks`,
-/// `scc.noc.bytes` (counters) and `scc.noc.message_latency_ns`
-/// (histogram).
-#[derive(Debug, Clone)]
-pub struct NocTraffic {
-    messages: Counter,
-    chunks: Counter,
-    bytes: Counter,
-    latency: Histogram,
-}
-
-impl NocTraffic {
-    /// Resolves the traffic handles in `registry`.
-    pub fn from_registry(registry: &MetricsRegistry) -> Self {
-        NocTraffic {
-            messages: registry.counter("scc.noc.messages"),
-            chunks: registry.counter("scc.noc.chunks"),
-            bytes: registry.counter("scc.noc.bytes"),
-            latency: registry.histogram("scc.noc.message_latency_ns"),
-        }
     }
 }
 
@@ -402,29 +354,5 @@ mod tests {
                 base
             );
         }
-    }
-
-    #[test]
-    fn tracked_latency_matches_and_accounts_traffic() {
-        let m = model();
-        let registry = MetricsRegistry::new();
-        let traffic = NocTraffic::from_registry(&registry);
-        let plain = m.message_latency(CoreId::new(0), CoreId::new(47), 10 * 1024);
-        let tracked =
-            m.message_latency_tracked(CoreId::new(0), CoreId::new(47), 10 * 1024, &traffic);
-        assert_eq!(plain, tracked, "tracking must not change the model");
-        m.message_latency_tracked(CoreId::new(0), CoreId::new(1), 100, &traffic);
-        assert_eq!(registry.counter("scc.noc.messages").get(), 2);
-        assert_eq!(registry.counter("scc.noc.chunks").get(), 4 + 1);
-        assert_eq!(registry.counter("scc.noc.bytes").get(), 10 * 1024 + 100);
-        let h = registry.histogram("scc.noc.message_latency_ns").snapshot();
-        assert_eq!(h.count, 2);
-        assert_eq!(
-            h.max,
-            plain.as_ns().max(
-                m.message_latency(CoreId::new(0), CoreId::new(1), 100)
-                    .as_ns(),
-            )
-        );
     }
 }

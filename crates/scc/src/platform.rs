@@ -7,7 +7,6 @@
 //! matching shared-MPB communication within a tile being effectively free
 //! at the token periods of interest.
 
-use crate::mapping::Mapping;
 use crate::noc::{NocFaultPlan, NocModel};
 use crate::topology::CoreId;
 use rtft_kpn::{ChannelId, NodeId, Platform};
@@ -19,8 +18,6 @@ use std::collections::HashMap;
 pub struct SccPlatform {
     noc: NocModel,
     routes: HashMap<ChannelId, (CoreId, CoreId)>,
-    /// Optional per-core compute scaling (e.g. emulating a derated tile).
-    core_scale: HashMap<NodeId, f64>,
     /// Stationary NoC perturbation folded into every routed transfer.
     noc_faults: NocFaultPlan,
 }
@@ -31,7 +28,6 @@ impl SccPlatform {
         SccPlatform {
             noc,
             routes: HashMap::new(),
-            core_scale: HashMap::new(),
             noc_faults: NocFaultPlan::default(),
         }
     }
@@ -45,25 +41,6 @@ impl SccPlatform {
     /// charged the corresponding transfer latency.
     pub fn route(&mut self, channel: ChannelId, from: CoreId, to: CoreId) -> &mut Self {
         self.routes.insert(channel, (from, to));
-        self
-    }
-
-    /// Routes a linear pipeline: channel `i` connects mapped process `i`
-    /// to process `i + 1`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the mapping has fewer than `channels.len() + 1` entries.
-    pub fn route_pipeline(&mut self, channels: &[ChannelId], mapping: &Mapping) -> &mut Self {
-        for (i, ch) in channels.iter().enumerate() {
-            self.route(*ch, mapping.core(i), mapping.core(i + 1));
-        }
-        self
-    }
-
-    /// Scales the compute durations of process `node` (1.0 = neutral).
-    pub fn scale_node(&mut self, node: NodeId, scale: f64) -> &mut Self {
-        self.core_scale.insert(node, scale);
         self
     }
 
@@ -81,11 +58,6 @@ impl SccPlatform {
     pub fn with_noc_faults(mut self, plan: NocFaultPlan) -> Self {
         self.noc_faults = plan;
         self
-    }
-
-    /// The active NoC perturbation plan (benign by default).
-    pub fn noc_faults(&self) -> &NocFaultPlan {
-        &self.noc_faults
     }
 }
 
@@ -108,16 +80,11 @@ impl Platform for SccPlatform {
             None => TimeNs::ZERO,
         }
     }
-
-    fn compute_scale(&self, node: NodeId) -> f64 {
-        self.core_scale.get(&node).copied().unwrap_or(1.0)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::mapping::low_contention_pipeline;
     use rtft_kpn::{Collector, Engine, Fifo, Network, Payload, PjdSource, PortId, RunOutcome};
     use rtft_rtc::PjdModel;
 
@@ -133,17 +100,6 @@ mod tests {
             p.transfer_latency(NodeId(0), ChannelId(9), 1024),
             TimeNs::ZERO
         );
-    }
-
-    #[test]
-    fn pipeline_routing_uses_mapping() {
-        let mapping = low_contention_pipeline(3);
-        let mut p = SccPlatform::paper_boot();
-        p.route_pipeline(&[ChannelId(0), ChannelId(1)], &mapping);
-        let near = p.transfer_latency(NodeId(0), ChannelId(0), 3072);
-        // Snake neighbours: exactly one hop each.
-        assert_eq!(near, p.transfer_latency(NodeId(1), ChannelId(1), 3072));
-        assert!(near > TimeNs::ZERO);
     }
 
     #[test]
@@ -205,13 +161,5 @@ mod tests {
             degraded.transfer_latency(NodeId(0), ChannelId(9), 1024),
             TimeNs::ZERO
         );
-    }
-
-    #[test]
-    fn compute_scaling_applies() {
-        let mut p = SccPlatform::paper_boot();
-        p.scale_node(NodeId(3), 2.0);
-        assert_eq!(p.compute_scale(NodeId(3)), 2.0);
-        assert_eq!(p.compute_scale(NodeId(0)), 1.0);
     }
 }

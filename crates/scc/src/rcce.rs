@@ -3,8 +3,8 @@
 //! The paper uses the iRCCE non-blocking communication library (§4.1,
 //! Clauss et al., HPCS 2011) on top of the MPBs. This module reproduces
 //! the library's programming model — matched in-order send/receive between
-//! core pairs, in blocking and non-blocking (handle + test) flavours —
-//! against the [`NocModel`] timing model, under explicit virtual time.
+//! core pairs — against the [`NocModel`] timing model, under explicit
+//! virtual time.
 //!
 //! Operations take `now` and report completion instants rather than
 //! sleeping; the KPN engine integration goes through
@@ -32,20 +32,6 @@ pub enum RecvOutcome {
     Pending(TimeNs),
     /// No message has been sent on this pair.
     Empty,
-}
-
-/// Handle to a non-blocking send (`iRCCE_isend` analogue).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SendHandle {
-    /// Instant the transfer completes at the sender.
-    pub done_at: TimeNs,
-}
-
-impl SendHandle {
-    /// `iRCCE_test`: has the transfer completed by `now`?
-    pub fn test(&self, now: TimeNs) -> bool {
-        now >= self.done_at
-    }
 }
 
 /// The communication world: matched, in-order channels between core pairs.
@@ -90,13 +76,6 @@ impl RcceWorld {
         done
     }
 
-    /// Non-blocking send (`iRCCE_isend`): queues the transfer and returns a
-    /// testable handle.
-    pub fn isend(&mut self, from: CoreId, to: CoreId, payload: Vec<u8>, now: TimeNs) -> SendHandle {
-        let done_at = self.send(from, to, payload, now);
-        SendHandle { done_at }
-    }
-
     /// Receive attempt (`iRCCE_recv` / the poll inside `iRCCE_irecv`).
     pub fn recv(&mut self, from: CoreId, to: CoreId, now: TimeNs) -> RecvOutcome {
         let Some(queue) = self.inflight.get_mut(&(from, to)) else {
@@ -110,11 +89,6 @@ impl RcceWorld {
             }
             Some(m) => RecvOutcome::Pending(m.deliverable_at),
         }
-    }
-
-    /// Messages currently in flight on a pair.
-    pub fn in_flight(&self, from: CoreId, to: CoreId) -> usize {
-        self.inflight.get(&(from, to)).map_or(0, VecDeque::len)
     }
 }
 
@@ -172,14 +146,6 @@ mod tests {
     }
 
     #[test]
-    fn isend_handle_tests_completion() {
-        let mut w = world();
-        let h = w.isend(CoreId::new(0), CoreId::new(2), vec![0; 1024], TimeNs::ZERO);
-        assert!(!h.test(TimeNs::ZERO));
-        assert!(h.test(h.done_at));
-    }
-
-    #[test]
     fn distinct_pairs_are_independent() {
         let mut w = world();
         w.send(CoreId::new(0), CoreId::new(1), vec![9], TimeNs::ZERO);
@@ -187,7 +153,9 @@ mod tests {
             w.recv(CoreId::new(0), CoreId::new(2), TimeNs::from_secs(1)),
             RecvOutcome::Empty
         );
-        assert_eq!(w.in_flight(CoreId::new(0), CoreId::new(1)), 1);
-        assert_eq!(w.in_flight(CoreId::new(0), CoreId::new(2)), 0);
+        assert!(matches!(
+            w.recv(CoreId::new(0), CoreId::new(1), TimeNs::from_secs(1)),
+            RecvOutcome::Ready(ref d, _) if d == &vec![9]
+        ));
     }
 }

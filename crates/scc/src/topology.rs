@@ -74,7 +74,7 @@ impl TileId {
 
     /// The sequence of tiles an XY-routed message traverses from `self` to
     /// `other`, inclusive of both endpoints: first along X, then along Y.
-    pub fn xy_route(self, other: TileId) -> Vec<TileId> {
+    fn xy_route(self, other: TileId) -> Vec<TileId> {
         let mut route = vec![self];
         let (mut x, mut y) = (self.x(), self.y());
         while x != other.x() {

@@ -1,14 +1,13 @@
 //! One boxed-error-compatible error type for the whole serve path.
 //!
 //! Every failure the server or client can hit — socket I/O, a malformed
-//! `RTFT/1` frame, fleet admission refusing work, a runtime that cannot be
-//! spawned — folds into [`ServeError`] via `From`, so public APIs return a
-//! single type and callers can `?` straight into `Box<dyn Error>`.
+//! `RTFT/1` frame, fleet admission refusing work — folds into
+//! [`ServeError`] via `From`, so public APIs return a single type and
+//! callers can `?` straight into `Box<dyn Error>`.
 
 use std::fmt;
 
 use rtft_fleet::RejectReason;
-use rtft_kpn::threaded::ThreadedError;
 
 /// A violation of the `RTFT/1` frame grammar.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -100,8 +99,6 @@ pub enum ServeError {
     /// Fleet admission refused the work (backpressure; retryable when the
     /// reason is `QueueFull`).
     Rejected(RejectReason),
-    /// The threaded runtime refused the network.
-    Runtime(ThreadedError),
     /// The peer closed the connection mid-exchange.
     ConnectionClosed,
     /// The server evicted the connection for violating a read deadline.
@@ -116,7 +113,6 @@ impl fmt::Display for ServeError {
             ServeError::Io(e) => write!(f, "i/o error: {e}"),
             ServeError::Protocol(e) => write!(f, "protocol error: {e}"),
             ServeError::Rejected(r) => write!(f, "admission rejected: {r}"),
-            ServeError::Runtime(e) => write!(f, "runtime error: {e}"),
             ServeError::ConnectionClosed => write!(f, "connection closed by peer"),
             ServeError::Evicted(reason) => write!(f, "connection evicted ({reason})"),
         }
@@ -129,7 +125,6 @@ impl std::error::Error for ServeError {
             ServeError::Io(e) => Some(e),
             ServeError::Protocol(e) => Some(e),
             ServeError::Rejected(r) => Some(r),
-            ServeError::Runtime(e) => Some(e),
             ServeError::ConnectionClosed => None,
             ServeError::Evicted(_) => None,
         }
@@ -158,12 +153,6 @@ impl From<RejectReason> for ServeError {
     }
 }
 
-impl From<ThreadedError> for ServeError {
-    fn from(e: ThreadedError) -> Self {
-        ServeError::Runtime(e)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -174,7 +163,6 @@ mod tests {
             std::io::Error::new(std::io::ErrorKind::BrokenPipe, "pipe").into(),
             ProtocolError::UnknownTag(9).into(),
             RejectReason::ShuttingDown.into(),
-            ThreadedError::InvalidNetwork("dangling port".into()).into(),
             ServeError::ConnectionClosed,
         ];
         for case in cases {

@@ -402,7 +402,7 @@ impl Frame {
     /// instead of fresh allocations — the zero-copy ingest path: in
     /// steady state every payload lands in a recycled buffer, hashed in
     /// the pass that copies it there ([`PayloadPool::take_copies`]).
-    pub fn decode_pooled(buf: &[u8], pool: &PayloadPool) -> Result<Frame, ProtocolError> {
+    fn decode_pooled(buf: &[u8], pool: &PayloadPool) -> Result<Frame, ProtocolError> {
         Frame::decode_impl(buf, Some(pool))
     }
 

@@ -158,7 +158,7 @@ impl TenantManager {
     }
 
     /// The shard a tenant id lives on.
-    pub fn shard_of(&self, id: TenantId) -> &Shard {
+    fn shard_of(&self, id: TenantId) -> &Shard {
         &self.shards[(mix(id.0) % self.shards.len() as u64) as usize]
     }
 

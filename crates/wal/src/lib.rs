@@ -338,25 +338,14 @@ impl Wal {
     /// Append one record in log order *without* waiting for it to become
     /// durable. Returns its global sequence number. The record counts in
     /// `wal.appends` now and in the next fsync's `wal.commit.batch`, and
-    /// is durable no later than the return of the next [`Wal::append`],
-    /// [`Wal::append_batch`] or [`Wal::sync`] on this log, or the
-    /// rotation that seals its segment. Until then a power cut may lose
-    /// it — together with everything written after it, never instead of
-    /// it. Meant for state the durable records before it can regenerate.
+    /// is durable no later than the return of the next [`Wal::append`] or
+    /// [`Wal::sync`] on this log, or the rotation that seals its segment.
+    /// Until then a power cut may lose it — together with everything
+    /// written after it, never instead of it. Meant for state the durable
+    /// records before it can regenerate.
     pub fn append_lazy(&self, rec: &WalRecord) -> io::Result<u64> {
         self.write_frames(std::slice::from_ref(rec))
             .map(|(seq, _)| seq)
-    }
-
-    /// Append a batch of records with a single durability point. Returns
-    /// the sequence number of the first record.
-    pub fn append_batch(&self, recs: &[WalRecord]) -> io::Result<u64> {
-        if recs.is_empty() {
-            return Ok(self.next_seq());
-        }
-        let (first_seq, target) = self.write_frames(recs)?;
-        self.commit(target)?;
-        Ok(first_seq)
     }
 
     /// Force everything appended so far onto disk.
@@ -747,21 +736,6 @@ mod tests {
 
         let (_, rec) = Wal::open(cfg).expect("reopen");
         assert_eq!(rec.records.len(), 100);
-    }
-
-    #[test]
-    fn append_batch_is_one_durability_point() {
-        let dir = TempDir::new("batch");
-        let cfg = WalConfig::new(dir.path());
-        let (wal, _) = Wal::open(cfg.clone()).expect("open");
-        let recs: Vec<WalRecord> = (0..10u32).map(|i| tokens(i, 2)).collect();
-        let first = wal.append_batch(&recs).expect("batch");
-        assert_eq!(first, 0);
-        assert_eq!(wal.next_seq(), 10);
-        assert_eq!(wal.registry().counter("wal.fsyncs").get(), 1);
-        drop(wal);
-        let (_, rec) = Wal::open(cfg).expect("reopen");
-        assert_eq!(rec.records.len(), 10);
     }
 
     fn outputs(stream: u32, first_seq: u64) -> WalRecord {

@@ -83,13 +83,8 @@ pub enum WalRecord {
 }
 
 impl WalRecord {
-    /// Serialize the record body (tag + payload, no frame header).
-    pub fn encode_body(&self) -> Vec<u8> {
-        let mut out = Vec::new();
-        self.encode_body_into(&mut out);
-        out
-    }
-
+    /// Serialize the record body (tag + payload, no frame header) onto
+    /// `out`.
     fn encode_body_into(&self, out: &mut Vec<u8>) {
         match self {
             WalRecord::StreamOpen {
@@ -135,7 +130,7 @@ impl WalRecord {
 
     /// Parse a record body. `None` means the body is malformed — the
     /// caller treats the enclosing frame as the torn tail.
-    pub fn decode_body(body: &[u8]) -> Option<WalRecord> {
+    fn decode_body(body: &[u8]) -> Option<WalRecord> {
         let mut at = 0usize;
         let tag = get_u8(body, &mut at)?;
         let rec = match tag {
@@ -275,6 +270,12 @@ fn get_bytes<'a>(buf: &'a [u8], at: &mut usize, len: usize) -> Option<&'a [u8]> 
 mod tests {
     use super::*;
 
+    fn encode_body(rec: &WalRecord) -> Vec<u8> {
+        let mut out = Vec::new();
+        rec.encode_body_into(&mut out);
+        out
+    }
+
     fn samples() -> Vec<WalRecord> {
         vec![
             WalRecord::StreamOpen {
@@ -318,7 +319,7 @@ mod tests {
         let mut staged = vec![0xEE; 3];
         let mut expected = staged.clone();
         for rec in samples() {
-            let body = rec.encode_body();
+            let body = encode_body(&rec);
             expected.extend_from_slice(&(body.len() as u32).to_le_bytes());
             expected.extend_from_slice(&digest_bytes(&body).to_le_bytes());
             expected.extend_from_slice(&body);
@@ -376,7 +377,7 @@ mod tests {
 
     #[test]
     fn trailing_bytes_in_body_are_rejected() {
-        let mut body = WalRecord::StreamClose { stream: 1 }.encode_body();
+        let mut body = encode_body(&WalRecord::StreamClose { stream: 1 });
         body.push(0);
         assert!(WalRecord::decode_body(&body).is_none());
     }

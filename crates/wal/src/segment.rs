@@ -39,7 +39,7 @@ pub fn segment_file_name(index: u64) -> String {
 }
 
 /// Parse a segment index back out of a file name; `None` for foreign files.
-pub fn parse_segment_name(name: &str) -> Option<u64> {
+fn parse_segment_name(name: &str) -> Option<u64> {
     let stem = name.strip_suffix(".wal")?;
     if stem.len() != 16 {
         return None;
@@ -58,7 +58,7 @@ pub fn encode_header(index: u64, base_seq: u64) -> [u8; SEGMENT_HEADER] {
 }
 
 /// Parse and validate a segment header. `None` = torn or foreign header.
-pub fn decode_header(buf: &[u8]) -> Option<(u64, u64)> {
+fn decode_header(buf: &[u8]) -> Option<(u64, u64)> {
     if buf.len() < SEGMENT_HEADER {
         return None;
     }
