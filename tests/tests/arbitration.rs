@@ -140,15 +140,16 @@ fn policy_by_replica_count_matrix_is_deterministic_and_correct() {
 //
 // Everything below hashes observable bytes of a code path the refactor
 // rewrites: the sampled-checker campaign, the Table 2 observed campaign,
-// the fleet's `execute` for every job template, and the two-replica
-// channels driven operation by operation.
+// the fleet's `execute` for every job template, and the two-replica and
+// sampled-checker channels driven operation by operation.
 // ---------------------------------------------------------------------------
 
 use rtft_apps::networks::App;
 use rtft_bench::campaign::fault_campaign_observed_with_workers;
 use rtft_core::{
-    CorruptionMode, DuplicationConfig, HeteroModel, HeteroSizingReport, HeteroStageReplica,
-    JitterStageReplica, Replicator, ReplicatorConfig, Selector, SelectorConfig,
+    ArbiterLedger, CorruptionMode, DuplicationConfig, HeteroModel, HeteroSelector,
+    HeteroSizingReport, HeteroStageReplica, JitterStageReplica, PolicySelector, Replicator,
+    ReplicatorConfig, SampledCheck, SampledReplicator, Selector, SelectorConfig,
 };
 use rtft_fleet::{execute, JobRuntime, JobTemplate};
 use rtft_kpn::{ChannelBehavior, ReadOutcome, SplitMix64, Token, WriteOutcome};
@@ -517,4 +518,142 @@ fn replicator_op_transcripts_are_pinned() {
         }
     }
     assert_eq!(fold_cells(&cells), 0x9963_C3F6_52B7_262E);
+}
+
+/// One latch record as text: `(at, cause, group)`.
+fn latch_label(f: Option<rtft_core::ArbFault>) -> String {
+    match f {
+        Some(f) => format!("({:?},{:?},{:?})", f.at, f.cause, f.group),
+        None => "-".to_owned(),
+    }
+}
+
+/// Drives a fresh `SampledReplicator` and `HeteroSelector` per episode
+/// through one seeded op stream and returns the transcript: outcome, every
+/// latch on either side, the counters, fills and the checker's sample
+/// statistics after every operation.
+///
+/// Ops `0..=2` are the replicator's producer write and its main / checker
+/// reads, ops `3..=5` the selector's main write, checker vote and consumer
+/// read. Checker ops are drawn at about `1/k` of the others' rate. Every
+/// episode starves one replicator read side from a seeded op index on, so
+/// each reaches at least one latch; the selector side is starved of a
+/// write interface or of its consumer in some episodes, and one selector
+/// write in 32 carries an off-majority value.
+fn sampled_transcript(k: u64, caps: [usize; 2], d: Option<u64>, seed: u64) -> String {
+    let mut rng = SplitMix64::seed_from_u64(seed);
+    let mut out = String::new();
+    for episode in 0..EPISODES {
+        let mut r = SampledReplicator::new("r", caps, k, d);
+        let mut s = match d {
+            Some(d) => HeteroSelector::new("s", caps[0], caps[1], d, k),
+            None => PolicySelector::from_parts(
+                ArbiterLedger::new("s", caps.to_vec(), None, None),
+                SampledCheck::new(k),
+            ),
+        };
+        let rep_starved = 1 + rng.next_inclusive(1) as usize;
+        let rep_from = rng.next_inclusive(EPISODE_OPS / 2);
+        let sel_starved = match rng.next_inclusive(3) {
+            0 => None,
+            n => Some(2 + n as usize),
+        };
+        let sel_from = rng.next_inclusive(EPISODE_OPS / 2);
+        let (mut writes, mut next) = (0u64, [0u64; 2]);
+        let mut latched = false;
+        for step in 0..EPISODE_OPS {
+            let now = TimeNs::from_ms(episode * 1_000 + step);
+            let op = loop {
+                let op = rng.next_inclusive(5) as usize;
+                if (op == rep_starved && step >= rep_from)
+                    || (Some(op) == sel_starved && step >= sel_from)
+                    || ((op == 2 || op == 4) && rng.next_inclusive(k - 1) != 0)
+                {
+                    continue;
+                }
+                break op;
+            };
+            match op {
+                0 => {
+                    let o = r.try_write(0, op_token(writes, step), now);
+                    if !matches!(o, WriteOutcome::Blocked(_)) {
+                        writes += 1;
+                    }
+                    write!(out, "w:{}", write_label(&o)).unwrap();
+                }
+                1 | 2 => {
+                    write!(out, "r{}:{}", op - 1, read_label(&r.try_read(op - 1, now))).unwrap()
+                }
+                3 | 4 => {
+                    let i = op - 3;
+                    // The main's g-th token carries g; the checker's j-th
+                    // vote is its recomputation of sample j, token j·k.
+                    let mut value = if i == 0 { next[0] } else { next[1] * k };
+                    if rng.next_inclusive(31) == 0 {
+                        value ^= 1 << 40;
+                    }
+                    let token = Token::new(next[i], TimeNs::from_ms(step), Payload::U64(value));
+                    let o = s.try_write(i, token, now);
+                    if !matches!(o, WriteOutcome::Blocked(_)) {
+                        next[i] += 1;
+                    }
+                    write!(out, "s{i}:{}", write_label(&o)).unwrap();
+                }
+                _ => write!(out, "c:{}", read_label(&s.try_read(0, now))).unwrap(),
+            }
+            for i in 0..2 {
+                latched |= r.fault(i).is_some() || s.fault(i).is_some();
+                write!(
+                    out,
+                    " rf{i}={} sf{i}={} c{i}={} rfill{i}={} rmax{i}={} rx{i}={} sp{i}={}",
+                    latch_label(r.fault(i)),
+                    latch_label(s.fault(i)),
+                    r.consumed(i),
+                    r.fill(i),
+                    r.max_fill(i),
+                    s.ledger().received(i),
+                    s.ledger().space(i),
+                )
+                .unwrap();
+            }
+            let p = s.policy();
+            writeln!(
+                out,
+                " rh={} drop={} sh={} fill={} enq={} dis={} smp={} ver={} mis={} lag={}",
+                r.healthy_count(),
+                r.dropped(),
+                s.healthy_count(),
+                s.fill(0),
+                s.enqueued(),
+                s.discarded(),
+                p.samples(),
+                p.verified(),
+                p.mismatches(),
+                p.checker_lag(),
+            )
+            .unwrap();
+        }
+        assert!(
+            latched,
+            "k={k} caps={caps:?} d={d:?}: episode {episode} never latched"
+        );
+    }
+    out
+}
+
+/// (d) 90 000 operations over the sampled-checker channels: strides 1, 2
+/// and 4, three capacity shapes, and the sampled threshold `D_s` off, 1, 2
+/// and 3.
+#[test]
+fn sampled_op_transcripts_are_pinned() {
+    let mut cells = Vec::new();
+    for k in [1, 2, 4] {
+        for caps in OP_CAPS {
+            for d in [None, Some(1), Some(2), Some(3)] {
+                let t = sampled_transcript(k, caps, d, 0x5A3B_1ED0 + cells.len() as u64);
+                cells.push((format!("sampled/k{k}/{caps:?}/{d:?}"), fnv1a(t.as_bytes())));
+            }
+        }
+    }
+    assert_eq!(fold_cells(&cells), 0x8B8D_35B3_A6CD_12C8);
 }
