@@ -27,8 +27,7 @@
 //!
 //! Everything is seed-driven: the same `(campaign_seed, count)` produces a
 //! byte-identical [`CampaignReport::to_json`]. Wall-clock validation lives
-//! in the separate [`threaded`] spot checks, and [`chaos_under_load`]
-//! replays faulty tenants through the `rtft-fleet` executor.
+//! in the separate [`threaded`] spot checks.
 //!
 //! The [`net`] module extends the sweep to the *network* dimension:
 //! [`run_net_chaos`] drives a live `rtft-serve` server with hundreds of
@@ -50,7 +49,6 @@
 
 mod bounds;
 mod campaign;
-mod load;
 pub mod net;
 pub mod replay;
 mod runner;
@@ -60,7 +58,6 @@ pub mod threaded;
 
 pub use bounds::BoundCheck;
 pub use campaign::{Campaign, CampaignReport};
-pub use load::chaos_under_load;
 pub use net::{
     generate_net_scenarios, run_net_chaos, soak_net_chaos, NetChaosConfig, NetChaosReport,
     NetFaultKind, NetOutcome, NetScenario, NetScenarioOutcome, NetSoakReport,

@@ -118,7 +118,7 @@ pub fn chaos_with_tenants(seed: u64, shards: usize, detach_mid: bool) -> TenantC
             .expect("under in-flight cap");
         // Fail-stop: the timing selector of a duplicated pair detects
         // timing faults (value corruption is the voting structure's
-        // domain, exercised by `chaos_under_load`).
+        // domain, exercised by the campaign's voting scenarios).
         let fault = (i == FAULTY_TENANT && round == 0)
             .then(|| (1usize, FaultPlan::fail_stop_at(TimeNs::from_ms(80))));
         let job = spec(

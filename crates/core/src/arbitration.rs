@@ -7,8 +7,9 @@
 //! instantiation of it:
 //!
 //! * [`ArbiterLedger`] — the replica-count-generic counter state: one
-//!   virtual queue per replica, the eq. (5) divergence latch, the §3.3
-//!   stall latch, and the delivery queue. It never looks at token *values*.
+//!   virtual queue per replica over the [`Latches`] book of received
+//!   counts, the §3.3 stall latch, and the delivery queue. It never looks
+//!   at token *values*.
 //! * [`ComparePolicy`] — the pluggable arbitration rule. A policy sees each
 //!   healthy replica's next token together with the ledger and decides what
 //!   to admit, deliver and discard, and which replicas to latch for
@@ -27,8 +28,9 @@
 //!   the policy. `Selector`, `NSelector`, `VotingSelector` and
 //!   `HeteroSelector` are type aliases of its instantiations.
 //!
-//! Every latch, at a selector or a replicator, is one [`ArbFault`]; the
-//! channels are read back uniformly through [`Arbiter`].
+//! Every channel, replicator or selector, keeps its detector state in one
+//! [`Latches`] book: per-replica counts and [`ArbFault`] latches, and the
+//! one eq. (5) divergence rule. [`as_arbiter`] reads it back uniformly.
 
 use crate::obs::DetectionObs;
 use rtft_kpn::{ChannelBehavior, ReadOutcome, Token, WriteOutcome};
@@ -84,32 +86,174 @@ pub struct ArbFault {
     pub group: Option<u64>,
 }
 
-/// The compare-policy-agnostic counter state of a selector: per-replica
-/// received counts and virtual capacities, the shared delivery queue, and
-/// the two counter-based timing detectors of §3.3/eq. (5).
+/// The detector state of one arbitration channel, replicator or selector:
+/// per replica interface a token count and a latch, the healthy count, and
+/// the eq. (5) rule "latch whoever is `D` behind" (§3.3). Every channel
+/// keeps one; [`as_arbiter`] reads it back from a type-erased channel.
+///
+/// The count is tokens *consumed* at a replicator and *received* at a
+/// selector. A sampled checker's interface `0` carries every token and
+/// interface `1` every `k`-th, so the divergence rule compares interface
+/// `0` at `⌈count / k⌉` (`k = 1` everywhere else).
+#[derive(Debug)]
+pub struct Latches {
+    rows: Vec<Row>,
+    healthy: usize,
+    threshold: Option<u64>,
+    stride: u64,
+    at_replicator: bool,
+    obs: Option<DetectionObs>,
+}
+
+/// One replica interface's row of the book.
+#[derive(Debug)]
+struct Row {
+    count: u64,
+    fault: Option<ArbFault>,
+}
+
+impl Latches {
+    /// A book of `n` healthy rows with divergence threshold `D` (`None`
+    /// disables the rule) and interface `0`'s sample stride.
+    pub(crate) fn new(n: usize, threshold: Option<u64>, stride: u64, at_replicator: bool) -> Self {
+        Latches {
+            rows: (0..n)
+                .map(|_| Row {
+                    count: 0,
+                    fault: None,
+                })
+                .collect(),
+            healthy: n,
+            threshold,
+            stride,
+            at_replicator,
+            obs: None,
+        }
+    }
+
+    /// Bytes of one row on the heap (count and latch record).
+    pub(crate) const ROW_BYTES: usize = std::mem::size_of::<Row>();
+
+    /// Latch record of replica `i`.
+    pub fn latched(&self, i: usize) -> Option<ArbFault> {
+        self.rows[i].fault
+    }
+
+    /// Latch records of every replica, in interface order.
+    pub fn latches(&self) -> Vec<Option<ArbFault>> {
+        self.rows.iter().map(|r| r.fault).collect()
+    }
+
+    /// Earliest latch instant over all replicas, if any latched.
+    pub fn first_latch(&self) -> Option<TimeNs> {
+        self.rows.iter().filter_map(|r| r.fault.map(|f| f.at)).min()
+    }
+
+    /// Number of replicas still healthy.
+    pub fn healthy_count(&self) -> usize {
+        self.healthy
+    }
+
+    /// Indices of the replicas currently latched faulty, ascending.
+    pub fn faulty_indices(&self) -> impl Iterator<Item = usize> + '_ {
+        self.rows
+            .iter()
+            .enumerate()
+            .filter_map(|(i, r)| r.fault.map(|_| i))
+    }
+
+    /// Tokens counted on interface `i` so far.
+    pub fn count(&self, i: usize) -> u64 {
+        self.rows[i].count
+    }
+
+    /// Interface `0`'s sample stride.
+    pub(crate) fn stride(&self) -> u64 {
+        self.stride
+    }
+
+    /// Whether each row is unlatched, in interface order.
+    pub(crate) fn healthy_rows(&self) -> impl Iterator<Item = bool> + '_ {
+        self.rows.iter().map(|r| r.fault.is_none())
+    }
+
+    /// Mirrors every later latch into `obs`; the latch stays the source of
+    /// truth.
+    pub(crate) fn attach_obs(&mut self, obs: DetectionObs) {
+        self.obs = Some(obs);
+    }
+
+    /// Counts interface `i`'s next token and returns its index.
+    pub(crate) fn note(&mut self, i: usize) -> u64 {
+        let count = &mut self.rows[i].count;
+        *count += 1;
+        *count - 1
+    }
+
+    /// Latches replica `i` (first cause wins; re-latching is a no-op).
+    pub(crate) fn latch(
+        &mut self,
+        i: usize,
+        cause: ArbFaultCause,
+        group: Option<u64>,
+        now: TimeNs,
+    ) {
+        if self.rows[i].fault.is_none() {
+            self.rows[i].fault = Some(ArbFault {
+                at: now,
+                cause,
+                group,
+            });
+            self.healthy -= 1;
+            if let Some(obs) = &self.obs {
+                obs.on_detection(i, cause.site(self.at_replicator), now);
+            }
+        }
+    }
+
+    /// The eq. (5) divergence latch, run after `mover`'s count moved: any
+    /// healthy replica whose normalised count is `D` behind the mover's.
+    /// Only the mover's count moved, by at most one, so only the mover can
+    /// have opened a gap; the front-runner itself — and the last healthy
+    /// replica — are never latched.
+    pub(crate) fn check_divergence(&mut self, mover: usize, now: TimeNs) {
+        let Some(d) = self.threshold else {
+            return;
+        };
+        if self.rows[mover].fault.is_some() {
+            return;
+        }
+        // Interface 0 at ⌈count / stride⌉, divided once per check and only
+        // by the sampled checker.
+        let head = match self.stride {
+            1 => self.rows[0].count,
+            k => self.rows[0].count.div_ceil(k),
+        };
+        let normalised = move |i: usize, r: &Row| if i == 0 { head } else { r.count };
+        let lead = normalised(mover, &self.rows[mover]);
+        for i in 0..self.rows.len() {
+            let r = &self.rows[i];
+            if self.healthy > 1 && r.fault.is_none() && lead >= normalised(i, r) + d {
+                self.latch(i, ArbFaultCause::Divergence, None, now);
+            }
+        }
+    }
+}
+
+/// The compare-policy-agnostic state of a selector: the [`Latches`] book
+/// over received counts, per-replica virtual capacities, the shared
+/// delivery queue, and the §3.3 stall rule.
 #[derive(Debug)]
 pub struct ArbiterLedger {
     name: String,
     queue: VecDeque<Token>,
-    replicas: Vec<ReplicaCounters>,
-    healthy: usize,
+    capacity: Vec<usize>,
+    latches: Latches,
     reads: u64,
     enqueued: u64,
     discarded: u64,
     max_fill: usize,
-    divergence_threshold: Option<u64>,
     stall_slack: Option<u64>,
-    obs: Option<DetectionObs>,
-}
-
-/// One replica's row of the ledger.
-#[derive(Debug)]
-struct ReplicaCounters {
-    /// Virtual-queue capacity `|S_i|`.
-    capacity: usize,
-    /// Tokens received over this write interface.
-    received: u64,
-    fault: Option<ArbFault>,
 }
 
 impl ArbiterLedger {
@@ -143,56 +287,46 @@ impl ArbiterLedger {
         ArbiterLedger {
             name: name.into(),
             queue: VecDeque::with_capacity(physical),
-            healthy: capacity.len(),
-            replicas: capacity
-                .into_iter()
-                .map(|capacity| ReplicaCounters {
-                    capacity,
-                    received: 0,
-                    fault: None,
-                })
-                .collect(),
+            latches: Latches::new(capacity.len(), divergence_threshold, 1, false),
+            capacity,
             reads: 0,
             enqueued: 0,
             discarded: 0,
             max_fill: 0,
-            divergence_threshold,
             stall_slack,
-            obs: None,
         }
     }
 
-    /// Bytes of per-replica counter state the ledger keeps on the heap
-    /// (capacity, received count, latch record) — the part of a selector's
-    /// footprint `size_of` does not see.
-    pub(crate) const PER_REPLICA_BYTES: usize = std::mem::size_of::<ReplicaCounters>();
+    /// Compares interface `0` at `⌈received / k⌉` in the divergence rule
+    /// (the sampled checker's full-rate main).
+    pub(crate) fn with_stride(mut self, k: u64) -> Self {
+        self.latches.stride = k;
+        self
+    }
+
+    /// Bytes of per-replica state the ledger keeps on the heap (capacity
+    /// and the book's row) — the part of a selector's footprint `size_of`
+    /// does not see.
+    pub(crate) const PER_REPLICA_BYTES: usize = std::mem::size_of::<usize>() + Latches::ROW_BYTES;
 
     /// The channel's diagnostic name.
     pub fn name(&self) -> &str {
         &self.name
     }
 
+    /// The detector book: received counts and latches.
+    pub fn latches(&self) -> &Latches {
+        &self.latches
+    }
+
+    /// The mutable book, for policies that latch on values.
+    pub(crate) fn latches_mut(&mut self) -> &mut Latches {
+        &mut self.latches
+    }
+
     /// Number of replica (write) interfaces.
     pub fn replica_count(&self) -> usize {
-        self.replicas.len()
-    }
-
-    /// Fault record of replica `i`, if latched.
-    pub fn fault(&self, i: usize) -> Option<ArbFault> {
-        self.replicas[i].fault
-    }
-
-    /// Number of replicas still healthy.
-    pub fn healthy_count(&self) -> usize {
-        self.healthy
-    }
-
-    /// Indices of the replicas currently latched faulty, ascending.
-    pub fn faulty_indices(&self) -> impl Iterator<Item = usize> + '_ {
-        self.replicas
-            .iter()
-            .enumerate()
-            .filter_map(|(i, r)| r.fault.map(|_| i))
+        self.capacity.len()
     }
 
     /// Tokens delivered to the consumer so far.
@@ -214,18 +348,12 @@ impl ArbiterLedger {
     /// Tokens received on interface `i` so far (the replica's next write is
     /// its entry for duplicate group `received(i)`).
     pub fn received(&self, i: usize) -> u64 {
-        self.replicas[i].received
-    }
-
-    /// The divergence threshold `D` the ledger latches on, if enabled.
-    pub fn threshold(&self) -> Option<u64> {
-        self.divergence_threshold
+        self.latches.count(i)
     }
 
     /// The `space_i` counter (capacity − received + reads).
     pub fn space(&self, i: usize) -> i64 {
-        let r = &self.replicas[i];
-        r.capacity as i64 - r.received as i64 + self.reads as i64
+        self.capacity[i] as i64 - self.latches.count(i) as i64 + self.reads as i64
     }
 
     /// Tokens waiting in the one physical consumer queue.
@@ -236,30 +364,13 @@ impl ArbiterLedger {
     /// Size of the physical consumer queue: the largest virtual capacity
     /// (§3.1 selector rule 1).
     pub fn physical_capacity(&self) -> usize {
-        self.replicas.iter().map(|r| r.capacity).max().unwrap_or(0)
-    }
-
-    /// Latches replica `i` (first cause wins; re-latching is a no-op).
-    pub fn latch(&mut self, i: usize, cause: ArbFaultCause, group: Option<u64>, now: TimeNs) {
-        if self.replicas[i].fault.is_none() {
-            self.replicas[i].fault = Some(ArbFault {
-                at: now,
-                cause,
-                group,
-            });
-            self.healthy -= 1;
-            if let Some(obs) = &self.obs {
-                obs.on_detection(i, cause.site(false), now);
-            }
-        }
+        self.capacity.iter().copied().max().unwrap_or(0)
     }
 
     /// Counts replica `i`'s next write and returns its duplicate-group
     /// index.
     pub fn note_received(&mut self, i: usize) -> u64 {
-        let received = &mut self.replicas[i].received;
-        *received += 1;
-        *received - 1
+        self.latches.note(i)
     }
 
     /// Pushes a token onto the consumer queue.
@@ -272,29 +383,8 @@ impl ArbiterLedger {
     /// Counts a token that was consumed without delivery.
     pub fn discard(&mut self) {
         self.discarded += 1;
-        if let Some(obs) = &self.obs {
+        if let Some(obs) = &self.latches.obs {
             obs.on_duplicate_discarded();
-        }
-    }
-
-    /// The eq. (5) divergence latch, run after `writer`'s write was
-    /// counted: any healthy replica whose received count is `D` behind it.
-    /// Only the writer's count moved, so only the writer can have opened a
-    /// gap; the front-runner itself — and the last healthy replica — are
-    /// never latched.
-    pub fn check_divergence(&mut self, writer: usize, now: TimeNs) {
-        let Some(d) = self.divergence_threshold else {
-            return;
-        };
-        if self.replicas[writer].fault.is_some() {
-            return;
-        }
-        let lead = self.replicas[writer].received;
-        for i in 0..self.replicas.len() {
-            let r = &self.replicas[i];
-            if self.healthy > 1 && r.fault.is_none() && lead >= r.received + d {
-                self.latch(i, ArbFaultCause::Divergence, None, now);
-            }
         }
     }
 
@@ -305,10 +395,11 @@ impl ArbiterLedger {
         let Some(slack) = self.stall_slack else {
             return;
         };
-        for i in 0..self.replicas.len() {
-            let r = &self.replicas[i];
-            if self.healthy > 1 && r.fault.is_none() && self.reads > r.received + slack {
-                self.latch(i, ArbFaultCause::Stall, None, now);
+        let l = &mut self.latches;
+        for i in 0..l.rows.len() {
+            let r = &l.rows[i];
+            if l.healthy > 1 && r.fault.is_none() && self.reads > r.count + slack {
+                l.latch(i, ArbFaultCause::Stall, None, now);
             }
         }
     }
@@ -328,8 +419,8 @@ impl ArbiterLedger {
 /// A pluggable group-arbitration rule over the [`ArbiterLedger`].
 ///
 /// [`PolicySelector::try_write`] handles the policy-independent preamble
-/// (latched-interface writes) and postlude (the divergence check); the
-/// policy decides admission and everything value- and group-related in
+/// (latched-interface writes) and postlude (the book's divergence check);
+/// the policy decides admission and everything value- and group-related in
 /// between.
 pub trait ComparePolicy: std::fmt::Debug + Send + 'static {
     /// Arbitrates one healthy, admitted write: count it via
@@ -354,13 +445,6 @@ pub trait ComparePolicy: std::fmt::Debug + Send + 'static {
     ) -> WriteOutcome {
         ledger.discard();
         WriteOutcome::AcceptedDropped
-    }
-
-    /// The post-write divergence check. Policies whose interfaces legally
-    /// run at different rates (sampled checking) override this with a
-    /// rate-normalised rule.
-    fn check_divergence(&mut self, ledger: &mut ArbiterLedger, iface: usize, now: TimeNs) {
-        ledger.check_divergence(iface, now);
     }
 
     /// Flow control: whether a healthy interface's write is admitted now
@@ -435,12 +519,12 @@ impl<P: ComparePolicy> PolicySelector<P> {
 
     /// Number of replicas still healthy.
     pub fn healthy_count(&self) -> usize {
-        self.ledger.healthy_count()
+        self.ledger.latches.healthy_count()
     }
 
     /// Indices of the replicas currently latched faulty, ascending.
     pub fn faulty_indices(&self) -> impl Iterator<Item = usize> + '_ {
-        self.ledger.faulty_indices()
+        self.ledger.latches.faulty_indices()
     }
 
     /// Tokens delivered to the consumer so far.
@@ -455,13 +539,13 @@ impl<P: ComparePolicy> PolicySelector<P> {
 
     /// Fault record of replica `i`, if latched.
     pub fn fault(&self, i: usize) -> Option<ArbFault> {
-        self.ledger.fault(i)
+        self.ledger.latches.latched(i)
     }
 }
 
 impl<P: ComparePolicy> ChannelBehavior for PolicySelector<P> {
     fn try_write(&mut self, iface: usize, token: Token, now: TimeNs) -> WriteOutcome {
-        if self.ledger.fault(iface).is_some() {
+        if self.ledger.latches.latched(iface).is_some() {
             return self
                 .policy
                 .latched_write(&mut self.ledger, iface, token, now);
@@ -470,7 +554,7 @@ impl<P: ComparePolicy> ChannelBehavior for PolicySelector<P> {
             return WriteOutcome::Blocked(token);
         }
         let outcome = self.policy.arbitrate(&mut self.ledger, iface, token, now);
-        self.policy.check_divergence(&mut self.ledger, iface, now);
+        self.ledger.latches.check_divergence(iface, now);
         outcome
     }
 
@@ -492,7 +576,7 @@ impl<P: ComparePolicy> ChannelBehavior for PolicySelector<P> {
     }
 
     fn capacity(&self, iface: usize) -> usize {
-        self.ledger.replicas[iface.min(self.ledger.replicas.len() - 1)].capacity
+        self.ledger.capacity[iface.min(self.ledger.capacity.len() - 1)]
     }
 
     fn max_fill(&self, _iface: usize) -> usize {
@@ -512,99 +596,60 @@ impl<P: ComparePolicy> ChannelBehavior for PolicySelector<P> {
     }
 }
 
-/// Uniform introspection over every arbitration channel — replicators and
-/// selectors of any structure. The `rtft-chaos` scenario runner and the
-/// `rtft-bench` Table 2 campaign read latches through this (via
-/// [`as_arbiter`]) instead of per-type downcasts, and
-/// [`instrument`](crate::instrument) attaches one [`DetectionObs`] to both
-/// channels of any structure through it.
-pub trait Arbiter {
-    /// Number of replica-facing interfaces.
-    fn replica_ifaces(&self) -> usize;
-
-    /// Latch record of replica `i`.
-    fn latched(&self, i: usize) -> Option<ArbFault>;
-
-    /// Attaches observability: each fault latch is mirrored into the
-    /// handles' [`HealthModel`](rtft_obs::HealthModel) as it happens (a
-    /// selector also counts every token it consumes without delivery).
-    /// Detection semantics are unchanged — the latch stays the source of
-    /// truth.
-    fn attach_obs(&mut self, obs: DetectionObs);
-
-    /// Latch records of every replica, in interface order.
-    fn latches(&self) -> Vec<Option<ArbFault>> {
-        (0..self.replica_ifaces())
-            .map(|i| self.latched(i))
-            .collect()
-    }
-
-    /// Earliest latch instant over all replicas, if any latched.
-    fn first_latch(&self) -> Option<TimeNs> {
-        (0..self.replica_ifaces())
-            .filter_map(|i| self.latched(i).map(|f| f.at))
-            .min()
-    }
+/// One arbitration channel type's path to its [`Latches`], behind a
+/// downcast.
+struct Book {
+    view: fn(&dyn Any) -> Option<&Latches>,
+    view_mut: fn(&mut dyn Any) -> Option<&mut Latches>,
 }
 
-impl<P: ComparePolicy> Arbiter for PolicySelector<P> {
-    fn replica_ifaces(&self) -> usize {
-        self.ledger.replica_count()
-    }
-
-    fn latched(&self, i: usize) -> Option<ArbFault> {
-        self.ledger.fault(i)
-    }
-
-    fn attach_obs(&mut self, obs: DetectionObs) {
-        self.ledger.obs = Some(obs);
-    }
-}
-
-/// One concrete arbitration channel type, as its two [`Arbiter`] views.
-struct ArbiterType {
-    view: fn(&dyn Any) -> Option<&dyn Arbiter>,
-    view_mut: fn(&mut dyn Any) -> Option<&mut dyn Arbiter>,
-}
-
-impl ArbiterType {
-    const fn of<T: Arbiter + 'static>() -> ArbiterType {
-        fn view<T: Arbiter + 'static>(any: &dyn Any) -> Option<&dyn Arbiter> {
-            any.downcast_ref::<T>().map(|c| c as &dyn Arbiter)
-        }
-        fn view_mut<T: Arbiter + 'static>(any: &mut dyn Any) -> Option<&mut dyn Arbiter> {
-            any.downcast_mut::<T>().map(|c| c as &mut dyn Arbiter)
-        }
-        ArbiterType {
-            view: view::<T>,
-            view_mut: view_mut::<T>,
+impl Book {
+    const fn selector<P: ComparePolicy>() -> Book {
+        Book {
+            view: |any| Some(&any.downcast_ref::<PolicySelector<P>>()?.ledger.latches),
+            view_mut: |any| Some(&mut any.downcast_mut::<PolicySelector<P>>()?.ledger.latches),
         }
     }
 }
 
 /// The crate's arbitration channels: the one list both views search.
-const ARBITERS: [ArbiterType; 6] = [
-    ArbiterType::of::<crate::Replicator>(),
-    ArbiterType::of::<crate::Selector>(),
-    ArbiterType::of::<crate::NSelector>(),
-    ArbiterType::of::<crate::VotingSelector>(),
-    ArbiterType::of::<crate::SampledReplicator>(),
-    ArbiterType::of::<crate::HeteroSelector>(),
+const BOOKS: [Book; 6] = [
+    Book {
+        view: |any| Some(any.downcast_ref::<crate::Replicator>()?.latches()),
+        view_mut: |any| Some(any.downcast_mut::<crate::Replicator>()?.latches_mut()),
+    },
+    Book {
+        view: |any| Some(any.downcast_ref::<crate::SampledReplicator>()?.latches()),
+        view_mut: |any| {
+            Some(
+                any.downcast_mut::<crate::SampledReplicator>()?
+                    .latches_mut(),
+            )
+        },
+    },
+    Book::selector::<crate::PaperPair>(),
+    Book::selector::<FirstOfGroup>(),
+    Book::selector::<crate::voting::MajorityVote>(),
+    Book::selector::<crate::SampledCheck>(),
 ];
 
-/// Views a network channel as an [`Arbiter`], if it is one of the crate's
+/// The detector book of a network channel, if it is one of the crate's
 /// arbitration channels (`None` for plain FIFOs and foreign channels).
-pub fn as_arbiter(channel: &dyn ChannelBehavior) -> Option<&dyn Arbiter> {
+/// The `rtft-chaos` scenario runner and the `rtft-bench` Table 2 campaign
+/// read latches through this instead of per-type downcasts.
+pub fn as_arbiter(channel: &dyn ChannelBehavior) -> Option<&Latches> {
     let any = channel.as_any();
-    ARBITERS.iter().find_map(|t| (t.view)(any))
+    BOOKS.iter().find_map(|b| (b.view)(any))
 }
 
-/// The mutable [`as_arbiter`].
-pub(crate) fn as_arbiter_mut(channel: &mut dyn ChannelBehavior) -> Option<&mut dyn Arbiter> {
-    let t = ARBITERS
+/// The mutable [`as_arbiter`], through which
+/// [`instrument`](crate::instrument) attaches one [`DetectionObs`] to both
+/// channels of any structure.
+pub(crate) fn as_arbiter_mut(channel: &mut dyn ChannelBehavior) -> Option<&mut Latches> {
+    let b = BOOKS
         .iter()
-        .find(|t| (t.view)(channel.as_any()).is_some())?;
-    (t.view_mut)(channel.as_any_mut())
+        .find(|b| (b.view)(channel.as_any()).is_some())?;
+    (b.view_mut)(channel.as_any_mut())
 }
 
 #[cfg(test)]
@@ -660,7 +705,7 @@ mod tests {
         assert_eq!(f.cause.site(false), DetectionSite::SelectorDivergence);
         assert!(s.fault(0).is_none(), "front-runner never latched");
         assert_eq!(s.healthy_count(), 1);
-        // Arbiter-trait view agrees, also through the type-erased channel.
+        // The book reads the same through the type-erased channel.
         let arb = as_arbiter(&s).expect("a selector is an arbiter");
         assert_eq!(arb.latches(), vec![None, Some(f)]);
         assert_eq!(arb.first_latch(), Some(TimeNs::from_ms(2)));

@@ -230,9 +230,8 @@ impl DuplicationConfig {
 }
 
 /// Ids of the interesting pieces of a built redundancy structure — the
-/// paper's duplicated network or any of its generalisations
-/// ([`NModularIds`](crate::NModularIds) and [`HeteroIds`](crate::HeteroIds)
-/// are this type).
+/// paper's duplicated network or any of its generalisations (every
+/// `build_*` function returns this type).
 #[derive(Debug, Clone)]
 pub struct DuplicatedIds {
     /// The replicator channel.

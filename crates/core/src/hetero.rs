@@ -35,11 +35,10 @@
 //! clock.
 
 use crate::arbitration::{
-    ArbFault, ArbFaultCause, Arbiter, ArbiterLedger, ComparePolicy, PolicySelector,
+    ArbFault, ArbFaultCause, ArbiterLedger, ComparePolicy, Latches, PolicySelector,
 };
 use crate::builder::{assemble, Assembly};
 use crate::fault::FaultPlan;
-use crate::obs::DetectionObs;
 use rtft_kpn::{ChannelBehavior, Network, NodeId, PortId, ReadOutcome, Token, WriteOutcome};
 use rtft_rtc::detection::{sampled_stream_model, HeteroBounds};
 use rtft_rtc::{sizing, CurveAnalysisError, PjdModel, TimeNs};
@@ -154,20 +153,17 @@ impl HeteroSizingReport {
 /// Replicator channel of the sampled-checker structure: one write
 /// interface; read interface `0` = main (full stream), read interface `1`
 /// = checker (every `k`-th token). The §3.3 overflow latch applies per
-/// queue; consumption divergence is checked on *sample-normalised* counts.
+/// queue; consumption divergence is checked on *sample-normalised* counts
+/// (the book's stride is `k`).
 #[derive(Debug)]
 pub struct SampledReplicator {
     name: String,
     queues: [VecDeque<Token>; 2],
     capacity: [usize; 2],
     max_fill: [usize; 2],
-    consumed: [u64; 2],
     writes: u64,
     dropped: u64,
-    fault: [Option<ArbFault>; 2],
-    k: u64,
-    divergence_threshold: Option<u64>,
-    obs: Option<DetectionObs>,
+    latches: Latches,
 }
 
 impl SampledReplicator {
@@ -194,13 +190,9 @@ impl SampledReplicator {
             queues: [VecDeque::new(), VecDeque::new()],
             capacity,
             max_fill: [0; 2],
-            consumed: [0; 2],
             writes: 0,
             dropped: 0,
-            fault: [None, None],
-            k,
-            divergence_threshold,
-            obs: None,
+            latches: Latches::new(2, divergence_threshold, k, true),
         }
     }
 
@@ -209,26 +201,21 @@ impl SampledReplicator {
         &self.name
     }
 
-    /// The sampling stride `k`.
-    pub fn k(&self) -> u64 {
-        self.k
-    }
-
     /// Fault record of side `i` (`0` = main, `1` = checker), if latched.
     pub fn fault(&self, i: usize) -> Option<ArbFault> {
-        self.fault[i]
+        self.latches.latched(i)
     }
 
     /// Number of sides still healthy.
     pub fn healthy_count(&self) -> usize {
-        self.fault.iter().filter(|f| f.is_none()).count()
+        self.latches.healthy_count()
     }
 
     /// Tokens consumed from side `i` so far — the structure's compute-cost
     /// meter: `consumed(0) + consumed(1)` is the total stage work, versus
     /// `2 × tokens` for the duplicated structure.
     pub fn consumed(&self, i: usize) -> u64 {
-        self.consumed[i]
+        self.latches.count(i)
     }
 
     /// Producer writes swallowed because the main side was already latched.
@@ -236,54 +223,36 @@ impl SampledReplicator {
         self.dropped
     }
 
-    fn latch(&mut self, i: usize, cause: ArbFaultCause, now: TimeNs) {
-        self.fault[i] = Some(ArbFault {
-            at: now,
-            cause,
-            group: None,
-        });
-        if let Some(obs) = &self.obs {
-            obs.on_detection(i, cause.site(true), now);
-        }
+    /// The detector book: consumed counts and latches.
+    pub fn latches(&self) -> &Latches {
+        &self.latches
     }
 
-    fn check_divergence(&mut self, now: TimeNs) {
-        let Some(d) = self.divergence_threshold else {
-            return;
-        };
-        if self.healthy_count() < 2 {
-            return;
-        }
-        // Sample-normalised consumption: the main has worked through
-        // `ceil(c₀ / k)` samples, the checker through `c₁`.
-        let s = [self.consumed[0].div_ceil(self.k), self.consumed[1]];
-        for i in 0..2 {
-            if self.fault[i].is_none() && s[1 - i].saturating_sub(s[i]) >= d {
-                self.latch(i, ArbFaultCause::Divergence, now);
-            }
-        }
+    pub(crate) fn latches_mut(&mut self) -> &mut Latches {
+        &mut self.latches
     }
 }
 
 impl ChannelBehavior for SampledReplicator {
+    #[inline]
     fn try_write(&mut self, iface: usize, token: Token, now: TimeNs) -> WriteOutcome {
         assert_eq!(iface, 0, "sampled replicator has a single write interface");
-        let targets = [true, self.writes.is_multiple_of(self.k)];
+        let targets = [true, self.writes.is_multiple_of(self.latches.stride())];
         // §3.3 overflow latch per full, healthy, targeted queue — never the
         // last healthy side.
         for (i, &targeted) in targets.iter().enumerate() {
             if targeted
-                && self.fault[i].is_none()
                 && self.queues[i].len() >= self.capacity[i]
-                && self.healthy_count() > 1
+                && self.latches.latched(i).is_none()
+                && self.latches.healthy_count() > 1
             {
-                self.latch(i, ArbFaultCause::Overflow, now);
+                self.latches.latch(i, ArbFaultCause::Overflow, None, now);
             }
         }
         let mut delivered = false;
         let mut healthy_full = false;
         for (i, &targeted) in targets.iter().enumerate() {
-            if targeted && self.fault[i].is_none() {
+            if targeted && self.latches.latched(i).is_none() {
                 if self.queues[i].len() < self.capacity[i] {
                     self.queues[i].push_back(token.clone());
                     self.max_fill[i] = self.max_fill[i].max(self.queues[i].len());
@@ -310,12 +279,13 @@ impl ChannelBehavior for SampledReplicator {
         }
     }
 
+    #[inline]
     fn try_read(&mut self, iface: usize, now: TimeNs) -> ReadOutcome {
         assert!(iface < 2, "sampled replicator has two read interfaces");
         match self.queues[iface].pop_front() {
             Some(t) => {
-                self.consumed[iface] += 1;
-                self.check_divergence(now);
+                self.latches.note(iface);
+                self.latches.check_divergence(iface, now);
                 ReadOutcome::Token(t)
             }
             None => ReadOutcome::Blocked,
@@ -352,20 +322,6 @@ impl ChannelBehavior for SampledReplicator {
 
     fn as_any_mut(&mut self) -> &mut dyn Any {
         self
-    }
-}
-
-impl Arbiter for SampledReplicator {
-    fn replica_ifaces(&self) -> usize {
-        2
-    }
-
-    fn latched(&self, i: usize) -> Option<ArbFault> {
-        self.fault[i]
-    }
-
-    fn attach_obs(&mut self, obs: DetectionObs) {
-        self.obs = Some(obs);
     }
 }
 
@@ -443,7 +399,9 @@ impl SampledCheck {
             self.mismatches += 1;
             // The checker is the trusted side: a disagreement convicts the
             // full-rate main replica.
-            ledger.latch(0, ArbFaultCause::ValueMismatch, Some(sample * self.k), now);
+            ledger
+                .latches_mut()
+                .latch(0, ArbFaultCause::ValueMismatch, Some(sample * self.k), now);
         }
     }
 }
@@ -474,7 +432,7 @@ impl ComparePolicy for SampledCheck {
             // Once the main is latched no further samples will arrive, so
             // the digest is not worth holding.
             self.votes += 1;
-            if ledger.fault(0).is_none() {
+            if ledger.latches().latched(0).is_none() {
                 self.checker_digest.insert(group, token.payload.digest());
             }
             ledger.discard();
@@ -500,24 +458,6 @@ impl ComparePolicy for SampledCheck {
         } else {
             ledger.discard();
             WriteOutcome::AcceptedDropped
-        }
-    }
-
-    fn check_divergence(&mut self, ledger: &mut ArbiterLedger, _iface: usize, now: TimeNs) {
-        // Rate-normalised divergence on *sample* counters: main has passed
-        // ceil(r₀ / k) samples, the checker has voted r₁ times. The raw
-        // ledger rule would insta-latch the k×-slower checker.
-        let Some(d) = ledger.threshold() else {
-            return;
-        };
-        if ledger.healthy_count() < 2 {
-            return;
-        }
-        let s = [ledger.received(0).div_ceil(self.k), ledger.received(1)];
-        for i in 0..2 {
-            if ledger.fault(i).is_none() && s[1 - i].saturating_sub(s[i]) >= d {
-                ledger.latch(i, ArbFaultCause::Divergence, None, now);
-            }
         }
     }
 
@@ -550,10 +490,12 @@ impl HeteroSelector {
         d_s: u64,
         k: u64,
     ) -> Self {
-        PolicySelector::from_parts(
-            ArbiterLedger::new(name, vec![main_capacity, checker_capacity], Some(d_s), None),
-            SampledCheck::new(k),
-        )
+        // Divergence on *sample* counters: main has passed ⌈r₀ / k⌉
+        // samples, the checker has voted r₁ times. At stride 1 the ledger
+        // rule would insta-latch the k×-slower checker.
+        let ledger =
+            ArbiterLedger::new(name, vec![main_capacity, checker_capacity], Some(d_s), None);
+        PolicySelector::from_parts(ledger.with_stride(k), SampledCheck::new(k))
     }
 }
 
@@ -617,14 +559,10 @@ impl crate::ReplicaFactory for HeteroStageReplica {
     }
 }
 
-/// Ids of a built hetero network: the same record the duplicated builder
-/// returns, with `replicas[0]` the main stage and `replicas[1]` the
-/// checker stage.
-pub type HeteroIds = crate::DuplicatedIds;
-
 /// Builds a hetero network: producer → sampled replicator → {main,
 /// checker} → hetero selector → consumer, with a fault plan per side
-/// (`faults[0]` = main, `faults[1]` = checker).
+/// (`faults[0]` = main, `faults[1]` = checker). The returned ids' `replicas[0]`
+/// is the main stage and `replicas[1]` the checker stage.
 ///
 /// # Panics
 ///
@@ -637,7 +575,7 @@ pub fn build_hetero(
     payload: crate::PayloadGenerator,
     factory: &dyn crate::ReplicaFactory,
     faults: &[FaultPlan; 2],
-) -> (Network, HeteroIds) {
+) -> (Network, crate::DuplicatedIds) {
     assert!(model.k > 0, "sampling stride must be positive");
     assemble(Assembly {
         replicator: Box::new(SampledReplicator::new(
@@ -684,7 +622,7 @@ mod tests {
         k: u64,
         tokens: u64,
         faults: [FaultPlan; 2],
-    ) -> (Network, HeteroIds, HeteroSizingReport) {
+    ) -> (Network, crate::DuplicatedIds, HeteroSizingReport) {
         let m = model(k);
         let sizing = HeteroSizingReport::analyze(&m).expect("bounded");
         let factory = HeteroStageReplica::from_model(&m).with_seed_base(7);
@@ -736,7 +674,7 @@ mod tests {
             .channel_as::<SampledReplicator>(ids.replicator)
             .expect("replicator");
         assert!(sel.fault(0).is_none(), "main never latched");
-        let latched = sel.fault(1).or(rep.latched(1));
+        let latched = sel.fault(1).or(rep.fault(1));
         assert!(latched.is_some(), "checker latched somewhere");
     }
 

@@ -28,9 +28,10 @@
 //! in its [`ComparePolicy`]: [`Selector`] (the paper's pair,
 //! [`PaperPair`]), [`NSelector`] ([`FirstOfGroup`]), [`VotingSelector`]
 //! (majority digest vote) and [`HeteroSelector`] (sampled checker, fed by
-//! the [`SampledReplicator`]). A latch at any of them is one [`ArbFault`],
-//! read back through [`Arbiter`] / [`as_arbiter`] and mirrored live into a
-//! `HealthModel` by [`instrument`]; the four `build_*`
+//! the [`SampledReplicator`]). Every one of them keeps its counts and
+//! latches in one [`Latches`] book; a latch is one [`ArbFault`], read back
+//! through [`as_arbiter`] and mirrored live into a `HealthModel` by
+//! [`instrument`]; the four `build_*`
 //! functions assemble the same producer → replicator → replicas →
 //! selector → consumer shape and return the same [`DuplicatedIds`].
 //!
@@ -90,7 +91,7 @@ mod voting;
 pub use rtft_kpn::{digest_bytes, Digest};
 
 pub use arbitration::{
-    as_arbiter, ArbFault, ArbFaultCause, Arbiter, ArbiterLedger, ComparePolicy, FirstOfGroup,
+    as_arbiter, ArbFault, ArbFaultCause, ArbiterLedger, ComparePolicy, FirstOfGroup, Latches,
     PolicySelector,
 };
 pub use builder::{
@@ -99,12 +100,11 @@ pub use builder::{
 };
 pub use fault::{CorruptionMode, FaultKind, FaultPlan, FaultTrigger, FaultyProcess};
 pub use hetero::{
-    build_hetero, HeteroIds, HeteroModel, HeteroSelector, HeteroSizingReport, HeteroStageReplica,
+    build_hetero, HeteroModel, HeteroSelector, HeteroSizingReport, HeteroStageReplica,
     SampledCheck, SampledReplicator,
 };
 pub use nmodular::{
-    build_n_modular, NJitterStageReplica, NModularIds, NModularModel, NReplicator, NSelector,
-    NSizingReport,
+    build_n_modular, NJitterStageReplica, NModularModel, NReplicator, NSelector, NSizingReport,
 };
 pub use obs::DetectionObs;
 pub use replicator::{Replicator, ReplicatorConfig};

@@ -222,10 +222,6 @@ impl crate::ReplicaFactory for NJitterStageReplica {
     }
 }
 
-/// Ids of a built n-modular network: the same record the duplicated
-/// builder returns, with one `replicas` entry per replica.
-pub type NModularIds = crate::DuplicatedIds;
-
 /// Builds an n-modular network: producer → n-replicator → `n` replicas →
 /// n-selector → consumer, with a fault plan per replica.
 ///
@@ -241,7 +237,7 @@ pub fn build_n_modular(
     payload: crate::PayloadGenerator,
     factory: &dyn crate::ReplicaFactory,
     faults: &[FaultPlan],
-) -> (Network, NModularIds) {
+) -> (Network, crate::DuplicatedIds) {
     assert!(
         model.replicas.len() >= 2,
         "n-modular redundancy needs at least two replicas"

@@ -3,7 +3,7 @@
 //! Every replicator and selector detects faults with pure counters and
 //! latches an [`ArbFault`](crate::ArbFault) — that part is the paper's
 //! contribution and stays untouched. This module adds an *optional*
-//! attachment ([`Arbiter::attach_obs`](crate::Arbiter::attach_obs), wired
+//! attachment to each channel's [`Latches`](crate::Latches) book (wired
 //! by [`instrument`](crate::instrument) for every structure) that mirrors
 //! each latch into an [`rtft_obs::HealthModel`] (per-replica status plus a
 //! detection-latency histogram) and bumps a couple of counters. All

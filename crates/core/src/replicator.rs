@@ -22,8 +22,7 @@
 //! No operation consults a clock: the `now` parameter is recorded in the
 //! detection log for the experiment harness, never branched on.
 
-use crate::arbitration::{ArbFault, ArbFaultCause, Arbiter};
-use crate::obs::DetectionObs;
+use crate::arbitration::{ArbFault, ArbFaultCause, Latches};
 use rtft_kpn::{ChannelBehavior, ReadOutcome, Token, WriteOutcome};
 use rtft_rtc::TimeNs;
 use std::any::Any;
@@ -92,23 +91,19 @@ impl ReplicatorConfig {
 pub struct Replicator {
     name: String,
     detect_overflow: bool,
-    divergence_threshold: Option<u64>,
     lanes: Vec<Lane>,
+    /// Consumed counts and latches, one row per lane.
+    latches: Latches,
     /// Successful producer writes.
     writes: u64,
-    healthy: usize,
-    obs: Option<DetectionObs>,
 }
 
-/// One replica's side of the replicator: its queue and counters.
+/// One replica's queue.
 #[derive(Debug)]
 struct Lane {
     queue: VecDeque<Token>,
     capacity: usize,
     max_fill: usize,
-    /// Tokens consumed over this read interface (divergence detector input).
-    consumed: u64,
-    fault: Option<ArbFault>,
 }
 
 impl Replicator {
@@ -130,18 +125,14 @@ impl Replicator {
                 queue: VecDeque::with_capacity(capacity),
                 capacity,
                 max_fill: 0,
-                consumed: 0,
-                fault: None,
             })
             .collect();
         Replicator {
             name: name.into(),
             detect_overflow: config.detect_overflow,
-            divergence_threshold: config.divergence_threshold,
-            healthy: lanes.len(),
+            latches: Latches::new(lanes.len(), config.divergence_threshold, 1, true),
             lanes,
             writes: 0,
-            obs: None,
         }
     }
 
@@ -156,30 +147,36 @@ impl Replicator {
     ///
     /// Panics if `i` is not a replica index.
     pub fn fault(&self, i: usize) -> Option<ArbFault> {
-        self.lanes[i].fault
+        self.latches.latched(i)
     }
 
     /// `true` if replica `i` is latched faulty.
     pub fn is_faulty(&self, i: usize) -> bool {
-        self.lanes[i].fault.is_some()
+        self.latches.latched(i).is_some()
     }
 
     /// Number of replicas still healthy.
     pub fn healthy_count(&self) -> usize {
-        self.healthy
+        self.latches.healthy_count()
     }
 
     /// Indices of the replicas currently latched faulty, ascending.
     pub fn faulty_indices(&self) -> impl Iterator<Item = usize> + '_ {
-        self.lanes
-            .iter()
-            .enumerate()
-            .filter_map(|(i, lane)| lane.fault.map(|_| i))
+        self.latches.faulty_indices()
     }
 
     /// Number of tokens consumed so far by replica `i`.
     pub fn consumed(&self, i: usize) -> u64 {
-        self.lanes[i].consumed
+        self.latches.count(i)
+    }
+
+    /// The detector book: consumed counts and latches.
+    pub fn latches(&self) -> &Latches {
+        &self.latches
+    }
+
+    pub(crate) fn latches_mut(&mut self) -> &mut Latches {
+        &mut self.latches
     }
 
     /// Successful producer writes so far.
@@ -190,7 +187,7 @@ impl Replicator {
     /// Remaining space in queue `i` (the paper's `space_i`).
     pub fn space(&self, i: usize) -> usize {
         let lane = &self.lanes[i];
-        if lane.fault.is_some() {
+        if self.is_faulty(i) {
             // A latched queue no longer constrains the producer.
             lane.capacity
         } else {
@@ -201,44 +198,9 @@ impl Replicator {
     /// Bytes of framework state (fault-detection bookkeeping), excluding
     /// token storage — the paper's Table 2 memory-overhead convention: the
     /// channel struct plus the two replicas' heap-side records (queue
-    /// header, capacity, counters, latch).
+    /// header, capacity, book row).
     pub fn state_bytes() -> usize {
-        std::mem::size_of::<Replicator>() + 2 * std::mem::size_of::<Lane>()
-    }
-
-    /// Latches replica `i`. Per §3.3 the replicator stops inserting tokens
-    /// into the latched queue; pending tokens stay readable in case the
-    /// replica is later serviced for diagnosis.
-    fn latch(&mut self, i: usize, cause: ArbFaultCause, now: TimeNs) {
-        self.lanes[i].fault = Some(ArbFault {
-            at: now,
-            cause,
-            group: None,
-        });
-        self.healthy -= 1;
-        if let Some(obs) = &self.obs {
-            obs.on_detection(i, cause.site(true), now);
-        }
-    }
-
-    /// The consumption-divergence latch, run after `reader` consumed a
-    /// token: any healthy replica whose consumed count is `D` behind it.
-    /// Only the reader's count moved, so only the reader can have opened a
-    /// gap; the last healthy replica is never latched.
-    fn check_divergence(&mut self, reader: usize, now: TimeNs) {
-        let Some(d) = self.divergence_threshold else {
-            return;
-        };
-        if self.lanes[reader].fault.is_some() {
-            return;
-        }
-        let lead = self.lanes[reader].consumed;
-        for i in 0..self.lanes.len() {
-            let lane = &self.lanes[i];
-            if self.healthy > 1 && lane.fault.is_none() && lead >= lane.consumed + d {
-                self.latch(i, ArbFaultCause::Divergence, now);
-            }
-        }
+        std::mem::size_of::<Replicator>() + 2 * (std::mem::size_of::<Lane>() + Latches::ROW_BYTES)
     }
 }
 
@@ -251,14 +213,15 @@ impl ChannelBehavior for Replicator {
         assert_eq!(iface, 0, "replicator has a single write interface");
 
         let mut blocked = false;
-        for i in 0..self.lanes.len() {
-            let lane = &self.lanes[i];
-            if lane.fault.is_none() && lane.queue.len() >= lane.capacity {
-                if self.detect_overflow && self.healthy > 1 {
+        for (i, lane) in self.lanes.iter().enumerate() {
+            if lane.queue.len() >= lane.capacity && self.latches.latched(i).is_none() {
+                if self.detect_overflow && self.latches.healthy_count() > 1 {
                     // §3.3: a full healthy queue at a write attempt means
                     // that replica has a timing fault — latch it and keep
-                    // going.
-                    self.latch(i, ArbFaultCause::Overflow, now);
+                    // going. The replicator stops inserting into the
+                    // latched queue; pending tokens stay readable in case
+                    // the replica is later serviced for diagnosis.
+                    self.latches.latch(i, ArbFaultCause::Overflow, None, now);
                 } else {
                     // Bare §3.1 rule 3 (detection off), or the last
                     // healthy queue: the write waits for space.
@@ -270,8 +233,8 @@ impl ChannelBehavior for Replicator {
             return WriteOutcome::Blocked(token);
         }
 
-        for lane in &mut self.lanes {
-            if lane.fault.is_none() {
+        for (lane, healthy) in self.lanes.iter_mut().zip(self.latches.healthy_rows()) {
+            if healthy {
                 lane.queue.push_back(token.clone());
                 lane.max_fill = lane.max_fill.max(lane.queue.len());
             }
@@ -285,8 +248,8 @@ impl ChannelBehavior for Replicator {
         let lane = &mut self.lanes[iface];
         match lane.queue.pop_front() {
             Some(t) => {
-                lane.consumed += 1;
-                self.check_divergence(iface, now);
+                self.latches.note(iface);
+                self.latches.check_divergence(iface, now);
                 ReadOutcome::Token(t)
             }
             None => ReadOutcome::Blocked,
@@ -323,20 +286,6 @@ impl ChannelBehavior for Replicator {
 
     fn as_any_mut(&mut self) -> &mut dyn Any {
         self
-    }
-}
-
-impl Arbiter for Replicator {
-    fn replica_ifaces(&self) -> usize {
-        self.lanes.len()
-    }
-
-    fn latched(&self, i: usize) -> Option<ArbFault> {
-        self.lanes[i].fault
-    }
-
-    fn attach_obs(&mut self, obs: DetectionObs) {
-        self.obs = Some(obs);
     }
 }
 

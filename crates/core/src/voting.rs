@@ -104,7 +104,7 @@ impl MajorityVote {
             // later stragglers can no longer reference it (a latched
             // interface's writes are swallowed before voting).
             let complete = (0..ledger.replica_count())
-                .all(|i| g.votes[i].is_some() || ledger.fault(i).is_some());
+                .all(|i| g.votes[i].is_some() || ledger.latches().latched(i).is_some());
             if complete {
                 self.groups.remove(&self.next_deliver);
                 self.next_deliver += 1;
@@ -144,7 +144,12 @@ impl ComparePolicy for MajorityVote {
                 Some(winner) => {
                     ledger.discard();
                     if digest != winner {
-                        ledger.latch(iface, ArbFaultCause::ValueMismatch, Some(group), now);
+                        ledger.latches_mut().latch(
+                            iface,
+                            ArbFaultCause::ValueMismatch,
+                            Some(group),
+                            now,
+                        );
                     }
                 }
                 None => {
@@ -163,7 +168,12 @@ impl ComparePolicy for MajorityVote {
                             })
                             .collect();
                         for i in losers {
-                            ledger.latch(i, ArbFaultCause::ValueMismatch, Some(group), now);
+                            ledger.latches_mut().latch(
+                                i,
+                                ArbFaultCause::ValueMismatch,
+                                Some(group),
+                                now,
+                            );
                         }
                     }
                 }
@@ -212,7 +222,7 @@ impl VotingSelector {
 /// n-replicator → `n` replicas → voting selector → consumer.
 ///
 /// Uses the same sizing as [`build_n_modular`](crate::build_n_modular);
-/// the returned [`NModularIds`](crate::NModularIds)'s `selector` channel
+/// the returned [`DuplicatedIds`](crate::DuplicatedIds)'s `selector` channel
 /// downcasts to [`VotingSelector`].
 ///
 /// # Panics
@@ -227,7 +237,7 @@ pub fn build_n_modular_voting(
     payload: crate::PayloadGenerator,
     factory: &dyn crate::ReplicaFactory,
     faults: &[FaultPlan],
-) -> (Network, crate::NModularIds) {
+) -> (Network, crate::DuplicatedIds) {
     assert!(
         model.replicas.len() >= 3,
         "value voting needs at least three replicas"

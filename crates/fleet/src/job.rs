@@ -722,7 +722,7 @@ pub fn execute_spec(spec: &JobSpec) -> JobRunResult {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rtft_core::{as_arbiter, CorruptionMode, FaultTrigger};
+    use rtft_core::{as_arbiter, CorruptionMode, FaultKind, FaultTrigger};
 
     fn model_with_period_ms(period: f64) -> DuplicationModel {
         DuplicationModel::symmetric(
@@ -909,6 +909,14 @@ mod tests {
                         reference.iter().any(|r| r.1.is_some()),
                         "{case}: nothing latched"
                     );
+                    if redundancy == Redundancy::TriVoting && plan.kind != FaultKind::FailStop {
+                        // A corrupting voter is outvoted: it and only it
+                        // latches.
+                        let latched: Vec<usize> = (0..reference.len())
+                            .filter(|&i| reference[i].1.is_some())
+                            .collect();
+                        assert_eq!(latched, vec![replica], "{case}");
+                    }
                 }
             }
         }

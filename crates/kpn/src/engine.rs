@@ -10,8 +10,7 @@
 //!
 //! Each process is driven through its [`Syscall`] protocol:
 //!
-//! * `Compute(d)` — schedule a wakeup at `now + d` (scaled by the
-//!   platform's [`Platform::compute_scale`]).
+//! * `Compute(d)` — schedule a wakeup at `now + d`.
 //! * `Read(port)` — attempt immediately; on `Blocked`, park the process on
 //!   the channel's read wait-list.
 //! * `Write(port, token)` — charge the platform's transfer latency to the
@@ -165,9 +164,6 @@ enum ProcState {
 pub struct Engine {
     network: Network,
     platform: Box<dyn Platform>,
-    /// Per-node [`Platform::compute_scale`], cached at construction so the
-    /// Compute path never makes the dyn call.
-    compute_scales: Vec<f64>,
     /// Cached [`Platform::zero_transfer`]: skips the per-write latency
     /// query on zero-latency platforms.
     zero_transfer: bool,
@@ -213,14 +209,10 @@ impl Engine {
         }
         let n_proc = network.process_count();
         let n_chan = network.channel_count();
-        let compute_scales = (0..n_proc)
-            .map(|i| platform.compute_scale(NodeId(i)))
-            .collect();
         let zero_transfer = platform.zero_transfer();
         Engine {
             network,
             platform,
-            compute_scales,
             zero_transfer,
             now: TimeNs::ZERO,
             queue: CalendarQueue::new(),
@@ -363,14 +355,8 @@ impl Engine {
                     return;
                 }
                 Syscall::Compute(d) => {
-                    let scale = self.compute_scales[node.0];
-                    let scaled = if scale == 1.0 {
-                        d
-                    } else {
-                        TimeNs::from_ns((d.as_ns() as f64 * scale).round() as u64)
-                    };
                     self.pending[node.0] = None;
-                    self.schedule(self.now + scaled, node, WakeKind::ComputeDone);
+                    self.schedule(self.now + d, node, WakeKind::ComputeDone);
                     return;
                 }
                 Syscall::Read(port) => {

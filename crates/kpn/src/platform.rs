@@ -1,4 +1,4 @@
-//! Execution-platform hooks: communication latency and compute scaling.
+//! Execution-platform hooks: communication latency.
 //!
 //! The simulation engine is platform-agnostic; a [`Platform`] implementation
 //! injects the timing properties of the hardware the network is "mapped"
@@ -17,16 +17,6 @@ pub trait Platform: fmt::Debug + Send {
     /// Charged to the writer *before* the write attempt (the send occupies
     /// the producing core, as iRCCE-style MPB messaging does on the SCC).
     fn transfer_latency(&self, writer: NodeId, channel: ChannelId, bytes: usize) -> TimeNs;
-
-    /// Scales a process's nominal compute duration (e.g. for cores clocked
-    /// differently from the calibration platform). `1.0` is neutral.
-    ///
-    /// Must be a pure function of `node`: the engine caches it per process
-    /// at construction and never consults the platform again mid-run.
-    fn compute_scale(&self, node: NodeId) -> f64 {
-        let _ = node;
-        1.0
-    }
 
     /// `true` when [`Platform::transfer_latency`] is identically zero, so
     /// the engine can skip the per-write latency query entirely.
@@ -77,7 +67,6 @@ mod tests {
             p.transfer_latency(NodeId(0), ChannelId(0), 1 << 20),
             TimeNs::ZERO
         );
-        assert_eq!(p.compute_scale(NodeId(0)), 1.0);
     }
 
     #[test]

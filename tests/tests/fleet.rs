@@ -85,10 +85,18 @@ fn injected_fault_triggers_replacement_and_recovery() {
     });
     let admission = fleet.submit(des_job("faulty-tenant", Some(TimeNs::from_secs(1))));
     assert!(matches!(admission, Admission::Admitted(_)));
+    // A healthy tenant shares the workers with the faulty one.
+    let admission = fleet.submit(des_job("healthy-tenant", None));
+    assert!(matches!(admission, Admission::Admitted(_)));
 
     let report = fleet.join();
-    assert_eq!(report.runs.len(), 1);
-    let job = &report.runs[0];
+    assert_eq!(report.runs.len(), 2);
+    let by_name = |name: &str| report.runs.iter().find(|r| r.name == name).unwrap();
+    let healthy = by_name("healthy-tenant");
+    assert!(healthy.faulty_replicas.is_empty(), "{healthy:?}");
+    assert!(!healthy.failed);
+    assert_eq!(healthy.arrivals, healthy.expected);
+    let job = by_name("faulty-tenant");
     // The fault was masked (the faulty run still delivered every token),
     // observed (replica 0 latched), and repaired by a healed replacement.
     assert_eq!(job.faulty_replicas, vec![0]);
@@ -98,7 +106,10 @@ fn injected_fault_triggers_replacement_and_recovery() {
     assert_eq!(job.arrivals, job.expected);
     assert_eq!(report.status.replaced, 1);
     assert_eq!(report.status.recovered, 1);
-    assert_eq!(report.status.completed, 2, "original + replacement runs");
+    assert_eq!(
+        report.status.completed, 3,
+        "original + replacement runs + the healthy tenant"
+    );
     assert_eq!(report.status.recovery_ns.count, 1);
     // The job's detection latency was folded into the fleet registry.
     assert!(report.status.detection_latency_ns.count >= 1);
