@@ -87,9 +87,10 @@ pub struct ArbFault {
 }
 
 /// The detector state of one arbitration channel, replicator or selector:
-/// per replica interface a token count and a latch, the healthy count, and
-/// the eq. (5) rule "latch whoever is `D` behind" (§3.3). Every channel
-/// keeps one; [`as_arbiter`] reads it back from a type-erased channel.
+/// per replica interface a queue capacity, a token count and a latch, the
+/// healthy count, and the eq. (5) rule "latch whoever is `D` behind"
+/// (§3.3). Every channel keeps one; [`as_arbiter`] reads it back from a
+/// type-erased channel.
 ///
 /// The count is tokens *consumed* at a replicator and *received* at a
 /// selector. A sampled checker's interface `0` carries every token and
@@ -108,22 +109,33 @@ pub struct Latches {
 /// One replica interface's row of the book.
 #[derive(Debug)]
 struct Row {
+    /// Queue capacity: `|R_i|` at a replicator, the virtual `|S_i|` at a
+    /// selector.
+    capacity: usize,
     count: u64,
     fault: Option<ArbFault>,
 }
 
 impl Latches {
-    /// A book of `n` healthy rows with divergence threshold `D` (`None`
-    /// disables the rule) and interface `0`'s sample stride.
-    pub(crate) fn new(n: usize, threshold: Option<u64>, stride: u64, at_replicator: bool) -> Self {
+    /// A book of healthy rows, one per queue capacity, with divergence
+    /// threshold `D` (`None` disables the rule) and interface `0`'s sample
+    /// stride.
+    pub(crate) fn new(
+        capacity: &[usize],
+        threshold: Option<u64>,
+        stride: u64,
+        at_replicator: bool,
+    ) -> Self {
         Latches {
-            rows: (0..n)
-                .map(|_| Row {
+            rows: capacity
+                .iter()
+                .map(|&capacity| Row {
+                    capacity,
                     count: 0,
                     fault: None,
                 })
                 .collect(),
-            healthy: n,
+            healthy: capacity.len(),
             threshold,
             stride,
             at_replicator,
@@ -131,7 +143,7 @@ impl Latches {
         }
     }
 
-    /// Bytes of one row on the heap (count and latch record).
+    /// Bytes of one row on the heap (capacity, count and latch record).
     pub(crate) const ROW_BYTES: usize = std::mem::size_of::<Row>();
 
     /// Latch record of replica `i`.
@@ -165,6 +177,11 @@ impl Latches {
     /// Tokens counted on interface `i` so far.
     pub fn count(&self, i: usize) -> u64 {
         self.rows[i].count
+    }
+
+    /// Queue capacity of interface `i`.
+    pub fn capacity(&self, i: usize) -> usize {
+        self.rows[i].capacity
     }
 
     /// Interface `0`'s sample stride.
@@ -216,6 +233,7 @@ impl Latches {
     /// Only the mover's count moved, by at most one, so only the mover can
     /// have opened a gap; the front-runner itself — and the last healthy
     /// replica — are never latched.
+    #[inline]
     pub(crate) fn check_divergence(&mut self, mover: usize, now: TimeNs) {
         let Some(d) = self.threshold else {
             return;
@@ -241,13 +259,12 @@ impl Latches {
 }
 
 /// The compare-policy-agnostic state of a selector: the [`Latches`] book
-/// over received counts, per-replica virtual capacities, the shared
-/// delivery queue, and the §3.3 stall rule.
+/// of virtual capacities and received counts, the shared delivery queue,
+/// and the §3.3 stall rule.
 #[derive(Debug)]
 pub struct ArbiterLedger {
     name: String,
     queue: VecDeque<Token>,
-    capacity: Vec<usize>,
     latches: Latches,
     reads: u64,
     enqueued: u64,
@@ -287,8 +304,7 @@ impl ArbiterLedger {
         ArbiterLedger {
             name: name.into(),
             queue: VecDeque::with_capacity(physical),
-            latches: Latches::new(capacity.len(), divergence_threshold, 1, false),
-            capacity,
+            latches: Latches::new(&capacity, divergence_threshold, 1, false),
             reads: 0,
             enqueued: 0,
             discarded: 0,
@@ -303,11 +319,6 @@ impl ArbiterLedger {
         self.latches.stride = k;
         self
     }
-
-    /// Bytes of per-replica state the ledger keeps on the heap (capacity
-    /// and the book's row) — the part of a selector's footprint `size_of`
-    /// does not see.
-    pub(crate) const PER_REPLICA_BYTES: usize = std::mem::size_of::<usize>() + Latches::ROW_BYTES;
 
     /// The channel's diagnostic name.
     pub fn name(&self) -> &str {
@@ -326,7 +337,7 @@ impl ArbiterLedger {
 
     /// Number of replica (write) interfaces.
     pub fn replica_count(&self) -> usize {
-        self.capacity.len()
+        self.latches.rows.len()
     }
 
     /// Tokens delivered to the consumer so far.
@@ -353,7 +364,8 @@ impl ArbiterLedger {
 
     /// The `space_i` counter (capacity − received + reads).
     pub fn space(&self, i: usize) -> i64 {
-        self.capacity[i] as i64 - self.latches.count(i) as i64 + self.reads as i64
+        let r = &self.latches.rows[i];
+        r.capacity as i64 - r.count as i64 + self.reads as i64
     }
 
     /// Tokens waiting in the one physical consumer queue.
@@ -364,7 +376,12 @@ impl ArbiterLedger {
     /// Size of the physical consumer queue: the largest virtual capacity
     /// (§3.1 selector rule 1).
     pub fn physical_capacity(&self) -> usize {
-        self.capacity.iter().copied().max().unwrap_or(0)
+        self.latches
+            .rows
+            .iter()
+            .map(|r| r.capacity)
+            .max()
+            .unwrap_or(0)
     }
 
     /// Counts replica `i`'s next write and returns its duplicate-group
@@ -576,7 +593,8 @@ impl<P: ComparePolicy> ChannelBehavior for PolicySelector<P> {
     }
 
     fn capacity(&self, iface: usize) -> usize {
-        self.ledger.capacity[iface.min(self.ledger.capacity.len() - 1)]
+        let rows = &self.ledger.latches.rows;
+        rows[iface.min(rows.len() - 1)].capacity
     }
 
     fn max_fill(&self, _iface: usize) -> usize {

@@ -159,7 +159,6 @@ impl HeteroSizingReport {
 pub struct SampledReplicator {
     name: String,
     queues: [VecDeque<Token>; 2],
-    capacity: [usize; 2],
     max_fill: [usize; 2],
     writes: u64,
     dropped: u64,
@@ -188,11 +187,10 @@ impl SampledReplicator {
         SampledReplicator {
             name: name.into(),
             queues: [VecDeque::new(), VecDeque::new()],
-            capacity,
             max_fill: [0; 2],
             writes: 0,
             dropped: 0,
-            latches: Latches::new(2, divergence_threshold, k, true),
+            latches: Latches::new(&capacity, divergence_threshold, k, true),
         }
     }
 
@@ -238,28 +236,21 @@ impl ChannelBehavior for SampledReplicator {
     fn try_write(&mut self, iface: usize, token: Token, now: TimeNs) -> WriteOutcome {
         assert_eq!(iface, 0, "sampled replicator has a single write interface");
         let targets = [true, self.writes.is_multiple_of(self.latches.stride())];
-        // §3.3 overflow latch per full, healthy, targeted queue — never the
-        // last healthy side.
-        for (i, &targeted) in targets.iter().enumerate() {
-            if targeted
-                && self.queues[i].len() >= self.capacity[i]
-                && self.latches.latched(i).is_none()
-                && self.latches.healthy_count() > 1
-            {
-                self.latches.latch(i, ArbFaultCause::Overflow, None, now);
-            }
-        }
         let mut delivered = false;
         let mut healthy_full = false;
         for (i, &targeted) in targets.iter().enumerate() {
-            if targeted && self.latches.latched(i).is_none() {
-                if self.queues[i].len() < self.capacity[i] {
-                    self.queues[i].push_back(token.clone());
-                    self.max_fill[i] = self.max_fill[i].max(self.queues[i].len());
-                    delivered = true;
-                } else {
-                    healthy_full = true;
-                }
+            if !targeted || self.latches.latched(i).is_some() {
+                continue;
+            }
+            if self.queues[i].len() < self.latches.capacity(i) {
+                self.queues[i].push_back(token.clone());
+                self.max_fill[i] = self.max_fill[i].max(self.queues[i].len());
+                delivered = true;
+            } else if self.latches.healthy_count() > 1 {
+                // §3.3 overflow latch per full, healthy, targeted queue.
+                self.latches.latch(i, ArbFaultCause::Overflow, None, now);
+            } else {
+                healthy_full = true;
             }
         }
         if delivered {
@@ -305,7 +296,7 @@ impl ChannelBehavior for SampledReplicator {
     }
 
     fn capacity(&self, iface: usize) -> usize {
-        self.capacity[iface]
+        self.latches.capacity(iface)
     }
 
     fn max_fill(&self, iface: usize) -> usize {

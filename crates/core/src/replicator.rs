@@ -102,7 +102,6 @@ pub struct Replicator {
 #[derive(Debug)]
 struct Lane {
     queue: VecDeque<Token>,
-    capacity: usize,
     max_fill: usize,
 }
 
@@ -123,14 +122,13 @@ impl Replicator {
             .iter()
             .map(|&capacity| Lane {
                 queue: VecDeque::with_capacity(capacity),
-                capacity,
                 max_fill: 0,
             })
             .collect();
         Replicator {
             name: name.into(),
             detect_overflow: config.detect_overflow,
-            latches: Latches::new(lanes.len(), config.divergence_threshold, 1, true),
+            latches: Latches::new(&config.capacity, config.divergence_threshold, 1, true),
             lanes,
             writes: 0,
         }
@@ -186,19 +184,19 @@ impl Replicator {
 
     /// Remaining space in queue `i` (the paper's `space_i`).
     pub fn space(&self, i: usize) -> usize {
-        let lane = &self.lanes[i];
+        let capacity = self.latches.capacity(i);
         if self.is_faulty(i) {
             // A latched queue no longer constrains the producer.
-            lane.capacity
+            capacity
         } else {
-            lane.capacity - lane.queue.len()
+            capacity - self.lanes[i].queue.len()
         }
     }
 
     /// Bytes of framework state (fault-detection bookkeeping), excluding
     /// token storage — the paper's Table 2 memory-overhead convention: the
     /// channel struct plus the two replicas' heap-side records (queue
-    /// header, capacity, book row).
+    /// header, book row with capacity, count and latch).
     pub fn state_bytes() -> usize {
         std::mem::size_of::<Replicator>() + 2 * (std::mem::size_of::<Lane>() + Latches::ROW_BYTES)
     }
@@ -214,7 +212,7 @@ impl ChannelBehavior for Replicator {
 
         let mut blocked = false;
         for (i, lane) in self.lanes.iter().enumerate() {
-            if lane.queue.len() >= lane.capacity && self.latches.latched(i).is_none() {
+            if lane.queue.len() >= self.latches.capacity(i) && self.latches.latched(i).is_none() {
                 if self.detect_overflow && self.latches.healthy_count() > 1 {
                     // §3.3: a full healthy queue at a write attempt means
                     // that replica has a timing fault — latch it and keep
@@ -269,7 +267,7 @@ impl ChannelBehavior for Replicator {
     }
 
     fn capacity(&self, iface: usize) -> usize {
-        self.lanes[iface].capacity
+        self.latches.capacity(iface)
     }
 
     fn max_fill(&self, iface: usize) -> usize {

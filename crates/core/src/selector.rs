@@ -42,7 +42,7 @@
 //! one thing the paper's pair has that the n-replica rule lacks is the
 //! single physical FIFO, and that is all [`PaperPair`] adds.
 
-use crate::arbitration::{ArbiterLedger, ComparePolicy, FirstOfGroup, PolicySelector};
+use crate::arbitration::{ArbiterLedger, ComparePolicy, FirstOfGroup, Latches, PolicySelector};
 use rtft_kpn::{Token, WriteOutcome};
 use rtft_rtc::TimeNs;
 
@@ -192,9 +192,9 @@ impl Selector {
 
     /// Bytes of framework state (fault-detection bookkeeping), excluding
     /// token storage — the paper's Table 2 memory-overhead convention: the
-    /// channel struct plus the two replicas' heap-side counters.
+    /// channel struct plus the two replicas' heap-side book rows.
     pub fn state_bytes() -> usize {
-        std::mem::size_of::<Selector>() + 2 * ArbiterLedger::PER_REPLICA_BYTES
+        std::mem::size_of::<Selector>() + 2 * Latches::ROW_BYTES
     }
 }
 
