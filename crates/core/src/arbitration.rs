@@ -162,12 +162,12 @@ impl Latches {
     }
 
     /// Number of replicas still healthy.
-    pub fn healthy_count(&self) -> usize {
+    pub(crate) fn healthy_count(&self) -> usize {
         self.healthy
     }
 
     /// Indices of the replicas currently latched faulty, ascending.
-    pub fn faulty_indices(&self) -> impl Iterator<Item = usize> + '_ {
+    pub(crate) fn faulty_indices(&self) -> impl Iterator<Item = usize> + '_ {
         self.rows
             .iter()
             .enumerate()
@@ -175,12 +175,12 @@ impl Latches {
     }
 
     /// Tokens counted on interface `i` so far.
-    pub fn count(&self, i: usize) -> u64 {
+    pub(crate) fn count(&self, i: usize) -> u64 {
         self.rows[i].count
     }
 
     /// Queue capacity of interface `i`.
-    pub fn capacity(&self, i: usize) -> usize {
+    pub(crate) fn capacity(&self, i: usize) -> usize {
         self.rows[i].capacity
     }
 
@@ -265,7 +265,8 @@ impl Latches {
 pub struct ArbiterLedger {
     name: String,
     queue: VecDeque<Token>,
-    latches: Latches,
+    /// Virtual capacities, received counts and latches.
+    pub(crate) latches: Latches,
     reads: u64,
     enqueued: u64,
     discarded: u64,
@@ -323,16 +324,6 @@ impl ArbiterLedger {
     /// The channel's diagnostic name.
     pub fn name(&self) -> &str {
         &self.name
-    }
-
-    /// The detector book: received counts and latches.
-    pub fn latches(&self) -> &Latches {
-        &self.latches
-    }
-
-    /// The mutable book, for policies that latch on values.
-    pub(crate) fn latches_mut(&mut self) -> &mut Latches {
-        &mut self.latches
     }
 
     /// Number of replica (write) interfaces.
@@ -633,17 +624,12 @@ impl Book {
 /// The crate's arbitration channels: the one list both views search.
 const BOOKS: [Book; 6] = [
     Book {
-        view: |any| Some(any.downcast_ref::<crate::Replicator>()?.latches()),
-        view_mut: |any| Some(any.downcast_mut::<crate::Replicator>()?.latches_mut()),
+        view: |any| Some(&any.downcast_ref::<crate::Replicator>()?.latches),
+        view_mut: |any| Some(&mut any.downcast_mut::<crate::Replicator>()?.latches),
     },
     Book {
-        view: |any| Some(any.downcast_ref::<crate::SampledReplicator>()?.latches()),
-        view_mut: |any| {
-            Some(
-                any.downcast_mut::<crate::SampledReplicator>()?
-                    .latches_mut(),
-            )
-        },
+        view: |any| Some(&any.downcast_ref::<crate::SampledReplicator>()?.latches),
+        view_mut: |any| Some(&mut any.downcast_mut::<crate::SampledReplicator>()?.latches),
     },
     Book::selector::<crate::PaperPair>(),
     Book::selector::<FirstOfGroup>(),

@@ -162,7 +162,8 @@ pub struct SampledReplicator {
     max_fill: [usize; 2],
     writes: u64,
     dropped: u64,
-    latches: Latches,
+    /// Capacities, consumed counts and latches; stride `k`.
+    pub(crate) latches: Latches,
 }
 
 impl SampledReplicator {
@@ -219,15 +220,6 @@ impl SampledReplicator {
     /// Producer writes swallowed because the main side was already latched.
     pub fn dropped(&self) -> u64 {
         self.dropped
-    }
-
-    /// The detector book: consumed counts and latches.
-    pub fn latches(&self) -> &Latches {
-        &self.latches
-    }
-
-    pub(crate) fn latches_mut(&mut self) -> &mut Latches {
-        &mut self.latches
     }
 }
 
@@ -391,7 +383,7 @@ impl SampledCheck {
             // The checker is the trusted side: a disagreement convicts the
             // full-rate main replica.
             ledger
-                .latches_mut()
+                .latches
                 .latch(0, ArbFaultCause::ValueMismatch, Some(sample * self.k), now);
         }
     }
@@ -423,7 +415,7 @@ impl ComparePolicy for SampledCheck {
             // Once the main is latched no further samples will arrive, so
             // the digest is not worth holding.
             self.votes += 1;
-            if ledger.latches().latched(0).is_none() {
+            if ledger.latches.latched(0).is_none() {
                 self.checker_digest.insert(group, token.payload.digest());
             }
             ledger.discard();

@@ -92,8 +92,8 @@ pub struct Replicator {
     name: String,
     detect_overflow: bool,
     lanes: Vec<Lane>,
-    /// Consumed counts and latches, one row per lane.
-    latches: Latches,
+    /// Capacities, consumed counts and latches, one row per lane.
+    pub(crate) latches: Latches,
     /// Successful producer writes.
     writes: u64,
 }
@@ -166,15 +166,6 @@ impl Replicator {
     /// Number of tokens consumed so far by replica `i`.
     pub fn consumed(&self, i: usize) -> u64 {
         self.latches.count(i)
-    }
-
-    /// The detector book: consumed counts and latches.
-    pub fn latches(&self) -> &Latches {
-        &self.latches
-    }
-
-    pub(crate) fn latches_mut(&mut self) -> &mut Latches {
-        &mut self.latches
     }
 
     /// Successful producer writes so far.

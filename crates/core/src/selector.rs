@@ -120,7 +120,7 @@ impl ComparePolicy for PaperPair {
     }
 
     fn admits(&self, ledger: &ArbiterLedger, iface: usize) -> bool {
-        if ledger.latches().healthy_count() == 1 {
+        if ledger.latches.healthy_count() == 1 {
             ledger.fill() < ledger.physical_capacity()
         } else {
             ledger.space(iface) > 0

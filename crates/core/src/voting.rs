@@ -104,7 +104,7 @@ impl MajorityVote {
             // later stragglers can no longer reference it (a latched
             // interface's writes are swallowed before voting).
             let complete = (0..ledger.replica_count())
-                .all(|i| g.votes[i].is_some() || ledger.latches().latched(i).is_some());
+                .all(|i| g.votes[i].is_some() || ledger.latches.latched(i).is_some());
             if complete {
                 self.groups.remove(&self.next_deliver);
                 self.next_deliver += 1;
@@ -144,12 +144,9 @@ impl ComparePolicy for MajorityVote {
                 Some(winner) => {
                     ledger.discard();
                     if digest != winner {
-                        ledger.latches_mut().latch(
-                            iface,
-                            ArbFaultCause::ValueMismatch,
-                            Some(group),
-                            now,
-                        );
+                        ledger
+                            .latches
+                            .latch(iface, ArbFaultCause::ValueMismatch, Some(group), now);
                     }
                 }
                 None => {
@@ -168,12 +165,9 @@ impl ComparePolicy for MajorityVote {
                             })
                             .collect();
                         for i in losers {
-                            ledger.latches_mut().latch(
-                                i,
-                                ArbFaultCause::ValueMismatch,
-                                Some(group),
-                                now,
-                            );
+                            ledger
+                                .latches
+                                .latch(i, ArbFaultCause::ValueMismatch, Some(group), now);
                         }
                     }
                 }
