@@ -53,7 +53,6 @@ pub mod net;
 pub mod replay;
 mod runner;
 mod scenario;
-mod tenants;
 pub mod threaded;
 
 pub use bounds::BoundCheck;
@@ -67,8 +66,5 @@ pub use runner::{run_scenario, OutcomeClass, ScenarioOutcome};
 pub use scenario::{
     generate_hetero_scenarios, generate_scenarios, kind_label, FaultSpec, PlatformKind, Redundancy,
     Scenario, SCENARIO_TOKENS, SERVICE_DIVISOR,
-};
-pub use tenants::{
-    chaos_with_tenants, TenantChaosReport, CHAOS_TENANTS, DETACHED_TENANT, FAULTY_TENANT,
 };
 pub use threaded::{run_spot_checks, SpotCheck};

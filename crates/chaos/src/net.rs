@@ -536,7 +536,6 @@ pub fn run_net_chaos(cfg: &NetChaosConfig, dir: &Path) -> Result<NetChaosReport,
             // never refuses QueueFull — storms exercise quota refusals
             // deterministically instead.
             pending_capacity: cfg.connections as usize * 2 + 16,
-            max_replacements: 0,
         },
         runtime: ServeRuntime::DiscreteEvent,
         max_frame: DEFAULT_MAX_FRAME,

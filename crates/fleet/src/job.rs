@@ -3,10 +3,8 @@
 //! A *job* is one fault-tolerant network instance — a duplicated pair or an
 //! n-modular group built from the `rtft-core` constructors — plus the
 //! runtime it should execute under (deterministic DES or OS threads) and a
-//! relative completion deadline. Templates are cheap to clone and can be
-//! **re-built**: when a run comes back with latched replicas, the executor
-//! re-spawns the job from a healed copy of its template (the fleet-level
-//! analogue of the paper's replica replacement).
+//! relative completion deadline. Templates are cheap to clone, and every
+//! run builds a fresh network from one.
 //!
 //! This module also owns the *structure recipe*:
 //! [`JobTemplate::for_model`] is the one place an application's interface
@@ -41,8 +39,7 @@ impl std::fmt::Display for JobId {
     }
 }
 
-/// A replica factory that can be shared between the template and its
-/// healed replacements.
+/// A replica factory shared by every network a template builds.
 pub type SharedFactory = Arc<dyn ReplicaFactory + Send + Sync>;
 
 /// Which runtime executes the job's network.
@@ -546,14 +543,6 @@ impl JobTemplate {
             JobTemplate::NModularVoting { token_count, .. }
             | JobTemplate::Hetero { token_count, .. } => *token_count,
         }
-    }
-
-    /// A copy of the template with every fault plan cleared — what a
-    /// replacement run is built from.
-    pub fn healed(&self) -> JobTemplate {
-        let mut healed = self.clone();
-        healed.faults_mut().fill(FaultPlan::healthy());
-        healed
     }
 }
 

@@ -15,21 +15,25 @@
 //!   [`WorkerPool`](rtft_kpn::WorkerPool)'s single run queue: a free
 //!   worker always takes the globally most urgent run, and a worker with
 //!   nothing to run sleeps until the next submission.
-//! * **Health-aware replica replacement** — a run whose arbitration
-//!   channels latched a replica faulty still completes (fault masking),
-//!   then the fleet re-spawns the job from a healed copy of its template
-//!   and records the time-to-recovery; the [`FleetSupervisor`] folds every
-//!   run's metrics and [`HealthModel`](rtft_obs::HealthModel) into one
-//!   fleet-level registry.
+//! * **Fault masking, observed** — a job is exactly one run. A run whose
+//!   arbitration channels latched a replica faulty still completes, as
+//!   the paper's duplicated network keeps delivering from the healthy
+//!   replica; the latched replicas reach the job's [`JobNotifier`], and
+//!   the [`FleetSupervisor`] folds every run's metrics and
+//!   [`HealthModel`](rtft_obs::HealthModel) into one fleet-level
+//!   registry.
 //!
 //! # Example
 //!
 //! ```
-//! use rtft_fleet::{Admission, FleetConfig, FleetExecutor, JobRuntime, JobSpec, JobTemplate};
+//! use rtft_fleet::{
+//!     Admission, FleetConfig, FleetExecutor, JobNotifier, JobRecord, JobRuntime, JobSpec,
+//!     JobTemplate,
+//! };
 //! use rtft_core::{DuplicationConfig, FaultPlan, JitterStageReplica};
 //! use rtft_rtc::sizing::DuplicationModel;
 //! use rtft_rtc::{PjdModel, TimeNs};
-//! use std::sync::Arc;
+//! use std::sync::{Arc, Mutex};
 //! use std::time::Duration;
 //!
 //! let model = DuplicationModel::symmetric(
@@ -42,20 +46,29 @@
 //!     .with_fault(0, FaultPlan::fail_stop_at(TimeNs::from_secs(1)));
 //! let factory = Arc::new(JitterStageReplica::from_model(&cfg.model));
 //!
+//! let settled: Arc<Mutex<Option<JobRecord>>> = Arc::default();
+//! let notify: JobNotifier = {
+//!     let settled = Arc::clone(&settled);
+//!     Arc::new(move |record, _| *settled.lock().unwrap() = Some(record.clone()))
+//! };
 //! let fleet = FleetExecutor::new(FleetConfig::default());
-//! let admission = fleet.submit(JobSpec {
+//! let spec = JobSpec {
 //!     name: "tenant-a".into(),
 //!     template: JobTemplate::Duplicated { cfg, factory },
 //!     relative_deadline: Duration::from_secs(30),
 //!     runtime: JobRuntime::DiscreteEvent { horizon: TimeNs::from_secs(20) },
-//! });
+//! };
+//! let admission = fleet.submit_with(spec, Some(notify));
 //! assert!(matches!(admission, Admission::Admitted(_)));
 //!
 //! let report = fleet.join();
-//! // The fault was observed, the job was re-spawned healed, and recovered.
-//! assert_eq!(report.status.replaced, 1);
-//! assert_eq!(report.status.recovered, 1);
-//! assert!(!report.runs[0].failed);
+//! // The fault was masked (every token delivered) and observed (replica 0
+//! // latched) in the job's one run.
+//! let record = settled.lock().unwrap().take().expect("the job settled");
+//! assert_eq!(record.faulty_replicas, [0]);
+//! assert_eq!(record.arrivals, record.expected);
+//! assert!(!record.failed);
+//! assert_eq!(report.status.completed, 1);
 //! # Ok::<(), rtft_rtc::CurveAnalysisError>(())
 //! ```
 

@@ -8,7 +8,7 @@
 //! fleet-level dashboards see one merged
 //! view: total detections, the combined detection-latency distribution,
 //! per-queue high-water marks across all tenants — plus the fleet's own
-//! lifecycle counters (admissions, rejections, replacements, recoveries).
+//! lifecycle counters (admissions, rejections, completions, failures).
 
 use rtft_obs::export::events_to_jsonl;
 use rtft_obs::{
@@ -30,12 +30,9 @@ pub struct FleetSupervisor {
     rejected: Counter,
     completed: Counter,
     failed: Counter,
-    replaced: Counter,
-    recovered: Counter,
     deadline_missed: Counter,
     faulty_replicas: Counter,
     completion_ns: Histogram,
-    recovery_ns: Histogram,
     detection_latency_ns: Histogram,
     pool_queued: Gauge,
     pool_inflight: Gauge,
@@ -59,12 +56,9 @@ impl FleetSupervisor {
             rejected: registry.counter("fleet.jobs.rejected"),
             completed: registry.counter("fleet.jobs.completed"),
             failed: registry.counter("fleet.jobs.failed"),
-            replaced: registry.counter("fleet.jobs.replaced"),
-            recovered: registry.counter("fleet.jobs.recovered"),
             deadline_missed: registry.counter("fleet.deadline.missed"),
             faulty_replicas: registry.counter("fleet.replicas.faulty"),
             completion_ns: registry.histogram("fleet.completion_ns"),
-            recovery_ns: registry.histogram("fleet.recovery_ns"),
             detection_latency_ns: registry.histogram("fleet.detection_latency_ns"),
             pool_queued: registry.gauge("fleet.pool.queued"),
             pool_inflight: registry.gauge("fleet.pool.inflight"),
@@ -136,22 +130,6 @@ impl FleetSupervisor {
         }
     }
 
-    /// Records a scheduled replacement run for `job`.
-    pub fn on_replacement_scheduled(&self, job: JobId, at_ns: u64, attempt: u64) {
-        self.replaced.inc();
-        self.event("fleet.job.replaced", at_ns, job, attempt);
-    }
-
-    /// Records a successful recovery: a replacement run came back with no
-    /// faulty replicas. `recovery_ns` is the wall time from the fault
-    /// *observation* (the faulty run's completion) to the replacement's
-    /// completion — the fleet-level time-to-recovery.
-    pub fn on_recovered(&self, job: JobId, at_ns: u64, recovery_ns: u64) {
-        self.recovered.inc();
-        self.recovery_ns.record(recovery_ns);
-        self.event("fleet.job.recovered", at_ns, job, recovery_ns);
-    }
-
     /// Publishes the executor's instantaneous load to the fleet gauges
     /// (`fleet.pool.queued` / `fleet.pool.inflight` /
     /// `fleet.jobs.outstanding`). Gauges keep their high-water mark, so
@@ -190,12 +168,9 @@ impl FleetSupervisor {
             rejected: self.rejected.get(),
             completed: self.completed.get(),
             failed: self.failed.get(),
-            replaced: self.replaced.get(),
-            recovered: self.recovered.get(),
             deadline_missed: self.deadline_missed.get(),
             faulty_replicas: self.faulty_replicas.get(),
             completion_ns: self.completion_ns.snapshot(),
-            recovery_ns: self.recovery_ns.snapshot(),
             detection_latency_ns: self.detection_latency_ns.snapshot(),
         }
     }
@@ -213,22 +188,16 @@ pub struct FleetStatus {
     pub submitted: u64,
     /// Jobs rejected at admission.
     pub rejected: u64,
-    /// Runs that delivered every expected token.
+    /// Jobs whose run delivered every expected token.
     pub completed: u64,
-    /// Runs that fell short (or panicked).
+    /// Jobs whose run fell short (or panicked).
     pub failed: u64,
-    /// Replacement runs scheduled after a fault observation.
-    pub replaced: u64,
-    /// Replacement runs that came back healthy.
-    pub recovered: u64,
     /// Completions after the job's relative deadline.
     pub deadline_missed: u64,
-    /// Total replica fault latches observed across all runs.
+    /// Total replica fault latches observed across all jobs.
     pub faulty_replicas: u64,
     /// Admission-to-completion wall latency distribution.
     pub completion_ns: HistogramSnapshot,
-    /// Fault-observation-to-recovery wall latency distribution.
-    pub recovery_ns: HistogramSnapshot,
     /// Merged per-job detection latency distribution.
     pub detection_latency_ns: HistogramSnapshot,
 }
@@ -251,12 +220,9 @@ impl FleetStatus {
             .u64_field("rejected", self.rejected)
             .u64_field("completed", self.completed)
             .u64_field("failed", self.failed)
-            .u64_field("replaced", self.replaced)
-            .u64_field("recovered", self.recovered)
             .u64_field("deadline_missed", self.deadline_missed)
             .u64_field("faulty_replicas", self.faulty_replicas)
             .raw_field("completion_ns", &hist(&self.completion_ns))
-            .raw_field("recovery_ns", &hist(&self.recovery_ns))
             .raw_field("detection_latency_ns", &hist(&self.detection_latency_ns))
             .finish()
     }
@@ -282,20 +248,19 @@ mod tests {
     fn folds_lifecycle_counters() {
         let s = FleetSupervisor::new();
         s.on_submitted(JobId(0), 0);
+        s.on_submitted(JobId(1), 0);
         s.on_run_finished(JobId(0), &result(vec![1], 100, 100), 5_000, true);
-        s.on_replacement_scheduled(JobId(0), 5_000, 1);
-        s.on_run_finished(JobId(0), &result(vec![], 100, 100), 9_000, true);
-        s.on_recovered(JobId(0), 9_000, 4_000);
+        s.on_run_finished(JobId(1), &result(vec![], 100, 100), 9_000, true);
 
         let st = s.status();
-        assert_eq!(st.submitted, 1);
+        assert_eq!(st.submitted, 2);
         assert_eq!(st.completed, 2);
-        assert_eq!(st.replaced, 1);
-        assert_eq!(st.recovered, 1);
         assert_eq!(st.faulty_replicas, 1);
-        assert_eq!(st.recovery_ns.count, 1);
         assert_eq!(st.completion_ns.count, 2);
-        assert!(st.to_json().contains("\"recovered\":1"));
+        assert!(st.to_json().contains("\"completed\":2"));
+        let events = s.events_jsonl();
+        assert!(events.contains("fleet.replica.faulty"), "{events}");
+        assert_eq!(events.matches("fleet.job.completed").count(), 2);
     }
 
     #[test]

@@ -234,78 +234,6 @@ impl ChannelBehavior for Fifo {
     }
 }
 
-/// An *unbounded* FIFO — used by the equivalence experiments that model the
-/// idealised replicator of Theorem 2 (unbounded replicator queues) and by
-/// measurement taps that must never exert backpressure.
-#[derive(Debug, Default)]
-pub struct UnboundedFifo {
-    name: String,
-    queue: VecDeque<Token>,
-    max_fill: usize,
-    writes: u64,
-    reads: u64,
-}
-
-impl UnboundedFifo {
-    /// Creates an unbounded FIFO.
-    pub fn new(name: impl Into<String>) -> Self {
-        UnboundedFifo {
-            name: name.into(),
-            ..Default::default()
-        }
-    }
-
-    /// The FIFO's diagnostic name.
-    pub fn name(&self) -> &str {
-        &self.name
-    }
-}
-
-impl ChannelBehavior for UnboundedFifo {
-    fn try_write(&mut self, iface: usize, token: Token, _now: TimeNs) -> WriteOutcome {
-        assert_eq!(iface, 0);
-        self.queue.push_back(token);
-        self.writes += 1;
-        self.max_fill = self.max_fill.max(self.queue.len());
-        WriteOutcome::Accepted
-    }
-
-    fn try_read(&mut self, iface: usize, _now: TimeNs) -> ReadOutcome {
-        assert_eq!(iface, 0);
-        match self.queue.pop_front() {
-            Some(t) => {
-                self.reads += 1;
-                ReadOutcome::Token(t)
-            }
-            None => ReadOutcome::Blocked,
-        }
-    }
-
-    fn fill(&self, _iface: usize) -> usize {
-        self.queue.len()
-    }
-
-    fn capacity(&self, _iface: usize) -> usize {
-        usize::MAX
-    }
-
-    fn max_fill(&self, _iface: usize) -> usize {
-        self.max_fill
-    }
-
-    fn debug_name(&self) -> Option<&str> {
-        Some(&self.name)
-    }
-
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -351,16 +279,6 @@ mod tests {
     #[should_panic(expected = "capacity must be positive")]
     fn zero_capacity_rejected() {
         let _ = Fifo::new("f", 0);
-    }
-
-    #[test]
-    fn unbounded_never_blocks_writes() {
-        let mut f = UnboundedFifo::new("u");
-        for s in 0..10_000u64 {
-            assert_eq!(f.try_write(0, tok(s), TimeNs::ZERO), WriteOutcome::Accepted);
-        }
-        assert_eq!(f.fill(0), 10_000);
-        assert_eq!(f.capacity(0), usize::MAX);
     }
 
     #[test]

@@ -54,9 +54,7 @@ pub mod rng;
 pub mod threaded;
 mod token;
 
-pub use channel::{
-    ChannelBehavior, ChannelId, Fifo, PortId, ReadOutcome, UnboundedFifo, WriteOutcome,
-};
+pub use channel::{ChannelBehavior, ChannelId, Fifo, PortId, ReadOutcome, WriteOutcome};
 pub use digest::{copy_digest4, digest_bytes, digest_bytes4, Digest};
 pub use engine::{Engine, RunOutcome};
 pub use network::{port, ChannelSlot, Network, ProcessSlot};

@@ -325,161 +325,6 @@ impl<A: Curve, B: Curve> Curve for MinCurve<A, B> {
     }
 }
 
-/// Pointwise maximum of two curves.
-#[derive(Debug, Clone)]
-pub struct MaxCurve<A, B>(pub A, pub B);
-
-impl<A: Curve, B: Curve> Curve for MaxCurve<A, B> {
-    fn transient(&self) -> TimeNs {
-        self.0.transient().max(self.1.transient())
-    }
-
-    fn eval(&self, delta: TimeNs) -> u64 {
-        self.0.eval(delta).max(self.1.eval(delta))
-    }
-    fn jump_points(&self, horizon: TimeNs) -> Vec<TimeNs> {
-        let mut v = self.0.jump_points(horizon);
-        v.extend(self.1.jump_points(horizon));
-        v.sort_unstable();
-        v.dedup();
-        v
-    }
-    fn long_run_rate(&self) -> Option<Rate> {
-        match (self.0.long_run_rate(), self.1.long_run_rate()) {
-            (Some(a), Some(b)) => Some(a.max(b)),
-            (Some(a), None) | (None, Some(a)) => Some(a),
-            (None, None) => None,
-        }
-    }
-}
-
-/// Pointwise sum of two curves (aggregate stream of two sources).
-#[derive(Debug, Clone)]
-pub struct SumCurve<A, B>(pub A, pub B);
-
-impl<A: Curve, B: Curve> Curve for SumCurve<A, B> {
-    fn transient(&self) -> TimeNs {
-        self.0.transient().max(self.1.transient())
-    }
-
-    fn eval(&self, delta: TimeNs) -> u64 {
-        self.0.eval(delta) + self.1.eval(delta)
-    }
-    fn jump_points(&self, horizon: TimeNs) -> Vec<TimeNs> {
-        let mut v = self.0.jump_points(horizon);
-        v.extend(self.1.jump_points(horizon));
-        v.sort_unstable();
-        v.dedup();
-        v
-    }
-    fn long_run_rate(&self) -> Option<Rate> {
-        match (self.0.long_run_rate(), self.1.long_run_rate()) {
-            (Some(a), Some(b)) => {
-                // a/pa + b/pb = (a*pb + b*pa) / (pa*pb); keep within u64 by
-                // falling back to a common nanosecond denominator when small.
-                let pa = a.per().as_ns() as u128;
-                let pb = b.per().as_ns() as u128;
-                let num = a.tokens() as u128 * pb + b.tokens() as u128 * pa;
-                let den = pa * pb;
-                // Reduce by gcd to keep magnitudes sane.
-                let g = gcd_u128(num, den).max(1);
-                let (num, den) = (num / g, den / g);
-                if num <= u64::MAX as u128 && den <= u64::MAX as u128 {
-                    Some(Rate::new(num as u64, TimeNs::from_ns(den as u64)))
-                } else {
-                    // Extremely large reduced fraction: approximate.
-                    Some(Rate::new(
-                        (a.tokens_per_sec() + b.tokens_per_sec()).round() as u64,
-                        TimeNs::from_secs(1),
-                    ))
-                }
-            }
-            (Some(a), None) | (None, Some(a)) => Some(a),
-            (None, None) => None,
-        }
-    }
-}
-
-/// Right-shifts a curve in time by a constant delay: the stream's bound
-/// after passing through an element with constant latency.
-///
-/// `eval(Δ) = inner(Δ - delay)` (zero for `Δ ≤ delay`).
-#[derive(Debug, Clone)]
-pub struct DelayCurve<C> {
-    inner: C,
-    delay: TimeNs,
-}
-
-impl<C: Curve> DelayCurve<C> {
-    /// Wraps `inner` with a constant delay.
-    pub fn new(inner: C, delay: TimeNs) -> Self {
-        DelayCurve { inner, delay }
-    }
-}
-
-impl<C: Curve> Curve for DelayCurve<C> {
-    fn transient(&self) -> TimeNs {
-        self.inner.transient() + self.delay
-    }
-
-    fn eval(&self, delta: TimeNs) -> u64 {
-        self.inner.eval(delta.saturating_sub(self.delay))
-    }
-    fn jump_points(&self, horizon: TimeNs) -> Vec<TimeNs> {
-        self.inner
-            .jump_points(horizon.saturating_sub(self.delay))
-            .into_iter()
-            .map(|b| b + self.delay)
-            .filter(|b| *b <= horizon)
-            .collect()
-    }
-    fn long_run_rate(&self) -> Option<Rate> {
-        self.inner.long_run_rate()
-    }
-}
-
-/// Scales a curve's token counts by an integer factor (e.g. a process that
-/// emits `k` output tokens per input token).
-#[derive(Debug, Clone)]
-pub struct ScaleCurve<C> {
-    inner: C,
-    factor: u64,
-}
-
-impl<C: Curve> ScaleCurve<C> {
-    /// Wraps `inner`, multiplying all counts by `factor`.
-    pub fn new(inner: C, factor: u64) -> Self {
-        ScaleCurve { inner, factor }
-    }
-}
-
-impl<C: Curve> Curve for ScaleCurve<C> {
-    fn transient(&self) -> TimeNs {
-        self.inner.transient()
-    }
-
-    fn eval(&self, delta: TimeNs) -> u64 {
-        self.inner.eval(delta) * self.factor
-    }
-    fn jump_points(&self, horizon: TimeNs) -> Vec<TimeNs> {
-        self.inner.jump_points(horizon)
-    }
-    fn long_run_rate(&self) -> Option<Rate> {
-        self.inner
-            .long_run_rate()
-            .map(|r| Rate::new(r.tokens() * self.factor, r.per()))
-    }
-}
-
-fn gcd_u128(mut a: u128, mut b: u128) -> u128 {
-    while b != 0 {
-        let t = a % b;
-        a = b;
-        b = t;
-    }
-    a
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -529,31 +374,8 @@ mod tests {
         let t = ms(17);
         let (va, vb) = (a.eval(t), b.eval(t));
         assert_eq!(MinCurve(&a, &b).eval(t), va.min(vb));
-        assert_eq!(MaxCurve(&a, &b).eval(t), va.max(vb));
-        assert_eq!(SumCurve(&a, &b).eval(t), va + vb);
-        // Rates: min = 1/10ms, max = 1/5ms, sum = 3/10ms.
+        // Rate: min = 1/10ms.
         assert_eq!(MinCurve(&a, &b).long_run_rate(), Some(Rate::new(1, ms(10))));
-        assert_eq!(MaxCurve(&a, &b).long_run_rate(), Some(Rate::new(1, ms(5))));
-        assert_eq!(SumCurve(&a, &b).long_run_rate(), Some(Rate::new(3, ms(10))));
-    }
-
-    #[test]
-    fn delay_curve_shifts_right() {
-        let a = PjdModel::new(ms(10), TimeNs::ZERO, TimeNs::ZERO).upper();
-        let d = DelayCurve::new(&a, ms(7));
-        assert_eq!(d.eval(ms(7)), 0);
-        assert_eq!(d.eval(ms(7) + TimeNs::from_ns(1)), 1);
-        assert_eq!(d.eval(ms(17) + TimeNs::from_ns(1)), 2);
-        let jumps = d.jump_points(ms(30));
-        assert_eq!(jumps, vec![ms(7), ms(17), ms(27)]);
-    }
-
-    #[test]
-    fn scale_curve_multiplies_counts() {
-        let a = PjdModel::new(ms(10), TimeNs::ZERO, TimeNs::ZERO).upper();
-        let s = ScaleCurve::new(&a, 4);
-        assert_eq!(s.eval(ms(25)), 3 * 4);
-        assert_eq!(s.long_run_rate(), Some(Rate::new(4, ms(10))));
     }
 
     #[test]

@@ -56,8 +56,6 @@ pub use analysis::{
 };
 pub use detection::{DetectionBounds, HeteroBounds};
 
-pub use curve::{
-    Curve, DelayCurve, MaxCurve, MinCurve, Rate, ScaleCurve, StaircaseCurve, SumCurve, ZeroCurve,
-};
+pub use curve::{Curve, MinCurve, Rate, StaircaseCurve, ZeroCurve};
 pub use pjd::{PjdLower, PjdModel, PjdUpper};
 pub use time::TimeNs;

@@ -13,11 +13,11 @@
 //!   synchronisation;
 //! * [`noc`] — MPB message timing with the ≤3 KB chunk rule;
 //! * [`mpb`] — per-core 8 KB message-passing-buffer budgets;
-//! * [`rcce`] — an iRCCE-like matched send/receive layer;
 //! * [`mapping`] — the low-contention one-process-per-tile placement of
 //!   §4.1;
 //! * [`SccPlatform`] — the bridge charging these latencies to a
-//!   `rtft-kpn` simulation.
+//!   `rtft-kpn` simulation: every message a network sends across the
+//!   emulated die is timed there, at the writing process.
 //!
 //! # Example: timing a frame transfer across the die
 //!
@@ -38,7 +38,6 @@ pub mod mapping;
 pub mod mpb;
 pub mod noc;
 mod platform;
-pub mod rcce;
 pub mod topology;
 
 pub use clock::{ClockDomain, SccClocks, Tsc, TscBank};
@@ -46,5 +45,4 @@ pub use mapping::{low_contention_pipeline, row_major, snake_order, Mapping};
 pub use mpb::{MpbAllocator, MpbExhausted, MpbRegion};
 pub use noc::{NocFaultPlan, NocModel, MAX_CHUNK_BYTES, MPB_BYTES_PER_CORE};
 pub use platform::SccPlatform;
-pub use rcce::{RcceWorld, RecvOutcome};
 pub use topology::{route_links, CoreId, Link, TileId, CORE_COUNT, TILE_COUNT};

@@ -103,7 +103,7 @@ pub struct ServeReport {
     /// per-tenant reports sorted by id, the merged shard rollup, and the
     /// unique-stream / unique-tenant counts.
     pub tenants: Option<TenantDirectoryReport>,
-    /// The drained fleet's report (job records, status, pool counters).
+    /// The drained fleet's report (status and pool counters).
     pub fleet: FleetReport,
 }
 
@@ -194,7 +194,6 @@ mod tests {
             evictions: 0,
             tenants: None,
             fleet: FleetReport {
-                runs: Vec::new(),
                 status: FleetStatus::default(),
                 pool: PoolStats {
                     workers: 2,

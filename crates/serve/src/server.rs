@@ -144,10 +144,9 @@ impl Default for TenancyConfig {
 /// Server sizing and policy.
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
-    /// Fleet executor knobs. The serve default disables replacement
-    /// (`max_replacements: 0`): a flush's *final* run is the faulty run,
-    /// so the pushed outputs and detection latencies describe the fault
-    /// the client streamed into — each flush rebuilds the network anyway.
+    /// Fleet executor knobs. A flush is one fleet job with one run, so
+    /// the pushed outputs and detection latencies describe the fault the
+    /// client streamed into.
     pub fleet: FleetConfig,
     /// Runtime for flush jobs.
     pub runtime: ServeRuntime,
@@ -186,11 +185,7 @@ pub struct ServerConfig {
 impl Default for ServerConfig {
     fn default() -> Self {
         ServerConfig {
-            fleet: FleetConfig {
-                workers: 2,
-                pending_capacity: 64,
-                max_replacements: 0,
-            },
+            fleet: FleetConfig::default(),
             runtime: ServeRuntime::DiscreteEvent,
             max_frame: DEFAULT_MAX_FRAME,
             inject: Vec::new(),

@@ -33,7 +33,7 @@
 //!   nothing the caller buffered is dropped.
 //!
 //! Accounting per tenant ends up in a [`TenantReport`]: jobs, tokens,
-//! faults detected, detection-latency histogram, and time-to-recovery.
+//! faults detected, and the detection-latency histogram.
 //!
 //! ```
 //! use rtft_tenant::{TenantConfig, TenantManager, TenantState};

@@ -35,8 +35,6 @@ pub struct TenantReport {
     pub rejected_draining: u64,
     /// Detection latency across the tenant's jobs (DES: virtual ns).
     pub detection_latency_ns: HistogramSnapshot,
-    /// Time-to-recovery for jobs that healed through replacement.
-    pub recovery_ns: HistogramSnapshot,
 }
 
 impl TenantReport {
@@ -56,7 +54,6 @@ impl TenantReport {
             rejected_rate: c.rejected_rate,
             rejected_draining: c.rejected_draining,
             detection_latency_ns: tenant.detection_latency_ns().snapshot(),
-            recovery_ns: tenant.recovery_ns().snapshot(),
         }
     }
 
@@ -76,7 +73,6 @@ impl TenantReport {
             .u64_field("rejected_rate", self.rejected_rate)
             .u64_field("rejected_draining", self.rejected_draining)
             .raw_field("detection_latency_ns", &hist(&self.detection_latency_ns))
-            .raw_field("recovery_ns", &hist(&self.recovery_ns))
             .finish()
     }
 }

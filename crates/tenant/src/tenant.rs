@@ -120,7 +120,6 @@ pub struct Tenant {
     rejected_rate: AtomicU64,
     rejected_draining: AtomicU64,
     detection_latency_ns: Histogram,
-    recovery_ns: Histogram,
 }
 
 impl Tenant {
@@ -141,7 +140,6 @@ impl Tenant {
             rejected_rate: AtomicU64::new(0),
             rejected_draining: AtomicU64::new(0),
             detection_latency_ns: Histogram::default(),
-            recovery_ns: Histogram::default(),
         }
     }
 
@@ -296,9 +294,6 @@ impl Tenant {
         self.delivered.fetch_add(record.arrivals, Ordering::Relaxed);
         self.faults
             .fetch_add(record.faulty_replicas.len() as u64, Ordering::Relaxed);
-        if record.recovered {
-            self.recovery_ns.record(record.completion_ns);
-        }
         if let Some(result) = result {
             self.detection_latency_ns
                 .merge_from(result.health.detection_latency());
@@ -331,10 +326,6 @@ impl Tenant {
 
     pub(crate) fn detection_latency_ns(&self) -> &Histogram {
         &self.detection_latency_ns
-    }
-
-    pub(crate) fn recovery_ns(&self) -> &Histogram {
-        &self.recovery_ns
     }
 }
 

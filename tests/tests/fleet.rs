@@ -1,10 +1,12 @@
 //! Integration tests of the `rtft-fleet` executor: admission backpressure,
-//! EDF ordering, health-aware replacement, and throughput scaling.
+//! EDF ordering, fault masking observed through settle notifiers, and
+//! throughput scaling.
 
 use rtft_core::{DuplicationConfig, FaultPlan, JitterStageReplica, NJitterStageReplica};
 use rtft_core::{NModularModel, NSizingReport};
 use rtft_fleet::{
-    Admission, FleetConfig, FleetExecutor, JobRuntime, JobSpec, JobTemplate, RejectReason,
+    Admission, FleetConfig, FleetExecutor, JobNotifier, JobRecord, JobRuntime, JobSpec,
+    JobTemplate, RejectReason,
 };
 use rtft_kpn::Payload;
 use rtft_rtc::sizing::DuplicationModel;
@@ -18,6 +20,14 @@ use std::time::{Duration, Instant};
 fn timing_lock() -> MutexGuard<'static, ()> {
     static TIMING: Mutex<()> = Mutex::new(());
     TIMING.lock().unwrap_or_else(|e| e.into_inner())
+}
+
+/// A notifier that keeps every settled job's record, in settle order.
+fn recorder() -> (JobNotifier, Arc<Mutex<Vec<JobRecord>>>) {
+    let records: Arc<Mutex<Vec<JobRecord>>> = Arc::default();
+    let sink = Arc::clone(&records);
+    let notify: JobNotifier = Arc::new(move |record, _| sink.lock().unwrap().push(record.clone()));
+    (notify, records)
 }
 
 /// A small synthetic duplicated job under the DES runtime. ~33 tokens at
@@ -77,40 +87,34 @@ fn threaded_job(name: &str, tokens: u64) -> JobSpec {
 }
 
 #[test]
-fn injected_fault_triggers_replacement_and_recovery() {
+fn injected_fault_is_masked_and_observed() {
     let fleet = FleetExecutor::new(FleetConfig {
         workers: 2,
         pending_capacity: 8,
-        max_replacements: 1,
     });
-    let admission = fleet.submit(des_job("faulty-tenant", Some(TimeNs::from_secs(1))));
+    let (notify, records) = recorder();
+    let faulty = des_job("faulty-tenant", Some(TimeNs::from_secs(1)));
+    let admission = fleet.submit_with(faulty, Some(Arc::clone(&notify)));
     assert!(matches!(admission, Admission::Admitted(_)));
     // A healthy tenant shares the workers with the faulty one.
-    let admission = fleet.submit(des_job("healthy-tenant", None));
+    let admission = fleet.submit_with(des_job("healthy-tenant", None), Some(notify));
     assert!(matches!(admission, Admission::Admitted(_)));
 
     let report = fleet.join();
-    assert_eq!(report.runs.len(), 2);
-    let by_name = |name: &str| report.runs.iter().find(|r| r.name == name).unwrap();
+    let records = records.lock().unwrap();
+    assert_eq!(records.len(), 2);
+    let by_name = |name: &str| records.iter().find(|r| r.name == name).unwrap();
     let healthy = by_name("healthy-tenant");
     assert!(healthy.faulty_replicas.is_empty(), "{healthy:?}");
     assert!(!healthy.failed);
     assert_eq!(healthy.arrivals, healthy.expected);
     let job = by_name("faulty-tenant");
-    // The fault was masked (the faulty run still delivered every token),
-    // observed (replica 0 latched), and repaired by a healed replacement.
+    // The fault was masked (the run still delivered every token) and
+    // observed (replica 0 latched).
     assert_eq!(job.faulty_replicas, vec![0]);
-    assert_eq!(job.attempts, 1, "one replacement run");
-    assert!(job.recovered, "replacement came back healthy");
     assert!(!job.failed);
     assert_eq!(job.arrivals, job.expected);
-    assert_eq!(report.status.replaced, 1);
-    assert_eq!(report.status.recovered, 1);
-    assert_eq!(
-        report.status.completed, 3,
-        "original + replacement runs + the healthy tenant"
-    );
-    assert_eq!(report.status.recovery_ns.count, 1);
+    assert_eq!(report.status.completed, 2, "one run per tenant");
     // The job's detection latency was folded into the fleet registry.
     assert!(report.status.detection_latency_ns.count >= 1);
 }
@@ -150,17 +154,22 @@ fn n_modular_job_reports_faulty_indices_through_the_fleet() {
     };
 
     let fleet = FleetExecutor::new(FleetConfig::default());
-    assert!(matches!(fleet.submit(spec), Admission::Admitted(_)));
+    let (notify, records) = recorder();
+    assert!(matches!(
+        fleet.submit_with(spec, Some(notify)),
+        Admission::Admitted(_)
+    ));
     let report = fleet.join();
-    let job = &report.runs[0];
+    let records = records.lock().unwrap();
+    let job = &records[0];
     assert_eq!(
         job.faulty_replicas,
         vec![0],
         "detectors name the dead replica"
     );
-    assert!(job.recovered);
     assert!(!job.failed);
-    assert_eq!(report.status.recovered, 1);
+    assert_eq!(report.status.completed, 1);
+    assert_eq!(report.status.failed, 0);
 }
 
 #[test]
@@ -171,7 +180,6 @@ fn full_fleet_rejects_with_queue_full() {
     let fleet = FleetExecutor::new(FleetConfig {
         workers: 1,
         pending_capacity: 2,
-        max_replacements: 0,
     });
     assert!(matches!(
         fleet.submit(threaded_job("a", 40)),
@@ -191,8 +199,8 @@ fn full_fleet_rejects_with_queue_full() {
     let report = fleet.join();
     assert_eq!(report.status.submitted, 2);
     assert_eq!(report.status.rejected, 1);
-    assert_eq!(report.runs.len(), 2);
-    assert!(report.runs.iter().all(|r| !r.failed));
+    assert_eq!(report.status.completed, 2);
+    assert_eq!(report.status.failed, 0);
 }
 
 #[test]
@@ -217,21 +225,25 @@ fn single_worker_completes_in_deadline_order() {
     let fleet = FleetExecutor::new(FleetConfig {
         workers: 1,
         pending_capacity: 8,
-        max_replacements: 0,
     });
+    let (notify, records) = recorder();
     assert!(matches!(
-        fleet.submit(threaded_job("blocker", 150)),
+        fleet.submit_with(threaded_job("blocker", 150), Some(Arc::clone(&notify))),
         Admission::Admitted(_)
     ));
     for (name, deadline_secs) in [("slack", 300u64), ("soon", 200), ("urgent", 100)] {
         let mut spec = des_job(name, None);
         spec.relative_deadline = Duration::from_secs(deadline_secs);
-        assert!(matches!(fleet.submit(spec), Admission::Admitted(_)));
+        assert!(matches!(
+            fleet.submit_with(spec, Some(Arc::clone(&notify))),
+            Admission::Admitted(_)
+        ));
     }
-    let report = fleet.join();
-    let order: Vec<&str> = report.runs.iter().map(|r| r.name.as_str()).collect();
+    fleet.join();
+    let records = records.lock().unwrap();
+    let order: Vec<&str> = records.iter().map(|r| r.name.as_str()).collect();
     assert_eq!(order, vec!["blocker", "urgent", "soon", "slack"]);
-    assert!(report.runs.iter().all(|r| r.deadline_met));
+    assert!(records.iter().all(|r| r.deadline_met));
 }
 
 #[test]
@@ -244,7 +256,6 @@ fn two_workers_overlap_sleep_bound_jobs() {
         let fleet = FleetExecutor::new(FleetConfig {
             workers,
             pending_capacity: 16,
-            max_replacements: 0,
         });
         let start = Instant::now();
         for i in 0..6 {

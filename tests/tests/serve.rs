@@ -323,7 +323,6 @@ fn saturated_admission_answers_busy_then_retry_delivers_everything() {
         fleet: FleetConfig {
             workers: 1,
             pending_capacity: 1,
-            max_replacements: 0,
         },
         // Threaded runtime: wall-clock duration tracks the 30 ms MJPEG
         // period, so the first stream reliably occupies the fleet while
@@ -955,7 +954,6 @@ fn flush_retry_is_lossless_and_never_resends_tokens() {
             fleet: FleetConfig {
                 workers: 2,
                 pending_capacity: 1,
-                max_replacements: 0,
             },
             runtime: ServeRuntime::Threaded {
                 deadline: Duration::from_secs(30),
@@ -1351,12 +1349,6 @@ fn lent_flush_pushes_its_fault_before_stats() {
             replica: 1,
             at: TimeNs::from_ms(120),
         }],
-        fleet: FleetConfig {
-            // No replacement run: the faulty first run — the lent one —
-            // is the one that settles.
-            max_replacements: 0,
-            ..FleetConfig::default()
-        },
         ..ServerConfig::default()
     };
     let server = Server::start("127.0.0.1:0", cfg).expect("bind");

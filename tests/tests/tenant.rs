@@ -1,26 +1,31 @@
 //! Integration tests of the tenant layer under `rtft-serve`: eight
-//! tenants over real TCP with one detached mid-stream (full
-//! offered = delivered + undelivered + rejected accounting, and
+//! tenants over real TCP with one detached mid-stream and a replica fault
+//! injected into another (full offered = delivered + undelivered +
+//! rejected accounting, faults confined to their tenant, and
 //! byte-identical outcomes for the seven untouched tenants), the
 //! structured quota / rate rejection paths, Hello-time tenant
 //! resolution policy, and shard-count invariance of the directory
 //! report.
 
 use rtft_apps::networks::App;
+use rtft_rtc::TimeNs;
 use rtft_serve::{
-    digest_of, workload, BusyReason, Client, Server, ServerConfig, TenancyConfig, TenantConfig,
-    TokenRate,
+    digest_of, workload, BusyReason, Client, FaultInjection, Server, ServerConfig, TenancyConfig,
+    TenantConfig, TokenRate,
 };
 use rtft_tenant::TenantState;
 
 const TENANTS: usize = 8;
 const DETACHED: usize = 3;
+/// The tenant whose stream fail-stops a replica on every flush.
+const FAULTY: usize = 5;
 const BATCH: usize = 6;
 
 /// One tenant's observable outcome: the digests its stream delivered.
 type Digests = Vec<u64>;
 
-/// Drives eight single-stream tenants through a tenancy-enabled server.
+/// Drives eight single-stream tenants through a tenancy-enabled server,
+/// with a replica fault injected into tenant [`FAULTY`]'s stream.
 /// Every tenant flushes one batch; then, when `detach` is set, tenant
 /// [`DETACHED`] buffers a second batch, is detached, and has a flush and
 /// a further batch refused; every other tenant flushes a second batch.
@@ -31,12 +36,20 @@ fn eight_tenant_run(detach: bool, shards: usize) -> (Vec<Digests>, rtft_serve::S
             shards,
             ..TenancyConfig::default()
         }),
+        // The replica halts 1 ms into each run, so even a six-token
+        // batch leaves it far enough behind to latch.
+        inject: vec![FaultInjection {
+            stream: FAULTY as u32,
+            replica: 1,
+            at: TimeNs::from_ms(1),
+        }],
         ..ServerConfig::default()
     };
     let server = Server::start("127.0.0.1:0", cfg).expect("bind");
 
     // Sequential connects and opens: stream i belongs to tenant-i, so
-    // per-stream job seeds are identical across runs and shard counts.
+    // per-stream job seeds (and the injection's global stream index) are
+    // identical across runs and shard counts.
     let mut clients: Vec<(Client, u32)> = (0..TENANTS)
         .map(|i| {
             let mut c = Client::connect(server.addr(), &format!("tenant-{i}")).expect("connect");
@@ -122,6 +135,17 @@ fn detach_one_of_eight_tenants_accounts_fully_and_perturbs_nobody() {
     assert!(report.balanced(), "tokens_in == delivered + undelivered");
     let tenants = report.tenants.as_ref().expect("tenancy report");
     assert_eq!(tenants.tenants.len(), TENANTS);
+
+    // Fault isolation: the injected replica fault is counted in tenant
+    // FAULTY's directory row and in no other.
+    for t in &tenants.tenants {
+        if t.name == format!("tenant-{FAULTY}") {
+            assert!(t.faults > 0, "injected fault must latch: {t:?}");
+            assert!(t.detection_latency_ns.count > 0, "{t:?}");
+        } else {
+            assert_eq!(t.faults, 0, "fault leaked into {}: {t:?}", t.name);
+        }
+    }
 
     // The detached tenant's books: batch 1 delivered, batch 2 accepted
     // but refused at flush (undelivered), batch 3 rejected at the door.
