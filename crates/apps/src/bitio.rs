@@ -2,17 +2,36 @@
 //! H.264-lite entropy coders.
 
 /// MSB-first bit writer.
+///
+/// Bits collect in a 64-bit accumulator and move into `bytes` a whole
+/// 32-bit word at a time, so a symbol of up to 32 bits costs one shift-or.
+/// The bytes are those of writing one bit at a time.
 #[derive(Debug, Default)]
 pub struct BitWriter {
     bytes: Vec<u8>,
-    /// Bits already used in the final byte (0–7).
-    bit_pos: u8,
+    /// The last `pending` bits written, in its low bits; higher bits are
+    /// already in `bytes`.
+    acc: u64,
+    /// Bits held in `acc` and not yet in `bytes` (0–31).
+    pending: u32,
 }
 
 impl BitWriter {
     /// An empty writer.
     pub fn new() -> Self {
         Self::default()
+    }
+
+    /// Appends the lowest `count ≤ 32` bits of `value`, MSB first.
+    fn push(&mut self, value: u64, count: u32) {
+        debug_assert!(count <= 32);
+        self.acc = (self.acc << count) | (value & ((1u64 << count) - 1));
+        self.pending += count;
+        if self.pending >= 32 {
+            self.pending -= 32;
+            let word = (self.acc >> self.pending) as u32;
+            self.bytes.extend_from_slice(&word.to_be_bytes());
+        }
     }
 
     /// Appends the lowest `count` bits of `value`, MSB first.
@@ -22,44 +41,76 @@ impl BitWriter {
     /// Panics if `count > 64`.
     pub fn put_bits(&mut self, value: u64, count: u8) {
         assert!(count <= 64, "cannot write more than 64 bits at once");
-        for i in (0..count).rev() {
-            let bit = ((value >> i) & 1) as u8;
-            if self.bit_pos == 0 {
-                self.bytes.push(0);
-            }
-            let last = self.bytes.last_mut().expect("byte pushed");
-            *last |= bit << (7 - self.bit_pos);
-            self.bit_pos = (self.bit_pos + 1) % 8;
+        let count = u32::from(count);
+        if count > 32 {
+            self.push(value >> 32, count - 32);
+            self.push(value, 32);
+        } else {
+            self.push(value, count);
         }
     }
 
     /// Appends a single bit.
     pub fn put_bit(&mut self, bit: bool) {
-        self.put_bits(bit as u64, 1);
+        self.push(bit as u64, 1);
     }
 
     /// Unsigned Exp-Golomb code (`ue(v)` in H.264 parlance).
     pub fn put_ue(&mut self, v: u64) {
         let code = v + 1;
-        let len = 64 - code.leading_zeros() as u8; // bit length of code
-        self.put_bits(0, len - 1); // leading zeros
-        self.put_bits(code, len);
+        let len = 64 - code.leading_zeros(); // bit length of code
+        if len <= 16 {
+            // Leading zeros and code in one write.
+            self.push(code, 2 * len - 1);
+        } else {
+            self.put_bits(0, len as u8 - 1);
+            self.put_bits(code, len as u8);
+        }
     }
 
     /// Signed Exp-Golomb code (`se(v)`): 0, 1, −1, 2, −2, …
     pub fn put_se(&mut self, v: i64) {
-        let mapped = if v > 0 {
-            (v as u64) * 2 - 1
+        self.put_ue(se_mapped(v));
+    }
+
+    /// One run-length symbol of the entropy coders: a set flag bit,
+    /// `ue(run)` and `se(level)`. The three codes go in as one write when
+    /// they fit in 32 bits, as three otherwise; the bytes are the same.
+    pub fn put_run_level(&mut self, run: u64, level: i64) {
+        let run_code = run + 1;
+        let level_code = se_mapped(level) + 1;
+        let run_len = 64 - run_code.leading_zeros();
+        let level_len = 64 - level_code.leading_zeros();
+        let total = 2 * (run_len + level_len) - 1;
+        if total <= 32 {
+            let level_bits = 2 * level_len - 1;
+            let value = (1 << (total - 1)) | (run_code << level_bits) | level_code;
+            self.push(value, total);
         } else {
-            (-v as u64) * 2
-        };
-        self.put_ue(mapped);
+            self.put_bit(true);
+            self.put_ue(run);
+            self.put_se(level);
+        }
     }
 
     /// Finishes the stream (zero-padding the final byte) and returns the
     /// bytes.
-    pub fn into_bytes(self) -> Vec<u8> {
+    pub fn into_bytes(mut self) -> Vec<u8> {
+        if self.pending > 0 {
+            let word = ((self.acc << (32 - self.pending)) as u32).to_be_bytes();
+            self.bytes
+                .extend_from_slice(&word[..self.pending.div_ceil(8) as usize]);
+        }
         self.bytes
+    }
+}
+
+/// The `ue` argument `se(v)` codes: 0, 1, −1, 2, −2, … → 0, 1, 2, 3, 4, …
+fn se_mapped(v: i64) -> u64 {
+    if v > 0 {
+        (v as u64) * 2 - 1
+    } else {
+        (-v as u64) * 2
     }
 }
 
@@ -148,6 +199,62 @@ impl<'a> BitReader<'a> {
     }
 }
 
+/// The one-bit-at-a-time writer the accumulator replaced, kept as the
+/// oracle the encoders' bitstreams are checked against.
+#[cfg(test)]
+pub(crate) mod reference {
+    /// MSB-first bit writer, one bit per step.
+    #[derive(Debug, Default)]
+    pub(crate) struct BitWriter {
+        bytes: Vec<u8>,
+        /// Bits already used in the final byte (0–7).
+        bit_pos: u8,
+    }
+
+    impl BitWriter {
+        pub(crate) fn new() -> Self {
+            Self::default()
+        }
+
+        pub(crate) fn put_bits(&mut self, value: u64, count: u8) {
+            assert!(count <= 64, "cannot write more than 64 bits at once");
+            for i in (0..count).rev() {
+                let bit = ((value >> i) & 1) as u8;
+                if self.bit_pos == 0 {
+                    self.bytes.push(0);
+                }
+                let last = self.bytes.last_mut().expect("byte pushed");
+                *last |= bit << (7 - self.bit_pos);
+                self.bit_pos = (self.bit_pos + 1) % 8;
+            }
+        }
+
+        pub(crate) fn put_bit(&mut self, bit: bool) {
+            self.put_bits(bit as u64, 1);
+        }
+
+        pub(crate) fn put_ue(&mut self, v: u64) {
+            let code = v + 1;
+            let len = 64 - code.leading_zeros() as u8;
+            self.put_bits(0, len - 1);
+            self.put_bits(code, len);
+        }
+
+        pub(crate) fn put_se(&mut self, v: i64) {
+            let mapped = if v > 0 {
+                (v as u64) * 2 - 1
+            } else {
+                (-v as u64) * 2
+            };
+            self.put_ue(mapped);
+        }
+
+        pub(crate) fn into_bytes(self) -> Vec<u8> {
+            self.bytes
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -194,7 +301,7 @@ mod tests {
         let encode = |v: u64| {
             let mut w = BitWriter::new();
             w.put_ue(v);
-            (w.bit_pos, w.into_bytes())
+            (w.pending, w.into_bytes())
         };
         assert_eq!(encode(0), (1, vec![0b1000_0000]));
         assert_eq!(encode(1), (3, vec![0b0100_0000]));
@@ -211,5 +318,68 @@ mod tests {
         // All-zero stream never terminates a ue() prefix.
         let mut r2 = BitReader::new(&bytes);
         assert!(r2.get_ue().is_err());
+    }
+
+    /// Levels around every power of two up to 2²⁰, and all small ones.
+    fn levels() -> impl Iterator<Item = i64> {
+        let edges = (9..=20).flat_map(|k| {
+            let p = 1i64 << k;
+            [p - 1, p, p + 1].into_iter().flat_map(|v| [v, -v])
+        });
+        (-300..=300).chain(edges)
+    }
+
+    #[test]
+    fn run_level_symbols_match_flag_ue_se_across_the_32_bit_fallback() {
+        for prefix in 0..8u8 {
+            let mut fast = BitWriter::new();
+            let mut per_bit = reference::BitWriter::new();
+            fast.put_bits(0b1011_0101, prefix);
+            per_bit.put_bits(0b1011_0101, prefix);
+            for run in 0..=63u64 {
+                for level in levels() {
+                    fast.put_run_level(run, level);
+                    per_bit.put_bit(true);
+                    per_bit.put_ue(run);
+                    per_bit.put_se(level);
+                }
+            }
+            assert_eq!(fast.into_bytes(), per_bit.into_bytes(), "prefix {prefix}");
+        }
+        // Run 63 and level 2²⁰ take 57 bits: the three-write path.
+        let mut w = BitWriter::new();
+        w.put_run_level(63, 1 << 20);
+        let bytes = w.into_bytes();
+        let mut r = BitReader::new(&bytes);
+        assert!(r.get_bit().unwrap());
+        assert_eq!(r.get_ue().unwrap(), 63);
+        assert_eq!(r.get_se().unwrap(), 1 << 20);
+    }
+
+    #[test]
+    fn accumulator_writes_the_bytes_of_the_per_bit_writer() {
+        let mut fast = BitWriter::new();
+        let mut per_bit = reference::BitWriter::new();
+        let mut x = 0x2545_f491_4f6c_dd1du64;
+        for count in (0..=64u8).cycle().take(2_000) {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            fast.put_bits(x, count);
+            per_bit.put_bits(x, count);
+            let v = x >> (x % 64);
+            fast.put_ue(v.min(u64::MAX - 1));
+            per_bit.put_ue(v.min(u64::MAX - 1));
+            fast.put_se((x as i64) >> (x % 63 + 1));
+            per_bit.put_se((x as i64) >> (x % 63 + 1));
+        }
+        for k in 0..64 {
+            let p = 1u64 << k;
+            for v in [p - 1, p, p.saturating_add(1)] {
+                fast.put_ue(v.min(u64::MAX - 1));
+                per_bit.put_ue(v.min(u64::MAX - 1));
+            }
+        }
+        assert_eq!(fast.into_bytes(), per_bit.into_bytes());
     }
 }

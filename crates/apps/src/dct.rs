@@ -109,19 +109,42 @@ pub fn idct8x8(coeffs: &[f32; 64]) -> [u8; 64] {
             for u in 0..8 {
                 s += cols[r * 8 + u] * b[u][x];
             }
-            out[r * 8 + x] = (s + 128.0).round().clamp(0.0, 255.0) as u8;
+            out[r * 8 + x] = pixel(s);
         }
     }
     out
 }
 
+/// `(s + 128.0).round().clamp(0.0, 255.0) as u8` without the libm call.
+/// The bounds are integers, so clamping first and rounding second gives
+/// the same value; on `[0, 255]` the truncation is exact and the rounding
+/// is one compare of the fraction. NaN is 0 either way.
+fn pixel(s: f32) -> u8 {
+    let v = (s + 128.0).clamp(0.0, 255.0);
+    let t = v as u8;
+    t + (v - t as f32 >= 0.5) as u8
+}
+
+/// `x.round() as i16` (half away from zero, saturating, NaN to 0) without
+/// the libm call. Clamping to ±65 536 first changes no result, as every
+/// value past ±32 768 saturates, and keeps the truncation to `i32` and the
+/// fraction exact; the `i32` result is clamped to the `i16` range before
+/// the cast, which would wrap rather than saturate.
+fn round_i16(x: f32) -> i16 {
+    let c = x.clamp(-65_536.0, 65_536.0);
+    let t = c as i32;
+    let f = c - t as f32;
+    let r = t + (f >= 0.5) as i32 - (f <= -0.5) as i32;
+    r.clamp(i16::MIN.into(), i16::MAX.into()) as i16
+}
+
 /// Quantises DCT coefficients and emits them in zig-zag order.
 pub fn quantize_zigzag(coeffs: &[f32; 64], qtable: &[u16; 64]) -> [i16; 64] {
-    let mut out = [0i16; 64];
-    for (zz, slot) in ZIGZAG.iter().zip(out.iter_mut()) {
-        *slot = (coeffs[*zz] / qtable[*zz] as f32).round() as i16;
+    let mut natural = [0i16; 64];
+    for ((slot, c), q) in natural.iter_mut().zip(coeffs).zip(qtable) {
+        *slot = round_i16(c / *q as f32);
     }
-    out
+    ZIGZAG.map(|zz| natural[zz])
 }
 
 /// Dequantises zig-zag coefficients back into a row-major block.
@@ -131,6 +154,21 @@ pub fn dequantize_zigzag(q: &[i16; 64], qtable: &[u16; 64]) -> [f32; 64] {
         out[*zz] = q[i] as f32 * qtable[*zz] as f32;
     }
     out
+}
+
+/// The libm-rounding quantiser the rewrite replaced, kept as the oracle the
+/// encoders' bitstreams are checked against.
+#[cfg(test)]
+pub(crate) mod reference {
+    use super::ZIGZAG;
+
+    pub(crate) fn quantize_zigzag(coeffs: &[f32; 64], qtable: &[u16; 64]) -> [i16; 64] {
+        let mut out = [0i16; 64];
+        for (zz, slot) in ZIGZAG.iter().zip(out.iter_mut()) {
+            *slot = (coeffs[*zz] / qtable[*zz] as f32).round() as i16;
+        }
+        out
+    }
 }
 
 #[cfg(test)]
@@ -219,5 +257,88 @@ mod tests {
         let q = quantize_zigzag(&fdct8x8(&block), &scaled_qtable(75));
         let zeros = q.iter().filter(|c| **c == 0).count();
         assert!(zeros > 48, "only {zeros}/64 zeros");
+    }
+
+    /// Seeded f32 bit patterns over every exponent, then the edges the
+    /// rounding rewrites have to get right.
+    fn rounding_inputs() -> impl Iterator<Item = f32> {
+        let mut x = 0x9e37_79b9_7f4a_7c15u64;
+        let patterns = (0..1_000_000).map(move |_| {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            f32::from_bits((x >> 32) as u32)
+        });
+        // Dense over the range the kernels produce.
+        let dense = (0..200_000).map(|i| i as f32 * 0.005_3 - 530.0);
+        let special = [
+            f32::NAN,
+            -f32::NAN,
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            0.0,
+            -0.0,
+        ]
+        .into_iter()
+        .chain([f32::from_bits(0x7fc0_0001)]); // a NaN with a payload
+        let ties = (0..=1u32 << 23).flat_map(|k| {
+            let k = k as f32;
+            [k + 0.5, k - 0.5, -k + 0.5, -k - 0.5]
+        });
+        let saturation = [
+            65_536.0f32,
+            -65_536.0,
+            32_767.5,
+            -32_767.5,
+            -32_768.5,
+            32_766.5,
+        ]
+        .into_iter()
+        .flat_map(|edge| {
+            let bits = edge.to_bits();
+            [edge, f32::from_bits(bits + 1), f32::from_bits(bits - 1)]
+        });
+        // Pixel ties: s + 128 = k ± 0.5 around and inside [0, 255].
+        let pixel_ties = (-140..=400).flat_map(|k| [k as f32 - 127.5, k as f32 - 128.5]);
+        patterns
+            .chain(dense)
+            .chain(special)
+            .chain(ties)
+            .chain(saturation)
+            .chain(pixel_ties)
+    }
+
+    #[test]
+    fn rounding_without_libm_matches_round_then_cast() {
+        for x in rounding_inputs() {
+            assert_eq!(round_i16(x), x.round() as i16, "round_i16({x:e})");
+            assert_eq!(
+                pixel(x),
+                (x + 128.0).round().clamp(0.0, 255.0) as u8,
+                "pixel({x:e})"
+            );
+        }
+    }
+
+    #[test]
+    fn quantiser_matches_the_libm_reference() {
+        let mut x = 7u64;
+        for quality in [1, 10, 50, 90, 100] {
+            let qtable = scaled_qtable(quality);
+            for _ in 0..2_000 {
+                let mut block = [0u8; 64];
+                for p in block.iter_mut() {
+                    x ^= x << 13;
+                    x ^= x >> 7;
+                    x ^= x << 17;
+                    *p = x as u8;
+                }
+                let coeffs = fdct8x8(&block);
+                assert_eq!(
+                    quantize_zigzag(&coeffs, &qtable),
+                    reference::quantize_zigzag(&coeffs, &qtable)
+                );
+            }
+        }
     }
 }

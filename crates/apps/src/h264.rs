@@ -277,28 +277,32 @@ pub fn encode(frame: &Frame, qp: u8) -> Vec<u8> {
                         }
                     }
                     let z = quant(&fwd4x4(&x), qp);
-                    // Entropy: zig-zag RLE, flag + ue(run) + se(level), EOB.
-                    let mut run = 0u64;
-                    for &zi in ZIGZAG4.iter() {
-                        let level = z[zi];
-                        if level == 0 {
-                            run += 1;
-                        } else {
-                            w.put_bit(true);
-                            w.put_ue(run);
-                            w.put_se(level as i64);
-                            run = 0;
-                        }
+                    // Entropy: zig-zag RLE, flag + ue(run) + se(level), EOB;
+                    // the loop visits the nonzero levels only.
+                    let mut nonzero = ZIGZAG4
+                        .iter()
+                        .enumerate()
+                        .fold(0u32, |m, (k, &zi)| m | u32::from(z[zi] != 0) << k);
+                    let mut next = 0;
+                    while nonzero != 0 {
+                        let k = nonzero.trailing_zeros() as usize;
+                        w.put_run_level((k - next) as u64, z[ZIGZAG4[k]].into());
+                        next = k + 1;
+                        nonzero &= nonzero - 1;
                     }
                     w.put_bit(false);
-                    // Reconstruct exactly as a decoder would.
-                    let r = inv4x4(&dequant(&z, qp));
-                    for dy in 0..4 {
-                        for dx in 0..4 {
-                            let px = mbx * MB + bx * 4 + dx;
-                            let py = mby * MB + by * 4 + dy;
-                            let p = pred[(by * 4 + dy) * MB + bx * 4 + dx] as i32;
-                            recon[py * width + px] = (p + r[dy * 4 + dx]).clamp(0, 255) as u8;
+                    // Reconstruct exactly as a decoder would, but only the
+                    // blocks on the macroblock's last row or column: `predict`
+                    // reads nothing else of `recon`.
+                    if by == 3 || bx == 3 {
+                        let r = inv4x4(&dequant(&z, qp));
+                        for dy in 0..4 {
+                            for dx in 0..4 {
+                                let px = mbx * MB + bx * 4 + dx;
+                                let py = mby * MB + by * 4 + dy;
+                                let p = pred[(by * 4 + dy) * MB + bx * 4 + dx] as i32;
+                                recon[py * width + px] = (p + r[dy * 4 + dx]).clamp(0, 255) as u8;
+                            }
                         }
                     }
                 }
@@ -368,6 +372,112 @@ mod tests {
     use super::*;
     use crate::video::VideoSource;
 
+    /// The encoder the rewrite replaced, with a per-coefficient entropy
+    /// loop, the per-bit writer and all 16 blocks reconstructed: the oracle
+    /// for [`encode`].
+    fn reference_encode(frame: &Frame, qp: u8) -> Vec<u8> {
+        let (width, height) = (frame.width, frame.height);
+        let mut w = crate::bitio::reference::BitWriter::new();
+        w.put_bits(MAGIC as u64, 16);
+        w.put_bits(width as u64, 16);
+        w.put_bits(height as u64, 16);
+        w.put_bits(qp as u64, 8);
+        let mut recon = vec![0u8; width * height];
+        for mby in 0..height / MB {
+            for mbx in 0..width / MB {
+                let mut best: Option<(PredMode, u64, [u8; 256])> = None;
+                for mode in [PredMode::Dc, PredMode::Vertical, PredMode::Horizontal] {
+                    let pred = predict(&recon, width, mbx, mby, mode);
+                    let mut sad = 0u64;
+                    for dy in 0..MB {
+                        for dx in 0..MB {
+                            let s = frame.at(mbx * MB + dx, mby * MB + dy) as i64;
+                            let p = pred[dy * MB + dx] as i64;
+                            sad += (s - p).unsigned_abs();
+                        }
+                    }
+                    if best.as_ref().is_none_or(|(_, b, _)| sad < *b) {
+                        best = Some((mode, sad, pred));
+                    }
+                }
+                let (mode, _, pred) = best.expect("three candidate modes");
+                w.put_ue(mode.code());
+                for by in 0..4 {
+                    for bx in 0..4 {
+                        let mut x = [0i32; 16];
+                        for dy in 0..4 {
+                            for dx in 0..4 {
+                                let px = mbx * MB + bx * 4 + dx;
+                                let py = mby * MB + by * 4 + dy;
+                                let p = pred[(by * 4 + dy) * MB + bx * 4 + dx];
+                                x[dy * 4 + dx] = frame.at(px, py) as i32 - p as i32;
+                            }
+                        }
+                        let z = quant(&fwd4x4(&x), qp);
+                        let mut run = 0u64;
+                        for &zi in ZIGZAG4.iter() {
+                            let level = z[zi];
+                            if level == 0 {
+                                run += 1;
+                            } else {
+                                w.put_bit(true);
+                                w.put_ue(run);
+                                w.put_se(level as i64);
+                                run = 0;
+                            }
+                        }
+                        w.put_bit(false);
+                        let r = inv4x4(&dequant(&z, qp));
+                        for dy in 0..4 {
+                            for dx in 0..4 {
+                                let px = mbx * MB + bx * 4 + dx;
+                                let py = mby * MB + by * 4 + dy;
+                                let p = pred[(by * 4 + dy) * MB + bx * 4 + dx] as i32;
+                                recon[py * width + px] = (p + r[dy * 4 + dx]).clamp(0, 255) as u8;
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        w.into_bytes()
+    }
+
+    /// Strong vertical and horizontal structure, so the mode decision
+    /// picks different modes across macroblocks.
+    fn mode_exercising_frame() -> Frame {
+        let mut pixels = vec![0u8; 320 * 240];
+        for y in 0..240 {
+            for x in 0..320 {
+                pixels[y * 320 + x] = if x < 160 {
+                    (y % 256) as u8
+                } else {
+                    (x % 256) as u8
+                };
+            }
+        }
+        Frame::from_pixels(320, 240, pixels)
+    }
+
+    #[test]
+    fn encoder_matches_the_reference_bit_for_bit() {
+        for qp in [0, 12, 28, 40, 51] {
+            let frame = mode_exercising_frame();
+            assert_eq!(encode(&frame, qp), reference_encode(&frame, qp), "QP {qp}");
+            for seed in 1..=8 {
+                let video = VideoSource::new(seed);
+                for n in 0..4 {
+                    let frame = video.frame(n);
+                    assert_eq!(
+                        encode(&frame, qp),
+                        reference_encode(&frame, qp),
+                        "seed {seed}, frame {n}, QP {qp}"
+                    );
+                }
+            }
+        }
+    }
+
     #[test]
     fn transform_roundtrip_is_exact() {
         let mut x = [0i32; 16];
@@ -433,19 +543,7 @@ mod tests {
 
     #[test]
     fn prediction_modes_are_all_exercised() {
-        // A frame with strong vertical and horizontal structure makes the
-        // mode decision pick different modes across macroblocks.
-        let mut pixels = vec![0u8; 320 * 240];
-        for y in 0..240 {
-            for x in 0..320 {
-                pixels[y * 320 + x] = if x < 160 {
-                    (y % 256) as u8
-                } else {
-                    (x % 256) as u8
-                };
-            }
-        }
-        let frame = Frame::from_pixels(320, 240, pixels);
+        let frame = mode_exercising_frame();
         let bits = encode(&frame, 28);
         let decoded = decode(&bits).unwrap();
         assert!(frame.mae(&decoded) < 3.0);

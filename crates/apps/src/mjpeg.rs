@@ -72,26 +72,26 @@ pub fn encode(frame: &Frame, quality: u8) -> Vec<u8> {
     for by in (0..frame.height).step_by(8) {
         for bx in (0..frame.width).step_by(8) {
             let mut block = [0u8; 64];
-            for y in 0..8 {
-                for x in 0..8 {
-                    block[y * 8 + x] = frame.at(bx + x, by + y);
-                }
+            for (y, row) in block.chunks_exact_mut(8).enumerate() {
+                let start = (by + y) * frame.width + bx;
+                row.copy_from_slice(&frame.pixels[start..start + 8]);
             }
             let q = quantize_zigzag(&fdct8x8(&block), &qtable);
             // DPCM-coded DC.
             w.put_se((q[0] - prev_dc) as i64);
             prev_dc = q[0];
-            // RLE-coded AC: (run of zeros, level)*, terminated by EOB.
-            let mut run = 0u64;
-            for &level in &q[1..] {
-                if level == 0 {
-                    run += 1;
-                } else {
-                    w.put_bit(true); // symbol follows
-                    w.put_ue(run);
-                    w.put_se(level as i64);
-                    run = 0;
-                }
+            // RLE-coded AC: (run of zeros, level)*, terminated by EOB. The
+            // loop visits the nonzero levels only, lowest index first.
+            let mut nonzero = q[1..]
+                .iter()
+                .enumerate()
+                .fold(0u64, |m, (i, &level)| m | u64::from(level != 0) << (i + 1));
+            let mut next = 1;
+            while nonzero != 0 {
+                let i = nonzero.trailing_zeros() as usize;
+                w.put_run_level((i - next) as u64, q[i].into());
+                next = i + 1;
+                nonzero &= nonzero - 1;
             }
             w.put_bit(false); // EOB
         }
@@ -195,6 +195,63 @@ pub fn merge_parts(parts: &[Vec<u8>]) -> Result<Vec<u8>, MjpegError> {
 mod tests {
     use super::*;
     use crate::video::VideoSource;
+
+    /// The per-coefficient encoder the rewrite replaced, on the per-bit
+    /// writer and the libm quantiser: the oracle for [`encode`].
+    fn reference_encode(frame: &Frame, quality: u8) -> Vec<u8> {
+        use crate::bitio::reference::BitWriter;
+        use crate::dct::reference::quantize_zigzag;
+        let qtable = scaled_qtable(quality);
+        let mut w = BitWriter::new();
+        w.put_bits(MAGIC as u64, 16);
+        w.put_bits(frame.width as u64, 16);
+        w.put_bits(frame.height as u64, 16);
+        w.put_bits(quality as u64, 8);
+        let mut prev_dc: i16 = 0;
+        for by in (0..frame.height).step_by(8) {
+            for bx in (0..frame.width).step_by(8) {
+                let mut block = [0u8; 64];
+                for y in 0..8 {
+                    for x in 0..8 {
+                        block[y * 8 + x] = frame.at(bx + x, by + y);
+                    }
+                }
+                let q = quantize_zigzag(&fdct8x8(&block), &qtable);
+                w.put_se((q[0] - prev_dc) as i64);
+                prev_dc = q[0];
+                let mut run = 0u64;
+                for &level in &q[1..] {
+                    if level == 0 {
+                        run += 1;
+                    } else {
+                        w.put_bit(true);
+                        w.put_ue(run);
+                        w.put_se(level as i64);
+                        run = 0;
+                    }
+                }
+                w.put_bit(false);
+            }
+        }
+        w.into_bytes()
+    }
+
+    #[test]
+    fn encoder_matches_the_reference_bit_for_bit() {
+        for quality in [1, 10, 50, 90, 100] {
+            for seed in 1..=8 {
+                let video = VideoSource::new(seed);
+                for n in 0..4 {
+                    let frame = video.frame(n);
+                    assert_eq!(
+                        encode(&frame, quality),
+                        reference_encode(&frame, quality),
+                        "seed {seed}, frame {n}, quality {quality}"
+                    );
+                }
+            }
+        }
+    }
 
     #[test]
     fn roundtrip_preserves_content_within_quantization_error() {

@@ -37,8 +37,13 @@ pub const WORKLOAD_CYCLE: u64 = 4;
 /// stored.
 const MEMO_ENTRIES: usize = 64;
 
-/// One run's codec results, `(stage, input digest) → output`, shared by
-/// every stage closure an [`AppReplicaFactory`] and its clones build.
+/// A stage's outputs by `(stage, input digest)`.
+type Outputs = HashMap<(&'static str, u64), Arc<[Payload]>>;
+
+/// One run's codec results, `(stage, input digest) → outputs`, shared by
+/// every stage closure an [`AppReplicaFactory`] and its clones build. A
+/// 1-in/1-out stage stores one output, the `splitstream` fan-out one per
+/// output port.
 ///
 /// The replicas of a run are determinate processes fed identical tokens
 /// and the DES charges each stage a fixed *virtual* service time, so
@@ -59,12 +64,12 @@ const MEMO_ENTRIES: usize = 64;
 /// * the memo dies with its factory, so its scope is one run.
 #[derive(Default)]
 struct StageMemo {
-    outputs: Mutex<HashMap<(&'static str, u64), Payload>>,
+    outputs: Mutex<Outputs>,
     misses: AtomicU64,
 }
 
 impl StageMemo {
-    fn outputs(&self) -> MutexGuard<'_, HashMap<(&'static str, u64), Payload>> {
+    fn outputs(&self) -> MutexGuard<'_, Outputs> {
         self.outputs
             .lock()
             .expect("no kernel runs under the memo lock")
@@ -78,16 +83,27 @@ impl StageMemo {
         input: u64,
         compute: impl FnOnce() -> Payload,
     ) -> Payload {
+        self.get_or_compute_all(stage, input, || vec![compute()])[0].clone()
+    }
+
+    /// `stage`'s outputs for the input whose digest is `input`: the stored
+    /// ones, or else `compute()`'s.
+    fn get_or_compute_all(
+        &self,
+        stage: &'static str,
+        input: u64,
+        compute: impl FnOnce() -> Vec<Payload>,
+    ) -> Arc<[Payload]> {
         let key = (stage, input);
         let hit = self.outputs().get(&key).cloned();
         if let Some(hit) = hit {
             return hit;
         }
         self.misses.fetch_add(1, Ordering::Relaxed);
-        let out = compute();
+        let out: Arc<[Payload]> = compute().into();
         let mut outputs = self.outputs();
         if outputs.len() < MEMO_ENTRIES {
-            outputs.entry(key).or_insert_with(|| out.clone());
+            outputs.entry(key).or_insert_with(|| Arc::clone(&out));
         }
         out
     }
@@ -100,6 +116,20 @@ impl StageMemo {
     ) -> impl FnMut(Payload) -> Payload + Send + 'static {
         let memo = Arc::clone(self);
         move |p: Payload| memo.get_or_compute(stage, p.digest(), || f(&p))
+    }
+
+    /// Wraps the pure fan-out of `stage` for a [`FanOutStage`]: the
+    /// replicas share its outputs, and with them their digest memos.
+    fn fan_out(
+        self: &Arc<Self>,
+        stage: &'static str,
+        f: impl Fn(&Payload) -> Vec<Payload> + Send + 'static,
+    ) -> impl FnMut(Payload) -> Vec<Payload> + Send + 'static {
+        let memo = Arc::clone(self);
+        move |p: Payload| {
+            memo.get_or_compute_all(stage, p.digest(), || f(&p))
+                .to_vec()
+        }
     }
 
     /// Kernel calls made so far (lookups that found nothing stored).
@@ -156,22 +186,19 @@ impl App {
     /// items (encoded frames / PCM blocks / raw frames), hashed in lanes as
     /// a batch, so every later `digest()` is a memo read.
     pub fn payload_generator(self, seed: u64) -> PayloadGenerator {
-        let cycle = 0..WORKLOAD_CYCLE;
         let items: Vec<Bytes> = match self {
-            App::Mjpeg => {
-                let src = VideoSource::new(seed);
-                cycle
-                    .map(|n| mjpeg::encode(&src.frame(n), mjpeg::DEFAULT_QUALITY).into())
-                    .collect()
-            }
+            App::Mjpeg => VideoSource::new(seed)
+                .frames(WORKLOAD_CYCLE)
+                .map(|frame| mjpeg::encode(&frame, mjpeg::DEFAULT_QUALITY).into())
+                .collect(),
             App::Adpcm => {
                 let src = AudioSource::new(seed);
-                cycle.map(|n| src.block(n).into()).collect()
+                (0..WORKLOAD_CYCLE).map(|n| src.block(n).into()).collect()
             }
-            App::H264 => {
-                let src = VideoSource::new(seed);
-                cycle.map(|n| src.frame(n).pixels.into()).collect()
-            }
+            App::H264 => VideoSource::new(seed)
+                .frames(WORKLOAD_CYCLE)
+                .map(|frame| frame.pixels.into())
+                .collect(),
         };
         Bytes::digest_all(&items);
         Arc::new(move |n| Payload::from(items[(n % WORKLOAD_CYCLE) as usize].clone()))
@@ -273,13 +300,13 @@ impl ReplicaFactory for AppReplicaFactory {
                     TimeNs::from_ms(1),
                     TimeNs::ZERO,
                     seed,
-                    |p| match p.as_bytes() {
+                    self.memo.fan_out("splitstream", |p| match p.as_bytes() {
                         Some(data) => mjpeg::split_stream(data, 2)
                             .into_iter()
                             .map(Payload::from)
                             .collect(),
-                        None => vec![divergent(&p); 2],
-                    },
+                        None => vec![divergent(p); 2],
+                    }),
                 );
                 let split_id = net.add_process(FaultyProcess::new(split, fault));
 
@@ -507,9 +534,9 @@ mod tests {
     /// codec once per distinct workload item between them.
     #[test]
     fn duplicated_output_values_match_reference() {
-        // Memoised stages per replica: mergeframe / encoder + decoder /
-        // encoder.
-        for (app, stages) in [(App::Mjpeg, 1), (App::Adpcm, 2), (App::H264, 1)] {
+        // Memoised stages per replica: splitstream + mergeframe / encoder +
+        // decoder / encoder.
+        for (app, stages) in [(App::Mjpeg, 2), (App::Adpcm, 2), (App::H264, 1)] {
             let cfg = app.duplication_config(2, 16).expect("bounded");
             let factory = app.replica_factory([5, 6]);
             let (dup_net, dup_ids) = build_duplicated(&cfg, &factory);

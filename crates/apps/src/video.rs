@@ -89,8 +89,92 @@ impl VideoSource {
 
     /// Generates frame `n` at the experiment geometry.
     pub fn frame(&self, n: u64) -> Frame {
+        self.render(&self.texture(), n)
+    }
+
+    /// Frames `0..count`, built one at a time as the iterator is advanced.
+    /// The texture is computed once for all of them.
+    pub fn frames(&self, count: u64) -> impl Iterator<Item = Frame> {
+        let (src, texture) = (*self, self.texture());
+        (0..count).map(move |n| src.render(&texture, n))
+    }
+
+    /// The part of every frame that does not move: deterministic
+    /// mid/high-frequency texture (hash noise plus a fine checker
+    /// modulation), so the codec output lands near the paper's ~10 KB
+    /// encoded frame instead of compressing a flat gradient to nothing.
+    /// The hash of `(x, y)` is `(x·A + y·B + seed)·C`, so along a row it
+    /// steps by `A·C`.
+    fn texture(&self) -> Vec<i8> {
+        const A: u64 = 0x9e37_79b9;
+        const B: u64 = 0x85eb_ca6b;
+        const C: u64 = 0xc2b2_ae35;
+        let mut texture = vec![0i8; FRAME_BYTES];
+        for (y, row) in texture.chunks_exact_mut(FRAME_WIDTH).enumerate() {
+            let mut h = (y as u64)
+                .wrapping_mul(B)
+                .wrapping_add(self.seed)
+                .wrapping_mul(C);
+            for (x, t) in row.iter_mut().enumerate() {
+                let noise = ((h >> 24) % 31) as i8 - 15;
+                let checker = if (x / 2 + y / 2) % 2 == 0 { 6 } else { -6 };
+                *t = noise + checker;
+                h = h.wrapping_add(A.wrapping_mul(C));
+            }
+        }
+        texture
+    }
+
+    /// Frame `n`: a diagonally drifting gradient and a moving bright disc
+    /// over `texture`.
+    fn render(&self, texture: &[i8], n: u64) -> Frame {
         let mut pixels = vec![0u8; FRAME_BYTES];
         let phase = (self.seed % 251) as i64 + n as i64 * 3;
+        let (cx, cy) = (
+            60 + (n as i64 * 5 + phase) % (FRAME_WIDTH as i64 - 120),
+            60 + (n as i64 * 3) % (FRAME_HEIGHT as i64 - 120),
+        );
+        let rows = pixels
+            .chunks_exact_mut(FRAME_WIDTH)
+            .zip(texture.chunks_exact(FRAME_WIDTH));
+        for (y, (row, texture)) in rows.enumerate() {
+            // The gradient is `((base + x) / 4) % 200` along the row. For
+            // `base = 4q + r ≥ 0` that is `q % 200 + (r + x) / 4` less 200
+            // when it reaches 200, as `(r + x) / 4 < 200`. A negative base
+            // (a frame index past `i64::MAX`) takes the formula as written.
+            let base = y as i64 + phase;
+            let incremental = base >= 0 && base.checked_add(FRAME_WIDTH as i64).is_some();
+            let (q, r) = ((base / 4 % 200) as i32, (base % 4) as i32);
+            // |dx|, |dy| < 500: the disc test fits in i32.
+            let dy = (y as i64 - cy) as i32;
+            for (x, (p, &t)) in row.iter_mut().zip(texture).enumerate() {
+                let grad = if incremental {
+                    let g = q + (r + x as i32) / 4;
+                    if g >= 200 {
+                        g - 200
+                    } else {
+                        g
+                    }
+                } else {
+                    ((x as i64 + base) / 4 % 200) as i32
+                };
+                let dx = x as i32 - cx as i32;
+                let disc = if dx * dx + dy * dy < 1600 { 55 } else { 0 };
+                *p = (grad + disc + i32::from(t) + 20).clamp(0, 255) as u8;
+            }
+        }
+        Frame::from_pixels(FRAME_WIDTH, FRAME_HEIGHT, pixels)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The per-pixel formula the texture-once rewrite replaced.
+    fn reference_frame(seed: u64, n: u64) -> Frame {
+        let mut pixels = vec![0u8; FRAME_BYTES];
+        let phase = (seed % 251) as i64 + n as i64 * 3;
         let (cx, cy) = (
             60 + (n as i64 * 5 + phase) % (FRAME_WIDTH as i64 - 120),
             60 + (n as i64 * 3) % (FRAME_HEIGHT as i64 - 120),
@@ -101,14 +185,10 @@ impl VideoSource {
                 let dx = x as i64 - cx;
                 let dy = y as i64 - cy;
                 let disc = if dx * dx + dy * dy < 1600 { 55 } else { 0 };
-                // Deterministic mid/high-frequency texture (hash noise plus
-                // a fine checker modulation) so the codec output lands near
-                // the paper's ~10 KB encoded frame instead of compressing
-                // a flat gradient to nothing.
                 let h = (x as u64)
                     .wrapping_mul(0x9e37_79b9)
                     .wrapping_add((y as u64).wrapping_mul(0x85eb_ca6b))
-                    .wrapping_add(self.seed)
+                    .wrapping_add(seed)
                     .wrapping_mul(0xc2b2_ae35);
                 let noise = ((h >> 24) % 31) as i64 - 15;
                 let checker = if (x / 2 + y / 2) % 2 == 0 { 6 } else { -6 };
@@ -118,11 +198,22 @@ impl VideoSource {
         }
         Frame::from_pixels(FRAME_WIDTH, FRAME_HEIGHT, pixels)
     }
-}
 
-#[cfg(test)]
-mod tests {
-    use super::*;
+    #[test]
+    fn frames_match_the_per_pixel_formula() {
+        for seed in [0, 250, 251, 1 << 40, u64::MAX] {
+            let src = VideoSource::new(seed);
+            for (n, frame) in (0..).zip(src.frames(4)) {
+                let reference = reference_frame(seed, n);
+                assert!(frame == reference, "frames(4), seed {seed}, frame {n}");
+                assert!(src.frame(n) == reference, "frame({n}), seed {seed}");
+            }
+            // Indices past `i64::MAX` read as negative: so may the phase be.
+            for n in [u64::MAX, u64::MAX - 99] {
+                assert!(src.frame(n) == reference_frame(seed, n), "frame({n})");
+            }
+        }
+    }
 
     #[test]
     fn frame_geometry_matches_paper() {
