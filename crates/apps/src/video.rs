@@ -134,30 +134,19 @@ impl VideoSource {
             60 + (n as i64 * 5 + phase) % (FRAME_WIDTH as i64 - 120),
             60 + (n as i64 * 3) % (FRAME_HEIGHT as i64 - 120),
         );
+        // The gradient at (x, y) is `((x + y + phase) / 4) % 200`, so it
+        // depends on `x + y` only: row `y` is `strip[y..y + FRAME_WIDTH]`.
+        let strip: Vec<i32> = (0..(FRAME_WIDTH + FRAME_HEIGHT - 1) as i64)
+            .map(|k| (phase.wrapping_add(k) / 4 % 200) as i32)
+            .collect();
         let rows = pixels
             .chunks_exact_mut(FRAME_WIDTH)
             .zip(texture.chunks_exact(FRAME_WIDTH));
         for (y, (row, texture)) in rows.enumerate() {
-            // The gradient is `((base + x) / 4) % 200` along the row. For
-            // `base = 4q + r ≥ 0` that is `q % 200 + (r + x) / 4` less 200
-            // when it reaches 200, as `(r + x) / 4 < 200`. A negative base
-            // (a frame index past `i64::MAX`) takes the formula as written.
-            let base = y as i64 + phase;
-            let incremental = base >= 0 && base.checked_add(FRAME_WIDTH as i64).is_some();
-            let (q, r) = ((base / 4 % 200) as i32, (base % 4) as i32);
+            let grads = &strip[y..y + FRAME_WIDTH];
             // |dx|, |dy| < 500: the disc test fits in i32.
             let dy = (y as i64 - cy) as i32;
-            for (x, (p, &t)) in row.iter_mut().zip(texture).enumerate() {
-                let grad = if incremental {
-                    let g = q + (r + x as i32) / 4;
-                    if g >= 200 {
-                        g - 200
-                    } else {
-                        g
-                    }
-                } else {
-                    ((x as i64 + base) / 4 % 200) as i32
-                };
+            for (x, ((p, &t), &grad)) in row.iter_mut().zip(texture).zip(grads).enumerate() {
                 let dx = x as i32 - cx as i32;
                 let disc = if dx * dx + dy * dy < 1600 { 55 } else { 0 };
                 *p = (grad + disc + i32::from(t) + 20).clamp(0, 255) as u8;
