@@ -27,6 +27,9 @@ const ZIGZAG4: [usize; 16] = [0, 1, 4, 8, 5, 2, 3, 6, 9, 12, 13, 10, 7, 11, 14, 
 const CF: [[i32; 4]; 4] = [[1, 1, 1, 1], [2, 1, -1, -2], [1, -1, -1, 1], [1, -2, 2, -1]];
 /// Row norms² of `CF` (used to fold the orthonormalisation into quant).
 const NORM2: [f64; 4] = [4.0, 10.0, 4.0, 10.0];
+/// `400 / (NORM2[i]·NORM2[j])`, an integer for every `(i, j)`: the scale
+/// that makes `400·X` of [`inv4x4`] an exact integer.
+const SCALE400: [i32; 16] = [25, 10, 25, 10, 10, 4, 10, 4, 25, 10, 25, 10, 10, 4, 10, 4];
 
 /// Intra 16×16 prediction modes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -148,11 +151,88 @@ fn inv4x4(w: &[i32; 16]) -> [i32; 16] {
     out
 }
 
+/// [`inv4x4`] in integers: `400·X = Cᵀ·(S ∘ W)·C` with `S` =
+/// [`SCALE400`], rounded half away from zero by an exact integer rule.
+///
+/// Exact for |w| ≤ 2²¹: |400·X| ≤ 6·6·25·|w| < 2³¹. On the one input
+/// where the two forms can part, an exact tie (some |400·X| ≡ 200 mod
+/// 400), the block falls back to the f64 form. Everywhere else the f64
+/// form's error (below 10⁻⁶ at |w| ≤ 2²¹) is far inside the 1/400 gap to
+/// a tie, so both round the same way. The encoder's dequantised
+/// coefficients stay below 10 400.
+fn inv4x4_exact(w: &[i32; 16]) -> [i32; 16] {
+    let v = inv4x4_times400(w);
+    if v.iter().any(|v| v.abs() % 400 == 200) {
+        return inv4x4(w);
+    }
+    v.map(|v| {
+        let r = v % 400;
+        v / 400 + i32::from(r > 200) - i32::from(r < -200)
+    })
+}
+
+/// `400·X` of [`inv4x4`], exactly.
+fn inv4x4_times400(w: &[i32; 16]) -> [i32; 16] {
+    let mut tmp = [0i32; 16];
+    for i in 0..4 {
+        for j in 0..4 {
+            let mut s = 0;
+            for k in 0..4 {
+                s += CF[k][i] * w[k * 4 + j] * SCALE400[k * 4 + j];
+            }
+            tmp[i * 4 + j] = s;
+        }
+    }
+    let mut out = [0i32; 16];
+    for i in 0..4 {
+        for j in 0..4 {
+            let mut s = 0;
+            for k in 0..4 {
+                s += tmp[i * 4 + k] * CF[k][j];
+            }
+            out[i * 4 + j] = s;
+        }
+    }
+    out
+}
+
 /// Position-dependent quantiser divisor folding in the transform norms.
 fn qdiv(i: usize, j: usize, qp: u8) -> f64 {
     qstep(qp) * (NORM2[i] * NORM2[j]).sqrt()
 }
 
+/// The 16 divisors of [`qdiv`] for one QP, in block order.
+fn qdivs(qp: u8) -> [f64; 16] {
+    std::array::from_fn(|k| qdiv(k / 4, k % 4, qp))
+}
+
+/// `x.round() as i32` without the libm call: truncate, then step away
+/// from zero when the fraction reaches one half.
+///
+/// Exact for |x| < 2³¹, where the truncation is exact and so is the
+/// fraction `x − t`. The encoder's quantised levels stay below 3 700
+/// (|w| ≤ 255·6·6 = 9 180 over a divisor of at least 2.5) and its
+/// dequantised coefficients below 10 400.
+#[inline]
+fn round_i32(x: f64) -> i32 {
+    let t = x as i32;
+    let f = x - f64::from(t);
+    t + i32::from(f >= 0.5) - i32::from(f <= -0.5)
+}
+
+/// The encoder's quantiser: [`quant`] over precomputed divisors, with
+/// [`round_i32`] for the rounding.
+fn quantise(w: &[i32; 16], divs: &[f64; 16]) -> [i32; 16] {
+    std::array::from_fn(|k| round_i32(f64::from(w[k]) / divs[k]))
+}
+
+/// The encoder's dequantiser: [`dequant`] over precomputed divisors, with
+/// [`round_i32`] for the rounding.
+fn dequantise(z: &[i32; 16], divs: &[f64; 16]) -> [i32; 16] {
+    std::array::from_fn(|k| round_i32(f64::from(z[k]) * divs[k]))
+}
+
+#[cfg(test)]
 fn quant(w: &[i32; 16], qp: u8) -> [i32; 16] {
     let mut out = [0i32; 16];
     for i in 0..4 {
@@ -163,6 +243,8 @@ fn quant(w: &[i32; 16], qp: u8) -> [i32; 16] {
     out
 }
 
+/// The decoder's dequantiser, in f64 with libm rounding: its levels come
+/// off the wire, unbounded.
 fn dequant(z: &[i32; 16], qp: u8) -> [i32; 16] {
     let mut out = [0i32; 16];
     for i in 0..4 {
@@ -178,16 +260,10 @@ fn dequant(z: &[i32; 16], qp: u8) -> [i32; 16] {
 fn predict(recon: &[u8], width: usize, mbx: usize, mby: usize, mode: PredMode) -> [u8; 256] {
     let x0 = mbx * MB;
     let y0 = mby * MB;
-    let top: Option<Vec<u8>> = (mby > 0).then(|| {
-        (0..MB)
-            .map(|dx| recon[(y0 - 1) * width + x0 + dx])
-            .collect()
-    });
-    let left: Option<Vec<u8>> = (mbx > 0).then(|| {
-        (0..MB)
-            .map(|dy| recon[(y0 + dy) * width + x0 - 1])
-            .collect()
-    });
+    let top: Option<[u8; MB]> =
+        (mby > 0).then(|| std::array::from_fn(|dx| recon[(y0 - 1) * width + x0 + dx]));
+    let left: Option<[u8; MB]> =
+        (mbx > 0).then(|| std::array::from_fn(|dy| recon[(y0 + dy) * width + x0 - 1]));
 
     let mut out = [0u8; 256];
     match mode {
@@ -206,13 +282,13 @@ fn predict(recon: &[u8], width: usize, mbx: usize, mby: usize, mode: PredMode) -
             out.fill(dc);
         }
         PredMode::Vertical => {
-            let t = top.unwrap_or_else(|| vec![128; MB]);
+            let t = top.unwrap_or([128; MB]);
             for dy in 0..MB {
                 out[dy * MB..(dy + 1) * MB].copy_from_slice(&t);
             }
         }
         PredMode::Horizontal => {
-            let l = left.unwrap_or_else(|| vec![128; MB]);
+            let l = left.unwrap_or([128; MB]);
             for dy in 0..MB {
                 for dx in 0..MB {
                     out[dy * MB + dx] = l[dy];
@@ -241,6 +317,7 @@ pub fn encode(frame: &Frame, qp: u8) -> Vec<u8> {
     w.put_bits(height as u64, 16);
     w.put_bits(qp as u64, 8);
 
+    let divs = qdivs(qp);
     let mut recon = vec![0u8; width * height];
     for mby in 0..height / MB {
         for mbx in 0..width / MB {
@@ -276,7 +353,7 @@ pub fn encode(frame: &Frame, qp: u8) -> Vec<u8> {
                             x[dy * 4 + dx] = frame.at(px, py) as i32 - p as i32;
                         }
                     }
-                    let z = quant(&fwd4x4(&x), qp);
+                    let z = quantise(&fwd4x4(&x), &divs);
                     // Entropy: zig-zag RLE, flag + ue(run) + se(level), EOB;
                     // the loop visits the nonzero levels only.
                     let mut nonzero = ZIGZAG4
@@ -295,7 +372,7 @@ pub fn encode(frame: &Frame, qp: u8) -> Vec<u8> {
                     // blocks on the macroblock's last row or column: `predict`
                     // reads nothing else of `recon`.
                     if by == 3 || bx == 3 {
-                        let r = inv4x4(&dequant(&z, qp));
+                        let r = inv4x4_exact(&dequantise(&z, &divs));
                         for dy in 0..4 {
                             for dx in 0..4 {
                                 let px = mbx * MB + bx * 4 + dx;
@@ -373,8 +450,9 @@ mod tests {
     use crate::video::VideoSource;
 
     /// The encoder the rewrite replaced, with a per-coefficient entropy
-    /// loop, the per-bit writer and all 16 blocks reconstructed: the oracle
-    /// for [`encode`].
+    /// loop, the per-bit writer, the f64 quantiser and inverse transform
+    /// with libm rounding, and all 16 blocks reconstructed: the oracle for
+    /// [`encode`].
     fn reference_encode(frame: &Frame, qp: u8) -> Vec<u8> {
         let (width, height) = (frame.width, frame.height);
         let mut w = crate::bitio::reference::BitWriter::new();
@@ -476,6 +554,62 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn round_i32_matches_libm_round() {
+        let mut rng = rtft_kpn::SplitMix64::seed_from_u64(0x4264);
+        for i in 0..1_000_000 {
+            // Half in the encoder's proven range, half over all of |x| < 2³¹.
+            let span = if i % 2 == 0 { 3_700.0 } else { 2_147_483_647.0 };
+            let x = (rng.next_f64() * 2.0 - 1.0) * span;
+            assert_eq!(round_i32(x), x.round() as i32, "{x}");
+        }
+        for k in -3_700..=3_700 {
+            for x in [k as f64 - 0.5, k as f64 + 0.5, k as f64] {
+                for x in [x, x.next_down(), x.next_up()] {
+                    assert_eq!(round_i32(x), x.round() as i32, "{x}");
+                }
+            }
+        }
+        assert_eq!(round_i32(0.0), 0);
+        assert_eq!(round_i32(-0.0), 0);
+    }
+
+    #[test]
+    fn integer_inverse_transform_matches_f64() {
+        let mut rng = rtft_kpn::SplitMix64::seed_from_u64(0x1D47);
+        for _ in 0..1_000_000 {
+            let w: [i32; 16] =
+                std::array::from_fn(|_| (rng.next_u64() % (2 << 16) + 1) as i32 - (1 << 16) - 1);
+            assert_eq!(inv4x4_exact(&w), inv4x4(&w), "{w:?}");
+        }
+        // Blocks with coefficients in one scale class only, so 400·X is a
+        // multiple of 25, 10 or 4 and exact ties (|400·X| ≡ 200 mod 400)
+        // are common: the f64 fallback is taken, and agrees.
+        let mut ties = 0;
+        for class in [25, 10, 4] {
+            for _ in 0..20_000 {
+                let w: [i32; 16] = std::array::from_fn(|k| {
+                    let v = (rng.next_u64() % 601) as i32 - 300;
+                    if SCALE400[k] == class {
+                        v
+                    } else {
+                        0
+                    }
+                });
+                if inv4x4_times400(&w).iter().any(|v| v.abs() % 400 == 200) {
+                    ties += 1;
+                }
+                assert_eq!(inv4x4_exact(&w), inv4x4(&w), "{w:?}");
+            }
+        }
+        assert!(ties > 5_000, "only {ties} tie blocks");
+        // The smallest tie: a lone DC of 8 puts X = 0.5 everywhere.
+        let mut w = [0; 16];
+        w[0] = 8;
+        assert_eq!(inv4x4_times400(&w), [200; 16]);
+        assert_eq!(inv4x4_exact(&w), inv4x4(&w));
     }
 
     #[test]

@@ -29,7 +29,7 @@ use crate::fault::FaultPlan;
 use crate::nmodular::timing_ledger;
 use rtft_kpn::{Network, Token, WriteOutcome};
 use rtft_rtc::TimeNs;
-use std::collections::BTreeMap;
+use std::collections::VecDeque;
 
 /// Per-group voting state, kept until the group is decided, delivered, and
 /// fully voted (or its stragglers latched).
@@ -54,6 +54,14 @@ impl Group {
             delivered: false,
         }
     }
+
+    /// Empties a retired group for reuse, keeping both allocations.
+    fn clear(&mut self) {
+        self.votes.fill(None);
+        self.candidates.clear();
+        self.decided = None;
+        self.delivered = false;
+    }
 }
 
 /// The majority-vote [`ComparePolicy`]: interface `i`'s `k`-th write is
@@ -62,10 +70,16 @@ impl Group {
 /// payload digest, and votes that disagree with a decided majority latch
 /// their replica value-faulty, whether they arrive before or after the
 /// decision.
+///
+/// Open groups sit in a ring: `ring[k]` is group `next_deliver + k`, and
+/// groups not yet voted on are empty. Retired groups are cleared onto a
+/// spare list and reused, so a run allocates groups only up to its peak
+/// number of open ones.
 #[derive(Debug)]
 pub struct MajorityVote {
     quorum: usize,
-    groups: BTreeMap<u64, Group>,
+    ring: VecDeque<Group>,
+    spare: Vec<Group>,
     next_deliver: u64,
 }
 
@@ -74,7 +88,8 @@ impl MajorityVote {
     fn for_replicas(n: usize) -> Self {
         MajorityVote {
             quorum: n / 2 + 1,
-            groups: BTreeMap::new(),
+            ring: VecDeque::new(),
+            spare: Vec::new(),
             next_deliver: 0,
         }
     }
@@ -87,7 +102,7 @@ impl MajorityVote {
     /// Delivers decided groups in order and drops fully-voted state.
     fn flush(&mut self, ledger: &mut ArbiterLedger) -> bool {
         let mut delivered_any = false;
-        while let Some(g) = self.groups.get_mut(&self.next_deliver) {
+        while let Some(g) = self.ring.front_mut() {
             let Some(winner) = g.decided else { break };
             if !g.delivered {
                 let tok = g
@@ -106,7 +121,9 @@ impl MajorityVote {
             let complete = (0..ledger.replica_count())
                 .all(|i| g.votes[i].is_some() || ledger.latches.latched(i).is_some());
             if complete {
-                self.groups.remove(&self.next_deliver);
+                let mut retired = self.ring.pop_front().expect("front exists");
+                retired.clear();
+                self.spare.push(retired);
                 self.next_deliver += 1;
             } else {
                 break;
@@ -135,7 +152,12 @@ impl ComparePolicy for MajorityVote {
             // the group completed). Count it as discarded.
             ledger.discard();
         } else {
-            let g = self.groups.entry(group).or_insert_with(|| Group::new(n));
+            let k = (group - self.next_deliver) as usize;
+            while self.ring.len() <= k {
+                let fresh = self.spare.pop().unwrap_or_else(|| Group::new(n));
+                self.ring.push_back(fresh);
+            }
+            let g = &mut self.ring[k];
             g.votes[iface] = Some(digest);
             if !g.candidates.iter().any(|(d, _)| *d == digest) {
                 g.candidates.push((digest, token));
@@ -155,19 +177,15 @@ impl ComparePolicy for MajorityVote {
                         g.decided = Some(digest);
                         // Latch every earlier voter that disagreed with the
                         // now-decided majority.
-                        let losers: Vec<usize> = g
-                            .votes
-                            .iter()
-                            .enumerate()
-                            .filter_map(|(i, v)| match v {
-                                Some(d) if *d != digest => Some(i),
-                                _ => None,
-                            })
-                            .collect();
-                        for i in losers {
-                            ledger
-                                .latches
-                                .latch(i, ArbFaultCause::ValueMismatch, Some(group), now);
+                        for (i, vote) in g.votes.iter().enumerate() {
+                            if vote.is_some_and(|d| d != digest) {
+                                ledger.latches.latch(
+                                    i,
+                                    ArbFaultCause::ValueMismatch,
+                                    Some(group),
+                                    now,
+                                );
+                            }
                         }
                     }
                 }
@@ -272,6 +290,227 @@ mod tests {
 
     fn tok(seq: u64, payload: Payload) -> Token {
         Token::new(seq, TimeNs::ZERO, payload)
+    }
+
+    /// The policy the ring replaced, kept verbatim as the oracle: one
+    /// `BTreeMap` entry per open group, losers collected before latching.
+    mod reference {
+        use super::super::Group;
+        use crate::arbitration::{ArbFaultCause, ArbiterLedger, ComparePolicy};
+        use rtft_kpn::{Token, WriteOutcome};
+        use rtft_rtc::TimeNs;
+        use std::collections::BTreeMap;
+
+        #[derive(Debug)]
+        pub(super) struct MajorityVote {
+            quorum: usize,
+            groups: BTreeMap<u64, Group>,
+            next_deliver: u64,
+        }
+
+        impl MajorityVote {
+            pub(super) fn for_replicas(n: usize) -> Self {
+                MajorityVote {
+                    quorum: n / 2 + 1,
+                    groups: BTreeMap::new(),
+                    next_deliver: 0,
+                }
+            }
+
+            fn flush(&mut self, ledger: &mut ArbiterLedger) -> bool {
+                let mut delivered_any = false;
+                while let Some(g) = self.groups.get_mut(&self.next_deliver) {
+                    let Some(winner) = g.decided else { break };
+                    if !g.delivered {
+                        let tok = g
+                            .candidates
+                            .iter()
+                            .find(|(d, _)| *d == winner)
+                            .map(|(_, t)| t.clone())
+                            .expect("decided digest always has a candidate token");
+                        ledger.deliver(tok);
+                        g.delivered = true;
+                        delivered_any = true;
+                    }
+                    let complete = (0..ledger.replica_count())
+                        .all(|i| g.votes[i].is_some() || ledger.latches.latched(i).is_some());
+                    if complete {
+                        self.groups.remove(&self.next_deliver);
+                        self.next_deliver += 1;
+                    } else {
+                        break;
+                    }
+                }
+                delivered_any
+            }
+        }
+
+        impl ComparePolicy for MajorityVote {
+            fn arbitrate(
+                &mut self,
+                ledger: &mut ArbiterLedger,
+                iface: usize,
+                token: Token,
+                now: TimeNs,
+            ) -> WriteOutcome {
+                let group = ledger.note_received(iface);
+                let digest = token.payload.digest();
+                let n = ledger.replica_count();
+                let quorum = self.quorum;
+                if group < self.next_deliver {
+                    ledger.discard();
+                } else {
+                    let g = self.groups.entry(group).or_insert_with(|| Group::new(n));
+                    g.votes[iface] = Some(digest);
+                    if !g.candidates.iter().any(|(d, _)| *d == digest) {
+                        g.candidates.push((digest, token));
+                    }
+                    match g.decided {
+                        Some(winner) => {
+                            ledger.discard();
+                            if digest != winner {
+                                ledger.latches.latch(
+                                    iface,
+                                    ArbFaultCause::ValueMismatch,
+                                    Some(group),
+                                    now,
+                                );
+                            }
+                        }
+                        None => {
+                            let agree = g.votes.iter().flatten().filter(|d| **d == digest).count();
+                            if agree >= quorum {
+                                g.decided = Some(digest);
+                                let losers: Vec<usize> = g
+                                    .votes
+                                    .iter()
+                                    .enumerate()
+                                    .filter_map(|(i, v)| match v {
+                                        Some(d) if *d != digest => Some(i),
+                                        _ => None,
+                                    })
+                                    .collect();
+                                for i in losers {
+                                    ledger.latches.latch(
+                                        i,
+                                        ArbFaultCause::ValueMismatch,
+                                        Some(group),
+                                        now,
+                                    );
+                                }
+                            }
+                        }
+                    }
+                }
+                if self.flush(ledger) {
+                    WriteOutcome::Accepted
+                } else {
+                    WriteOutcome::AcceptedDropped
+                }
+            }
+        }
+    }
+
+    /// Drives the ring and the `BTreeMap` oracle with one seeded op stream
+    /// and asserts they agree on every write outcome, every delivery and
+    /// every latch (instant, cause, group). Replicas vote out of order
+    /// (one lags, so groups open ahead of `next_deliver` and the laggard
+    /// can be latched for divergence mid-group), some votes are corrupt
+    /// (latching before or after a decision), and latched replicas keep
+    /// writing after their groups retired.
+    fn ring_matches_oracle(n: usize, seed: u64) {
+        let capacity = vec![6; n];
+        let mut ring = VotingSelector::new("v", capacity.clone(), 4);
+        let mut oracle = PolicySelector::from_parts(
+            timing_ledger("v", capacity, 4),
+            reference::MajorityVote::for_replicas(n),
+        );
+        let mut rng = rtft_kpn::SplitMix64::seed_from_u64(seed);
+        let mut groups = vec![0u64; n];
+        let mut now = TimeNs::ZERO;
+        let (mut writes, mut reads) = (0u32, 0u32);
+        let mut last_read = 0;
+        let mut stalled: Option<(usize, u32)> = None;
+        for step in 0..6_000u32 {
+            now += TimeNs::from_ns(rng.next_u64() % 3_000);
+            let r = rng.next_u64();
+            if r % 8 < 6 {
+                // Replicas vote in any order but stay within two groups
+                // of the slowest live one, except a stalled replica, which
+                // falls behind until divergence latches it mid-group.
+                if (r >> 56).is_multiple_of(128) {
+                    stalled = Some(((r >> 8) as usize % n, step + 60));
+                }
+                let stalled_iface = stalled.filter(|(_, until)| step < *until).map(|(i, _)| i);
+                let live = (0..n).filter(|i| Some(*i) != stalled_iface);
+                let floor = live
+                    .clone()
+                    .map(|i| groups[i])
+                    .min()
+                    .expect("one live replica");
+                let mut iface = (r >> 8) as usize % n;
+                if Some(iface) == stalled_iface || groups[iface] > floor + 2 {
+                    iface = live.min_by_key(|i| groups[*i]).expect("one live replica");
+                }
+                let group = groups[iface];
+                let value = if (r >> 20).is_multiple_of(23) && ring.healthy_count() == n {
+                    // Corrupt, while no replica is latched yet (so a quorum
+                    // stays reachable): one of two wrong values, so corrupt
+                    // votes sometimes agree with each other.
+                    group ^ (1 + (r >> 32) % 2) << 40
+                } else {
+                    group
+                };
+                let token = tok(group, Payload::U64(value));
+                let a = ring.try_write(iface, token.clone(), now);
+                let b = oracle.try_write(iface, token, now);
+                assert_eq!(a, b, "n {n}, seed {seed}, step {step}: write on {iface}");
+                if !matches!(a, WriteOutcome::Blocked(_)) {
+                    groups[iface] += 1;
+                    writes += 1;
+                }
+            } else {
+                let a = ring.try_read(0, now);
+                let b = oracle.try_read(0, now);
+                assert_eq!(a, b, "n {n}, seed {seed}, step {step}: read");
+                if matches!(a, ReadOutcome::Token(_)) {
+                    reads += 1;
+                    last_read = step;
+                }
+            }
+            for i in 0..n {
+                assert_eq!(
+                    ring.fault(i),
+                    oracle.fault(i),
+                    "n {n}, seed {seed}, step {step}: latch of replica {i}"
+                );
+            }
+            if step - last_read > 100 {
+                // Stuck: a lost quorum, or a group split with its
+                // tie-breaker latched. Start a fresh pair so the stream
+                // keeps exercising live groups.
+                ring = VotingSelector::new("v", vec![6; n], 4);
+                oracle = PolicySelector::from_parts(
+                    timing_ledger("v", vec![6; n], 4),
+                    reference::MajorityVote::for_replicas(n),
+                );
+                groups.fill(0);
+                last_read = step;
+            }
+        }
+        assert!(
+            writes > 1_000 && reads > 500,
+            "stream too thin: {writes} writes, {reads} reads"
+        );
+    }
+
+    #[test]
+    fn ring_matches_the_btreemap_oracle() {
+        for n in [3, 5] {
+            for seed in [1u64, 0xB07E, 0x5EED_0005, 99] {
+                ring_matches_oracle(n, seed);
+            }
+        }
     }
 
     #[test]

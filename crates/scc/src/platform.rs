@@ -6,20 +6,37 @@
 //! rule. Unrouted channels (e.g. tile-local connections) cost nothing,
 //! matching shared-MPB communication within a tile being effectively free
 //! at the token periods of interest.
+//!
+//! Routes live in a table indexed by channel id, and each remembers the
+//! last `(bytes, latency)` it charged. The memo is exact: a route's latency
+//! is a pure function of its endpoints, the byte count and the fault plan,
+//! which is fixed once the platform is built (its windows are evaluated at
+//! `t = 0`), and a channel's tokens are nearly always one size.
 
 use crate::noc::{NocFaultPlan, NocModel};
 use crate::topology::CoreId;
 use rtft_kpn::{ChannelId, NodeId, Platform};
 use rtft_rtc::TimeNs;
-use std::collections::HashMap;
+use std::cell::Cell;
+
+/// One routed channel and the last transfer it was charged.
+#[derive(Debug)]
+struct Route {
+    from: CoreId,
+    to: CoreId,
+    last: Cell<Option<(usize, TimeNs)>>,
+}
 
 /// SCC timing model for the KPN engine.
 #[derive(Debug)]
 pub struct SccPlatform {
     noc: NocModel,
-    routes: HashMap<ChannelId, (CoreId, CoreId)>,
+    /// Indexed by `ChannelId`; `None` for unrouted channels.
+    routes: Vec<Option<Route>>,
     /// Stationary NoC perturbation folded into every routed transfer.
     noc_faults: NocFaultPlan,
+    /// `noc_faults.is_benign()`, evaluated once.
+    benign: bool,
 }
 
 impl SccPlatform {
@@ -27,8 +44,9 @@ impl SccPlatform {
     pub fn new(noc: NocModel) -> Self {
         SccPlatform {
             noc,
-            routes: HashMap::new(),
+            routes: Vec::new(),
             noc_faults: NocFaultPlan::default(),
+            benign: true,
         }
     }
 
@@ -40,7 +58,14 @@ impl SccPlatform {
     /// Routes `channel` from `from` to `to`; writes on the channel are
     /// charged the corresponding transfer latency.
     pub fn route(&mut self, channel: ChannelId, from: CoreId, to: CoreId) -> &mut Self {
-        self.routes.insert(channel, (from, to));
+        if self.routes.len() <= channel.0 {
+            self.routes.resize_with(channel.0 + 1, || None);
+        }
+        self.routes[channel.0] = Some(Route {
+            from,
+            to,
+            last: Cell::new(None),
+        });
         self
     }
 
@@ -56,29 +81,38 @@ impl SccPlatform {
     /// Harnesses that need windowed outages call
     /// [`NocModel::message_latency_under`] directly.
     pub fn with_noc_faults(mut self, plan: NocFaultPlan) -> Self {
+        self.benign = plan.is_benign();
         self.noc_faults = plan;
+        for route in self.routes.iter().flatten() {
+            route.last.set(None);
+        }
         self
     }
 }
 
 impl Platform for SccPlatform {
     fn transfer_latency(&self, _writer: NodeId, channel: ChannelId, bytes: usize) -> TimeNs {
-        match self.routes.get(&channel) {
-            Some((from, to)) => {
-                if self.noc_faults.is_benign() {
-                    self.noc.message_latency(*from, *to, bytes)
-                } else {
-                    self.noc.message_latency_under(
-                        &self.noc_faults,
-                        *from,
-                        *to,
-                        bytes,
-                        TimeNs::ZERO,
-                    )
-                }
+        let Some(Some(route)) = self.routes.get(channel.0) else {
+            return TimeNs::ZERO;
+        };
+        if let Some((last_bytes, latency)) = route.last.get() {
+            if last_bytes == bytes {
+                return latency;
             }
-            None => TimeNs::ZERO,
         }
+        let latency = if self.benign {
+            self.noc.message_latency(route.from, route.to, bytes)
+        } else {
+            self.noc.message_latency_under(
+                &self.noc_faults,
+                route.from,
+                route.to,
+                bytes,
+                TimeNs::ZERO,
+            )
+        };
+        route.last.set(Some((bytes, latency)));
+        latency
     }
 }
 
@@ -136,6 +170,72 @@ mod tests {
                 "transfer cost must be tiny: {t}"
             );
         }
+    }
+
+    /// The memoised charge equals a fresh `NocModel` evaluation on every
+    /// write: sizes alternating on one channel, unrouted ids inside and
+    /// past the table, a re-route, and a fault plan applied after routing.
+    #[test]
+    fn memoised_latency_equals_the_noc_model() {
+        let sizes = [
+            0usize,
+            1,
+            3 * 1024,
+            3 * 1024,
+            3 * 1024 + 1,
+            10 * 1024,
+            76_800,
+        ];
+        let noc = NocModel::paper_boot();
+        let links = crate::topology::route_links(CoreId::new(0).tile(), CoreId::new(47).tile());
+        let plan = NocFaultPlan::uniform(TimeNs::from_us(10), TimeNs::from_us(5))
+            .degrade(links[2], TimeNs::from_us(3))
+            .down(links[5], TimeNs::ZERO, TimeNs::from_us(50));
+        let check = |p: &SccPlatform, ch: usize, route: Option<(CoreId, CoreId)>| {
+            // Forward, backward and forward again, so each size follows a
+            // different one. Every walk starts on the size the previous one
+            // ended on, so a memo that outlived a re-plan would be read.
+            let last = sizes[sizes.len() - 1];
+            let walk = std::iter::once(&last)
+                .chain(&sizes)
+                .chain(sizes.iter().rev())
+                .chain(&sizes);
+            for &bytes in walk {
+                let expect = route.map_or(TimeNs::ZERO, |(from, to)| {
+                    if p.noc_faults.is_benign() {
+                        noc.message_latency(from, to, bytes)
+                    } else {
+                        noc.message_latency_under(&p.noc_faults, from, to, bytes, TimeNs::ZERO)
+                    }
+                });
+                assert_eq!(
+                    p.transfer_latency(NodeId(0), ChannelId(ch), bytes),
+                    expect,
+                    "channel {ch}, {bytes} bytes"
+                );
+            }
+        };
+        let (a, b, c) = (CoreId::new(0), CoreId::new(47), CoreId::new(20));
+
+        let mut p = SccPlatform::paper_boot();
+        p.route(ChannelId(3), a, b);
+        check(&p, 3, Some((a, b)));
+        check(&p, 1, None); // inside the table, unrouted
+        check(&p, 4, None); // past the table
+        check(&p, 1_000, None);
+        // Re-routing replaces the memo with the new endpoints'.
+        p.route(ChannelId(3), a, c);
+        check(&p, 3, Some((a, c)));
+        // A plan applied after routing clears the memos.
+        let mut p = p.with_noc_faults(plan);
+        check(&p, 3, Some((a, c)));
+        p.route(ChannelId(0), c, b);
+        check(&p, 0, Some((c, b)));
+        check(&p, 3, Some((a, c)));
+        // And back to a benign plan.
+        let p = p.with_noc_faults(NocFaultPlan::default());
+        check(&p, 0, Some((c, b)));
+        check(&p, 3, Some((a, c)));
     }
 
     #[test]
