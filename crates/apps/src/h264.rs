@@ -220,8 +220,8 @@ fn round_i32(x: f64) -> i32 {
     t + i32::from(f >= 0.5) - i32::from(f <= -0.5)
 }
 
-/// The encoder's quantiser: [`quant`] over precomputed divisors, with
-/// [`round_i32`] for the rounding.
+/// The encoder's quantiser: each coefficient over its [`qdivs`] divisor,
+/// rounded by [`round_i32`].
 fn quantise(w: &[i32; 16], divs: &[f64; 16]) -> [i32; 16] {
     std::array::from_fn(|k| round_i32(f64::from(w[k]) / divs[k]))
 }
@@ -230,17 +230,6 @@ fn quantise(w: &[i32; 16], divs: &[f64; 16]) -> [i32; 16] {
 /// [`round_i32`] for the rounding.
 fn dequantise(z: &[i32; 16], divs: &[f64; 16]) -> [i32; 16] {
     std::array::from_fn(|k| round_i32(f64::from(z[k]) * divs[k]))
-}
-
-#[cfg(test)]
-fn quant(w: &[i32; 16], qp: u8) -> [i32; 16] {
-    let mut out = [0i32; 16];
-    for i in 0..4 {
-        for j in 0..4 {
-            out[i * 4 + j] = (w[i * 4 + j] as f64 / qdiv(i, j, qp)).round() as i32;
-        }
-    }
-    out
 }
 
 /// The decoder's dequantiser, in f64 with libm rounding: its levels come
@@ -448,6 +437,18 @@ pub fn decode(data: &[u8]) -> Result<Frame, H264Error> {
 mod tests {
     use super::*;
     use crate::video::VideoSource;
+
+    /// The quantiser the encoder replaced with [`quantise`]: `qdiv` per
+    /// coefficient and libm rounding.
+    fn quant(w: &[i32; 16], qp: u8) -> [i32; 16] {
+        let mut out = [0i32; 16];
+        for i in 0..4 {
+            for j in 0..4 {
+                out[i * 4 + j] = (w[i * 4 + j] as f64 / qdiv(i, j, qp)).round() as i32;
+            }
+        }
+        out
+    }
 
     /// The encoder the rewrite replaced, with a per-coefficient entropy
     /// loop, the per-bit writer, the f64 quantiser and inverse transform
