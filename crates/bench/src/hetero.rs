@@ -13,30 +13,13 @@
 
 use rtft_apps::networks::App;
 use rtft_chaos::{Campaign, CampaignReport, OutcomeClass, Redundancy};
-use rtft_fleet::{structure_bounds, StructureBounds};
-use rtft_rtc::detection::HeteroBounds;
+use rtft_fleet::structure_bounds;
 use rtft_rtc::TimeNs;
 
 /// The stride values E16 sweeps (log-spaced; `k = 1` degenerates to a
 /// full-rate checker, i.e. duplication's detection behaviour at
 /// duplication's cost).
 pub const HETERO_SWEEP_KS: [u64; 4] = [1, 4, 16, 64];
-
-/// The closed-form bound table for `app` at stride `k`, from the
-/// structure recipe the chaos runner and the serve layer build through
-/// (main replica keeps its profile jitter, the checker inherits replica
-/// 1's).
-///
-/// # Panics
-///
-/// Panics if the app profile's rates diverge (cannot happen for the
-/// built-in profiles).
-pub fn hetero_bounds_for(app: App, k: u64) -> HeteroBounds {
-    match structure_bounds(&app.profile().model, Redundancy::Hetero { k }) {
-        StructureBounds::Sampled(bounds) => bounds,
-        StructureBounds::Timing(_) => unreachable!("a hetero structure has sampled bounds"),
-    }
-}
 
 /// One point of the latency/overhead frontier.
 #[derive(Debug, Clone)]
@@ -80,7 +63,7 @@ pub fn hetero_frontier(seed: u64, count: u64, ks: &[u64]) -> Vec<HeteroPoint> {
         .map(|&k| {
             let report = Campaign::generate_hetero(seed, count, k).run();
             let sizing_factor = 1.0 + 1.0 / k as f64;
-            let bounds = hetero_bounds_for(App::Mjpeg, k);
+            let bounds = structure_bounds(&App::Mjpeg.profile().model, Redundancy::Hetero { k });
             let max_latency = report
                 .outcomes
                 .iter()
@@ -90,9 +73,9 @@ pub fn hetero_frontier(seed: u64, count: u64, ks: &[u64]) -> Vec<HeteroPoint> {
             HeteroPoint {
                 k,
                 compute_factor: sizing_factor,
-                sampled_bound: bounds.sampled_divergence,
-                value_bound: bounds.value,
-                permanent_bound: bounds.permanent_timing(),
+                sampled_bound: bounds.divergence(0),
+                value_bound: bounds.value(0).expect("a corrupting main is convicted"),
+                permanent_bound: bounds.permanent(0),
                 scenarios: report.outcomes.len(),
                 detected_in_bound: report.count(OutcomeClass::DetectedInBound),
                 detected_late: report.count(OutcomeClass::DetectedLate),
@@ -130,9 +113,9 @@ mod tests {
     fn bounds_table_is_monotone_in_k() {
         let mut last = TimeNs::ZERO;
         for k in HETERO_SWEEP_KS {
-            let b = hetero_bounds_for(App::Mjpeg, k);
-            assert!(b.sampled_divergence > last, "sampled bound grows with k");
-            last = b.sampled_divergence;
+            let b = structure_bounds(&App::Mjpeg.profile().model, Redundancy::Hetero { k });
+            assert!(b.divergence(0) > last, "sampled bound grows with k");
+            last = b.divergence(0);
         }
     }
 }

@@ -16,11 +16,10 @@
 //! * [`OutcomeClass::FalsePositive`] — a *healthy* replica was latched.
 
 use crate::bounds::BoundCheck;
-use crate::scenario::{FaultSpec, PlatformKind, Redundancy, Scenario, SERVICE_DIVISOR};
-use rtft_core::{FaultKind, PayloadGenerator};
-use rtft_fleet::{des_horizon, JobTemplate, StructureBounds};
+use crate::scenario::{FaultSpec, PlatformKind, Scenario};
+use rtft_core::{FaultKind, PayloadGenerator, StructureBounds};
+use rtft_fleet::{des_horizon, structure_bounds, JobTemplate};
 use rtft_kpn::{Bytes, ChannelId, Engine, Network, Payload, SplitMix64};
-use rtft_rtc::detection::{DetectionBounds, HeteroBounds};
 use rtft_rtc::{PjdModel, TimeNs};
 use rtft_scc::{low_contention_pipeline, NocFaultPlan, SccPlatform};
 use std::sync::Arc;
@@ -87,72 +86,24 @@ pub struct ScenarioOutcome {
     pub value_errors: u64,
 }
 
-/// The analytic latch bound for this scenario's fault, from the
-/// [`DetectionBounds`] table. `None` means the framework makes no promise
-/// (mild slow-downs the shaper hides; corruption under the timing
-/// selector).
-fn analytic_bound(s: &Scenario, f: &FaultSpec, b: &DetectionBounds) -> Option<TimeNs> {
+/// The analytic latch bound for this scenario's fault on its replica,
+/// from the structure's bound table. `None` means the framework makes no
+/// promise (mild slow-downs the shaper hides, a slowed checker, corruption
+/// under the timing selector or of the trusted checker).
+fn analytic_bound(f: &FaultSpec, b: &StructureBounds) -> Option<TimeNs> {
+    let r = f.replica;
     match f.kind {
-        FaultKind::FailStop => Some(b.permanent_timing()),
-        FaultKind::SlowBy(raw) => {
-            let eff = raw / SERVICE_DIVISOR as f64;
-            if eff > 1.0 {
-                b.slow_by(eff)
-            } else {
-                None
-            }
-        }
-        FaultKind::Corrupt(_) => match s.redundancy {
-            Redundancy::TriVoting => Some(b.value_vote()),
-            Redundancy::Duplicated => None,
-            // Hetero scenarios are judged by [`hetero_analytic_bound`].
-            Redundancy::Hetero { .. } => None,
-        },
         // A stalled window behaves fail-stop while it lasts; if it latches
         // at all, it must latch like a permanent fault.
-        FaultKind::Transient { .. } | FaultKind::Intermittent { .. } => Some(b.permanent_timing()),
+        FaultKind::FailStop | FaultKind::Transient { .. } | FaultKind::Intermittent { .. } => {
+            Some(b.permanent(r))
+        }
+        FaultKind::SlowBy(raw) => b.slow_by(r, raw),
+        FaultKind::Corrupt(_) => b.value(r),
         // Heuristic: each token is dropped with probability `p`, so the
         // divergence surplus accrues `p`-fold slower than under fail-stop.
         FaultKind::Omission(p) => Some(TimeNs::from_ns(
-            (b.fail_stop.as_ns() as f64 / p).ceil() as u64
-        )),
-    }
-}
-
-/// The analytic latch bound for a hetero scenario's fault, from the
-/// [`HeteroBounds`] table. Side 0 is the full-rate main (overflow and
-/// sampled-divergence detectors race; digest mismatches convict it), side 1
-/// the trusted checker (only the sampled-divergence detector sees it).
-fn hetero_analytic_bound(f: &FaultSpec, b: &HeteroBounds) -> Option<TimeNs> {
-    match f.kind {
-        FaultKind::FailStop | FaultKind::Transient { .. } | FaultKind::Intermittent { .. } => {
-            Some(if f.replica == 0 {
-                b.permanent_timing()
-            } else {
-                b.sampled_divergence
-            })
-        }
-        FaultKind::SlowBy(raw) => {
-            let eff = raw / SERVICE_DIVISOR as f64;
-            if f.replica == 0 && eff > 1.0 {
-                b.slow_by(eff)
-            } else {
-                None
-            }
-        }
-        // The checker is trusted: a corrupting main is convicted at the
-        // next verified sample; a corrupting checker convicts the main
-        // instead, so no per-side promise exists there.
-        FaultKind::Corrupt(_) => {
-            if f.replica == 0 {
-                Some(b.value)
-            } else {
-                None
-            }
-        }
-        // Sample surplus accrues `p`-fold slower, on the sampled stream.
-        FaultKind::Omission(p) => Some(TimeNs::from_ns(
-            (b.sampled_divergence.as_ns() as f64 / p).ceil() as u64,
+            (b.divergence(r).as_ns() as f64 / p).ceil() as u64,
         )),
     }
 }
@@ -206,9 +157,8 @@ fn engine_for(s: &Scenario, net: Network, replicator: ChannelId, selector: Chann
 
 /// Classifies a finished run from its per-replica latch times and the
 /// consumer's arrival record. `bound` is the precomputed analytic bound
-/// for this scenario's fault ([`analytic_bound`] or
-/// [`hetero_analytic_bound`]); `producer` feeds the activation grace of
-/// the shared [`BoundCheck`] rule.
+/// for this scenario's fault ([`analytic_bound`]); `producer` feeds the
+/// activation grace of the shared [`BoundCheck`] rule.
 fn classify(
     s: &Scenario,
     producer: &PjdModel,
@@ -285,10 +235,9 @@ pub fn run_scenario(s: &Scenario) -> ScenarioOutcome {
     if let Some(f) = s.fault {
         template = template.with_fault(f.replica, f.plan(s.seed ^ 0xFA01));
     }
-    let bound = s.fault.and_then(|f| match template.bounds() {
-        StructureBounds::Timing(b) => analytic_bound(s, &f, &b),
-        StructureBounds::Sampled(b) => hetero_analytic_bound(&f, &b),
-    });
+    let bound = s
+        .fault
+        .and_then(|f| analytic_bound(&f, &structure_bounds(&model, s.redundancy)));
     let (net, ids) = template.build();
 
     let mut engine = engine_for(s, net, ids.replicator, ids.selector);
@@ -314,7 +263,7 @@ pub fn run_scenario(s: &Scenario) -> ScenarioOutcome {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::scenario::SCENARIO_TOKENS;
+    use crate::scenario::{Redundancy, SCENARIO_TOKENS};
     use rtft_apps::networks::App;
     use rtft_core::CorruptionMode;
 

@@ -9,9 +9,9 @@
 
 use rtft_apps::networks::App;
 use rtft_core::{CorruptionMode, FaultKind, FaultPlan, FaultTrigger};
+use rtft_fleet::structure_bounds;
 pub use rtft_fleet::{Redundancy, SERVICE_DIVISOR};
 use rtft_kpn::SplitMix64;
-use rtft_rtc::sizing::SizingReport;
 use rtft_rtc::TimeNs;
 
 /// Tokens every scenario's producer emits.
@@ -118,6 +118,13 @@ pub struct Scenario {
     pub token_count: u64,
 }
 
+/// Each app's duplicated permanent-fault detection bound, in
+/// [`App::ALL`] order; the transient/intermittent window lengths are
+/// expressed relative to it.
+fn permanent_bounds() -> [TimeNs; 3] {
+    App::ALL.map(|app| structure_bounds(&app.profile().model, Redundancy::Duplicated).permanent(0))
+}
+
 /// Expands `campaign_seed` into `count` scenarios, deterministically.
 ///
 /// The palette interleaves every fault kind with both redundancy
@@ -128,17 +135,8 @@ pub struct Scenario {
 /// surveillance runs.
 pub fn generate_scenarios(campaign_seed: u64, count: u64) -> Vec<Scenario> {
     let mut rng = SplitMix64::seed_from_u64(campaign_seed);
-    // Pre-compute each app's permanent-fault detection bound once; the
-    // transient/intermittent window lengths are expressed relative to it.
     let apps = App::ALL;
-    let permanent_bounds: Vec<TimeNs> = apps
-        .iter()
-        .map(|app| {
-            let model = app.profile().model;
-            let sizing = SizingReport::analyze(&model).expect("profile models are bounded");
-            sizing.detection_bounds(&model).permanent_timing()
-        })
-        .collect();
+    let permanent_bounds = permanent_bounds();
 
     let platforms = [
         PlatformKind::Ideal,
@@ -244,14 +242,7 @@ pub fn generate_hetero_scenarios(campaign_seed: u64, count: u64, k: u64) -> Vec<
     assert!(k > 0, "sampling stride must be positive");
     let mut rng = SplitMix64::seed_from_u64(campaign_seed ^ 0x8E7E_0000 ^ k);
     let apps = App::ALL;
-    let permanent_bounds: Vec<TimeNs> = apps
-        .iter()
-        .map(|app| {
-            let model = app.profile().model;
-            let sizing = SizingReport::analyze(&model).expect("profile models are bounded");
-            sizing.detection_bounds(&model).permanent_timing()
-        })
-        .collect();
+    let permanent_bounds = permanent_bounds();
     let platforms = [
         PlatformKind::Ideal,
         PlatformKind::Scc,

@@ -39,7 +39,7 @@ use crate::arbitration::{
 };
 use crate::builder::{assemble, Assembly};
 use crate::fault::FaultPlan;
-use rtft_kpn::{ChannelBehavior, Network, NodeId, PortId, ReadOutcome, Token, WriteOutcome};
+use rtft_kpn::{ChannelBehavior, Network, ReadOutcome, Token, WriteOutcome};
 use rtft_rtc::detection::{sampled_stream_model, HeteroBounds};
 use rtft_rtc::{sizing, CurveAnalysisError, PjdModel, TimeNs};
 use std::any::Any;
@@ -141,12 +141,6 @@ impl HeteroSizingReport {
             self.sampled_threshold,
             self.main_queue,
         )
-    }
-
-    /// Compute cost of the structure relative to the unreplicated
-    /// application: `1 + 1/k` (the duplicated structure costs `2`).
-    pub fn compute_factor(model: &HeteroModel) -> f64 {
-        1.0 + 1.0 / model.k as f64
     }
 }
 
@@ -482,66 +476,6 @@ impl HeteroSelector {
     }
 }
 
-/// A replica factory for the hetero structure: replica `0` is the
-/// full-rate main stage, replica `1` the sampled-rate checker stage. Each
-/// is a fixed-service transform followed by a
-/// [`PjdShaper`](rtft_kpn::PjdShaper) imposing that side's interface
-/// model.
-#[derive(Debug, Clone)]
-pub struct HeteroStageReplica {
-    /// Fixed per-token service time of both compute stages.
-    pub service: TimeNs,
-    /// Output models: `[main (full rate), checker (sampled rate)]`.
-    pub out_models: [PjdModel; 2],
-    /// Shaper schedule offset; must cover `service` plus producer jitter.
-    pub offset: TimeNs,
-    /// Base RNG seed; side `i` uses `seed_base + i`.
-    pub seed_base: u64,
-}
-
-impl HeteroStageReplica {
-    /// Builds the factory from a hetero model: service one tenth of the
-    /// producer period, offset `service + producer jitter + 1 ms`.
-    pub fn from_model(model: &HeteroModel) -> Self {
-        let service = model.producer.period / 10;
-        let offset = service + model.producer.jitter + TimeNs::from_ms(1);
-        HeteroStageReplica {
-            service,
-            out_models: [model.main, model.checker],
-            offset,
-            seed_base: 0xc0de,
-        }
-    }
-
-    /// Overrides the RNG seed base.
-    pub fn with_seed_base(mut self, seed_base: u64) -> Self {
-        self.seed_base = seed_base;
-        self
-    }
-}
-
-impl crate::ReplicaFactory for HeteroStageReplica {
-    fn build(
-        &self,
-        net: &mut Network,
-        input: PortId,
-        output: PortId,
-        replica: usize,
-        fault: FaultPlan,
-    ) -> Vec<NodeId> {
-        let side = if replica == 0 { "main" } else { "checker" };
-        crate::builder::shaped_stage(
-            net,
-            [input, output],
-            [side, side],
-            self.service,
-            self.out_models[replica].with_delay(self.offset),
-            self.seed_base.wrapping_add(replica as u64),
-            fault,
-        )
-    }
-}
-
 /// Builds a hetero network: producer → sampled replicator → {main,
 /// checker} → hetero selector → consumer, with a fault plan per side
 /// (`faults[0]` = main, `faults[1]` = checker). The returned ids' `replicas[0]`
@@ -608,7 +542,13 @@ mod tests {
     ) -> (Network, crate::DuplicatedIds, HeteroSizingReport) {
         let m = model(k);
         let sizing = HeteroSizingReport::analyze(&m).expect("bounded");
-        let factory = HeteroStageReplica::from_model(&m).with_seed_base(7);
+        let service = m.producer.period / 10;
+        let factory = crate::NJitterStageReplica {
+            service,
+            out_models: vec![m.main, m.checker],
+            offset: service + m.producer.jitter + TimeNs::from_ms(1),
+            seed_base: 7,
+        };
         let payload: crate::PayloadGenerator =
             Arc::new(|seq| Payload::U64(seq.wrapping_mul(0x9e37_79b9)));
         let (net, ids) = build_hetero(&m, &sizing, tokens, (1, 2), payload, &factory, &faults);
@@ -709,9 +649,5 @@ mod tests {
         let b1 = s1.bounds(&model(1));
         let b16 = s16.bounds(&model(16));
         assert!(b16.sampled_divergence > b1.sampled_divergence);
-        assert!(
-            HeteroSizingReport::compute_factor(&model(16))
-                < HeteroSizingReport::compute_factor(&model(1))
-        );
     }
 }

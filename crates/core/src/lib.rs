@@ -31,9 +31,16 @@
 //! the [`SampledReplicator`]). Every one of them keeps its counts and
 //! latches in one [`Latches`] book; a latch is one [`ArbFault`], read back
 //! through [`as_arbiter`] and mirrored live into a `HealthModel` by
-//! [`instrument`]; the four `build_*`
-//! functions assemble the same producer → replicator → replicas →
-//! selector → consumer shape and return the same [`DuplicatedIds`].
+//! [`instrument`]. Every structure builder ([`build_duplicated`],
+//! [`build_n_modular_voting`], [`build_hetero`] and the core-only
+//! [`build_n_modular`]) assembles the same producer → replicator →
+//! replicas → selector → consumer shape and returns the same
+//! [`DuplicatedIds`].
+//!
+//! Which structure protects a stream is decided once, in [`structure`]:
+//! a [`Redundancy`] sizes an application's interface models into one
+//! `structure::Sized` value, and that answers every detection-bound
+//! question per replica through one [`StructureBounds`] table.
 //!
 //! # Quick start
 //!
@@ -83,6 +90,7 @@ pub mod nmodular;
 mod obs;
 mod replicator;
 mod selector;
+pub mod structure;
 mod voting;
 
 // The streaming checksum the equivalence checks and the WAL record format
@@ -100,8 +108,7 @@ pub use builder::{
 };
 pub use fault::{CorruptionMode, FaultKind, FaultPlan, FaultTrigger, FaultyProcess};
 pub use hetero::{
-    build_hetero, HeteroModel, HeteroSelector, HeteroSizingReport, HeteroStageReplica,
-    SampledCheck, SampledReplicator,
+    build_hetero, HeteroModel, HeteroSelector, HeteroSizingReport, SampledCheck, SampledReplicator,
 };
 pub use nmodular::{
     build_n_modular, NJitterStageReplica, NModularModel, NReplicator, NSelector, NSizingReport,
@@ -109,4 +116,5 @@ pub use nmodular::{
 pub use obs::DetectionObs;
 pub use replicator::{Replicator, ReplicatorConfig};
 pub use selector::{PaperPair, Selector, SelectorConfig};
+pub use structure::{Redundancy, StructureBounds, SERVICE_DIVISOR};
 pub use voting::{build_n_modular_voting, VotingSelector};

@@ -466,7 +466,8 @@ fn finish(inner: &Inner) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::job::{JobRuntime, JobTemplate, Redundancy};
+    use crate::job::{JobRuntime, JobTemplate};
+    use rtft_core::Redundancy;
     use rtft_kpn::Payload;
     use rtft_rtc::sizing::DuplicationModel;
     use rtft_rtc::{PjdModel, TimeNs};

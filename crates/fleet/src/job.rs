@@ -6,25 +6,27 @@
 //! relative completion deadline. Templates are cheap to clone, and every
 //! run builds a fresh network from one.
 //!
-//! This module also owns the *structure recipe*:
-//! [`JobTemplate::for_model`] is the one place an application's interface
-//! model becomes a sized redundancy structure, [`JobTemplate::build`] its
-//! network, [`JobTemplate::bounds`] its analytic detection-bound table and
-//! [`des_horizon`] its DES horizon. The serve front-end, the chaos
-//! campaigns and the benches all build through it.
+//! This module also owns the per-job half of the *structure recipe*:
+//! [`JobTemplate::for_model`] puts seeds, a batch and a replica factory
+//! around a structure `rtft_core::structure` has sized, and
+//! [`JobTemplate::build`] builds its network. [`structure_bounds`] is the
+//! structure's detection-bound table and [`des_horizon`] its DES horizon.
+//! The sizing is cached per `(model, redundancy)`, so the serve
+//! front-end, the chaos campaigns and the benches all size a structure
+//! once.
 
+use rtft_core::structure::Sized;
 use rtft_core::{
     build_duplicated, build_hetero, build_n_modular_voting, instrument, DuplicatedIds,
     DuplicationConfig, FaultPlan, HeteroModel, HeteroSelector, HeteroSizingReport,
-    HeteroStageReplica, JitterStageReplica, NJitterStageReplica, NModularModel, NSizingReport,
-    PayloadGenerator, ReplicaFactory,
+    JitterStageReplica, NJitterStageReplica, NModularModel, NSizingReport, PayloadGenerator,
+    Redundancy, ReplicaFactory, StructureBounds, SERVICE_DIVISOR,
 };
 use rtft_kpn::threaded::{run_threaded_with, ThreadedConfig, ThreadedRun};
-use rtft_kpn::{ChannelBehavior, ChannelId, Engine, Network, NodeId, Payload, PjdSink};
+use rtft_kpn::{ChannelBehavior, ChannelId, Engine, Network, NodeId, PjdSink};
 use rtft_obs::{HealthModel, MetricsRegistry};
-use rtft_rtc::detection::{DetectionBounds, HeteroBounds};
-use rtft_rtc::sizing::{DuplicationModel, SizingReport};
-use rtft_rtc::{PjdModel, TimeNs};
+use rtft_rtc::sizing::DuplicationModel;
+use rtft_rtc::TimeNs;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::Duration;
@@ -58,63 +60,6 @@ pub enum JobRuntime {
     },
 }
 
-/// The replica compute stage's service time is the producer period divided
-/// by this. A `SlowBy(f)` fault therefore degrades the replica's *output*
-/// period by `f / SERVICE_DIVISOR` once `f` exceeds the divisor (below
-/// that, the downstream shaper hides the slack and the fault is
-/// analytically undetectable).
-pub const SERVICE_DIVISOR: u64 = 2;
-
-/// How the critical subnetwork is replicated and arbitrated.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Redundancy {
-    /// The paper's two-replica duplication with the timing selector.
-    Duplicated,
-    /// Three replicas arbitrated by the value-voting selector.
-    TriVoting,
-    /// Full-rate main replica plus a lightweight checker that re-verifies
-    /// every `k`-th token digest (`rtft_core::hetero`).
-    Hetero {
-        /// Sampling stride; campaigns sweep `k ∈ {1, 4, 16, 64}`.
-        k: u64,
-    },
-}
-
-impl Redundancy {
-    /// Replica count of the structure (the hetero checker counts as a
-    /// replica slot for fault-injection purposes).
-    pub fn replicas(self) -> usize {
-        match self {
-            Redundancy::Duplicated | Redundancy::Hetero { .. } => 2,
-            Redundancy::TriVoting => 3,
-        }
-    }
-
-    /// Report label.
-    pub fn label(self) -> &'static str {
-        match self {
-            Redundancy::Duplicated => "duplicated",
-            Redundancy::TriVoting => "tri-voting",
-            // Metric labels are interned statics, so the swept strides map
-            // through a match.
-            Redundancy::Hetero { k: 1 } => "hetero-k1",
-            Redundancy::Hetero { k: 4 } => "hetero-k4",
-            Redundancy::Hetero { k: 16 } => "hetero-k16",
-            Redundancy::Hetero { k: 64 } => "hetero-k64",
-            Redundancy::Hetero { .. } => "hetero",
-        }
-    }
-}
-
-/// A structure's analytic detection-bound table ([`JobTemplate::bounds`]).
-#[derive(Debug, Clone)]
-pub enum StructureBounds {
-    /// Full-rate replicas behind a timing or voting selector.
-    Timing(DetectionBounds),
-    /// The sampled checker, whose bounds depend on the stride `k`.
-    Sampled(HeteroBounds),
-}
-
 /// The DES horizon of a `tokens`-token run of `model`: the stream itself,
 /// 60 periods for every detector to play out, the consumer's start-up
 /// delay and five seconds of drain.
@@ -122,74 +67,19 @@ pub fn des_horizon(model: &DuplicationModel, tokens: u64) -> TimeNs {
     model.producer.period * (tokens + 60) + model.consumer.delay + TimeNs::from_secs(5)
 }
 
-/// The bound table of `redundancy` over `model`, for callers with no job
-/// to run.
+/// The detection-bound table of `redundancy` over `model`, read off the
+/// cached analysis.
 ///
 /// # Panics
 ///
 /// As [`JobTemplate::for_model`].
 pub fn structure_bounds(model: &DuplicationModel, redundancy: Redundancy) -> StructureBounds {
-    // The table reads the template's model and sizing only; seed, token
-    // count and payload are placeholders.
-    JobTemplate::for_model(model, redundancy, 0, 0, Arc::new(|_| Payload::Empty)).bounds()
+    SIZED.get(model, redundancy).bounds()
 }
 
-/// The seed-independent half of the structure recipe: the structure's
-/// interface models and their §3.4 analysis. Everything else in a
-/// template — seeds, token count, payload, fault plans — is per job.
-#[derive(Debug, Clone, PartialEq, Eq)]
-enum SizedStructure {
-    Duplicated(SizingReport),
-    Voting(NModularModel, NSizingReport),
-    Sampled(HeteroModel, HeteroSizingReport),
-}
-
-impl SizedStructure {
-    /// Derives the structure's models from the application's and runs the
-    /// curve analysis.
-    ///
-    /// # Panics
-    ///
-    /// As [`JobTemplate::for_model`].
-    fn analyze(model: &DuplicationModel, redundancy: Redundancy) -> SizedStructure {
-        match redundancy {
-            Redundancy::Duplicated => SizedStructure::Duplicated(
-                SizingReport::analyze(model).expect("profile models are bounded"),
-            ),
-            Redundancy::TriVoting => {
-                let [a, b] = model.replica_out;
-                let mid_jitter = TimeNs::from_ns((a.jitter.as_ns() + b.jitter.as_ns()) / 2);
-                let model = NModularModel {
-                    producer: model.producer,
-                    consumer: model.consumer,
-                    replicas: vec![
-                        a,
-                        b,
-                        PjdModel::new(model.producer.period, mid_jitter, TimeNs::ZERO),
-                    ],
-                };
-                let sizing = NSizingReport::analyze(&model).expect("profile models are bounded");
-                SizedStructure::Voting(model, sizing)
-            }
-            Redundancy::Hetero { k } => {
-                let model = HeteroModel::with_checker_jitter(
-                    model.producer,
-                    model.consumer,
-                    model.replica_out[0],
-                    model.replica_out[1].jitter,
-                    k,
-                );
-                let sizing =
-                    HeteroSizingReport::analyze(&model).expect("profile models are bounded");
-                SizedStructure::Sampled(model, sizing)
-            }
-        }
-    }
-}
-
-/// A [`SizedStructure`] under the `(model, redundancy)` *value* it was
-/// analysed for.
-type SizedEntry = ((DuplicationModel, Redundancy), SizedStructure);
+/// A structure's analysis under the `(model, redundancy)` *value* it was
+/// run for.
+type SizedEntry = ((DuplicationModel, Redundancy), Sized);
 
 /// Every structure analysed so far. A process sizes a handful of distinct
 /// ones (a campaign pass: nine, 270 times over), and `run_scenario`-style
@@ -222,14 +112,14 @@ impl SizedTable {
 
     /// Lookup-or-analyse. The lock is not held across the analysis: two
     /// threads that miss together both analyse, and one result is kept.
-    fn get(&self, model: &DuplicationModel, redundancy: Redundancy) -> SizedStructure {
+    fn get(&self, model: &DuplicationModel, redundancy: Redundancy) -> Sized {
         let key = (*model, redundancy);
         let hit = self.entries().iter().find(|(k, _)| *k == key).cloned();
         if let Some((_, sized)) = hit {
             return sized;
         }
         self.analyses.fetch_add(1, Ordering::Relaxed);
-        let sized = SizedStructure::analyze(model, redundancy);
+        let sized = redundancy.size(model);
         let mut entries = self.entries();
         if entries.len() < Self::ENTRIES && entries.iter().all(|(k, _)| *k != key) {
             entries.push((key, sized.clone()));
@@ -318,18 +208,15 @@ impl std::fmt::Debug for JobTemplate {
 
 impl JobTemplate {
     /// The structure recipe: the template that protects an application
-    /// described by `model` with `redundancy`. This is the one place that
-    /// knows how a profile becomes a sized redundancy structure:
+    /// described by `model` with `redundancy`. The structure's interface
+    /// models, capacities and thresholds are [`Redundancy::size`]'s
+    /// (cached per `(model, redundancy)`); around them,
     ///
     /// * every replica computes for `P / `[`SERVICE_DIVISOR`] and shapes
-    ///   its output to the profile's replica interface, offset by
+    ///   its output to its interface model, offset by
     ///   `service + J_producer + 1 ms` so the shaper never starves;
-    /// * the third voting replica jitters midway between the profile's two;
-    /// * the sampled checker runs at `k · P` with replica 1's jitter;
     /// * producer, consumer and per-replica jitter streams are all derived
-    ///   from `seed`;
-    /// * capacities and thresholds come from the structure's own §3.4
-    ///   analysis of those interface models.
+    ///   from `seed`.
     ///
     /// # Panics
     ///
@@ -348,7 +235,7 @@ impl JobTemplate {
     /// The per-job half of the recipe: seeds, batch and replica factory
     /// around an analysed structure.
     fn from_sized(
-        sized: SizedStructure,
+        sized: Sized,
         model: &DuplicationModel,
         seed: u64,
         tokens: u64,
@@ -357,10 +244,18 @@ impl JobTemplate {
         let service = model.producer.period / SERVICE_DIVISOR;
         let offset = service + model.producer.jitter + TimeNs::from_ms(1);
         let seeds = (seed ^ 0xA5A5, seed ^ 0x5A5A);
+        let n_jitter = |out_models, salt| {
+            Arc::new(NJitterStageReplica {
+                service,
+                out_models,
+                offset,
+                seed_base: seed ^ salt,
+            })
+        };
         match sized {
-            SizedStructure::Duplicated(sizing) => JobTemplate::Duplicated {
+            Sized::Duplicated(model, sizing) => JobTemplate::Duplicated {
                 cfg: DuplicationConfig {
-                    model: *model,
+                    model,
                     sizing,
                     token_count: Some(tokens),
                     seeds,
@@ -373,31 +268,21 @@ impl JobTemplate {
                     seeds: [seed ^ 0x11, seed ^ 0x22],
                 }),
             },
-            SizedStructure::Voting(model, sizing) => JobTemplate::NModularVoting {
+            Sized::Voting(model, sizing) => JobTemplate::NModularVoting {
                 sizing,
                 token_count: tokens,
                 seeds,
                 payload,
-                factory: Arc::new(NJitterStageReplica {
-                    service,
-                    out_models: model.replicas.clone(),
-                    offset,
-                    seed_base: seed ^ 0x33,
-                }),
+                factory: n_jitter(model.replicas.clone(), 0x33),
                 faults: vec![FaultPlan::healthy(); 3],
                 model,
             },
-            SizedStructure::Sampled(model, sizing) => JobTemplate::Hetero {
+            Sized::Sampled(model, sizing) => JobTemplate::Hetero {
                 sizing,
                 token_count: tokens,
                 seeds,
                 payload,
-                factory: Arc::new(HeteroStageReplica {
-                    service,
-                    out_models: [model.main, model.checker],
-                    offset,
-                    seed_base: seed ^ 0x44,
-                }),
+                factory: n_jitter(vec![model.main, model.checker], 0x44),
                 faults: [FaultPlan::healthy(), FaultPlan::healthy()],
                 model,
             },
@@ -503,31 +388,6 @@ impl JobTemplate {
                 factory.as_ref(),
                 faults,
             ),
-        }
-    }
-
-    /// The structure's analytic detection-bound table, from the template's
-    /// own model and sizing (an n-replica table is taken at the largest
-    /// replicator and selector queue).
-    pub fn bounds(&self) -> StructureBounds {
-        match self {
-            JobTemplate::Duplicated { cfg, .. } => {
-                StructureBounds::Timing(cfg.sizing.detection_bounds(&cfg.model))
-            }
-            JobTemplate::NModularVoting { model, sizing, .. } => {
-                let largest = |caps: &[u64]| caps.iter().copied().max().unwrap_or(1);
-                StructureBounds::Timing(DetectionBounds::new(
-                    model.producer,
-                    model.consumer,
-                    model.replicas.clone(),
-                    sizing.threshold,
-                    largest(&sizing.replicator_capacity),
-                    largest(&sizing.selector_capacity),
-                ))
-            }
-            JobTemplate::Hetero { model, sizing, .. } => {
-                StructureBounds::Sampled(sizing.bounds(model))
-            }
         }
     }
 
@@ -712,6 +572,8 @@ pub fn execute_spec(spec: &JobSpec) -> JobRunResult {
 mod tests {
     use super::*;
     use rtft_core::{as_arbiter, CorruptionMode, FaultKind, FaultTrigger};
+    use rtft_kpn::Payload;
+    use rtft_rtc::PjdModel;
 
     fn model_with_period_ms(period: f64) -> DuplicationModel {
         DuplicationModel::symmetric(
@@ -737,7 +599,7 @@ mod tests {
         let model = model_with_period_ms(30.0);
         for (n, redundancy) in STRUCTURES.into_iter().enumerate() {
             let first = table.get(&model, redundancy);
-            assert_eq!(first, SizedStructure::analyze(&model, redundancy));
+            assert_eq!(first, redundancy.size(&model));
             assert_eq!(table.get(&model, redundancy), first);
             assert_eq!(analyses(), n as u64 + 1, "{redundancy:?}");
         }
@@ -754,7 +616,7 @@ mod tests {
         }
         assert_eq!(analyses(), bound);
         let beyond = model_with_period_ms(29.0);
-        let cold = SizedStructure::analyze(&beyond, Redundancy::Duplicated);
+        let cold = Redundancy::Duplicated.size(&beyond);
         assert_eq!(table.get(&beyond, Redundancy::Duplicated), cold);
         assert_eq!(table.get(&beyond, Redundancy::Duplicated), cold);
         assert_eq!(analyses(), bound + 2, "analysed per call, not stored");
@@ -775,9 +637,8 @@ mod tests {
             let horizon = des_horizon(&model, job.expected_tokens());
             let run = execute(job, &JobRuntime::DiscreteEvent { horizon });
             format!(
-                "{job:?} {} {:?} {net:?} {:?} {:?} {:?}",
+                "{job:?} {} {net:?} {:?} {:?} {:?}",
                 job.replica_count(),
-                job.bounds(),
                 net.channel(ids.replicator),
                 net.channel(ids.selector),
                 run.arrival_log,
@@ -791,7 +652,7 @@ mod tests {
                 let warm =
                     JobTemplate::for_model(&model, redundancy, *seed, *tokens, Arc::clone(payload));
                 let cold = JobTemplate::from_sized(
-                    SizedStructure::analyze(&model, redundancy),
+                    redundancy.size(&model),
                     &model,
                     *seed,
                     *tokens,
@@ -828,10 +689,6 @@ mod tests {
             assert_eq!(plan.expected_tokens(), 0, "{plan:?}");
             assert_eq!(job.expected_tokens(), 16, "{job:?}");
             assert_eq!(job.replica_count(), plan.replica_count());
-            assert_eq!(
-                format!("{:?}", job.bounds()),
-                format!("{:?}", plan.bounds())
-            );
             // The batch is what runs, under the plan's armed fault.
             let horizon = des_horizon(&model, 16);
             let run = execute(&job, &JobRuntime::DiscreteEvent { horizon });

@@ -84,6 +84,7 @@ pub use executor::{
 };
 pub use job::{
     des_horizon, execute, execute_spec, structure_bounds, JobId, JobRunResult, JobRuntime, JobSpec,
-    JobTemplate, Redundancy, SharedFactory, StructureBounds, SERVICE_DIVISOR,
+    JobTemplate, SharedFactory,
 };
+pub use rtft_core::{Redundancy, SERVICE_DIVISOR};
 pub use supervisor::{FleetStatus, FleetSupervisor};

@@ -50,9 +50,10 @@ struct RunQueue {
     waiting: BTreeMap<(u64, u64), Task>,
     /// Slots taken: tasks currently executing, on a worker or on a
     /// lender's thread. Never above `workers`. Workers only exit once
-    /// this and `waiting` are both empty under shutdown, so a running
-    /// task may still submit follow-up work (the fleet's replacement runs
-    /// rely on this).
+    /// this and `waiting` are both empty under shutdown, so work a
+    /// running task submits still runs before the pool exits
+    /// (`last_owner_dropped_inside_a_task_detaches_instead_of_self_joining`
+    /// submits from a task that drops the last owner).
     running: usize,
     /// Slots there are (= worker threads spawned).
     workers: usize,

@@ -128,8 +128,6 @@ fn selector_stall_bound(consumer: &PjdModel, capacity: u64) -> TimeNs {
 /// value faults have dedicated lookups.
 #[derive(Debug, Clone)]
 pub struct DetectionBounds {
-    producer: PjdModel,
-    consumer: PjdModel,
     replicas: Vec<PjdModel>,
     threshold: u64,
     /// Worst-case selector divergence-latch latency for a fail-stop replica.
@@ -165,29 +163,12 @@ impl DetectionBounds {
         let overflow = replicator_overflow_bound(&producer, replicator_capacity);
         let stall = selector_stall_bound(&consumer, selector_capacity);
         DetectionBounds {
-            producer,
-            consumer,
             replicas,
             threshold,
             fail_stop,
             overflow,
             stall,
         }
-    }
-
-    /// The divergence threshold `D` the bounds were computed for.
-    pub fn threshold(&self) -> u64 {
-        self.threshold
-    }
-
-    /// The producer model feeding the replicator.
-    pub fn producer(&self) -> &PjdModel {
-        &self.producer
-    }
-
-    /// The consumer model draining the selector.
-    pub fn consumer(&self) -> &PjdModel {
-        &self.consumer
     }
 
     /// End-to-end guarantee for a *permanent* timing fault (fail-stop): the
@@ -287,7 +268,6 @@ pub fn sampled_stream_model(full: &PjdModel, k: u64) -> PjdModel {
 ///   checker's own sampled-rate service (another `k·P` plus jitters).
 #[derive(Debug, Clone)]
 pub struct HeteroBounds {
-    producer: PjdModel,
     main: PjdModel,
     checker: PjdModel,
     k: u64,
@@ -327,7 +307,6 @@ impl HeteroBounds {
         let overflow = replicator_overflow_bound(&producer, main_capacity);
         let value = main.period * (2 * k) + main.jitter + checker.jitter + checker.delay;
         HeteroBounds {
-            producer,
             main,
             checker,
             k,
@@ -336,31 +315,6 @@ impl HeteroBounds {
             overflow,
             value,
         }
-    }
-
-    /// The sampling stride `k` (every `k`-th main token is re-verified).
-    pub fn k(&self) -> u64 {
-        self.k
-    }
-
-    /// The sampled divergence threshold `D_s`.
-    pub fn sampled_threshold(&self) -> u64 {
-        self.sampled_threshold
-    }
-
-    /// The producer model feeding the sampled replicator.
-    pub fn producer(&self) -> &PjdModel {
-        &self.producer
-    }
-
-    /// The full-rate main replica output model.
-    pub fn main(&self) -> &PjdModel {
-        &self.main
-    }
-
-    /// The checker vote output model (sampled rate).
-    pub fn checker(&self) -> &PjdModel {
-        &self.checker
     }
 
     /// End-to-end guarantee for a *permanent* timing fault of the main
@@ -527,9 +481,6 @@ mod tests {
         assert_eq!(b.stall, ms(212));
         // The end-to-end permanent-fault guarantee is the fastest detector.
         assert_eq!(b.permanent_timing(), ms(122));
-        assert_eq!(b.threshold(), 4);
-        assert_eq!(b.producer().period, ms(30));
-        assert_eq!(b.consumer().delay, ms(120));
     }
 
     #[test]
@@ -585,8 +536,6 @@ mod tests {
         assert_eq!(b.permanent_timing(), ms(122));
         // Value: 2k·P + J_main + J_chk = 8·30 + 5 + 8 = 253 ms.
         assert_eq!(b.value, ms(253));
-        assert_eq!(b.k(), 4);
-        assert_eq!(b.sampled_threshold(), 2);
     }
 
     #[test]

@@ -55,7 +55,7 @@ use rtft_apps::networks::App;
 use rtft_core::{FaultPlan, PayloadGenerator};
 use rtft_fleet::{
     des_horizon, structure_bounds, Admission, FleetConfig, FleetExecutor, JobNotifier, JobRuntime,
-    JobSpec, JobTemplate, Redundancy, RejectReason, StructureBounds,
+    JobSpec, JobTemplate, Redundancy, RejectReason,
 };
 use rtft_kpn::threaded::CancelToken;
 use rtft_kpn::{Bytes, Payload, PayloadPool};
@@ -216,18 +216,15 @@ pub fn detection_bound(app: App) -> TimeNs {
 ///
 /// # Panics
 ///
-/// Panics if `k == 0`.
+/// Panics if `k == 0`, and, as [`JobTemplate::with_fault`] does, on a
+/// `replica` the structure lacks (anything above `1`).
 pub fn hetero_detection_bound(app: App, k: u64, replica: usize) -> TimeNs {
     fault_window(app, Redundancy::Hetero { k }, replica)
 }
 
 fn fault_window(app: App, redundancy: Redundancy, replica: usize) -> TimeNs {
     let model = app.profile().model;
-    let latch = match structure_bounds(&model, redundancy) {
-        StructureBounds::Timing(b) => b.permanent_timing(),
-        StructureBounds::Sampled(b) if replica == 0 => b.permanent_timing(),
-        StructureBounds::Sampled(b) => b.sampled_divergence,
-    };
+    let latch = structure_bounds(&model, redundancy).permanent(replica);
     latch + model.producer.period + model.producer.jitter
 }
 
@@ -1844,5 +1841,11 @@ mod tests {
                 ],
             ]
         );
+    }
+
+    #[test]
+    #[should_panic(expected = "replica 7 of a 2-replica structure")]
+    fn hetero_detection_bound_rejects_a_side_the_structure_lacks() {
+        hetero_detection_bound(App::Adpcm, 4, 7);
     }
 }

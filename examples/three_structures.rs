@@ -24,8 +24,8 @@
 //! ```
 
 use rtft_apps::networks::App;
-use rtft_bench::hetero::hetero_bounds_for;
-use rtft_chaos::{Campaign, OutcomeClass};
+use rtft_chaos::{Campaign, OutcomeClass, Redundancy};
+use rtft_fleet::structure_bounds;
 use rtft_rtc::TimeNs;
 
 const SEED: u64 = 0xDAC14;
@@ -77,7 +77,8 @@ fn main() {
             println!("FAIL: hetero k={k} campaign report not seed-stable");
             violations += 1;
         }
-        let bounds = hetero_bounds_for(App::Mjpeg, k);
+        let sampled_bound =
+            structure_bounds(&App::Mjpeg.profile().model, Redundancy::Hetero { k }).divergence(0);
         let compute = 1.0 + 1.0 / k as f64;
         println!(
             "  hetero k={k}: {} scenarios, {} in-bound, {} masked, \
@@ -85,7 +86,7 @@ fn main() {
             report.outcomes.len(),
             report.count(OutcomeClass::DetectedInBound),
             report.count(OutcomeClass::Masked),
-            bounds.sampled_divergence.as_ms_f64(),
+            sampled_bound.as_ms_f64(),
         );
         violations += census_violations(
             "hetero",
@@ -100,11 +101,11 @@ fn main() {
             println!("FAIL: hetero k={k} compute factor not below duplication");
             violations += 1;
         }
-        if bounds.sampled_divergence <= last_bound {
+        if sampled_bound <= last_bound {
             println!("FAIL: hetero k={k} sampled bound did not grow with k");
             violations += 1;
         }
-        last_bound = bounds.sampled_divergence;
+        last_bound = sampled_bound;
     }
 
     if violations > 0 {

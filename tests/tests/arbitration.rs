@@ -148,8 +148,8 @@ use rtft_apps::networks::App;
 use rtft_bench::campaign::fault_campaign_observed_with_workers;
 use rtft_core::{
     ArbiterLedger, CorruptionMode, DuplicationConfig, HeteroModel, HeteroSelector,
-    HeteroSizingReport, HeteroStageReplica, JitterStageReplica, PolicySelector, Replicator,
-    ReplicatorConfig, SampledCheck, SampledReplicator, Selector, SelectorConfig,
+    HeteroSizingReport, JitterStageReplica, PolicySelector, Replicator, ReplicatorConfig,
+    SampledCheck, SampledReplicator, Selector, SelectorConfig,
 };
 use rtft_fleet::{execute, JobRuntime, JobTemplate};
 use rtft_kpn::{ChannelBehavior, ReadOutcome, SplitMix64, Token, WriteOutcome};
@@ -253,7 +253,13 @@ fn hetero_template(faulty_side: usize) -> JobTemplate {
         4,
     );
     let sizing = HeteroSizingReport::analyze(&model).expect("bounded");
-    let factory = Arc::new(HeteroStageReplica::from_model(&model).with_seed_base(7));
+    let service = model.producer.period / 10;
+    let factory = Arc::new(NJitterStageReplica {
+        service,
+        out_models: vec![model.main, model.checker],
+        offset: service + model.producer.jitter + TimeNs::from_ms(1),
+        seed_base: 7,
+    });
     let mut faults = [FaultPlan::healthy(), FaultPlan::healthy()];
     faults[faulty_side] = FaultPlan::fail_stop_at(TimeNs::from_ms(400));
     JobTemplate::Hetero {

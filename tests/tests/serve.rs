@@ -5,7 +5,7 @@
 //! graceful shutdown under load with full token accounting.
 
 use rtft_apps::networks::App;
-use rtft_fleet::{structure_bounds, FleetConfig, Redundancy, StructureBounds};
+use rtft_fleet::{structure_bounds, FleetConfig, Redundancy};
 use rtft_kpn::Bytes;
 use rtft_rtc::TimeNs;
 use rtft_serve::wire::{read_frame, write_frame};
@@ -226,10 +226,8 @@ fn fault_in_bound(redundancy: u8, structure: Redundancy) {
     assert_eq!(fault.replica, 1);
     assert!(fault.kind <= 3, "latched at a real detection site");
     let model = App::Mjpeg.profile().model;
-    let StructureBounds::Timing(bounds) = structure_bounds(&model, structure) else {
-        unreachable!("full-rate replicas have a timing table");
-    };
-    let bound = (bounds.permanent_timing() + model.producer.period + model.producer.jitter).as_ns();
+    let latch = structure_bounds(&model, structure).permanent(fault.replica as usize);
+    let bound = (latch + model.producer.period + model.producer.jitter).as_ns();
     assert!(
         fault.detection_latency_ns > 0 && fault.detection_latency_ns <= bound,
         "redundancy {redundancy}: detection latency {} ns must be within the analytic bound {} ns",
