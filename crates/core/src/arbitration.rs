@@ -622,14 +622,10 @@ impl Book {
 }
 
 /// The crate's arbitration channels: the one list both views search.
-const BOOKS: [Book; 6] = [
+const BOOKS: [Book; 5] = [
     Book {
         view: |any| Some(&any.downcast_ref::<crate::Replicator>()?.latches),
         view_mut: |any| Some(&mut any.downcast_mut::<crate::Replicator>()?.latches),
-    },
-    Book {
-        view: |any| Some(&any.downcast_ref::<crate::SampledReplicator>()?.latches),
-        view_mut: |any| Some(&mut any.downcast_mut::<crate::SampledReplicator>()?.latches),
     },
     Book::selector::<crate::PaperPair>(),
     Book::selector::<FirstOfGroup>(),

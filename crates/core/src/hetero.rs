@@ -11,11 +11,11 @@
 //!
 //! Structure:
 //!
-//! * [`SampledReplicator`] — one write interface; read interface `0` feeds
-//!   the main replica the full stream, read interface `1` feeds the checker
-//!   every `k`-th token. The §3.3 overflow latch guards the main queue at
-//!   full rate, so the permanent-timing guarantee of the duplicated
-//!   structure survives sampling unchanged.
+//! * [`SampledReplicator::new`] — the one [`Replicator`] at stride `k`:
+//!   read interface `0` feeds the main replica the full stream, read
+//!   interface `1` feeds the checker every `k`-th token. The §3.3 overflow
+//!   latch guards the main queue at full rate, so the permanent-timing
+//!   guarantee of the duplicated structure survives sampling unchanged.
 //! * [`SampledCheck`] — the [`ComparePolicy`]: main tokens pass straight
 //!   through to the consumer at full rate; every `k`-th main digest is
 //!   held as a *sample*, and the checker's `j`-th write is its independent
@@ -34,16 +34,14 @@
 //! All detection remains counter-based — neither channel ever reads a
 //! clock.
 
-use crate::arbitration::{
-    ArbFault, ArbFaultCause, ArbiterLedger, ComparePolicy, Latches, PolicySelector,
-};
+use crate::arbitration::{ArbFaultCause, ArbiterLedger, ComparePolicy, PolicySelector};
 use crate::builder::{assemble, Assembly};
 use crate::fault::FaultPlan;
-use rtft_kpn::{ChannelBehavior, Network, ReadOutcome, Token, WriteOutcome};
+use crate::{Replicator, ReplicatorConfig};
+use rtft_kpn::{Network, Token, WriteOutcome};
 use rtft_rtc::detection::{sampled_stream_model, HeteroBounds};
 use rtft_rtc::{sizing, CurveAnalysisError, PjdModel, TimeNs};
-use std::any::Any;
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::BTreeMap;
 
 /// Interface timing models of a sampled-checker stage.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -144,21 +142,15 @@ impl HeteroSizingReport {
     }
 }
 
-/// Replicator channel of the sampled-checker structure: one write
-/// interface; read interface `0` = main (full stream), read interface `1`
-/// = checker (every `k`-th token). The §3.3 overflow latch applies per
-/// queue; consumption divergence is checked on *sample-normalised* counts
-/// (the book's stride is `k`).
+/// The sampled-checker structure's replicator: a [`Replicator`] at stride
+/// `k`. Read interface `0` feeds the main replica the full stream, read
+/// interface `1` the checker the writes `0, k, 2k, …`; consumption
+/// divergence is checked on sample-normalised counts.
+///
+/// The type is only a name for this constructor; the channel is the one
+/// [`Replicator`].
 #[derive(Debug)]
-pub struct SampledReplicator {
-    name: String,
-    queues: [VecDeque<Token>; 2],
-    max_fill: [usize; 2],
-    writes: u64,
-    dropped: u64,
-    /// Capacities, consumed counts and latches; stride `k`.
-    pub(crate) latches: Latches,
-}
+pub enum SampledReplicator {}
 
 impl SampledReplicator {
     /// Creates a sampled replicator: main queue capacity, checker queue
@@ -168,137 +160,20 @@ impl SampledReplicator {
     /// # Panics
     ///
     /// Panics on a zero capacity or `k == 0`.
+    // The name is the structure's; the channel it builds is a `Replicator`.
+    #[allow(clippy::new_ret_no_self)]
     pub fn new(
         name: impl Into<String>,
         capacity: [usize; 2],
         k: u64,
         divergence_threshold: Option<u64>,
-    ) -> Self {
-        assert!(
-            capacity.iter().all(|c| *c > 0),
-            "capacities must be positive"
-        );
-        assert!(k > 0, "sampling stride must be positive");
-        SampledReplicator {
-            name: name.into(),
-            queues: [VecDeque::new(), VecDeque::new()],
-            max_fill: [0; 2],
-            writes: 0,
-            dropped: 0,
-            latches: Latches::new(&capacity, divergence_threshold, k, true),
-        }
-    }
-
-    /// The channel's diagnostic name.
-    pub fn name(&self) -> &str {
-        &self.name
-    }
-
-    /// Fault record of side `i` (`0` = main, `1` = checker), if latched.
-    pub fn fault(&self, i: usize) -> Option<ArbFault> {
-        self.latches.latched(i)
-    }
-
-    /// Number of sides still healthy.
-    pub fn healthy_count(&self) -> usize {
-        self.latches.healthy_count()
-    }
-
-    /// Tokens consumed from side `i` so far — the structure's compute-cost
-    /// meter: `consumed(0) + consumed(1)` is the total stage work, versus
-    /// `2 × tokens` for the duplicated structure.
-    pub fn consumed(&self, i: usize) -> u64 {
-        self.latches.count(i)
-    }
-
-    /// Producer writes swallowed because the main side was already latched.
-    pub fn dropped(&self) -> u64 {
-        self.dropped
-    }
-}
-
-impl ChannelBehavior for SampledReplicator {
-    #[inline]
-    fn try_write(&mut self, iface: usize, token: Token, now: TimeNs) -> WriteOutcome {
-        assert_eq!(iface, 0, "sampled replicator has a single write interface");
-        let targets = [true, self.writes.is_multiple_of(self.latches.stride())];
-        let mut delivered = false;
-        let mut healthy_full = false;
-        for (i, &targeted) in targets.iter().enumerate() {
-            if !targeted || self.latches.latched(i).is_some() {
-                continue;
-            }
-            if self.queues[i].len() < self.latches.capacity(i) {
-                self.queues[i].push_back(token.clone());
-                self.max_fill[i] = self.max_fill[i].max(self.queues[i].len());
-                delivered = true;
-            } else if self.latches.healthy_count() > 1 {
-                // §3.3 overflow latch per full, healthy, targeted queue.
-                self.latches.latch(i, ArbFaultCause::Overflow, None, now);
-            } else {
-                healthy_full = true;
-            }
-        }
-        if delivered {
-            self.writes += 1;
-            WriteOutcome::Accepted
-        } else if healthy_full {
-            // The last healthy side is full and cannot be latched: real
-            // back-pressure.
-            WriteOutcome::Blocked(token)
-        } else {
-            // Every targeted side is latched (detection-only mode): swallow
-            // so the producer — and the checker feed on sample ticks — can
-            // keep running.
-            self.writes += 1;
-            self.dropped += 1;
-            WriteOutcome::AcceptedDropped
-        }
-    }
-
-    #[inline]
-    fn try_read(&mut self, iface: usize, now: TimeNs) -> ReadOutcome {
-        assert!(iface < 2, "sampled replicator has two read interfaces");
-        match self.queues[iface].pop_front() {
-            Some(t) => {
-                self.latches.note(iface);
-                self.latches.check_divergence(iface, now);
-                ReadOutcome::Token(t)
-            }
-            None => ReadOutcome::Blocked,
-        }
-    }
-
-    fn write_ifaces(&self) -> usize {
-        1
-    }
-
-    fn read_ifaces(&self) -> usize {
-        2
-    }
-
-    fn fill(&self, iface: usize) -> usize {
-        self.queues[iface].len()
-    }
-
-    fn capacity(&self, iface: usize) -> usize {
-        self.latches.capacity(iface)
-    }
-
-    fn max_fill(&self, iface: usize) -> usize {
-        self.max_fill[iface]
-    }
-
-    fn debug_name(&self) -> Option<&str> {
-        Some(&self.name)
-    }
-
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
+    ) -> Replicator {
+        let config = ReplicatorConfig {
+            capacity: capacity.to_vec(),
+            detect_overflow: true,
+            divergence_threshold,
+        };
+        Replicator::strided(name, config, k)
     }
 }
 
@@ -572,7 +447,7 @@ mod tests {
             assert_eq!(p.mismatches(), 0);
             // Compute meter: main does all tokens, checker 1/k of them.
             let rep = net
-                .channel_as::<SampledReplicator>(ids.replicator)
+                .channel_as::<Replicator>(ids.replicator)
                 .expect("replicator");
             assert_eq!(rep.consumed(0), 96);
             assert_eq!(rep.consumed(1), 96u64.div_ceil(k));
@@ -594,7 +469,7 @@ mod tests {
             .channel_as::<HeteroSelector>(ids.selector)
             .expect("selector");
         let rep = net
-            .channel_as::<SampledReplicator>(ids.replicator)
+            .channel_as::<Replicator>(ids.replicator)
             .expect("replicator");
         assert!(sel.fault(0).is_none(), "main never latched");
         let latched = sel.fault(1).or(rep.fault(1));

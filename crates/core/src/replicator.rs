@@ -19,6 +19,14 @@
 //! latched: when it is full the producer sees real back-pressure
 //! (`Blocked`), because there is no one left to fail over to.
 //!
+//! The sampled checker ([`hetero`](crate::hetero)) is the same channel with
+//! a stride `k` in its book: lane `0` takes every write, lane `1` only the
+//! writes `0, k, 2k, …`, and the divergence rule reads lane `0` at
+//! `⌈consumed / k⌉`. Off a sample tick only lane `0` is targeted, so once
+//! it is latched such a write reaches no queue and is swallowed
+//! (`AcceptedDropped`). At stride 1 every write targets the last healthy
+//! lane, so nothing is ever swallowed.
+//!
 //! No operation consults a clock: the `now` parameter is recorded in the
 //! detection log for the experiment harness, never branched on.
 
@@ -94,8 +102,10 @@ pub struct Replicator {
     lanes: Vec<Lane>,
     /// Capacities, consumed counts and latches, one row per lane.
     pub(crate) latches: Latches,
-    /// Successful producer writes.
+    /// Producer writes that did not block.
     writes: u64,
+    /// Writes that reached no queue: every lane they targeted was latched.
+    dropped: u64,
 }
 
 /// One replica's queue.
@@ -112,11 +122,21 @@ impl Replicator {
     ///
     /// Panics on fewer than two queues or any zero capacity.
     pub fn new(name: impl Into<String>, config: ReplicatorConfig) -> Self {
+        Replicator::strided(name, config, 1)
+    }
+
+    /// A replicator whose lanes `1..` are fed every `stride`-th write only.
+    ///
+    /// # Panics
+    ///
+    /// Panics on fewer than two queues, any zero capacity or a zero stride.
+    pub(crate) fn strided(name: impl Into<String>, config: ReplicatorConfig, stride: u64) -> Self {
         assert!(config.capacity.len() >= 2, "need at least two replicas");
         assert!(
             config.capacity.iter().all(|c| *c > 0),
             "replicator queue capacities must be positive"
         );
+        assert!(stride > 0, "sampling stride must be positive");
         let lanes: Vec<Lane> = config
             .capacity
             .iter()
@@ -128,9 +148,10 @@ impl Replicator {
         Replicator {
             name: name.into(),
             detect_overflow: config.detect_overflow,
-            latches: Latches::new(&config.capacity, config.divergence_threshold, 1, true),
+            latches: Latches::new(&config.capacity, config.divergence_threshold, stride, true),
             lanes,
             writes: 0,
+            dropped: 0,
         }
     }
 
@@ -168,9 +189,15 @@ impl Replicator {
         self.latches.count(i)
     }
 
-    /// Successful producer writes so far.
+    /// Producer writes that did not block so far.
     pub fn writes(&self) -> u64 {
         self.writes
+    }
+
+    /// Producer writes swallowed because every lane they targeted was
+    /// latched (only off a sample tick, once lane `0` is latched).
+    pub fn dropped(&self) -> u64 {
+        self.dropped
     }
 
     /// Remaining space in queue `i` (the paper's `space_i`).
@@ -200,9 +227,13 @@ impl ChannelBehavior for Replicator {
     #[inline]
     fn try_write(&mut self, iface: usize, token: Token, now: TimeNs) -> WriteOutcome {
         assert_eq!(iface, 0, "replicator has a single write interface");
+        // Lane 0 takes every write, lanes 1.. only the sample ticks.
+        let stride = self.latches.stride();
+        let tick = stride == 1 || self.writes.is_multiple_of(stride);
+        let targeted = if tick { self.lanes.len() } else { 1 };
 
         let mut blocked = false;
-        for (i, lane) in self.lanes.iter().enumerate() {
+        for (i, lane) in self.lanes.iter().enumerate().take(targeted) {
             if lane.queue.len() >= self.latches.capacity(i) && self.latches.latched(i).is_none() {
                 if self.detect_overflow && self.latches.healthy_count() > 1 {
                     // §3.3: a full healthy queue at a write attempt means
@@ -222,14 +253,24 @@ impl ChannelBehavior for Replicator {
             return WriteOutcome::Blocked(token);
         }
 
-        for (lane, healthy) in self.lanes.iter_mut().zip(self.latches.healthy_rows()) {
+        let mut fed = false;
+        let lanes = self.lanes.iter_mut().zip(self.latches.healthy_rows());
+        for (lane, healthy) in lanes.take(targeted) {
             if healthy {
                 lane.queue.push_back(token.clone());
                 lane.max_fill = lane.max_fill.max(lane.queue.len());
+                fed = true;
             }
         }
         self.writes += 1;
-        WriteOutcome::Accepted
+        if fed {
+            WriteOutcome::Accepted
+        } else {
+            // Every targeted lane is latched: swallow the write so the
+            // producer, and the checker feed on the next tick, keep going.
+            self.dropped += 1;
+            WriteOutcome::AcceptedDropped
+        }
     }
 
     #[inline]
