@@ -28,9 +28,11 @@
 //!   the policy. `Selector`, `NSelector`, `VotingSelector` and
 //!   `HeteroSelector` are type aliases of its instantiations.
 //!
-//! Every channel, replicator or selector, keeps its detector state in one
-//! [`Latches`] book: per-replica counts and [`ArbFault`] latches, and the
-//! one eq. (5) divergence rule. [`as_arbiter`] reads it back uniformly.
+//! Every channel keeps its detector state in one [`Latches`] book:
+//! per-replica counts and [`ArbFault`] latches, and the one eq. (5)
+//! divergence rule. That is every selector and the one
+//! [`Replicator`](crate::Replicator), whose book's stride is `1`, or `k`
+//! for the sampled checker. [`as_arbiter`] reads it back uniformly.
 
 use crate::obs::DetectionObs;
 use rtft_kpn::{ChannelBehavior, ReadOutcome, Token, WriteOutcome};

@@ -23,12 +23,14 @@
 //! application's arrival-curve models.
 //!
 //! Both channels exist once, for any replica count. [`Replicator`] is the
-//! n-way replicator ([`NReplicator`] is the same type); every selector is
-//! a [`PolicySelector`] over the shared [`ArbiterLedger`], differing only
+//! n-way replicator ([`NReplicator`] is the same type), and the sampled
+//! checker's too: [`SampledReplicator::new`] builds it at stride `k`, its
+//! second lane fed every `k`-th write. Every selector is a
+//! [`PolicySelector`] over the shared [`ArbiterLedger`], differing only
 //! in its [`ComparePolicy`]: [`Selector`] (the paper's pair,
 //! [`PaperPair`]), [`NSelector`] ([`FirstOfGroup`]), [`VotingSelector`]
-//! (majority digest vote) and [`HeteroSelector`] (sampled checker, fed by
-//! the [`SampledReplicator`]). Every one of them keeps its counts and
+//! (majority digest vote) and [`HeteroSelector`] (sampled checker).
+//! Every one of them keeps its counts and
 //! latches in one [`Latches`] book; a latch is one [`ArbFault`], read back
 //! through [`as_arbiter`] and mirrored live into a `HealthModel` by
 //! [`instrument`]. Every structure builder ([`build_duplicated`],

@@ -233,7 +233,7 @@ impl ChannelBehavior for Replicator {
         let targeted = if tick { self.lanes.len() } else { 1 };
 
         let mut blocked = false;
-        for (i, lane) in self.lanes.iter().enumerate().take(targeted) {
+        for (i, lane) in self.lanes[..targeted].iter().enumerate() {
             if lane.queue.len() >= self.latches.capacity(i) && self.latches.latched(i).is_none() {
                 if self.detect_overflow && self.latches.healthy_count() > 1 {
                     // §3.3: a full healthy queue at a write attempt means
@@ -254,8 +254,8 @@ impl ChannelBehavior for Replicator {
         }
 
         let mut fed = false;
-        let lanes = self.lanes.iter_mut().zip(self.latches.healthy_rows());
-        for (lane, healthy) in lanes.take(targeted) {
+        let lanes = self.lanes[..targeted].iter_mut();
+        for (lane, healthy) in lanes.zip(self.latches.healthy_rows()) {
             if healthy {
                 lane.queue.push_back(token.clone());
                 lane.max_fill = lane.max_fill.max(lane.queue.len());

@@ -16,9 +16,11 @@
 //! The scan is read-only ([`rtft_wal::read_log`]) so a suspect log can
 //! be examined in place.
 
+use std::collections::BTreeMap;
 use std::path::Path;
 
 use rtft_apps::networks::App;
+use rtft_kpn::Bytes;
 use rtft_obs::json::{array, JsonObject};
 use rtft_wal::{read_log, WalRecord};
 
@@ -101,42 +103,41 @@ impl ReplayReport {
     }
 }
 
-struct LoggedStream {
-    app: App,
-    redundancy: u8,
-    payloads: Vec<rtft_kpn::Bytes>,
+/// One stream as the log records it.
+pub(crate) struct LoggedStream {
+    pub(crate) tenant: u64,
+    pub(crate) app: App,
+    pub(crate) redundancy: u8,
+    pub(crate) payloads: Vec<Bytes>,
     /// Settled flushes: `(first cumulative position, logged digests)`.
-    outputs: Vec<(u64, Vec<u64>)>,
+    pub(crate) outputs: Vec<(u64, Vec<u64>)>,
+    pub(crate) closed: bool,
 }
 
-/// Re-runs every logged flush in `dir` with the job-construction rules of
-/// `cfg` and diffs the outputs. `cfg` must be the configuration the
-/// logging server ran with (same `seed`, `runtime`, `inject`), or the
-/// replay is a different program and divergence means nothing.
-pub fn replay_verify(dir: &Path, cfg: &ServerConfig) -> Result<ReplayReport, ServeError> {
-    let (records, summary) = read_log(dir)?;
-
-    let mut streams: std::collections::BTreeMap<u32, LoggedStream> =
-        std::collections::BTreeMap::new();
-    // Consume the records: payload buffers and digest vectors move into
-    // the per-stream ledgers instead of being cloned out of them.
+/// Folds a log into per-stream state, ascending by stream id. Recovery and
+/// replay both read the log through this one fold, so a replay checks
+/// exactly the streams a restart would resume. The records are consumed:
+/// payload buffers and digest vectors move into the streams.
+pub(crate) fn fold_log(records: Vec<(u64, WalRecord)>) -> BTreeMap<u32, LoggedStream> {
+    let mut streams = BTreeMap::new();
     for (_, rec) in records {
         match rec {
             WalRecord::StreamOpen {
                 stream,
-                tenant: _,
+                tenant,
                 app,
                 redundancy,
             } => {
-                streams.insert(
-                    stream,
-                    LoggedStream {
-                        app: *App::ALL.get(app as usize).unwrap_or(&App::ALL[0]),
-                        redundancy,
-                        payloads: Vec::new(),
-                        outputs: Vec::new(),
-                    },
-                );
+                let app = *App::ALL.get(app as usize).unwrap_or(&App::ALL[0]);
+                let s = LoggedStream {
+                    tenant,
+                    app,
+                    redundancy,
+                    payloads: Vec::new(),
+                    outputs: Vec::new(),
+                    closed: false,
+                };
+                streams.insert(stream, s);
             }
             WalRecord::Tokens { stream, payloads } => {
                 if let Some(s) = streams.get_mut(&stream) {
@@ -152,9 +153,24 @@ pub fn replay_verify(dir: &Path, cfg: &ServerConfig) -> Result<ReplayReport, Ser
                     s.outputs.push((first_seq, digests));
                 }
             }
-            WalRecord::StreamClose { .. } => {}
+            WalRecord::StreamClose { stream } => {
+                if let Some(s) = streams.get_mut(&stream) {
+                    s.closed = true;
+                }
+            }
         }
     }
+    streams
+}
+
+/// Re-runs every logged flush in `dir` with the job-construction rules of
+/// `cfg` and diffs the outputs. `cfg` must be the configuration the
+/// logging server ran with (same `seed`, `runtime`, `inject`), or the
+/// replay is a different program and divergence means nothing.
+pub fn replay_verify(dir: &Path, cfg: &ServerConfig) -> Result<ReplayReport, ServeError> {
+    let (records, summary) = read_log(dir)?;
+
+    let streams = fold_log(records);
 
     let verdicts = streams
         .into_iter()

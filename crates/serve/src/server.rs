@@ -68,6 +68,7 @@ use rtft_tenant::{
 use rtft_wal::{Wal, WalConfig, WalRecord};
 
 use crate::error::{EvictReason, ProtocolError, ServeError};
+use crate::replay::fold_log;
 use crate::report::{ServeReport, StreamAccount};
 use crate::wire::{
     read_frame_pooled, redundancy_from_byte, site_kind, BusyReason, Frame, FrameWriter,
@@ -473,7 +474,7 @@ impl Server {
         if let Some(wal_cfg) = cfg.wal.clone() {
             let (w, recovery) = Wal::open(wal_cfg)?;
             wal_truncated_records = recovery.truncated_records;
-            rebuilt = rebuild_streams(&recovery.records, &registry);
+            rebuilt = rebuild_streams(recovery.records, &registry);
             next_stream = rebuilt.iter().map(|st| st.id + 1).max().unwrap_or(0);
             wal = Some(w);
         }
@@ -790,75 +791,26 @@ impl Server {
     }
 }
 
-/// Folds the recovered log into per-stream state: every logged token
-/// counts as accepted, `delivered` resumes at the highest logged output
-/// sequence, and the undelivered tail goes back into the flush buffer.
+/// Rebuilds the recovered log's streams: every logged token counts as
+/// accepted, `delivered` resumes at the highest logged output sequence,
+/// and the undelivered tail goes back into the flush buffer.
 fn rebuild_streams(
-    records: &[(u64, WalRecord)],
+    records: Vec<(u64, WalRecord)>,
     registry: &MetricsRegistry,
 ) -> Vec<Arc<StreamState>> {
-    struct Rebuilt {
-        tenant: u64,
-        app: App,
-        redundancy: u8,
-        payloads: Vec<Bytes>,
-        delivered: u64,
-        closed: bool,
-    }
-    let mut map: std::collections::BTreeMap<u32, Rebuilt> = std::collections::BTreeMap::new();
-    for (_, rec) in records {
-        match rec {
-            WalRecord::StreamOpen {
-                stream,
-                tenant,
-                app,
-                redundancy,
-            } => {
-                let app = *App::ALL.get(*app as usize).unwrap_or(&App::ALL[0]);
-                map.insert(
-                    *stream,
-                    Rebuilt {
-                        tenant: *tenant,
-                        app,
-                        redundancy: *redundancy,
-                        payloads: Vec::new(),
-                        delivered: 0,
-                        closed: false,
-                    },
-                );
-            }
-            WalRecord::Tokens { stream, payloads } => {
-                if let Some(r) = map.get_mut(stream) {
-                    r.payloads.extend(payloads.iter().cloned());
-                }
-            }
-            WalRecord::Outputs {
-                stream,
-                first_seq,
-                digests,
-            } => {
-                if let Some(r) = map.get_mut(stream) {
-                    r.delivered = r.delivered.max(first_seq + digests.len() as u64);
-                }
-            }
-            WalRecord::StreamClose { stream } => {
-                if let Some(r) = map.get_mut(stream) {
-                    r.closed = true;
-                }
-            }
-        }
-    }
-    map.into_iter()
-        .map(|(id, r)| {
-            let tokens_in = r.payloads.len() as u64;
-            let delivered = r.delivered.min(tokens_in);
-            let tail = r.payloads[delivered as usize..].to_vec();
+    fold_log(records)
+        .into_iter()
+        .map(|(id, mut s)| {
+            let tokens_in = s.payloads.len() as u64;
+            let logged = s.outputs.iter().map(|(first, d)| first + d.len() as u64);
+            let delivered = logged.max().unwrap_or(0).min(tokens_in);
+            let tail = s.payloads.split_off(delivered as usize);
             Arc::new(StreamState {
                 id,
                 conn: u32::MAX,
-                tenant: r.tenant,
-                app: r.app,
-                redundancy: r.redundancy,
+                tenant: s.tenant,
+                app: s.app,
+                redundancy: s.redundancy,
                 buffered: Mutex::new(tail),
                 tokens_in: AtomicU64::new(tokens_in),
                 delivered: AtomicU64::new(delivered),
@@ -866,10 +818,10 @@ fn rebuild_streams(
                 faults: AtomicU64::new(0),
                 busy: AtomicU64::new(0),
                 inflight: AtomicU64::new(0),
-                closed: AtomicBool::new(r.closed),
+                closed: AtomicBool::new(s.closed),
                 evicted: AtomicBool::new(false),
                 plan: OnceLock::new(),
-                app_tokens: app_tokens_counter(registry, r.app),
+                app_tokens: app_tokens_counter(registry, s.app),
             })
         })
         .collect()
