@@ -170,9 +170,7 @@ pub(crate) fn fold_log(records: Vec<(u64, WalRecord)>) -> BTreeMap<u32, LoggedSt
 pub fn replay_verify(dir: &Path, cfg: &ServerConfig) -> Result<ReplayReport, ServeError> {
     let (records, summary) = read_log(dir)?;
 
-    let streams = fold_log(records);
-
-    let verdicts = streams
+    let verdicts = fold_log(records)
         .into_iter()
         .map(|(id, s)| {
             let mut recorded = 0u64;
