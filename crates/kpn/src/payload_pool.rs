@@ -1,40 +1,43 @@
 //! A recycling arena for token payload buffers: [`PayloadPool`] shelves
-//! [`Bytes`] allocations so steady-state ingest does not allocate.
+//! [`Bytes`] allocations by exact length for reuse.
+//!
+//! Nothing in the workspace's own ingest uses it: the server decodes
+//! every `Tokens` frame into fresh buffers ([`Bytes::copy_all`]), because
+//! per-length shelves cost more memory than the reuse saved. The type
+//! stays while the benchmark harness's mirror of the old ingest path
+//! names it.
 
-use crate::digest::copy_digest4;
 use crate::token::Bytes;
-use rtft_obs::{Counter, MetricsRegistry};
+use rtft_obs::Counter;
 use std::collections::HashMap;
 use std::fmt;
 use std::sync::Mutex;
 
 /// A recycling arena for [`Bytes`] payload buffers.
 ///
-/// Token payloads are reference-counted [`Bytes`], so cloning them through
-/// the channel ring is already free — but *creating* one per ingested frame
-/// is a heap allocation on the hot ingest path. The pool closes that gap:
-/// buffers are parked on exact-length shelves when the last owner settles a
-/// batch, and the next frame of the same size reuses the allocation in
-/// place via [`Bytes::get_mut`]. In steady state (fleet jobs cycling
-/// same-shaped frames) token flow performs zero heap allocations.
+/// Buffers are parked on exact-length shelves when the last owner settles
+/// a batch, and the next batch of the same sizes reuses the allocations
+/// in place. Exact-length shelving is forced by [`Bytes`]: it holds a
+/// boxed slice whose length is fixed at allocation, so a recycled buffer
+/// can only be refilled with a payload of the *same* size, and a workload
+/// whose frames vary in length keeps a shelf per distinct length.
 ///
-/// Exact-length shelving is deliberate: a [`Bytes`] holds a boxed slice
-/// whose length is fixed at allocation, so a recycled buffer can only ever
-/// be refilled with a payload of the *same* size. Workloads here are framed
-/// (fixed-size ADPCM blocks, fixed-width sensor words), which makes
-/// exact-match hit rates high; odd-sized one-offs simply miss and allocate.
+/// Its only user is the benchmark harness's copy of the ingest path
+/// (`rtbench/src/layers.rs` times [`take_copies`](PayloadPool::take_copies)
+/// and [`park`](PayloadPool::park) behind `read_frame_pooled`). The server
+/// keeps no pool: its frames decode through [`Bytes::copy_all`], the
+/// fresh-buffer form of the same fused copy-and-hash.
 ///
 /// A shelved buffer keeps whatever digest memo its last contents earned;
 /// that is sound because the memo still describes the bytes lying there,
-/// and the only way to change them — `PoolBuf::as_mut_slice` — clears it.
+/// and the only way to change them, [`Bytes::get_mut`], clears it.
 /// [`take_copies`](PayloadPool::take_copies) fills it again with the new
 /// contents' digest, computed while copying them in. `recycle` and the
 /// scavenger only ask whether a buffer is unshared; they never take the
 /// mutable view.
 ///
-/// All operations are thread-safe; counters (`kpn.pool.*` when attached to
-/// a [`MetricsRegistry`]) expose hit/miss/recycle/discard totals so tests
-/// and benches can assert reuse actually happens.
+/// All operations are thread-safe; [`stats`](PayloadPool::stats) reads
+/// the hit/miss/recycle/discard totals.
 pub struct PayloadPool {
     shelves: Mutex<HashMap<usize, Vec<Bytes>>>,
     /// Buffers offered back while still shared (an in-flight job holds
@@ -52,8 +55,8 @@ pub struct PayloadPool {
 /// Snapshot of a pool's lifetime counters.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PayloadPoolStats {
-    /// Buffers handed out (by `take` or `take_copies`) from a shelf, with
-    /// no allocation.
+    /// Buffers handed out by `take_copies` from a shelf, with no
+    /// allocation.
     pub hits: u64,
     /// Buffers handed out that had to be allocated.
     pub misses: u64,
@@ -61,32 +64,6 @@ pub struct PayloadPoolStats {
     pub recycled: u64,
     /// Buffers rejected at recycle (still shared, or shelf full).
     pub discarded: u64,
-}
-
-/// A uniquely-owned buffer checked out of a [`PayloadPool`].
-///
-/// Holds the only handle to its [`Bytes`], so the contents are mutable in
-/// place — this is the one place payload bytes are written after
-/// allocation. [`freeze`](PoolBuf::freeze) relinquishes mutability and
-/// yields the shareable [`Bytes`].
-#[derive(Debug)]
-struct PoolBuf {
-    buf: Bytes,
-}
-
-impl PoolBuf {
-    /// Mutable view of the whole buffer. Forgets the digest memoised for
-    /// the previous contents (see [`Bytes::get_mut`]).
-    #[inline]
-    fn as_mut_slice(&mut self) -> &mut [u8] {
-        Bytes::get_mut(&mut self.buf).expect("PoolBuf invariant: uniquely owned")
-    }
-
-    /// Converts into an immutable, shareable payload.
-    #[inline]
-    fn freeze(self) -> Bytes {
-        self.buf
-    }
 }
 
 impl Default for PayloadPool {
@@ -132,63 +109,35 @@ impl PayloadPool {
         }
     }
 
-    /// A pool whose counters are registered as `kpn.pool.{hits,misses,
-    /// recycled,discarded}` in `registry`.
-    pub fn with_metrics(registry: &MetricsRegistry) -> Self {
-        let mut pool = PayloadPool::new();
-        pool.hits = registry.counter("kpn.pool.hits");
-        pool.misses = registry.counter("kpn.pool.misses");
-        pool.recycled = registry.counter("kpn.pool.recycled");
-        pool.discarded = registry.counter("kpn.pool.discarded");
-        pool
-    }
-
     /// Copies each slice of `batch` into a pooled buffer and freezes it,
-    /// with its digest memo filled — the "ingest one frame" operation in
-    /// a single call. Four buffers at a time are copied and hashed in one
-    /// pass ([`copy_digest4`]); the last one to three are copied, then
-    /// hashed. One scavenge and one shelf lock serve the whole batch.
+    /// with its digest memo filled: [`Bytes::copy_all`] on recycled
+    /// buffers, through the same four-lane copy-and-hash loop. One
+    /// scavenge and one shelf lock serve the whole batch.
     pub fn take_copies(&self, batch: &[&[u8]]) -> Vec<Bytes> {
         self.scavenge();
-        let mut bufs: Vec<PoolBuf> = {
+        let mut bufs: Vec<Bytes> = {
             let mut shelves = self.shelves.lock().unwrap();
             batch
                 .iter()
                 .map(|s| self.checkout(shelves.get_mut(&s.len()).and_then(Vec::pop), s.len()))
                 .collect()
         };
-
-        let mut srcs = batch.chunks_exact(4);
-        let mut quads = bufs.chunks_exact_mut(4);
-        for (src, quad) in (&mut srcs).zip(&mut quads) {
-            let quad: &mut [PoolBuf; 4] = quad.try_into().expect("chunks of four");
-            let src = src.try_into().expect("chunks of four");
-            let digests = copy_digest4(src, quad.each_mut().map(PoolBuf::as_mut_slice));
-            for (buf, digest) in quad.iter().zip(digests) {
-                buf.buf.set_digest(digest);
-            }
-        }
-        for (src, buf) in srcs.remainder().iter().zip(quads.into_remainder()) {
-            buf.as_mut_slice().copy_from_slice(src);
-            buf.buf.digest();
-        }
-        bufs.into_iter().map(PoolBuf::freeze).collect()
+        Bytes::fill_all(&mut bufs, batch);
+        bufs
     }
 
     /// Hands out a shelved buffer (a hit) or a fresh zeroed one of `len`
     /// bytes (a miss).
-    fn checkout(&self, shelved: Option<Bytes>, len: usize) -> PoolBuf {
+    fn checkout(&self, shelved: Option<Bytes>, len: usize) -> Bytes {
         match shelved {
             Some(buf) => {
                 debug_assert_eq!(Bytes::strong_count(&buf), 1);
                 self.hits.inc();
-                PoolBuf { buf }
+                buf
             }
             None => {
                 self.misses.inc();
-                PoolBuf {
-                    buf: Bytes::from(vec![0u8; len]),
-                }
+                Bytes::from(vec![0u8; len])
             }
         }
     }
@@ -272,6 +221,7 @@ impl PayloadPool {
 mod tests {
     use super::*;
     use crate::digest_bytes;
+    use crate::token::tests::check_batch_table;
 
     /// Buffers currently shelved across all lengths.
     fn shelved(pool: &PayloadPool) -> usize {
@@ -320,38 +270,22 @@ mod tests {
         );
         assert_ne!(second.digest(), stale);
 
-        let mut third = PoolBuf { buf: second };
-        third.as_mut_slice();
-        assert_eq!(third.freeze().memo(), None, "as_mut_slice clears the memo");
+        let mut third = second;
+        Bytes::get_mut(&mut third).expect("the only handle");
+        assert_eq!(third.memo(), None, "get_mut clears the memo");
     }
 
-    /// A batch of every quad-and-leftover shape, twice: the second round
-    /// lands on recycled buffers whose memos describe the first round's
-    /// bytes. Every buffer holds its slice and memoises its digest.
+    /// The fused-ingest batch table, twice: the second round lands on
+    /// recycled buffers whose memos describe the first round's bytes.
     #[test]
     fn a_batch_is_copied_and_hashed_in_lanes_on_hits_and_misses() {
         let pool = PayloadPool::new();
-        let mut rng = crate::SplitMix64::seed_from_u64(0xba7c4);
-        for round in 0..2 {
-            for count in 0..=9usize {
-                let data: Vec<Vec<u8>> = (0..count)
-                    .map(|i| {
-                        (0..[3, 4_100, 9_000][i % 3])
-                            .map(|_| rng.next_u64() as u8)
-                            .collect()
-                    })
-                    .collect();
-                let slices: Vec<&[u8]> = data.iter().map(Vec::as_slice).collect();
-                let batch = pool.take_copies(&slices);
-                assert_eq!(batch.len(), count);
-                for (b, s) in batch.iter().zip(&slices) {
-                    assert_eq!(&b[..], *s, "round {round}, {count} buffers");
-                    assert_eq!(b.memo(), Some(digest_bytes(s)), "round {round}, {count}");
-                }
+        for _round in 0..2 {
+            check_batch_table(&mut |batch| pool.take_copies(batch), &mut |batch| {
                 for b in batch {
                     assert!(pool.recycle(b));
                 }
-            }
+            });
         }
         let stats = pool.stats();
         assert_eq!(
@@ -401,18 +335,16 @@ mod tests {
     }
 
     #[test]
-    fn lengths_shelve_independently_and_counters_reach_registry() {
-        let registry = MetricsRegistry::new();
-        let pool = PayloadPool::with_metrics(&registry);
+    fn lengths_shelve_independently() {
+        let pool = PayloadPool::new();
         let a = copy(&pool, &[1u8; 8]);
         let b = copy(&pool, &[2u8; 32]);
         pool.recycle(a);
         pool.recycle(b);
         let c = copy(&pool, &[3u8; 8]);
         assert_eq!(c.len(), 8);
-        assert_eq!(registry.counter("kpn.pool.hits").get(), 1);
-        assert_eq!(registry.counter("kpn.pool.misses").get(), 2);
-        assert_eq!(registry.counter("kpn.pool.recycled").get(), 2);
+        let stats = pool.stats();
+        assert_eq!((stats.hits, stats.misses, stats.recycled), (1, 2, 2));
         assert_eq!(shelved(&pool), 1, "only the 32-byte shelf remains");
     }
 

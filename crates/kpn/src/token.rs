@@ -1,6 +1,6 @@
 //! Data tokens flowing through the process network.
 
-use crate::digest::{digest_bytes, digest_bytes4, Digest};
+use crate::digest::{copy_digest4, digest_bytes, digest_bytes4, Digest};
 use rtft_rtc::TimeNs;
 use std::fmt;
 use std::hash::{Hash, Hasher};
@@ -66,6 +66,41 @@ impl Bytes {
                     return;
                 }
             }
+        }
+    }
+
+    /// Copies each slice of `batch` into a fresh buffer of its own, with
+    /// its digest memo filled — the "ingest one frame" operation. Four
+    /// buffers at a time are copied and hashed in one pass
+    /// ([`copy_digest4`]); the last one to three are
+    /// copied, then hashed.
+    pub fn copy_all(batch: &[&[u8]]) -> Vec<Bytes> {
+        let mut bufs: Vec<Bytes> = batch.iter().map(|s| vec![0u8; s.len()].into()).collect();
+        Bytes::fill_all(&mut bufs, batch);
+        bufs
+    }
+
+    /// Overwrites each `bufs[i]` with `src[i]` and memoises its digest,
+    /// four buffers per [`copy_digest4`] pass. Every
+    /// buffer must be the only handle to its bytes and as long as its
+    /// source.
+    pub(crate) fn fill_all(bufs: &mut [Bytes], src: &[&[u8]]) {
+        fn sole(b: &mut Bytes) -> &mut [u8] {
+            Bytes::get_mut(b).expect("fill_all: a shared buffer")
+        }
+        let mut srcs = src.chunks_exact(4);
+        let mut quads = bufs.chunks_exact_mut(4);
+        for (src, quad) in (&mut srcs).zip(&mut quads) {
+            let quad: &mut [Bytes; 4] = quad.try_into().expect("chunks of four");
+            let src = src.try_into().expect("chunks of four");
+            let digests = copy_digest4(src, quad.each_mut().map(sole));
+            for (buf, digest) in quad.iter().zip(digests) {
+                buf.set_digest(digest);
+            }
+        }
+        for (src, buf) in srcs.remainder().iter().zip(quads.into_remainder()) {
+            sole(buf).copy_from_slice(src);
+            buf.digest();
         }
     }
 
@@ -313,8 +348,45 @@ impl fmt::Display for Token {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+
+    /// Payload lengths of the fused-ingest batch table: empty twice, odd,
+    /// one word, and lengths on both sides of the 4 KiB copy chunk. The
+    /// case of `n` payloads takes the first `n`, for every `n` in 0..=9,
+    /// so every count of whole quads plus 0–3 leftovers is run.
+    const BATCH_LENS: [usize; 9] = [0, 3, 4_100, 8, 9_001, 0, 1, 13, 10_240];
+
+    /// Runs `ingest` over every case of the batch table and checks what it
+    /// returns: one buffer per slice, holding the slice's bytes, with the
+    /// memo of `digest_bytes` of them, and the only handle to them. Each
+    /// checked batch is then handed to `done`.
+    pub(crate) fn check_batch_table(
+        ingest: &mut dyn FnMut(&[&[u8]]) -> Vec<Bytes>,
+        done: &mut dyn FnMut(Vec<Bytes>),
+    ) {
+        let mut rng = crate::SplitMix64::seed_from_u64(0xba7c4);
+        for count in 0..=BATCH_LENS.len() {
+            let data: Vec<Vec<u8>> = BATCH_LENS[..count]
+                .iter()
+                .map(|&n| (0..n).map(|_| rng.next_u64() as u8).collect())
+                .collect();
+            let slices: Vec<&[u8]> = data.iter().map(Vec::as_slice).collect();
+            let batch = ingest(&slices);
+            assert_eq!(batch.len(), count);
+            for (i, (b, s)) in batch.iter().zip(&slices).enumerate() {
+                assert_eq!(&b[..], *s, "{count} buffers, #{i}");
+                assert_eq!(b.memo(), Some(digest_bytes(s)), "{count} buffers, #{i}");
+                assert_eq!(Bytes::strong_count(b), 1, "{count} buffers, #{i}");
+            }
+            done(batch);
+        }
+    }
+
+    #[test]
+    fn copy_all_fills_fresh_hashed_buffers() {
+        check_batch_table(&mut |batch| Bytes::copy_all(batch), &mut drop);
+    }
 
     #[test]
     fn payload_sizes() {

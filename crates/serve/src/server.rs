@@ -58,7 +58,7 @@ use rtft_fleet::{
     JobSpec, JobTemplate, Redundancy, RejectReason,
 };
 use rtft_kpn::threaded::CancelToken;
-use rtft_kpn::{Bytes, Payload, PayloadPool};
+use rtft_kpn::{Bytes, Payload};
 use rtft_obs::{ClockDomain, Counter, EventRecord, EventSink, Histogram, MetricsRegistry};
 use rtft_rtc::TimeNs;
 use rtft_tenant::{
@@ -71,8 +71,8 @@ use crate::error::{EvictReason, ProtocolError, ServeError};
 use crate::replay::fold_log;
 use crate::report::{ServeReport, StreamAccount};
 use crate::wire::{
-    read_frame_pooled, redundancy_from_byte, site_kind, BusyReason, Frame, FrameWriter,
-    DEFAULT_MAX_FRAME, PROTOCOL_VERSION,
+    read_body, redundancy_from_byte, site_kind, BusyReason, Frame, FrameWriter, DEFAULT_MAX_FRAME,
+    PROTOCOL_VERSION,
 };
 
 /// Back-off after a failed `accept` (a full fd table fails every call
@@ -238,7 +238,7 @@ struct StreamState {
     app: App,
     redundancy: u8,
     /// Tokens accepted but not yet admitted into a flush job. Shared
-    /// [`Bytes`] handles from the connection's ingest pool: the same
+    /// [`Bytes`] handles, one ingested and hashed copy each: the same
     /// copy flows into the WAL record and the fleet job.
     buffered: Mutex<Vec<Bytes>>,
     tokens_in: AtomicU64,
@@ -303,9 +303,6 @@ struct Shared {
     replayed_tokens: AtomicU64,
     /// Torn-tail records dropped by WAL recovery at startup.
     wal_truncated_records: u64,
-    /// Recycling arena for ingested token payloads: frames decode into
-    /// pooled buffers, settled batches are parked back for reuse.
-    payload_pool: PayloadPool,
     registry: MetricsRegistry,
     events: EventSink,
     epoch: Instant,
@@ -499,7 +496,6 @@ impl Server {
         }
 
         let shared = Arc::new(Shared {
-            payload_pool: PayloadPool::with_metrics(&registry),
             fleet: FleetExecutor::new(cfg.fleet.clone()),
             tenants,
             cfg,
@@ -568,9 +564,8 @@ impl Server {
                 st.redundancy,
                 &batch,
             );
-            // No connection and no pooled batch: the settle only logs
-            // and counts.
-            let notify = settle_notifier(&shared, None, &st, Arc::default());
+            // No connection: the settle only logs and counts.
+            let notify = settle_notifier(&shared, None, &st);
             // Billed before the submission: the settle that balances both
             // counts may run before `submit_with` returns. Queued, not
             // lent — the tails of all recovered streams should overlap.
@@ -915,7 +910,7 @@ fn drive_connection(shared: &Arc<Shared>, conn: &Arc<Conn>) -> Result<(), ServeE
     // belongs to.
     // Reused across every frame on the connection: the wire body lands
     // in `scratch` (grown once to the largest frame seen) and token
-    // payloads decode into pooled buffers.
+    // payloads are copied out of it into fresh, hashed buffers.
     let mut scratch: Vec<u8> = Vec::new();
     let tenant: Option<TenantId> = match next_frame(shared, conn, &mut scratch)? {
         Frame::Hello { version, client } if version == PROTOCOL_VERSION => {
@@ -978,16 +973,13 @@ fn next_frame(shared: &Shared, conn: &Conn, scratch: &mut Vec<u8>) -> Result<Fra
         deadline: shared.cfg.max_idle.map(|limit| Instant::now() + limit),
         expired: None,
     };
-    let (frame, n) = read_frame_pooled(
-        &mut reader,
-        shared.cfg.max_frame,
-        &shared.payload_pool,
-        scratch,
-    )
-    .map_err(|e| reader.expired.map_or(e, ServeError::Evicted))?;
+    let body = read_body(&mut reader, shared.cfg.max_frame, scratch)
+        .map_err(|e| reader.expired.map_or(e, ServeError::Evicted))?;
+    let n = 4 + body.len() as u64;
+    let frame = Frame::decode(body)?;
     shared.c_frames_in.inc();
-    shared.c_bytes_in.add(n as u64);
-    shared.h_frame_in.record(n as u64);
+    shared.c_bytes_in.add(n);
+    shared.h_frame_in.record(n);
     Ok(frame)
 }
 
@@ -1336,11 +1328,10 @@ fn handle_flush(
         }
     }
     let plan = st.plan(&shared.cfg);
+    // The spec holds its own handles to the batch's buffers; `batch`
+    // stays here for a refusal to restore.
     let spec = build_spec(&shared.cfg, plan, st.id, st.app, st.redundancy, &batch);
-    // The settle notifier owns the batch: on settle the buffers are
-    // parked back into the payload pool for the next ingest to reuse.
-    let batch_slot = Arc::new(Mutex::new(batch));
-    let notify = settle_notifier(shared, Some((conn, started)), st, Arc::clone(&batch_slot));
+    let notify = settle_notifier(shared, Some((conn, started)), st);
     // Counted before the submission: the notifier's decrement runs when
     // the job settles, which on an idle fleet is before the call returns.
     st.inflight.fetch_add(1, Ordering::SeqCst);
@@ -1356,10 +1347,9 @@ fn handle_flush(
         Admission::Rejected(reason) => {
             // Give the tenant back its in-flight slot, buffered tokens,
             // and rate tokens: executor backpressure must not consume
-            // tenant budget. The notifier never ran, so the batch is
-            // still in its slot — reclaim and restore it.
+            // tenant budget. The job never ran: restore its batch.
             st.inflight.fetch_sub(1, Ordering::SeqCst);
-            restore_front(st, std::mem::take(&mut *batch_slot.lock().unwrap()));
+            restore_front(st, batch);
             if let Some(mgr) = &shared.tenants {
                 mgr.cancel_flush(TenantId(st.tenant), n);
             }
@@ -1441,18 +1431,11 @@ fn settle_notifier(
     shared: &Arc<Shared>,
     client: Option<(&Arc<Conn>, Instant)>,
     st: &Arc<StreamState>,
-    batch_slot: Arc<Mutex<Vec<Bytes>>>,
 ) -> JobNotifier {
     let shared = Arc::clone(shared);
     let client = client.map(|(conn, started)| (Arc::clone(conn), started));
     let st = Arc::clone(st);
     Arc::new(move |record, result| {
-        // The flush batch is done with: park the buffers for reuse by
-        // the next ingest. (The job's spec may still hold clones for a
-        // moment; `park` defers reclamation until they drop.)
-        for b in batch_slot.lock().unwrap().drain(..) {
-            shared.payload_pool.park(b);
-        }
         // Write errors mean the peer is gone; the settle still books.
         let mut out = client.as_ref().map(|(conn, _)| shared.writer(conn));
         let mut push = |frame: &Frame| {
@@ -1608,7 +1591,7 @@ pub(crate) fn build_spec(
     batch: &[Bytes],
 ) -> JobSpec {
     let n = batch.len() as u64;
-    // A live batch arrives hashed (`PayloadPool::take_copies`), so this
+    // A live batch arrives hashed (`Bytes::copy_all`), so this
     // only reads memos; a logged batch being replayed is hashed here, in
     // lanes, before the engine asks for its first digest.
     Bytes::digest_all(batch);

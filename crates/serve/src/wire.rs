@@ -399,9 +399,8 @@ impl Frame {
     }
 
     /// [`Frame::decode`], but `Tokens` payload buffers come from `pool`
-    /// instead of fresh allocations — the zero-copy ingest path: in
-    /// steady state every payload lands in a recycled buffer, hashed in
-    /// the pass that copies it there ([`PayloadPool::take_copies`]).
+    /// ([`PayloadPool::take_copies`]) instead of fresh allocations. Only
+    /// [`read_frame_pooled`] calls it.
     fn decode_pooled(buf: &[u8], pool: &PayloadPool) -> Result<Frame, ProtocolError> {
         Frame::decode_impl(buf, Some(pool))
     }
@@ -435,7 +434,7 @@ impl Frame {
                     .collect::<Result<Vec<_>, _>>()?;
                 let payloads = match pool {
                     Some(pool) => pool.take_copies(&raws),
-                    None => raws.into_iter().map(Bytes::from).collect(),
+                    None => Bytes::copy_all(&raws),
                 };
                 Frame::Tokens { stream, payloads }
             }
@@ -547,7 +546,7 @@ impl<W: Write> FrameWriter<W> {
 /// `buf`, which grows to the frame if shorter and is never shrunk or
 /// zero-filled again; returns exactly the frame's bytes. The one place a
 /// frame header is parsed.
-fn read_body<'a>(
+pub(crate) fn read_body<'a>(
     r: &mut impl Read,
     max_frame: u32,
     buf: &'a mut Vec<u8>,
@@ -582,13 +581,14 @@ pub fn read_frame(r: &mut impl Read, max_frame: u32) -> Result<(Frame, usize), S
     Ok((Frame::decode(body)?, 4 + body.len()))
 }
 
-/// [`read_frame`] without per-frame allocation: the wire body is read
-/// into the front of the caller-owned `scratch` buffer (kept at the
-/// longest frame the connection has sent, so a `Flush` between two
-/// `Tokens` frames costs no zero-fill) and `Tokens` payloads are copied
-/// straight into buffers recycled through `pool`, hashed as they are
-/// copied. Together with [`write_tokens`] on the sending side this is the
-/// steady-state zero-allocation ingest path.
+/// [`read_frame`] into recycled buffers: the wire body is read into the
+/// front of the caller-owned `scratch` buffer and `Tokens` payloads are
+/// copied into buffers taken from `pool`, hashed as they are copied.
+///
+/// The server does not use it: it reads each frame into its connection's
+/// scratch with the same body reader and decodes it with
+/// [`Frame::decode`], into fresh buffers. This stays while the benchmark
+/// harness's mirror of the old ingest path names it.
 pub fn read_frame_pooled(
     r: &mut impl Read,
     max_frame: u32,
@@ -1062,6 +1062,37 @@ mod tests {
         let stats = pool.stats();
         assert_eq!(stats.hits, 1, "{stats:?}");
         assert_eq!(stats.misses, 1, "{stats:?}");
+    }
+
+    /// The server's ingest: a `Tokens` frame read without a pool arrives
+    /// in buffers of its own, every one already hashed, at each count of
+    /// whole quads plus leftovers.
+    #[test]
+    fn a_tokens_frame_arrives_with_every_memo_filled() {
+        for count in 0..=9u8 {
+            let payloads: Vec<Bytes> = (0..count)
+                .map(|i| Bytes::from(vec![i; [0, 5, 4_099, 16][i as usize % 4]]))
+                .collect();
+            let wire = Frame::Tokens {
+                stream: 3,
+                payloads: payloads.clone(),
+            }
+            .encode();
+            let (Frame::Tokens { payloads: got, .. }, _) =
+                read_frame(&mut wire.as_slice(), DEFAULT_MAX_FRAME).unwrap()
+            else {
+                panic!("a Tokens frame decodes as Tokens");
+            };
+            assert_eq!(got, payloads);
+            for (i, b) in got.iter().enumerate() {
+                assert_eq!(
+                    b.memo(),
+                    Some(rtft_kpn::digest_bytes(b)),
+                    "{count} payloads, #{i}"
+                );
+                assert_eq!(Bytes::strong_count(b), 1);
+            }
+        }
     }
 
     /// One scratch buffer across a 640 KB `Tokens` frame, a `Flush` and a

@@ -8,37 +8,47 @@
 //! a couple of allocations (a buffer that doubles once more), never one
 //! per token.
 //!
-//! The counter is a process-wide global allocator, so this file must stay
-//! alone in its test binary with a single `#[test]`: a second test would
-//! run on a parallel thread and be counted.
+//! The counter is a global allocator, which a test binary owns, so this
+//! file stays alone in its test binary with a single `#[test]`. It counts
+//! per thread: the test harness's main thread allocates while the test
+//! runs, and the DES runs each scenario on the calling thread.
 
 use rtft_apps::networks::App;
 use rtft_chaos::{run_scenario, OutcomeClass, PlatformKind, Redundancy, Scenario};
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 
-/// Counts every allocation and reallocation, then defers to `System`.
+/// Counts every allocation and reallocation on the calling thread, then
+/// defers to `System`.
 struct Counting;
 
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    /// Allocations made by this thread. Const-initialised and without a
+    /// destructor, so touching it from the allocator never allocates.
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn count() {
+    let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+}
 
 // SAFETY: every method forwards its arguments unchanged to `System`, which
 // upholds the `GlobalAlloc` contract; the counter has no effect on memory.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count();
         // SAFETY: the caller's contract for `alloc` is passed on as is.
         unsafe { System.alloc(layout) }
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count();
         // SAFETY: as for `alloc`.
         unsafe { System.alloc_zeroed(layout) }
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count();
         // SAFETY: `ptr` and `layout` come from this allocator, which is
         // `System`'s.
         unsafe { System.realloc(ptr, layout, new_size) }
@@ -55,9 +65,9 @@ static GLOBAL: Counting = Counting;
 
 /// Allocations made by one `run_scenario` call, and its outcome.
 fn allocations_of(s: &Scenario) -> (u64, OutcomeClass) {
-    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    let before = ALLOCATIONS.with(Cell::get);
     let outcome = run_scenario(s);
-    let after = ALLOCATIONS.load(Ordering::Relaxed);
+    let after = ALLOCATIONS.with(Cell::get);
     (after - before, outcome.class)
 }
 
