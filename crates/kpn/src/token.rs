@@ -72,8 +72,7 @@ impl Bytes {
     /// Copies each slice of `batch` into a fresh buffer of its own, with
     /// its digest memo filled — the "ingest one frame" operation. Four
     /// buffers at a time are copied and hashed in one pass
-    /// ([`copy_digest4`]); the last one to three are
-    /// copied, then hashed.
+    /// ([`copy_digest4`]); the last one to three are copied, then hashed.
     pub fn copy_all(batch: &[&[u8]]) -> Vec<Bytes> {
         let mut bufs: Vec<Bytes> = batch.iter().map(|s| vec![0u8; s.len()].into()).collect();
         Bytes::fill_all(&mut bufs, batch);
@@ -81,9 +80,8 @@ impl Bytes {
     }
 
     /// Overwrites each `bufs[i]` with `src[i]` and memoises its digest,
-    /// four buffers per [`copy_digest4`] pass. Every
-    /// buffer must be the only handle to its bytes and as long as its
-    /// source.
+    /// four buffers per [`copy_digest4`] pass. Every buffer must be the
+    /// only handle to its bytes and as long as its source.
     pub(crate) fn fill_all(bufs: &mut [Bytes], src: &[&[u8]]) {
         fn sole(b: &mut Bytes) -> &mut [u8] {
             Bytes::get_mut(b).expect("fill_all: a shared buffer")

@@ -1066,12 +1066,12 @@ mod tests {
 
     /// The server's ingest: a `Tokens` frame read without a pool arrives
     /// in buffers of its own, every one already hashed, at each count of
-    /// whole quads plus leftovers.
+    /// whole quads plus leftovers, with tail bytes in every lane.
     #[test]
     fn a_tokens_frame_arrives_with_every_memo_filled() {
         for count in 0..=9u8 {
             let payloads: Vec<Bytes> = (0..count)
-                .map(|i| Bytes::from(vec![i; [0, 5, 4_099, 16][i as usize % 4]]))
+                .map(|i| Bytes::from(vec![i; [0, 5, 4_099, 13, 8][i as usize % 5]]))
                 .collect();
             let wire = Frame::Tokens {
                 stream: 3,
