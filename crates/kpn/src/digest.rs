@@ -40,13 +40,14 @@
 //!
 //! Batches of buffers reach the lanes through
 //! [`Bytes::digest_all`](crate::Bytes::digest_all), which hashes buffers
-//! already built, and [`Bytes::copy_all`](crate::Bytes::copy_all), the
-//! serve ingest, which copies each `Tokens` payload into a fresh buffer
-//! and hashes it in the same pass. (The benchmark-only
-//! [`PayloadPool::take_copies`](crate::PayloadPool::take_copies) drives
-//! recycled buffers through the same loop.) The streaming [`Digest`] and
-//! [`digest_bytes`] stay single-lane, and stay the reference every lane
-//! is tested against.
+//! already built. The serve ingest is one of its callers: every payload
+//! of a `Tokens` frame is a range of the frame the socket filled
+//! ([`Bytes::share_ranges`](crate::Bytes::share_ranges)), hashed in
+//! place, four ranges at a time. Only the benchmark-only
+//! [`PayloadPool::take_copies`](crate::PayloadPool::take_copies) still
+//! copies, into recycled buffers, through [`copy_digest4`]. The streaming
+//! [`Digest`] and [`digest_bytes`] stay single-lane, and stay the
+//! reference every lane is tested against.
 
 const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const PRIME: u64 = 0x0000_0100_0000_01b3;

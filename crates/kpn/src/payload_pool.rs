@@ -2,10 +2,9 @@
 //! [`Bytes`] allocations by exact length for reuse.
 //!
 //! Nothing in the workspace's own ingest uses it: the server decodes
-//! every `Tokens` frame into fresh buffers ([`Bytes::copy_all`]), because
-//! per-length shelves cost more memory than the reuse saved. The type
-//! stays while the benchmark harness's mirror of the old ingest path
-//! names it.
+//! every `Tokens` frame into ranges of the frame's own buffer
+//! ([`Bytes::share_ranges`]), with no copy to pool. The type stays while
+//! the benchmark harness's mirror of the old ingest path names it.
 
 use crate::token::Bytes;
 use rtft_obs::Counter;
@@ -25,8 +24,10 @@ use std::sync::Mutex;
 /// Its only user is the benchmark harness's copy of the ingest path
 /// (`rtbench/src/layers.rs` times [`take_copies`](PayloadPool::take_copies)
 /// and [`park`](PayloadPool::park) behind `read_frame_pooled`). The server
-/// keeps no pool: its frames decode through [`Bytes::copy_all`], the
-/// fresh-buffer form of the same fused copy-and-hash.
+/// keeps no pool: a frame's payloads are ranges of the frame it read
+/// ([`Bytes::share_ranges`]), hashed in the same four lanes. A range never
+/// reaches a shelf: it shares its frame, so `recycle` and `park` refuse
+/// it.
 ///
 /// A shelved buffer keeps whatever digest memo its last contents earned;
 /// that is sound because the memo still describes the bytes lying there,
@@ -110,8 +111,8 @@ impl PayloadPool {
     }
 
     /// Copies each slice of `batch` into a pooled buffer and freezes it,
-    /// with its digest memo filled: [`Bytes::copy_all`] on recycled
-    /// buffers, through the same four-lane copy-and-hash loop. One
+    /// with its digest memo filled, four buffers per pass of the fused
+    /// copy-and-hash loop ([`copy_digest4`](crate::copy_digest4)). One
     /// scavenge and one shelf lock serve the whole batch.
     pub fn take_copies(&self, batch: &[&[u8]]) -> Vec<Bytes> {
         self.scavenge();
@@ -144,10 +145,11 @@ impl PayloadPool {
 
     /// Offers a payload back to the pool once its batch has settled.
     ///
-    /// Accepted (returns `true`) only when this is the last reference —
-    /// a buffer still shared with a WAL record or an in-flight response
-    /// cannot be mutated and is dropped instead — and the shelf for its
-    /// length is below the cap.
+    /// Accepted (returns `true`) only when this is the last reference to
+    /// an owned buffer — a buffer still shared with a WAL record or an
+    /// in-flight response, or a range of a shared frame, cannot be
+    /// mutated and is dropped instead — and the shelf for its length is
+    /// below the cap.
     pub fn recycle(&self, mut buf: Bytes) -> bool {
         if !Bytes::is_unique(&mut buf) {
             self.discarded.inc();
@@ -172,10 +174,11 @@ impl PayloadPool {
     /// the same.
     ///
     /// The parking lot is bounded ([`PARK_CAP`](PayloadPool::PARK_CAP));
-    /// beyond it the offer is discarded immediately.
+    /// beyond it the offer is discarded immediately, and so is a range,
+    /// which no number of dropped clones makes unique.
     pub fn park(&self, buf: Bytes) {
         let mut parked = self.parked.lock().unwrap();
-        if parked.len() >= PayloadPool::PARK_CAP {
+        if parked.len() >= PayloadPool::PARK_CAP || !buf.is_owned() {
             self.discarded.inc();
             return;
         }
@@ -221,7 +224,7 @@ impl PayloadPool {
 mod tests {
     use super::*;
     use crate::digest_bytes;
-    use crate::token::tests::check_batch_table;
+    use crate::token::tests::{check_batch_table, share_as_frame};
 
     /// Buffers currently shelved across all lengths.
     fn shelved(pool: &PayloadPool) -> usize {
@@ -317,6 +320,18 @@ mod tests {
         assert_eq!(pool.stats().discarded, 1);
         assert_eq!(shelved(&pool), 0);
         drop(alias);
+    }
+
+    #[test]
+    fn a_range_is_neither_shelved_nor_parked() {
+        let pool = PayloadPool::new();
+        let mut views = share_as_frame(&[b"view one", b"view two"]).into_iter();
+        assert!(!pool.recycle(views.next().unwrap()), "a range is refused");
+        pool.park(views.next().unwrap());
+        assert_eq!(pool.stats().discarded, 2, "both offers are discarded");
+        assert_eq!(pool.parked.lock().unwrap().len(), 0);
+        copy(&pool, b"scavenge"); // nothing parked to reclaim
+        assert_eq!((shelved(&pool), pool.stats().recycled), (0, 0));
     }
 
     #[test]

@@ -4,7 +4,7 @@ use crate::digest::{copy_digest4, digest_bytes, digest_bytes4, Digest};
 use rtft_rtc::TimeNs;
 use std::fmt;
 use std::hash::{Hash, Hasher};
-use std::ops::Deref;
+use std::ops::{Deref, Range};
 use std::sync::{Arc, OnceLock};
 
 /// Reference-counted immutable byte buffer that remembers its own digest.
@@ -13,24 +13,41 @@ use std::sync::{Arc, OnceLock};
 /// a clone is a pointer copy, equality and hashing go by contents, and the
 /// buffer is hashed at most once however many handles ask — the replicator's
 /// fan-out, a voter's three votes and the consumer's equivalence record all
-/// read the one value. Build one with `Bytes::from(vec)` (the vector's
-/// allocation is kept, not copied).
+/// read the one value.
+///
+/// The bytes have one of two backings. An *owned* buffer holds its bytes
+/// alone: build one with `Bytes::from(vec)` (the vector's allocation is
+/// kept, not copied). A *range* is a window on one frozen frame buffer
+/// that several ranges share: [`Bytes::share_ranges`] makes them, one
+/// handle and one memo per range, so a frame read off a socket becomes
+/// its payloads without a copy. A range keeps the whole frame alive until
+/// its last sibling drops.
 ///
 /// The bytes are frozen while the buffer is shared. The only `&mut [u8]`
-/// path is [`Bytes::get_mut`], which requires sole ownership and clears the
-/// memo, so two handles can share a digest only if they share every byte.
+/// path is [`Bytes::get_mut`], which requires sole ownership of an owned
+/// buffer and clears the memo, so two handles can share a digest only if
+/// they share every byte. A range is never sole owner of its bytes.
 #[derive(Clone)]
 pub struct Bytes(Arc<Shared>);
 
 struct Shared {
-    /// Digest of `data`; empty until first asked for, emptied again by
+    /// Digest of the bytes; empty until first asked for, emptied again by
     /// `Bytes::get_mut`.
     digest: OnceLock<u64>,
-    data: Box<[u8]>,
+    data: Backing,
+}
+
+enum Backing {
+    Owned(Box<[u8]>),
+    /// `frame[range]`; `share_ranges` checked the bounds.
+    Range {
+        frame: Arc<Vec<u8>>,
+        range: Range<usize>,
+    },
 }
 
 impl Bytes {
-    fn new(data: Box<[u8]>) -> Self {
+    fn new(data: Backing) -> Self {
         Bytes(Arc::new(Shared {
             digest: OnceLock::new(),
             data,
@@ -41,7 +58,7 @@ impl Bytes {
     /// computed by the first call on any handle of this buffer and read
     /// back by every later one.
     pub fn digest(&self) -> u64 {
-        *self.0.digest.get_or_init(|| digest_bytes(&self.0.data))
+        *self.0.digest.get_or_init(|| digest_bytes(self))
     }
 
     /// Fills the memo of every buffer in `batch` that has none, hashing
@@ -69,14 +86,33 @@ impl Bytes {
         }
     }
 
-    /// Copies each slice of `batch` into a fresh buffer of its own, with
-    /// its digest memo filled — the "ingest one frame" operation. Four
-    /// buffers at a time are copied and hashed in one pass
-    /// ([`copy_digest4`]); the last one to three are copied, then hashed.
-    pub fn copy_all(batch: &[&[u8]]) -> Vec<Bytes> {
-        let mut bufs: Vec<Bytes> = batch.iter().map(|s| vec![0u8; s.len()].into()).collect();
-        Bytes::fill_all(&mut bufs, batch);
-        bufs
+    /// Freezes `frame` and returns one range of it per entry of `ranges`,
+    /// in order, every memo filled four ranges at a time
+    /// ([`Bytes::digest_all`]) — the "ingest one frame" operation. Ranges
+    /// may be empty and may overlap; the frame's allocation is kept, not
+    /// copied, and lives until the last range drops.
+    ///
+    /// # Panics
+    ///
+    /// If a range does not lie inside `frame`.
+    pub fn share_ranges(frame: Vec<u8>, ranges: &[Range<usize>]) -> Vec<Bytes> {
+        let frame = Arc::new(frame);
+        let views: Vec<Bytes> = ranges
+            .iter()
+            .map(|range| {
+                let len = frame.len();
+                assert!(
+                    frame.get(range.clone()).is_some(),
+                    "range {range:?} outside a {len}-byte frame"
+                );
+                Bytes::new(Backing::Range {
+                    frame: Arc::clone(&frame),
+                    range: range.clone(),
+                })
+            })
+            .collect();
+        Bytes::digest_all(&views);
+        views
     }
 
     /// Overwrites each `bufs[i]` with `src[i]` and memoises its digest,
@@ -108,7 +144,7 @@ impl Bytes {
     pub(crate) fn set_digest(&self, digest: u64) {
         debug_assert_eq!(
             digest,
-            digest_bytes(&self.0.data),
+            digest_bytes(self),
             "lane digest diverged from digest_bytes ({} bytes)",
             self.len()
         );
@@ -116,18 +152,29 @@ impl Bytes {
     }
 
     /// Mutable view of the bytes if `this` is the only handle (the
-    /// [`Arc::get_mut`] rule); forgets the memoised digest, since the
-    /// caller is about to change what it was the digest of.
+    /// [`Arc::get_mut`] rule) of an owned buffer; forgets the memoised
+    /// digest, since the caller is about to change what it was the digest
+    /// of. A range shares its frame with its siblings, so it is `None`
+    /// and its memo stays.
     pub fn get_mut(this: &mut Bytes) -> Option<&mut [u8]> {
-        let shared = Arc::get_mut(&mut this.0)?;
-        shared.digest.take();
-        Some(&mut shared.data)
+        let Shared { digest, data } = Arc::get_mut(&mut this.0)?;
+        let Backing::Owned(bytes) = data else {
+            return None;
+        };
+        digest.take();
+        Some(bytes)
     }
 
-    /// `true` if `this` is the only handle. Leaves the memo alone: the
-    /// bytes it describes are unchanged.
+    /// `true` if `this` is the only handle of an owned buffer — never for
+    /// a range. Leaves the memo alone: the bytes it describes are
+    /// unchanged.
     pub(crate) fn is_unique(this: &mut Bytes) -> bool {
-        Arc::get_mut(&mut this.0).is_some()
+        this.is_owned() && Arc::get_mut(&mut this.0).is_some()
+    }
+
+    /// `true` for an owned buffer, `false` for a range of a shared frame.
+    pub(crate) fn is_owned(&self) -> bool {
+        matches!(self.0.data, Backing::Owned(_))
     }
 
     /// Number of handles sharing this buffer.
@@ -148,7 +195,10 @@ impl Deref for Bytes {
 
     #[inline]
     fn deref(&self) -> &[u8] {
-        &self.0.data
+        match &self.0.data {
+            Backing::Owned(bytes) => bytes,
+            Backing::Range { frame, range } => &frame[range.clone()],
+        }
     }
 }
 
@@ -160,25 +210,25 @@ impl AsRef<[u8]> for Bytes {
 
 impl From<Vec<u8>> for Bytes {
     fn from(v: Vec<u8>) -> Self {
-        Bytes::new(v.into_boxed_slice())
+        Bytes::new(Backing::Owned(v.into_boxed_slice()))
     }
 }
 
 impl From<&[u8]> for Bytes {
     fn from(s: &[u8]) -> Self {
-        Bytes::new(s.into())
+        Bytes::new(Backing::Owned(s.into()))
     }
 }
 
 impl<const N: usize> From<[u8; N]> for Bytes {
     fn from(a: [u8; N]) -> Self {
-        Bytes::new(Box::new(a))
+        Bytes::new(Backing::Owned(Box::new(a)))
     }
 }
 
 impl FromIterator<u8> for Bytes {
     fn from_iter<I: IntoIterator<Item = u8>>(iter: I) -> Self {
-        Bytes::new(iter.into_iter().collect())
+        Bytes::new(Backing::Owned(iter.into_iter().collect()))
     }
 }
 
@@ -381,9 +431,67 @@ pub(crate) mod tests {
         }
     }
 
+    /// Lays `batch` out the way a `Tokens` frame does — a four-byte
+    /// length before each slice — and shares the slices back out of it.
+    pub(crate) fn share_as_frame(batch: &[&[u8]]) -> Vec<Bytes> {
+        let mut frame = Vec::new();
+        let mut ranges = Vec::new();
+        for s in batch {
+            frame.extend_from_slice(&(s.len() as u32).to_le_bytes());
+            ranges.push(frame.len()..frame.len() + s.len());
+            frame.extend_from_slice(s);
+        }
+        Bytes::share_ranges(frame, &ranges)
+    }
+
     #[test]
-    fn copy_all_fills_fresh_hashed_buffers() {
-        check_batch_table(&mut |batch| Bytes::copy_all(batch), &mut drop);
+    fn share_ranges_hands_out_hashed_views_of_one_frame() {
+        check_batch_table(&mut share_as_frame, &mut |batch| {
+            assert!(
+                batch.iter().all(|b| !b.is_owned()),
+                "every payload is a range"
+            );
+        });
+    }
+
+    #[test]
+    fn a_range_is_frozen_and_keeps_its_memo() {
+        let mut views = share_as_frame(&[b"first", b"", b"third payload"]);
+        let memos: Vec<Option<u64>> = views.iter().map(Bytes::memo).collect();
+        for (view, memo) in views.iter_mut().zip(memos) {
+            assert_eq!(Bytes::strong_count(view), 1, "one handle per range");
+            assert!(!Bytes::is_unique(view), "a range shares its frame");
+            assert!(Bytes::get_mut(view).is_none(), "a range is never writable");
+            assert_eq!(view.memo(), memo, "a refused get_mut leaves the memo");
+            assert_eq!(view.memo(), Some(digest_bytes(view)));
+        }
+    }
+
+    #[test]
+    fn a_range_kept_alone_outlives_its_siblings() {
+        let mut views = share_as_frame(&[b"left", b"kept alone", b"right"]);
+        let mut kept = views.remove(1);
+        drop(views);
+        assert_eq!(&kept[..], b"kept alone");
+        assert_eq!(kept.digest(), digest_bytes(b"kept alone"));
+        assert!(
+            !Bytes::is_unique(&mut kept) && Bytes::get_mut(&mut kept).is_none(),
+            "still a range, with no sibling left"
+        );
+        let clone = kept.clone();
+        assert_eq!(clone, kept);
+        assert_eq!(clone.as_ptr(), kept.as_ptr(), "a clone shares the frame");
+        assert_eq!(
+            clone,
+            Bytes::from(&b"kept alone"[..]),
+            "equal to an owned copy"
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "outside a 4-byte frame")]
+    fn a_range_must_lie_inside_its_frame() {
+        Bytes::share_ranges(vec![0; 4], &[0..2, 3..5]);
     }
 
     #[test]

@@ -908,11 +908,7 @@ fn drive_connection(shared: &Arc<Shared>, conn: &Arc<Conn>) -> Result<(), ServeE
     // First frame must be a version-matched Hello. Under tenancy, its
     // `client` string names the tenant every stream on this connection
     // belongs to.
-    // Reused across every frame on the connection: the wire body lands
-    // in `scratch` (grown once to the largest frame seen) and token
-    // payloads are copied out of it into fresh, hashed buffers.
-    let mut scratch: Vec<u8> = Vec::new();
-    let tenant: Option<TenantId> = match next_frame(shared, conn, &mut scratch)? {
+    let tenant: Option<TenantId> = match next_frame(shared, conn)? {
         Frame::Hello { version, client } if version == PROTOCOL_VERSION => {
             let tenant = match &shared.tenants {
                 Some(mgr) => Some(resolve_tenant(shared, mgr, &client)?),
@@ -938,7 +934,7 @@ fn drive_connection(shared: &Arc<Shared>, conn: &Arc<Conn>) -> Result<(), ServeE
     };
 
     loop {
-        match next_frame(shared, conn, &mut scratch)? {
+        match next_frame(shared, conn)? {
             Frame::OpenStream { app, redundancy } => {
                 handle_open(shared, conn, tenant, app, redundancy)?
             }
@@ -965,16 +961,25 @@ fn drive_connection(shared: &Arc<Shared>, conn: &Arc<Conn>) -> Result<(), ServeE
     }
 }
 
-fn next_frame(shared: &Shared, conn: &Conn, scratch: &mut Vec<u8>) -> Result<Frame, ServeError> {
-    let mut reader = DeadlineReader {
-        shared,
-        conn,
-        started: false,
-        deadline: shared.cfg.max_idle.map(|limit| Instant::now() + limit),
-        expired: None,
+/// Reads the connection's next frame into a buffer of its own; a `Tokens`
+/// frame's payloads are ranges of it. Without read deadlines the socket
+/// fills the buffer directly; through a [`DeadlineReader`] std zero-fills
+/// it once first.
+fn next_frame(shared: &Shared, conn: &Conn) -> Result<Frame, ServeError> {
+    let cfg = &shared.cfg;
+    let body = if cfg.read_timeout.is_none() && cfg.max_idle.is_none() {
+        read_body(&mut &conn.sock, cfg.max_frame)?
+    } else {
+        let mut reader = DeadlineReader {
+            shared,
+            conn,
+            started: false,
+            deadline: cfg.max_idle.map(|limit| Instant::now() + limit),
+            expired: None,
+        };
+        read_body(&mut reader, cfg.max_frame)
+            .map_err(|e| reader.expired.map_or(e, ServeError::Evicted))?
     };
-    let body = read_body(&mut reader, shared.cfg.max_frame, scratch)
-        .map_err(|e| reader.expired.map_or(e, ServeError::Evicted))?;
     let n = 4 + body.len() as u64;
     let frame = Frame::decode(body)?;
     shared.c_frames_in.inc();
@@ -995,7 +1000,8 @@ fn conn_has_inflight(shared: &Shared, conn_id: u32) -> bool {
 }
 
 /// One frame's worth of reads from a connection's socket, under
-/// [`ServerConfig::read_timeout`] / [`ServerConfig::max_idle`].
+/// [`ServerConfig::read_timeout`] / [`ServerConfig::max_idle`] (at least
+/// one of them is set).
 ///
 /// The idle deadline applies only before the frame's first byte; once a
 /// frame has started, the *whole frame* must complete within
@@ -1026,9 +1032,6 @@ impl Read for DeadlineReader<'_> {
         use io::ErrorKind::{TimedOut, WouldBlock};
         let cfg = &self.shared.cfg;
         let mut sock = &self.conn.sock;
-        if cfg.read_timeout.is_none() && cfg.max_idle.is_none() {
-            return sock.read(buf);
-        }
         loop {
             // A spent deadline still gets one (1 µs) read: zero is an
             // error in std, and bytes already buffered must win.
@@ -1591,7 +1594,7 @@ pub(crate) fn build_spec(
     batch: &[Bytes],
 ) -> JobSpec {
     let n = batch.len() as u64;
-    // A live batch arrives hashed (`Bytes::copy_all`), so this
+    // A live batch arrives hashed (`Bytes::share_ranges`), so this
     // only reads memos; a logged batch being replayed is hashed here, in
     // lanes, before the engine asks for its first digest.
     Bytes::digest_all(batch);

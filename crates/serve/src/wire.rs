@@ -43,6 +43,7 @@
 //! ([`site_kind`] / [`kind_label`]).
 
 use std::io::{self, IoSlice, Read, Write};
+use std::ops::Range;
 
 use crate::error::{ProtocolError, ServeError};
 use rtft_fleet::Redundancy;
@@ -169,8 +170,9 @@ pub enum Frame {
         /// Stream id from `Accepted`.
         stream: u32,
         /// Raw token payloads, in arrival order. Shared [`Bytes`]
-        /// handles: the server threads one ingested copy through its
-        /// buffer, the WAL record, and the fleet job without re-copying.
+        /// handles: decoded, they are ranges of the frame's body as the
+        /// socket filled it, which the server threads through its
+        /// buffer, the WAL record, and the fleet job without copying.
         payloads: Vec<Bytes>,
     },
     /// Run the stream's buffered tokens through its pipeline now.
@@ -392,20 +394,39 @@ impl Frame {
         out[start..start + 4].copy_from_slice(&tagged_len.to_le_bytes());
     }
 
-    /// Decodes a frame from `tag ‖ body` bytes (the length prefix already
-    /// stripped). Never panics on malformed input.
-    pub fn decode(buf: &[u8]) -> Result<Frame, ProtocolError> {
-        Frame::decode_impl(buf, None)
+    /// Decodes a frame from its `tag ‖ body` bytes (the length prefix
+    /// already stripped), taking ownership of them: a `Tokens` frame's
+    /// payloads are ranges of `buf` ([`Bytes::share_ranges`]), hashed,
+    /// with no copy. Never panics on malformed input.
+    pub fn decode(buf: Vec<u8>) -> Result<Frame, ProtocolError> {
+        Ok(match Frame::parse(&buf)? {
+            Parsed::Frame(frame) => frame,
+            Parsed::Tokens { stream, ranges } => Frame::Tokens {
+                stream,
+                payloads: Bytes::share_ranges(buf, &ranges),
+            },
+        })
     }
 
-    /// [`Frame::decode`], but `Tokens` payload buffers come from `pool`
-    /// ([`PayloadPool::take_copies`]) instead of fresh allocations. Only
+    /// [`Frame::decode`] from borrowed bytes: `Tokens` payloads are copied
+    /// into buffers from `pool` ([`PayloadPool::take_copies`]). Only
     /// [`read_frame_pooled`] calls it.
     fn decode_pooled(buf: &[u8], pool: &PayloadPool) -> Result<Frame, ProtocolError> {
-        Frame::decode_impl(buf, Some(pool))
+        Ok(match Frame::parse(buf)? {
+            Parsed::Frame(frame) => frame,
+            Parsed::Tokens { stream, ranges } => {
+                let raws: Vec<&[u8]> = ranges.into_iter().map(|r| &buf[r]).collect();
+                Frame::Tokens {
+                    stream,
+                    payloads: pool.take_copies(&raws),
+                }
+            }
+        })
     }
 
-    fn decode_impl(buf: &[u8], pool: Option<&PayloadPool>) -> Result<Frame, ProtocolError> {
+    /// Checks the whole of `buf` against the grammar and decodes every
+    /// field but `Tokens` payloads, which it locates.
+    fn parse(buf: &[u8]) -> Result<Parsed, ProtocolError> {
         let (&tag, mut body) = buf
             .split_first()
             .ok_or(ProtocolError::BadPayload("empty frame"))?;
@@ -429,14 +450,17 @@ impl Frame {
                 if count > r.len() / 4 + 1 {
                     return Err(ProtocolError::BadPayload("token count exceeds frame"));
                 }
-                let raws = (0..count)
-                    .map(|_| get_byte_slice(r))
-                    .collect::<Result<Vec<_>, _>>()?;
-                let payloads = match pool {
-                    Some(pool) => pool.take_copies(&raws),
-                    None => Bytes::copy_all(&raws),
-                };
-                Frame::Tokens { stream, payloads }
+                let mut ranges = Vec::with_capacity(count);
+                for _ in 0..count {
+                    let len = get_byte_slice(r)?.len();
+                    // `r` is what is left of `buf` past this payload.
+                    let end = buf.len() - r.len();
+                    ranges.push(end - len..end);
+                }
+                if !r.is_empty() {
+                    return Err(ProtocolError::BadPayload("trailing bytes after frame"));
+                }
+                return Ok(Parsed::Tokens { stream, ranges });
             }
             0x04 => Frame::Flush {
                 stream: get_u32(r)?,
@@ -483,8 +507,18 @@ impl Frame {
         if !r.is_empty() {
             return Err(ProtocolError::BadPayload("trailing bytes after frame"));
         }
-        Ok(frame)
+        Ok(Parsed::Frame(frame))
     }
+}
+
+/// A frame whose grammar [`Frame::parse`] has checked, with a `Tokens`
+/// frame's payloads still byte ranges of the buffer it parsed.
+enum Parsed {
+    Frame(Frame),
+    Tokens {
+        stream: u32,
+        ranges: Vec<Range<usize>>,
+    },
 }
 
 /// Writes one frame to `w`. Returns the wire bytes written.
@@ -541,16 +575,11 @@ impl<W: Write> FrameWriter<W> {
     }
 }
 
-/// Reads one frame's length prefix, enforces the length grammar (non-zero,
-/// at most `max_frame`) and reads the `tag ‖ body` bytes into the front of
-/// `buf`, which grows to the frame if shorter and is never shrunk or
-/// zero-filled again; returns exactly the frame's bytes. The one place a
-/// frame header is parsed.
-pub(crate) fn read_body<'a>(
-    r: &mut impl Read,
-    max_frame: u32,
-    buf: &'a mut Vec<u8>,
-) -> Result<&'a [u8], ServeError> {
+/// Reads one frame's length prefix and enforces the length grammar
+/// (non-zero, at most `max_frame`); returns the length of the `tag ‖ body`
+/// bytes that follow. The one place a frame header is parsed, so a
+/// dishonest length is refused before anything is allocated for it.
+fn read_len(r: &mut impl Read, max_frame: u32) -> Result<usize, ServeError> {
     let mut len_buf = [0u8; 4];
     r.read_exact(&mut len_buf)?;
     let len = u32::from_le_bytes(len_buf);
@@ -564,30 +593,41 @@ pub(crate) fn read_body<'a>(
         }
         .into());
     }
-    let len = len as usize;
-    if buf.len() < len {
-        buf.resize(len, 0);
+    Ok(len as usize)
+}
+
+/// Reads one frame's `tag ‖ body` bytes into a fresh buffer of exactly
+/// their length, which [`Frame::decode`] then takes. The body is read
+/// once, through `Read::take(len).read_to_end`: a reader with its own
+/// `read_buf` (a socket, a `BufReader`, a slice) writes straight into the
+/// spare capacity, so the buffer is never zero-filled; any other reader
+/// has std zero-fill it once.
+pub(crate) fn read_body(r: &mut impl Read, max_frame: u32) -> Result<Vec<u8>, ServeError> {
+    let len = read_len(r, max_frame)?;
+    let mut body = Vec::with_capacity(len);
+    r.take(len as u64).read_to_end(&mut body)?;
+    if body.len() < len {
+        return Err(ServeError::ConnectionClosed);
     }
-    let body = &mut buf[..len];
-    r.read_exact(body)?;
     Ok(body)
 }
 
 /// Reads one frame from `r`, enforcing `max_frame` on the length field.
 /// Returns the frame and the wire bytes consumed.
 pub fn read_frame(r: &mut impl Read, max_frame: u32) -> Result<(Frame, usize), ServeError> {
-    let mut buf = Vec::new();
-    let body = read_body(r, max_frame, &mut buf)?;
-    Ok((Frame::decode(body)?, 4 + body.len()))
+    let body = read_body(r, max_frame)?;
+    let n = 4 + body.len();
+    Ok((Frame::decode(body)?, n))
 }
 
 /// [`read_frame`] into recycled buffers: the wire body is read into the
-/// front of the caller-owned `scratch` buffer and `Tokens` payloads are
+/// front of the caller-owned `scratch` buffer (grown to the largest frame
+/// seen, never shrunk or zero-filled again) and `Tokens` payloads are
 /// copied into buffers taken from `pool`, hashed as they are copied.
 ///
-/// The server does not use it: it reads each frame into its connection's
-/// scratch with the same body reader and decodes it with
-/// [`Frame::decode`], into fresh buffers. This stays while the benchmark
+/// Nothing in the workspace reads this way any more: the server and the
+/// client read each frame into a buffer of its own ([`read_frame`]), and
+/// a frame's payloads are ranges of it. This stays while the benchmark
 /// harness's mirror of the old ingest path names it.
 pub fn read_frame_pooled(
     r: &mut impl Read,
@@ -595,8 +635,13 @@ pub fn read_frame_pooled(
     pool: &PayloadPool,
     scratch: &mut Vec<u8>,
 ) -> Result<(Frame, usize), ServeError> {
-    let body = read_body(r, max_frame, scratch)?;
-    Ok((Frame::decode_pooled(body, pool)?, 4 + body.len()))
+    let len = read_len(r, max_frame)?;
+    if scratch.len() < len {
+        scratch.resize(len, 0);
+    }
+    let body = &mut scratch[..len];
+    r.read_exact(body)?;
+    Ok((Frame::decode_pooled(body, pool)?, 4 + len))
 }
 
 /// Encodes and writes one `Tokens` frame from *borrowed* payload slices,
@@ -1173,7 +1218,77 @@ mod tests {
         let mut body = vec![0x03];
         body.extend_from_slice(&7u32.to_le_bytes());
         body.extend_from_slice(&u32::MAX.to_le_bytes());
-        let err = Frame::decode(&body).unwrap_err();
+        let err = Frame::decode(body).unwrap_err();
         assert!(matches!(err, ProtocolError::BadPayload(_)), "{err}");
+    }
+
+    /// A reader that hands out at most 7 bytes per `read`, so a frame's
+    /// length prefix and body each arrive in many short reads.
+    struct Dribble<'a>(&'a [u8]);
+    impl Read for Dribble<'_> {
+        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+            let n = buf.len().min(7).min(self.0.len());
+            buf[..n].copy_from_slice(&self.0[..n]);
+            self.0 = &self.0[n..];
+            Ok(n)
+        }
+    }
+
+    /// Frames read in 7-byte pieces, back to back on one reader: each
+    /// `Tokens` payload is a range of its frame's body, equal to what was
+    /// sent and already hashed, at counts 0–9 with empty and odd lengths.
+    #[test]
+    fn a_dribbled_tokens_frame_decodes_to_hashed_ranges() {
+        let sent: Vec<Vec<Bytes>> = (0..=9u8)
+            .map(|count| {
+                (0..count)
+                    .map(|i| Bytes::from(vec![i ^ 0x5A; [0, 5, 4_099, 13, 0, 8][i as usize % 6]]))
+                    .collect()
+            })
+            .collect();
+        let mut wire = Vec::new();
+        for payloads in &sent {
+            Frame::Tokens {
+                stream: 4,
+                payloads: payloads.clone(),
+            }
+            .encode_into(&mut wire);
+        }
+        let mut reader = Dribble(&wire);
+        for payloads in &sent {
+            let (
+                Frame::Tokens {
+                    stream: 4,
+                    payloads: got,
+                },
+                _,
+            ) = read_frame(&mut reader, DEFAULT_MAX_FRAME).unwrap()
+            else {
+                panic!("a Tokens frame decodes as Tokens");
+            };
+            assert_eq!(&got, payloads);
+            for (i, mut b) in got.into_iter().enumerate() {
+                assert_eq!(b.memo(), Some(rtft_kpn::digest_bytes(&b)), "#{i}");
+                assert_eq!(Bytes::strong_count(&b), 1, "#{i}");
+                assert!(Bytes::get_mut(&mut b).is_none(), "#{i} is a range");
+            }
+        }
+        assert!(
+            reader.0.is_empty(),
+            "every frame read exactly its own bytes"
+        );
+        let err = read_frame(&mut reader, DEFAULT_MAX_FRAME).unwrap_err();
+        assert!(matches!(err, ServeError::ConnectionClosed), "{err}");
+    }
+
+    #[test]
+    fn a_body_cut_short_is_a_closed_connection() {
+        let wire = Frame::Tokens {
+            stream: 2,
+            payloads: vec![Bytes::from(vec![9u8; 100])],
+        }
+        .encode();
+        let err = read_frame(&mut Dribble(&wire[..wire.len() - 1]), DEFAULT_MAX_FRAME).unwrap_err();
+        assert!(matches!(err, ServeError::ConnectionClosed), "{err}");
     }
 }

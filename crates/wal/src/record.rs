@@ -149,6 +149,9 @@ impl WalRecord {
                 let mut payloads = Vec::with_capacity(count);
                 for _ in 0..count {
                     let len = get_u32(body, &mut at)? as usize;
+                    // Copied, not a range of the segment: a recovered
+                    // tail stays buffered, and a range would pin the
+                    // whole segment it was read from.
                     payloads.push(Bytes::from(get_bytes(body, &mut at, len)?));
                 }
                 WalRecord::Tokens { stream, payloads }
