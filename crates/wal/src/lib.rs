@@ -9,11 +9,13 @@
 //! stream must reproduce the logged output digests bit-for-bit, and any
 //! divergence is a detected transient fault in the original run.
 //!
-//! Four mechanisms, all std-only:
+//! Five mechanisms, all std-only:
 //!
 //! * **Checksummed record frames** ([`WalRecord`]) — length-prefixed
 //!   bodies guarded by the same streaming FNV-1a digest
-//!   ([`rtft_kpn::Digest`]) the selector uses for output equivalence.
+//!   ([`rtft_kpn::Digest`]) the selector uses for output equivalence,
+//!   XORed with a salt of the segment index, so each frame belongs to
+//!   one life of one file.
 //! * **Group commit, two durability classes** — [`Wal::append`] is
 //!   durable on return, but concurrent appenders share fsyncs: one leader
 //!   syncs while followers park on a condvar, and the batch size per
@@ -34,23 +36,36 @@
 //!   ahead of its last frame, in steps that double from 64 KiB up to at
 //!   most 1 MiB, and frames overwrite those zeros at the logical end. A
 //!   commit's `sync_data` then finds the file size unchanged and writes
-//!   data, not inode metadata. An all-zero remainder after the last valid
-//!   frame is free space, not a torn record (no frame has a zero length
-//!   field); it is cut off when a rotation seals the segment, when the
+//!   data, not inode metadata. Every write also puts a zero length field
+//!   behind its last frame. A remainder that starts with a zero length
+//!   field is free space, not a torn record (no frame has one); it is cut
+//!   off when a rotation seals a segment no later life reuses, when the
 //!   last handle drops, and by [`Wal::open`].
+//! * **Recycled segments** — with `retain_segments > 0`, the sealed
+//!   segment a rotation retires is not deleted: it is renamed to the next
+//!   index, its header rewritten, and frames overwrite its blocks, so
+//!   once the first `retain_segments + 1` files exist no commit grows a
+//!   file and no rotation creates or unlinks one. The previous life's
+//!   frames carry another salt and read as free space; each header
+//!   records where the segment before it was sealed, so the strict scan
+//!   of a sealed segment stops exactly there.
 
 #![warn(missing_docs)]
 
+#[cfg(test)]
+mod mutation;
 mod record;
 mod segment;
 
 pub use record::{WalRecord, FRAME_HEADER, MAX_RECORD};
-pub use segment::{segment_file_name, SEGMENT_HEADER, SEGMENT_MAGIC};
+pub use segment::{segment_file_name, SEGMENT_HEADER, SEGMENT_MAGIC, SEGMENT_VERSION};
 
+use record::salt_frame;
 use rtft_obs::{Counter, Histogram, MetricsRegistry};
-use segment::{encode_header, list_segments, scan_segment, SegmentScan};
+use segment::{encode_header, scan_dir, SegmentHeader};
 use std::fs::{self, File, OpenOptions};
-use std::io::{self, Seek, SeekFrom, Write};
+use std::io;
+use std::os::unix::fs::FileExt;
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::Instant;
@@ -68,6 +83,11 @@ const PREFILL_MAX_STEP: u64 = 1 << 20;
 /// buffer per step kept ≈ 0.1 MB more resident on `serve_durable`.
 static ZEROS: [u8; PREFILL_MIN_STEP as usize] = [0; PREFILL_MIN_STEP as usize];
 
+/// The zero length field every write puts behind its last frame, so the
+/// scan finds the logical end even where a recycled file's stale bytes
+/// follow it. The next write overwrites it with its first frame.
+const END_MARK: usize = 4;
+
 /// Configuration for opening a [`Wal`].
 #[derive(Debug, Clone)]
 pub struct WalConfig {
@@ -75,8 +95,10 @@ pub struct WalConfig {
     pub dir: PathBuf,
     /// Rotate to a new segment once the current one exceeds this size.
     pub segment_bytes: u64,
-    /// Keep at most this many *sealed* segments (0 = keep all). Pruned
-    /// segments shorten replay history; sequence numbers stay global.
+    /// Keep at most this many *sealed* segments (0 = keep all). A
+    /// rotation past the count recycles the oldest as the next active
+    /// segment. Retired segments shorten replay history; sequence numbers
+    /// stay global.
     pub retain_segments: usize,
     /// Issue real fsyncs. Turning this off makes `append` a buffered
     /// write — useful for benchmarking the log structure itself.
@@ -148,7 +170,7 @@ struct WalState {
     /// Logical length of the active segment: where the next frame goes.
     seg_len: u64,
     /// Physical length of the active segment: `seg_len` and the zeros
-    /// written ahead of it.
+    /// (or, in a recycled file, the previous life's bytes) ahead of it.
     filled: u64,
     /// Global logical bytes written since open (commit targets).
     written: u64,
@@ -159,7 +181,7 @@ struct WalState {
     /// Appends since the last fsync began (group-commit batch size).
     batch_pending: u64,
     next_seq: u64,
-    sealed: Vec<(u64, PathBuf)>,
+    sealed: Vec<PathBuf>,
 }
 
 impl WalState {
@@ -184,6 +206,7 @@ struct WalInner {
     c_fsyncs: Counter,
     c_rotations: Counter,
     c_pruned: Counter,
+    c_recycled: Counter,
     c_prefill: Counter,
     c_trims: Counter,
     h_batch: Histogram,
@@ -222,9 +245,10 @@ impl Wal {
         let mut truncated_records = 0u64;
         let mut truncated_bytes = 0u64;
 
-        // A final segment whose *header* never hit the disk contributes
+        // A final segment whose own header never hit the disk (torn, or
+        // a recycled file still under its previous life's) contributes
         // nothing; remove it and fall back to the previous segment.
-        if scans.last().is_some_and(|s| s.header_torn) {
+        while scans.last().is_some_and(|s| s.header_torn) {
             let torn = scans.pop().expect("non-empty");
             truncated_records += torn.torn_records;
             truncated_bytes += torn.torn_bytes;
@@ -233,8 +257,9 @@ impl Wal {
 
         let segments = scans.len() as u64;
         // Cut each segment back to its last valid frame: the torn tail of
-        // the final one (the others were scanned strictly), and any zero
-        // tail a crash left before its trim.
+        // the final one (the others were scanned strictly), and any free
+        // tail — zeros a crash left before a trim, or an earlier life's
+        // frames.
         let mut trims = 0u64;
         for scan in &scans {
             if scan.torn_bytes + scan.free_bytes > 0 {
@@ -254,9 +279,13 @@ impl Wal {
                 ((last.index, file, last.valid_len), last.next_seq())
             }
             None => {
-                let next_seq = 0;
-                let (file, len) = create_segment(&cfg, 0, next_seq)?;
-                ((0, file, len), next_seq)
+                let header = SegmentHeader {
+                    index: 0,
+                    base_seq: 0,
+                    prev_end: 0,
+                };
+                let (file, len) = create_segment(&cfg, header)?;
+                ((0, file, len), 0)
             }
         };
 
@@ -264,7 +293,7 @@ impl Wal {
         let mut sealed = Vec::new();
         for scan in &mut scans {
             if scan.index != active.0 {
-                sealed.push((scan.index, scan.path.clone()));
+                sealed.push(scan.path.clone());
             }
             records.append(&mut scan.records);
         }
@@ -276,6 +305,7 @@ impl Wal {
             c_fsyncs: registry.counter("wal.fsyncs"),
             c_rotations: registry.counter("wal.rotations"),
             c_pruned: registry.counter("wal.segments.pruned"),
+            c_recycled: registry.counter("wal.segments.recycled"),
             c_prefill: registry.counter("wal.prefill.bytes"),
             c_trims: registry.counter("wal.trims"),
             h_batch: registry.histogram("wal.commit.batch"),
@@ -330,7 +360,7 @@ impl Wal {
     /// before it, lazily or not — survives a crash (modulo
     /// `fsync: false`).
     pub fn append(&self, rec: &WalRecord) -> io::Result<u64> {
-        let (seq, target) = self.write_frames(std::slice::from_ref(rec))?;
+        let (seq, target) = self.write_frame(rec)?;
         self.commit(target)?;
         Ok(seq)
     }
@@ -344,8 +374,7 @@ impl Wal {
     /// written after it, never instead of it. Meant for state the durable
     /// records before it can regenerate.
     pub fn append_lazy(&self, rec: &WalRecord) -> io::Result<u64> {
-        self.write_frames(std::slice::from_ref(rec))
-            .map(|(seq, _)| seq)
+        self.write_frame(rec).map(|(seq, _)| seq)
     }
 
     /// Force everything appended so far onto disk.
@@ -361,8 +390,10 @@ impl Wal {
 
     /// The log's metrics: `wal.appends`, `wal.fsyncs`, `wal.append.bytes`,
     /// `wal.commit.batch` (histogram), `wal.rotations`,
-    /// `wal.segments.pruned`, `wal.prefill.bytes` (zeros written ahead of
-    /// the frames), `wal.trims` (zero tails cut off: at rotation, at open,
+    /// `wal.segments.pruned` (retired segments deleted),
+    /// `wal.segments.recycled` (retired segments reused as the next
+    /// active one), `wal.prefill.bytes` (zeros written ahead of the
+    /// frames), `wal.trims` (free tails cut off: at rotation, at open,
     /// and when the last handle drops), `wal.recovery.*`.
     pub fn registry(&self) -> &MetricsRegistry {
         &self.inner.registry
@@ -380,36 +411,35 @@ impl Wal {
             .unwrap_or_else(|poisoned| poisoned.into_inner())
     }
 
-    /// Write the frames under the state lock; returns (first seq, commit
+    /// Write the frame under the state lock; returns (its seq, commit
     /// target). Durability happens in `commit`.
-    fn write_frames(&self, recs: &[WalRecord]) -> io::Result<(u64, u64)> {
+    fn write_frame(&self, rec: &WalRecord) -> io::Result<(u64, u64)> {
         let mut buf = Vec::new();
-        for rec in recs {
-            rec.encode_frame_into(&mut buf);
-        }
+        rec.encode_frame_into(&mut buf);
+        let len = buf.len() as u64;
+        buf.extend_from_slice(&[0; END_MARK]);
 
         let mut st = self.lock();
         if st.seg_len >= self.inner.cfg.segment_bytes {
             self.rotate(&mut st)?;
         }
+        salt_frame(&mut buf, st.seg_index);
         let end = st.seg_len + buf.len() as u64;
         if end > st.filled {
             self.prefill(&mut st, end)?;
         }
-        let mut file = &*st.file;
-        file.seek(SeekFrom::Start(st.seg_len))?;
-        file.write_all(&buf)?;
-        st.seg_len += buf.len() as u64;
-        st.written += buf.len() as u64;
-        st.batch_pending += recs.len() as u64;
-        let first_seq = st.next_seq;
-        st.next_seq += recs.len() as u64;
+        st.file.write_all_at(&buf, st.seg_len)?;
+        st.seg_len += len;
+        st.written += len;
+        st.batch_pending += 1;
+        let seq = st.next_seq;
+        st.next_seq += 1;
         let target = st.written;
         drop(st);
 
-        self.inner.c_appends.add(recs.len() as u64);
-        self.inner.c_append_bytes.add(buf.len() as u64);
-        Ok((first_seq, target))
+        self.inner.c_appends.inc();
+        self.inner.c_append_bytes.add(len);
+        Ok((seq, target))
     }
 
     /// Group commit: wait until at least `target` logical bytes are
@@ -460,21 +490,19 @@ impl Wal {
         }
     }
 
-    /// Write one step of zeros past `end`, where the frames about to be
-    /// written stop, so the commits that follow overwrite blocks the file
+    /// Write one step of zeros past `end`, where the write about to be
+    /// made stops, so the commits that follow overwrite blocks the file
     /// already has instead of growing it. Called with the state lock
     /// held. The step never reaches past `segment_bytes`: rotation seals
     /// the segment there.
     fn prefill(&self, st: &mut WalState, end: u64) -> io::Result<()> {
         let step = end.clamp(PREFILL_MIN_STEP, PREFILL_MAX_STEP);
         let to = (end + step).min(self.inner.cfg.segment_bytes).max(end);
-        let mut file = &*st.file;
-        file.seek(SeekFrom::Start(end))?;
-        let mut left = to - end;
-        while left > 0 {
-            let n = left.min(ZEROS.len() as u64);
-            file.write_all(&ZEROS[..n as usize])?;
-            left -= n;
+        let mut at = end;
+        while at < to {
+            let n = (to - at).min(ZEROS.len() as u64);
+            st.file.write_all_at(&ZEROS[..n as usize], at)?;
+            at += n;
         }
         self.inner.c_prefill.add(to - end);
         st.filled = to;
@@ -482,35 +510,52 @@ impl Wal {
     }
 
     /// Seal the current segment and start the next one. Called with the
-    /// state lock held; the old file is trimmed to its logical length
-    /// and fully synced first, so rotation never leaves an unsynced
-    /// sealed segment behind.
+    /// state lock held. The old file is fully synced first, so rotation
+    /// never leaves an unsynced sealed segment behind; at
+    /// `retain_segments == 0` it is also trimmed to its logical length
+    /// (nothing will reuse it). Past the retention count the oldest
+    /// sealed segment becomes the next one instead of being deleted.
     fn rotate(&self, st: &mut WalState) -> io::Result<()> {
-        st.trim(&self.inner.c_trims)?;
-        if self.inner.cfg.fsync {
+        let cfg = &self.inner.cfg;
+        let retain = cfg.retain_segments;
+        if retain == 0 {
+            st.trim(&self.inner.c_trims)?;
+        }
+        if cfg.fsync {
             st.file.sync_data()?;
         }
         st.durable = st.durable.max(st.written);
 
-        let old_index = st.seg_index;
-        let old_path = self.inner.cfg.dir.join(segment_file_name(old_index));
-        let new_index = old_index + 1;
-        let (file, len) = create_segment(&self.inner.cfg, new_index, st.next_seq)?;
+        let header = SegmentHeader {
+            index: st.seg_index + 1,
+            base_seq: st.next_seq,
+            prev_end: st.seg_len,
+        };
+        // Sealed segments past the count once this one seals: the oldest
+        // is recycled, the rest (an open can find more) deleted.
+        let leaving = match retain {
+            0 => 0,
+            _ => (st.sealed.len() + 1).saturating_sub(retain),
+        };
+        let (file, filled) = match st.sealed.first() {
+            Some(oldest) if leaving > 0 => recycle_segment(cfg, oldest, header)?,
+            _ => create_segment(cfg, header)?,
+        };
+        let old_path = cfg.dir.join(segment_file_name(st.seg_index));
+        st.sealed.push(old_path);
         st.file = Arc::new(file);
-        st.seg_index = new_index;
-        st.seg_len = len;
-        st.filled = len;
-        st.sealed.push((old_index, old_path));
+        st.seg_index = header.index;
+        st.seg_len = SEGMENT_HEADER as u64;
+        st.filled = filled;
         self.inner.c_rotations.inc();
         self.inner.committed.notify_all();
 
-        let retain = self.inner.cfg.retain_segments;
-        if retain > 0 {
-            while st.sealed.len() > retain {
-                let (_, path) = st.sealed.remove(0);
-                fs::remove_file(&path)?;
-                self.inner.c_pruned.inc();
-            }
+        if leaving > 0 {
+            self.inner.c_recycled.inc();
+        }
+        for path in st.sealed.drain(..leaving).skip(1) {
+            fs::remove_file(&path)?;
+            self.inner.c_pruned.inc();
         }
         Ok(())
     }
@@ -539,38 +584,50 @@ pub fn read_log(dir: &Path) -> io::Result<(Vec<(u64, WalRecord)>, LogSummary)> {
     Ok((records, summary))
 }
 
-/// Scan all segments in order; every segment but the last is strict.
-fn scan_dir(dir: &Path) -> io::Result<Vec<SegmentScan>> {
-    let listed = list_segments(dir)?;
-    let last = listed.len().saturating_sub(1);
-    let mut scans = Vec::with_capacity(listed.len());
-    for (pos, (_, path)) in listed.iter().enumerate() {
-        scans.push(scan_segment(path, pos != last)?);
-    }
-    Ok(scans)
-}
-
-fn create_segment(cfg: &WalConfig, index: u64, base_seq: u64) -> io::Result<(File, u64)> {
-    let path = cfg.dir.join(segment_file_name(index));
-    let mut file = OpenOptions::new()
+/// Start segment `header.index` in a new file: header written and
+/// synced, and the directory entry made durable, before any frame.
+fn create_segment(cfg: &WalConfig, header: SegmentHeader) -> io::Result<(File, u64)> {
+    let path = cfg.dir.join(segment_file_name(header.index));
+    let file = OpenOptions::new()
         .create_new(true)
         .write(true)
         .open(&path)?;
-    let header = encode_header(index, base_seq);
-    file.write_all(&header)?;
+    file.write_all_at(&encode_header(header), 0)?;
     if cfg.fsync {
         file.sync_all()?;
-        // Make the new directory entry itself durable.
-        if let Ok(d) = File::open(&cfg.dir) {
-            let _ = d.sync_all();
-        }
+        sync_dir(&cfg.dir)?;
     }
-    Ok((file, header.len() as u64))
+    Ok((file, SEGMENT_HEADER as u64))
+}
+
+/// Start segment `header.index` in the retired segment file at `from`,
+/// returning it with its physical length. The rename is made durable
+/// before the header is rewritten: a crash before the rename leaves the
+/// old file sealed where it was; after it, the file holds its old header
+/// under its new name and is dropped by recovery as a segment that never
+/// began. The new header needs no sync of its own: the commit that first
+/// acknowledges a frame here syncs the file, header included.
+fn recycle_segment(cfg: &WalConfig, from: &Path, header: SegmentHeader) -> io::Result<(File, u64)> {
+    let file = OpenOptions::new().write(true).open(from)?;
+    fs::rename(from, cfg.dir.join(segment_file_name(header.index)))?;
+    if cfg.fsync {
+        sync_dir(&cfg.dir)?;
+    }
+    file.write_all_at(&encode_header(header), 0)?;
+    let filled = file.metadata()?.len();
+    Ok((file, filled))
+}
+
+/// Make the directory's entries (a created or renamed segment) durable.
+fn sync_dir(dir: &Path) -> io::Result<()> {
+    File::open(dir)?.sync_all()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use segment::list_segments;
+    use std::io::Write;
     use std::sync::atomic::{AtomicUsize, Ordering};
 
     static DIR_SEQ: AtomicUsize = AtomicUsize::new(0);
@@ -690,7 +747,9 @@ mod tests {
         for i in 0..60u32 {
             wal.append(&tokens(i, 4)).expect("append");
         }
-        assert!(wal.registry().counter("wal.segments.pruned").get() >= 1);
+        // The steady state reuses the retired file instead of deleting it.
+        assert!(wal.registry().counter("wal.segments.recycled").get() >= 1);
+        assert_eq!(wal.registry().counter("wal.segments.pruned").get(), 0);
         drop(wal);
 
         let (_, rec) = Wal::open(cfg).expect("reopen");
@@ -841,10 +900,9 @@ mod tests {
         assert_eq!(wal.next_seq(), n - 1);
     }
 
-    /// A three-record log (`StreamOpen`, `Tokens`, `Outputs`) as the
-    /// commit before the lazy class wrote it: segment header, then the
-    /// frames. The format did not move, in either direction.
-    const PARENT_LOG: [u8; 149] = [
+    /// A three-record log (`StreamOpen`, `Tokens`, `Outputs`) in format
+    /// version 2: segment header, then the frames.
+    const V2_LOG: [u8; 149] = [
         0x52, 0x54, 0x46, 0x54, 0x57, 0x41, 0x4c, 0x31, 0x02, 0x00, 0x00, 0x00, //
         0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, //
         0x00, 0x00, 0x00, 0x00, 0x0f, 0x00, 0x00, 0x00, 0x91, 0x52, 0xeb, 0x2a, //
@@ -860,8 +918,20 @@ mod tests {
         0xff, 0xff, 0xff, 0xff, 0xff,
     ];
 
+    /// Version 3's header of segment 0: base sequence number 0, no
+    /// previous segment, then the digest of the fields before it.
+    const V3_HEADER: [u8; SEGMENT_HEADER] = [
+        0x52, 0x54, 0x46, 0x54, 0x57, 0x41, 0x4c, 0x31, 0x03, 0x00, 0x00, 0x00, //
+        0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, //
+        0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, //
+        0x62, 0x52, 0xc6, 0xb6, 0x5d, 0x44, 0x45, 0x53, //
+    ];
+
+    /// Format version 3 byte for byte: segment 0's salt is 0, so only the
+    /// header moved and version 2's frames follow it unchanged. A version
+    /// 2 log is refused, and left as it was.
     #[test]
-    fn a_parent_written_log_opens_and_the_lazy_class_writes_the_same_bytes() {
+    fn the_v3_layout_is_pinned_and_a_v2_log_is_refused_intact() {
         let records = [
             WalRecord::StreamOpen {
                 stream: 7,
@@ -884,21 +954,27 @@ mod tests {
 
         let old = TempDir::new("compat-old");
         fs::create_dir_all(old.path()).expect("dir");
-        fs::write(old.path().join(segment_file_name(0)), PARENT_LOG).expect("write");
-        let (wal, rec) = Wal::open(WalConfig::new(old.path())).expect("open parent log");
-        assert_eq!(rec.truncated_bytes, 0);
-        let got: Vec<&WalRecord> = rec.records.iter().map(|(_, r)| r).collect();
-        assert_eq!(got, records.iter().collect::<Vec<_>>());
-        assert_eq!(wal.next_seq(), 3);
+        let seg = old.path().join(segment_file_name(0));
+        fs::write(&seg, V2_LOG).expect("write");
+        let refused = Wal::open(WalConfig::new(old.path())).err();
+        assert_eq!(refused.map(|e| e.kind()), Some(io::ErrorKind::InvalidData));
+        assert!(read_log(old.path()).is_err());
+        assert_eq!(fs::read(&seg).expect("read"), V2_LOG);
 
         let new = TempDir::new("compat-new");
-        let (wal, _) = Wal::open(WalConfig::new(new.path())).expect("open");
+        let cfg = WalConfig::new(new.path());
+        let (wal, _) = Wal::open(cfg.clone()).expect("open");
         wal.append(&records[0]).expect("open record");
         wal.append(&records[1]).expect("tokens");
         wal.append_lazy(&records[2]).expect("outputs");
         drop(wal);
         let written = fs::read(new.path().join(segment_file_name(0))).expect("read");
-        assert_eq!(written, PARENT_LOG);
+        assert_eq!(written[..SEGMENT_HEADER], V3_HEADER);
+        assert_eq!(written[SEGMENT_HEADER..], V2_LOG[28..]);
+        let (wal, rec) = Wal::open(cfg).expect("reopen");
+        let got: Vec<&WalRecord> = rec.records.iter().map(|(_, r)| r).collect();
+        assert_eq!(got, records.iter().collect::<Vec<_>>());
+        assert_eq!(wal.next_seq(), 3);
     }
 
     #[test]
@@ -1057,17 +1133,16 @@ mod tests {
         assert_eq!(trims.get(), before + 1, "the drop cut the active tail");
 
         let frame = rec.encode_frame().len() as u64;
-        let segments = list_segments(dir.path()).expect("list");
-        assert!(segments.len() >= 3, "{} segments", segments.len());
+        let scans = scan_dir(dir.path()).expect("scan");
+        assert!(scans.len() >= 3, "{} segments", scans.len());
         let mut records = 0;
-        for (_, path) in &segments {
-            let scan = scan_segment(path, true).expect("strict scan");
+        for scan in &scans {
             let n = scan.records.len() as u64;
             assert_eq!(
-                fs::metadata(path).expect("meta").len(),
+                fs::metadata(&scan.path).expect("meta").len(),
                 SEGMENT_HEADER as u64 + n * frame,
                 "{}",
-                path.display()
+                scan.path.display()
             );
             records += n;
         }
@@ -1081,5 +1156,156 @@ mod tests {
         assert!(rec.records.is_empty());
         assert_eq!(rec.segments, 1);
         assert_eq!(wal.next_seq(), 0);
+    }
+
+    /// One record size whatever `i`, so a recycled segment's stale frames
+    /// line up with the frames its new life writes over them.
+    fn fixed(i: u64) -> WalRecord {
+        WalRecord::Tokens {
+            stream: i as u32,
+            payloads: vec![rtft_kpn::Bytes::from(vec![i as u8; 40])],
+        }
+    }
+
+    /// Recovery of one crash image, read-only and then by `Wal::open`:
+    /// exactly `want` comes back, `torn` is what both report as torn
+    /// (records, bytes), and the log appends densely behind `want`.
+    fn recovers(image: &[(u64, Vec<u8>)], want: &[(u64, WalRecord)], torn: (u64, u64), what: &str) {
+        let dir = TempDir::new("recycle-image");
+        fs::create_dir_all(dir.path()).expect("image dir");
+        for (index, bytes) in image {
+            fs::write(dir.path().join(segment_file_name(*index)), bytes).expect("write");
+        }
+        let (records, summary) = read_log(dir.path()).expect(what);
+        assert_eq!(records, want, "{what}: read_log");
+        let read_torn = (summary.truncated_records, summary.truncated_bytes);
+        assert_eq!(read_torn, torn, "{what}: read_log");
+
+        let cfg = WalConfig::new(dir.path()).with_retention(1);
+        let (wal, rec) = Wal::open(cfg.clone()).expect(what);
+        assert_eq!(rec.records, want, "{what}: open");
+        let open_torn = (rec.truncated_records, rec.truncated_bytes);
+        assert_eq!(open_torn, torn, "{what}: open");
+        let next = want.last().map_or(0, |(seq, _)| seq + 1);
+        assert_eq!(wal.append(&fixed(99)).expect(what), next, "{what}");
+        drop(wal);
+        let (_, rec) = Wal::open(cfg).expect(what);
+        let first = want.first().map_or(0, |(seq, _)| *seq);
+        let seqs: Vec<u64> = rec.records.iter().map(|(seq, _)| *seq).collect();
+        assert_eq!(seqs, (first..=next).collect::<Vec<u64>>(), "{what}: reopen");
+    }
+
+    /// Crash images of a recycling rotation (retention 1, fsync on): the
+    /// log cut at each step of the rotation that turns segment 0 into
+    /// segment 2, and at every frame boundary of the first records of
+    /// segment 2, whose frames lie exactly over segment 0's. Every
+    /// acknowledged record a retained segment holds comes back, no stale
+    /// one does, and the stale frames count as free space, not torn.
+    #[test]
+    fn a_recycling_rotation_loses_nothing_and_revives_nothing_at_any_cut() {
+        const PER_SEGMENT: u64 = 4;
+        let live = TempDir::new("recycle-live");
+        let frame = fixed(0).encode_frame().len();
+        let cfg = WalConfig::new(live.path())
+            .with_retention(1)
+            .with_segment_bytes((SEGMENT_HEADER + PER_SEGMENT as usize * frame) as u64);
+        let (wal, _) = Wal::open(cfg).expect("open");
+        let acked: Vec<(u64, WalRecord)> = (0..3 * PER_SEGMENT)
+            .map(|i| (wal.append(&fixed(i)).expect("append"), fixed(i)))
+            .collect();
+        let (old, new) = acked.split_at(2 * PER_SEGMENT as usize);
+        let retained = &old[PER_SEGMENT as usize..];
+        let file = |i: u64| fs::read(live.path().join(segment_file_name(i))).expect("read");
+        let seg1 = file(1);
+        let seg2 = file(2);
+        let recycled = wal.registry().counter("wal.segments.recycled").get();
+        assert_eq!(recycled, 1, "segment 2 is segment 0's file");
+        assert_eq!(wal.registry().counter("wal.segments.pruned").get(), 0);
+        assert!(!live.path().join(segment_file_name(0)).exists());
+
+        // Segment 0 as it was sealed: its header, its frames, then the
+        // zeros written ahead of them.
+        let mut seg0 = encode_header(SegmentHeader {
+            index: 0,
+            base_seq: 0,
+            prev_end: 0,
+        })
+        .to_vec();
+        for (_, rec) in &old[..PER_SEGMENT as usize] {
+            rec.encode_frame_into(&mut seg0);
+        }
+        seg0.resize(seg2.len().max(seg0.len()), 0);
+        let header2 = encode_header(SegmentHeader {
+            index: 2,
+            base_seq: 2 * PER_SEGMENT,
+            prev_end: (SEGMENT_HEADER + PER_SEGMENT as usize * frame) as u64,
+        });
+        assert_eq!(seg2[..SEGMENT_HEADER], header2, "the rewritten header");
+        let stale_under = |header: &[u8]| [header, &seg0[header.len()..]].concat();
+
+        recovers(
+            &[(0, seg0.clone()), (1, seg1.clone())],
+            old,
+            (0, 0),
+            "sealed",
+        );
+        recovers(
+            &[(1, seg1.clone()), (2, seg0.clone())],
+            retained,
+            (0, 0),
+            "renamed",
+        );
+        let rewritten = stale_under(&header2);
+        recovers(
+            &[(1, seg1.clone()), (2, rewritten)],
+            retained,
+            (0, 0),
+            "rewritten",
+        );
+        let mut want = retained.to_vec();
+        for k in 0..=PER_SEGMENT as usize {
+            let cut = SEGMENT_HEADER + k * frame;
+            let image = [(1, seg1.clone()), (2, stale_under(&seg2[..cut]))];
+            recovers(&image, &want, (0, 0), &format!("{k} frames"));
+            if k < new.len() {
+                let torn = stale_under(&seg2[..cut + frame / 2]);
+                let torn_bytes = (torn.len() - cut) as u64;
+                let image = [(1, seg1.clone()), (2, torn)];
+                recovers(&image, &want, (1, torn_bytes), &format!("frame {k} torn"));
+                want.push(new[k].clone());
+            }
+        }
+        // The live log as a process crash leaves it: the zero length
+        // field behind the last frame ends the segment.
+        recovers(&[(1, seg1), (2, seg2)], &want, (0, 0), "live");
+    }
+
+    /// A process crash over a recycled segment whose new frame does not
+    /// line up with the old ones: the zero length field the write left
+    /// behind it ends the segment, so the stale bytes after that are free
+    /// space, not a torn record.
+    #[test]
+    fn a_recycled_segment_ends_at_the_zero_length_field_behind_its_last_frame() {
+        const PER_SEGMENT: u64 = 4;
+        let live = TempDir::new("recycle-misaligned");
+        let frame = fixed(0).encode_frame().len();
+        let cfg = WalConfig::new(live.path())
+            .with_retention(1)
+            .with_segment_bytes((SEGMENT_HEADER + PER_SEGMENT as usize * frame) as u64);
+        let (wal, _) = Wal::open(cfg).expect("open");
+        let mut acked: Vec<(u64, WalRecord)> = (0..2 * PER_SEGMENT)
+            .map(|i| (wal.append(&fixed(i)).expect("append"), fixed(i)))
+            .collect();
+        let short = WalRecord::StreamClose { stream: 7 };
+        acked.push((wal.append(&short).expect("append"), short));
+        assert_eq!(wal.registry().counter("wal.segments.recycled").get(), 1);
+
+        let image: Vec<(u64, Vec<u8>)> = list_segments(live.path())
+            .expect("list")
+            .into_iter()
+            .map(|(index, path)| (index, fs::read(path).expect("read")))
+            .collect();
+        assert_eq!(image.iter().map(|(i, _)| *i).collect::<Vec<_>>(), [1, 2]);
+        recovers(&image, &acked[PER_SEGMENT as usize..], (0, 0), "misaligned");
     }
 }

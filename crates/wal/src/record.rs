@@ -3,18 +3,26 @@
 //! Every record is written as one *frame*:
 //!
 //! ```text
-//! +----------------+------------------+------------------+
-//! | body len (u32) | checksum (u64)   | body (len bytes) |
-//! +----------------+------------------+------------------+
+//! +----------------+----------------------------+------------------+
+//! | body len (u32) | checksum (u64)             | body (len bytes) |
+//! |                | = digest(body) ^ salt(seg) |                  |
+//! +----------------+----------------------------+------------------+
 //! ```
 //!
 //! all little-endian. The checksum is the streaming FNV-1a word-at-a-time
 //! digest ([`rtft_kpn::Digest`]) over the body — the same function the
 //! selector uses for output-equivalence checks, so a replayed stream and a
 //! recorded stream are compared in exactly the currency the detector
-//! already speaks. A frame whose length field, checksum, or body fails to
-//! parse marks the torn tail of a segment: everything before it is valid,
-//! everything from it on is discarded by recovery.
+//! already speaks — XORed with the *salt* of the segment the frame was
+//! written into. A segment index names one life of one file (a recycled
+//! file is renamed to a fresh index), and [`frame_salt`] is a bijection of
+//! the index, so a frame left over from an earlier life carries another
+//! salt and never decodes, at any offset and any length. Segment 0's
+//! salt is 0: its frames checksum exactly as unsalted ones.
+//!
+//! A frame whose length field, checksum, or body fails to parse marks the
+//! torn tail of a segment: everything before it is valid, everything from
+//! it on is discarded by recovery.
 
 use rtft_kpn::{digest_bytes, Bytes};
 
@@ -24,6 +32,38 @@ pub const FRAME_HEADER: usize = 12;
 /// Upper bound on a single record body. A length field above this is
 /// treated as corruption rather than an instruction to allocate.
 pub const MAX_RECORD: usize = 1 << 26;
+
+/// Odd, so multiplying by it is a bijection of `u64`: distinct segment
+/// indices get distinct salts.
+const SALT_MUL: u64 = 0x9e37_79b9_7f4a_7c15;
+
+/// `SALT_MUL`'s inverse modulo 2^64 (Newton's iteration doubles the
+/// correct low bits each step, from 3 to past 64 in five).
+const SALT_INV: u64 = {
+    let mut inv = SALT_MUL;
+    let mut i = 0;
+    while i < 5 {
+        inv = inv.wrapping_mul(2u64.wrapping_sub(SALT_MUL.wrapping_mul(inv)));
+        i += 1;
+    }
+    inv
+};
+
+/// The salt folded into the checksum of every frame of segment `index`.
+fn frame_salt(index: u64) -> u64 {
+    index.wrapping_mul(SALT_MUL)
+}
+
+/// Why [`decode_frame`] refused a frame.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum FrameError {
+    /// Not a whole, checksum-valid frame of this segment: a torn write or
+    /// corruption.
+    Torn,
+    /// A whole frame whose checksum carries the salt of an *earlier*
+    /// segment index: left behind by a previous life of a recycled file.
+    Stale,
+}
 
 const TAG_STREAM_OPEN: u8 = 0x01;
 const TAG_TOKENS: u8 = 0x02;
@@ -143,7 +183,9 @@ impl WalRecord {
             TAG_TOKENS => {
                 let stream = get_u32(body, &mut at)?;
                 let count = get_u32(body, &mut at)? as usize;
-                if count > body.len() {
+                // Each payload carries a 4-byte length: refuse a count
+                // the body cannot hold before allocating for it.
+                if count > (body.len() - at) / 4 {
                     return None;
                 }
                 let mut payloads = Vec::with_capacity(count);
@@ -160,7 +202,7 @@ impl WalRecord {
                 let stream = get_u32(body, &mut at)?;
                 let first_seq = get_u64(body, &mut at)?;
                 let count = get_u32(body, &mut at)? as usize;
-                if count.checked_mul(8)? > body.len() {
+                if count > (body.len() - at) / 8 {
                     return None;
                 }
                 let mut digests = Vec::with_capacity(count);
@@ -184,10 +226,11 @@ impl WalRecord {
         Some(rec)
     }
 
-    /// Appends the full frame (header + body) to `out`: the header is
-    /// reserved, the body encoded in place behind it and checksummed
-    /// where it lies, then length and checksum are patched in — no body
-    /// `Vec`, no copy of it behind a header.
+    /// Appends the full frame (header + body) to `out`, salted for
+    /// segment 0: the header is reserved, the body encoded in place
+    /// behind it and checksummed where it lies, then length and checksum
+    /// are patched in — no body `Vec`, no copy of it behind a header.
+    /// The log salts it for its segment under its lock.
     pub fn encode_frame_into(&self, out: &mut Vec<u8>) {
         let start = out.len();
         out.extend_from_slice(&[0; FRAME_HEADER]);
@@ -199,7 +242,8 @@ impl WalRecord {
         out[start + 4..body].copy_from_slice(&checksum.to_le_bytes());
     }
 
-    /// Serialize the full frame: header + body.
+    /// Serialize the full frame, header + body, as segment 0 holds it.
+    /// Every segment holds a frame of the same length.
     pub fn encode_frame(&self) -> Vec<u8> {
         let mut out = Vec::new();
         self.encode_frame_into(&mut out);
@@ -207,30 +251,48 @@ impl WalRecord {
     }
 }
 
-/// Attempt to parse one frame at the start of `buf`.
+/// Fold segment `index`'s salt into the checksum of the frame that
+/// starts `frame`, which must carry segment 0's (no salt). Cheap enough
+/// to run under the log's lock, where the segment is known.
+pub fn salt_frame(frame: &mut [u8], index: u64) {
+    let field = &mut frame[4..FRAME_HEADER];
+    let salted =
+        u64::from_le_bytes((&*field).try_into().expect("an 8-byte field")) ^ frame_salt(index);
+    field.copy_from_slice(&salted.to_le_bytes());
+}
+
+/// Attempt to parse one frame of segment `index` at the start of `buf`.
 ///
-/// `Ok((record, frame_len))` on success; `Err(())` when the bytes do not
-/// form a complete, checksum-valid, decodable frame — i.e. the torn tail.
-pub fn decode_frame(buf: &[u8]) -> Result<(WalRecord, usize), ()> {
+/// `Ok((record, frame_len))` on success. A length field of 0 or above
+/// [`MAX_RECORD`], or one reaching past `buf`, is refused before anything
+/// is read or allocated. A whole frame salted for an earlier segment is
+/// [`FrameError::Stale`]; anything else that is not a checksum-valid,
+/// decodable frame of this segment is [`FrameError::Torn`].
+pub fn decode_frame(buf: &[u8], index: u64) -> Result<(WalRecord, usize), FrameError> {
     if buf.len() < FRAME_HEADER {
-        return Err(());
+        return Err(FrameError::Torn);
     }
     let len = u32::from_le_bytes(buf[0..4].try_into().unwrap()) as usize;
     if len == 0 || len > MAX_RECORD {
-        return Err(());
+        return Err(FrameError::Torn);
     }
     let stored = u64::from_le_bytes(buf[4..12].try_into().unwrap());
     let total = FRAME_HEADER + len;
     if buf.len() < total {
-        return Err(());
+        return Err(FrameError::Torn);
     }
     let body = &buf[FRAME_HEADER..total];
-    if digest_bytes(body) != stored {
-        return Err(());
+    // The salt the checksum carries, mapped back to its segment index.
+    let life = (stored ^ digest_bytes(body)).wrapping_mul(SALT_INV);
+    if life < index {
+        return Err(FrameError::Stale);
+    }
+    if life != index {
+        return Err(FrameError::Torn);
     }
     match WalRecord::decode_body(body) {
         Some(rec) => Ok((rec, total)),
-        None => Err(()),
+        None => Err(FrameError::Torn),
     }
 }
 
@@ -308,7 +370,7 @@ mod tests {
     fn frames_round_trip() {
         for rec in samples() {
             let frame = rec.encode_frame();
-            let (back, used) = decode_frame(&frame).expect("frame decodes");
+            let (back, used) = decode_frame(&frame, 0).expect("frame decodes");
             assert_eq!(back, rec);
             assert_eq!(used, frame.len());
         }
@@ -337,7 +399,7 @@ mod tests {
             let frame = rec.encode_frame();
             for cut in 0..frame.len() {
                 assert!(
-                    decode_frame(&frame[..cut]).is_err(),
+                    decode_frame(&frame[..cut], 0).is_err(),
                     "prefix of {cut} bytes must not decode"
                 );
             }
@@ -354,8 +416,8 @@ mod tests {
         for byte in 0..frame.len() {
             let mut bad = frame.clone();
             bad[byte] ^= 0x10;
-            match decode_frame(&bad) {
-                Err(()) => {}
+            match decode_frame(&bad, 0) {
+                Err(_) => {}
                 Ok((back, _)) => {
                     // A flip in the length field can only "succeed" by
                     // reading a different checksummed frame — impossible
@@ -366,6 +428,27 @@ mod tests {
                         "bit flip at byte {byte} yielded a different record"
                     );
                     panic!("bit flip at byte {byte} went undetected");
+                }
+            }
+        }
+    }
+
+    /// A frame decodes in the life it was salted for and no other: an
+    /// earlier life reads it as stale, a later one as torn.
+    #[test]
+    fn a_frame_decodes_only_under_its_own_salt() {
+        assert_eq!(SALT_MUL.wrapping_mul(SALT_INV), 1);
+        for rec in samples() {
+            for life in [0u64, 1, 2, 41, u64::MAX] {
+                let mut frame = rec.encode_frame();
+                salt_frame(&mut frame, life);
+                let (back, used) = decode_frame(&frame, life).expect("own life");
+                assert_eq!((back, used), (rec.clone(), frame.len()));
+                if life > 0 {
+                    assert_eq!(decode_frame(&frame, life - 1), Err(FrameError::Torn));
+                }
+                if life < u64::MAX {
+                    assert_eq!(decode_frame(&frame, life + 1), Err(FrameError::Stale));
                 }
             }
         }

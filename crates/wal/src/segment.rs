@@ -4,34 +4,47 @@
 //! segment index). Each starts with a fixed header:
 //!
 //! ```text
-//! +-------------+---------------+--------------------+-------------------+
-//! | "RTFTWAL1"  | version (u32) | segment index (u64)| base seq (u64)    |
-//! +-------------+---------------+--------------------+-------------------+
+//! +-------------+---------------+---------------+---------------+
+//! | "RTFTWAL1"  | version (u32) | segment index | base seq      |
+//! |             | = 3           | (u64)         | (u64)         |
+//! +-------------+---------------+---------------+---------------+
+//! | previous segment's end (u64)| header digest (u64, over all  |
+//! |                             | the fields before it)         |
+//! +-----------------------------+-------------------------------+
 //! ```
 //!
-//! followed by record frames. `base seq` is the sequence number of the
-//! first record in the segment, so a log whose oldest segments were
-//! pruned still yields correct global sequence numbers.
+//! followed by record frames salted for the segment index (see
+//! [`crate::WalRecord`]'s framing). `base seq` is the sequence number of
+//! the first record in the segment, so a log whose oldest segments were
+//! retired still yields correct global sequence numbers. `previous
+//! segment's end` is the logical length segment `index - 1` was sealed
+//! at (0 for a log's first segment): a sealed segment's own file may run
+//! on past its last frame — zeros written ahead of the frames, or the
+//! frames of an earlier life of a recycled file — so the scan of a
+//! sealed segment reads exactly up to the end its successor recorded
+//! and refuses anything bad before it.
 //!
-//! The log writes zeros ahead of a segment's last frame (see
-//! [`crate::Wal`]), so a scan may find an all-zero remainder after the
-//! last valid frame. That is free space, never a torn record: no frame
-//! starts with a zero length field.
+//! The header names the index its file name carries. A file whose header
+//! is unreadable, or names another index (a recycled file renamed before
+//! its new header reached the disk), holds nothing of its own life.
 
-use crate::record::{decode_frame, WalRecord};
+use crate::record::{decode_frame, FrameError, WalRecord};
+use rtft_kpn::digest_bytes;
 use std::fs;
-use std::io::{self, Read};
+use std::io;
 use std::path::{Path, PathBuf};
 
 /// Magic bytes opening every segment file.
 pub const SEGMENT_MAGIC: [u8; 8] = *b"RTFTWAL1";
 
-/// On-disk format version. Bumped to 2 when `StreamOpen` grew the tenant
-/// id — v1 segments are refused rather than misparsed.
-pub const SEGMENT_VERSION: u32 = 2;
+/// On-disk format version. 2 added the tenant id to `StreamOpen`; 3
+/// salts every frame's checksum with its segment index and adds the
+/// previous segment's end and a digest to the header. A segment of
+/// another version is refused, never misparsed or deleted.
+pub const SEGMENT_VERSION: u32 = 3;
 
 /// Serialized header size.
-pub const SEGMENT_HEADER: usize = 8 + 4 + 8 + 8;
+pub const SEGMENT_HEADER: usize = 8 + 4 + 8 + 8 + 8 + 8;
 
 /// File name for segment `index`.
 pub fn segment_file_name(index: u64) -> String {
@@ -47,31 +60,53 @@ fn parse_segment_name(name: &str) -> Option<u64> {
     u64::from_str_radix(stem, 16).ok()
 }
 
+/// A decoded segment header.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct SegmentHeader {
+    /// Segment index; also the frames' salt.
+    pub index: u64,
+    /// Sequence number of the segment's first record.
+    pub base_seq: u64,
+    /// Logical length segment `index - 1` was sealed at (0: none).
+    pub prev_end: u64,
+}
+
 /// Serialize a segment header.
-pub fn encode_header(index: u64, base_seq: u64) -> [u8; SEGMENT_HEADER] {
+pub fn encode_header(h: SegmentHeader) -> [u8; SEGMENT_HEADER] {
     let mut out = [0u8; SEGMENT_HEADER];
     out[0..8].copy_from_slice(&SEGMENT_MAGIC);
     out[8..12].copy_from_slice(&SEGMENT_VERSION.to_le_bytes());
-    out[12..20].copy_from_slice(&index.to_le_bytes());
-    out[20..28].copy_from_slice(&base_seq.to_le_bytes());
+    out[12..20].copy_from_slice(&h.index.to_le_bytes());
+    out[20..28].copy_from_slice(&h.base_seq.to_le_bytes());
+    out[28..36].copy_from_slice(&h.prev_end.to_le_bytes());
+    let digest = digest_bytes(&out[..36]);
+    out[36..44].copy_from_slice(&digest.to_le_bytes());
     out
 }
 
 /// Parse and validate a segment header. `None` = torn or foreign header.
-fn decode_header(buf: &[u8]) -> Option<(u64, u64)> {
-    if buf.len() < SEGMENT_HEADER {
+fn decode_header(buf: &[u8]) -> Option<SegmentHeader> {
+    let buf = buf.get(..SEGMENT_HEADER)?;
+    if buf[0..8] != SEGMENT_MAGIC || version(buf) != Some(SEGMENT_VERSION) {
         return None;
     }
-    if buf[0..8] != SEGMENT_MAGIC {
+    if digest_bytes(&buf[..36]) != u64_at(buf, 36) {
         return None;
     }
-    let version = u32::from_le_bytes(buf[8..12].try_into().ok()?);
-    if version != SEGMENT_VERSION {
-        return None;
-    }
-    let index = u64::from_le_bytes(buf[12..20].try_into().ok()?);
-    let base_seq = u64::from_le_bytes(buf[20..28].try_into().ok()?);
-    Some((index, base_seq))
+    Some(SegmentHeader {
+        index: u64_at(buf, 12),
+        base_seq: u64_at(buf, 20),
+        prev_end: u64_at(buf, 28),
+    })
+}
+
+/// The version field behind a magic, if `buf` is long enough to hold one.
+fn version(buf: &[u8]) -> Option<u32> {
+    Some(u32::from_le_bytes(buf.get(8..12)?.try_into().ok()?))
+}
+
+fn u64_at(buf: &[u8], at: usize) -> u64 {
+    u64::from_le_bytes(buf[at..at + 8].try_into().expect("an 8-byte slice"))
 }
 
 /// Everything the recovery scan learned about one segment file.
@@ -79,23 +114,27 @@ fn decode_header(buf: &[u8]) -> Option<(u64, u64)> {
 pub struct SegmentScan {
     /// Path the segment was read from.
     pub path: PathBuf,
-    /// Segment index from the header.
+    /// Segment index from the file name (and the header, when usable).
     pub index: u64,
     /// Sequence number of the first record.
     pub base_seq: u64,
+    /// The previous segment's end, from the header.
+    pub prev_end: u64,
     /// Valid records, each with its global sequence number.
     pub records: Vec<(u64, WalRecord)>,
     /// Byte offset of the end of the last valid frame (truncation point).
     pub valid_len: u64,
     /// Bytes past `valid_len` that failed to parse (the torn tail).
     pub torn_bytes: u64,
-    /// Bytes past `valid_len` that are all zero: pre-filled space no
-    /// frame reached. Free, not torn; 0 whenever `torn_bytes` is not.
+    /// Bytes past `valid_len` that hold no frame of this segment's life:
+    /// zeros written ahead of the frames, or an earlier life's frames.
+    /// Free, not torn; 0 whenever `torn_bytes` is not.
     pub free_bytes: u64,
     /// Torn records dropped: 1 when a partial/corrupt frame was found.
     pub torn_records: u64,
-    /// Whether the header itself was unreadable (segment contributes
-    /// nothing and should be deleted by recovery).
+    /// Whether the segment holds nothing of its own life: its header is
+    /// unreadable (`torn_bytes` counts the file) or names another index
+    /// (`free_bytes` counts it). Recovery deletes such a final segment.
     pub header_torn: bool,
 }
 
@@ -106,75 +145,105 @@ impl SegmentScan {
     }
 }
 
-/// Scan one segment file, tolerating a torn tail.
-///
-/// `strict` is set for non-final segments: any torn bytes there mean the
-/// log is corrupt in the middle, which recovery refuses to paper over.
-/// An all-zero remainder is free space under either rule.
-pub fn scan_segment(path: &Path, strict: bool) -> io::Result<SegmentScan> {
-    let mut bytes = Vec::new();
-    fs::File::open(path)?.read_to_end(&mut bytes)?;
+/// Scan one segment file (see [`scan_bytes`]).
+fn scan_segment(path: &Path, index: u64, sealed_end: Option<u64>) -> io::Result<SegmentScan> {
+    scan_bytes(path, &fs::read(path)?, index, sealed_end)
+}
 
-    let header = decode_header(&bytes);
-    let (index, base_seq) = match header {
-        Some(h) => h,
-        None => {
-            if strict {
+/// Scan the bytes of segment `index`, read from `path`.
+///
+/// `sealed_end` is the logical end its successor recorded, for a sealed
+/// segment: the scan is strict up to it — any bad header or frame there
+/// means the log is corrupt in the middle, which recovery refuses to
+/// paper over — and reads nothing past it. The final segment (`None`)
+/// is scanned tolerantly: the first frame that fails ends it. What
+/// follows is free space when it starts with a zero length field (or
+/// what is left of one) or with an earlier life's frame, and the torn
+/// tail otherwise.
+pub fn scan_bytes(
+    path: &Path,
+    bytes: &[u8],
+    index: u64,
+    sealed_end: Option<u64>,
+) -> io::Result<SegmentScan> {
+    let mut scan = SegmentScan {
+        path: path.to_path_buf(),
+        index,
+        base_seq: 0,
+        prev_end: 0,
+        records: Vec::new(),
+        valid_len: 0,
+        torn_bytes: 0,
+        free_bytes: 0,
+        torn_records: 0,
+        header_torn: false,
+    };
+    if bytes.starts_with(&SEGMENT_MAGIC) {
+        if let Some(v) = version(bytes).filter(|v| *v != SEGMENT_VERSION) {
+            let what = format!("segment format version {v}, this build reads {SEGMENT_VERSION}");
+            return Err(corrupt(path, 8, &what));
+        }
+    }
+    let header = match decode_header(bytes) {
+        Some(h) if h.index == index => h,
+        other => {
+            if sealed_end.is_some() {
                 return Err(corrupt(path, 0, "unreadable segment header"));
             }
-            return Ok(SegmentScan {
-                path: path.to_path_buf(),
-                index: 0,
-                base_seq: 0,
-                records: Vec::new(),
-                valid_len: 0,
-                torn_bytes: bytes.len() as u64,
-                free_bytes: 0,
-                torn_records: u64::from(!bytes.is_empty()),
-                header_torn: true,
-            });
+            scan.header_torn = true;
+            if other.is_some() {
+                scan.free_bytes = bytes.len() as u64;
+            } else {
+                scan.torn_bytes = bytes.len() as u64;
+                scan.torn_records = u64::from(!bytes.is_empty());
+            }
+            return Ok(scan);
         }
     };
+    scan.base_seq = header.base_seq;
+    scan.prev_end = header.prev_end;
 
-    let mut records = Vec::new();
+    let end = match sealed_end {
+        Some(end) if end < SEGMENT_HEADER as u64 || end > bytes.len() as u64 => {
+            return Err(corrupt(
+                path,
+                end as usize,
+                "recorded end outside the segment",
+            ));
+        }
+        Some(end) => end as usize,
+        None => bytes.len(),
+    };
     let mut at = SEGMENT_HEADER;
-    let mut seq = base_seq;
-    let mut torn_bytes = 0u64;
-    let mut free_bytes = 0u64;
-    let mut torn_records = 0u64;
-    while at < bytes.len() {
-        match decode_frame(&bytes[at..]) {
+    let mut seq = header.base_seq;
+    while at < end {
+        match decode_frame(&bytes[at..end], index) {
             Ok((rec, used)) => {
-                records.push((seq, rec));
+                scan.records.push((seq, rec));
                 seq += 1;
                 at += used;
             }
-            Err(()) => {
-                if bytes[at..].iter().all(|&b| b == 0) {
-                    free_bytes = (bytes.len() - at) as u64;
-                    break;
-                }
-                if strict {
+            Err(e) => {
+                if sealed_end.is_some() {
                     return Err(corrupt(path, at, "bad record frame"));
                 }
-                torn_bytes = (bytes.len() - at) as u64;
-                torn_records = 1;
+                let rest = (bytes.len() - at) as u64;
+                let length_field = &bytes[at..(at + 4).min(bytes.len())];
+                if e == FrameError::Stale || length_field.iter().all(|&b| b == 0) {
+                    scan.free_bytes = rest;
+                } else {
+                    scan.torn_bytes = rest;
+                    scan.torn_records = 1;
+                }
                 break;
             }
         }
     }
-
-    Ok(SegmentScan {
-        path: path.to_path_buf(),
-        index,
-        base_seq,
-        records,
-        valid_len: at as u64,
-        torn_bytes,
-        free_bytes,
-        torn_records,
-        header_torn: false,
-    })
+    if sealed_end.is_some() {
+        scan.free_bytes = (bytes.len() - end) as u64;
+    }
+    scan.valid_len = at as u64;
+    Ok(scan)
 }
 
 /// List the segment files in `dir`, ordered by segment index.
@@ -190,6 +259,39 @@ pub fn list_segments(dir: &Path) -> io::Result<Vec<(u64, PathBuf)>> {
     }
     out.sort_by_key(|(index, _)| *index);
     Ok(out)
+}
+
+/// Scan all segments of `dir` in index order. The last segment with a
+/// usable header is final and scanned tolerantly; every segment before
+/// it is sealed, scanned strictly up to the end its successor recorded,
+/// and must be its successor's index minus one, with as many records as
+/// the successor's base sequence number says.
+pub fn scan_dir(dir: &Path) -> io::Result<Vec<SegmentScan>> {
+    let listed = list_segments(dir)?;
+    let mut scans: Vec<SegmentScan> = Vec::with_capacity(listed.len());
+    for (index, path) in listed.iter().rev() {
+        let successor = scans.last().filter(|s| !s.header_torn);
+        let scan = match successor {
+            None => scan_segment(path, *index, None)?,
+            Some(next) => {
+                if next.index != index + 1 {
+                    return Err(corrupt(path, 0, "the next segment is missing"));
+                }
+                let scan = scan_segment(path, *index, Some(next.prev_end))?;
+                if scan.next_seq() != next.base_seq {
+                    return Err(corrupt(
+                        path,
+                        0,
+                        "record count disagrees with the next segment",
+                    ));
+                }
+                scan
+            }
+        };
+        scans.push(scan);
+    }
+    scans.reverse();
+    Ok(scans)
 }
 
 fn corrupt(path: &Path, at: usize, what: &str) -> io::Error {
@@ -216,11 +318,18 @@ mod tests {
 
     #[test]
     fn headers_round_trip() {
-        let h = encode_header(42, 9001);
-        assert_eq!(decode_header(&h), Some((42, 9001)));
-        assert_eq!(decode_header(&h[..SEGMENT_HEADER - 1]), None);
-        let mut bad = h;
-        bad[0] ^= 1;
-        assert_eq!(decode_header(&bad), None);
+        let h = SegmentHeader {
+            index: 42,
+            base_seq: 9001,
+            prev_end: 777,
+        };
+        let bytes = encode_header(h);
+        assert_eq!(decode_header(&bytes), Some(h));
+        assert_eq!(decode_header(&bytes[..SEGMENT_HEADER - 1]), None);
+        for at in 0..SEGMENT_HEADER {
+            let mut bad = bytes;
+            bad[at] ^= 1;
+            assert_eq!(decode_header(&bad), None, "flip at byte {at}");
+        }
     }
 }

@@ -23,7 +23,9 @@
 //!    stream open and close — a property of the commit path that holds
 //!    on any disk, where a latency floor would not. Beside it, the zeros
 //!    the log wrote ahead of its frames (`wal.prefill.bytes`) so those
-//!    fsyncs overwrite blocks instead of growing the file.
+//!    fsyncs overwrite blocks instead of growing the file, and the
+//!    retired segments it reused (`wal.segments.recycled`; 0 here, where
+//!    the log keeps every segment and one segment holds the run).
 //!
 //! Exits non-zero on token loss, missed recovery, a dirty verify of the
 //! honest log, a missed detection of the corrupted one, or an fsync
@@ -203,9 +205,11 @@ fn main() {
     let limit = batches + 2 * COUNT_STREAMS + 1;
     println!(
         "  {batches} durable batches on {COUNT_STREAMS} streams: wal.fsyncs = {fsyncs} \
-         (limit {limit}), wal.appends = {}, wal.prefill.bytes = {}",
+         (limit {limit}), wal.appends = {}, wal.prefill.bytes = {}, \
+         wal.segments.recycled = {}",
         registry.counter("wal.appends").get(),
-        registry.counter("wal.prefill.bytes").get()
+        registry.counter("wal.prefill.bytes").get(),
+        registry.counter("wal.segments.recycled").get()
     );
     if !balanced || fsyncs > limit {
         eprintln!("SMOKE FAILED: a durable batch costs more than one fsync");

@@ -648,6 +648,77 @@ fn power_cut_after_the_last_fsync_replays_exactly_the_unlogged_batches() {
     }
 }
 
+/// Recycled segments under a live server: with retention 1 and small
+/// segments every rotation past the second reuses the retired file, so
+/// the log's first file lives on under a later index. A stream opened
+/// late, with one flushed and one unflushed durable batch, survives a
+/// hard drop: the restart finds it in the two retained segments, replays
+/// its tail, and the replay of the recycled log verifies clean.
+#[test]
+fn a_recycled_log_survives_a_hard_drop_and_replays_clean() {
+    use std::os::unix::fs::MetadataExt;
+    let dir = TempDir::new("recycled");
+    let token = WalRecord::Tokens {
+        stream: 0,
+        payloads: vec![Bytes::from(workload(App::Adpcm, 0, 1).remove(0))],
+    };
+    let segment_bytes = 4 * token.encode_frame().len() as u64;
+    let cfg = ServerConfig {
+        wal: Some(
+            WalConfig::new(dir.path())
+                .with_retention(1)
+                .with_segment_bytes(segment_bytes),
+        ),
+        ..ServerConfig::default()
+    };
+    let server = Server::start("127.0.0.1:0", cfg.clone()).expect("bind");
+    let first = std::fs::metadata(dir.path().join(segment_file_name(0)))
+        .expect("segment 0")
+        .ino();
+    let mut client = Client::connect(server.addr(), "recycled").expect("connect");
+    let early = client
+        .open_stream(App::Adpcm, 2)
+        .expect("open")
+        .expect_stream();
+    for round in 0..12 {
+        let batch = workload(App::Adpcm, round, 2);
+        client.send_tokens_durable(early, &batch).expect("send");
+        assert_eq!(client.flush(early).expect("flush").outputs.len(), 2);
+    }
+    client.close(early).expect("close");
+    let late = client
+        .open_stream(App::Adpcm, 2)
+        .expect("open")
+        .expect_stream();
+    let flushed = workload(App::Adpcm, 50, 1);
+    client.send_tokens_durable(late, &flushed).expect("send");
+    assert_eq!(client.flush(late).expect("flush").outputs.len(), 1);
+    let tail = workload(App::Adpcm, 51, 1);
+    client.send_tokens_durable(late, &tail).expect("send");
+    server.hard_drop();
+
+    let files: Vec<_> = std::fs::read_dir(dir.path())
+        .expect("log dir")
+        .map(|e| e.expect("entry").metadata().expect("meta").ino())
+        .collect();
+    assert_eq!(files.len(), 2, "one retained segment and the active one");
+    assert!(!dir.path().join(segment_file_name(0)).exists());
+    assert!(files.contains(&first), "segment 0's file was reused");
+
+    let report = Server::start("127.0.0.1:0", cfg.clone())
+        .expect("restart")
+        .shutdown();
+    assert_eq!(report.recovered_streams, 1, "the late stream, whole");
+    assert_eq!(report.replayed_tokens, 1, "its unflushed tail");
+    assert_eq!(report.wal_truncated_records, 0, "stale frames are not torn");
+    assert!(report.balanced());
+    let verify = replay_verify(dir.path(), &cfg).expect("replay");
+    assert!(verify.clean(), "{}", verify.to_json());
+    let replay = verify.streams.iter().find(|s| s.stream == late);
+    let replay = replay.expect("the late stream replays");
+    assert_eq!((replay.recorded, replay.replayed), (2, 2));
+}
+
 /// One fsync per durable batch, as a count: the `Outputs` record of a
 /// flush rides the fsync of the next synchronous record instead of
 /// waiting for its own (which read 2 N + 2 here). From below, the same
